@@ -52,6 +52,12 @@ class Undeployer:
                 files_removed = self.rdm.site.fs.rmtree(deployment.home)
             except FilesystemError:
                 files_removed = 0
+            else:
+                # archive copies under the home were replica sources for
+                # other sites' downloads: delist them with the files
+                self.rdm.gridftp.url_catalog.discard_replicas_under(
+                    self.rdm.node_name, deployment.home
+                )
         # deregister through the local ADR (loopback RPC, so the cost
         # and the LUT bookkeeping follow the normal path)
         yield from self.rdm.network.call(

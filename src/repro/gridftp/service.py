@@ -89,9 +89,20 @@ class UrlCatalog:
 
     def discard_replica(self, url: str, site: str) -> None:
         """Forget every replica of ``url`` hosted on ``site``."""
+        self._drop_replicas(url, lambda loc: loc[0] == site)
+
+    def discard_replicas_under(self, site: str, directory: str) -> None:
+        """Forget every replica ``site`` kept below ``directory`` (now deleted)."""
+        prefix = directory.rstrip("/") + "/"
+        for url in list(self.replicas):
+            self._drop_replicas(
+                url, lambda loc: loc[0] == site and loc[1].startswith(prefix)
+            )
+
+    def _drop_replicas(self, url: str, gone) -> None:
         locations = self.replicas.get(url)
         if locations is not None:
-            locations[:] = [loc for loc in locations if loc[0] != site]
+            locations[:] = [loc for loc in locations if not gone(loc)]
             if not locations:
                 del self.replicas[url]
 

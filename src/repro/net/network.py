@@ -14,7 +14,9 @@ size/bandwidth), server-side crypto + unmarshalling CPU, the service
 handler itself (which typically executes on the server CPU), and the
 response transmission back.  This is the cost model every experiment
 in the paper's evaluation rides on.  A :class:`RetryPolicy` passed to
-:meth:`Network.call` re-runs the whole pipeline per attempt.
+:meth:`Network.call` re-runs the whole pipeline per attempt; a
+per-attempt deadline is one cancellable timeout on the caller's own
+process (no runner process, nothing left on the agenda afterwards).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.obs import Observability
 from repro.obs import disabled as _disabled_observability
 from repro.obs.slo import CALL as SLO_CALL_LEVEL
 from repro.simkernel import CPU, Simulator
-from repro.simkernel.errors import OfflineError, SimulationError
+from repro.simkernel.errors import Interrupt, OfflineError, SimulationError
 
 
 class ServiceNotFound(SimulationError):
@@ -166,12 +168,8 @@ class Network:
         if self.faults.enabled:
             layers.append(FaultInterceptor(self))
         self.interceptors = layers
+        # an empty layer list composes to the transport stage itself
         self._invoke = compose(layers, self._transport)
-        # Null-chain bypass: an empty layer list implies observability is
-        # off, no SLO engine is installed and the fault plane is disabled,
-        # so :meth:`call` may skip ``CallContext`` construction and run
-        # the transport stage directly (see :meth:`_call_direct`).
-        self._bare = not layers
 
     # -- node management ---------------------------------------------------
 
@@ -252,151 +250,43 @@ class Network:
         ``retry`` policy the whole pipeline is re-run per attempt
         (per-attempt timeouts raise :class:`RpcTimeout`; transient
         errors back off and retry within the deadline budget).
+
+        Every call takes the same route: context → retry loop →
+        per-attempt deadline → interceptor chain → transport, each
+        stage present only when it has work to do.  The generator of
+        the outermost such stage is returned as is, so a stage that is
+        off costs the caller no frame.
         """
-        if self._bare and (retry is None or not retry.engaged):
-            # Fast path for the all-off default: no interceptors, no SLO
-            # engine, no engaged retry layer.  The event sequence is the
-            # same as the composed pipeline's — only the bookkeeping
-            # objects and sub-generator frames are elided — which the
-            # determinism fingerprints pin byte-for-byte.
-            value = yield from self._call_direct(
-                src, dst, service, method, payload, size, security
-            )
-            return value
         ctx = CallContext(src, dst, service, method, payload, size, security)
+        if retry is None or not retry.engaged:
+            attempts = self._invoke(ctx)
+        elif retry.attempts == 1 and retry.deadline is None:
+            # nothing to retry, no total budget: the per-try deadline
+            # is all that is left of the policy
+            attempts = self._attempt_with_deadline(ctx, retry.per_try_timeout)
+        else:
+            attempts = self._call_with_policy(ctx, retry)
+        if self.obs.slo is None:
+            return attempts
+        return self._record_call_sli(ctx, attempts)
+
+    def _record_call_sli(self, ctx: CallContext, attempts: Generator) -> Generator:
+        """Call-level SLI: one event per client-visible outcome.
+
+        Recorded after the whole retry loop resolved (attempt-level
+        events come from the :class:`SLOInterceptor` inside the
+        pipeline).
+        """
         engine = self.obs.slo
-        if engine is None:
-            if retry is not None and retry.engaged:
-                value = yield from self._call_with_policy(ctx, retry)
-            else:
-                value = yield from self._invoke(ctx)
-            return value
-        # call-level SLI: one event per client-visible outcome, after
-        # the whole retry loop resolved (attempt-level events come from
-        # the SLOInterceptor inside the pipeline)
         started = self.sim.now
         ok = False
         try:
-            if retry is not None and retry.engaged:
-                value = yield from self._call_with_policy(ctx, retry)
-            else:
-                value = yield from self._invoke(ctx)
+            value = yield from attempts
             ok = True
         finally:
             engine.record(ctx.endpoint, started, self.sim.now, ok,
                           level=SLO_CALL_LEVEL)
         return value
-
-    def _call_direct(
-        self,
-        src: str,
-        dst: str,
-        service: str,
-        method: str,
-        payload: Any,
-        size: int,
-        security: Optional[SecurityPolicy],
-    ) -> Generator:
-        """One remote call with the null pipeline fully inlined.
-
-        Only reachable when the interceptor chain is empty (which
-        implies tracing, metrics, SLOs and the fault plane are all off)
-        and no retry layer is engaged.  The cost model — marshalling,
-        handshake, both transmissions, dispatch — is charged in exactly
-        the order :meth:`_transport` and its helpers use, so the event
-        sequence (and therefore every determinism fingerprint) is
-        byte-identical; the saving is purely interpreter-side:
-        no ``CallContext``, no composed-chain frame, and the helper
-        sub-generators (`_client_marshal`/`_security_handshake`/
-        `_server_unmarshal`/`_serve`/`_send_response`/`_transmit`)
-        collapse into this one frame.
-        """
-        sim = self.sim
-        policy = security if security is not None else self.security
-        src_node = self.node(src)
-        dst_node = self.node(dst)
-        if not src_node.online:
-            raise OfflineError(f"source node {src!r} is offline")
-
-        message = Message(
-            src=src,
-            dst=dst,
-            service=service,
-            method=method,
-            payload=payload,
-            size=size,
-            secure=policy.enabled,
-        )
-        msize = message.size
-        latency, bandwidth = self.topology.path_metrics(src, dst)
-        contended = self.contention and src != dst
-
-        # client-side marshalling + crypto (one co-scheduled CPU grant)
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.client_cpu_demand(msize)
-        if demand > 0:
-            yield from src_node.cpu.execute(demand)
-
-        handshake = policy.handshake_latency(2.0 * latency)
-        if handshake > 0:
-            yield sim.timeout(handshake)
-
-        # request transmission
-        if contended:
-            yield from self._transmit(src, dst, msize)
-        else:
-            yield sim.timeout(latency + msize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += msize
-        src_node.messages_out += 1
-        src_node.bytes_out += msize
-
-        if not dst_node.online:
-            # the connection attempt times out
-            yield sim.timeout(self.connect_fail_delay)
-            raise OfflineError(f"target node {dst!r} is offline")
-
-        dst_node.messages_in += 1
-        dst_node.bytes_in += msize
-
-        # server-side crypto + unmarshalling
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.server_cpu_demand(msize)
-        if demand > 0:
-            yield from dst_node.cpu.execute(demand)
-
-        # dispatch (fault rules re-checked dynamically, like _serve)
-        handler = dst_node.service(service)
-        if self.faults.enabled:  # pragma: no cover - bare chain ⇒ disabled
-            injected = self.faults.service_fault(
-                CallContext(src, dst, service, method, payload, size, security)
-            )
-            if injected is not None:
-                raise injected
-        dst_node.inflight_rpcs += 1
-        try:
-            result = yield from handler.dispatch(method, message)
-        finally:
-            dst_node.inflight_rpcs -= 1
-        response = result if isinstance(result, Response) else Response(value=result)
-
-        # crypto on the response body + the return transmission
-        resp_crypto = policy.server_cpu_demand(response.size) - policy.server_cpu_demand(0)
-        if resp_crypto > 0:
-            yield from dst_node.cpu.execute(resp_crypto)
-        rsize = response.size
-        if contended:
-            yield from self._transmit(dst, src, rsize)
-        else:
-            latency, bandwidth = self.topology.path_metrics(dst, src)
-            yield sim.timeout(latency + rsize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += rsize
-        dst_node.messages_out += 1
-        dst_node.bytes_out += rsize
-        src_node.messages_in += 1
-        src_node.bytes_in += rsize
-        return response.value
 
     # -- retry layer -----------------------------------------------------------
 
@@ -444,154 +334,140 @@ class Network:
         raise last_error
 
     def _attempt_with_deadline(self, ctx: CallContext, timeout: float) -> Generator:
-        """One pipeline attempt raced against ``timeout``.
+        """One pipeline attempt under a deadline, inline in the caller's process.
 
-        The in-flight call is interrupted when the deadline passes so
-        it does not linger.
+        The deadline is one timeout whose callback interrupts this
+        process with the timeout itself as the cause.  Exactly that
+        :class:`Interrupt` becomes :class:`RpcTimeout`; an enclosing
+        call's deadline or an outsider's interrupt passes through
+        untouched, so nested deadlines compose.  Every other exit
+        cancels the timeout: nothing stays on the agenda.
         """
-
-        def _runner() -> Generator:
-            value = yield from self._invoke(ctx)
-            return value
-
-        proc = self.sim.process(_runner(), name=f"rpc:{ctx.service}.{ctx.method}")
-        deadline = self.sim.timeout(timeout)
-        yield self.sim.any_of([proc, deadline])
-        if proc.triggered:
-            if not proc.ok:
-                proc.defused = True
-                raise proc.value
-            return proc.value
+        sim = self.sim
+        proc = sim.active_process
+        deadline = sim.timeout(timeout)
+        deadline.callbacks.append(proc.interrupt)
         try:
-            proc.interrupt("rpc timeout")
-        except SimulationError:  # pragma: no cover - already finished
-            pass
-        proc.defused = True
-        raise RpcTimeout(
-            f"{ctx.service}.{ctx.method} on {ctx.dst!r} timed out after {timeout}s"
-        )
+            value = yield from self._invoke(ctx)
+        except Interrupt as interrupt:
+            if interrupt.cause is not deadline:
+                raise
+            raise RpcTimeout(
+                f"{ctx.service}.{ctx.method} on {ctx.dst!r} timed out after {timeout}s"
+            ) from None
+        finally:
+            sim.cancel(deadline)
+        return value
 
     # -- terminal transport stage ------------------------------------------------
 
     def _transport(self, ctx: CallContext) -> Generator:
-        """Marshalling, security, wire transfer and dispatch for one attempt."""
+        """Marshalling, security, wire transfer and dispatch for one attempt.
+
+        The terminal stage of every route through :meth:`call` — bare,
+        under a retry policy, or inside the interceptor chain.  Kept as
+        one flat generator: every frame between a process and the event
+        it waits on is re-entered on each resume.
+        """
+        sim = self.sim
+        obs = self.obs
+        src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
         policy = ctx.security if ctx.security is not None else self.security
-        src_node = self.node(ctx.src)
-        dst_node = self.node(ctx.dst)
+        src_node = self.node(src)
+        dst_node = self.node(dst)
         if not src_node.online:
-            raise OfflineError(f"source node {ctx.src!r} is offline")
+            raise OfflineError(f"source node {src!r} is offline")
 
         message = Message(
-            src=ctx.src,
-            dst=ctx.dst,
-            service=ctx.service,
-            method=ctx.method,
+            src=src,
+            dst=dst,
+            service=service,
+            method=method,
             payload=ctx.payload,
             size=ctx.size,
             secure=policy.enabled,
         )
-        if self.obs.enabled:
+        if obs.enabled:
             # inject the caller's span identity into the envelope (the
             # simulated ``traceparent`` header)
-            message.trace_ctx = self.obs.tracer.current_context()
-        latency, _ = self.topology.path_metrics(ctx.src, ctx.dst)
+            message.trace_ctx = obs.tracer.current_context()
+        msize = message.size
+        latency, bandwidth = self.topology.path_metrics(src, dst)
+        contended = self.contention and src != dst
 
-        yield from self._client_marshal(message, policy, src_node)
-        yield from self._security_handshake(policy, 2.0 * latency)
-
-        # request transmission
-        yield from self._transmit(ctx.src, ctx.dst, message.size)
-        self.total_messages += 1
-        self.total_bytes += message.size
-        src_node.messages_out += 1
-        src_node.bytes_out += message.size
-
-        if not dst_node.online:
-            # the connection attempt times out
-            yield self.sim.timeout(self.connect_fail_delay)
-            raise OfflineError(f"target node {ctx.dst!r} is offline")
-
-        dst_node.messages_in += 1
-        dst_node.bytes_in += message.size
-
-        yield from self._server_unmarshal(message, policy, dst_node)
-        result = yield from self._serve(ctx, message, dst_node)
-        response = result if isinstance(result, Response) else Response(value=result)
-        yield from self._send_response(ctx, response, policy, src_node, dst_node)
-        return response.value
-
-    def _client_marshal(self, message: Message, policy: SecurityPolicy,
-                        src_node: NodeRuntime) -> Generator:
-        """Client-side marshalling + crypto share.
-
-        The two demands are co-scheduled as one CPU grant: they belong
-        to the same send path, and splitting them would change FCFS
-        ordering under load.
-        """
-        demand = self.marshal_cpu_per_kb * (message.size / 1024.0)
-        demand += policy.client_cpu_demand(message.size)
+        # client-side marshalling + crypto, co-scheduled as one CPU
+        # grant: they belong to the same send path, and splitting them
+        # would change FCFS ordering under load
+        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+        demand += policy.client_cpu_demand(msize)
         if demand > 0:
             yield from src_node.cpu.execute(demand)
 
-    def _security_handshake(self, policy: SecurityPolicy, rtt: float) -> Generator:
-        """Transport security handshake latency (TLS round trips)."""
-        handshake = policy.handshake_latency(rtt)
+        # transport security handshake (TLS round trips)
+        handshake = policy.handshake_latency(2.0 * latency)
         if handshake > 0:
-            yield self.sim.timeout(handshake)
+            yield sim.timeout(handshake)
 
-    def _server_unmarshal(self, message: Message, policy: SecurityPolicy,
-                          dst_node: NodeRuntime) -> Generator:
-        """Server-side crypto + unmarshalling (one co-scheduled grant)."""
-        demand = self.marshal_cpu_per_kb * (message.size / 1024.0)
-        demand += policy.server_cpu_demand(message.size)
+        # request transmission
+        if contended:
+            yield from self._transmit(src, dst, msize)
+        else:
+            yield sim.timeout(latency + msize / bandwidth)
+        self.total_messages += 1
+        self.total_bytes += msize
+        src_node.messages_out += 1
+        src_node.bytes_out += msize
+
+        if not dst_node.online:
+            # the connection attempt times out
+            yield sim.timeout(self.connect_fail_delay)
+            raise OfflineError(f"target node {dst!r} is offline")
+
+        dst_node.messages_in += 1
+        dst_node.bytes_in += msize
+
+        # server-side crypto + unmarshalling (one co-scheduled grant)
+        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+        demand += policy.server_cpu_demand(msize)
         if demand > 0:
             yield from dst_node.cpu.execute(demand)
 
-    def _serve(self, ctx: CallContext, message: Message,
-               dst_node: NodeRuntime) -> Generator:
-        """Dispatch to the handler (fault rules, inflight gauge, server span)."""
-        handler = dst_node.service(ctx.service)
+        # dispatch: fault rules, inflight gauge, server span.  Handlers
+        # run inline in the caller's process, so the server span nests
+        # under the ``rpc:`` span by itself.
+        handler = dst_node.service(service)
         if self.faults.enabled:
             injected = self.faults.service_fault(ctx)
             if injected is not None:
                 raise injected
-        obs = self.obs
         dst_node.inflight_rpcs += 1
         try:
             if obs.enabled:
-                # Handlers run inline in the caller's process, so the server
-                # span usually nests under the ``rpc:`` span automatically.
-                # When the dispatch happens in a process with no active span
-                # (e.g. a retry-deadline runner started before the tracer
-                # existed) the envelope's trace context re-parents it.
-                parent = None
-                if obs.tracer.current_context() is None:
-                    parent = message.trace_ctx
-                with obs.tracer.span(
-                    f"serve:{ctx.service}.{ctx.method}", parent=parent, site=ctx.dst
-                ):
-                    result = yield from handler.dispatch(ctx.method, message)
+                with obs.tracer.span(f"serve:{service}.{method}", site=dst):
+                    result = yield from handler.dispatch(method, message)
             else:
-                result = yield from handler.dispatch(ctx.method, message)
+                result = yield from handler.dispatch(method, message)
         finally:
             dst_node.inflight_rpcs -= 1
-        return result
+        response = result if isinstance(result, Response) else Response(value=result)
 
-    def _send_response(self, ctx: CallContext, response: Response,
-                       policy: SecurityPolicy, src_node: NodeRuntime,
-                       dst_node: NodeRuntime) -> Generator:
-        """Crypto on the response body + the return transmission."""
-        resp_crypto = policy.server_cpu_demand(response.size) - policy.server_cpu_demand(0)
+        # crypto on the response body + the return transmission
+        rsize = response.size
+        resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
         if resp_crypto > 0:
             yield from dst_node.cpu.execute(resp_crypto)
-
-        yield from self._transmit(ctx.dst, ctx.src, response.size)
+        if contended:
+            yield from self._transmit(dst, src, rsize)
+        else:
+            latency, bandwidth = self.topology.path_metrics(dst, src)
+            yield sim.timeout(latency + rsize / bandwidth)
         self.total_messages += 1
-        self.total_bytes += response.size
+        self.total_bytes += rsize
         dst_node.messages_out += 1
-        dst_node.bytes_out += response.size
+        dst_node.bytes_out += rsize
         src_node.messages_in += 1
-        src_node.bytes_in += response.size
+        src_node.bytes_in += rsize
+        return response.value
 
     def call_with_timeout(
         self,
@@ -613,11 +489,10 @@ class Network:
         ``timeout`` per attempt.
         """
         policy = retry if retry is not None else RetryPolicy.single(timeout)
-        value = yield from self.call(
+        return self.call(
             src, dst, service, method, payload=payload, size=size,
             security=security, retry=policy.with_per_try(timeout),
         )
-        return value
 
 
 def payload_size(payload: Any) -> int:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 # Trace-context propagation: every RPC envelope can carry the caller's
 # span identity (the simulated analogue of a W3C ``traceparent``
-# header).  The transport injects it in :meth:`Network.call` and the
-# server side restores it when the handler runs in a different
-# simulation process than the caller.  Re-exported here because this
-# module *is* the transport-metadata layer.
+# header).  The transport stage of :class:`Network` injects it; a
+# handler that hands work to another simulation process can parent
+# that work's spans on it.  Re-exported here because this module *is*
+# the transport-metadata layer.
 from repro.obs.trace import TraceContext
 
 __all__ = ["SecurityPolicy", "TraceContext"]

@@ -14,11 +14,12 @@ span" would attribute work to the wrong request.  The tracer therefore
 keys its active-span table by the kernel's *active process* and hooks
 process creation (:attr:`Simulator.spawn_observer`) so a freshly
 spawned process inherits the spawner's span — this is what stitches
-RPC fan-outs, ``call_with_timeout`` runner processes and detached GRAM
-job bodies into one trace.  For messages that hop between processes the
-transport additionally carries an explicit :class:`TraceContext` in the
-RPC envelope (see :mod:`repro.net.transport`), mirroring how W3C
-``traceparent`` headers ride real wire protocols.
+RPC fan-outs and detached GRAM job bodies into one trace.  (A remote
+handler runs inline in its caller's process, deadline or not, so its
+``serve:`` span nests under the ``rpc:`` span with no help.)  The
+transport additionally stamps the RPC envelope with an explicit
+:class:`TraceContext` (see :mod:`repro.net.transport`), mirroring how
+W3C ``traceparent`` headers ride real wire protocols.
 
 When tracing is off, the :class:`NullTracer` swallows everything at a
 cost of one attribute check per instrumentation point, so the Fig 10/11

@@ -74,13 +74,18 @@ class CPU:
         if demand < 0:
             raise ValueError("demand must be non-negative")
         request = self._resource.request()
-        yield request
-        start = self.sim.now
+        start = None
         try:
+            # the queue wait is covered too: a process interrupted here
+            # (an RPC deadline, say) must withdraw its request, or the
+            # core is later granted to nobody and held forever
+            yield request
+            start = self.sim.now
             yield self.sim.timeout(demand / self.speed)
             self.jobs_completed += 1
         finally:
-            self.busy_time += self.sim.now - start
+            if start is not None:
+                self.busy_time += self.sim.now - start
             self._resource.release(request)
 
 

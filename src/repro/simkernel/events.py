@@ -223,7 +223,7 @@ class Timeout(Event):
     and the display name is derived lazily from :attr:`delay`.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "when")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -235,7 +235,8 @@ class Timeout(Event):
         self._processed = False
         self.defused = False
         self.delay = delay
-        when = sim._now + delay
+        #: absolute fire time; lets ``Simulator.cancel`` find the bucket
+        self.when = when = sim._now + delay
         buckets = sim._buckets
         bucket = buckets.get(when)
         if bucket is None:

@@ -31,6 +31,16 @@ drained before the agenda is touched and re-checked after every
 dispatch.  This reproduces the old heap's ``(time, 0, seq)``-pops-first
 ordering exactly.
 
+``cancel()`` withdraws a scheduled event by deleting it from its
+bucket — one dict probe for a :class:`Timeout`, which records its fire
+time.  The timestamp of an emptied bucket is *not* dug out of the heap:
+it is stale, and every consumer of the heap (``_fast_drain``, ``step``,
+``peek``) pops a timestamp that has no bucket behind it without
+touching the clock.  Scheduling onto a withdrawn timestamp pushes it a
+second time; the first copy to surface drains the bucket, the second is
+stale.  RPC deadlines arm and withdraw one timeout per call, so this
+path is as hot as scheduling itself.
+
 ``run()`` inlines the dispatch body instead of calling :meth:`step` per
 event, hoisting the agenda structures, the bound list methods and the
 clock update (once per cohort, not per event) into locals.  The inlined
@@ -53,7 +63,7 @@ dominant object churn of the inner loop.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
@@ -145,7 +155,7 @@ class Simulator:
             timeout = pool.pop()
             timeout.delay = delay
             timeout._value = value
-            when = self._now + delay
+            timeout.when = when = self._now + delay
             buckets = self._buckets
             bucket = buckets.get(when)
             if bucket is None:
@@ -211,26 +221,28 @@ class Simulator:
         but leaves the timeout itself on the agenda until its fire time,
         so a "stopped" component would still hold a standing agenda
         entry (and keep ``run()`` busy until it lapses).  ``cancel``
-        removes the event outright; when its bucket empties, the
-        timestamp is dropped from the time heap too, so a fully drained
-        simulation reports ``peek() == inf`` immediately.
+        removes the event outright, so a fully drained simulation
+        reports ``peek() == inf`` immediately.  RPC deadlines use it
+        the same way: one per call, cancelled on every exit but expiry.
+
+        A :class:`Timeout` records its fire time, so it is found by one
+        dict probe; any other event is searched for bucket by bucket.
+        The timestamp itself stays in the time heap and is skipped when
+        it surfaces with no bucket behind it (lazy deletion — no
+        ``heapify`` per cancel).
 
         Returns ``True`` when the event was found and removed, ``False``
-        when it was never scheduled, already dispatched, or urgent.
-
-        Contract: only cancel events scheduled strictly in the future
-        (``delay > 0``).  Periodic sweep timeouts always are; cancelling
-        an event out of the cohort currently being dispatched is not
-        supported.
+        when it was never scheduled, already dispatched or cancelled, or
+        urgent.  Cancelling out of the cohort being dispatched is fine
+        (the drain loop re-reads the bucket's length each step).
         """
         if event._processed:
             return False
         buckets = self._buckets
-        for when, bucket in buckets.items():
+        for when in (event.when,) if type(event) is Timeout else buckets:
+            bucket = buckets.get(when)
             if bucket is event:
                 del buckets[when]
-                self._times.remove(when)
-                heapify(self._times)
                 return True
             if type(bucket) is list:
                 try:
@@ -239,8 +251,6 @@ class Simulator:
                     continue
                 if not bucket:
                     del buckets[when]
-                    self._times.remove(when)
-                    heapify(self._times)
                 return True
         return False
 
@@ -270,7 +280,11 @@ class Simulator:
         """Time of the next scheduled event (``inf`` if agenda empty)."""
         if self._urgent:
             return self._now
-        return self._times[0] if self._times else float("inf")
+        times = self._times
+        buckets = self._buckets
+        while times and times[0] not in buckets:
+            heappop(times)  # every event of that timestamp was cancelled
+        return times[0] if times else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
@@ -278,19 +292,18 @@ class Simulator:
             event = self._urgent.popleft()
             when = self._now
         else:
-            times = self._times
-            if not times:
+            when = self.peek()
+            if when == float("inf"):
                 raise EmptySchedule("no more events")
-            when = times[0]
             bucket = self._buckets[when]
             if type(bucket) is list:
                 event = bucket.pop(0)
                 if not bucket:
-                    heappop(times)
+                    heappop(self._times)
                     del self._buckets[when]
             else:
                 event = bucket
-                heappop(times)
+                heappop(self._times)
                 del self._buckets[when]
             self._now = when
         if self.trace:
@@ -327,7 +340,7 @@ class Simulator:
             target.subscribe(_stop)
             if self.trace:  # debug mode: take the per-event step() path
                 while not stop_value:
-                    if not (self._urgent or self._times):
+                    if self.peek() == float("inf"):
                         raise SimulationError(
                             f"simulation ran out of events before {target!r} fired"
                         )
@@ -348,7 +361,7 @@ class Simulator:
             if horizon < self._now:
                 raise ValueError("cannot run until a time in the past")
             if self.trace:  # debug mode: take the per-event step() path
-                while self._urgent or (self._times and self._times[0] <= horizon):
+                while self.peek() <= horizon:
                     self.step()
             else:
                 self._fast_drain(horizon, ())
@@ -356,7 +369,7 @@ class Simulator:
             return None
 
         if self.trace:  # debug mode: take the per-event step() path
-            while self._urgent or self._times:
+            while self.peek() != float("inf"):
                 self.step()
             return None
         self._fast_drain(float("inf"), ())
@@ -409,7 +422,13 @@ class Simulator:
             when = times[0]
             if when > horizon:
                 return
-            bucket = buckets[when]
+            try:
+                bucket = buckets[when]
+            except KeyError:
+                # stale timestamp: its events were all cancelled; the
+                # clock must not advance to it
+                pop_time(times)
+                continue
             self._now = when
             if type(bucket) is not list:
                 # Singleton bucket: the event rides the dict slot

@@ -77,3 +77,52 @@ def test_undeploy_type_no_deployments_is_noop(vo):
     ))
     assert out["deployments_removed"] == []
     assert out["type_removed"] is False
+
+
+def test_removed_files_leave_no_dead_replica_behind():
+    """register -> rollout -> undeploy(remove_files=True) -> rollout again.
+
+    With replica transfers on, every installed site lists its archive
+    copy in the URL catalog; deleting the installation must delist it,
+    or the next rollout's Download step picks a file that is gone.
+    """
+    from repro.apps import get_application, publish_applications
+    from repro.glare.provisioning import ProvisioningConfig
+    from repro.vo import VOConfig
+
+    vo = build_vo(VOConfig(n_sites=4, seed=332, monitors=False,
+                           provisioning=ProvisioningConfig.all_on()))
+    publish_applications(vo)
+    vo.form_overlay()
+    spec = get_application("Wien2k")
+    initiator = vo.community_site
+    targets = [s for s in vo.site_names if s != initiator]
+    vo.run_process(vo.client_call(initiator, "register_type",
+                                  payload={"xml": spec.type_xml}))
+
+    def rollout():
+        result = vo.run_process(vo.client_call(
+            initiator, "rollout",
+            payload={"type_xml": spec.type_xml, "target_sites": targets},
+        ))
+        return {leg["site"]: leg["status"] for leg in result["results"]}
+
+    assert rollout() == dict.fromkeys(targets, "installed")
+    catalog = vo.stack(initiator).gridftp.url_catalog
+
+    def listed_copies():
+        return [(site, path) for copies in catalog.replicas.values()
+                for site, path in copies]
+
+    assert {site for site, _ in listed_copies()} == set(targets)
+    for site in targets:
+        out = vo.run_process(vo.network.call(
+            initiator, site, "glare-rdm", "undeploy_type",
+            payload={"type": "Wien2k", "remove_files": True},
+        ))
+        assert out["deployments_removed"][0]["files_removed"] > 0
+    # every deleted copy was delisted (the deploy-file copies outside
+    # the removed home are still there, and still listed)
+    assert listed_copies()
+    assert all(vo.stack(site).site.fs.exists(path) for site, path in listed_copies())
+    assert rollout() == dict.fromkeys(targets, "installed")

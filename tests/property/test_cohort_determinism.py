@@ -7,6 +7,12 @@ entirely out of tied timestamps, the fast loop must dispatch the exact
 event sequence the per-event ``step()`` debug path does — including
 urgent preemption inside a cohort and the Timeout free-list recycling
 along the way — and the kernel-trace sha256 must agree.
+
+The cancel-heavy half does the same for ``Simulator.cancel``, which
+deletes lazily: the timestamp of a withdrawn event stays in the time
+heap until it surfaces.  Both loops, ``peek()`` and ``run(until=t)``
+must skip such stale timestamps identically, and a cancelled timeout
+somebody still references must never come back out of the free list.
 """
 
 from __future__ import annotations
@@ -140,22 +146,27 @@ def test_until_event_form_matches_step(seed):
     assert fast_sim.now == step_sim.now
 
 
+def _traced_digest(build, drive) -> str:
+    """sha256 of the kernel trace of ``build``'s workload driven by ``drive``."""
+    sim = Simulator(seed=5, trace=True)
+    build(sim, [])
+    drive(sim)
+    normalized = "\n".join(
+        f"{when:.9f} {_ADDR.sub('0x0', label)}"
+        for when, label in sim.trace_log
+    )
+    return hashlib.sha256(normalized.encode()).hexdigest()
+
+
 def test_trace_sha_matches_between_run_and_step():
     """The traced event log hashes identically however it is driven."""
     schedule = _schedule(seed=5)
 
-    def traced_digest(drive) -> str:
-        order: list = []
-        sim = Simulator(seed=5, trace=True)
+    def build(sim, order):
         _build(sim, order, schedule)
-        drive(sim)
-        normalized = "\n".join(
-            f"{when:.9f} {_ADDR.sub('0x0', label)}"
-            for when, label in sim.trace_log
-        )
-        return hashlib.sha256(normalized.encode()).hexdigest()
 
-    assert traced_digest(lambda sim: sim.run()) == traced_digest(_drain_by_step)
+    assert (_traced_digest(build, lambda sim: sim.run())
+            == _traced_digest(build, _drain_by_step))
 
 
 def test_recycled_timeouts_are_reused():
@@ -175,3 +186,153 @@ def test_recycled_timeouts_are_reused():
     assert fresh is pooled  # identity reuse, not a new allocation
     assert len(sim._timeout_pool) == pool_len - 1
     assert fresh.delay == 0.25 and fresh._value == "again"
+
+
+# -- cancel-heavy workloads ----------------------------------------------------
+
+#: guard delays: grid values tie with tickers (cancel inside a cohort
+#: list); the x.375 ones are alone on their timestamp (cancel a
+#: singleton bucket, leaving a stale timestamp in the heap)
+GUARD_GRID = (0.5, 1.0, 1.0, 2.0, 4.0, 0.375, 1.375, 3.375)
+
+
+def _assert_peek_live(sim: Simulator) -> None:
+    """``peek()`` names a timestamp that really has events, or inf."""
+    upcoming = sim.peek()
+    assert (upcoming == float("inf") or upcoming in sim._buckets
+            or (sim._urgent and upcoming == sim.now))
+
+
+def _build_cancels(sim: Simulator, order: list, seed: int) -> list:
+    """Tickers plus processes that arm, withdraw and re-arm timeouts.
+
+    Returns the list of withdrawn timeouts; it keeps every one of them
+    referenced, so none may ever be handed out again by ``timeout()``.
+    """
+    rng = random.Random(seed)
+    cancelled: list = []
+
+    def timeout(delay: float):
+        event = sim.timeout(delay)
+        assert not any(event is dead for dead in cancelled), \
+            "timeout() recycled a cancelled timeout that is still referenced"
+        return event
+
+    def ticker(pid: int, delays):
+        for tick, delay in enumerate(delays):
+            yield timeout(delay)
+            order.append(("tick", pid, tick, sim.now))
+
+    def guarded(pid: int, plan):
+        # the RPC-deadline shape: arm a guard, work, withdraw the guard
+        # unless it fired first (a tie fires it: it was scheduled first)
+        for step, (deadline, work) in enumerate(plan):
+            guard = timeout(deadline)
+            guard.subscribe(
+                lambda e, step=step: order.append(("expired", pid, step, sim.now))
+            )
+            yield timeout(work)
+            withdrawn = sim.cancel(guard)
+            assert withdrawn == (deadline > work)
+            if withdrawn:
+                cancelled.append(guard)
+            order.append(("worked", pid, step, sim.now, withdrawn))
+            _assert_peek_live(sim)
+
+    def rescheduler(pid: int):
+        for round_ in range(8):
+            # alone on an off-grid timestamp; withdrawn, then the very
+            # same timestamp is scheduled again (a second heap entry)
+            doomed = timeout(3.125)
+            first = timeout(1.0)
+            tail = timeout(1.0)  # same cohort as ``first``, behind it
+            tail.subscribe(lambda e: order.append(("tail fired", pid, sim.now)))
+            yield first
+            # withdraw an undispatched entry of the cohort being drained
+            assert sim.cancel(tail) and sim.cancel(doomed)
+            assert not sim.cancel(doomed)  # already withdrawn
+            cancelled.extend((tail, doomed))
+            again = timeout(2.125)
+            assert again.when == doomed.when
+            yield again
+            order.append(("again", pid, round_, sim.now))
+            _assert_peek_live(sim)
+
+    for pid in range(6):
+        sim.process(ticker(pid, [rng.choice(DELAY_GRID) for _ in range(40)]),
+                    name=f"ticker-{pid}")
+    for pid in range(6):
+        plan = [(rng.choice(GUARD_GRID), rng.choice(DELAY_GRID)) for _ in range(25)]
+        sim.process(guarded(pid, plan), name=f"guarded-{pid}")
+    for pid in range(2):
+        sim.process(rescheduler(pid), name=f"rescheduler-{pid}")
+    return cancelled
+
+
+def _assert_cancelled_stay_dead(sim: Simulator, cancelled: list) -> None:
+    assert cancelled, "the workload never withdrew anything"
+    assert not any(event.processed for event in cancelled)
+    assert not any(event is dead for event in sim._timeout_pool for dead in cancelled)
+
+
+@pytest.mark.parametrize("seed", [2, 13, 77])
+def test_cancel_heavy_run_matches_step(seed):
+    fast_order: list = []
+    fast_sim = Simulator(seed=seed)
+    fast_cancelled = _build_cancels(fast_sim, fast_order, seed)
+    fast_sim.run()
+
+    step_order: list = []
+    step_sim = Simulator(seed=seed)
+    step_cancelled = _build_cancels(step_sim, step_order, seed)
+    _drain_by_step(step_sim)
+
+    assert fast_order == step_order
+    assert not any(entry[0] == "tail fired" for entry in fast_order)
+    assert any(entry[0] == "expired" for entry in fast_order)
+    # a stale timestamp never advances the clock: both loops stop at
+    # the last event that really fired
+    assert fast_sim.now == step_sim.now == max(entry[-2] if entry[0] == "worked"
+                                               else entry[-1] for entry in fast_order)
+    for sim, cancelled in ((fast_sim, fast_cancelled), (step_sim, step_cancelled)):
+        assert sim.peek() == float("inf") and not sim._times
+        _assert_cancelled_stay_dead(sim, cancelled)
+
+
+def test_cancel_heavy_trace_sha_matches_between_run_and_step():
+    def build(sim, order):
+        _build_cancels(sim, order, seed=5)
+
+    assert (_traced_digest(build, lambda sim: sim.run())
+            == _traced_digest(build, _drain_by_step))
+
+
+def test_cancel_then_run_until_past_it():
+    """``run(until=t)`` slices skip withdrawn timestamps like ``step()`` does."""
+    sliced_order: list = []
+    sliced_sim = Simulator(seed=21)
+    cancelled = _build_cancels(sliced_sim, sliced_order, seed=21)
+    horizon = 0.0
+    while sliced_sim.peek() != float("inf"):
+        horizon += 0.75  # lands between, on and past withdrawn timestamps
+        sliced_sim.run(until=horizon)
+        assert sliced_sim.now == horizon
+        _assert_peek_live(sliced_sim)
+        assert sliced_sim.peek() > horizon
+    _assert_cancelled_stay_dead(sliced_sim, cancelled)
+
+    step_order: list = []
+    step_sim = Simulator(seed=21)
+    _build_cancels(step_sim, step_order, seed=21)
+    _drain_by_step(step_sim)
+    assert sliced_order == step_order
+
+    # the bare case: a lone withdrawn timeout holds neither clock nor agenda
+    sim = Simulator()
+    doomed = sim.timeout(5.0)
+    assert sim.cancel(doomed)
+    assert sim.peek() == float("inf")
+    sim.run(until=10.0)
+    assert sim.now == 10.0 and not doomed.processed
+    sim.run()
+    assert sim.now == 10.0
