@@ -1,106 +1,33 @@
 """Wall-clock perf-regression harness (CLI, not a pytest benchmark).
 
-Runs the fixed-seed microbenchmarks of :mod:`repro.perf` — kernel
-event churn, RPC round-trips, and the two scaled Fig. 10 points — and
-emits a machine-readable ``BENCH_kernel.json``:
-
-* ``results`` — events/sec, RPCs/sec, lookups/sec, queries/sec plus
-  wall seconds and peak RSS;
-* ``determinism`` — the seeded kernel-trace fingerprint and the
-  simulated experiment outputs.  These must be **byte-identical**
-  across perf work; any drift means an optimization changed simulated
-  behaviour, which is a bug regardless of the speedup.
+A thin front end over the suite table in :mod:`repro.perf`: every
+entry of ``perf.SUITES`` is one committed ``BENCH_<name>.json`` — its
+fixed-seed benchmarks, its pinned determinism section and the gates
+that compare a fresh run against the committed file.  ``--help`` prints
+each suite's gates straight from the declarations, so what CI enforced
+is never restated by hand.
 
 Usage::
 
-    python benchmarks/bench_wallclock.py                  # full run, print
+    python benchmarks/bench_wallclock.py                  # kernel suite, full
     python benchmarks/bench_wallclock.py --quick          # CI smoke sizes
-    python benchmarks/bench_wallclock.py -o BENCH_kernel.json
-    python benchmarks/bench_wallclock.py --quick --check-baseline BENCH_kernel.json
-    python benchmarks/bench_wallclock.py --resolution -o BENCH_resolution.json
-    python benchmarks/bench_wallclock.py --resolution \
-        --check-resolution BENCH_resolution.json
-    python benchmarks/bench_wallclock.py --provisioning \
-        --check-provisioning BENCH_provisioning.json
-    python benchmarks/bench_wallclock.py --faults \
-        --check-faults BENCH_faults.json
-    python benchmarks/bench_wallclock.py --obs \
-        --check-obs BENCH_obs.json
-    python benchmarks/bench_wallclock.py --storage \
-        --check-storage BENCH_storage.json
-    python benchmarks/bench_wallclock.py --workload \
-        --check-workload BENCH_workload.json
-    python benchmarks/bench_wallclock.py --orchestration \
-        --check-orchestration BENCH_orchestration.json
-    python benchmarks/bench_wallclock.py --quick --jobs 4 --check-all
+    python benchmarks/bench_wallclock.py -o BENCH_kernel.json   # refresh
+    python benchmarks/bench_wallclock.py --quick --check  # vs BENCH_kernel.json
+    python benchmarks/bench_wallclock.py --suite resolution --check
+    python benchmarks/bench_wallclock.py --suite storage --check other.json
+    python benchmarks/bench_wallclock.py --quick --check-all --jobs 4
 
-``--check-all`` runs every suite and gates each against its committed
-``BENCH_*.json`` in one invocation, aggregating failures and printing
-a per-suite timing summary.  ``--jobs N`` fans the kernel suite's
-(benchmark, repeat) batches across worker processes (the worker count
-is recorded in the suite metadata — don't compare baselines recorded
-under different settings).
+``--check`` gates the suite against a baseline file (default: the
+repo-root ``BENCH_<suite>.json``); exit status 1 on any failure, each
+naming the suite and the field.  ``--check-all`` runs every suite and
+gates each against its committed file in one invocation, aggregating
+failures and printing a per-suite timing summary.
 
-``--check-baseline`` enforces the two gates against a committed
-baseline file: rate metrics must not regress by more than
-``--max-regression`` (default 25%), and the determinism fingerprints
-must match exactly.  Exit status 1 on any failure.
-
-``--resolution`` runs the Fig. 14 resolution-path pair instead of the
-kernel suite and emits/gates ``BENCH_resolution.json``: the simulated
-messages-per-resolution figures must stay within ``--max-regression``
-of the committed baseline and the result-set digests must match
-exactly (fingerprint drift = the optimizations changed what a
-resolution returns).
-
-``--provisioning`` runs the Fig. 15 rollout pair instead and
-emits/gates ``BENCH_provisioning.json``: the parallel/replica rollout
-must stay at least ``--min-speedup`` (default 3x) faster than the
-serial baseline, must not pull more origin bytes than the committed
-run, and the deployment-set digests must match exactly.
-
-``--faults`` runs the Fig. 16 churn pair instead and emits/gates
-``BENCH_faults.json``: the resilient series must keep at least
-``--min-success`` (default 0.95) request success under super-peer
-churn, the fragile series must stay measurably worse, takeovers must
-happen exactly when the detector is on, and the per-request outcome
-digests must match exactly.
-
-``--obs`` runs the observability-overhead tiers (null / tracer+metrics
-/ tracer+metrics+SLOs over the same echo workload) plus the quick
-Fig. 16 SLO pair, and emits/gates ``BENCH_obs.json``: the overhead
-*fractions* must stay under the absolute cap and must not grow more
-than ``--max-overhead-increase`` over the committed baseline, every
-scheduled crash must be detected, the fragile/resilient error-budget
-verdicts must keep their contrast, and the detection/repair/digest
-fingerprints must match exactly.
-
-``--storage`` runs the Fig. 17 sharded-storage pair instead and
-emits/gates ``BENCH_storage.json``: the sharded backend's in-run CPU
-flatness ratio (per-lookup at the sweep size over the 10^3 anchor)
-must stay under ``--max-flatness`` (default 1.5x), the sharded lookup
-digests must match the flat dict exactly, and the shard placement /
-routed-vs-broadcast message and result fingerprints must not drift.
-
-``--workload`` runs the Fig. 18 open-loop workload plane instead and
-emits/gates ``BENCH_workload.json``: the arrival engine must sustain
-at least ``--min-arrival-rate`` (default 10^6) generated + scheduled
-arrivals per wall second, the full overload path must stay memory-flat
-(RSS growth of the measured run under an absolute cap, streaming-stats
-footprint bounded by its fixed histogram grid), and the arrival-trace
-/ overload-outcome fingerprints must match exactly.
-
-``--orchestration`` runs the Fig. 19 desired-state control loop
-instead and emits/gates ``BENCH_orchestration.json``: the reconciler
-must sustain its baseline reconcile-rounds-per-wall-second within
-``--max-regression``, the fleet must still drain back to min replicas
-and clear ``--min-hot-gain`` (default 1.2x) recovered goodput over the
-static series, and the planner-decision / series digests and the
-replica trajectory must match exactly.
-
-Wall-clock rates vary across machines; the committed baseline is only
-a tripwire for large same-machine-family regressions, which is why the
-default tolerance is generous.
+Pinned sections must be **byte-identical** across perf work: any drift
+means an optimization changed simulated behaviour, which is a bug
+regardless of the speedup.  Wall-clock rates vary across machines; the
+committed baselines are only a tripwire for large same-machine-family
+regressions, which is why those tolerances are generous.
 """
 
 from __future__ import annotations
@@ -109,582 +36,102 @@ import argparse
 import json
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import perf  # noqa: E402  (path bootstrap above)
+from repro.runner import WorkUnit, default_jobs, run_units  # noqa: E402
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def _print_summary(suite) -> None:
-    workers = suite.get("jobs", 1)
-    print(f"bench_wallclock ({suite['mode']}, best of {suite['repeats']}, "
-          f"{workers} worker{'s' if workers != 1 else ''})")
-    for name, result in suite["results"].items():
-        print(
-            f"  {name:10s} {result['value']:>12,.0f} {result['metric']:<16s}"
-            f" ({result['wall_seconds']:.3f}s wall, "
-            f"{result.get('cpu_seconds', 0.0):.3f}s cpu, "
-            f"{result.get('peak_rss_kb', 0):,d} kB peak)"
-        )
-    print(f"  peak RSS   {suite['peak_rss_kb']:>12,d} kB")
-    trace = suite["determinism"]["kernel_trace"]
-    print(f"  trace sha  {trace['sha256'][:16]}…  ({trace['events']} events)")
-
-
-def _check_determinism(suite, baseline) -> list:
-    failures = []
-    for section in ("kernel_trace", "experiment"):
-        current = suite["determinism"].get(section)
-        expected = baseline.get("determinism", {}).get(section)
-        if expected is None:
-            continue
-        for key, value in expected.items():
-            if current.get(key) != value:
-                failures.append(
-                    f"determinism drift in {section}.{key}: "
-                    f"{current.get(key)!r} != baseline {value!r}"
-                )
-    return failures
-
-
-def _print_resolution_summary(suite) -> None:
-    result = suite["results"]["resolution"]
-    details = result["details"]
-    print(f"bench_resolution ({suite['mode']}, {details['n_sites']} sites)")
-    print(
-        f"  resolution {result['value']:>12,.0f} {result['metric']:<28s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="gates enforced by --check / --check-all, per suite:\n\n"
+               + "\n\n".join(perf.describe(name) for name in perf.SUITES),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    print(
-        f"  msgs/resolution  baseline {details['baseline_messages_per_resolution']:.1f}"
-        f"  optimized {details['optimized_messages_per_resolution']:.1f}"
-        f"  ({details['message_ratio']:.1f}x, results "
-        f"{'equal' if details['results_equal'] else 'DIFFER'})"
-    )
-    print(
-        f"  revalidation/cycle  per-entry {details['revalidation_per_entry_messages']}"
-        f"  batched {details['revalidation_batched_messages']}"
-    )
+    parser.add_argument("--suite", choices=list(perf.SUITES), default="kernel",
+                        help="which suite to run (default: kernel)")
+    parser.add_argument("--check", nargs="?", const="", metavar="PATH",
+                        help="fail on any gate of the suite vs this baseline "
+                             "(default: the repo-root BENCH_<suite>.json)")
+    parser.add_argument("--check-all", action="store_true",
+                        help="run every suite and gate each against its "
+                             "committed BENCH_<suite>.json in one "
+                             "invocation, with a timing summary")
+    parser.add_argument("--quick", action="store_true",
+                        help="smaller workloads (CI smoke job)")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="kernel suite: keep the best of N runs per "
+                             "benchmark (default 3)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes: with --check-all one suite "
+                             "per worker (clamped to the core count), "
+                             "otherwise the kernel suite's (benchmark, "
+                             "repeat) batches (default 1)")
+    parser.add_argument("-o", "--output", metavar="PATH",
+                        help="write the suite result (with --check-all: "
+                             "every suite, keyed by name) as JSON")
+    args = parser.parse_args(argv)
 
-
-def _print_provisioning_summary(suite) -> None:
-    result = suite["results"]["provisioning"]
-    details = result["details"]
-    print(f"bench_provisioning ({suite['mode']}, {details['n_sites']} sites)")
-    print(
-        f"  provisioning {result['value']:>10,.0f} {result['metric']:<26s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
-    )
-    print(
-        f"  rollout (sim s)  serial {details['baseline_rollout_elapsed']:.1f}"
-        f"  parallel {details['optimized_rollout_elapsed']:.1f}"
-        f"  ({details['rollout_speedup']:.1f}x, results "
-        f"{'equal' if details['results_equal'] else 'DIFFER'})"
-    )
-    print(
-        f"  origin bytes out  serial {details['baseline_origin_bytes_out'] / 1e6:.1f} MB"
-        f"  parallel {details['optimized_origin_bytes_out'] / 1e6:.1f} MB"
-        f"  ({details['replica_hits']} replica hits)"
-    )
-
-
-def _print_obs_summary(suite) -> None:
-    result = suite["results"]["obs"]
-    details = result["details"]
-    fp = suite["fingerprint"]
-    print(f"bench_obs ({suite['mode']}, {details['clients']} clients)")
-    print(
-        f"  obs {result['value']:>19,.0f} {result['metric']:<30s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
-    )
-    print(
-        f"  rpcs/wall-sec  null {details['null_rpcs_per_wall_sec']:,.0f}"
-        f"  +obs {details['obs_rpcs_per_wall_sec']:,.0f}"
-        f" ({100 * details['obs_overhead_frac']:.1f}%)"
-        f"  +slo {details['slo_rpcs_per_wall_sec']:,.0f}"
-        f" ({100 * details['slo_overhead_frac']:.1f}%)"
-    )
-    detected = fp["crashes"] * 2 - fp["undetected_crashes"]
-    print(
-        f"  crash detection  {detected}/{fp['crashes'] * 2} across both "
-        f"series  verdicts fragile={fp['fragile_verdicts']['client-availability']}"
-        f" resilient={fp['resilient_verdicts']['client-availability']}"
-    )
-
-
-def _print_faults_summary(suite) -> None:
-    result = suite["results"]["faults"]
-    details = result["details"]
-    print(f"bench_faults ({suite['mode']}, {details['n_sites']} sites, "
-          f"{details['crashes']} crashes)")
-    print(
-        f"  faults {result['value']:>16,.0f} {result['metric']:<26s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
-    )
-    print(
-        f"  resolution success  fragile {100 * details['fragile_resolution_success']:.1f}%"
-        f"  resilient {100 * details['resilient_resolution_success']:.1f}%"
-    )
-    print(
-        f"  provision success   fragile {100 * details['fragile_provision_success']:.1f}%"
-        f"  resilient {100 * details['resilient_provision_success']:.1f}%"
-    )
-    print(
-        f"  re-elections {details['reelections']}  retries {details['retries']}"
-        f"  mean recovery {details['mean_recovery_s']:.1f}s"
-    )
-
-
-def _print_storage_summary(suite) -> None:
-    result = suite["results"]["storage"]
-    details = result["details"]
-    fp = suite["fingerprint"]
-    print(f"bench_storage ({suite['mode']}, {details['n_types']:,d} types, "
-          f"{details['shards']} shards)")
-    print(
-        f"  storage {result['value']:>15,.0f} {result['metric']:<28s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
-    )
-    print(
-        f"  per-lookup  dict {details['dict_per_lookup_ns']:.0f}ns"
-        f"  sharded {details['sharded_per_lookup_ns']:.0f}ns"
-        f"  (flatness {details['flatness_ratio']:.2f}x vs anchor, "
-        f"digests {'equal' if details['digests_equal'] else 'DIFFER'})"
-    )
-    print(
-        f"  shards  max {details['max_shard']:,d} resident"
-        f"  imbalance {details['imbalance']:.2f}"
-    )
-    routed_equal = (fp["baseline_result_digest"] == fp["routed_result_digest"])
-    print(
-        f"  routing  broadcast {fp['baseline_workload_messages']} msgs"
-        f"  routed {fp['routed_workload_messages']} msgs"
-        f"  ({fp['routed_route_hits']} owner hits, "
-        f"{fp['routed_fallbacks']} fallbacks, results "
-        f"{'equal' if routed_equal else 'DIFFER'})"
-    )
-
-
-def _print_workload_summary(suite) -> None:
-    engine = suite["results"]["workload"]
-    details = engine["details"]
-    print(f"bench_workload ({suite['mode']}, "
-          f"{details['arrivals']:,d} arrivals, {details['cohorts']:,d} cohorts)")
-    print(
-        f"  workload {engine['value']:>14,.0f} {engine['metric']:<24s}"
-        f" ({details['generate_seconds']:.3f}s generate, "
-        f"{details['schedule_seconds']:.3f}s schedule)"
-    )
-    memory = suite["results"].get("workload_memory")
-    if memory:
-        md = memory["details"]
-        print(
-            f"  open-loop path  {memory['value']:,.0f} sim arrivals/wall-sec"
-            f"  ({md['target_arrivals']:,d} arrivals, "
-            f"{memory['wall_seconds']:.1f}s wall)"
-        )
-        print(
-            f"  memory  +{md['target_rss_growth_kb']:,d} kB RSS"
-            f" ({md['rss_bytes_per_arrival']:.0f} B/arrival)"
-            f"  stats footprint {md['stats_footprint_bytes']:,d} B"
-        )
-    fp = suite["fingerprint"]
-    print(
-        f"  overload point  {fp['point_completed']:,d} ok"
-        f"  {fp['point_shed']:,d} shed"
-        f"  digest {fp['point_result_digest'][:16]}…"
-    )
-
-
-def _print_orchestration_summary(suite) -> None:
-    result = suite["results"]["orchestration"]
-    details = result["details"]
-    fp = suite["fingerprint"]
-    print(f"bench_orchestration ({suite['mode']}, {details['rounds']} rounds, "
-          f"{details['installs']} installs, {details['drains']} drains)")
-    print(
-        f"  orchestration {result['value']:>10,.1f} {result['metric']:<28s}"
-        f" ({result['wall_seconds']:.3f}s wall)"
-    )
-    print(
-        f"  replicas  peak {details['max_replicas_seen']}"
-        f"  final {details['final_replicas']}"
-        f"  convergence {', '.join(f'{t:.1f}s' for t in details['convergence_times'])}"
-    )
-    print(
-        f"  goodput  orchestrated {float(fp['recovered_goodput']):.1f}/s"
-        f"  static {float(fp['static_recovered_goodput']):.1f}/s"
-        f"  digest {fp['orchestrated_digest'][:16]}…"
-    )
-
-
-#: repo-root baseline file per suite, in --check-all run order
-_BASELINES = {
-    "kernel": "BENCH_kernel.json",
-    "resolution": "BENCH_resolution.json",
-    "provisioning": "BENCH_provisioning.json",
-    "faults": "BENCH_faults.json",
-    "obs": "BENCH_obs.json",
-    "storage": "BENCH_storage.json",
-    "workload": "BENCH_workload.json",
-    "orchestration": "BENCH_orchestration.json",
-}
-
-
-def _check_all(args) -> int:
-    """Run every suite and gate each against its committed baseline.
-
-    One invocation replaces the separate ``--check-*`` runs CI used to
-    make; failures aggregate across suites so one bad gate doesn't
-    mask the others, and a timing summary at the end makes harness
-    wall-time regressions visible in the job log.
-
-    ``--jobs N`` fans the *suites* across worker processes (one
-    suite per worker, serial inside).  With workers matched to cores,
-    each suite keeps a core to itself and its wall rates stay
-    comparable to a serially recorded baseline — unlike fanning the
-    individual benchmarks, which would timeshare the very rates the
-    kernel gate checks.
-    """
-    import time as _time
-
-    from repro.runner import WorkUnit, run_units
-
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    # --check-all fans the *suites* across workers, one suite per worker
+    # and serial inside.  A suite only keeps a core to itself — and its
+    # wall rates comparable to a serially recorded baseline — while
+    # workers do not outnumber cores, so the fan-out is clamped to the
+    # machine.  A single suite runs inline and hands --jobs to its units.
+    names = list(perf.SUITES) if args.check_all else [args.suite]
+    workers = max(1, min(args.jobs, default_jobs(), len(names)))
     units = [
-        WorkUnit("kernel", "repro.perf:run_suite",
-                 {"quick": args.quick, "repeats": args.repeats}),
-        WorkUnit("resolution", "repro.perf:resolution_suite",
-                 {"quick": args.quick}),
-        WorkUnit("provisioning", "repro.perf:provisioning_suite",
-                 {"quick": args.quick}),
-        WorkUnit("faults", "repro.perf:faults_suite",
-                 {"quick": args.quick}),
-        WorkUnit("obs", "repro.perf:obs_suite",
-                 {"quick": args.quick}),
-        WorkUnit("storage", "repro.perf:storage_suite",
-                 {"quick": args.quick}),
-        WorkUnit("workload", "repro.perf:workload_suite",
-                 {"quick": args.quick}),
-        WorkUnit("orchestration", "repro.perf:orchestration_suite",
-                 {"quick": args.quick}),
+        WorkUnit(name, "repro.perf:run_suite",
+                 {"name": name, "quick": args.quick, "repeats": args.repeats,
+                  "jobs": 1 if args.check_all else args.jobs})
+        for name in names
     ]
-    started = _time.perf_counter()
-    suites = dict(zip(_BASELINES, run_units(units, jobs=args.jobs)))
-    total = _time.perf_counter() - started
+    started = time.perf_counter()
+    suites = dict(zip(names, run_units(units, jobs=workers)))
+    total = time.perf_counter() - started
 
-    summarize = {
-        "kernel": _print_summary,
-        "resolution": _print_resolution_summary,
-        "provisioning": _print_provisioning_summary,
-        "faults": _print_faults_summary,
-        "obs": _print_obs_summary,
-        "storage": _print_storage_summary,
-        "workload": _print_workload_summary,
-        "orchestration": _print_orchestration_summary,
-    }
-    compare = {
-        "kernel": lambda suite, baseline: (
-            perf.compare_to_baseline(suite, baseline,
-                                     max_regression=args.max_regression)
-            + _check_determinism(suite, baseline)
-        ),
-        "resolution": lambda suite, baseline: perf.compare_resolution_baseline(
-            suite, baseline, max_regression=args.max_regression),
-        "provisioning": lambda suite, baseline: perf.compare_provisioning_baseline(
-            suite, baseline, min_speedup=args.min_speedup),
-        "faults": lambda suite, baseline: perf.compare_faults_baseline(
-            suite, baseline, min_success=args.min_success),
-        "obs": lambda suite, baseline: perf.compare_obs_baseline(
-            suite, baseline,
-            max_overhead_increase=args.max_overhead_increase),
-        "storage": lambda suite, baseline: perf.compare_storage_baseline(
-            suite, baseline, max_regression=args.max_regression,
-            max_flatness=args.max_flatness),
-        "workload": lambda suite, baseline: perf.compare_workload_baseline(
-            suite, baseline, min_arrival_rate=args.min_arrival_rate),
-        "orchestration": lambda suite, baseline:
-            perf.compare_orchestration_baseline(
-                suite, baseline, max_regression=args.max_regression,
-                min_hot_gain=args.min_hot_gain),
-    }
-
+    # failures aggregate across suites so one bad gate doesn't mask the rest
     failures = []
-    timings = []
     for name, suite in suites.items():
-        summarize[name](suite)
-        bench_wall = sum(r.get("wall_seconds", 0.0)
-                         for r in suite.get("results", {}).values())
-        timings.append((name, bench_wall))
-        with open(os.path.join(root, _BASELINES[name])) as handle:
-            baseline = json.load(handle)
-        suite_failures = compare[name](suite, baseline)
-        if suite_failures:
-            failures.extend(f"{name}: {f}" for f in suite_failures)
-        print(f"  -> {name} gate "
-              f"{'FAILED' if suite_failures else 'passed'}\n")
+        print(perf.summarize(name, suite))
+        if args.check_all or args.check is not None:
+            path = os.path.join(ROOT, f"BENCH_{name}.json")
+            if args.check and not args.check_all:
+                path = args.check
+            with open(path) as handle:
+                found = perf.compare(name, suite, json.load(handle))
+            failures += found
+            print(f"  -> {name} gate {'FAILED' if found else 'passed'} "
+                  f"({path})\n")
 
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(suites, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote merged suites to {args.output}")
+        perf.dump_suite(suites if args.check_all else suites[args.suite],
+                        args.output)
+        print(f"wrote {args.output}")
 
-    print("timing summary (benchmark wall per suite):")
-    for name, bench_wall in timings:
-        print(f"  {name:13s} {bench_wall:7.1f}s")
-    print(f"  {'harness total':13s} {total:7.1f}s "
-          f"({args.jobs} worker{'s' if args.jobs != 1 else ''})")
+    if args.check_all:
+        # makes harness wall-time regressions visible in the job log
+        print("timing summary (benchmark wall per suite):")
+        for name, suite in suites.items():
+            wall = sum(r["wall_seconds"] for r in suite["results"].values())
+            print(f"  {name:13s} {wall:7.1f}s")
+        print(f"  {'harness total':13s} {total:7.1f}s "
+              f"({workers} worker{'s' if workers != 1 else ''} "
+              f"for --jobs {args.jobs})")
 
     if failures:
         print("FAIL:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"all {len(_BASELINES)} baseline gates passed")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (CI smoke job)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="keep the best of N runs per benchmark (default 3)")
-    parser.add_argument("-o", "--output", metavar="PATH",
-                        help="write the suite result as JSON")
-    parser.add_argument("--check-baseline", metavar="PATH",
-                        help="fail on rate regression / determinism drift vs this file")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="tolerated fractional rate drop (default 0.25)")
-    parser.add_argument("--resolution", action="store_true",
-                        help="run the Fig. 14 resolution-path pair instead")
-    parser.add_argument("--check-resolution", metavar="PATH",
-                        help="fail on message regression / result drift vs this file")
-    parser.add_argument("--provisioning", action="store_true",
-                        help="run the Fig. 15 rollout pair instead")
-    parser.add_argument("--check-provisioning", metavar="PATH",
-                        help="fail on speedup loss / deployment drift vs this file")
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required parallel rollout speedup (default 3.0)")
-    parser.add_argument("--faults", action="store_true",
-                        help="run the Fig. 16 churn pair instead")
-    parser.add_argument("--check-faults", metavar="PATH",
-                        help="fail on success-rate loss / outcome drift vs this file")
-    parser.add_argument("--min-success", type=float, default=0.95,
-                        help="required resilient success rate under churn "
-                             "(default 0.95)")
-    parser.add_argument("--obs", action="store_true",
-                        help="run the observability-overhead tiers instead")
-    parser.add_argument("--check-obs", metavar="PATH",
-                        help="fail on overhead growth / judgement drift vs this file")
-    parser.add_argument("--max-overhead-increase", type=float, default=0.15,
-                        help="tolerated growth of the instrumentation overhead "
-                             "fraction over baseline (default 0.15)")
-    parser.add_argument("--storage", action="store_true",
-                        help="run the Fig. 17 sharded-storage pair instead")
-    parser.add_argument("--check-storage", metavar="PATH",
-                        help="fail on flatness loss / placement or routing "
-                             "drift vs this file")
-    parser.add_argument("--max-flatness", type=float, default=1.5,
-                        help="tolerated sharded per-lookup CPU ratio vs the "
-                             "in-run anchor point (default 1.5)")
-    parser.add_argument("--workload", action="store_true",
-                        help="run the Fig. 18 open-loop workload plane instead")
-    parser.add_argument("--check-workload", metavar="PATH",
-                        help="fail on arrival-rate loss / memory growth / "
-                             "trace drift vs this file")
-    parser.add_argument("--min-arrival-rate", type=float, default=1_000_000.0,
-                        help="required generated+scheduled arrivals per wall "
-                             "second (default 1e6)")
-    parser.add_argument("--orchestration", action="store_true",
-                        help="run the Fig. 19 desired-state control loop instead")
-    parser.add_argument("--check-orchestration", metavar="PATH",
-                        help="fail on control-loop slowdown / behaviour or "
-                             "digest drift vs this file")
-    parser.add_argument("--min-hot-gain", type=float, default=1.2,
-                        help="required recovered-goodput gain of the "
-                             "orchestrated series over the static one "
-                             "(default 1.2)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="fan (benchmark, repeat) batches of the kernel "
-                             "suite across N worker processes (default 1)")
-    parser.add_argument("--check-all", action="store_true",
-                        help="run every suite and gate each against its "
-                             "committed BENCH_*.json in one invocation "
-                             "(kernel + resolution + provisioning + faults "
-                             "+ obs + storage + workload + orchestration), "
-                             "with a timing summary")
-    args = parser.parse_args(argv)
-
     if args.check_all:
-        return _check_all(args)
-
-    if args.orchestration or args.check_orchestration:
-        suite = perf.orchestration_suite(quick=args.quick)
-        _print_orchestration_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_orchestration:
-            with open(args.check_orchestration) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_orchestration_baseline(
-                suite, baseline, max_regression=args.max_regression,
-                min_hot_gain=args.min_hot_gain,
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print("orchestration baseline check passed "
-                  f"({args.check_orchestration})")
-        return 0
-
-    if args.workload or args.check_workload:
-        suite = perf.workload_suite(quick=args.quick)
-        _print_workload_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_workload:
-            with open(args.check_workload) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_workload_baseline(
-                suite, baseline, min_arrival_rate=args.min_arrival_rate,
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"workload baseline check passed ({args.check_workload})")
-        return 0
-
-    if args.storage or args.check_storage:
-        suite = perf.storage_suite(quick=args.quick)
-        _print_storage_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_storage:
-            with open(args.check_storage) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_storage_baseline(
-                suite, baseline, max_regression=args.max_regression,
-                max_flatness=args.max_flatness,
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"storage baseline check passed ({args.check_storage})")
-        return 0
-
-    if args.obs or args.check_obs:
-        suite = perf.obs_suite(quick=args.quick)
-        _print_obs_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_obs:
-            with open(args.check_obs) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_obs_baseline(
-                suite, baseline,
-                max_overhead_increase=args.max_overhead_increase,
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"obs baseline check passed ({args.check_obs})")
-        return 0
-
-    if args.faults or args.check_faults:
-        suite = perf.faults_suite(quick=args.quick)
-        _print_faults_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_faults:
-            with open(args.check_faults) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_faults_baseline(
-                suite, baseline, min_success=args.min_success
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"faults baseline check passed ({args.check_faults})")
-        return 0
-
-    if args.provisioning or args.check_provisioning:
-        suite = perf.provisioning_suite(quick=args.quick)
-        _print_provisioning_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_provisioning:
-            with open(args.check_provisioning) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_provisioning_baseline(
-                suite, baseline, min_speedup=args.min_speedup
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"provisioning baseline check passed ({args.check_provisioning})")
-        return 0
-
-    if args.resolution or args.check_resolution:
-        suite = perf.resolution_suite(quick=args.quick)
-        _print_resolution_summary(suite)
-        if args.output:
-            perf.dump_suite(suite, args.output)
-            print(f"wrote {args.output}")
-        if args.check_resolution:
-            with open(args.check_resolution) as handle:
-                baseline = json.load(handle)
-            failures = perf.compare_resolution_baseline(
-                suite, baseline, max_regression=args.max_regression
-            )
-            if failures:
-                print("FAIL:", file=sys.stderr)
-                for failure in failures:
-                    print(f"  {failure}", file=sys.stderr)
-                return 1
-            print(f"resolution baseline check passed ({args.check_resolution})")
-        return 0
-
-    suite = perf.run_suite(quick=args.quick, repeats=args.repeats,
-                           jobs=args.jobs)
-    _print_summary(suite)
-
-    if args.output:
-        perf.dump_suite(suite, args.output)
-        print(f"wrote {args.output}")
-
-    if args.check_baseline:
-        with open(args.check_baseline) as handle:
-            baseline = json.load(handle)
-        failures = perf.compare_to_baseline(
-            suite, baseline, max_regression=args.max_regression
-        )
-        failures += _check_determinism(suite, baseline)
-        if failures:
-            print("FAIL:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.check_baseline})")
+        print(f"all {len(suites)} baseline gates passed")
+    elif args.check is not None:
+        print(f"{args.suite} baseline check passed")
     return 0
 
 

@@ -53,21 +53,21 @@ from typing import List, Optional
 from repro.runner import WorkerError  # stdlib-only import, safe for --help
 
 
-def _run_table1(quick: bool, jobs: int = 1) -> str:
+def _run_table1(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.table1 import format_table1, run_table1
 
     apps = ("Wien2k",) if quick else ("Wien2k", "Invmod", "Counter")
     return format_table1(run_table1(applications=apps))
 
 
-def _run_fig10(quick: bool, jobs: int = 1) -> str:
+def _run_fig10(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig10 import format_fig10, run_fig10
 
     clients = (1, 4, 16) if quick else (1, 2, 4, 6, 8, 10, 12, 14, 16)
     return format_fig10(run_fig10(client_counts=clients))
 
 
-def _run_fig11(quick: bool, jobs: int = 1) -> str:
+def _run_fig11(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig11 import (
         format_fig11,
         run_collapse_probe,
@@ -84,13 +84,14 @@ def _run_fig11(quick: bool, jobs: int = 1) -> str:
     return text
 
 
-def _run_fig12(quick: bool, jobs: int = 1) -> str:
+def _run_fig12(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig12 import format_fig12, run_fig12
 
     return format_fig12(run_fig12())
 
 
-def _run_fig14(quick: bool, jobs: int = 1, scale: bool = False) -> str:
+def _run_fig14(quick: bool, jobs: int = 1, scale: bool = False,
+               **_extras) -> str:
     from repro.experiments.fig14 import (
         format_fig14,
         run_fig14,
@@ -109,7 +110,7 @@ def _run_fig14(quick: bool, jobs: int = 1, scale: bool = False) -> str:
                         revalidation=run_revalidation_point())
 
 
-def _run_fig13(quick: bool, jobs: int = 1) -> str:
+def _run_fig13(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig13 import format_fig13, run_fig13
 
     counts = (0, 120, 210) if quick else (0, 30, 60, 90, 120, 150, 180, 210)
@@ -118,15 +119,15 @@ def _run_fig13(quick: bool, jobs: int = 1) -> str:
                                   sink_counts=counts, rates=rates))
 
 
-def _run_fig15(quick: bool, jobs: int = 1) -> str:
+def _run_fig15(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig15 import format_fig15, run_fig15
 
     sizes = (8, 16) if quick else (8, 16, 32, 64)
     return format_fig15(run_fig15(sizes=sizes, jobs=jobs))
 
 
-def _run_fig16(quick: bool, report_out: Optional[str] = None,
-               jobs: int = 1) -> str:
+def _run_fig16(quick: bool, jobs: int = 1,
+               report_out: Optional[str] = None, **_extras) -> str:
     from repro.experiments.fig16 import (
         format_fig16,
         format_fig16_slo,
@@ -145,7 +146,7 @@ def _run_fig16(quick: bool, report_out: Optional[str] = None,
     return text + "\n\n" + slo_text
 
 
-def _run_fig17(quick: bool, jobs: int = 1) -> str:
+def _run_fig17(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig17 import format_fig17, run_fig17
 
     # quick sweeps the storage backends to 10^5 types; the full run
@@ -153,7 +154,7 @@ def _run_fig17(quick: bool, jobs: int = 1) -> str:
     return format_fig17(run_fig17(quick=quick, jobs=jobs))
 
 
-def _run_fig18(quick: bool, jobs: int = 1) -> str:
+def _run_fig18(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig18 import format_fig18, run_fig18
 
     # open-loop overload sweep + flash crowd + mass-provisioning wave;
@@ -161,7 +162,7 @@ def _run_fig18(quick: bool, jobs: int = 1) -> str:
     return format_fig18(run_fig18(quick=quick, jobs=jobs))
 
 
-def _run_fig19(quick: bool, jobs: int = 1) -> str:
+def _run_fig19(quick: bool, jobs: int = 1, **_extras) -> str:
     from repro.experiments.fig19 import format_fig19, run_fig19
 
     # desired-state orchestration under a 100x flash crowd: the
@@ -184,17 +185,17 @@ COMMANDS = {
 }
 
 
-def _run_command(name: str, quick: bool,
-                 report_out: Optional[str] = None) -> str:
-    """One experiment command as a runner work unit (``repro all --jobs``).
+def _run_command(name: str, quick: bool, jobs: int = 1, **extras) -> str:
+    """One experiment command, by name — the single dispatch.
 
-    Runs serially *inside* its worker (``jobs=1``): the fan-out already
-    happened at the command level, and nesting pools would oversubscribe
-    the machine.
+    Every ``_run_*`` shares the ``(quick, jobs=1, **extras)`` call
+    shape and picks the extras it understands (``scale`` for fig14,
+    ``report_out`` for fig16), so the serial loop, ``repro all --jobs``
+    work units (module-level, hence shippable to a worker) and the
+    aggregate report all come through here.
     """
-    if name == "fig16":
-        return _run_fig16(quick, report_out=report_out)
-    return COMMANDS[name](quick)
+    return COMMANDS[name](quick, jobs=jobs, **extras)
+
 
 #: scenario names accepted by the observability subcommands (mirrors
 #: repro.obs.scenarios.SCENARIOS; kept literal so --help never imports
@@ -397,11 +398,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
+    extras = {"scale": args.scale, "report_out": args.report_out}
     try:
         if args.experiment == "all" and args.jobs > 1:
-            # fan whole experiments across workers; print in name order
-            # so the output is byte-identical to a serial run (modulo
-            # timing)
+            # fan whole experiments across workers (each serial inside:
+            # nesting pools would oversubscribe the machine); print in
+            # name order so the output is byte-identical to a serial
+            # run (modulo timing)
             from repro.runner import WorkUnit, run_units
 
             started = time.time()
@@ -409,12 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 WorkUnit(
                     name=f"all:{name}",
                     fn="repro.cli:_run_command",
-                    kwargs={
-                        "name": name,
-                        "quick": args.quick,
-                        "report_out": (args.report_out if name == "fig16"
-                                       else None),
-                    },
+                    kwargs=dict(extras, name=name, quick=args.quick),
                 )
                 for name in names
             ]
@@ -429,14 +427,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in names:
             started = time.time()
             print(f"=== {name} " + "=" * (70 - len(name)))
-            if name == "fig16":
-                print(_run_fig16(args.quick, report_out=args.report_out,
-                                 jobs=args.jobs))
-            elif name == "fig14":
-                print(_run_fig14(args.quick, jobs=args.jobs,
-                                 scale=args.scale))
-            else:
-                print(COMMANDS[name](args.quick, jobs=args.jobs))
+            print(_run_command(name, args.quick, jobs=args.jobs, **extras))
             print(f"--- {name} done in {time.time() - started:.1f}s\n")
     except WorkerError as error:
         _report_worker_error(error, args.error_out)

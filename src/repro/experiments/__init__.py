@@ -13,9 +13,26 @@ One driver module per evaluation artefact:
 * :mod:`repro.experiments.fig13` — 1-minute load average under
   concurrent requesters and notification sinks.
 
+Beyond the paper, one driver per plane grown on top of it:
+
+* :mod:`repro.experiments.fig14` — resolution messages vs VO size,
+  broadcast baseline against the scaled walk (digests, singleflight,
+  batched revalidation);
+* :mod:`repro.experiments.fig15` — bulk rollout time, serial
+  origin-only against parallel + replica-aware transfers;
+* :mod:`repro.experiments.fig16` — request success under super-peer
+  churn, fragile against resilient, plus the health/SLO judgements;
+* :mod:`repro.experiments.fig17` — registry lookup cost and routing
+  messages, flat dict against consistent-hash shards;
+* :mod:`repro.experiments.fig18` — open-loop overload sweep, flash
+  crowd and provisioning wave;
+* :mod:`repro.experiments.fig19` — desired-state orchestration under a
+  flash crowd, orchestrated against static.
+
 Each driver returns plain data structures and has a ``format_*``
 companion that renders the same rows/series the paper reports; the
-``benchmarks/`` directory wires them into pytest-benchmark, and
+``benchmarks/`` directory wires the paper's into pytest-benchmark,
+``repro.cli.COMMANDS`` is the one table of all of them, and
 EXPERIMENTS.md records paper-vs-measured values.
 """
 

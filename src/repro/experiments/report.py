@@ -14,23 +14,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float]
 
-#: every shipped evaluation artefact, in presentation order — the
-#: aggregate report runs these through the same per-command drivers the
-#: CLI uses, so the sections are byte-identical to the standalone runs
-EXPERIMENT_CATALOG = (
-    "table1",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-)
-
 
 def render_experiment_report(
     quick: bool = True,
@@ -39,22 +22,25 @@ def render_experiment_report(
 ) -> str:
     """One document covering all shipped experiments.
 
-    Runs each catalogued experiment through its CLI driver and joins
-    the rendered sections under ``=== name ===`` banners.  ``names``
-    restricts the report to a subset (unknown names raise).  The CLI
-    import happens lazily: :mod:`repro.cli` imports this module for
-    its table helpers, so a top-level import would be circular.
+    Runs each experiment of the CLI's command table (``cli.COMMANDS``,
+    in its presentation order) through the same per-command driver the
+    CLI uses — so the sections are byte-identical to the standalone
+    runs — and joins the rendered sections under ``=== name ===``
+    banners.  ``names`` restricts the report to a subset (unknown names
+    raise).  The CLI import happens lazily: :mod:`repro.cli` imports
+    this module for its table helpers, so a top-level import would be
+    circular.
     """
-    from repro.cli import COMMANDS
+    from repro.cli import COMMANDS, _run_command
 
-    selected = tuple(names) if names is not None else EXPERIMENT_CATALOG
+    selected = tuple(names) if names is not None else tuple(COMMANDS)
     unknown = [n for n in selected if n not in COMMANDS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
     sections = []
     for name in selected:
         banner = f"=== {name} " + "=" * max(0, 70 - len(name))
-        sections.append(banner + "\n" + COMMANDS[name](quick, jobs=jobs))
+        sections.append(banner + "\n" + _run_command(name, quick, jobs=jobs))
     return "\n\n".join(sections)
 
 

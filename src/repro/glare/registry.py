@@ -503,8 +503,12 @@ class ActivityDeploymentRegistry(Service):
         if resource is not None:
             self.aggregation.remove(resource.epr)
             resource.destroy()
+        # a deploy initiator caches what the target registered, and the
+        # target may be this site: that same-key cached copy must not
+        # outlive the deployment it shadows
+        self.drop_cached_deployment(key)
         keys = self.by_type.get(deployment.type_name, [])
-        if key in keys and key not in self.cached_deployments:
+        if key in keys:
             keys.remove(key)
         return True
 

@@ -1,58 +1,37 @@
-"""Wall-clock performance harness for the simulation fast path.
+"""Wall-clock performance harness: one gate table, declared once.
 
 The paper's whole evaluation (Figs. 10-13, Table 1) rides on the DES
 inner loop, so wall-clock speed of the kernel bounds how large a VO we
-can simulate.  This module provides fixed-seed microbenchmarks plus
+can simulate.  This module holds fixed-seed measurements plus
 determinism fingerprints so performance work can be measured *and*
-proven not to change any simulated-time result:
+proven not to change any simulated-time result.
 
-* :func:`bench_kernel_events` — pure kernel event churn (processes
-  yielding timeouts), reported as dispatched events per wall second;
-* :func:`bench_rpc_roundtrips` — the full RPC marshalling/transport
-  path against an echo service, reported as RPCs per wall second;
-* :func:`bench_registry_lookups` — a scaled-down Fig. 10 registry
-  point (named lookups, the hash-table fast path);
-* :func:`bench_index_queries` — a scaled-down Fig. 10 index point
-  (XPath over the aggregated documents);
-* :func:`bench_resolution` / :func:`resolution_fingerprint` — a Fig. 14
-  point pair (broadcast baseline vs scaled resolution path) whose
-  deterministic simulated message counts gate the resolution walk via
-  ``BENCH_resolution.json``;
-* :func:`bench_provisioning` / :func:`provisioning_fingerprint` — a
-  Fig. 15 point pair (serial origin-only rollout vs parallel +
-  replica-aware transfers) whose deterministic simulated rollout times
-  and byte counts gate the provisioning pipeline via
-  ``BENCH_provisioning.json``;
-* :func:`bench_faults` / :func:`faults_fingerprint` — the Fig. 16
-  churn pair (fragile vs resilient under super-peer churn) whose
-  deterministic success rates, takeover latencies and outcome digests
-  gate the fault plane + recovery path via ``BENCH_faults.json``;
-* :func:`bench_storage` / :func:`storage_fingerprint` — the Fig. 17
-  registry-backend pair (flat dict vs consistent-hash shards) whose
-  in-run CPU flatness ratio, placement digests and simulated routing
-  message counts gate the sharded storage layer via
-  ``BENCH_storage.json``;
-* :func:`bench_workload` / :func:`bench_workload_memory` /
-  :func:`workload_fingerprint` — the Fig. 18 open-loop workload plane:
-  arrival-engine throughput (generate + cohort-schedule, the 1M
-  arrivals per wall second gate), memory flatness of the full overload
-  path, and the arrival-trace / overload-outcome digests, gated via
-  ``BENCH_workload.json``;
-* :func:`bench_orchestration` / :func:`orchestration_fingerprint` —
-  the Fig. 19 desired-state control loop: wall-clock cost of the full
-  orchestrated flash crowd (observe → plan → actuate rounds riding a
-  live workload), plus the orchestrated/static outcome digests, the
-  replica trajectory and a pure-planner decision digest, gated via
-  ``BENCH_orchestration.json``;
-* :func:`kernel_trace_fingerprint` / :func:`experiment_fingerprint` —
-  deterministic digests of the seeded event trace and of end-to-end
-  simulated outputs (byte totals, throughputs).  Two runs of the same
-  seed must produce identical fingerprints; the committed golden
-  values in ``tests/`` pin them across refactors.
+Everything is driven by :data:`SUITES`: one :class:`Suite` declaration
+per committed ``BENCH_<name>.json``, naming
 
-``benchmarks/bench_wallclock.py`` drives these and emits
-``BENCH_kernel.json``.  Everything here uses only public simulator
-APIs so the harness itself is independent of kernel internals.
+* ``run`` — a single pass that returns the suite's
+  :class:`BenchResult` list *and* its pinned section (``fingerprint``,
+  or ``determinism`` for the kernel suite) from the same seeded points;
+* ``gates`` — small declarative checks (:class:`Exact`,
+  :class:`RateFloor`, :class:`MaxRise`, :class:`Floor`, :class:`Cap`,
+  :class:`Holds`, or a plain predicate for a relational check), each a
+  callable ``(suite, baseline) -> [failure, ...]``;
+* ``highlights`` — the dotted payload paths worth printing.
+
+:func:`run_suite`, :func:`compare`, :func:`summarize`,
+:func:`describe` and :func:`dump_suite` are the only consumers, so a
+ninth suite is one more entry in the table.  The suites: ``kernel``
+(event churn, echo RPCs, two scaled Fig. 10 points, the seeded kernel
+trace), ``resolution`` (Fig. 14 broadcast vs scaled walk),
+``provisioning`` (Fig. 15 serial vs parallel/replica rollout),
+``faults`` (Fig. 16 churn pair), ``obs`` (instrumentation tiers + the
+Fig. 16 SLO judgements), ``storage`` (Fig. 17 flat vs sharded
+backends), ``workload`` (Fig. 18 arrival engine, memory flatness,
+overload point) and ``orchestration`` (Fig. 19 control loop).
+
+``benchmarks/bench_wallclock.py`` is the CLI over this table.
+Everything here uses only public simulator APIs so the harness itself
+is independent of kernel internals.
 """
 
 from __future__ import annotations
@@ -65,7 +44,8 @@ import time
 
 import numpy as np
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.net.service import EchoService
@@ -103,9 +83,6 @@ class BenchResult:
     peak_rss_kb: int = 0
     details: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
 
 def peak_rss_kb() -> int:
     """Peak resident set size of this process, in kilobytes."""
@@ -126,6 +103,30 @@ def current_rss_kb() -> int:
         return pages * (_resource.getpagesize() // 1024)
     except (OSError, IndexError, ValueError):  # pragma: no cover - non-Linux
         return peak_rss_kb()
+
+
+class _Stopwatch:
+    """Wall-clock and CPU (user + system) seconds spent in a ``with`` block."""
+
+    wall = cpu = 0.0
+
+    def __enter__(self) -> "_Stopwatch":
+        self._wall, self._cpu = time.perf_counter(), time.process_time()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.cpu = time.process_time() - self._cpu
+        self.wall = time.perf_counter() - self._wall
+
+
+def _rate_result(name: str, metric: str, work_units: int, watch: _Stopwatch,
+                 details: Dict[str, Any]) -> BenchResult:
+    """A result whose headline is ``work_units`` per measured wall second."""
+    return BenchResult(
+        name=name, metric=metric, value=work_units / watch.wall,
+        wall_seconds=watch.wall, work_units=work_units,
+        cpu_seconds=watch.cpu, peak_rss_kb=peak_rss_kb(), details=details,
+    )
 
 
 # -- kernel microbenchmark -------------------------------------------------
@@ -149,530 +150,33 @@ def bench_kernel_events(
 
     for index in range(n_procs):
         sim.process(ticker(index), name=f"ticker-{index}")
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    sim.run()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
+    with _Stopwatch() as watch:
+        sim.run()
     # per process: one init event, one timeout per tick, one
     # termination event for the Process itself
     events = n_procs * (events_per_proc + 2)
-    return BenchResult(
-        name="kernel",
-        metric="events_per_sec",
-        value=events / wall,
-        wall_seconds=wall,
-        work_units=events,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"n_procs": n_procs, "events_per_proc": events_per_proc,
-                 "final_time": sim.now},
+    return _rate_result(
+        "kernel", "events_per_sec", events, watch,
+        {"n_procs": n_procs, "events_per_proc": events_per_proc,
+         "final_time": sim.now},
     )
 
 
 # -- RPC microbenchmark ----------------------------------------------------
 
 
-def bench_rpc_roundtrips(
-    clients: int = 8, horizon: float = 40.0, seed: int = 11
-) -> BenchResult:
-    """Closed-loop echo RPCs: the full marshalling + transport path."""
+def _echo_world(seed: int, clients: int, obs: Any = None):
+    """Closed-loop echo clients on a 4-site star around one server.
+
+    Returns ``(sim, net, completed)`` with the SLO engine (if ``obs``
+    carries one) and the client processes already started;
+    ``completed[0]`` counts finished round-trips.  One topology for the
+    RPC benchmark and every observability tier, so the tiers' rate
+    deltas are pure instrumentation overhead.
+    """
     sim = Simulator(seed=seed)
     client_sites = [f"c{i}" for i in range(4)]
     topo = Topology.star("server", client_sites, latency=0.004, bandwidth=12.5e6)
-    net = Network(sim, topo)
-    net.add_node("server", cores=2)
-    for site in client_sites:
-        net.add_node(site, cores=2)
-    EchoService(net, "server", demand=0.0005)
-
-    completed = [0]
-
-    def client(index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        payload = f"ping-{index:03d}"
-        while True:
-            yield from net.call(site, "server", "echo", "echo", payload=payload)
-            completed[0] += 1
-
-    for index in range(clients):
-        sim.process(client(index), name=f"rpc-client-{index}")
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    sim.run(until=horizon)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    return BenchResult(
-        name="rpc",
-        metric="rpcs_per_sec",
-        value=completed[0] / wall,
-        wall_seconds=wall,
-        work_units=completed[0],
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"clients": clients, "sim_horizon": horizon,
-                 "sim_throughput": completed[0] / horizon,
-                 "wire_bytes": net.total_bytes},
-    )
-
-
-# -- scaled Fig. 10 scenario ----------------------------------------------
-
-
-def bench_registry_lookups(
-    clients: int = 8, n_types: int = 30, seed: int = 3
-) -> BenchResult:
-    """Scaled-down Fig. 10 registry point (named hash-table lookups)."""
-    from repro.experiments.fig10 import run_fig10_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    point = run_fig10_point("registry", False, clients, n_types=n_types, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    # simulated requests completed over the 30 s horizon
-    requests = int(round(point.throughput * 25.0))
-    return BenchResult(
-        name="fig10_registry",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"sim_throughput_rps": point.throughput,
-                 "mean_response_ms": point.mean_response_ms},
-    )
-
-
-def bench_index_queries(
-    clients: int = 8, n_types: int = 30, seed: int = 3
-) -> BenchResult:
-    """Scaled-down Fig. 10 index point (XPath over the aggregation)."""
-    from repro.experiments.fig10 import run_fig10_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    point = run_fig10_point("index", False, clients, n_types=n_types, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    requests = int(round(point.throughput * 25.0))
-    return BenchResult(
-        name="fig10_index",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"sim_throughput_rps": point.throughput,
-                 "mean_response_ms": point.mean_response_ms},
-    )
-
-
-# -- resolution-path benchmark (Fig. 14 machinery) -------------------------
-
-
-def bench_resolution(n_sites: int = 16, seed: int = 21) -> BenchResult:
-    """One Fig. 14 point pair: broadcast baseline vs scaled path.
-
-    The headline rate is wall-clock (resolutions simulated per wall
-    second, both series combined); the *simulated* message counts land
-    in ``details`` and are deterministic, so they double as a protocol
-    fingerprint for the resolution walk.
-    """
-    from repro.experiments.fig14 import run_fig14_point, run_revalidation_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    base = run_fig14_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig14_point(n_sites, optimized=True, seed=seed)
-    reval = run_revalidation_point()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    resolutions = base.resolutions + opt.resolutions
-    return BenchResult(
-        name="resolution",
-        metric="sim_resolutions_per_wall_sec",
-        value=resolutions / wall,
-        wall_seconds=wall,
-        work_units=resolutions,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": n_sites,
-            "baseline_messages_per_resolution": base.messages_per_resolution,
-            "optimized_messages_per_resolution": opt.messages_per_resolution,
-            "message_ratio": (base.messages_per_resolution
-                              / max(opt.messages_per_resolution, 1e-9)),
-            "results_equal": base.result_digest == opt.result_digest,
-            "revalidation_per_entry_messages": reval.per_entry_messages,
-            "revalidation_batched_messages": reval.batched_messages,
-        },
-    )
-
-
-def resolution_fingerprint(n_sites: int = 16, seed: int = 21) -> Dict[str, Any]:
-    """Deterministic digest of the resolution walk's protocol cost.
-
-    Every figure here is simulated (message counts, result-set digest),
-    so two runs of the same tree must match exactly; the committed
-    ``BENCH_resolution.json`` pins them across refactors.
-    """
-    from repro.experiments.fig14 import run_fig14_point
-
-    base = run_fig14_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig14_point(n_sites, optimized=True, seed=seed)
-    return {
-        "n_sites": n_sites,
-        "seed": seed,
-        "resolutions": base.resolutions,
-        "baseline_workload_messages": base.workload_messages,
-        "optimized_workload_messages": opt.workload_messages,
-        "baseline_result_digest": base.result_digest,
-        "optimized_result_digest": opt.result_digest,
-    }
-
-
-def resolution_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_resolution.json`` payload (bench + fingerprint)."""
-    result = bench_resolution()
-    return {
-        "suite": "bench_resolution",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": resolution_fingerprint(),
-    }
-
-
-def compare_resolution_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Gate the resolution walk against a committed baseline.
-
-    Simulated message counts are deterministic, so the
-    ``max_regression`` headroom only trips on real protocol changes: a
-    >25% rise in optimized messages-per-resolution fails, as does any
-    drift of the result-set digests (the optimizations must never
-    change what a resolution returns).
-    """
-    failures: List[str] = []
-    current = suite["results"].get("resolution", {}).get("details", {})
-    base = baseline.get("results", {}).get("resolution", {}).get("details", {})
-    if current and base:
-        for key in ("baseline_messages_per_resolution",
-                    "optimized_messages_per_resolution"):
-            if base.get(key, 0) <= 0:
-                continue
-            ratio = current.get(key, 0.0) / base[key]
-            if ratio > 1.0 + max_regression:
-                failures.append(
-                    f"resolution: {key} rose {(ratio - 1.0) * 100:.1f}% above "
-                    f"baseline ({current.get(key, 0.0):.1f} vs {base[key]:.1f})"
-                )
-        if not current.get("results_equal", False):
-            failures.append(
-                "resolution: optimized run returned different result sets "
-                "than the broadcast baseline"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("baseline_result_digest", "optimized_result_digest"):
-        if base_fp.get(key) and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"resolution fingerprint drift: {key} changed "
-                f"({fp.get(key)} vs {base_fp.get(key)})"
-            )
-    return failures
-
-
-# -- provisioning-path benchmark (Fig. 15 machinery) -----------------------
-
-
-def bench_provisioning(n_sites: int = 16, seed: int = 29) -> BenchResult:
-    """One Fig. 15 point pair: serial origin-only vs parallel/replica.
-
-    The headline rate is wall-clock (installations simulated per wall
-    second, both series combined); the *simulated* rollout elapsed
-    times and origin byte counts land in ``details`` and are
-    deterministic, so they double as a protocol fingerprint for the
-    provisioning pipeline.
-    """
-    from repro.experiments.fig15 import run_fig15_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    base = run_fig15_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig15_point(n_sites, optimized=True, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    installs = base.installed + opt.installed
-    return BenchResult(
-        name="provisioning",
-        metric="sim_installs_per_wall_sec",
-        value=installs / wall,
-        wall_seconds=wall,
-        work_units=installs,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": n_sites,
-            "baseline_rollout_elapsed": base.rollout_elapsed,
-            "optimized_rollout_elapsed": opt.rollout_elapsed,
-            "rollout_speedup": (base.rollout_elapsed
-                                / max(opt.rollout_elapsed, 1e-9)),
-            "baseline_origin_bytes_out": base.origin_bytes_out,
-            "optimized_origin_bytes_out": opt.origin_bytes_out,
-            "replica_hits": opt.replica_hits,
-            "results_equal": base.result_digest == opt.result_digest,
-        },
-    )
-
-
-def provisioning_fingerprint(n_sites: int = 16, seed: int = 29) -> Dict[str, Any]:
-    """Deterministic digest of the rollout pipeline's behaviour.
-
-    Every figure here is simulated (elapsed rollout time, message and
-    byte counts, deployment-set digest), so two runs of the same tree
-    must match exactly; the committed ``BENCH_provisioning.json`` pins
-    them across refactors.
-    """
-    from repro.experiments.fig15 import run_fig15_point
-
-    base = run_fig15_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig15_point(n_sites, optimized=True, seed=seed)
-    return {
-        "n_sites": n_sites,
-        "seed": seed,
-        "installed": base.installed,
-        "baseline_rollout_elapsed": repr(base.rollout_elapsed),
-        "optimized_rollout_elapsed": repr(opt.rollout_elapsed),
-        "baseline_messages": base.messages,
-        "optimized_messages": opt.messages,
-        "baseline_origin_bytes_out": base.origin_bytes_out,
-        "optimized_origin_bytes_out": opt.origin_bytes_out,
-        "baseline_result_digest": base.result_digest,
-        "optimized_result_digest": opt.result_digest,
-    }
-
-
-def provisioning_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_provisioning.json`` payload (bench + fingerprint)."""
-    result = bench_provisioning()
-    return {
-        "suite": "bench_provisioning",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": provisioning_fingerprint(),
-    }
-
-
-def compare_provisioning_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_speedup: float = 3.0,
-) -> List[str]:
-    """Gate the provisioning pipeline against a committed baseline.
-
-    Simulated rollout times are deterministic, so the checks only trip
-    on real pipeline changes: the parallel/replica rollout must stay at
-    least ``min_speedup`` times faster than the serial baseline, the
-    optimized series must never pull more origin bytes than the
-    committed run, and the deployment-set digests must not drift (the
-    optimizations must never change what a rollout installs).
-    """
-    failures: List[str] = []
-    current = suite["results"].get("provisioning", {}).get("details", {})
-    if current:
-        speedup = current.get("rollout_speedup", 0.0)
-        if speedup < min_speedup:
-            failures.append(
-                f"provisioning: rollout speedup {speedup:.2f}x fell below "
-                f"the required {min_speedup:.1f}x"
-            )
-        if not current.get("results_equal", False):
-            failures.append(
-                "provisioning: parallel rollout installed different "
-                "deployment sets than the serial baseline"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    base_origin = base_fp.get("optimized_origin_bytes_out", 0)
-    if base_origin and fp.get("optimized_origin_bytes_out", 0) > base_origin:
-        failures.append(
-            "provisioning: optimized rollout pulled more origin bytes than "
-            f"the committed baseline ({fp.get('optimized_origin_bytes_out')} "
-            f"vs {base_origin})"
-        )
-    for key in ("baseline_result_digest", "optimized_result_digest"):
-        if base_fp.get(key) and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"provisioning fingerprint drift: {key} changed "
-                f"({fp.get(key)} vs {base_fp.get(key)})"
-            )
-    return failures
-
-
-# -- fault-plane / churn benchmark (Fig. 16) --------------------------------
-
-
-def bench_faults(seed: int = 33) -> BenchResult:
-    """The Fig. 16 churn pair: fragile vs resilient under super-peer churn.
-
-    Runs the full experiment including its built-in same-seed
-    determinism double-run; the headline rate is wall-clock (simulated
-    client requests per wall second across all three runs).  The
-    success rates, re-election and recovery figures in ``details`` are
-    simulated and deterministic.
-    """
-    from repro.experiments.fig16 import run_fig16
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    fragile, resilient = run_fig16(seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    # the determinism verification re-runs the resilient point
-    requests = (fragile.resolutions + fragile.provisions
-                + 2 * (resilient.resolutions + resilient.provisions))
-    return BenchResult(
-        name="faults",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": resilient.n_sites,
-            "crashes": resilient.crashes,
-            "resilient_resolution_success": resilient.resolution_success_rate,
-            "fragile_resolution_success": fragile.resolution_success_rate,
-            "resilient_provision_success": resilient.provision_success_rate,
-            "fragile_provision_success": fragile.provision_success_rate,
-            "reelections": resilient.reelections,
-            "fragile_reelections": fragile.reelections,
-            "retries": resilient.retries,
-            "mean_recovery_s": resilient.mean_recovery_s,
-        },
-    )
-
-
-def faults_fingerprint(seed: int = 33) -> Dict[str, Any]:
-    """Deterministic digest of the churn experiment's behaviour.
-
-    Every figure is simulated (failure counts, takeover latencies,
-    per-request outcome digests), so two runs of the same tree must
-    match exactly; the committed ``BENCH_faults.json`` pins them.
-    """
-    from repro.experiments.fig16 import run_fig16_point
-
-    fragile = run_fig16_point(resilient=False, seed=seed)
-    resilient = run_fig16_point(resilient=True, seed=seed)
-    return {
-        "seed": seed,
-        "crashes": resilient.crashes,
-        "reelections": resilient.reelections,
-        "fragile_reelections": fragile.reelections,
-        "resilient_resolution_failures": resilient.resolution_failures,
-        "fragile_resolution_failures": fragile.resolution_failures,
-        "resilient_provision_failures": resilient.provision_failures,
-        "fragile_provision_failures": fragile.provision_failures,
-        "retries": resilient.retries,
-        "recovery_times": [repr(t) for t in resilient.recovery_times],
-        "fragile_result_digest": fragile.result_digest,
-        "resilient_result_digest": resilient.result_digest,
-    }
-
-
-def faults_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_faults.json`` payload (bench + fingerprint)."""
-    result = bench_faults()
-    return {
-        "suite": "bench_faults",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": faults_fingerprint(),
-    }
-
-
-def compare_faults_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_success: float = 0.95,
-) -> List[str]:
-    """Gate the fault plane + recovery path against a committed baseline.
-
-    All figures are deterministic, so the checks only trip on real
-    behaviour changes: the resilient series must keep ``min_success``
-    request success under churn, the fragile series must stay
-    measurably worse (the experiment's contrast), takeovers must
-    actually happen (and never without the detector), and the
-    per-request outcome digests must not drift.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("faults", {}).get("details", {})
-    if current:
-        for key in ("resilient_resolution_success", "resilient_provision_success"):
-            rate = current.get(key, 0.0)
-            if rate < min_success:
-                failures.append(
-                    f"faults: {key} {rate:.3f} fell below the "
-                    f"required {min_success:.2f}"
-                )
-        if (current.get("fragile_resolution_success", 0.0)
-                >= current.get("resilient_resolution_success", 0.0)):
-            failures.append(
-                "faults: the fragile series no longer degrades under churn "
-                "(the experiment's contrast vanished)"
-            )
-        if current.get("reelections", 0) < 1:
-            failures.append("faults: no takeover happened in the resilient series")
-        if current.get("fragile_reelections", 0) != 0:
-            failures.append(
-                "faults: takeovers happened with the failure detector disabled"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("fragile_result_digest", "resilient_result_digest",
-                "recovery_times", "crashes", "reelections"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"faults fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
-# -- observability-overhead benchmark (obs + SLO plane) ---------------------
-
-def _obs_bench_slos():
-    """An availability objective over the echo endpoint (default alert
-    rules), so every RPC crosses the SLO interceptor and engine."""
-    from repro.obs.slo import SLOSpec
-
-    return (SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),)
-
-
-def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[str, Any]:
-    """One closed-loop echo workload at a given observability tier.
-
-    ``tier`` is ``"off"`` (null observability — the production default),
-    ``"obs"`` (tracer + metrics interceptors) or ``"slo"`` (tracer +
-    metrics + SLO engine fed by the pipeline).  Identical seed and
-    topology across tiers, so the rate deltas are pure instrumentation
-    overhead.
-    """
-    from repro.obs import Observability
-
-    sim = Simulator(seed=seed)
-    client_sites = [f"c{i}" for i in range(4)]
-    topo = Topology.star("server", client_sites, latency=0.004, bandwidth=12.5e6)
-    obs = None
-    if tier == "obs":
-        obs = Observability(enabled=True, sample_interval=5.0)
-    elif tier == "slo":
-        obs = Observability(enabled=True, sample_interval=5.0,
-                            slos=_obs_bench_slos())
     net = Network(sim, topo, obs=obs)
     net.add_node("server", cores=2)
     for site in client_sites:
@@ -691,12 +195,215 @@ def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[s
             completed[0] += 1
 
     for index in range(clients):
-        sim.process(client(index), name=f"obs-client-{index}")
+        sim.process(client(index), name=f"echo-client-{index}")
+    return sim, net, completed
+
+
+def bench_rpc_roundtrips(
+    clients: int = 8, horizon: float = 40.0, seed: int = 11
+) -> BenchResult:
+    """Closed-loop echo RPCs: the full marshalling + transport path."""
+    sim, net, completed = _echo_world(seed, clients)
+    with _Stopwatch() as watch:
+        sim.run(until=horizon)
+    return _rate_result(
+        "rpc", "rpcs_per_sec", completed[0], watch,
+        {"clients": clients, "sim_horizon": horizon,
+         "sim_throughput": completed[0] / horizon,
+         "wire_bytes": net.total_bytes},
+    )
+
+
+# -- scaled Fig. 10 scenario ----------------------------------------------
+
+
+def bench_fig10_point(
+    kind: str, clients: int = 8, n_types: int = 30, seed: int = 3
+) -> BenchResult:
+    """Scaled-down Fig. 10 point: ``"registry"`` (named hash-table
+    lookups) or ``"index"`` (XPath over the aggregation)."""
+    from repro.experiments.fig10 import run_fig10_point
+
+    with _Stopwatch() as watch:
+        point = run_fig10_point(kind, False, clients, n_types=n_types, seed=seed)
+    # simulated requests completed over the 30 s horizon
+    requests = int(round(point.throughput * 25.0))
+    return _rate_result(
+        f"fig10_{kind}", "sim_requests_per_wall_sec", requests, watch,
+        {"sim_throughput_rps": point.throughput,
+         "mean_response_ms": point.mean_response_ms},
+    )
+
+
+# -- resolution-path benchmark (Fig. 14 machinery) -------------------------
+
+
+def _run_resolution(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    """One Fig. 14 point pair: broadcast baseline vs scaled path.
+
+    The headline rate is wall-clock (resolutions simulated per wall
+    second, both series combined).  Every other figure is simulated —
+    message counts, result-set digests — so two runs of the same tree
+    must match exactly; the fingerprint is read off the same two points
+    the benchmark just timed.
+    """
+    from repro.experiments.fig14 import run_fig14_point, run_revalidation_point
+
+    n_sites, seed = 16, 21
+    with _Stopwatch() as watch:
+        base = run_fig14_point(n_sites, optimized=False, seed=seed)
+        opt = run_fig14_point(n_sites, optimized=True, seed=seed)
+        reval = run_revalidation_point()
+    result = _rate_result(
+        "resolution", "sim_resolutions_per_wall_sec",
+        base.resolutions + opt.resolutions, watch,
+        {
+            "n_sites": n_sites,
+            "baseline_messages_per_resolution": base.messages_per_resolution,
+            "optimized_messages_per_resolution": opt.messages_per_resolution,
+            "message_ratio": (base.messages_per_resolution
+                              / max(opt.messages_per_resolution, 1e-9)),
+            "results_equal": base.result_digest == opt.result_digest,
+            "revalidation_per_entry_messages": reval.per_entry_messages,
+            "revalidation_batched_messages": reval.batched_messages,
+        },
+    )
+    return [result], {"fingerprint": {
+        "n_sites": n_sites,
+        "seed": seed,
+        "resolutions": base.resolutions,
+        "baseline_workload_messages": base.workload_messages,
+        "optimized_workload_messages": opt.workload_messages,
+        "baseline_result_digest": base.result_digest,
+        "optimized_result_digest": opt.result_digest,
+    }}
+
+
+# -- provisioning-path benchmark (Fig. 15 machinery) -----------------------
+
+
+def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    """One Fig. 15 point pair: serial origin-only vs parallel/replica.
+
+    The headline rate is wall-clock (installations simulated per wall
+    second, both series combined).  Rollout elapsed times, message and
+    byte counts and the deployment-set digests are simulated, so two
+    runs of the same tree must match exactly; the fingerprint is read
+    off the same two points the benchmark just timed.
+    """
+    from repro.experiments.fig15 import run_fig15_point
+
+    n_sites, seed = 16, 29
+    with _Stopwatch() as watch:
+        base = run_fig15_point(n_sites, optimized=False, seed=seed)
+        opt = run_fig15_point(n_sites, optimized=True, seed=seed)
+    result = _rate_result(
+        "provisioning", "sim_installs_per_wall_sec",
+        base.installed + opt.installed, watch,
+        {
+            "n_sites": n_sites,
+            "baseline_rollout_elapsed": base.rollout_elapsed,
+            "optimized_rollout_elapsed": opt.rollout_elapsed,
+            "rollout_speedup": (base.rollout_elapsed
+                                / max(opt.rollout_elapsed, 1e-9)),
+            "baseline_origin_bytes_out": base.origin_bytes_out,
+            "optimized_origin_bytes_out": opt.origin_bytes_out,
+            "replica_hits": opt.replica_hits,
+            "results_equal": base.result_digest == opt.result_digest,
+        },
+    )
+    return [result], {"fingerprint": {
+        "n_sites": n_sites,
+        "seed": seed,
+        "installed": base.installed,
+        "baseline_rollout_elapsed": repr(base.rollout_elapsed),
+        "optimized_rollout_elapsed": repr(opt.rollout_elapsed),
+        "baseline_messages": base.messages,
+        "optimized_messages": opt.messages,
+        "baseline_origin_bytes_out": base.origin_bytes_out,
+        "optimized_origin_bytes_out": opt.origin_bytes_out,
+        "baseline_result_digest": base.result_digest,
+        "optimized_result_digest": opt.result_digest,
+    }}
+
+
+# -- fault-plane / churn benchmark (Fig. 16) --------------------------------
+
+
+def _run_faults(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    """The Fig. 16 churn pair: fragile vs resilient under super-peer churn.
+
+    Runs the full experiment including its built-in same-seed
+    determinism double-run; the headline rate is wall-clock (simulated
+    client requests per wall second across all three runs).  Failure
+    counts, takeover latencies and per-request outcome digests are
+    simulated, so the fingerprint is read off the same two points.
+    """
+    from repro.experiments.fig16 import run_fig16
+
+    seed = 33
+    with _Stopwatch() as watch:
+        fragile, resilient = run_fig16(seed=seed)
+    # the determinism verification re-runs the resilient point
+    requests = (fragile.resolutions + fragile.provisions
+                + 2 * (resilient.resolutions + resilient.provisions))
+    result = _rate_result(
+        "faults", "sim_requests_per_wall_sec", requests, watch,
+        {
+            "n_sites": resilient.n_sites,
+            "crashes": resilient.crashes,
+            "resilient_resolution_success": resilient.resolution_success_rate,
+            "fragile_resolution_success": fragile.resolution_success_rate,
+            "resilient_provision_success": resilient.provision_success_rate,
+            "fragile_provision_success": fragile.provision_success_rate,
+            "reelections": resilient.reelections,
+            "fragile_reelections": fragile.reelections,
+            "retries": resilient.retries,
+            "mean_recovery_s": resilient.mean_recovery_s,
+        },
+    )
+    return [result], {"fingerprint": {
+        "seed": seed,
+        "crashes": resilient.crashes,
+        "reelections": resilient.reelections,
+        "fragile_reelections": fragile.reelections,
+        "resilient_resolution_failures": resilient.resolution_failures,
+        "fragile_resolution_failures": fragile.resolution_failures,
+        "resilient_provision_failures": resilient.provision_failures,
+        "fragile_provision_failures": fragile.provision_failures,
+        "retries": resilient.retries,
+        "recovery_times": [repr(t) for t in resilient.recovery_times],
+        "fragile_result_digest": fragile.result_digest,
+        "resilient_result_digest": resilient.result_digest,
+    }}
+
+
+# -- observability-overhead benchmark (obs + SLO plane) ---------------------
+
+def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[str, Any]:
+    """One closed-loop echo workload at a given observability tier.
+
+    ``tier`` is ``"off"`` (null observability — the production default),
+    ``"obs"`` (tracer + metrics interceptors) or ``"slo"`` (tracer +
+    metrics + SLO engine fed by the pipeline).
+    """
+    from repro.obs import Observability
+    from repro.obs.slo import SLOSpec
+
+    obs = None
+    if tier == "obs":
+        obs = Observability(enabled=True, sample_interval=5.0)
+    elif tier == "slo":
+        # an availability objective over the echo endpoint (default alert
+        # rules), so every RPC crosses the SLO interceptor and engine
+        obs = Observability(enabled=True, sample_interval=5.0, slos=(
+            SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),
+        ))
+    sim, _net, completed = _echo_world(seed, clients, obs=obs)
     start = time.perf_counter()
     sim.run(until=horizon)
     wall = time.perf_counter() - start
     return {
-        "tier": tier,
         "rpcs": completed[0],
         "wall_seconds": wall,
         "rpcs_per_wall_sec": completed[0] / wall,
@@ -780,85 +487,6 @@ def obs_fingerprint(seed: int = 33) -> Dict[str, Any]:
     }
 
 
-def obs_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_obs.json`` payload (bench + fingerprint)."""
-    result = bench_obs(**({"clients": 4, "horizon": 15.0} if quick else {}))
-    return {
-        "suite": "bench_obs",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": obs_fingerprint(),
-    }
-
-
-def compare_obs_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_overhead: float = 0.75,
-    max_overhead_increase: float = 0.15,
-) -> List[str]:
-    """Gate the observability plane against a committed baseline.
-
-    Wall-clock rates vary across machines, but the overhead *fractions*
-    are same-machine ratios, so they travel: the instrumented tiers
-    must stay under ``max_overhead`` absolute cost and must not grow
-    more than ``max_overhead_increase`` over the committed fractions.
-    Every judgement figure is simulated and deterministic — any drift
-    of detections, repairs, verdicts or digests fails, as does an
-    undetected crash or a vanished fragile/resilient verdict contrast.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("obs", {}).get("details", {})
-    base = baseline.get("results", {}).get("obs", {}).get("details", {})
-    for key in ("obs_overhead_frac", "slo_overhead_frac"):
-        frac = current.get(key)
-        if frac is None:
-            continue
-        if frac > max_overhead:
-            failures.append(
-                f"obs: {key} {frac:.3f} exceeds the absolute cap "
-                f"{max_overhead:.2f}"
-            )
-        if base.get(key) is not None and frac > base[key] + max_overhead_increase:
-            failures.append(
-                f"obs: {key} {frac:.3f} grew more than "
-                f"{max_overhead_increase:.2f} over baseline {base[key]:.3f}"
-            )
-    if current and not current.get("sim_throughput_equal", False):
-        failures.append(
-            "obs: instrumentation changed the simulated throughput "
-            "(the observability plane must charge no simulated time)"
-        )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("undetected_crashes", 0) != 0:
-        failures.append(
-            f"obs: {fp.get('undetected_crashes')} scheduled crashes went "
-            "undetected by the burn-rate alerts"
-        )
-    verdict_pairs = (
-        ("fragile_verdicts", "client-availability", "exhausted"),
-        ("resilient_verdicts", "client-availability", "met"),
-    )
-    for key, slo_name, expected in verdict_pairs:
-        actual = fp.get(key, {}).get(slo_name)
-        if actual != expected:
-            failures.append(
-                f"obs: {key}[{slo_name}] is {actual!r}, expected "
-                f"{expected!r} (the fragile/resilient contrast vanished)"
-            )
-    for key in ("crashes", "fragile_alerts_fired", "resilient_alerts_fired",
-                "fragile_detection_latencies", "resilient_detection_latencies",
-                "fragile_repair_times", "resilient_repair_times",
-                "fragile_verdicts", "resilient_verdicts",
-                "fragile_result_digest", "resilient_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"obs fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
 # -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
 
 
@@ -875,21 +503,18 @@ def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
     from repro.experiments.fig17 import run_storage_point
 
     anchor_size = 1_000
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    anchor = run_storage_point(anchor_size, shard_counts=(shards,))
-    point = run_storage_point(n_types, shard_counts=(shards,))
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
+    with _Stopwatch() as watch:
+        anchor = run_storage_point(anchor_size, shard_counts=(shards,))
+        point = run_storage_point(n_types, shard_counts=(shards,))
     sharded = {p.backend: p for p in point}[f"sharded/{shards}"]
     sharded_anchor = {p.backend: p for p in anchor}[f"sharded/{shards}"]
     return BenchResult(
         name="storage",
         metric="sharded_lookups_per_wall_sec",
         value=1e9 / sharded.per_lookup_ns,
-        wall_seconds=wall,
+        wall_seconds=watch.wall,
         work_units=2 * (n_types + anchor_size),  # records loaded
-        cpu_seconds=cpu,
+        cpu_seconds=watch.cpu,
         peak_rss_kb=peak_rss_kb(),
         details={
             "n_types": n_types,
@@ -951,75 +576,6 @@ def storage_fingerprint(seed: int = 23) -> Dict[str, Any]:
     }
 
 
-def storage_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_storage.json`` payload (bench + fingerprint).
-
-    The fingerprint uses the same cheap sizes in both modes, so a quick
-    CI run gates against a baseline recorded with the full suite.
-    """
-    result = bench_storage(**({"n_types": 10_000} if quick else {}))
-    return {
-        "suite": "bench_storage",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": storage_fingerprint(),
-    }
-
-
-def compare_storage_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-    max_flatness: float = 1.5,
-) -> List[str]:
-    """Gate the sharded storage layer against a committed baseline.
-
-    The CPU gate is the in-run flatness *ratio* (generous: fig17 itself
-    asserts 1.3x; the CI tripwire allows ``max_flatness`` so shared
-    runners don't flake).  Everything else is deterministic: lookup
-    digests must never diverge from the flat dict, shard placement and
-    routing message counts must not drift, and the routed series must
-    return the same result sets as the broadcast baseline.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("storage", {}).get("details", {})
-    if current:
-        ratio = current.get("flatness_ratio", 0.0)
-        if ratio > max_flatness:
-            failures.append(
-                f"storage: sharded per-lookup CPU at N="
-                f"{current.get('n_types')} is {ratio:.2f}x the anchor "
-                f"point (cap {max_flatness:.2f}x) — lookups are no "
-                "longer flat"
-            )
-        if not current.get("digests_equal", False):
-            failures.append(
-                "storage: sharded backend returned different lookup "
-                "results than the flat dict"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("baseline_result_digest") != fp.get("routed_result_digest"):
-        failures.append(
-            "storage: shard-routed resolution returned different result "
-            "sets than the broadcast baseline"
-        )
-    base_msgs = base_fp.get("routed_workload_messages", 0)
-    if base_msgs and (fp.get("routed_workload_messages", 0)
-                      > base_msgs * (1.0 + max_regression)):
-        failures.append(
-            f"storage: routed workload messages rose above baseline "
-            f"({fp.get('routed_workload_messages')} vs {base_msgs})"
-        )
-    for key in ("placement", "baseline_workload_messages",
-                "routed_route_hits", "routed_fallbacks",
-                "baseline_result_digest", "routed_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"storage fingerprint drift: {key} changed"
-            )
-    return failures
-
-
 # -- open-loop workload-plane benchmark (Fig. 18 machinery) -----------------
 
 
@@ -1044,36 +600,26 @@ def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchRes
                        period=horizon, regions=((0.0, 0.6), (0.3 * horizon, 0.4)))
     model = NHPoissonProcess(rate, name="bench-diurnal")
 
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    times = model.sample(horizon, seed)
-    generated = time.perf_counter()
-
-    sim = Simulator(seed=seed)
-    injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
-    injector.start()
-    sim.run()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
+    with _Stopwatch() as watch:
+        with _Stopwatch() as generate:
+            times = model.sample(horizon, seed)
+        sim = Simulator(seed=seed)
+        injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
+        injector.start()
+        sim.run()
     if injector.fired != times.size:  # pragma: no cover - harness invariant
         raise RuntimeError(
             f"cohort injection dropped arrivals: fired {injector.fired} "
             f"of {times.size}"
         )
-    return BenchResult(
-        name="workload",
-        metric="arrivals_per_wall_sec",
-        value=times.size / wall,
-        wall_seconds=wall,
-        work_units=int(times.size),
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
+    return _rate_result(
+        "workload", "arrivals_per_wall_sec", int(times.size), watch,
+        {
             "target_arrivals": target_arrivals,
             "arrivals": int(times.size),
             "cohorts": injector.cohorts,
-            "generate_seconds": generated - start,
-            "schedule_seconds": wall - (generated - start),
+            "generate_seconds": generate.wall,
+            "schedule_seconds": watch.wall - generate.wall,
             "final_time": sim.now,
         },
     )
@@ -1104,23 +650,14 @@ def bench_workload_memory(
     anchor_growth = current_rss_kb() - rss0
 
     rss1 = current_rss_kb()
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    out = run_fig18_memory(target_arrivals)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
+    with _Stopwatch() as watch:
+        out = run_fig18_memory(target_arrivals)
     target_growth = current_rss_kb() - rss1
 
     arrivals = int(out["arrivals"])
-    return BenchResult(
-        name="workload_memory",
-        metric="sim_arrivals_per_wall_sec",
-        value=arrivals / wall,
-        wall_seconds=wall,
-        work_units=arrivals,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
+    return _rate_result(
+        "workload_memory", "sim_arrivals_per_wall_sec", arrivals, watch,
+        {
             "target_arrivals": target_arrivals,
             "anchor_arrivals": int(anchor["arrivals"]),
             "anchor_rss_growth_kb": int(anchor_growth),
@@ -1194,129 +731,12 @@ def workload_fingerprint(seed: int = 41) -> Dict[str, Any]:
     }
 
 
-def workload_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_workload.json`` payload (benches + fingerprint).
-
-    The fingerprint uses the same cheap sizes in both modes; only the
-    throughput/memory benches scale down under ``quick`` (the 1M/s
-    arrival-rate gate and the absolute RSS-growth cap both hold at
-    either size).
-    """
-    if quick:
-        engine = bench_workload(target_arrivals=200_000)
-        memory = bench_workload_memory(target_arrivals=48_000,
-                                       anchor_arrivals=12_000)
-    else:
-        engine = bench_workload()
-        memory = bench_workload_memory()
-    return {
-        "suite": "bench_workload",
-        "mode": "quick" if quick else "full",
-        "results": {r.name: r.to_dict() for r in (engine, memory)},
-        "fingerprint": workload_fingerprint(),
-    }
-
-
-def compare_workload_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_arrival_rate: float = 1_000_000.0,
-    max_rss_growth_kb: int = 131_072,
-    max_stats_footprint_bytes: int = 1_000_000,
-) -> List[str]:
-    """Gate the open-loop workload plane against a committed baseline.
-
-    The arrival engine must sustain ``min_arrival_rate`` generated +
-    scheduled arrivals per wall second (an absolute floor, not a
-    baseline ratio — the ISSUE's 10^6 target).  The full fig18 path
-    must stay memory-flat: RSS growth of the measured run under an
-    absolute cap (flat means size-independent, so one cap serves quick
-    and full sizes) and the streaming-stats footprint bounded by its
-    fixed histogram grid.  Every fingerprint figure is deterministic —
-    any drift of an arrival-trace digest or the overload point's
-    outcome digest fails.
-    """
-    failures: List[str] = []
-    engine = suite["results"].get("workload", {})
-    if engine:
-        rate = engine.get("value", 0.0)
-        if rate < min_arrival_rate:
-            failures.append(
-                f"workload: arrival engine sustained {rate:,.0f} arrivals/s, "
-                f"below the required {min_arrival_rate:,.0f}/s"
-            )
-    memory = suite["results"].get("workload_memory", {}).get("details", {})
-    if memory:
-        growth = memory.get("target_rss_growth_kb", 0)
-        if growth > max_rss_growth_kb:
-            failures.append(
-                f"workload: RSS grew {growth:,d} kB across the "
-                f"{memory.get('target_arrivals'):,d}-arrival run "
-                f"(cap {max_rss_growth_kb:,d} kB) — the open-loop path is "
-                "no longer memory-flat"
-            )
-        footprint = memory.get("stats_footprint_bytes", 0)
-        if footprint > max_stats_footprint_bytes:
-            failures.append(
-                f"workload: streaming-stats footprint {footprint:,d} B "
-                f"exceeds the fixed-size cap {max_stats_footprint_bytes:,d} B"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("models", "poisson_cohorts", "point_completed", "point_shed",
-                "point_timeouts", "point_goodput", "point_shed_by_op",
-                "point_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"workload fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
 # -- desired-state orchestration benchmark (Fig. 19 machinery) --------------
 
-#: the fixed quick-mode fig19 shape shared by the orchestration bench
-#: and fingerprint — identical in quick and full suite modes so the
-#: committed fingerprint pins one exact simulation
+#: the fixed quick-mode fig19 shape — identical in quick and full suite
+#: modes so the committed fingerprint pins one exact simulation
 _ORCH_SHAPE = dict(seed=43, n_sites=6, max_replicas=3, horizon=40.0,
                    warmup=4.0, spike_start=10.0, spike_end=26.0, adapt=8.0)
-
-
-def bench_orchestration(seed: int = 43) -> "BenchResult":
-    """Wall-clock cost of the desired-state control loop under load.
-
-    Runs the quick-shape orchestrated fig19 flash crowd — thousands of
-    open-loop arrivals with the reconciler observing, planning and
-    actuating every interval — and reports simulated reconcile rounds
-    per wall second.  The interesting regression here is control-loop
-    overhead: the loop must stay a negligible slice of a busy
-    simulation's wall time.
-    """
-    from repro.experiments.fig19 import run_fig19_flash
-
-    shape = dict(_ORCH_SHAPE, seed=seed)
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    flash = run_fig19_flash(orchestrated=True, **shape)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    return BenchResult(
-        name="orchestration",
-        metric="reconcile_rounds_per_wall_sec",
-        value=flash.reconcile_rounds / wall,
-        wall_seconds=wall,
-        work_units=flash.reconcile_rounds,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "rounds": flash.reconcile_rounds,
-            "installs": flash.installs,
-            "drains": flash.drains,
-            "max_replicas_seen": flash.max_replicas_seen,
-            "final_replicas": flash.final_replicas,
-            "convergence_times": [round(t, 6) for t in flash.convergence_times],
-        },
-    )
 
 
 def _planner_decision_digest(seed: int = 43) -> str:
@@ -1363,107 +783,54 @@ def _planner_decision_digest(seed: int = 43) -> str:
     return digest.hexdigest()
 
 
-def orchestration_fingerprint(seed: int = 43) -> Dict[str, Any]:
-    """Deterministic digest of the desired-state control loop.
+def _run_orchestration(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    """Wall-clock cost and pinned behaviour of the desired-state loop.
 
-    The orchestrated and static fig19 series pin the full closed loop
-    (observation wire shapes, EWMA smoothing, planner policy, install
-    and drain ordering, WSRF GC timing) bit-for-bit; the replica
-    trajectory and convergence times pin the control behaviour in
-    human-readable form; the planner decision digest pins the pure
-    policy layer alone.  All figures are simulated, so quick and full
-    suite modes run the same sizes and ``BENCH_orchestration.json``
-    pins them across refactors.
+    Times the quick-shape orchestrated fig19 flash crowd — thousands of
+    open-loop arrivals with the reconciler observing, planning and
+    actuating every interval — and reports simulated reconcile rounds
+    per wall second: the loop must stay a negligible slice of a busy
+    simulation's wall time.  The static twin then runs untimed.  The
+    two series digests pin the full closed loop (observation wire
+    shapes, EWMA smoothing, planner policy, install and drain ordering,
+    WSRF GC timing) bit-for-bit; the replica trajectory and convergence
+    times pin the control behaviour in human-readable form; the planner
+    decision digest pins the pure policy layer alone.
     """
     from repro.experiments.fig19 import run_fig19_flash
 
-    shape = dict(_ORCH_SHAPE, seed=seed)
-    orchestrated = run_fig19_flash(orchestrated=True, **shape)
-    static = run_fig19_flash(orchestrated=False, **shape)
-    return {
+    seed = _ORCH_SHAPE["seed"]
+    with _Stopwatch() as watch:
+        flash = run_fig19_flash(orchestrated=True, **_ORCH_SHAPE)
+    static = run_fig19_flash(orchestrated=False, **_ORCH_SHAPE)
+    result = _rate_result(
+        "orchestration", "reconcile_rounds_per_wall_sec",
+        flash.reconcile_rounds, watch,
+        {
+            "rounds": flash.reconcile_rounds,
+            "installs": flash.installs,
+            "drains": flash.drains,
+            "max_replicas_seen": flash.max_replicas_seen,
+            "final_replicas": flash.final_replicas,
+            "convergence_times": [round(t, 6) for t in flash.convergence_times],
+        },
+    )
+    return [result], {"fingerprint": {
         "seed": seed,
         "planner_decisions": _planner_decision_digest(seed),
-        "orchestrated_digest": orchestrated.result_digest,
+        "orchestrated_digest": flash.result_digest,
         "static_digest": static.result_digest,
-        "replica_series": [[round(t, 3), n]
-                           for t, n in orchestrated.replica_series],
-        "max_replicas_seen": orchestrated.max_replicas_seen,
-        "final_replicas": orchestrated.final_replicas,
-        "rounds": orchestrated.reconcile_rounds,
-        "installs": orchestrated.installs,
-        "drains": orchestrated.drains,
+        "replica_series": [[round(t, 3), n] for t, n in flash.replica_series],
+        "max_replicas_seen": flash.max_replicas_seen,
+        "final_replicas": flash.final_replicas,
+        "rounds": flash.reconcile_rounds,
+        "installs": flash.installs,
+        "drains": flash.drains,
         "convergence_times": [repr(round(t, 6))
-                              for t in orchestrated.convergence_times],
-        "recovered_goodput": repr(orchestrated.phases["recovered"]["goodput"]),
+                              for t in flash.convergence_times],
+        "recovered_goodput": repr(flash.phases["recovered"]["goodput"]),
         "static_recovered_goodput": repr(static.phases["recovered"]["goodput"]),
-    }
-
-
-def orchestration_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_orchestration.json`` payload (bench + fingerprint).
-
-    Quick and full modes run the same fixed shape: the whole suite is
-    one simulated scenario whose wall time is already CI-sized, and
-    identical sizes are what let the fingerprint pin one exact run.
-    """
-    bench = bench_orchestration()
-    return {
-        "suite": "bench_orchestration",
-        "mode": "quick" if quick else "full",
-        "results": {bench.name: bench.to_dict()},
-        "fingerprint": orchestration_fingerprint(),
-    }
-
-
-def compare_orchestration_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-    min_hot_gain: float = 1.2,
-) -> List[str]:
-    """Gate the desired-state control loop against a committed baseline.
-
-    Three families of failure: the control loop got expensive (rounds
-    per wall second regressed beyond ``max_regression``), the control
-    *behaviour* degraded (scale-out stopped beating the static series
-    by ``min_hot_gain`` on recovered goodput, or the fleet no longer
-    drains back to min replicas), or any fingerprint figure drifted —
-    the planner decision digest, the series digests, the replica
-    trajectory — which means a refactor changed what the loop does.
-    """
-    failures: List[str] = []
-    bench = suite["results"].get("orchestration", {})
-    base_bench = baseline.get("results", {}).get("orchestration", {})
-    if bench and base_bench:
-        rate, base_rate = bench.get("value", 0.0), base_bench.get("value", 0.0)
-        if base_rate > 0 and rate < base_rate * (1.0 - max_regression):
-            failures.append(
-                f"orchestration: {rate:,.1f} reconcile rounds/s is more than "
-                f"{max_regression:.0%} below baseline {base_rate:,.1f}/s"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("final_replicas") != 1:
-        failures.append(
-            "orchestration: fleet did not drain back to min replicas "
-            f"({fp.get('final_replicas')} at end of run)"
-        )
-    recovered = float(fp.get("recovered_goodput", "0") or 0)
-    static = float(fp.get("static_recovered_goodput", "0") or 0)
-    if recovered < min_hot_gain * max(static, 1e-9):
-        failures.append(
-            f"orchestration: recovered goodput {recovered:.1f}/s no longer "
-            f"clears {min_hot_gain}x the static series' {static:.1f}/s"
-        )
-    for key in ("planner_decisions", "orchestrated_digest", "static_digest",
-                "replica_series", "max_replicas_seen", "final_replicas",
-                "rounds", "installs", "drains", "convergence_times",
-                "recovered_goodput", "static_recovered_goodput"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"orchestration fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
+    }}
 
 
 # -- determinism fingerprints ----------------------------------------------
@@ -1567,27 +934,46 @@ def experiment_fingerprint(seed: int = 3) -> Dict[str, Any]:
     }
 
 
-# -- suite runner ----------------------------------------------------------
+# -- suite runs built from independent benchmark units -------------------------
 
-QUICK_PARAMS = {
-    "kernel": {"n_procs": 32, "events_per_proc": 1500},
-    "rpc": {"clients": 4, "horizon": 15.0},
-    "fig10": {"clients": 4, "n_types": 20},
+
+def _split_run(fingerprint: Callable[[], Dict[str, Any]],
+               *benches: Tuple[Callable[..., BenchResult], Dict[str, Any]]):
+    """A suite run whose benchmarks and fingerprint share no seeded points.
+
+    ``benches`` are ``(function, quick-mode kwargs)`` pairs; the full
+    run uses each function's defaults.  The fingerprint uses the same
+    cheap sizes in both modes, so a quick CI run gates against a
+    baseline recorded with the full suite.
+    """
+    def run(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+        results = [bench(**(quick_kwargs if quick else {}))
+                   for bench, quick_kwargs in benches]
+        return results, {"fingerprint": fingerprint()}
+
+    return run
+
+
+#: kernel-suite benchmarks in suite order: name -> (function, quick-mode
+#: kwargs); the full run uses each function's defaults
+_KERNEL_BENCHES = {
+    "kernel": (bench_kernel_events, {"n_procs": 32, "events_per_proc": 1500}),
+    "rpc": (bench_rpc_roundtrips, {"clients": 4, "horizon": 15.0}),
+    "fig10_registry": (partial(bench_fig10_point, "registry"),
+                       {"clients": 4, "n_types": 20}),
+    "fig10_index": (partial(bench_fig10_point, "index"),
+                    {"clients": 4, "n_types": 20}),
 }
 
-FULL_PARAMS = {
-    "kernel": {"n_procs": 64, "events_per_proc": 4000},
-    "rpc": {"clients": 8, "horizon": 40.0},
-    "fig10": {"clients": 8, "n_types": 30},
+#: the kernel suite's ``determinism`` sections
+_KERNEL_PINS = {
+    "kernel_trace": kernel_trace_fingerprint,
+    "experiment": experiment_fingerprint,
 }
-
-
-#: benchmark names in suite order → the function each unit runs
-_SUITE_BENCHES = ("kernel", "rpc", "fig10_registry", "fig10_index")
 
 
 def run_bench_unit(name: str, quick: bool = False) -> Any:
-    """One suite work unit, addressable by name (the ``--jobs`` entry).
+    """One kernel-suite work unit, addressable by name (the ``--jobs`` entry).
 
     Module-level so :mod:`repro.runner` can ship it to a worker as a
     dotted path.  Benchmark units return a :class:`BenchResult`;
@@ -1596,87 +982,476 @@ def run_bench_unit(name: str, quick: bool = False) -> Any:
     *intentionally* re-run the identical workload (they measure wall
     clock, not new behaviour), so no per-repeat seed derivation here.
     """
-    params = QUICK_PARAMS if quick else FULL_PARAMS
-    if name == "kernel":
-        return bench_kernel_events(**params["kernel"])
-    if name == "rpc":
-        return bench_rpc_roundtrips(**params["rpc"])
-    if name == "fig10_registry":
-        return bench_registry_lookups(**params["fig10"])
-    if name == "fig10_index":
-        return bench_index_queries(**params["fig10"])
-    if name == "kernel_trace_fp":
-        return kernel_trace_fingerprint()
-    if name == "experiment_fp":
-        return experiment_fingerprint()
-    raise ValueError(f"unknown bench unit {name!r}")
+    if name in _KERNEL_PINS:
+        return _KERNEL_PINS[name]()
+    bench, quick_kwargs = _KERNEL_BENCHES[name]
+    return bench(**(quick_kwargs if quick else {}))
 
 
-def run_suite(quick: bool = False, repeats: int = 1,
-              jobs: int = 1) -> Dict[str, Any]:
-    """Run every benchmark; keep the best (lowest-wall) of ``repeats``.
+def _run_kernel(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    """Every kernel benchmark, best (lowest-wall) of ``repeats``.
 
-    With ``jobs > 1`` every (benchmark, repeat) batch — and the two
-    determinism fingerprints — fans out across worker processes via
-    :mod:`repro.runner`.  The reduction (best-of per benchmark) is
-    order-independent, and each worker measures its own RSS, so the
-    per-benchmark peak figures are genuinely per-benchmark.  The
-    worker count lands in the suite metadata: wall-clock rates from an
-    oversubscribed parallel run are not comparable to serial ones, and
-    baselines recorded under different ``jobs`` should never be
-    silently compared.
+    Every (benchmark, repeat) batch — and the two determinism
+    fingerprints — is a :mod:`repro.runner` work unit, inline at
+    ``jobs=1`` and fanned across workers otherwise.  The reduction
+    (best-of per benchmark) is order-independent, and each worker
+    measures its own RSS, so the per-benchmark peak figures are
+    genuinely per-benchmark.  The worker count lands in the suite
+    metadata: wall-clock rates from an oversubscribed parallel run are
+    not comparable to serial ones (see :func:`_same_jobs`).
     """
+    from repro.runner import WorkUnit, run_units
+
     repeats = max(1, repeats)
-    if jobs > 1:
-        from repro.runner import WorkUnit, run_units
-
-        units = [
-            WorkUnit(f"{name}#r{i}", "repro.perf:run_bench_unit",
-                     {"name": name, "quick": quick})
-            for name in _SUITE_BENCHES
-            for i in range(repeats)
-        ]
-        units += [
-            WorkUnit("kernel_trace_fp", "repro.perf:run_bench_unit",
-                     {"name": "kernel_trace_fp"}),
-            WorkUnit("experiment_fp", "repro.perf:run_bench_unit",
-                     {"name": "experiment_fp"}),
-        ]
-        outputs = run_units(units, jobs=jobs)
-        results = []
-        for index, name in enumerate(_SUITE_BENCHES):
-            batch = outputs[index * repeats:(index + 1) * repeats]
-            results.append(min(batch, key=lambda r: r.wall_seconds))
-        kernel_trace = outputs[-2]
-        experiment = outputs[-1]
-    else:
-        params = QUICK_PARAMS if quick else FULL_PARAMS
-
-        def best(factory) -> BenchResult:
-            candidates = [factory() for _ in range(repeats)]
-            return min(candidates, key=lambda r: r.wall_seconds)
-
-        results = [
-            best(lambda: bench_kernel_events(**params["kernel"])),
-            best(lambda: bench_rpc_roundtrips(**params["rpc"])),
-            best(lambda: bench_registry_lookups(**params["fig10"])),
-            best(lambda: bench_index_queries(**params["fig10"])),
-        ]
-        kernel_trace = kernel_trace_fingerprint()
-        experiment = experiment_fingerprint()
-    suite = {
+    units = [
+        WorkUnit(f"{name}#r{i}", "repro.perf:run_bench_unit",
+                 {"name": name, "quick": quick})
+        for name in _KERNEL_BENCHES
+        for i in range(repeats)
+    ]
+    units += [WorkUnit(name, "repro.perf:run_bench_unit", {"name": name})
+              for name in _KERNEL_PINS]
+    outputs = run_units(units, jobs=jobs)
+    n_batches = len(_KERNEL_BENCHES) * repeats
+    results = [min(outputs[at:at + repeats], key=lambda r: r.wall_seconds)
+               for at in range(0, n_batches, repeats)]
+    return results, {
         "suite": "bench_wallclock",
-        "mode": "quick" if quick else "full",
         "repeats": repeats,
         "jobs": jobs,
-        "results": {r.name: r.to_dict() for r in results},
-        "determinism": {
-            "kernel_trace": kernel_trace,
-            "experiment": experiment,
-        },
+        "determinism": dict(zip(_KERNEL_PINS, outputs[n_batches:])),
         "peak_rss_kb": peak_rss_kb(),
     }
-    return suite
+
+
+# -- gates: declarative checks over a suite payload ---------------------------
+
+#: what a suite's ``run`` returns: its benchmark results plus the other
+#: top-level payload sections (the pinned ``fingerprint`` /
+#: ``determinism`` section, the kernel suite's worker metadata)
+SuiteRun = Tuple[List[BenchResult], Dict[str, Any]]
+
+
+def _dig(doc: Any, path: str) -> Any:
+    """The value at a dotted ``path`` of a suite payload (None if absent)."""
+    for key in path.split("."):
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key)
+    return doc
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A declarative check on one dotted ``path`` of the suite payload.
+
+    Calling a gate with ``(suite, baseline)`` returns its failures
+    (empty when it holds) and ``str(gate)`` is the line ``--help``
+    prints, so the threshold lives in exactly one place: the
+    declaration.  ``note`` says what a violation means; ``noisy`` marks
+    a bound on a wall-clock or RSS figure, which depends on the host in
+    a way the simulated figures never do.
+    """
+
+    path: str
+    bound: Any = None
+    note: str = ""
+    noisy: bool = False
+
+    def rule(self) -> str:
+        """The condition, as ``--help`` states it after the path."""
+        raise NotImplementedError
+
+    def problem(self, current: Any, base: Any) -> Optional[str]:
+        """What is wrong with ``current`` (None when the gate holds)."""
+        raise NotImplementedError
+
+    def _annotated(self, text: str) -> str:
+        return f"{text} — {self.note}" if self.note else text
+
+    def __str__(self) -> str:
+        host = "  [host-dependent]" if self.noisy else ""
+        return self._annotated(f"{self.path} {self.rule()}{host}")
+
+    def __call__(self, suite: Dict[str, Any],
+                 baseline: Dict[str, Any]) -> List[str]:
+        problem = self.problem(_dig(suite, self.path), _dig(baseline, self.path))
+        return [self._annotated(f"{self.path} {problem}")] if problem else []
+
+
+class Exact(Gate):
+    """Every key of the baseline's ``path`` section must match exactly.
+
+    The walk follows the *committed* section's keys (recursively), so a
+    newly added figure passes until the baseline is re-recorded, while
+    any drift of a pinned one names the leaf that moved.
+    """
+
+    def rule(self) -> str:
+        return "matches the baseline exactly, key by key"
+
+    def __call__(self, suite, baseline):
+        def drift(path, current, expected):
+            if isinstance(expected, dict) and isinstance(current, dict):
+                return [failure for key, value in expected.items()
+                        for failure in drift(f"{path}.{key}", current.get(key),
+                                             value)]
+            if current == expected:
+                return []
+            return [self._annotated(
+                f"{path} drifted: {current!r} != baseline {expected!r}")]
+
+        return drift(self.path, _dig(suite, self.path) or {},
+                     _dig(baseline, self.path) or {})
+
+
+@dataclass(frozen=True)
+class RateFloor(Gate):
+    """A wall-clock rate may not drop more than ``bound`` below baseline.
+
+    Absolute rates vary across machines; a large drop on the same
+    machine family signals a real fast-path regression.  Rates recorded
+    under different worker counts are not the same measurement, so the
+    gate stands aside there and lets :func:`_same_jobs` refuse.
+    """
+
+    noisy: bool = True
+
+    def rule(self) -> str:
+        return f">= {1.0 - self.bound:.0%} of baseline"
+
+    def __call__(self, suite, baseline):
+        if _same_jobs(suite, baseline):
+            return []
+        return super().__call__(suite, baseline)
+
+    def problem(self, current, base):
+        if current is None or not base or base <= 0:
+            return None
+        ratio = current / base
+        if ratio >= 1.0 - self.bound:
+            return None
+        return (f"is {current:,.1f}, {(1.0 - ratio) * 100:.1f}% below "
+                f"baseline {base:,.1f} (tolerance {self.bound:.0%})")
+
+
+@dataclass(frozen=True)
+class MaxRise(Gate):
+    """A cost may not rise above baseline x (1 + ``bound``) + ``plus``."""
+
+    plus: float = 0.0
+
+    def rule(self) -> str:
+        factor = f" x {1.0 + self.bound:g}" if self.bound else ""
+        return f"<= baseline{factor}" + (f" + {self.plus:g}" if self.plus else "")
+
+    def problem(self, current, base):
+        if current is None or base is None or (self.bound and base <= 0):
+            return None
+        limit = base * (1.0 + (self.bound or 0.0)) + self.plus
+        if current <= limit:
+            return None
+        return f"is {current:g}, above the {limit:g} allowed over baseline {base:g}"
+
+
+class Floor(Gate):
+    """The value must be at least ``bound`` (absolute, no baseline)."""
+
+    def rule(self) -> str:
+        return f">= {self.bound:,g}"
+
+    def problem(self, current, base):
+        if current is not None and current >= self.bound:
+            return None
+        return f"is {current!r}, below the required {self.bound:,g}"
+
+
+class Cap(Gate):
+    """The value must be at most ``bound`` (absolute, no baseline)."""
+
+    def rule(self) -> str:
+        return f"<= {self.bound:,g}"
+
+    def problem(self, current, base):
+        if current is not None and current <= self.bound:
+            return None
+        return f"is {current!r}, above the cap {self.bound:,g}"
+
+
+class Holds(Gate):
+    """A recorded boolean / count / verdict must equal ``bound``."""
+
+    def rule(self) -> str:
+        return f"== {self.bound!r}"
+
+    def problem(self, current, base):
+        if current == self.bound:
+            return None
+        return f"is {current!r}, expected {self.bound!r}"
+
+
+def _same_jobs(suite, baseline) -> List[str]:
+    """jobs == the baseline's worker count: concurrent workers timeshare
+    cores, so rates from different counts are not comparable"""
+    jobs, base_jobs = suite.get("jobs", 1), baseline.get("jobs", 1)
+    if jobs == base_jobs:
+        return []
+    return [f"jobs: suite ran with jobs={jobs} but the baseline was recorded "
+            f"with jobs={base_jobs}; rates are not comparable — rerun with "
+            "matching --jobs or re-record the baseline"]
+
+
+def _fragile_degrades(suite, baseline) -> List[str]:
+    """fragile_resolution_success < resilient_resolution_success: the
+    experiment's contrast"""
+    details = _dig(suite, "results.faults.details") or {}
+    fragile = details.get("fragile_resolution_success", 0.0)
+    resilient = details.get("resilient_resolution_success", 0.0)
+    if fragile < resilient:
+        return []
+    return [f"fragile_resolution_success {fragile:.3f} is not below "
+            f"resilient_resolution_success {resilient:.3f}: the fragile "
+            "series no longer degrades under churn"]
+
+
+def _routed_equals_broadcast(suite, baseline) -> List[str]:
+    """fingerprint.routed_result_digest == fingerprint.baseline_result_digest:
+    shard routing must not change what a resolution returns"""
+    fp = suite.get("fingerprint", {})
+    if fp.get("routed_result_digest") == fp.get("baseline_result_digest"):
+        return []
+    return ["fingerprint.routed_result_digest differs from "
+            "fingerprint.baseline_result_digest: shard-routed resolution "
+            "returned different result sets than the broadcast baseline"]
+
+
+def _scale_out_beats_static(suite, baseline) -> List[str]:
+    """fingerprint.recovered_goodput >= 1.2 x fingerprint.static_recovered_goodput:
+    scale-out must keep paying for itself"""
+    fp = suite.get("fingerprint", {})
+    recovered = float(fp.get("recovered_goodput") or 0)
+    static = float(fp.get("static_recovered_goodput") or 0)
+    if recovered >= 1.2 * max(static, 1e-9):
+        return []
+    return [f"fingerprint.recovered_goodput {recovered:.1f}/s no longer clears "
+            f"1.2x fingerprint.static_recovered_goodput {static:.1f}/s"]
+
+
+# -- the table ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``BENCH_<name>.json``: how to produce it and what gates it.
+
+    ``run(quick, repeats, jobs)`` makes one pass and returns a
+    :data:`SuiteRun`; ``repeats`` / ``jobs`` only mean something to a
+    suite made of independent wall-rate units (the kernel suite) —
+    single-scenario suites run once.  ``gates`` are callables
+    ``(suite, baseline) -> [failure, ...]``: :class:`Gate` instances,
+    or a plain predicate whose docstring is its description.
+    ``highlights`` are the dotted payload paths outside ``results``
+    that :func:`summarize` prints as well.
+    """
+
+    run: Callable[[bool, int, int], SuiteRun]
+    gates: Tuple[Callable[[Dict[str, Any], Dict[str, Any]], List[str]], ...]
+    highlights: Tuple[str, ...] = ()
+
+
+def _detail(result: str, key: str) -> str:
+    return f"results.{result}.details.{key}"
+
+
+SUITES: Dict[str, Suite] = {
+    "kernel": Suite(
+        run=_run_kernel,
+        gates=(
+            _same_jobs,
+            RateFloor("results.kernel.value", 0.25),
+            RateFloor("results.rpc.value", 0.25),
+            Exact("determinism", note="an optimization changed simulated "
+                  "behaviour, a bug regardless of the speedup"),
+        ),
+        highlights=("peak_rss_kb", "determinism.kernel_trace.sha256",
+                    "determinism.kernel_trace.events"),
+    ),
+    "resolution": Suite(
+        run=_run_resolution,
+        gates=(
+            MaxRise(_detail("resolution", "baseline_messages_per_resolution"), 0.25),
+            MaxRise(_detail("resolution", "optimized_messages_per_resolution"), 0.25),
+            Holds(_detail("resolution", "results_equal"), True,
+                  "the optimizations must never change what a resolution returns"),
+            Exact("fingerprint"),
+        ),
+    ),
+    "provisioning": Suite(
+        run=_run_provisioning,
+        gates=(
+            Floor(_detail("provisioning", "rollout_speedup"), 3.0,
+                  "parallel/replica rollout over the serial baseline"),
+            Holds(_detail("provisioning", "results_equal"), True,
+                  "the optimizations must never change what a rollout installs"),
+            # pins optimized_origin_bytes_out too: the parallel rollout
+            # may never pull more origin bytes than the committed run
+            Exact("fingerprint"),
+        ),
+    ),
+    "faults": Suite(
+        run=_run_faults,
+        gates=(
+            Floor(_detail("faults", "resilient_resolution_success"), 0.95),
+            Floor(_detail("faults", "resilient_provision_success"), 0.95),
+            _fragile_degrades,
+            Floor(_detail("faults", "reelections"), 1,
+                  "a takeover must happen in the resilient series"),
+            Holds(_detail("faults", "fragile_reelections"), 0,
+                  "no takeover with the failure detector disabled"),
+            Exact("fingerprint"),
+        ),
+    ),
+    "obs": Suite(
+        run=_split_run(obs_fingerprint,
+                       (bench_obs, {"clients": 4, "horizon": 15.0})),
+        gates=(
+            # overhead *fractions* are same-machine ratios, so they travel
+            Cap(_detail("obs", "obs_overhead_frac"), 0.75, noisy=True),
+            MaxRise(_detail("obs", "obs_overhead_frac"), plus=0.15, noisy=True),
+            Cap(_detail("obs", "slo_overhead_frac"), 0.75, noisy=True),
+            MaxRise(_detail("obs", "slo_overhead_frac"), plus=0.15, noisy=True),
+            Holds(_detail("obs", "sim_throughput_equal"), True,
+                  "the observability plane must charge no simulated time"),
+            Holds("fingerprint.undetected_crashes", 0,
+                  "every scheduled crash must trip a burn-rate alert"),
+            Holds("fingerprint.fragile_verdicts.client-availability", "exhausted",
+                  "the fragile/resilient verdict contrast"),
+            Holds("fingerprint.resilient_verdicts.client-availability", "met",
+                  "the fragile/resilient verdict contrast"),
+            Exact("fingerprint"),
+        ),
+        highlights=("fingerprint.crashes", "fingerprint.undetected_crashes",
+                    "fingerprint.fragile_verdicts.client-availability",
+                    "fingerprint.resilient_verdicts.client-availability"),
+    ),
+    "storage": Suite(
+        run=_split_run(storage_fingerprint,
+                       (bench_storage, {"n_types": 10_000})),
+        gates=(
+            # generous: fig17 itself asserts 1.3x; the CI tripwire allows
+            # 1.5x so shared runners don't flake
+            Cap(_detail("storage", "flatness_ratio"), 1.5,
+                "sharded per-lookup CPU at the sweep size over the in-run "
+                "10^3 anchor: lookups must stay flat", noisy=True),
+            Holds(_detail("storage", "digests_equal"), True,
+                  "sharded lookups must return what the flat dict returns"),
+            _routed_equals_broadcast,
+            Exact("fingerprint"),
+        ),
+        highlights=("fingerprint.baseline_workload_messages",
+                    "fingerprint.routed_workload_messages",
+                    "fingerprint.routed_route_hits",
+                    "fingerprint.routed_fallbacks"),
+    ),
+    "workload": Suite(
+        # the 1M/s arrival-rate floor and the absolute RSS-growth cap
+        # both hold at the quick sizes as well as the full ones
+        run=_split_run(workload_fingerprint,
+                       (bench_workload, {"target_arrivals": 200_000}),
+                       (bench_workload_memory, {"target_arrivals": 48_000,
+                                                "anchor_arrivals": 12_000})),
+        gates=(
+            Floor("results.workload.value", 1_000_000.0,
+                  "generated + scheduled arrivals per wall second",
+                  noisy=True),
+            # flat means size-independent, so one absolute cap serves
+            # quick and full sizes
+            Cap(_detail("workload_memory", "target_rss_growth_kb"), 131_072,
+                "the open-loop path must stay memory-flat", noisy=True),
+            Cap(_detail("workload_memory", "stats_footprint_bytes"), 1_000_000,
+                "streaming stats are bounded by their fixed histogram grid"),
+            Exact("fingerprint"),
+        ),
+        highlights=("fingerprint.point_completed", "fingerprint.point_shed",
+                    "fingerprint.point_result_digest"),
+    ),
+    "orchestration": Suite(
+        run=_run_orchestration,
+        gates=(
+            RateFloor("results.orchestration.value", 0.25,
+                      "the control loop got expensive"),
+            Holds("fingerprint.final_replicas", 1,
+                  "the fleet must drain back to min replicas"),
+            _scale_out_beats_static,
+            Exact("fingerprint"),
+        ),
+        highlights=("fingerprint.recovered_goodput",
+                    "fingerprint.static_recovered_goodput",
+                    "fingerprint.orchestrated_digest"),
+    ),
+}
+
+
+# -- generic entry points --------------------------------------------------------
+
+
+def run_suite(name: str, quick: bool = False, repeats: int = 1,
+              jobs: int = 1) -> Dict[str, Any]:
+    """One pass of suite ``name``: its ``BENCH_<name>.json`` payload."""
+    results, sections = SUITES[name].run(quick, repeats, jobs)
+    return {
+        "suite": f"bench_{name}",
+        "mode": "quick" if quick else "full",
+        "results": {r.name: asdict(r) for r in results},
+        **sections,
+    }
+
+
+def compare(name: str, suite: Dict[str, Any],
+            baseline: Dict[str, Any]) -> List[str]:
+    """Every declared gate of ``name``: human-readable failures, each
+    naming the suite and the field (empty when all gates hold)."""
+    return [f"{name}: {failure}"
+            for gate in SUITES[name].gates
+            for failure in gate(suite, baseline)]
+
+
+def describe(name: str) -> str:
+    """The gates of ``name``, one line each (rendered into ``--help``)."""
+    lines = [f"{name} (BENCH_{name}.json):"]
+    for gate in SUITES[name].gates:
+        text = str(gate) if isinstance(gate, Gate) else " ".join(gate.__doc__.split())
+        lines.append(f"  {text}")
+    return "\n".join(lines)
+
+
+def _show(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:,.1f}" if abs(value) >= 100 else f"{value:.3f}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value:,d}"
+    if isinstance(value, str) and len(value) == 64:
+        return value[:16] + "…"
+    return str(value)
+
+
+def summarize(name: str, suite: Dict[str, Any]) -> str:
+    """Per-benchmark rates and details plus the declared highlights."""
+    workers = suite.get("jobs", 1)
+    lines = [f"{suite['suite']} ({suite['mode']}, "
+             f"{workers} worker{'s' if workers != 1 else ''})"]
+    for result in suite["results"].values():
+        lines.append(
+            f"  {result['name']:15s} {result['value']:>14,.1f} {result['metric']}"
+            f" ({result['wall_seconds']:.3f}s wall, "
+            f"{result.get('cpu_seconds', 0.0):.3f}s cpu, "
+            f"{result.get('peak_rss_kb', 0):,d} kB peak)"
+        )
+        lines += [f"    {key:36s} {_show(value)}"
+                  for key, value in result.get("details", {}).items()]
+    lines += [f"  {path:38s} {_show(_dig(suite, path))}"
+              for path in SUITES[name].highlights]
+    return "\n".join(lines)
 
 
 def dump_suite(suite: Dict[str, Any], path: str) -> None:
@@ -1684,43 +1459,3 @@ def dump_suite(suite: Dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(suite, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def compare_to_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Regression check: events/sec and RPCs/sec vs a committed baseline.
-
-    Returns a list of human-readable failures (empty when within
-    tolerance).  Only rate metrics are gated — absolute wall seconds
-    vary across machines, but a >``max_regression`` drop in a rate on
-    the *same* machine family signals a real fast-path regression.
-    """
-    failures: List[str] = []
-    jobs, base_jobs = suite.get("jobs", 1), baseline.get("jobs", 1)
-    if jobs != base_jobs:
-        # Concurrent workers timeshare cores, so rates from different
-        # worker counts are not the same measurement — refuse loudly
-        # rather than produce a bogus pass or fail.
-        failures.append(
-            f"suite ran with jobs={jobs} but the baseline was recorded "
-            f"with jobs={base_jobs}; rates are not comparable — rerun "
-            "with matching --jobs or re-record the baseline"
-        )
-        return failures
-    for name in ("kernel", "rpc"):
-        current = suite["results"].get(name)
-        base = baseline.get("results", {}).get(name)
-        if not current or not base:
-            continue
-        if base["value"] <= 0:
-            continue
-        ratio = current["value"] / base["value"]
-        if ratio < 1.0 - max_regression:
-            failures.append(
-                f"{name}: {current['value']:.0f} {current['metric']} is "
-                f"{(1.0 - ratio) * 100:.1f}% below baseline {base['value']:.0f}"
-            )
-    return failures

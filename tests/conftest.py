@@ -1,0 +1,22 @@
+"""Fixtures shared across the test tree."""
+
+import pytest
+
+from repro import perf
+
+
+class _QuickSuites(dict):
+    """``name -> perf.run_suite(name, quick=True)``, each run on first use."""
+
+    def __missing__(self, name):
+        self[name] = perf.run_suite(name, quick=True)
+        return self[name]
+
+
+@pytest.fixture(scope="session")
+def quick_suites():
+    """Quick-mode payload of every perf suite, run at most once a session.
+
+    Read-only: tests that tamper must ``copy.deepcopy`` first.
+    """
+    return _QuickSuites()

@@ -1,6 +1,8 @@
 """Fig. 14: the scaled resolution path must cut messages without
 changing any result set."""
 
+import copy
+
 import pytest
 
 from repro import perf
@@ -92,32 +94,22 @@ class TestRevalidationPoint:
 
 
 class TestResolutionHarness:
-    def test_fingerprint_is_deterministic(self):
-        assert perf.resolution_fingerprint() == perf.resolution_fingerprint()
+    """In-process repeatability and the messages gate's wording; the
+    generic gate machinery is covered for every suite at once in
+    ``tests/test_perf_harness.py``."""
 
-    def test_baseline_roundtrip_and_drift_detection(self):
-        suite = perf.resolution_suite(quick=True)
-        assert perf.compare_resolution_baseline(suite, suite) == []
-        tampered = {
-            "results": {"resolution": {"details": dict(
-                suite["results"]["resolution"]["details"],
-                optimized_messages_per_resolution=1.0,
-            )}},
-            "fingerprint": dict(suite["fingerprint"],
-                                optimized_result_digest="deadbeef"),
-        }
-        failures = perf.compare_resolution_baseline(suite, tampered)
-        assert any("rose" in f for f in failures)
-        assert any("fingerprint drift" in f for f in failures)
+    def test_fingerprint_is_deterministic(self, quick_suites):
+        _results, sections = perf.SUITES["resolution"].run(True)
+        assert sections["fingerprint"] == quick_suites["resolution"]["fingerprint"]
 
-    def test_committed_baseline_matches(self):
-        """BENCH_resolution.json stays in lockstep with the code."""
-        import json
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..", "..",
-                            "BENCH_resolution.json")
-        with open(path) as handle:
-            baseline = json.load(handle)
-        suite = perf.resolution_suite()
-        assert perf.compare_resolution_baseline(suite, baseline) == []
+    def test_baseline_roundtrip_and_drift_detection(self, quick_suites):
+        suite = quick_suites["resolution"]
+        assert perf.compare("resolution", suite, suite) == []
+        tampered = copy.deepcopy(suite)
+        tampered["results"]["resolution"]["details"][
+            "optimized_messages_per_resolution"] = 1.0
+        tampered["fingerprint"]["optimized_result_digest"] = "deadbeef"
+        failures = perf.compare("resolution", suite, tampered)
+        assert any("optimized_messages_per_resolution" in f and "above" in f
+                   for f in failures)
+        assert any("optimized_result_digest drifted" in f for f in failures)

@@ -1,6 +1,8 @@
 """Fig. 15: the parallel/replica rollout must cut simulated wall-clock
 without changing what gets installed where."""
 
+import copy
+
 import pytest
 
 from repro import perf
@@ -52,33 +54,20 @@ class TestFig15Point:
 
 
 class TestProvisioningHarness:
-    def test_fingerprint_is_deterministic(self):
-        assert perf.provisioning_fingerprint(n_sites=8) \
-            == perf.provisioning_fingerprint(n_sites=8)
+    """In-process repeatability and the speedup gate's wording; the
+    generic gate machinery is covered for every suite at once in
+    ``tests/test_perf_harness.py``."""
 
-    def test_baseline_roundtrip_and_drift_detection(self):
-        suite = perf.provisioning_suite(quick=True)
-        assert perf.compare_provisioning_baseline(suite, suite) == []
-        tampered = {
-            "results": {"provisioning": {"details": dict(
-                suite["results"]["provisioning"]["details"],
-                rollout_speedup=1.0,
-            )}},
-            "fingerprint": dict(suite["fingerprint"],
-                                optimized_result_digest="deadbeef"),
-        }
-        failures = perf.compare_provisioning_baseline(tampered, suite)
-        assert any("fell below" in f for f in failures)
-        assert any("fingerprint drift" in f for f in failures)
+    def test_fingerprint_is_deterministic(self, quick_suites):
+        _results, sections = perf.SUITES["provisioning"].run(True)
+        assert sections["fingerprint"] == quick_suites["provisioning"]["fingerprint"]
 
-    def test_committed_baseline_matches(self):
-        """BENCH_provisioning.json stays in lockstep with the code."""
-        import json
-        import os
-
-        path = os.path.join(os.path.dirname(__file__), "..", "..",
-                            "BENCH_provisioning.json")
-        with open(path) as handle:
-            baseline = json.load(handle)
-        suite = perf.provisioning_suite()
-        assert perf.compare_provisioning_baseline(suite, baseline) == []
+    def test_baseline_roundtrip_and_drift_detection(self, quick_suites):
+        suite = quick_suites["provisioning"]
+        assert perf.compare("provisioning", suite, suite) == []
+        tampered = copy.deepcopy(suite)
+        tampered["results"]["provisioning"]["details"]["rollout_speedup"] = 1.0
+        tampered["fingerprint"]["optimized_result_digest"] = "deadbeef"
+        failures = perf.compare("provisioning", tampered, suite)
+        assert any("rollout_speedup" in f and "below" in f for f in failures)
+        assert any("optimized_result_digest drifted" in f for f in failures)

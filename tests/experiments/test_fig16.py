@@ -112,25 +112,8 @@ class TestFig16SLO:
 
 
 class TestFaultsHarness:
-    def test_fingerprint_stable_across_runs(self):
-        first = perf.faults_fingerprint(seed=7)
-        again = perf.faults_fingerprint(seed=7)
-        assert first == again
-
-    def test_baseline_compare_flags_drift(self):
-        fingerprint = perf.faults_fingerprint(seed=7)
-        suite = {
-            "results": {"faults": {"details": {
-                "resilient_resolution_success": 1.0,
-                "resilient_provision_success": 1.0,
-                "fragile_resolution_success": 0.5,
-                "reelections": fingerprint["reelections"],
-                "fragile_reelections": 0,
-            }}},
-            "fingerprint": fingerprint,
-        }
-        baseline = {"fingerprint": dict(fingerprint)}
-        assert perf.compare_faults_baseline(suite, baseline) == []
-        baseline["fingerprint"]["resilient_result_digest"] = "deadbeef"
-        failures = perf.compare_faults_baseline(suite, baseline)
-        assert any("resilient_result_digest" in f for f in failures)
+    def test_fingerprint_stable_across_runs(self, quick_suites):
+        """A second in-process pass repeats the first bit for bit (the
+        gates themselves are covered in ``tests/test_perf_harness.py``)."""
+        _results, sections = perf.SUITES["faults"].run(True)
+        assert sections["fingerprint"] == quick_suites["faults"]["fingerprint"]

@@ -126,3 +126,40 @@ def test_removed_files_leave_no_dead_replica_behind():
     assert listed_copies()
     assert all(vo.stack(site).site.fs.exists(path) for site, path in listed_copies())
     assert rollout() == dict.fromkeys(targets, "installed")
+
+
+def test_undeploy_on_the_initiator_leaves_no_stale_cached_copy():
+    """rollout -> undeploy_type(initiator) -> rollout reinstalls there.
+
+    The initiator caches what every deploy target registered — itself
+    included — so removing its own deployment must drop that same-key
+    cached copy too, or ``local_lookup`` keeps answering with it and
+    the next rollout reports the site ``present`` with nothing on it.
+    """
+    from repro.apps import get_application, publish_applications
+    from repro.vo import VOConfig
+
+    vo = build_vo(VOConfig(n_sites=4, seed=333, monitors=False))
+    publish_applications(vo)
+    vo.form_overlay()
+    spec = get_application("Wien2k")
+    initiator = vo.community_site
+
+    def rollout():
+        result = vo.run_process(vo.client_call(
+            initiator, "rollout", payload={"type_xml": spec.type_xml},
+        ))
+        return {leg["site"]: leg["status"] for leg in result["results"]}
+
+    first = rollout()
+    assert first[initiator] == "installed"
+    vo.run_process(vo.client_call(initiator, "undeploy_type",
+                                  payload={"type": "Wien2k"}))
+    adr = vo.stack(initiator).adr
+    assert adr.local_deployments_for("Wien2k") == []
+    assert all(d.site != initiator for d in adr.all_deployments_for("Wien2k"))
+    again = rollout()
+    assert again[initiator] == "installed"
+    assert all(status == "present" for site, status in again.items()
+               if site != initiator)
+    assert adr.local_deployments_for("Wien2k")

@@ -7,9 +7,9 @@ Two layers of guarantee:
   workload to the exact same address-normalized kernel trace, message
   totals and clock as a VO built with ``orchestration=None``;
 * **fingerprint gates** — with the config absent (every experiment's
-  default), all committed determinism fingerprints — kernel,
-  resolution, provisioning, faults, storage, workload — stay
-  byte-identical to their ``BENCH_*.json`` baselines.
+  default), every committed determinism fingerprint in the
+  ``perf.SUITES`` table stays byte-identical to its ``BENCH_*.json``
+  baseline.
 """
 
 import hashlib
@@ -91,15 +91,15 @@ class TestInertConfigIsInvisible:
         assert vo.reconciler.managed_types == ["Wien2k"]
 
 
-#: suites whose committed baselines pin a determinism fingerprint
-SUITES = ("resolution", "provisioning", "faults", "storage", "workload")
-
-
-@pytest.mark.parametrize("suite", SUITES)
-def test_fingerprints_match_committed_baselines(suite):
+@pytest.mark.parametrize("suite", list(perf.SUITES))
+def test_fingerprints_match_committed_baselines(suite, quick_suites):
+    """Two-way: every committed key still matches *and* no key has
+    appeared that the committed baseline does not pin yet."""
+    section = next(gate.path for gate in perf.SUITES[suite].gates
+                   if isinstance(gate, perf.Exact))
     with (REPO_ROOT / f"BENCH_{suite}.json").open() as handle:
-        expected = json.load(handle)["fingerprint"]
-    current = getattr(perf, f"{suite}_fingerprint")()
+        expected = json.load(handle)[section]
+    current = quick_suites[suite][section]
     assert set(current) == set(expected)
     for key in sorted(expected):
         assert current[key] == expected[key], f"{suite}: drift in {key}"
