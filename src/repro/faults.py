@@ -10,8 +10,8 @@ test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
 * **node crash/restart schedules** — take whole sites offline at fixed
   times (or via selector-driven churn rounds) and bring them back;
 * **link loss and partition windows** — per-call drops and time-boxed
-  network splits, applied by the
-  :class:`~repro.net.interceptors.FaultInterceptor` pipeline layer;
+  network splits, drawn first thing in the transport stage
+  (:meth:`~repro.net.network.Network._transport`);
 * **per-service error rules** — seeded server-side failures surfaced
   to callers as :class:`~repro.net.interceptors.RemoteError` with the
   configured exception type name preserved;

@@ -15,14 +15,14 @@ GT4 web-service transport stack.  It provides:
   cryptographic CPU demand, reproducing the ~50 % throughput drop the
   paper reports with TLS enabled;
 * :mod:`~repro.net.interceptors` — the composable RPC pipeline
-  (trace/metrics/fault layers, :class:`CallContext`) and the shared
+  (trace/metrics/SLO layers, :class:`CallContext`) and the shared
   :class:`RetryPolicy` used by every call site that retries or
   deadlines remote operations.
 """
 
 from repro.net.interceptors import (
     CallContext,
-    Interceptor,
+    Layer,
     Overloaded,
     RemoteError,
     RetryPolicy,
@@ -36,7 +36,7 @@ from repro.net.transport import SecurityPolicy
 
 __all__ = [
     "CallContext",
-    "Interceptor",
+    "Layer",
     "Link",
     "Message",
     "Network",

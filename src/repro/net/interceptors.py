@@ -1,26 +1,29 @@
-"""Composable RPC pipeline: call contexts, interceptors, retry policies.
+"""Composable RPC pipeline: call contexts, layer hooks, retry policies.
 
-Every remote call in the reproduction flows through one chain of
-*interceptors* composed by :class:`~repro.net.network.Network`.  Each
-layer owns exactly one cross-cutting concern:
+Every remote call in the reproduction flows through one pipeline
+composed by :class:`~repro.net.network.Network`.  A *layer* is a pair
+of plain hooks around the call — ``enter(ctx) -> state`` before it,
+``exit(ctx, state, error)`` after it — and each owns exactly one
+cross-cutting concern:
 
-* :class:`TraceInterceptor` — wraps the call in an ``rpc:`` span;
-* :class:`MetricsInterceptor` — per-endpoint call/error counters and
-  latency histograms;
-* :class:`FaultInterceptor` — link loss and partition windows from the
-  VO's :class:`~repro.faults.FaultPlane`;
-* the network's terminal transport stage — marshalling, security
-  costs, wire transfer and server dispatch.
+* :class:`TraceLayer` — wraps the call in an ``rpc:`` span;
+* :class:`MetricsLayer` — per-endpoint call/error counters and latency
+  histograms;
+* :class:`SLOLayer` — one attempt-level SLI event per pipeline pass.
 
-Retry is layered *around* the chain rather than inside it: a
+:func:`compose` folds any number of layers and the network's terminal
+transport stage (marshalling, security costs, wire transfer, server
+dispatch, and the fault plane's two checks) into ONE generator, so a
+resumed call re-enters one pipeline frame however many layers are on.
+
+Retry is layered *around* the pipeline rather than inside it: a
 :class:`RetryPolicy` passed to ``Network.call`` re-runs the whole
 pipeline per attempt (fresh envelope, fresh fault draws), exactly as a
 client stack re-issues a failed request.
 
 Layers are only installed when their subsystem is on, so the default
-(observability off, no fault plane, no retry policy) is byte-identical
-to the pre-pipeline transport — pinned by the determinism fingerprints
-in :mod:`repro.perf`.
+(observability off, no retry policy) is the bare transport — pinned by
+the determinism fingerprints in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ TRANSIENT_ERRORS: Tuple[type, ...] = (OfflineError, RpcTimeout, Overloaded)
 
 
 class CallContext:
-    """Mutable per-call state threaded through the interceptor chain."""
+    """Mutable per-call state threaded through the layer pipeline."""
 
     __slots__ = ("src", "dst", "service", "method", "payload", "size",
-                 "security", "attempt")
+                 "security", "attempt", "endpoint")
 
     def __init__(self, src: str, dst: str, service: str, method: str,
                  payload: Any = None, size: int = 0,
@@ -86,148 +89,121 @@ class CallContext:
         self.security = security
         #: 1-based attempt number (bumped by the retry layer)
         self.attempt = 1
-
-    @property
-    def endpoint(self) -> str:
-        return f"{self.service}.{self.method}"
+        #: ``service.method``, built once: every layer keys on it
+        self.endpoint = f"{service}.{method}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CallContext {self.src}->{self.dst} {self.endpoint}"
                 f" attempt={self.attempt}>")
 
 
-class Interceptor:
-    """One named layer of the RPC pipeline.
+class Layer:
+    """One named layer of the RPC pipeline: a pair of plain hooks.
 
-    Subclasses override :meth:`intercept`, a sub-generator receiving the
-    call context and the next stage; they may act before, after, or
-    around ``call_next`` (including suppressing it entirely).
+    ``enter`` runs before the call and returns whatever ``exit`` needs
+    back; ``exit`` always runs once ``enter`` returned, with the
+    exception that ended the call (``None`` on success).  Hooks never
+    yield — anything that must wait belongs in the transport stage.
     """
 
-    name = "interceptor"
+    name = "layer"
 
-    def intercept(self, ctx: CallContext, call_next) -> Generator:
-        value = yield from call_next(ctx)
-        return value
+    def enter(self, ctx: CallContext) -> Any:
+        return None
+
+    def exit(self, ctx: CallContext, state: Any,
+             error: Optional[BaseException]) -> None:
+        pass
 
 
-class TraceInterceptor(Interceptor):
+class TraceLayer(Layer):
     """Wrap the call in an ``rpc:`` client span (observability on only)."""
 
     name = "trace"
 
     def __init__(self, network) -> None:
-        self.network = network
+        self.tracer = network.obs.tracer
 
-    def intercept(self, ctx: CallContext, call_next) -> Generator:
-        obs = self.network.obs
-        outcome = "ok"
-        with obs.tracer.span(f"rpc:{ctx.endpoint}", src=ctx.src,
-                             dst=ctx.dst) as span:
-            try:
-                value = yield from call_next(ctx)
-            except BaseException as error:
-                outcome = type(error).__name__
-                raise
-            finally:
-                span.set_attr("outcome", outcome)
-        return value
+    def enter(self, ctx: CallContext):
+        return self.tracer.span("rpc:" + ctx.endpoint, src=ctx.src, dst=ctx.dst)
+
+    def exit(self, ctx: CallContext, span, error) -> None:
+        span.attrs["outcome"] = "ok" if error is None else type(error).__name__
+        span.__exit__(None, error, None)
 
 
-class MetricsInterceptor(Interceptor):
+class MetricsLayer(Layer):
     """Per-endpoint call/error counters + latency histogram."""
 
     name = "metrics"
 
     def __init__(self, network) -> None:
-        self.network = network
+        self.sim = network.sim
+        self.metrics = network.obs.metrics
 
-    def intercept(self, ctx: CallContext, call_next) -> Generator:
-        obs = self.network.obs
-        sim = self.network.sim
-        endpoint = ctx.endpoint
-        started = sim.now
-        outcome = "ok"
-        try:
-            value = yield from call_next(ctx)
-        except BaseException as error:
-            outcome = type(error).__name__
-            raise
-        finally:
-            obs.metrics.counter("rpc.calls", endpoint=endpoint).inc()
-            if outcome != "ok":
-                obs.metrics.counter("rpc.errors", endpoint=endpoint).inc()
-            obs.metrics.histogram("rpc.latency", endpoint=endpoint).observe(
-                sim.now - started
-            )
-        return value
+    def enter(self, ctx: CallContext) -> float:
+        return self.sim._now
+
+    def exit(self, ctx: CallContext, started: float, error) -> None:
+        metrics, endpoint = self.metrics, ctx.endpoint
+        metrics.counter("rpc.calls", endpoint=endpoint).inc()
+        if error is not None:
+            metrics.counter("rpc.errors", endpoint=endpoint).inc()
+        metrics.histogram("rpc.latency", endpoint=endpoint).observe(
+            self.sim._now - started
+        )
 
 
-class SLOInterceptor(Interceptor):
+class SLOLayer(Layer):
     """Feed attempt-level request outcomes into the SLO engine.
 
     Sits *inside* the retry layer, so every pipeline pass — including
     each retry of a flaky call — is one service-level-indicator event:
     the server-side view of reliability.  The client-side (post-retry)
-    view is recorded at the call level by ``Network.call`` itself.
-    Installed only when the VO declares SLOs.
+    view is recorded at the call level by the stage of ``Network.call``
+    that owns the whole call.  Installed only when the VO declares SLOs.
     """
 
     name = "slo"
 
     def __init__(self, network) -> None:
-        self.network = network
+        self.sim = network.sim
+        self.engine = network.obs.slo
 
-    def intercept(self, ctx: CallContext, call_next) -> Generator:
-        sim = self.network.sim
-        engine = self.network.obs.slo
-        started = sim.now
-        ok = False
-        try:
-            value = yield from call_next(ctx)
-            ok = True
-        finally:
-            engine.record(ctx.endpoint, started, sim.now, ok)
-        return value
+    def enter(self, ctx: CallContext) -> float:
+        return self.sim._now
+
+    def exit(self, ctx: CallContext, started: float, error) -> None:
+        self.engine.record(ctx.endpoint, started, self.sim._now, error is None)
 
 
-class FaultInterceptor(Interceptor):
-    """Inject link-level faults (loss, partitions) from the fault plane.
-
-    A dropped or partitioned link behaves like an unreachable target:
-    the caller burns the connection timeout and sees
-    :class:`~repro.simkernel.errors.OfflineError`.  Server-side error
-    rules are applied by the transport's dispatch step (they model the
-    handler failing *after* the request crossed the wire).
-    """
-
-    name = "faults"
-
-    def __init__(self, network) -> None:
-        self.network = network
-
-    def intercept(self, ctx: CallContext, call_next) -> Generator:
-        error = self.network.faults.link_fault(ctx.src, ctx.dst)
-        if error is not None:
-            yield self.network.sim.timeout(self.network.connect_fail_delay)
-            raise error
-        value = yield from call_next(ctx)
-        return value
-
-
-def compose(interceptors: Sequence[Interceptor],
+def compose(layers: Sequence[Layer],
             terminal: Callable[[CallContext], Generator]):
-    """Fold ``interceptors`` around ``terminal`` (first = outermost)."""
-    chain = terminal
-    for interceptor in reversed(list(interceptors)):
-        def make(layer: Interceptor, call_next):
-            def invoke(ctx: CallContext) -> Generator:
-                value = yield from layer.intercept(ctx, call_next)
-                return value
-            invoke.__name__ = f"intercept_{layer.name}"
-            return invoke
-        chain = make(interceptor, chain)
-    return chain
+    """Fold ``layers`` around ``terminal`` into one generator function.
+
+    Layers are entered outermost-first and exited innermost-first; a
+    layer whose ``enter`` raised is not exited, the ones entered before
+    it are.  No layers: the terminal itself, not a wrapper.
+    """
+    layers = tuple(layers)
+    if not layers:
+        return terminal
+
+    def pipeline(ctx: CallContext) -> Generator:
+        entered = []
+        error = None
+        try:
+            for layer in layers:
+                entered.append((layer, layer.enter(ctx)))
+            return (yield from terminal(ctx))
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            for layer, state in reversed(entered):
+                layer.exit(ctx, state, error)
+
+    return pipeline
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,15 +307,14 @@ class RetryPolicy:
 
 __all__ = [
     "CallContext",
-    "FaultInterceptor",
-    "Interceptor",
-    "MetricsInterceptor",
+    "Layer",
+    "MetricsLayer",
     "Overloaded",
     "RemoteError",
     "RetryPolicy",
     "RpcTimeout",
-    "SLOInterceptor",
+    "SLOLayer",
     "TRANSIENT_ERRORS",
-    "TraceInterceptor",
+    "TraceLayer",
     "compose",
 ]

@@ -5,18 +5,17 @@ simulator: every site gets a :class:`NodeRuntime` (CPU + registered
 services + online flag), and processes anywhere in the model invoke
 remote operations through ``yield from network.call(...)``.
 
-Calls flow through the interceptor pipeline of
-:mod:`repro.net.interceptors` (trace, metrics, fault injection — each
-installed only when its subsystem is on) into the terminal *transport*
-stage, which charges, in order: client marshalling CPU, security
-handshake latency, request transmission (propagation +
-size/bandwidth), server-side crypto + unmarshalling CPU, the service
-handler itself (which typically executes on the server CPU), and the
-response transmission back.  This is the cost model every experiment
-in the paper's evaluation rides on.  A :class:`RetryPolicy` passed to
-:meth:`Network.call` re-runs the whole pipeline per attempt; a
-per-attempt deadline is one cancellable timeout on the caller's own
-process (no runner process, nothing left on the agenda afterwards).
+Calls flow through the layer pipeline of :mod:`repro.net.interceptors`
+(trace, metrics, SLO hooks — each installed only when its subsystem is
+on) into the terminal *transport* stage, which charges, in order:
+client marshalling CPU, security handshake latency, request
+transmission (propagation + size/bandwidth), server-side crypto +
+unmarshalling CPU, the service handler itself (which typically
+executes on the server CPU), and the response transmission back.  This
+is the cost model every experiment in the paper's evaluation rides on.
+A :class:`RetryPolicy` passed to :meth:`Network.call` re-runs the whole
+pipeline per attempt; a per-attempt deadline is one cancellable timeout
+on the caller's own process (nothing left on the agenda afterwards).
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.net.interceptors import (
     CallContext,
-    FaultInterceptor,
-    MetricsInterceptor,
+    MetricsLayer,
     RemoteError,
     RetryPolicy,
     RpcTimeout,
-    SLOInterceptor,
-    TraceInterceptor,
+    SLOLayer,
+    TraceLayer,
     compose,
 )
-from repro.net.message import Message, Response, estimate_size
+from repro.net.message import Message, Response
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import Observability
@@ -108,9 +106,9 @@ class Network:
         latency histograms and call counters are recorded.  Defaults
         to a disabled instance (one attribute check per call).
     faults:
-        The VO's :class:`~repro.faults.FaultPlane`.  When enabled, a
-        fault-injection layer joins the pipeline (link loss,
-        partitions) and the dispatch step applies per-service error
+        The VO's :class:`~repro.faults.FaultPlane`.  When enabled, the
+        transport stage draws a link fault (loss, partitions) before
+        anything else and the dispatch step applies per-service error
         rules.  Defaults to a disabled plane.
     """
 
@@ -151,7 +149,7 @@ class Network:
         self.rebuild_pipeline()
 
     def rebuild_pipeline(self) -> None:
-        """(Re)compose the interceptor chain around the transport stage.
+        """(Re)compose the layer hooks around the transport stage.
 
         Layers are installed only when their subsystem is on, so the
         all-off default collapses to the bare transport — the same
@@ -159,14 +157,12 @@ class Network:
         """
         layers = []
         if self.obs.enabled:
-            layers.append(TraceInterceptor(self))
-            layers.append(MetricsInterceptor(self))
+            layers.append(TraceLayer(self))
+            layers.append(MetricsLayer(self))
         if self.obs.slo is not None:
-            # inside trace/metrics, outside faults: each SLI event also
-            # sees the faults the fault layer injects below it
-            layers.append(SLOInterceptor(self))
-        if self.faults.enabled:
-            layers.append(FaultInterceptor(self))
+            # inside trace/metrics, outside the transport's fault checks:
+            # each SLI event also sees the faults injected below it
+            layers.append(SLOLayer(self))
         self.interceptors = layers
         # an empty layer list composes to the transport stage itself
         self._invoke = compose(layers, self._transport)
@@ -252,40 +248,35 @@ class Network:
         errors back off and retry within the deadline budget).
 
         Every call takes the same route: context → retry loop →
-        per-attempt deadline → interceptor chain → transport, each
-        stage present only when it has work to do.  The generator of
-        the outermost such stage is returned as is, so a stage that is
-        off costs the caller no frame.
+        per-attempt deadline → layer pipeline → transport, each stage
+        present only when it has work to do.  The generator of the
+        outermost such stage is returned as is, so a stage that is off
+        costs the caller no frame; that outermost stage also records
+        the call-level SLI (one event per client-visible outcome, after
+        the attempt-level events of the :class:`SLOLayer` inside it).
         """
         ctx = CallContext(src, dst, service, method, payload, size, security)
         if retry is None or not retry.engaged:
-            attempts = self._invoke(ctx)
-        elif retry.attempts == 1 and retry.deadline is None:
+            if self.obs.slo is None:
+                return self._invoke(ctx)
+            return self._record_call_sli(ctx)
+        if retry.attempts == 1 and retry.deadline is None:
             # nothing to retry, no total budget: the per-try deadline
             # is all that is left of the policy
-            attempts = self._attempt_with_deadline(ctx, retry.per_try_timeout)
-        else:
-            attempts = self._call_with_policy(ctx, retry)
-        if self.obs.slo is None:
-            return attempts
-        return self._record_call_sli(ctx, attempts)
+            return self._attempt_with_deadline(ctx, retry.per_try_timeout,
+                                               self.obs.slo)
+        return self._call_with_policy(ctx, retry)
 
-    def _record_call_sli(self, ctx: CallContext, attempts: Generator) -> Generator:
-        """Call-level SLI: one event per client-visible outcome.
-
-        Recorded after the whole retry loop resolved (attempt-level
-        events come from the :class:`SLOInterceptor` inside the
-        pipeline).
-        """
-        engine = self.obs.slo
-        started = self.sim.now
+    def _record_call_sli(self, ctx: CallContext) -> Generator:
+        """Call-level SLI around the bare route (no stage of its own)."""
+        started = self.sim._now
         ok = False
         try:
-            value = yield from attempts
+            value = yield from self._invoke(ctx)
             ok = True
         finally:
-            engine.record(ctx.endpoint, started, self.sim.now, ok,
-                          level=SLO_CALL_LEVEL)
+            self.obs.slo.record(ctx.endpoint, started, self.sim._now, ok,
+                                level=SLO_CALL_LEVEL)
         return value
 
     # -- retry layer -----------------------------------------------------------
@@ -296,44 +287,52 @@ class Network:
         start = sim.now
         jitter_key = f"retry:{ctx.src}:{ctx.endpoint}"
         last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.attempts + 1):
-            ctx.attempt = attempt
-            remaining = None
-            if policy.deadline is not None:
-                remaining = policy.deadline - (sim.now - start)
-                if remaining <= 0:
-                    break
-            per_try = policy.per_try_timeout
-            if per_try is None:
-                per_try = remaining
-            elif remaining is not None:
-                per_try = min(per_try, remaining)
-            try:
+        ok = False
+        try:
+            for attempt in range(1, policy.attempts + 1):
+                ctx.attempt = attempt
+                remaining = None
+                if policy.deadline is not None:
+                    remaining = policy.deadline - (sim.now - start)
+                    if remaining <= 0:
+                        break
+                per_try = policy.per_try_timeout
                 if per_try is None:
-                    value = yield from self._invoke(ctx)
-                else:
-                    value = yield from self._attempt_with_deadline(ctx, per_try)
-                return value
-            except BaseException as error:
-                last_error = error
-                if attempt >= policy.attempts or not policy.retryable(error):
-                    raise
-                delay = policy.backoff_delay(attempt, rng=sim.rng, key=jitter_key)
-                if (policy.deadline is not None
-                        and (sim.now - start) + delay >= policy.deadline):
-                    raise
-                self.retries_total += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "rpc.retries", endpoint=ctx.endpoint
-                    ).inc()
-                if delay > 0:
-                    yield sim.timeout(delay)
-        # deadline budget exhausted before the attempt budget
-        assert last_error is not None
-        raise last_error
+                    per_try = remaining
+                elif remaining is not None:
+                    per_try = min(per_try, remaining)
+                try:
+                    if per_try is None:
+                        value = yield from self._invoke(ctx)
+                    else:
+                        value = yield from self._attempt_with_deadline(ctx, per_try)
+                    ok = True
+                    return value
+                except BaseException as error:
+                    last_error = error
+                    if attempt >= policy.attempts or not policy.retryable(error):
+                        raise
+                    delay = policy.backoff_delay(attempt, rng=sim.rng, key=jitter_key)
+                    if (policy.deadline is not None
+                            and (sim.now - start) + delay >= policy.deadline):
+                        raise
+                    self.retries_total += 1
+                    if self.obs.enabled:
+                        self.obs.metrics.counter(
+                            "rpc.retries", endpoint=ctx.endpoint
+                        ).inc()
+                    if delay > 0:
+                        yield sim.timeout(delay)
+            # deadline budget exhausted before the attempt budget
+            assert last_error is not None
+            raise last_error
+        finally:
+            if self.obs.slo is not None:
+                self.obs.slo.record(ctx.endpoint, start, sim.now, ok,
+                                    level=SLO_CALL_LEVEL)
 
-    def _attempt_with_deadline(self, ctx: CallContext, timeout: float) -> Generator:
+    def _attempt_with_deadline(self, ctx: CallContext, timeout: float,
+                               call_slo=None) -> Generator:
         """One pipeline attempt under a deadline, inline in the caller's process.
 
         The deadline is one timeout whose callback interrupts this
@@ -341,22 +340,30 @@ class Network:
         :class:`Interrupt` becomes :class:`RpcTimeout`; an enclosing
         call's deadline or an outsider's interrupt passes through
         untouched, so nested deadlines compose.  Every other exit
-        cancels the timeout: nothing stays on the agenda.
+        cancels the timeout: nothing stays on the agenda.  ``call_slo``
+        is the SLO engine when this attempt is the whole call (its
+        outcome is then the call-level SLI), else ``None``.
         """
         sim = self.sim
+        started = sim._now
+        ok = False
         proc = sim.active_process
         deadline = sim.timeout(timeout)
         deadline.callbacks.append(proc.interrupt)
         try:
             value = yield from self._invoke(ctx)
+            ok = True
         except Interrupt as interrupt:
             if interrupt.cause is not deadline:
                 raise
             raise RpcTimeout(
-                f"{ctx.service}.{ctx.method} on {ctx.dst!r} timed out after {timeout}s"
+                f"{ctx.endpoint} on {ctx.dst!r} timed out after {timeout}s"
             ) from None
         finally:
             sim.cancel(deadline)
+            if call_slo is not None:
+                call_slo.record(ctx.endpoint, started, sim._now, ok,
+                                level=SLO_CALL_LEVEL)
         return value
 
     # -- terminal transport stage ------------------------------------------------
@@ -365,13 +372,23 @@ class Network:
         """Marshalling, security, wire transfer and dispatch for one attempt.
 
         The terminal stage of every route through :meth:`call` — bare,
-        under a retry policy, or inside the interceptor chain.  Kept as
+        under a retry policy, or inside the layer pipeline.  Kept as
         one flat generator: every frame between a process and the event
-        it waits on is re-entered on each resume.
+        it waits on is re-entered on each resume.  The fault plane's
+        two checks live here because they must wait or sit mid-route: a
+        lost or partitioned link behaves like an unreachable target
+        (the caller burns the connection timeout, then sees
+        :class:`OfflineError`), a service fault fails the dispatch.
         """
         sim = self.sim
         obs = self.obs
         src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
+        faults = self.faults if self.faults.enabled else None
+        if faults is not None:
+            dropped = faults.link_fault(src, dst)
+            if dropped is not None:
+                yield sim.timeout(self.connect_fail_delay)
+                raise dropped
         policy = ctx.security if ctx.security is not None else self.security
         src_node = self.node(src)
         dst_node = self.node(dst)
@@ -436,14 +453,14 @@ class Network:
         # run inline in the caller's process, so the server span nests
         # under the ``rpc:`` span by itself.
         handler = dst_node.service(service)
-        if self.faults.enabled:
-            injected = self.faults.service_fault(ctx)
+        if faults is not None:
+            injected = faults.service_fault(ctx)
             if injected is not None:
                 raise injected
         dst_node.inflight_rpcs += 1
         try:
             if obs.enabled:
-                with obs.tracer.span(f"serve:{service}.{method}", site=dst):
+                with obs.tracer.span("serve:" + ctx.endpoint, site=dst):
                     result = yield from handler.dispatch(method, message)
             else:
                 result = yield from handler.dispatch(method, message)
@@ -495,11 +512,6 @@ class Network:
         )
 
 
-def payload_size(payload: Any) -> int:
-    """Public re-export of the size estimator (see :mod:`repro.net.message`)."""
-    return estimate_size(payload)
-
-
 __all__ = [
     "CallContext",
     "Network",
@@ -508,5 +520,4 @@ __all__ = [
     "RetryPolicy",
     "RpcTimeout",
     "ServiceNotFound",
-    "payload_size",
 ]

@@ -41,7 +41,11 @@ class Topology:
 
     def __init__(self) -> None:
         self._graph = nx.Graph()
+        #: (src, dst) -> (latency, bandwidth); one search fills both directions
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        #: (src, dst) -> edges of the path a search *from src* found (per
+        #: direction: the reverse search may break latency ties differently)
+        self._edge_cache: Dict[Tuple[str, str], Tuple[Tuple[str, str], ...]] = {}
 
     @property
     def graph(self) -> nx.Graph:
@@ -51,7 +55,7 @@ class Topology:
     def add_site(self, name: str) -> None:
         """Register a site node."""
         self._graph.add_node(name)
-        self._path_cache.clear()
+        self._forget_paths()
 
     def sites(self) -> List[str]:
         """All registered site names."""
@@ -61,7 +65,11 @@ class Topology:
         """Connect sites ``a`` and ``b`` (adds the nodes if missing)."""
         link = Link(a, b, latency, bandwidth)
         self._graph.add_edge(a, b, latency=link.latency, bandwidth=link.bandwidth)
+        self._forget_paths()
+
+    def _forget_paths(self) -> None:
         self._path_cache.clear()
+        self._edge_cache.clear()
 
     def links(self) -> Iterable[Link]:
         """Iterate over all links."""
@@ -77,15 +85,42 @@ class Topology:
         except nx.NodeNotFound:
             return False
 
-    def path_edges(self, src: str, dst: str) -> List[Tuple[str, str]]:
-        """Edges (as sorted pairs) on the minimum-latency path."""
-        if src == dst:
-            return []
+    def _search(self, src: str, dst: str) -> List[str]:
+        """One shortest-path search from ``src``: the sites on the path.
+
+        The first search of a pair, in either direction, fixes its
+        ``(latency, bandwidth)`` for both.
+        """
         try:
             path = nx.shortest_path(self._graph, src, dst, weight="latency")
         except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
             raise ValueError(f"no path between {src!r} and {dst!r}") from error
-        return [tuple(sorted((u, v))) for u, v in zip(path, path[1:])]
+        if (src, dst) not in self._path_cache:
+            latency = 0.0
+            bandwidth = float("inf")
+            for u, v in zip(path, path[1:]):
+                data = self._graph.edges[u, v]
+                latency += data["latency"]
+                bandwidth = min(bandwidth, data["bandwidth"])
+            self._path_cache[src, dst] = self._path_cache[dst, src] = (
+                latency, bandwidth)
+        return path
+
+    def path_edges(self, src: str, dst: str) -> Tuple[Tuple[str, str], ...]:
+        """Edges (as sorted pairs) on the minimum-latency path.
+
+        Memoised per direction on first request (only contended
+        transfers ask), so a pair costs one search here however many
+        transfers cross it.
+        """
+        if src == dst:
+            return ()
+        edges = self._edge_cache.get((src, dst))
+        if edges is None:
+            path = self._search(src, dst)
+            edges = self._edge_cache[src, dst] = tuple(
+                tuple(sorted(hop)) for hop in zip(path, path[1:]))
+        return edges
 
     def path_metrics(self, src: str, dst: str) -> Tuple[float, float]:
         """``(latency, bandwidth)`` of the best path from src to dst.
@@ -95,23 +130,11 @@ class Topology:
         """
         if src == dst:
             return (self.LOOPBACK_LATENCY, self.LOOPBACK_BANDWIDTH)
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="latency")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
-            raise ValueError(f"no path between {src!r} and {dst!r}") from error
-        latency = 0.0
-        bandwidth = float("inf")
-        for u, v in zip(path, path[1:]):
-            data = self._graph.edges[u, v]
-            latency += data["latency"]
-            bandwidth = min(bandwidth, data["bandwidth"])
-        self._path_cache[key] = (latency, bandwidth)
-        self._path_cache[(dst, src)] = (latency, bandwidth)
-        return (latency, bandwidth)
+        cached = self._path_cache.get((src, dst))
+        if cached is None:
+            self._search(src, dst)
+            cached = self._path_cache[src, dst]
+        return cached
 
     def rank_sources(self, dst: str, sources: Iterable[str]) -> List[Tuple[str, float, float]]:
         """Order candidate ``sources`` by proximity to ``dst``, best first.

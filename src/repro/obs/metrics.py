@@ -194,6 +194,11 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
         self._series: Dict[Tuple[str, LabelKey], TimeSeries] = {}
+        #: first-level memo in front of the canonical tables, keyed on
+        #: the labels exactly as a call site passes them (insertion
+        #: order, raw values): a site that asks again pays one probe
+        self._counter_memo: Dict[tuple, Counter] = {}
+        self._histogram_memo: Dict[tuple, Histogram] = {}
         #: site name -> callable returning that site's live counter dict
         self._site_probes: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
@@ -206,32 +211,38 @@ class MetricsRegistry:
 
     # -- instrument access --------------------------------------------------
 
+    def _resolve(self, table: Dict, family, name: str, labels: Dict[str, Any]):
+        """The instrument under the canonical key, created on first use."""
+        key = (name, _label_key(labels))
+        instrument = table.get(key)
+        if instrument is None:
+            instrument = table[key] = family(name, key[1])
+        return instrument
+
     def counter(self, name: str, **labels: Any):
         if not self.enabled:
             return _NULL_INSTRUMENT
-        key = (name, _label_key(labels))
-        instrument = self._counters.get(key)
+        memo_key = (name, tuple(labels.items()))
+        instrument = self._counter_memo.get(memo_key)
         if instrument is None:
-            instrument = self._counters[key] = Counter(name, key[1])
+            instrument = self._counter_memo[memo_key] = self._resolve(
+                self._counters, Counter, name, labels)
         return instrument
 
     def histogram(self, name: str, **labels: Any):
         if not self.enabled:
             return _NULL_INSTRUMENT
-        key = (name, _label_key(labels))
-        instrument = self._histograms.get(key)
+        memo_key = (name, tuple(labels.items()))
+        instrument = self._histogram_memo.get(memo_key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(name, key[1])
+            instrument = self._histogram_memo[memo_key] = self._resolve(
+                self._histograms, Histogram, name, labels)
         return instrument
 
     def series(self, name: str, **labels: Any):
         if not self.enabled:
             return _NULL_INSTRUMENT
-        key = (name, _label_key(labels))
-        instrument = self._series.get(key)
-        if instrument is None:
-            instrument = self._series[key] = TimeSeries(name, key[1])
-        return instrument
+        return self._resolve(self._series, TimeSeries, name, labels)
 
     def sample(self, name: str, value: float, **labels: Any) -> None:
         """Record one gauge sample at the current simulated time."""

@@ -14,7 +14,7 @@ on top of the raw tracing/metrics plane:
   after retries, what the client experiences);
 * :class:`SLOEngine` — records per-request good/bad events from the
   RPC pipeline (see
-  :class:`~repro.net.interceptors.SLOInterceptor`), evaluates
+  :class:`~repro.net.interceptors.SLOLayer`), evaluates
   sliding-window **burn rates** on a fixed simulated-time cadence, and
   keeps a chronological alert log of fired/resolved
   :class:`BurnRateRule` alerts plus cumulative error-budget accounting
@@ -34,9 +34,9 @@ stays byte-identical, pinned by the determinism fingerprints).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -184,6 +184,42 @@ class SLOStatus:
         return "met" if self.budget_consumed <= 1.0 + 1e-9 else "exhausted"
 
 
+class _Window:
+    """One objective's sliding event log, as time-ordered parallel arrays.
+
+    ``ended[i]`` is when event *i* finished and ``bad[i]`` the
+    objective's cumulative bad count up to and including it, so any
+    suffix's bad count is one subtraction and a window's first event
+    one ``bisect``.  ``base`` is the cumulative bad count of the last
+    pruned event, ``horizon`` the longest look-back anyone asks for
+    (the prune bound).  Events arrive in simulated-time order.
+    """
+
+    __slots__ = ("horizon", "ended", "bad", "base")
+
+    def __init__(self, horizon: float) -> None:
+        self.horizon = horizon
+        self.ended: List[float] = []
+        self.bad: List[int] = []
+        self.base = 0
+
+    def since(self, cutoff: float) -> Tuple[int, int]:
+        """``(total, bad)`` over the events with ``ended > cutoff``."""
+        first = bisect_right(self.ended, cutoff)
+        total = len(self.ended) - first
+        if not total:
+            return 0, 0
+        return total, self.bad[-1] - (self.bad[first - 1] if first else self.base)
+
+    def prune(self, now: float) -> None:
+        """Forget the events that ended a full ``horizon`` or more ago."""
+        first = bisect_right(self.ended, now - self.horizon)
+        if first:
+            self.base = self.bad[first - 1]
+            del self.ended[:first]
+            del self.bad[:first]
+
+
 class SLOEngine:
     """Records request outcomes and evaluates burn-rate alerts.
 
@@ -206,17 +242,16 @@ class SLOEngine:
         self.eval_interval = eval_interval
         self._sim: Optional["Simulator"] = None
         self._proc = None
-        #: per-spec sliding event windows: (ended_at, good)
-        self._events: Dict[str, Deque[Tuple[float, bool]]] = {
-            spec.name: deque() for spec in specs
-        }
-        #: per-spec longest alert window (prune horizon)
-        self._horizon: Dict[str, float] = {
-            spec.name: max((r.window for r in spec.alerts), default=0.0)
+        #: per-spec sliding event windows, kept as long as the longest alert
+        self._windows: Dict[str, _Window] = {
+            spec.name: _Window(max((r.window for r in spec.alerts), default=0.0))
             for spec in specs
         }
         #: cumulative (total, bad) per spec — the error-budget ledger
         self._totals: Dict[str, List[int]] = {spec.name: [0, 0] for spec in specs}
+        #: (endpoint, level) -> ((latency limit, window, totals), ...) of
+        #: the governing specs, matched once per distinct endpoint
+        self._governing: Dict[Tuple[str, str], tuple] = {}
         #: chronological fired/resolved entries
         self.alert_log: List[Dict] = []
         self._active: Dict[Tuple[str, str], Dict] = {}
@@ -255,33 +290,29 @@ class SLOEngine:
     def record(self, endpoint: str, started: float, ended: float,
                ok: bool, level: str = ATTEMPT) -> None:
         """Fold one finished request into every governing objective."""
+        governing = self._governing.get((endpoint, level))
+        if governing is None:
+            governing = self._governing[endpoint, level] = tuple(
+                (spec.threshold_s if spec.objective == LATENCY else None,
+                 self._windows[spec.name], self._totals[spec.name])
+                for spec in self.specs
+                if spec.level == level and spec.matches(endpoint))
+        if not governing:
+            return
         latency = ended - started
-        recorded = False
-        for spec in self.specs:
-            if spec.level != level or not spec.matches(endpoint):
-                continue
-            good = spec.classify(ok, latency)
-            self._events[spec.name].append((ended, good))
-            totals = self._totals[spec.name]
+        for limit, window, totals in governing:
             totals[0] += 1
-            if not good:
+            if not ok or (limit is not None and latency > limit):
                 totals[1] += 1
-            recorded = True
-        if recorded:
-            self.events_recorded += 1
+            window.ended.append(ended)
+            window.bad.append(totals[1])
+        self.events_recorded += 1
 
     # -- evaluation ---------------------------------------------------------
 
     def burn_rate(self, spec: SLOSpec, window: float, now: float) -> float:
         """Windowed bad fraction over the error budget (0 when idle)."""
-        cutoff = now - window
-        total = bad = 0
-        for ended, good in reversed(self._events[spec.name]):
-            if ended <= cutoff:
-                break
-            total += 1
-            if not good:
-                bad += 1
+        total, bad = self._windows[spec.name].since(now - window)
         if not total or not bad:
             return 0.0
         return (bad / total) / spec.budget
@@ -292,10 +323,7 @@ class SLOEngine:
         now = self._sim.now
         self.evaluations += 1
         for spec in self.specs:
-            events = self._events[spec.name]
-            cutoff = now - self._horizon[spec.name]
-            while events and events[0][0] <= cutoff:
-                events.popleft()
+            self._windows[spec.name].prune(now)
             for rule in spec.alerts:
                 burn = self.burn_rate(spec, rule.window, now)
                 key = (spec.name, rule.name)

@@ -1,7 +1,8 @@
 """Distributed tracing over the simulation kernel.
 
 A :class:`Tracer` produces hierarchical :class:`Span` records stamped
-with *simulated* time.  Spans are plain context managers::
+with *simulated* time.  A span is live from the :meth:`Tracer.span`
+call that creates it until the ``with`` block it guards exits::
 
     with tracer.span("rpc:glare-rdm.get_deployments", src=a, dst=b) as sp:
         ...
@@ -28,6 +29,7 @@ throughput benches are unaffected.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
@@ -47,24 +49,20 @@ class TraceContext:
 class Span:
     """One timed operation; a node in a trace tree.
 
-    Spans are created by :meth:`Tracer.span` and activated by ``with``;
-    ``start``/``end`` are simulated-time stamps.  ``parent_id`` is
-    ``None`` for trace roots.
+    Spans are created *and activated* by :meth:`Tracer.span` and
+    finished by leaving their ``with`` block; ``start``/``end`` are
+    simulated-time stamps.  ``parent_id`` is ``None`` for trace roots.
+    ``_key`` is the owning process, ``_prev`` the span this one
+    shadowed as its process's current span.
     """
 
     __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
                  "start", "end", "attrs", "_key", "_prev")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        trace_id: int,
-        span_id: int,
-        parent_id: Optional[int],
-        start: float,
-        attrs: Dict[str, Any],
-    ) -> None:
+    def __init__(self, tracer: "Tracer", name: str, trace_id: int,
+                 span_id: int, parent_id: Optional[int], start: float,
+                 attrs: Dict[str, Any], key: Any = None,
+                 prev: Optional["Span"] = None) -> None:
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
@@ -73,8 +71,8 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
-        self._key: Any = None
-        self._prev: Optional["Span"] = None
+        self._key = key
+        self._prev = prev
 
     # -- attributes ---------------------------------------------------------
 
@@ -94,13 +92,24 @@ class Span:
     # -- context manager ----------------------------------------------------
 
     def __enter__(self) -> "Span":
-        self.tracer._activate(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        """Finish: stamp the end, hand the process back to ``_prev``."""
         if exc is not None:
             self.attrs.setdefault("error", repr(exc))
-        self.tracer._finish(self)
+        tracer = self.tracer
+        self.end = tracer._sim._now
+        current, key = tracer._current, self._key
+        if current.get(key) is self:
+            if self._prev is not None:
+                current[key] = self._prev
+            else:
+                del current[key]
+        finished = tracer._finished
+        finished.append(self)
+        if len(finished) > tracer._trim_at:
+            tracer._trim()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.duration:.4f}s" if self.end is not None else "open"
@@ -162,31 +171,38 @@ class NullTracer:
         return []
 
 
+class _Unbound:
+    """Clock and active process of a tracer no simulator is bound to yet."""
+
+    _now = 0.0
+    _active_process = None
+
+
 class Tracer:
     """Collects finished spans, keyed into traces.
 
     Parameters
     ----------
     max_spans:
-        Optional retention bound; when set, only the most recent
-        ``max_spans`` finished spans are kept (ring buffer), so very
-        long experiments cannot grow memory without bound.
+        Optional retention bound: only the most recent ``max_spans``
+        finished spans are kept.  The buffer is trimmed in bulk at
+        twice the bound (amortised O(1) per span) and on every read.
     """
 
     enabled = True
 
     def __init__(self, max_spans: Optional[int] = None) -> None:
         self.max_spans = max_spans
-        self._sim: Optional["Simulator"] = None
+        self._trim_at = sys.maxsize if max_spans is None else 2 * max_spans
+        self._sim: Any = _Unbound
         self._finished: List[Span] = []
+        self._dropped = 0
         self._next_trace = 1
         self._next_span = 1
         #: active span per simulation process (``None`` key = top level,
-        #: i.e. code running outside any process, such as test set-up)
+        #: i.e. code running outside any process, such as test set-up);
+        #: its ``_prev`` chain holds every span the process still has open
         self._current: Dict[Any, Span] = {}
-        #: every entered-but-unfinished span, by span id (leak audit)
-        self._open: Dict[int, Span] = {}
-        self.dropped_spans = 0
 
     # -- wiring -------------------------------------------------------------
 
@@ -194,14 +210,6 @@ class Tracer:
         """Attach to a simulator: clock + process-spawn inheritance."""
         self._sim = sim
         sim.spawn_observer = self._on_spawn
-
-    def _now(self) -> float:
-        return self._sim.now if self._sim is not None else 0.0
-
-    def _ctx_key(self) -> Any:
-        if self._sim is None:
-            return None
-        return self._sim.active_process
 
     def _on_spawn(self, child: "Process", parent: Optional["Process"]) -> None:
         """A new process inherits the spawner's active span."""
@@ -216,14 +224,17 @@ class Tracer:
 
     def span(self, name: str, parent: Optional[TraceContext] = None,
              **attrs: Any) -> Span:
-        """Create a span (activated on ``with``-entry).
+        """Create a span and make it its process's current one.
 
         ``parent`` forces an explicit parent (e.g. restored from RPC
         metadata); otherwise the active span of the current simulation
         process is used, and a fresh trace is started when there is
-        none.
+        none.  Use as ``with tracer.span(...):`` — leaving the block is
+        what finishes the span.
         """
-        current = self._current.get(self._ctx_key())
+        sim = self._sim
+        key = sim._active_process
+        current = self._current.get(key)
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
         elif current is not None:
@@ -232,47 +243,44 @@ class Tracer:
             trace_id, parent_id = self._next_trace, None
             self._next_trace += 1
         span_id = self._next_span
-        self._next_span += 1
-        return Span(self, name, trace_id, span_id, parent_id,
-                    self._now(), attrs)
+        self._next_span = span_id + 1
+        span = self._current[key] = Span(
+            self, name, trace_id, span_id, parent_id, sim._now, attrs, key, current)
+        return span
 
-    def _activate(self, span: Span) -> None:
-        key = self._ctx_key()
-        span._key = key
-        span._prev = self._current.get(key)
-        self._current[key] = span
-        self._open[span.span_id] = span
-
-    def _finish(self, span: Span) -> None:
-        span.end = self._now()
-        self._open.pop(span.span_id, None)
-        if self._current.get(span._key) is span:
-            if span._prev is not None:
-                self._current[span._key] = span._prev
-            else:
-                self._current.pop(span._key, None)
-        self._finished.append(span)
-        if self.max_spans is not None and len(self._finished) > self.max_spans:
+    def _trim(self) -> None:
+        """Drop everything but the newest ``max_spans`` finished spans."""
+        if self.max_spans is not None:
             overflow = len(self._finished) - self.max_spans
-            del self._finished[:overflow]
-            self.dropped_spans += overflow
+            if overflow > 0:
+                del self._finished[:overflow]
+                self._dropped += overflow
 
     # -- read side ----------------------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
-        """All finished spans, in completion order."""
+        """The retained finished spans, in completion order."""
+        self._trim()
         return self._finished
+
+    @property
+    def dropped_spans(self) -> int:
+        """Finished spans discarded by the retention bound, exactly."""
+        self._trim()
+        return self._dropped
 
     def current_context(self) -> Optional[TraceContext]:
         """Trace context of the active span (for RPC metadata)."""
-        span = self._current.get(self._ctx_key())
-        return span.context if span is not None else None
+        span = self._current.get(self._sim._active_process)
+        if span is None:
+            return None
+        return TraceContext(span.trace_id, span.span_id)
 
     def traces(self) -> Dict[int, List[Span]]:
         """Finished spans grouped by trace, each sorted by start time."""
         grouped: Dict[int, List[Span]] = {}
-        for span in self._finished:
+        for span in self.spans:
             grouped.setdefault(span.trace_id, []).append(span)
         for spans in grouped.values():
             spans.sort(key=lambda s: (s.start, s.span_id))
@@ -280,15 +288,21 @@ class Tracer:
 
     def find(self, name_prefix: str) -> List[Span]:
         """Finished spans whose name starts with ``name_prefix``."""
-        return [s for s in self._finished if s.name.startswith(name_prefix)]
+        return [s for s in self.spans if s.name.startswith(name_prefix)]
 
     def trace_of(self, span: Span) -> List[Span]:
         """Every finished span sharing ``span``'s trace."""
-        return [s for s in self._finished if s.trace_id == span.trace_id]
+        return [s for s in self.spans if s.trace_id == span.trace_id]
 
     def open_spans(self) -> List[Span]:
-        """Spans entered but not yet exited, oldest first."""
-        return sorted(self._open.values(), key=lambda s: s.span_id)
+        """Spans created but not yet exited, oldest first."""
+        found: Dict[int, Span] = {}
+        for span in self._current.values():
+            while span is not None:
+                if span.end is None:
+                    found[span.span_id] = span
+                span = span._prev
+        return sorted(found.values(), key=lambda s: s.span_id)
 
     def leaked_spans(self) -> List[Span]:
         """Open spans whose owning process can never close them.

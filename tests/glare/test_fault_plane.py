@@ -35,11 +35,26 @@ class TestPlaneLifecycle:
         assert vo.network.faults is vo.faults
         assert vo.network.interceptors == []
 
-    def test_enabled_plane_installs_pipeline_layer(self):
-        vo = make_vo(faults=FaultsConfig(links=(LinkRule(loss=0.5),)))
+    def test_enabled_plane_fails_a_lossy_link_before_the_source_check(self):
+        """A lost link burns the connection timeout, then is unreachable —
+        drawn first thing in the transport, ahead of the source-online check."""
+        vo = make_vo(faults=FaultsConfig(links=(LinkRule(loss=1.0),)))
         assert vo.faults.enabled
-        assert any(type(i).__name__ == "FaultInterceptor"
-                   for i in vo.network.interceptors)
+        assert vo.network.interceptors == []  # no layer: the transport draws
+        src, dst = vo.site_names[1], vo.site_names[2]
+        vo.network.set_online(src, False)
+        start = vo.sim.now
+
+        def caller():
+            try:
+                yield from vo.network.call(src, dst, "glare-rdm", "ping")
+            except OfflineError as error:
+                return (vo.sim.now - start, str(error))
+
+        elapsed, message = vo.run_process(caller())
+        assert elapsed == pytest.approx(vo.network.connect_fail_delay)
+        # the link's verdict, not "source node ... is offline"
+        assert message == f"link fault: {src!r} -> {dst!r} dropped"
 
     def test_empty_config_counts_as_disabled(self):
         vo = make_vo(faults=FaultsConfig())

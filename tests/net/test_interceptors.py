@@ -6,7 +6,7 @@ import pytest
 from repro.net import Network, Topology
 from repro.net.interceptors import (
     CallContext,
-    Interceptor,
+    Layer,
     Overloaded,
     RemoteError,
     RetryPolicy,
@@ -61,37 +61,88 @@ class SlowService(Service):
         return Response(value="slow done")
 
 
+class Tag(Layer):
+    """Records its hook calls into a shared trace; can fail on enter."""
+
+    def __init__(self, label, trace, fail_enter=False):
+        self.label, self.trace, self.fail_enter = label, trace, fail_enter
+
+    def enter(self, ctx):
+        self.trace.append(f"+{self.label}")
+        if self.fail_enter:
+            raise RuntimeError(f"{self.label} refused")
+        return f"state:{self.label}"
+
+    def exit(self, ctx, state, error):
+        assert state == f"state:{self.label}"
+        self.trace.append(f"-{self.label}:{type(error).__name__}")
+
+
+def run_chain(chain, payload="value"):
+    ctx = CallContext("A", "B", "svc", "m", payload, 0, None)
+    sim = Simulator(seed=1)
+
+    def run():
+        try:
+            return (yield from chain(ctx))
+        except Exception as error:
+            return error
+
+    proc = sim.process(run())
+    sim.run()
+    return proc.value
+
+
+def generator_depth(gen, stop):
+    """Frames from ``gen`` down its ``yield from`` chain to ``stop``'s code."""
+    depth = 1
+    while gen.gi_code is not stop.__code__:
+        gen = gen.gi_yieldfrom
+        assert gen is not None, "the chain never reached the transport stage"
+        depth += 1
+    return depth
+
+
 class TestCompose:
     def test_composition_order_is_outermost_first(self):
+        """Enter outermost-first, exit innermost-first, around one terminal."""
         trace = []
-
-        class Tag(Interceptor):
-            def __init__(self, label):
-                self.label = label
-
-            def intercept(self, ctx, call_next):
-                trace.append(f"+{self.label}")
-                value = yield from call_next(ctx)
-                trace.append(f"-{self.label}")
-                return value
 
         def terminal(ctx):
             trace.append("terminal")
             return ctx.payload
             yield  # pragma: no cover - generator marker
 
-        chain = compose([Tag("outer"), Tag("inner")], terminal)
-        ctx = CallContext("A", "B", "svc", "m", "value", 0, None)
+        chain = compose([Tag("outer", trace), Tag("inner", trace)], terminal)
+        assert run_chain(chain) == "value"
+        assert trace == ["+outer", "+inner", "terminal",
+                         "-inner:NoneType", "-outer:NoneType"]
 
-        def run():
-            result = yield from chain(ctx)
-            return result
+    def test_enter_that_raises_unwinds_the_layers_already_entered(self):
+        trace = []
 
-        sim = Simulator(seed=1)
-        proc = sim.process(run())
-        sim.run()
-        assert proc.value == "value"
-        assert trace == ["+outer", "+inner", "terminal", "-inner", "-outer"]
+        def terminal(ctx):
+            trace.append("terminal")
+            yield  # pragma: no cover - never reached
+
+        chain = compose([Tag("outer", trace), Tag("mid", trace, fail_enter=True),
+                         Tag("inner", trace)], terminal)
+        error = run_chain(chain)
+        assert isinstance(error, RuntimeError) and "mid refused" in str(error)
+        # mid never finished entering, inner and the terminal never ran
+        assert trace == ["+outer", "+mid", "-outer:RuntimeError"]
+
+    def test_exit_sees_the_error_of_the_call(self):
+        trace = []
+
+        def terminal(ctx):
+            yield from ()
+            raise OfflineError("down")
+
+        chain = compose([Tag("outer", trace), Tag("inner", trace)], terminal)
+        assert isinstance(run_chain(chain), OfflineError)
+        assert trace == ["+outer", "+inner",
+                         "-inner:OfflineError", "-outer:OfflineError"]
 
     def test_empty_chain_is_the_terminal(self):
         def terminal(ctx):
@@ -103,6 +154,38 @@ class TestCompose:
     def test_default_pipeline_has_no_layers(self):
         _, net = make_net()
         assert net.interceptors == []
+
+
+class TestPipelineDepth:
+    """Every frame between a process and its event is re-entered per resume."""
+
+    def test_everything_on_is_at_most_three_generators_deep(self):
+        from repro.faults import FaultPlane, FaultsConfig, LinkRule
+        from repro.obs import Observability
+        from repro.obs.slo import SLOSpec
+
+        sim = Simulator(seed=1)
+        topo = Topology.full_mesh(("A", "B"), latency=0.005, bandwidth=1e7)
+        net = Network(
+            sim, topo,
+            obs=Observability(slos=(SLOSpec(name="all", endpoint="*"),)),
+            faults=FaultPlane(sim, FaultsConfig(links=(LinkRule(loss=0.01),))),
+        )
+        for site in ("A", "B"):
+            net.add_node(site, cores=2)
+        assert [layer.name for layer in net.interceptors] == [
+            "trace", "metrics", "slo"]
+        assert net.faults.enabled
+        call = net.call("A", "B", "echo", "echo", retry=RetryPolicy.single(1.0))
+        sim.process(call)
+        sim.step()  # run the call up to its first wait
+        # deadline stage -> the one pipeline frame -> transport
+        assert generator_depth(call, Network._transport) <= 3
+
+    def test_everything_off_is_the_transport_itself(self):
+        _, net = make_net()
+        call = net.call("A", "B", "echo", "echo")
+        assert call.gi_code is Network._transport.__code__
 
 
 class TestCallContext:

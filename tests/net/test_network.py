@@ -62,6 +62,62 @@ class TestTopology:
             Topology().add_link("A", "B", latency=0, bandwidth=0)
 
 
+class TestPathEdgeCache:
+    """``path_edges`` is served from a memo; it must equal a fresh search."""
+
+    @staticmethod
+    def uncached_edges(topo, src, dst):
+        import networkx as nx
+
+        path = nx.shortest_path(topo.graph, src, dst, weight="latency")
+        return [tuple(sorted(hop)) for hop in zip(path, path[1:])]
+
+    @staticmethod
+    def ring(n=8):
+        topo = Topology()
+        for i in range(n):  # uneven latencies, plus exact ties across the ring
+            topo.add_link(f"s{i}", f"s{(i + 1) % n}", latency=0.001 * (1 + i % 3),
+                          bandwidth=1e6 * (1 + i))
+        return topo
+
+    def test_cached_edges_equal_the_uncached_path_in_both_directions(self, monkeypatch):
+        import networkx as nx
+
+        topo = self.ring()
+        sites = topo.sites()
+        expected = {(a, b): self.uncached_edges(topo, a, b)
+                    for a in sites for b in sites if a != b}
+        searches = []
+        search = nx.shortest_path
+        monkeypatch.setattr(nx, "shortest_path",
+                            lambda *a, **kw: searches.append(a[1:3]) or search(*a, **kw))
+        for _ in range(3):
+            for (a, b), edges in expected.items():
+                assert list(topo.path_edges(a, b)) == edges
+                topo.path_metrics(a, b)
+        assert topo.path_edges("s0", "s0") == ()
+        # one search per ordered pair, however often either query repeats
+        assert sorted(searches) == sorted(expected)
+
+    def test_metrics_and_edges_describe_the_same_path(self):
+        topo = self.ring()
+        graph = topo.graph
+        for dst in topo.sites()[1:]:
+            latency, bandwidth = topo.path_metrics("s0", dst)
+            hops = [graph.edges[e] for e in topo.path_edges("s0", dst)]
+            assert latency == pytest.approx(sum(h["latency"] for h in hops))
+            assert bandwidth == min(h["bandwidth"] for h in hops)
+
+    def test_add_link_invalidates_cached_edges(self):
+        topo = self.ring()
+        before = topo.path_edges("s0", "s4")
+        assert len(before) == 4
+        topo.add_link("s0", "s4", latency=0.0001, bandwidth=1e6)
+        assert topo.path_edges("s0", "s4") == (("s0", "s4"),)
+        assert topo.path_metrics("s0", "s4") == (0.0001, 1e6)
+        assert list(topo.path_edges("s0", "s4")) == self.uncached_edges(topo, "s0", "s4")
+
+
 class TestRpc:
     def test_echo_roundtrip(self):
         sim, net = make_net()

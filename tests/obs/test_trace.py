@@ -186,6 +186,24 @@ class TestRetention:
         assert [s.name for s in tracer.spans] == ["s7", "s8", "s9"]
         assert tracer.dropped_spans == 7
 
+    def test_overflow_is_bulk_trimmed_with_an_exact_drop_count(self):
+        """50k spans through a 1000-span bound: amortised O(1) per finish
+        (no per-span front deletion), newest 1000 kept, 49,000 dropped."""
+        sim = Simulator()
+        tracer = Tracer(max_spans=1000)
+        tracer.bind(sim)
+        longest = 0
+        for index in range(50_000):
+            with tracer.span(f"s{index}"):
+                pass
+            longest = max(longest, len(tracer._finished))
+        # the buffer overshoots the bound between trims, never past twice it
+        assert 1000 < longest <= 2001
+        assert tracer.dropped_spans == 49_000
+        assert [s.name for s in tracer.spans] == [
+            f"s{index}" for index in range(49_000, 50_000)]
+        assert len(tracer.find("s")) == 1000 and len(tracer.traces()) == 1000
+
     def test_clear_empties_finished(self, traced_sim):
         _, tracer = traced_sim
         with tracer.span("x"):

@@ -44,8 +44,10 @@ CONTRACT = {
     ("faults", "Floor", "resilient_provision_success", 0.95),
     ("faults", "Floor", "reelections", 1),
     ("faults", "Holds", "fragile_reelections", 0),
-    ("obs", "Cap", "obs_overhead_frac", 0.75),
-    ("obs", "Cap", "slo_overhead_frac", 0.75),
+    ("obs", "Cap", "obs_overhead_frac", 0.60),
+    ("obs", "Cap", "slo_overhead_frac", 0.60),
+    ("obs", "Cap", "obs_extra_pycalls_per_rpc", 35),
+    ("obs", "Cap", "slo_extra_pycalls_per_rpc", 50),
     ("obs", "MaxRise", "obs_overhead_frac", 0.15),
     ("obs", "MaxRise", "slo_overhead_frac", 0.15),
     ("obs", "Holds", "sim_throughput_equal", True),
