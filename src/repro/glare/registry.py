@@ -30,7 +30,7 @@ from repro.net.service import Service
 from repro.wsrf.notification import NotificationBroker
 from repro.wsrf.resource import EndpointReference, ResourceHome, WSResource
 from repro.wsrf.servicegroup import ServiceGroup
-from repro.wsrf.xpath import XPathQuery
+from repro.wsrf.xpath import XPathQuery, query_reply
 
 ATR_SERVICE = "activity-type-registry"
 ADR_SERVICE = "activity-deployment-registry"
@@ -301,10 +301,7 @@ class ActivityTypeRegistry(Service):
         query = XPathQuery.compile(message.payload)
         results, visits = query.evaluate(self.aggregation.documents())
         yield from self.compute(self.lookup_demand + visits * self.per_visit_cost)
-        from repro.mds.index import _summarize  # same wire format as MDS
-
-        summaries = [_summarize(r) for r in results]
-        return Response(value=summaries, size=max(256, 128 * len(summaries)))
+        return query_reply(results)
 
     def op_get_lut(self, message: Message) -> Generator:
         """LastUpdateTime of a local type resource (cache revalidation)."""
@@ -612,9 +609,9 @@ class ActivityDeploymentRegistry(Service):
         resource = self.home.lookup(key)
         assert resource is not None
         resource.properties = deployment.to_xml()
-        # re-pull the aggregation snapshot so XPath queries see the
-        # updated resource document immediately
-        self.aggregation.refresh_all()
+        # re-pull this one entry so XPath queries see the updated
+        # resource document immediately
+        self.aggregation.refresh(resource.epr)
         return {"key": key, "lut": deployment.last_update_time}
 
     def op_get_lut(self, message: Message) -> Generator:
@@ -644,7 +641,4 @@ class ActivityDeploymentRegistry(Service):
         query = XPathQuery.compile(message.payload)
         results, visits = query.evaluate(self.aggregation.documents())
         yield from self.compute(self.lookup_demand + visits * self.atr.per_visit_cost)
-        from repro.mds.index import _summarize
-
-        summaries = [_summarize(r) for r in results]
-        return Response(value=summaries, size=max(256, 128 * len(summaries)))
+        return query_reply(results)

@@ -17,14 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
-from repro.net.message import Message, Response
+from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError
+from repro.net.message import Message
+from repro.net.network import ServiceNotFound
 from repro.net.service import Service
-from repro.simkernel.errors import Interrupt, OfflineError
+from repro.simkernel.errors import Interrupt
 from repro.simkernel.primitives import Resource
 from repro.wsrf.resource import EndpointReference
 from repro.wsrf.servicegroup import ServiceGroup
 from repro.wsrf.xmldoc import Element, parse_xml
-from repro.wsrf.xpath import XPathQuery
+from repro.wsrf.xpath import XPathQuery, query_reply
+
+
+#: what ``Network.call`` raises when the upstream cannot be reached
+#: (offline, timed out, shedding) or cannot serve; anything else in the
+#: keepalive loop is a bug and surfaces
+_UPSTREAM_UNREACHABLE = TRANSIENT_ERRORS + (ServiceNotFound, RemoteError)
 
 
 @dataclass
@@ -104,10 +112,6 @@ class IndexService(Service):
         #: wait for a slot before touching the aggregate
         self._worker_pool = Resource(self.sim, capacity=workers)
         self._active_queries = 0
-        self._total_nodes = 0
-        #: per-entry node counts so registrations adjust the total
-        #: incrementally instead of recounting the whole aggregate
-        self._node_counts: Dict[str, int] = {}
         self.queries_served = 0
         self.thrashed_queries = 0
         self._keepalive_proc = None
@@ -116,26 +120,10 @@ class IndexService(Service):
 
     def register_document(self, epr: EndpointReference, doc: Element) -> None:
         """Local-side registration of a resource document."""
-        key = self.aggregation.entry_key(epr)
         self.aggregation.add(epr, doc)
-        count = doc.count_nodes()
-        self._total_nodes += count - self._node_counts.get(key, 0)
-        self._node_counts[key] = count
 
     def unregister_document(self, epr: EndpointReference) -> bool:
-        key = self.aggregation.entry_key(epr)
-        removed = self.aggregation.remove(epr)
-        if removed:
-            self._total_nodes -= self._node_counts.pop(key, 0)
-        return removed
-
-    def _recount(self) -> None:
-        """Full recount (consistency fallback; hot paths go incremental)."""
-        self._node_counts = {
-            key: entry.content.count_nodes()
-            for key, entry in self.aggregation._entries.items()
-        }
-        self._total_nodes = sum(self._node_counts.values())
+        return self.aggregation.remove(epr)
 
     @property
     def resource_count(self) -> int:
@@ -183,9 +171,8 @@ class IndexService(Service):
         to zero like ``1/(1 - occupancy)`` — the JVM behaviour behind
         the index "stops responding" observation in the paper.
         """
-        occupancy = (
-            self._active_queries * max(self._total_nodes, 1)
-        ) / self.heap_node_budget
+        resident = self.aggregation.documents().size
+        occupancy = (self._active_queries * max(resident, 1)) / self.heap_node_budget
         if occupancy <= self.gc_threshold:
             return 1.0
         occupancy = min(occupancy, self.gc_cap)
@@ -220,8 +207,7 @@ class IndexService(Service):
                 self._active_queries -= 1
                 self._worker_pool.release(worker)
         self.queries_served += 1
-        summaries = [_summarize(r) for r in results]
-        return Response(value=summaries, size=max(256, 128 * len(summaries)))
+        return query_reply(results)
 
     # -- hierarchy: site registration ------------------------------------------------
 
@@ -302,17 +288,11 @@ class IndexService(Service):
                     )
                 except Interrupt:
                     raise
-                except (OfflineError, Exception):
-                    # Upstream unreachable: keep trying; membership decay
-                    # at the community handles prolonged absence.
+                except _UPSTREAM_UNREACHABLE:
+                    # keep trying; membership decay at the community
+                    # handles prolonged absence
                     pass
                 yield self.sim.timeout(self.keepalive_interval)
         except Interrupt:
             return
 
-
-def _summarize(result) -> Dict[str, object]:
-    """Wire-friendly view of one XPath match."""
-    if isinstance(result, Element):
-        return {"tag": result.tag, "attrib": dict(result.attrib), "text": result.text}
-    return {"value": result}

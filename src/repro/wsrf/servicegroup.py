@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 from repro.simkernel.errors import Interrupt
 from repro.wsrf.resource import EndpointReference
 from repro.wsrf.xmldoc import Element
+from repro.wsrf.xpath import Forest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel import Simulator
@@ -74,9 +75,9 @@ class ServiceGroup:
         self.refresh_interval = refresh_interval
         self.max_stale_misses = max_stale_misses
         self._entries: Dict[str, ServiceGroupEntry] = {}
-        #: memoized :meth:`documents` list; dropped whenever membership
-        #: or any entry's content snapshot can change
-        self._documents_cache: Optional[List[Element]] = None
+        #: memoized :meth:`documents` snapshot (and its query index);
+        #: dropped whenever membership or any entry's content can change
+        self._snapshot: Optional[Forest] = None
         self._proc = None
         self.refreshes = 0
 
@@ -97,30 +98,32 @@ class ServiceGroup:
         entry = ServiceGroupEntry(epr, content, provider)
         entry.refreshed_at = self.sim.now
         self._entries[self.entry_key(epr)] = entry
-        self._documents_cache = None
+        self._snapshot = None
         return entry
 
     def remove(self, epr: EndpointReference) -> bool:
         """Drop an aggregated member; True when it existed."""
         removed = self._entries.pop(self.entry_key(epr), None) is not None
         if removed:
-            self._documents_cache = None
+            self._snapshot = None
         return removed
 
     def entries(self) -> List[ServiceGroupEntry]:
         """All current entries."""
         return list(self._entries.values())
 
-    def documents(self) -> List[Element]:
+    def documents(self) -> Forest:
         """Content snapshots of all entries (the XPath query surface).
 
-        The list is memoized between membership/refresh changes — every
-        query walks it, and rebuilding it per query was pure overhead.
-        Callers must not mutate the returned list.
+        One :class:`Forest` is shared by every query between two
+        membership/refresh changes, so the index it builds on first
+        use is paid once per change, not per query.  Callers must not
+        mutate the list or the documents in it: a member republishes
+        by handing over a rebuilt document (:meth:`add`, :meth:`refresh`).
         """
-        docs = self._documents_cache
+        docs = self._snapshot
         if docs is None:
-            docs = self._documents_cache = [e.content for e in self._entries.values()]
+            docs = self._snapshot = Forest(e.content for e in self._entries.values())
         return docs
 
     def find_by_key(self, key: str) -> Optional[ServiceGroupEntry]:
@@ -129,6 +132,21 @@ class ServiceGroup:
             if entry.epr.key == key:
                 return entry
         return None
+
+    def refresh(self, epr: EndpointReference) -> bool:
+        """Re-pull one member's content now; True when it was replaced.
+
+        For a member that republished between two periodic rounds: no
+        other entry's provider is called and ``refreshes`` (which counts
+        rounds) does not move.  An unlisted member, or one whose
+        provider reports it gone, changes nothing — delisting the gone
+        is the periodic round's job.
+        """
+        entry = self._entries.get(self.entry_key(epr))
+        if entry is None or not entry.refresh(self.sim.now):
+            return False
+        self._snapshot = None
+        return True
 
     def refresh_all(self) -> int:
         """Refresh every entry, dropping repeatedly-stale ones."""
@@ -141,7 +159,7 @@ class ServiceGroup:
         for key in dropped:
             del self._entries[key]
         self.refreshes += 1
-        self._documents_cache = None  # content snapshots may have changed
+        self._snapshot = None  # content snapshots may have changed
         return len(dropped)
 
     def start(self) -> None:

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.net.message import Response
 from repro.wsrf.xmldoc import Element
 
 
@@ -65,7 +66,9 @@ class Predicate:
             return index == self.position
         if self.kind == "attr":
             if self.name == "*":
-                return bool(element.attrib)
+                if self.value is None:
+                    return bool(element.attrib)
+                return self.value in element.attrib.values()
             actual = element.attrib.get(self.name)
             if actual is None:
                 return False
@@ -123,6 +126,81 @@ def _parse_predicate(body: str) -> Predicate:
     if body.startswith("@"):
         return Predicate(kind="attr", name=body[1:])
     return Predicate(kind="child", name=body)
+
+
+class Forest(list):
+    """A persistent snapshot of document roots, indexed on first query.
+
+    A plain ``list`` of roots as far as any caller can tell; handing
+    one to :meth:`XPathQuery.evaluate` says the roots *and their
+    subtrees* will not change for as long as this object is in use, so
+    a leading ``//Tag`` step (and a leading ``[@a='v']`` on it) can be
+    answered from tables instead of a walk.  The owner replaces the
+    whole ``Forest`` when a document is added, removed or re-pulled;
+    documents are rebuilt, never edited in place.
+
+    Everything is lazy: a snapshot nobody queries costs one ``list``.
+    """
+
+    __slots__ = ("_by_tag", "_by_attr", "_size")
+
+    def __init__(self, roots: Iterable[Element] = ()) -> None:
+        super().__init__(roots)
+        self._by_tag: Optional[Dict[str, List[Element]]] = None
+        self._by_attr: Dict[Tuple[str, str], Dict[str, List[Element]]] = {}
+        self._size = 0
+
+    def _tags(self) -> Dict[str, List[Element]]:
+        by_tag = self._by_tag
+        if by_tag is None:
+            by_tag = {}
+            size = 0
+            for root in self:
+                nodes = root.preorder()
+                size += len(nodes)
+                for node in nodes:
+                    bucket = by_tag.get(node.tag)
+                    if bucket is None:
+                        by_tag[node.tag] = [node]
+                    else:
+                        bucket.append(node)
+            self._by_tag = by_tag
+            self._size = size
+        return by_tag
+
+    @property
+    def size(self) -> int:
+        """Element count of the whole forest (what one full walk visits)."""
+        self._tags()
+        return self._size
+
+    def seed(self, step: Step) -> Tuple[List[Element], int, Tuple[Predicate, ...]]:
+        """Node set of a leading ``//Tag`` step, as the walk would build it.
+
+        Returns the nodes (forest order, pre-order within a root), the
+        visits the walk would have counted to find them — the whole
+        forest for the node test, every tagged element for a leading
+        ``[@a='v']`` — and the predicates still to be applied.  The
+        lists belong to the index: read, never mutate.
+        """
+        tag = step.test
+        nodes = self._tags().get(tag) or []
+        visits = self._size
+        predicates = step.predicates
+        if predicates:
+            lead = predicates[0]
+            if lead.kind == "attr" and lead.name != "*" and lead.value is not None:
+                table = self._by_attr.get((tag, lead.name))
+                if table is None:
+                    table = self._by_attr[tag, lead.name] = {}
+                    for element in nodes:
+                        actual = element.attrib.get(lead.name)
+                        if actual is not None:
+                            table.setdefault(actual, []).append(element)
+                visits += len(nodes)
+                nodes = table.get(lead.value) or []
+                predicates = predicates[1:]
+        return nodes, visits, predicates
 
 
 #: memoized compiled queries — services re-issue the same handful of
@@ -203,9 +281,16 @@ class XPathQuery:
         ``roots`` is a document root or an iterable of roots (the MDS
         aggregate is a forest of member documents).  Attribute and
         ``text()`` final steps yield strings; otherwise elements.
+
+        A :class:`Forest` answers a leading ``//Tag`` from its index;
+        matches, their order and the visit count are what the walk
+        over the same roots produces.
         """
-        if isinstance(roots, Element):
-            root_list: Sequence[Element] = [roots]
+        indexed = isinstance(roots, Forest)
+        if indexed:
+            root_list: Sequence[Element] = roots  # persistent by contract: no copy
+        elif isinstance(roots, Element):
+            root_list = [roots]
         else:
             root_list = list(roots)
 
@@ -218,10 +303,14 @@ class XPathQuery:
         # the unfused path is kept for position predicates, whose index
         # is defined within each root's own candidate set.
         if first.axis == "descendant" and not _has_position_predicate(first):
-            tag = None if first.test == "*" else first.test
-            for root in root_list:
-                visits += root.walk_matching(tag, current)
-            current, extra = _apply_predicates(current, first.predicates)
+            if indexed and first.test != "*":
+                current, visits, predicates = roots.seed(first)
+            else:
+                tag = None if first.test == "*" else first.test
+                for root in root_list:
+                    visits += root.walk_matching(tag, current)
+                predicates = first.predicates
+            current, extra = _apply_predicates(current, predicates)
             visits += extra
         else:
             for root in root_list:
@@ -326,6 +415,20 @@ def _filter(candidates: Sequence[Element], step: Step) -> Tuple[List[Element], i
         matched = [element for element in candidates if element.tag == test]
     matched, predicate_visits = _apply_predicates(matched, step.predicates)
     return matched, visits + predicate_visits
+
+
+def query_reply(results: Sequence[Union[Element, str]]) -> Response:
+    """The wire form of a query's matches, shared by every ``op_query``.
+
+    Elements travel as ``{tag, attrib, text}`` summaries, attribute and
+    ``text()`` values as ``{value}``; 128 bytes a match, 256 at least.
+    """
+    summaries = [
+        {"tag": r.tag, "attrib": dict(r.attrib), "text": r.text}
+        if isinstance(r, Element) else {"value": r}
+        for r in results
+    ]
+    return Response(value=summaries, size=max(256, 128 * len(summaries)))
 
 
 def xpath_find(

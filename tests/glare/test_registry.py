@@ -190,6 +190,32 @@ class TestDeploymentRegistry:
                     "//ActivityDeployment[@status='failed']")
         assert len(hits) == 1
 
+    def test_update_status_republishes_one_entry(self, world):
+        """The status report re-pulls its own aggregation entry, no other."""
+        sim, net, atr, adr = world
+        call(sim, net, ATR_SERVICE, "register_type", {"xml": TYPE_XML})
+        for name in ("app1", "app2", "app3"):
+            call(sim, net, ADR_SERVICE, "register_deployment",
+                 {"xml": deployment_xml(name)})
+        query = ("//ActivityDeployment[@name='app2'][@site='s0']"
+                 "/Metrics/LastReturnCode/text()")
+        assert call(sim, net, ADR_SERVICE, "query", query) == []  # index built
+        pulled = []
+        for entry in adr.aggregation.entries():
+            def provider(inner=entry.provider, key=entry.epr.key):
+                pulled.append(key)
+                return inner()
+            entry.provider = provider
+        call(sim, net, ADR_SERVICE, "update_status",
+             {"key": "s0:app2", "last_return_code": 7})
+        assert pulled == ["s0:app2"]
+        assert adr.aggregation.refreshes == 0
+        assert call(sim, net, ADR_SERVICE, "query", query) == [{"value": "7"}]
+        call(sim, net, ADR_SERVICE, "update_status",
+             {"key": "s0:app2", "last_return_code": 0})
+        assert call(sim, net, ADR_SERVICE, "query", query) == [{"value": "0"}]
+        assert pulled == ["s0:app2", "s0:app2"]
+
     def test_remove_deployment(self, world):
         sim, net, atr, adr = world
         call(sim, net, ATR_SERVICE, "register_type", {"xml": TYPE_XML})

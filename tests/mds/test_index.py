@@ -187,8 +187,8 @@ def _epr(key):
     return EndpointReference(address="s0/mds-index", service="mds-index", key=key)
 
 
-class TestIncrementalNodeCount:
-    """_total_nodes is maintained incrementally; must track a full recount."""
+class TestResidentNodeCount:
+    """The resident-node total is the snapshot's own size: one source."""
 
     def _epr(self, index, key):
         from repro.wsrf.resource import EndpointReference
@@ -196,30 +196,34 @@ class TestIncrementalNodeCount:
         return EndpointReference(address=f"s{key}/{index.name}",
                                  service=index.name, key=f"k{key}")
 
-    def test_register_unregister_replace_keep_count_exact(self):
+    @staticmethod
+    def _resident(index):
+        return sum(e.content.count_nodes() for e in index.aggregation.entries())
+
+    def test_forest_size_tracks_register_replace_unregister(self):
         sim, net, index = make_world()
+        assert index.aggregation.documents().size == 0
         docs = [type_doc(f"T{i}") for i in range(5)]
         for i, doc in enumerate(docs):
             index.register_document(self._epr(index, i), doc)
-        assert index._total_nodes == sum(d.count_nodes() for d in docs)
+        assert index.aggregation.documents().size == sum(d.count_nodes() for d in docs)
 
         # replace an entry with a bigger document: no double counting
         big = type_doc("T0")
         for j in range(7):
             big.make_child("Extra", text=str(j))
         index.register_document(self._epr(index, 0), big)
-        index._recount()
-        recounted = index._total_nodes
+        grown = index.aggregation.documents().size
+        assert grown == self._resident(index)
+        assert grown == sum(d.count_nodes() for d in docs) + 7
         index.register_document(self._epr(index, 0), big)  # idempotent
-        assert index._total_nodes == recounted
+        assert index.aggregation.documents().size == grown
 
         assert index.unregister_document(self._epr(index, 3))
         assert not index.unregister_document(self._epr(index, 3))
-        incremental = index._total_nodes
-        index._recount()
-        assert index._total_nodes == incremental
+        assert index.aggregation.documents().size == grown - docs[3].count_nodes()
 
-    def test_incremental_total_matches_recount_after_churn(self):
+    def test_forest_size_matches_count_nodes_after_churn(self):
         sim, net, index = make_world()
         for round_no in range(3):
             for i in range(6):
@@ -227,7 +231,70 @@ class TestIncrementalNodeCount:
                                         type_doc(f"T{round_no}-{i}"))
             for i in range(0, 6, 2):
                 index.unregister_document(self._epr(index, i))
-        incremental = index._total_nodes
-        index._recount()
-        assert index._total_nodes == incremental
-        assert incremental > 0
+            assert index.aggregation.documents().size == self._resident(index)
+        assert index.aggregation.documents().size > 0
+
+    def test_pressure_multiplier_sees_the_current_snapshot(self):
+        sim, net, index = make_world(heap_node_budget=100.0)
+        index._active_queries = 10
+        for i in range(2):  # 6 nodes x 10 queries: under the 0.75 threshold
+            index.register_document(self._epr(index, i), type_doc(f"T{i}"))
+        assert index._pressure_multiplier() == 1.0
+        for i in range(2, 4):  # 12 nodes x 10 queries: over the heap budget
+            index.register_document(self._epr(index, i), type_doc(f"T{i}"))
+        assert index._pressure_multiplier() > 1.0
+        for i in range(3):
+            index.unregister_document(self._epr(index, i))
+        assert index._pressure_multiplier() == 1.0
+
+
+class TestKeepaliveFailures:
+    def _leaf(self, net, **kwargs):
+        return IndexService(
+            net, "s2", upstream="s1", keepalive_interval=10.0, name="leaf-index",
+            upstream_service="community-index", **kwargs,
+        )
+
+    def test_upstream_offline_then_back_rejoins(self):
+        sim, net, _local = make_world(n_sites=3)
+        community = IndexService(
+            net, "s1", community=True, registration_ttl=25.0, name="community-index"
+        )
+        leaf = self._leaf(net)
+        leaf.start()
+        sim.run(until=15)
+        assert community.live_sites() == ["s1", "s2"]
+        net.set_online("s1", False)
+        sim.run(until=100)
+        assert leaf._keepalive_proc.is_alive  # kept trying through the outage
+        assert community.live_sites() == ["s1"]  # membership decayed
+        net.set_online("s1", True)
+        sim.run(until=125)
+        assert community.live_sites() == ["s1", "s2"]
+
+    def test_upstream_service_removed_keeps_trying(self):
+        sim, net, _local = make_world(n_sites=3)
+        leaf = self._leaf(net)  # nobody hosts community-index: ServiceNotFound
+        leaf.start()
+        sim.run(until=35)
+        assert leaf._keepalive_proc.is_alive
+        community = IndexService(
+            net, "s1", community=True, registration_ttl=25.0, name="community-index"
+        )
+        sim.run(until=50)
+        assert community.live_sites() == ["s1", "s2"]
+
+    def test_programming_error_in_the_loop_is_not_swallowed(self):
+        sim, net, _local = make_world(n_sites=3)
+        IndexService(net, "s1", community=True, name="community-index")
+        leaf = self._leaf(net)
+
+        def broken_call(*args, **kwargs):
+            raise TypeError("bad keepalive payload")
+            yield
+
+        leaf.call = broken_call
+        leaf.start()
+        with pytest.raises(TypeError, match="bad keepalive payload"):
+            sim.run(until=15)
+        assert not leaf._keepalive_proc.is_alive

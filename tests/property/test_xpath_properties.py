@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.wsrf.xmldoc import Element
-from repro.wsrf.xpath import XPathQuery
+from repro.wsrf.xpath import Forest, XPathQuery
 
 tags = st.sampled_from(["Entry", "Type", "Deployment", "Meta", "Item"])
 names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -79,3 +79,95 @@ def test_evaluation_is_pure(doc, tag):
     first = query.evaluate(doc)
     second = query.evaluate(doc)
     assert first == second
+
+
+# -- Forest (indexed snapshot) vs the walk over the same roots -------------
+
+#: few tags and values, so the same tag nests inside itself and the same
+#: attribute value recurs across elements and documents
+_small_tags = st.sampled_from(["T", "U", "C"])
+_values = st.sampled_from(["v", "w", "x"])
+
+
+@st.composite
+def small_documents(draw, depth=0):
+    element = Element(draw(_small_tags), text=draw(st.sampled_from(["", "x", "y"])))
+    for name in draw(st.lists(st.sampled_from(["a", "b"]), unique=True)):
+        element.attrib[name] = draw(_values)
+    if depth < 3:
+        for child in draw(st.lists(small_documents(depth=depth + 1), max_size=3)):
+            element.append(child)
+    return element
+
+
+@st.composite
+def forests(draw):
+    docs = draw(st.lists(small_documents(), max_size=6))
+    if docs and draw(st.booleans()):
+        docs.append(draw(st.sampled_from(docs)))  # the same root listed twice
+    return docs
+
+
+@st.composite
+def queries(draw):
+    t, u, c = draw(_small_tags), draw(_small_tags), draw(_small_tags)
+    v, w = draw(_values), draw(_values)
+    return draw(st.sampled_from([
+        f"//{t}",
+        "//*",
+        f"//{t}[@a='{v}']",
+        f"//{t}[@a='{v}'][@b='{w}']",
+        f"//{t}[@b='{w}'][@a]",
+        f"//{t}[@a]",
+        f"//{t}[@*]",
+        f"//{t}[@*='{v}']",
+        f"//{t}[{c}='x']",
+        f"//{t}[{c}='x'][@a='{v}']",
+        f"//{t}[2]",
+        f"//{t}[@a='{v}'][2]",
+        f"//{t}/{c}/text()",
+        f"//{t}[@a='{v}']/{c}",
+        f"//{t}//{u}/@a",
+        f"//{t}[@a='{v}']//{u}/@*",
+        f"/{t}/{u}",
+    ]))
+
+
+def _identical(left, right):
+    """Same elements by identity (strings by value), in the same order."""
+    return len(left) == len(right) and all(
+        a is b if isinstance(a, Element) else a == b for a, b in zip(left, right)
+    )
+
+
+@given(forests(), st.lists(queries(), min_size=1, max_size=4))
+@settings(max_examples=300)
+def test_forest_index_equals_walk(docs, expressions):
+    """Same elements (by identity, in order) and same visit count.
+
+    Several queries share one ``Forest`` so later ones are served from
+    tables the earlier ones built.
+    """
+    forest = Forest(docs)
+    for expression in expressions:
+        query = XPathQuery.compile(expression)
+        indexed, indexed_visits = query.evaluate(forest)
+        walked, walked_visits = query.evaluate(list(docs))
+        assert _identical(indexed, walked), expression
+        assert indexed_visits == walked_visits, expression
+    assert forest.size == sum(d.count_nodes() for d in docs)
+    assert list(forest) == docs
+
+
+@given(forests(), queries())
+@settings(max_examples=100)
+def test_forest_results_do_not_alias_the_index(docs, expression):
+    """A caller may mutate what ``evaluate`` returns; the index must not move."""
+    forest = Forest(docs)
+    query = XPathQuery.compile(expression)
+    first, visits = query.evaluate(forest)
+    expected = list(first)
+    first.clear()
+    again, again_visits = query.evaluate(forest)
+    assert _identical(again, expected)
+    assert again_visits == visits

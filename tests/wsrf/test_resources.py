@@ -14,6 +14,7 @@ from repro.wsrf import (
     WSResource,
 )
 from repro.wsrf.xmldoc import Element
+from repro.wsrf.xpath import XPathQuery
 
 
 def make_resource(key="r1", lut=0.0):
@@ -135,6 +136,83 @@ class TestServiceGroup:
         group.start()
         sim.run(until=5)
         assert len(group) == 0
+
+
+class TestServiceGroupSnapshot:
+    """``documents()`` is one indexed snapshot between two changes."""
+
+    QUERY = XPathQuery.compile("//V[@v='1']")
+
+    def _group(self, n=3):
+        sim = Simulator()
+        group = ServiceGroup(sim)
+        self.state = {f"k{i}": Element("V", attrib={"v": str(i)}) for i in range(n)}
+        self.pulls = {key: 0 for key in self.state}
+        self.resources = {key: make_resource(key) for key in self.state}
+        for key, res in self.resources.items():
+            group.add(res.epr, self.state[key], provider=lambda k=key: self._pull(k))
+        return group
+
+    def _pull(self, key):
+        self.pulls[key] += 1
+        return self.state[key]
+
+    def test_snapshot_and_index_reused_across_queries(self):
+        group = self._group()
+        first = group.documents()
+        assert self.QUERY.evaluate(first) == ([self.state["k1"]], 6)
+        tags = first._by_tag
+        assert tags is not None
+        assert self.QUERY.evaluate(group.documents()) == ([self.state["k1"]], 6)
+        assert group.documents() is first
+        assert first._by_tag is tags
+
+    def test_add_and_remove_drop_the_snapshot(self):
+        group = self._group()
+        before = group.documents()
+        self.QUERY.evaluate(before)
+        extra = Element("V", attrib={"v": "1"})
+        group.add(make_resource("k9").epr, extra)
+        after_add = group.documents()
+        assert after_add is not before and after_add._by_tag is None
+        assert self.QUERY.evaluate(after_add) == ([self.state["k1"], extra], 8)
+        assert group.remove(self.resources["k1"].epr)
+        after_remove = group.documents()
+        assert after_remove is not after_add
+        assert self.QUERY.evaluate(after_remove) == ([extra], 6)
+        assert not group.remove(self.resources["k1"].epr)
+        assert group.documents() is after_remove  # nothing changed: kept
+
+    def test_refresh_one_entry_pulls_only_that_provider(self):
+        group = self._group()
+        before = group.documents()
+        assert self.QUERY.evaluate(before)[0] == [self.state["k1"]]
+        self.state["k2"] = Element("V", attrib={"v": "1"})
+        assert group.refresh(self.resources["k2"].epr)
+        assert self.pulls == {"k0": 0, "k1": 0, "k2": 1}
+        assert group.refreshes == 0  # counts periodic rounds only
+        after = group.documents()
+        assert after is not before
+        assert self.QUERY.evaluate(after)[0] == [self.state["k1"], self.state["k2"]]
+
+    def test_refresh_of_unlisted_or_gone_member_changes_nothing(self):
+        group = self._group()
+        before = group.documents()
+        assert not group.refresh(make_resource("stranger").epr)
+        self.state["k0"] = None  # provider reports the member gone
+        assert not group.refresh(self.resources["k0"].epr)
+        assert group.documents() is before and len(group) == 3
+
+    def test_refresh_all_drops_the_snapshot(self):
+        group = self._group()
+        before = group.documents()
+        self.QUERY.evaluate(before)
+        self.state["k0"] = Element("V", attrib={"v": "1"})
+        group.refresh_all()
+        assert group.refreshes == 1
+        after = group.documents()
+        assert after is not before
+        assert self.QUERY.evaluate(after)[0] == [self.state["k0"], self.state["k1"]]
 
 
 class TestNotification:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.wsrf.xmldoc import parse_xml
-from repro.wsrf.xpath import XPathError, XPathQuery, xpath_find
+from repro.wsrf.xpath import Forest, XPathError, XPathQuery, query_reply, xpath_find
 
 DOC = parse_xml(
     """
@@ -198,6 +198,60 @@ class TestFusedDescendantWalk:
         doc_b = parse_xml("<R><E n='b1'/><E n='b2'/></R>")
         results, _ = XPathQuery.compile("//E[2]").evaluate([doc_a, doc_b])
         assert [e.get("n") for e in results] == ["a2", "b2"]
+
+
+class TestAnyAttributePredicate:
+    """``[@*]`` is "has an attribute", ``[@*='x']`` "some attribute equals x"."""
+
+    ROOT = parse_xml(
+        "<R><T a='x'/><T b='y'/><T/><T a='y' b='x'/><U a='x'/></R>"
+    )
+
+    @pytest.mark.parametrize("wrap", [list, Forest], ids=["walk", "forest"])
+    def test_existence_and_value_forms(self, wrap):
+        roots = wrap([self.ROOT])
+        ts = self.ROOT.findall("T")
+        assert xpath_find(roots, "//T[@*]") == [ts[0], ts[1], ts[3]]
+        assert xpath_find(roots, "//T[@*='x']") == [ts[0], ts[3]]
+        assert xpath_find(roots, "//T[@*='y']") == [ts[1], ts[3]]
+        assert xpath_find(roots, "//T[@*='z']") == []
+        assert xpath_find(roots, "//T[@a='y'][@*='x']") == [ts[3]]
+
+
+class TestForestIndex:
+    def test_index_is_built_once_and_only_when_queried(self):
+        forest = Forest([DOC])
+        assert forest._by_tag is None and not forest._by_attr
+        xpath_find(forest, "/Registry/Entry")  # child-axis first step: the walk
+        assert forest._by_tag is None
+        xpath_find(forest, "//Entry[@name='JPOVray']")
+        tags, table = forest._by_tag, forest._by_attr["Entry", "name"]
+        xpath_find(forest, "//Entry[@name='Wien2k']")
+        assert forest._by_tag is tags
+        assert forest._by_attr["Entry", "name"] is table
+
+    def test_is_a_plain_list_of_roots(self):
+        forest = Forest(iter([DOC]))
+        assert forest == [DOC] and len(forest) == 1 and forest[0] is DOC
+        assert Forest().size == 0
+        assert xpath_find(Forest(), "//Entry") == []
+
+
+class TestQueryReply:
+    def test_wire_form_and_size(self):
+        elements, _ = XPathQuery.compile("//Deployment").evaluate(DOC)
+        reply = query_reply(elements)
+        assert reply.value[0] == {
+            "tag": "Deployment",
+            "attrib": {"name": "jpovray", "kind": "executable",
+                       "path": "/opt/jpovray/bin/jpovray"},
+            "text": "",
+        }
+        assert reply.value[0]["attrib"] is not elements[0].attrib
+        assert reply.size == 128 * 3
+        assert query_reply(["a"]).value == [{"value": "a"}]
+        assert query_reply(["a"]).size == 256
+        assert query_reply([]).size == 256
 
 
 class TestCompileCache:
