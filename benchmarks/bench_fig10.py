@@ -9,13 +9,14 @@ their throughput.
 
 import pytest
 
-from repro.experiments.fig10 import format_fig10, run_fig10
+from repro.experiments.fig10 import EXPERIMENT, format_fig10
+from repro.experiments.harness import run_grid
 
 CLIENTS = (1, 2, 4, 8, 12, 16)
 
 
 def test_fig10(benchmark, print_report):
-    points = benchmark(run_fig10, client_counts=CLIENTS)
+    points = list(benchmark(run_grid, EXPERIMENT, CLIENTS).values())
     print_report(format_fig10(points))
 
     def saturated(service, security):

@@ -9,16 +9,19 @@ index "stops responding" (heap-pressure collapse).
 import pytest
 
 from repro.experiments.fig11 import (
+    EXPERIMENT,
+    PROBE,
     format_fig11,
     run_collapse_probe,
-    run_fig11,
 )
+from repro.experiments.harness import run_grid
 
 SIZES = (10, 50, 100, 130, 150)
 
 
 def test_fig11(benchmark, print_report):
-    points = benchmark(run_fig11, sizes=SIZES, include_https=False)
+    results = benchmark(run_grid, EXPERIMENT, (SIZES, False))
+    points = [point for name, point in results.items() if name != PROBE]
     print_report(format_fig11(points))
 
     def series(service):

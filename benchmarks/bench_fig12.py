@@ -8,11 +8,12 @@ of sites or by enabling the cache".
 
 import pytest
 
-from repro.experiments.fig12 import format_fig12, run_fig12
+from repro.experiments.fig12 import EXPERIMENT, format_fig12
+from repro.experiments.harness import run_grid
 
 
 def test_fig12(benchmark, print_report):
-    points = benchmark(run_fig12, site_counts=(1, 3, 7))
+    points = list(benchmark(run_grid, EXPERIMENT, (1, 3, 7)).values())
     print_report(format_fig12(points))
 
     by_config = {(p.sites, p.cache): p.mean_response_ms for p in points}

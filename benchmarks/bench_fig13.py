@@ -9,23 +9,21 @@ rate; the requester series stays low, peaking just below 5.
 import pytest
 
 from repro.experiments.fig13 import (
+    EXPERIMENT,
     format_fig13,
-    run_fig13,
     run_requester_point,
     run_sink_point,
 )
+from repro.experiments.harness import run_grid
 
 REQUESTERS = (0, 60, 120, 210)
 SINKS = (0, 60, 120, 180, 210)
 
 
 def test_fig13(benchmark, print_report):
-    points = benchmark(
-        run_fig13,
-        requester_counts=REQUESTERS,
-        sink_counts=SINKS,
-        rates=(1.0, 5.0, 10.0),
-    )
+    points = list(benchmark(
+        run_grid, EXPERIMENT, (REQUESTERS, SINKS, (1.0, 5.0, 10.0)),
+    ).values())
     print_report(format_fig13(points))
 
     def load(series, count):

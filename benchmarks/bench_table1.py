@@ -10,7 +10,8 @@ addition / registration / notification are sub-second constants):
 
 import pytest
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.harness import run_grid
+from repro.experiments.table1 import EXPERIMENT, format_table1
 
 PAPER_TOTALS_MS = {
     ("expect", "Wien2k"): 11068,
@@ -23,7 +24,7 @@ PAPER_TOTALS_MS = {
 
 
 def test_table1(benchmark, print_report):
-    rows = benchmark(run_table1)
+    rows = list(benchmark(run_grid, EXPERIMENT, EXPERIMENT.full).values())
     report = format_table1(rows)
     print_report(report)
 

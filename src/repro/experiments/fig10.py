@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence
 
+from repro.experiments.harness import Experiment
 from repro.experiments.report import format_multi_series
 from repro.experiments.workload import (
     measure_throughput,
@@ -33,6 +34,7 @@ from repro.mds.index import IndexService
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
+from repro.runner import WorkUnit
 from repro.simkernel import Simulator
 from repro.wsrf.resource import EndpointReference
 
@@ -116,23 +118,6 @@ def run_fig10_point(service: str, secure: bool, clients: int,
     )
 
 
-def run_fig10(
-    client_counts: Sequence[int] = (1, 2, 4, 6, 8, 10, 12, 14, 16),
-    n_types: int = DEFAULT_TYPES,
-    seed: int = 3,
-) -> List[Fig10Point]:
-    """All four series of Fig. 10."""
-    points = []
-    for service in ("registry", "index"):
-        for secure in (False, True):
-            for clients in client_counts:
-                points.append(
-                    run_fig10_point(service, secure, clients,
-                                    n_types=n_types, seed=seed)
-                )
-    return points
-
-
 def format_fig10(points: List[Fig10Point]) -> str:
     xs = sorted({p.clients for p in points})
     series: Dict[str, List[float]] = {}
@@ -144,3 +129,25 @@ def format_fig10(points: List[Fig10Point]) -> str:
         "Fig. 10 — throughput (req/s) vs concurrent clients",
         "clients", xs, series,
     )
+
+
+def _units(client_counts: Sequence[int]) -> List[WorkUnit]:
+    """All four series of Fig. 10, one unit per point."""
+    return [
+        WorkUnit(f"fig10:{service}:{'https' if secure else 'http'}:{clients}",
+                 "repro.experiments.fig10:run_fig10_point",
+                 {"service": service, "secure": secure, "clients": clients})
+        for service in ("registry", "index")
+        for secure in (False, True)
+        for clients in client_counts
+    ]
+
+
+EXPERIMENT = Experiment(
+    name="fig10",
+    summary="registry vs WS-MDS index throughput under concurrent clients",
+    quick=(1, 4, 16),
+    full=(1, 2, 4, 6, 8, 10, 12, 14, 16),
+    units=_units,
+    render=lambda results: format_fig10(list(results.values())),
+)

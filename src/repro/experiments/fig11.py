@@ -17,10 +17,12 @@ throughput to near zero.  ``run_collapse_probe`` reproduces the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.fig10 import run_fig10_point
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_multi_series
+from repro.runner import WorkUnit
 
 DEFAULT_SIZES = (10, 25, 50, 75, 100, 130, 150, 175, 200)
 DEFAULT_CLIENTS = 8
@@ -35,45 +37,26 @@ class Fig11Point:
     throughput: float
 
 
-def run_fig11(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    clients: int = DEFAULT_CLIENTS,
-    seed: int = 5,
-    include_https: bool = True,
-) -> List[Fig11Point]:
-    """Throughput vs registry size for both services (+/- security)."""
-    points = []
-    security_options = (False, True) if include_https else (False,)
-    for service in ("registry", "index"):
-        for secure in security_options:
-            for size in sizes:
-                measured = run_fig10_point(
-                    service, secure, clients, n_types=size, seed=seed
-                )
-                points.append(
-                    Fig11Point(
-                        service=service,
-                        security=measured.security,
-                        resources=size,
-                        clients=clients,
-                        throughput=measured.throughput,
-                    )
-                )
-    return points
+def run_fig11_point(service: str, secure: bool, resources: int,
+                    clients: int = DEFAULT_CLIENTS, seed: int = 5) -> Fig11Point:
+    """Throughput of one service with ``resources`` registered types."""
+    measured = run_fig10_point(service, secure, clients, n_types=resources,
+                               seed=seed)
+    return Fig11Point(
+        service=service,
+        security=measured.security,
+        resources=resources,
+        clients=clients,
+        throughput=measured.throughput,
+    )
 
 
 def run_collapse_probe(
     resources: int = 150, clients: int = 12, seed: int = 5
 ) -> Fig11Point:
     """The paper's 'stops responding' case: >130 resources, >10 clients."""
-    measured = run_fig10_point("index", False, clients, n_types=resources, seed=seed)
-    return Fig11Point(
-        service="index",
-        security="http",
-        resources=resources,
-        clients=clients,
-        throughput=measured.throughput,
-    )
+    return run_fig11_point("index", False, resources, clients=clients,
+                           seed=seed)
 
 
 def format_fig11(points: List[Fig11Point]) -> str:
@@ -88,3 +71,41 @@ def format_fig11(points: List[Fig11Point]) -> str:
         f"({points[0].clients if points else '?'} clients)",
         "resources", xs, series,
     )
+
+
+PROBE = "fig11:collapse-probe"
+
+
+def _units(grid: Tuple[Sequence[int], bool]) -> List[WorkUnit]:
+    """Both services (+/- security) per registry size, plus the probe."""
+    sizes, include_https = grid
+    units = [
+        WorkUnit(f"fig11:{service}:{'https' if secure else 'http'}:{size}",
+                 "repro.experiments.fig11:run_fig11_point",
+                 {"service": service, "secure": secure, "resources": size})
+        for service in ("registry", "index")
+        for secure in ((False, True) if include_https else (False,))
+        for size in sizes
+    ]
+    units.append(WorkUnit(PROBE, "repro.experiments.fig11:run_collapse_probe"))
+    return units
+
+
+def _render(results: Results) -> str:
+    probe = results[PROBE]
+    sweep = [point for name, point in results.items() if name != PROBE]
+    return format_fig11(sweep) + (
+        f"\n\nCollapse probe ({probe.resources} resources, {probe.clients} "
+        f"clients): index throughput = {probe.throughput:.2f} req/s"
+    )
+
+
+EXPERIMENT = Experiment(
+    name="fig11",
+    summary="throughput vs registered activity types (index decay + "
+            "overload collapse)",
+    quick=((10, 100, 150), False),
+    full=(DEFAULT_SIZES, True),
+    units=_units,
+    render=_render,
+)

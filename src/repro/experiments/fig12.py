@@ -20,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Sequence
 
+from repro.experiments.harness import Experiment
 from repro.experiments.report import format_table
 from repro.experiments.workload import spawn_clients
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 TYPE_NAME = "SyntheticSolver"
@@ -120,25 +122,6 @@ def run_fig12_point(
     )
 
 
-def run_fig12(
-    site_counts: Sequence[int] = (1, 3, 7),
-    clients: int = 6,
-    total_deployments: int = 42,
-    seed: int = 9,
-) -> List[Fig12Point]:
-    """The paper's four series: cache @ 1 site; no cache @ 1/3/7 sites."""
-    points = [
-        run_fig12_point(1, cache=True, clients=clients,
-                        total_deployments=total_deployments, seed=seed)
-    ]
-    for count in site_counts:
-        points.append(
-            run_fig12_point(count, cache=False, clients=clients,
-                            total_deployments=total_deployments, seed=seed)
-        )
-    return points
-
-
 def format_fig12(points: List[Fig12Point]) -> str:
     rows = []
     for point in points:
@@ -150,3 +133,24 @@ def format_fig12(points: List[Fig12Point]) -> str:
         rows,
         title="Fig. 12 — response time per deployment-list request",
     )
+
+
+def _units(site_counts: Sequence[int]) -> List[WorkUnit]:
+    """The paper's four series: cache @ 1 site; no cache per site count."""
+    fn = "repro.experiments.fig12:run_fig12_point"
+    return [WorkUnit("fig12:cache:1", fn, {"registry_sites": 1, "cache": True})] + [
+        WorkUnit(f"fig12:nocache:{count}", fn,
+                 {"registry_sites": count, "cache": False})
+        for count in site_counts
+    ]
+
+
+EXPERIMENT = Experiment(
+    name="fig12",
+    summary="deployment-list response time: cache on one site vs no cache "
+            "on 1/3/7 sites",
+    quick=(1, 3, 7),
+    full=(1, 3, 7),
+    units=_units,
+    render=lambda results: format_fig12(list(results.values())),
+)

@@ -19,8 +19,9 @@ saturation where the M/M/c queue blows up to ~16.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Sequence
+from typing import Dict, Generator, List, Sequence, Tuple
 
+from repro.experiments.harness import Experiment
 from repro.experiments.report import format_multi_series
 from repro.experiments.workload import spawn_clients, synthetic_type_doc
 from repro.glare.model import ActivityType
@@ -28,6 +29,7 @@ from repro.glare.registry import ActivityTypeRegistry, ATR_SERVICE
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
+from repro.runner import WorkUnit
 from repro.simkernel import LoadAverage, Simulator
 from repro.simkernel.errors import Interrupt
 from repro.wsrf.notification import NotificationBroker, NotificationSink
@@ -122,22 +124,6 @@ def run_sink_point(count: int, rate: float, seed: int = 13) -> Fig13Point:
     return Fig13Point(f"sinks@{rate:g}s", count, loadavg.mean(since=SETTLE))
 
 
-def run_fig13(
-    requester_counts: Sequence[int] = (0, 30, 60, 90, 120, 150, 180, 210),
-    sink_counts: Sequence[int] = (0, 30, 60, 90, 120, 150, 180, 210),
-    rates: Sequence[float] = (1.0, 5.0, 10.0),
-    seed: int = 13,
-) -> List[Fig13Point]:
-    """All series of Fig. 13."""
-    points = []
-    for count in requester_counts:
-        points.append(run_requester_point(count, seed=seed))
-    for rate in rates:
-        for count in sink_counts:
-            points.append(run_sink_point(count, rate, seed=seed))
-    return points
-
-
 def format_fig13(points: List[Fig13Point]) -> str:
     xs = sorted({p.count for p in points})
     series: Dict[str, List[float]] = {}
@@ -149,3 +135,36 @@ def format_fig13(points: List[Fig13Point]) -> str:
         "Fig. 13 — 1-minute load average vs concurrent clients / sinks",
         "count", xs, series, series_xs=series_xs,
     )
+
+
+def _units(
+    grid: Tuple[Sequence[int], Sequence[int], Sequence[float]]
+) -> List[WorkUnit]:
+    """The requester series, then one sink series per notification rate."""
+    requester_counts, sink_counts, rates = grid
+    units = [
+        WorkUnit(f"fig13:requesters:{count}",
+                 "repro.experiments.fig13:run_requester_point",
+                 {"count": count})
+        for count in requester_counts
+    ]
+    units += [
+        WorkUnit(f"fig13:sinks@{rate:g}s:{count}",
+                 "repro.experiments.fig13:run_sink_point",
+                 {"count": count, "rate": rate})
+        for rate in rates
+        for count in sink_counts
+    ]
+    return units
+
+
+_COUNTS = (0, 30, 60, 90, 120, 150, 180, 210)
+
+EXPERIMENT = Experiment(
+    name="fig13",
+    summary="1-minute load average vs requesters and notification sinks",
+    quick=((0, 120, 210), (0, 120, 210), (1.0, 5.0)),
+    full=(_COUNTS, _COUNTS, (1.0, 5.0, 10.0)),
+    units=_units,
+    render=lambda results: format_fig13(list(results.values())),
+)

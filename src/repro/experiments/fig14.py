@@ -34,23 +34,27 @@ workload window so the per-resolution figure stays honest.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.experiments.report import format_table
-from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
+from repro.experiments.harness import Experiment, Results
+from repro.experiments.report import (
+    check_pairs_agree,
+    format_table,
+    pair_cells,
+    pair_rows,
+)
+from repro.experiments.workload import (
+    records_digest,
+    register_served_type,
+    resolve,
+    tier_counts,
+)
 from repro.glare.resolution import ResolutionConfig
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 GROUP_SIZE = 8
-
-TYPE_XML_TEMPLATE = """
-<ActivityTypeEntry name="{name}" kind="concrete">
-  <Domain>scale</Domain>
-  <Function name="run"><Input>data</Input><Output>result</Output></Function>
-</ActivityTypeEntry>
-"""
 
 
 @dataclass
@@ -89,23 +93,7 @@ def _percentile(values: List[float], fraction: float) -> float:
 def _populate(vo, type_homes: List[Tuple[str, str]]) -> None:
     """Register each type + one deployment at its home site."""
     for type_name, home in type_homes:
-        vo.run_process(vo.client_call(
-            home, "register_type",
-            payload={"xml": TYPE_XML_TEMPLATE.format(name=type_name)},
-        ))
-        deployment = ActivityDeployment(
-            name=f"{type_name.lower()}-bin",
-            type_name=type_name,
-            kind=DeploymentKind.EXECUTABLE,
-            site=home,
-            path=f"/opt/deployments/{type_name.lower()}/bin/run",
-            home=f"/opt/deployments/{type_name.lower()}",
-            status=DeploymentStatus.ACTIVE,
-        )
-        vo.run_process(vo.client_call(
-            home, "register_deployment",
-            payload={"xml": deployment.wire_xml()},
-        ))
+        register_served_type(vo, home, type_name, "scale")
 
 
 def run_fig14_point(
@@ -149,17 +137,9 @@ def run_fig14_point(
     latencies: List[float] = []
     records: List[str] = []
 
-    def resolve(site: str, type_name: str, attempt: str) -> Generator:
+    def record(site: str, type_name: str, attempt: str) -> Generator:
         started = vo.sim.now
-        try:
-            wires = yield from vo.client_call(
-                site, "get_deployments",
-                payload={"type": type_name, "auto_deploy": False},
-            )
-            keys = sorted(str(w["epr"]["key"]) for w in wires)
-            outcome = ",".join(keys)
-        except Exception as error:
-            outcome = f"error:{type(error).__name__}"
+        outcome = yield from resolve(vo, site, type_name)
         latencies.append(vo.sim.now - started)
         records.append(f"{site}|{type_name}|{attempt}|{outcome}")
 
@@ -168,20 +148,20 @@ def run_fig14_point(
         for round_no in range(warm_rounds):
             for offset in range(n_types):
                 type_name = type_homes[(index + offset) % n_types][0]
-                yield from resolve(site, type_name, f"warm{round_no}")
+                yield from record(site, type_name, f"warm{round_no}")
                 yield vo.sim.timeout(0.2)
 
     def missing_client(index: int) -> Generator:
         site = client_sites[index]
         for round_no in range(missing_rounds):
             for type_name in missing_types:
-                yield from resolve(site, type_name, f"missing{round_no}")
+                yield from record(site, type_name, f"missing{round_no}")
                 yield vo.sim.timeout(0.2)
 
     def burst_client(index: int) -> Generator:
         # all at the same site, same type, same instant: the
         # singleflight shape
-        yield from resolve(client_sites[0], type_homes[0][0], f"burst{index}")
+        yield from record(client_sites[0], type_homes[0][0], f"burst{index}")
 
     # phase 1+2: warm + missing, concurrent across client sites
     procs = [vo.sim.process(warm_client(i), name=f"warm-{i}")
@@ -196,15 +176,6 @@ def run_fig14_point(
 
     workload_messages = vo.network.total_messages - setup_messages
     resolutions = len(records)
-
-    tiers: Dict[str, int] = {"local": 0, "group": 0, "super-peer": 0,
-                             "on-demand": 0}
-    for site in set(client_sites):
-        manager = vo.rdm(site).request_manager
-        tiers["local"] += manager.resolved_locally
-        tiers["group"] += manager.resolved_in_group
-        tiers["super-peer"] += manager.resolved_via_superpeer
-        tiers["on-demand"] += manager.resolved_by_deployment
 
     digest_stats: Dict[str, int] = {}
     if optimized:
@@ -222,10 +193,6 @@ def run_fig14_point(
             digest_stats["negative_hits"] = (
                 digest_stats.get("negative_hits", 0) + digest.negative_hits)
 
-    result_digest = hashlib.sha256(
-        "\n".join(sorted(records)).encode()
-    ).hexdigest()
-
     return Fig14Point(
         n_sites=n_sites,
         optimized=optimized,
@@ -239,8 +206,8 @@ def run_fig14_point(
         mean_response_ms=(
             sum(latencies) / len(latencies) * 1000.0 if latencies else float("nan")
         ),
-        tiers=tiers,
-        result_digest=result_digest,
+        tiers=tier_counts(vo, client_sites),
+        result_digest=records_digest(records),
         digest_stats=digest_stats,
     )
 
@@ -288,61 +255,6 @@ def run_fig14_sampled_point(n_sites: int, seed: int = 21) -> Fig14Point:
     point.workload_messages = int(round(point.workload_messages * factor))
     point.resolutions = FULL_WORKLOAD_RESOLUTIONS
     return point
-
-
-def run_fig14(
-    sizes: Sequence[int] = (16, 64, 128, 256),
-    seed: int = 21,
-    jobs: int = 1,
-) -> List[Fig14Point]:
-    """The sweep: baseline + optimized pair per VO size.
-
-    Every point is an independent fixed-seed simulation, so with
-    ``jobs > 1`` the points fan out across worker processes (see
-    :mod:`repro.runner`); results come back in the same
-    (size, baseline-then-optimized) order either way.  At
-    :data:`SAMPLED_BASELINE_THRESHOLD` sites and beyond the baseline
-    switches to :func:`run_fig14_sampled_point`; the optimized series
-    always runs the full workload.
-    """
-    from repro.runner import WorkUnit, run_units
-
-    units = []
-    for n_sites in sizes:
-        if n_sites >= SAMPLED_BASELINE_THRESHOLD:
-            units.append(WorkUnit(
-                name=f"fig14:{n_sites}:base-sampled",
-                fn="repro.experiments.fig14:run_fig14_sampled_point",
-                kwargs={"n_sites": n_sites, "seed": seed},
-            ))
-        else:
-            units.append(WorkUnit(
-                name=f"fig14:{n_sites}:base",
-                fn="repro.experiments.fig14:run_fig14_point",
-                kwargs={"n_sites": n_sites, "optimized": False, "seed": seed},
-            ))
-        units.append(WorkUnit(
-            name=f"fig14:{n_sites}:opt",
-            fn="repro.experiments.fig14:run_fig14_point",
-            kwargs={"n_sites": n_sites, "optimized": True, "seed": seed},
-        ))
-    return run_units(units, jobs=jobs)
-
-
-def fig14_sweep_digest(points: Sequence[Fig14Point]) -> str:
-    """Order-independent merged fingerprint of a whole sweep.
-
-    Folds every point's ``result_digest`` through
-    :func:`repro.runner.merge_digests`; equality between a ``jobs=1``
-    and a ``jobs=N`` run proves the parallel sweep reproduced every
-    point exactly.
-    """
-    from repro.runner import merge_digests
-
-    return merge_digests({
-        f"{p.n_sites}:{'opt' if p.optimized else 'base'}": p.result_digest
-        for p in points
-    })
 
 
 # -- batched revalidation (the Cache Refresher half of the story) ----------
@@ -413,44 +325,27 @@ def run_revalidation_point(
 
 def format_fig14(points: List[Fig14Point],
                  revalidation: Optional[RevalidationPoint] = None) -> str:
-    rows = []
-    by_size: Dict[int, Dict[bool, Fig14Point]] = {}
-    for point in points:
-        by_size.setdefault(point.n_sites, {})[point.optimized] = point
-    for n_sites in sorted(by_size):
-        pair = by_size[n_sites]
-        for optimized in (False, True):
-            point = pair.get(optimized)
-            if point is None:
-                continue
-            series = "optimized" if optimized else "baseline"
-            if point.sampled:
-                series += " (sampled)"
-            rows.append([
-                n_sites,
-                series,
-                point.resolutions,
-                round(point.messages_per_resolution, 1),
-                round(point.p95_response_ms, 1),
-                f"{point.tiers.get('group', 0)}/{point.tiers.get('super-peer', 0)}",
-            ])
-        if False in pair and True in pair:
-            base, opt = pair[False], pair[True]
-            ratio = (base.messages_per_resolution
-                     / max(opt.messages_per_resolution, 1e-9))
-            if base.sampled:
-                # sampled baseline ran a reduced workload: no digest
-                # verdict is possible (see run_fig14_sampled_point)
-                match = "n/a, sampled"
-            else:
-                match = "==" if base.result_digest == opt.result_digest else "!!"
-            rows.append([
-                n_sites, f"ratio {ratio:.1f}x (results {match})", "", "", "", "",
-            ])
+    def row(point: Fig14Point) -> List:
+        series = "optimized" if point.optimized else "baseline"
+        return [
+            point.n_sites,
+            series + (" (sampled)" if point.sampled else ""),
+            point.resolutions,
+            round(point.messages_per_resolution, 1),
+            round(point.p95_response_ms, 1),
+            f"{point.tiers.get('group', 0)}/{point.tiers.get('super-peer', 0)}",
+        ]
+
+    def verdict(base: Fig14Point, opt: Fig14Point) -> Optional[str]:
+        # sampled baseline ran a reduced workload: no digest verdict
+        # is possible (see run_fig14_sampled_point)
+        return "n/a, sampled" if base.sampled else None
+
     text = format_table(
         ["sites", "series", "resolutions", "msgs/resolution",
          "p95 (ms)", "group/SP tier"],
-        rows,
+        pair_rows(_pairs(points), row,
+                  metric=lambda p: p.messages_per_resolution, verdict=verdict),
         title="Fig. 14 — resolution messages vs VO size",
     )
     if revalidation is not None:
@@ -461,3 +356,71 @@ def format_fig14(points: List[Fig14Point],
             f"{revalidation.batched_messages} batched"
         )
     return text
+
+
+def _pairs(points: Sequence[Fig14Point]) -> Dict[int, Dict[bool, Fig14Point]]:
+    return pair_cells(points, cell=lambda p: p.n_sites,
+                      optimized=lambda p: p.optimized)
+
+
+REVALIDATION = "fig14:revalidation"
+
+
+def _units(sizes: Sequence[int]) -> List[WorkUnit]:
+    """Baseline + optimized pair per VO size, plus the refresher point.
+
+    At :data:`SAMPLED_BASELINE_THRESHOLD` sites and beyond the baseline
+    switches to :func:`run_fig14_sampled_point`; the optimized series
+    always runs the full workload.
+    """
+    units = []
+    for n_sites in sizes:
+        if n_sites >= SAMPLED_BASELINE_THRESHOLD:
+            units.append(WorkUnit(
+                f"fig14:{n_sites}:base-sampled",
+                "repro.experiments.fig14:run_fig14_sampled_point",
+                {"n_sites": n_sites},
+            ))
+        else:
+            units.append(WorkUnit(
+                f"fig14:{n_sites}:base",
+                "repro.experiments.fig14:run_fig14_point",
+                {"n_sites": n_sites, "optimized": False},
+            ))
+        units.append(WorkUnit(
+            f"fig14:{n_sites}:opt",
+            "repro.experiments.fig14:run_fig14_point",
+            {"n_sites": n_sites, "optimized": True},
+        ))
+    units.append(WorkUnit(
+        REVALIDATION, "repro.experiments.fig14:run_revalidation_point"))
+    return units
+
+
+def _sweep(results: Results) -> List[Fig14Point]:
+    return [point for name, point in results.items() if name != REVALIDATION]
+
+
+def _check(results: Results) -> None:
+    exact = [point for point in _sweep(results) if not point.sampled]
+    check_pairs_agree(_pairs(exact), "fig14")
+
+
+# The 1024-site point is the scale ceiling for the exact broadcast
+# baseline: gated out of --quick (it alone costs ~10x the 256-site
+# point).  --scale adds the 4096-site point, whose baseline is
+# *sampled* (measured on a site subset, O(n^2) extrapolated) — see
+# EXPERIMENTS.md for the deviation.
+_FULL_SIZES = (16, 64, 128, 256, 1024)
+
+EXPERIMENT = Experiment(
+    name="fig14",
+    summary="resolution messages vs VO size, broadcast vs scaled walk",
+    quick=(16, 64),
+    full=_FULL_SIZES,
+    scale=_FULL_SIZES + (4096,),
+    units=_units,
+    check=_check,
+    render=lambda results: format_fig14(_sweep(results),
+                                        revalidation=results[REVALIDATION]),
+)

@@ -36,13 +36,20 @@ bytes come from.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.apps import get_application, publish_applications
-from repro.experiments.report import format_table
+from repro.experiments.harness import Experiment, Results
+from repro.experiments.report import (
+    check_pairs_agree,
+    format_table,
+    pair_cells,
+    pair_rows,
+)
+from repro.experiments.workload import records_digest
 from repro.glare.provisioning import ProvisioningConfig
+from repro.runner import WorkUnit
 from repro.vo import ORIGIN, build_vo
 
 GROUP_SIZE = 8
@@ -106,10 +113,6 @@ def run_fig15_point(n_sites: int, optimized: bool, seed: int = 29) -> Fig15Point
         counts[leg["status"]] = counts.get(leg["status"], 0) + 1
         keys = sorted(str(w["epr"]["key"]) for w in leg["deployments"])
         records.append(f"{leg['site']}|{leg['status']}|{','.join(keys)}")
-    result_digest = hashlib.sha256(
-        "\n".join(sorted(records)).encode()
-    ).hexdigest()
-
     replica_hits = sum(
         stack.gridftp.replica_hits for stack in vo.stacks.values()
         if stack.gridftp is not None
@@ -131,65 +134,57 @@ def run_fig15_point(n_sites: int, optimized: bool, seed: int = 29) -> Fig15Point
         replica_hits=replica_hits,
         url_singleflight_joined=singleflight_joined,
         probe_cache_hits=manager.probe_cache_hits,
-        result_digest=result_digest,
+        result_digest=records_digest(records),
     )
 
 
-def run_fig15(
-    sizes: Sequence[int] = (8, 16, 32, 64),
-    seed: int = 29,
-    jobs: int = 1,
-) -> List[Fig15Point]:
-    """The sweep: serial baseline + parallel/replica pair per size.
-
-    Every point is an independent fixed-seed simulation, so with
-    ``jobs > 1`` the points fan out across worker processes (see
-    :mod:`repro.runner`); result order is submission order either way.
-    """
-    from repro.runner import WorkUnit, run_units
-
-    units = [
-        WorkUnit(
-            name=f"fig15:{n_sites}:{'opt' if optimized else 'base'}",
-            fn="repro.experiments.fig15:run_fig15_point",
-            kwargs={"n_sites": n_sites, "optimized": optimized, "seed": seed},
-        )
-        for n_sites in sizes
-        for optimized in (False, True)
-    ]
-    return run_units(units, jobs=jobs)
+def _pairs(points: Sequence[Fig15Point]) -> Dict[int, Dict[bool, Fig15Point]]:
+    return pair_cells(points, cell=lambda p: p.n_sites,
+                      optimized=lambda p: p.optimized)
 
 
 def format_fig15(points: List[Fig15Point]) -> str:
-    rows = []
-    by_size: Dict[int, Dict[bool, Fig15Point]] = {}
-    for point in points:
-        by_size.setdefault(point.n_sites, {})[point.optimized] = point
-    for n_sites in sorted(by_size):
-        pair = by_size[n_sites]
-        for optimized in (False, True):
-            point = pair.get(optimized)
-            if point is None:
-                continue
-            rows.append([
-                n_sites,
-                "parallel+replica" if optimized else "serial origin-only",
-                point.installed,
-                round(point.rollout_elapsed, 1),
-                round(point.origin_bytes_out / 1e6, 1),
-                point.replica_hits,
-            ])
-        if False in pair and True in pair:
-            base, opt = pair[False], pair[True]
-            speedup = base.rollout_elapsed / max(opt.rollout_elapsed, 1e-9)
-            match = "==" if base.result_digest == opt.result_digest else "!!"
-            rows.append([
-                n_sites, f"speedup {speedup:.1f}x (results {match})",
-                "", "", "", "",
-            ])
+    def row(point: Fig15Point) -> List:
+        return [
+            point.n_sites,
+            "parallel+replica" if point.optimized else "serial origin-only",
+            point.installed,
+            round(point.rollout_elapsed, 1),
+            round(point.origin_bytes_out / 1e6, 1),
+            point.replica_hits,
+        ]
+
     return format_table(
         ["sites", "series", "installed", "rollout (sim s)",
          "origin out (MB)", "replica hits"],
-        rows,
+        pair_rows(_pairs(points), row, metric=lambda p: p.rollout_elapsed,
+                  label="speedup"),
         title="Fig. 15 — fleet rollout wall-clock vs provisioning path",
     )
+
+
+def _units(sizes: Sequence[int]) -> List[WorkUnit]:
+    """Serial baseline + parallel/replica pair per fleet size."""
+    return [
+        WorkUnit(f"fig15:{n_sites}:{'opt' if optimized else 'base'}",
+                 "repro.experiments.fig15:run_fig15_point",
+                 {"n_sites": n_sites, "optimized": optimized})
+        for n_sites in sizes
+        for optimized in (False, True)
+    ]
+
+
+def _check(results: Results) -> None:
+    check_pairs_agree(_pairs(list(results.values())), "fig15")
+
+
+EXPERIMENT = Experiment(
+    name="fig15",
+    summary="bulk rollout time, serial origin-only vs parallel + "
+            "replica-aware transfers",
+    quick=(8, 16),
+    full=(8, 16, 32, 64),
+    units=_units,
+    check=_check,
+    render=lambda results: format_fig15(list(results.values())),
+)

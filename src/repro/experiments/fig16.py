@@ -27,7 +27,17 @@ acknowledging the missing super-peer, read from the overlay's
 ``takeover_log``).  Every request's outcome is folded into an
 order-insensitive digest; two same-seed runs of a series must agree
 bit-for-bit (the fault plane draws from named seeded streams), which
-:func:`run_fig16` asserts by running the resilient point twice.
+the experiment declares by listing a repeat of each resilient unit.
+
+The SLO extension runs the same pair with :data:`FIG16_SLOS` declared,
+on a churn schedule spaced so every incident can close before the next
+crash (the sequential crash↔alert pairing in
+:func:`~repro.obs.health.detection_timeline` needs quiet gaps; the
+digest-pinned schedule above is left untouched).  Its acceptance is
+that every scheduled crash is *detected* — the attempt-level burn-rate
+alert fires after each one, in both series — and that detection is
+deterministic: the repeat must agree on digest, detection latencies
+and repair times.
 
 Methodology notes
 -----------------
@@ -47,14 +57,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.apps import get_application, publish_applications
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
+from repro.experiments.workload import (
+    records_digest,
+    register_served_type,
+    resolve,
+)
 from repro.faults import FaultsConfig
 from repro.glare.errors import GlareError
-from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
-from repro.glare.rdm import RDM_SERVICE
 from repro.net.interceptors import RetryPolicy
 from repro.obs.health import detection_timeline
 from repro.obs.slo import CALL, BurnRateRule, SLOSpec
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 GROUP_SIZE = 5
@@ -63,13 +78,6 @@ GROUP_SIZE = 5
 #: the fragile series replaces it with an effectively-infinite period
 PROBE_INTERVAL = 10.0
 PROBE_DISABLED = 1e9
-
-TYPE_XML_TEMPLATE = """
-<ActivityTypeEntry name="{name}" kind="concrete">
-  <Domain>churn</Domain>
-  <Function name="run"><Input>data</Input><Output>result</Output></Function>
-</ActivityTypeEntry>
-"""
 
 #: catalog applications installed on demand, one per provisioning
 #: round (dependency-free entries only, so each round is a single
@@ -91,7 +99,7 @@ PROVISION_RETRY = RetryPolicy(
     retry_on=(GlareError,),
 )
 
-#: objectives for the SLO extension pair (:func:`run_fig16_slo`):
+#: objectives for the SLO extension pair:
 #: the *attempt*-level objective is the detector — every pipeline pass
 #: against a crashed super-peer is a bad SLI event, so its fast
 #: burn-rate alert is what notices each crash; the *call*-level
@@ -265,24 +273,7 @@ def run_fig16_point(
     # -- content -------------------------------------------------------------
     type_names = [f"ChurnType{i:02d}" for i in range(n_types)]
     for i, type_name in enumerate(type_names):
-        home = homes[i % len(homes)]
-        vo.run_process(vo.client_call(
-            home, "register_type",
-            payload={"xml": TYPE_XML_TEMPLATE.format(name=type_name)},
-        ))
-        deployment = ActivityDeployment(
-            name=f"{type_name.lower()}-bin",
-            type_name=type_name,
-            kind=DeploymentKind.EXECUTABLE,
-            site=home,
-            path=f"/opt/deployments/{type_name.lower()}/bin/run",
-            home=f"/opt/deployments/{type_name.lower()}",
-            status=DeploymentStatus.ACTIVE,
-        )
-        vo.run_process(vo.client_call(
-            home, "register_deployment",
-            payload={"xml": deployment.wire_xml()},
-        ))
+        register_served_type(vo, homes[i % len(homes)], type_name, "churn")
     # provisioning rounds: installable catalog apps, *typed* only in
     # the victim group (no deployments anywhere — resolution must cross
     # groups to even learn the type, then install it on demand)
@@ -304,18 +295,12 @@ def run_fig16_point(
 
     def request(site: str, type_name: str, tag: str,
                 auto_deploy: bool, policy: Optional[RetryPolicy]) -> Generator:
-        try:
-            wires = yield from vo.network.call(
-                site, site, RDM_SERVICE, "get_deployments",
-                payload={"type": type_name, "auto_deploy": auto_deploy},
-                retry=policy,
-            )
-            keys = sorted(str(w["epr"]["key"]) for w in wires)
-            outcome = "ok:" + ",".join(keys)
-        except Exception as error:
-            outcome = f"error:{type(error).__name__}"
-        records.append(f"{site}|{type_name}|{tag}|{outcome}|{vo.sim.now:.3f}")
-        return outcome.startswith("ok:")
+        outcome = yield from resolve(vo, site, type_name,
+                                     auto_deploy=auto_deploy, retry=policy)
+        ok = not outcome.startswith("error:")
+        records.append(f"{site}|{type_name}|{tag}|{'ok:' if ok else ''}"
+                       f"{outcome}|{vo.sim.now:.3f}")
+        return ok
 
     def resolve_client(index: int) -> Generator:
         nonlocal resolution_failures
@@ -401,9 +386,7 @@ def run_fig16_point(
         reelections=sum(vo.rdm(n).overlay.reelections for n in vo.site_names),
         retries=vo.network.retries_total,
         recovery_times=recovery_times,
-        result_digest=hashlib.sha256(
-            "\n".join(sorted(records)).encode()
-        ).hexdigest(),
+        result_digest=records_digest(records),
         alerts_fired=alerts_fired,
         detection_latencies=detection_latencies,
         repair_times=repair_times,
@@ -411,117 +394,6 @@ def run_fig16_point(
         slo_verdicts=verdicts,
         report=report,
     )
-
-
-def run_fig16(
-    seed: int = 33,
-    quick: bool = False,
-    verify_determinism: bool = True,
-    jobs: int = 1,
-) -> List[Fig16Point]:
-    """The pair: fragile baseline, then the resilient series.
-
-    With ``verify_determinism`` the resilient point runs twice and the
-    digests (and recovery traces) must agree — the reproducibility
-    guarantee of the seeded fault plane.  The three runs are
-    independent fixed-seed simulations, so with ``jobs > 1`` they fan
-    out across worker processes (see :mod:`repro.runner`).
-    """
-    from repro.runner import WorkUnit, run_units
-
-    kwargs: Dict = {"seed": seed}
-    if quick:
-        kwargs.update(
-            n_sites=10,
-            churn_times=(40.0, 110.0),
-            churn_downtime=40.0,
-            n_clients=3,
-            resolve_start=15.0,
-            resolve_period=8.0,
-            resolve_rounds=20,
-            provision_times=(25.0, 50.0, 120.0),
-        )
-    units = [
-        WorkUnit("fig16:fragile", "repro.experiments.fig16:run_fig16_point",
-                 dict(kwargs, resilient=False)),
-        WorkUnit("fig16:resilient", "repro.experiments.fig16:run_fig16_point",
-                 dict(kwargs, resilient=True)),
-    ]
-    if verify_determinism:
-        units.append(
-            WorkUnit("fig16:resilient-repeat",
-                     "repro.experiments.fig16:run_fig16_point",
-                     dict(kwargs, resilient=True))
-        )
-    results = run_units(units, jobs=jobs)
-    fragile, resilient = results[0], results[1]
-    if verify_determinism:
-        repeat = results[2]
-        if (repeat.result_digest != resilient.result_digest
-                or repeat.recovery_times != resilient.recovery_times):
-            raise AssertionError(
-                "fig16 resilient series is not deterministic for seed "
-                f"{seed}: {resilient.result_digest} != {repeat.result_digest}"
-            )
-    return [fragile, resilient]
-
-
-def run_fig16_slo(
-    seed: int = 33,
-    quick: bool = False,
-    verify_determinism: bool = True,
-) -> Tuple[Fig16Point, Fig16Point]:
-    """The SLO-instrumented pair: same workload, observability judged.
-
-    Runs the fragile and resilient series with :data:`FIG16_SLOS`
-    declared, on a churn schedule spaced so every incident can close
-    before the next crash (the sequential crash↔alert pairing in
-    :func:`~repro.obs.health.detection_timeline` needs quiet gaps;
-    the digest-pinned :func:`run_fig16` schedule is left untouched).
-
-    Asserts the observability claims the extension is about:
-
-    * every scheduled crash is *detected* — the attempt-level burn-rate
-      alert fires after each one (zero undetected crashes, both series);
-    * detection is *deterministic* — a second resilient run must agree
-      on digest, detection latencies and repair times bit-for-bit.
-    """
-    kwargs: Dict = {"seed": seed, "slos": FIG16_SLOS}
-    if quick:
-        kwargs.update(
-            n_sites=10,
-            churn_times=(40.0, 140.0),
-            churn_downtime=40.0,
-            n_clients=3,
-            resolve_start=15.0,
-            resolve_period=8.0,
-            resolve_rounds=20,
-            provision_times=(25.0, 50.0, 120.0),
-        )
-    else:
-        kwargs.update(churn_times=(60.0, 170.0, 280.0))
-    fragile = run_fig16_point(resilient=False, **kwargs)
-    resilient = run_fig16_point(resilient=True, **kwargs)
-    for point in (fragile, resilient):
-        if point.crashes and point.undetected_crashes:
-            series = "resilient" if point.resilient else "fragile"
-            raise AssertionError(
-                f"fig16 SLO extension: {point.undetected_crashes} of "
-                f"{point.crashes} crashes went undetected in the "
-                f"{series} series (alerts fired: {point.alerts_fired})"
-            )
-    if verify_determinism:
-        repeat = run_fig16_point(resilient=True, **kwargs)
-        if (repeat.result_digest != resilient.result_digest
-                or repeat.detection_latencies != resilient.detection_latencies
-                or repeat.repair_times != resilient.repair_times):
-            raise AssertionError(
-                "fig16 SLO extension is not deterministic for seed "
-                f"{seed}: MTTD {resilient.detection_latencies} != "
-                f"{repeat.detection_latencies} or MTTR "
-                f"{resilient.repair_times} != {repeat.repair_times}"
-            )
-    return fragile, resilient
 
 
 def format_fig16_slo(fragile: Fig16Point, resilient: Fig16Point) -> str:
@@ -599,3 +471,76 @@ def format_fig16(points: List[Fig16Point]) -> str:
         "resilient = probe/takeover + client retry policies."
     )
     return "\n".join(out)
+
+
+#: the --quick shape of both pairs (the churn schedules differ)
+_QUICK = dict(
+    n_sites=10, churn_downtime=40.0, n_clients=3, resolve_start=15.0,
+    resolve_period=8.0, resolve_rounds=20,
+    provision_times=(25.0, 50.0, 120.0),
+)
+
+
+def _units(grid: Dict[str, Dict]) -> List[WorkUnit]:
+    """Fragile, resilient and a resilient repeat — for the digest-pinned
+    churn pair and again for the SLO-instrumented pair."""
+    return [
+        WorkUnit(f"fig16:{pair}{series}",
+                 "repro.experiments.fig16:run_fig16_point",
+                 dict(kwargs, resilient=series != "fragile"))
+        for pair, kwargs in (("", grid["churn"]), ("slo:", grid["slo"]))
+        for series in ("fragile", "resilient", "resilient-repeat")
+    ]
+
+
+def _digest(point: Fig16Point) -> str:
+    """The request digest plus every recovery/detection/repair trace."""
+    return hashlib.sha256(
+        f"{point.result_digest}|{point.recovery_times!r}|"
+        f"{point.detection_latencies!r}|{point.repair_times!r}".encode()
+    ).hexdigest()
+
+
+def _check(results: Results) -> None:
+    for series in ("fragile", "resilient"):
+        point = results[f"fig16:slo:{series}"]
+        if point.crashes and point.undetected_crashes:
+            raise AssertionError(
+                f"fig16 SLO extension: {point.undetected_crashes} of "
+                f"{point.crashes} crashes went undetected in the "
+                f"{series} series (alerts fired: {point.alerts_fired})"
+            )
+
+
+def _slo_text(results: Results) -> str:
+    return format_fig16_slo(results["fig16:slo:fragile"],
+                            results["fig16:slo:resilient"])
+
+
+def _render(results: Results) -> str:
+    pair = [results["fig16:fragile"], results["fig16:resilient"]]
+    return format_fig16(pair) + "\n\n" + _slo_text(results)
+
+
+def _report(results: Results) -> str:
+    """The SLO pair's table plus both rendered health/SLO reports."""
+    return (_slo_text(results) + "\n\n" + results["fig16:slo:fragile"].report
+            + "\n\n" + results["fig16:slo:resilient"].report + "\n")
+
+
+EXPERIMENT = Experiment(
+    name="fig16",
+    summary="request success under super-peer churn, fragile vs resilient, "
+            "plus the health/SLO judgements",
+    quick={"churn": dict(_QUICK, churn_times=(40.0, 110.0)),
+           "slo": dict(_QUICK, churn_times=(40.0, 140.0), slos=FIG16_SLOS)},
+    full={"churn": {},
+          "slo": dict(churn_times=(60.0, 170.0, 280.0), slos=FIG16_SLOS)},
+    units=_units,
+    repeats={"fig16:resilient-repeat": "fig16:resilient",
+             "fig16:slo:resilient-repeat": "fig16:slo:resilient"},
+    digest=_digest,
+    check=_check,
+    render=_render,
+    report=_report,
+)

@@ -6,11 +6,14 @@ entire type namespace in one flat in-process dict.  This experiment
 proves the two claims of the sharded storage layer
 (:mod:`repro.glare.storage`):
 
-* **Storage sweep** — per-lookup CPU on the registry backend stays flat
-  (within 1.3x of the 10^3 point) from 10^3 to 10^6 registered types
-  under :class:`~repro.glare.storage.ShardedBackend`, with per-shard
-  resident counts bounded by ~(N/shards)·imbalance and lookup-result
-  digests byte-identical to the flat-dict baseline at every point.
+* **Storage sweep** — per-lookup work on the registry backend stays
+  flat (within 1.3x of the 10^3 point) from 10^3 to 10^6 registered
+  types under :class:`~repro.glare.storage.ShardedBackend`, with
+  per-shard resident counts bounded by ~(N/shards)·imbalance and
+  lookup-result digests byte-identical to the flat-dict baseline at
+  every point.  Flatness is gated on an exact count — Python calls per
+  lookup — not on the clock: the point runs beside busy sibling
+  workers, where a wall-clock ratio measures the scheduler.
 * **Routing sweep** — per-lookup *message* cost in a live VO stays flat
   as the super-peer group count grows 4 → 64 and as the registered-type
   population grows 10^3 → 10^5, because the consistent-hash shard
@@ -21,10 +24,10 @@ proves the two claims of the sharded storage layer
 
 Methodology notes
 -----------------
-CPU timing uses a fixed 256-key sample (stride over the key space),
-warmed before measurement, best-of-9 passes of 32 repetitions — the
-sample's cache working set is what a hot registry serves, and best-of
-timing resists noisy neighbours in parallel sweeps.  The backend sweep
+The ``ns/lookup`` column is information only: a fixed 256-key sample
+(stride over the key space), warmed before measurement, best-of-9
+passes of 32 repetitions — the sample's cache working set is what a
+hot registry serves.  The backend sweep
 stores compact ``__slots__`` records rather than full WS-Resources so
 the 10^6 point fits in memory; the backend treats values opaquely, so
 per-lookup cost is unaffected.  The routing sweep bulk-loads filler
@@ -39,33 +42,35 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Sequence, Tuple
 
-from repro.experiments.report import format_table
-from repro.glare.model import (
-    ActivityDeployment,
-    ActivityType,
-    DeploymentKind,
-    DeploymentStatus,
+from repro.experiments.harness import Experiment, Results
+from repro.experiments.report import (
+    check_pairs_agree,
+    format_table,
+    pair_cells,
+    pair_rows,
 )
+from repro.experiments.workload import (
+    active_deployment,
+    plain_type_xml,
+    records_digest,
+    resolve,
+    tier_counts,
+)
+from repro.glare.model import ActivityType
 from repro.glare.storage import DictBackend, StorageConfig
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 GROUP_SIZE = 8
 #: flatness criterion: per-lookup cost within this factor of the
-#: smallest sweep point (CPU for the storage sweep, messages for the
-#: routing sweep)
+#: smallest sweep point (Python calls for the storage sweep, messages
+#: for the routing sweep)
 FLAT_THRESHOLD = 1.3
 #: per-shard bound: max shard ≤ (N/shards) * IMBALANCE_BOUND once a
 #: shard holds enough keys for the ring statistics to converge
 IMBALANCE_BOUND = 1.5
-
-TYPE_XML_TEMPLATE = """
-<ActivityTypeEntry name="{name}" kind="concrete">
-  <Domain>scale</Domain>
-  <Function name="run"><Input>data</Input><Output>result</Output></Function>
-</ActivityTypeEntry>
-"""
 
 
 class _TypeRecord:
@@ -117,6 +122,19 @@ def _time_lookups(backend, sample: List[str], passes: int = 9,
     return best / (len(sample) * reps)
 
 
+def _calls_per_lookup(backend, sample: List[str]) -> float:
+    """Python calls one ``get`` costs: exact, the same on every machine."""
+    from repro.perf import count_pycalls
+
+    def lookups() -> None:
+        get = backend.get
+        for key in sample:
+            get(key)
+
+    calls, _ = count_pycalls(lookups)
+    return (calls - 1) / len(sample)  # less the call of lookups() itself
+
+
 def _lookup_digest(backend, sample: List[str]) -> str:
     lines = [f"{key}={backend.lut(key)!r}" for key in sample]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -136,6 +154,7 @@ class Fig17StoragePoint:
     mean_shard: float = 0.0
     imbalance: float = 0.0
     digest_matches_dict: bool = True
+    calls_per_lookup: float = 0.0
 
 
 def run_storage_point(
@@ -174,6 +193,7 @@ def run_storage_point(
             lookup_digest=digest, load_seconds=load,
             max_shard=max(sizes.values()), mean_shard=mean,
             imbalance=imbalance, digest_matches_dict=(digest == dict_digest),
+            calls_per_lookup=_calls_per_lookup(backend, sample),
         )
         assert point.digest_matches_dict, (
             f"sharded/{shards} lookup digest diverged from dict at "
@@ -253,24 +273,14 @@ def run_routing_point(
         if index < n_lookup_types:
             name = f"LookupType{index:02d}"
             atr.add_local_type(ActivityType.from_xml(
-                TYPE_XML_TEMPLATE.format(name=name)
-            ))
+                plain_type_xml(name, "scale")))
             adr = vo.stacks[home].adr
             assert adr is not None
-            adr.add_local_deployment(ActivityDeployment(
-                name=f"{name.lower()}-bin",
-                type_name=name,
-                kind=DeploymentKind.EXECUTABLE,
-                site=home,
-                path=f"/opt/deployments/{name.lower()}/bin/run",
-                home=f"/opt/deployments/{name.lower()}",
-                status=DeploymentStatus.ACTIVE,
-            ))
+            adr.add_local_deployment(active_deployment(name, home))
             lookup_types.append((name, home))
         else:
             atr.add_local_type(ActivityType.from_xml(
-                TYPE_XML_TEMPLATE.format(name=f"FillerType{index:07d}")
-            ))
+                plain_type_xml(f"FillerType{index:07d}", "scale")))
 
     # Failure-detector probes are background traffic proportional to
     # the site count (fig16's subject, not ours): at 512 sites the
@@ -290,15 +300,8 @@ def run_routing_point(
 
     records: List[str] = []
 
-    def resolve(site: str, type_name: str, attempt: str) -> Generator:
-        try:
-            wires = yield from vo.client_call(
-                site, "get_deployments",
-                payload={"type": type_name, "auto_deploy": False},
-            )
-            outcome = ",".join(sorted(str(w["epr"]["key"]) for w in wires))
-        except Exception as error:
-            outcome = f"error:{type(error).__name__}"
+    def record(site: str, type_name: str, attempt: str) -> Generator:
+        outcome = yield from resolve(vo, site, type_name)
         records.append(f"{site}|{type_name}|{attempt}|{outcome}")
 
     client_sites = [names[(i * (n_sites // 2)) // n_clients]
@@ -306,17 +309,10 @@ def run_routing_point(
     for round_no in range(rounds):
         for client in client_sites:
             for type_name, _ in lookup_types:
-                vo.run_process(resolve(client, type_name, f"r{round_no}"))
+                vo.run_process(record(client, type_name, f"r{round_no}"))
 
     workload_messages = vo.network.total_messages - setup_messages
     lookups = len(records)
-    tiers = {"local": 0, "group": 0, "super-peer": 0}
-    for site in set(client_sites):
-        manager = vo.rdm(site).request_manager
-        tiers["local"] += manager.resolved_locally
-        tiers["group"] += manager.resolved_in_group
-        tiers["super-peer"] += manager.resolved_via_superpeer
-
     return Fig17RoutingPoint(
         n_groups=n_groups,
         n_sites=n_sites,
@@ -328,98 +324,51 @@ def run_routing_point(
         messages_per_lookup=(
             workload_messages / lookups if lookups else float("nan")
         ),
-        result_digest=hashlib.sha256(
-            "\n".join(sorted(records)).encode()
-        ).hexdigest(),
+        result_digest=records_digest(records),
         shard_route_hits=sum(vo.rdm(s).shard_route_hits for s in names),
         shard_fallbacks=sum(vo.rdm(s).shard_fallbacks for s in names),
         shard_handoffs=sum(vo.rdm(s).shard_handoffs for s in names),
-        tiers=tiers,
+        tiers=tier_counts(vo, client_sites),
     )
 
 
-#: sweep grids; every routing pair runs routed + broadcast
-QUICK_STORAGE_SIZES = (1_000, 10_000, 100_000)
-FULL_STORAGE_SIZES = (1_000, 10_000, 100_000, 1_000_000)
-QUICK_ROUTING_GRID = ((4, 1_000), (8, 1_000), (4, 10_000))
-FULL_ROUTING_GRID = (
-    (4, 1_000), (8, 1_000), (16, 1_000), (64, 1_000),
-    (4, 10_000), (4, 100_000),
-)
+def _storage(results: Results) -> List[Fig17StoragePoint]:
+    return [point for name, points in results.items()
+            if name.startswith("fig17:storage:") for point in points]
 
 
-def run_fig17(
-    quick: bool = False, jobs: int = 1, seed: int = 23
-) -> Dict[str, List]:
-    """The full experiment: storage sweep + routing sweep.
-
-    Each (groups, types, series) routing cell is an independent work
-    unit fanned over ``jobs`` workers.  The storage sweep always runs
-    serially: its deliverable is a CPU flatness ratio, and best-of
-    timing under ``jobs`` competing sibling processes measures
-    scheduler contention, not lookup cost.  Flatness and
-    digest-equality assertions run at collection time; a violated
-    criterion raises rather than printing a quietly wrong table.
-    """
-    from repro.runner import WorkUnit, run_units
-
-    storage_sizes = QUICK_STORAGE_SIZES if quick else FULL_STORAGE_SIZES
-    routing_grid = QUICK_ROUTING_GRID if quick else FULL_ROUTING_GRID
-
-    routing_units = [
-        WorkUnit(
-            name=f"fig17:routing:{n_groups}g:{n_types}:"
-                 f"{'routed' if routed else 'bcast'}",
-            fn="repro.experiments.fig17:run_routing_point",
-            kwargs={"n_groups": n_groups, "n_types": n_types,
-                    "routed": routed, "seed": seed},
-        )
-        for n_groups, n_types in routing_grid
-        for routed in (False, True)
-    ]
-    routing_points: List[Fig17RoutingPoint] = run_units(
-        routing_units, jobs=jobs
-    )
-
-    storage_points: List[Fig17StoragePoint] = []
-    for n_types in storage_sizes:
-        storage_points.extend(run_storage_point(n_types))
-
-    _check_flatness(storage_points, routing_points)
-    return {"storage": storage_points, "routing": routing_points}
+def _routing(results: Results) -> List[Fig17RoutingPoint]:
+    return [point for name, point in results.items()
+            if name.startswith("fig17:routing:")]
 
 
-def _check_flatness(storage_points: Sequence[Fig17StoragePoint],
-                    routing_points: Sequence[Fig17RoutingPoint]) -> None:
+def _pairs(points: Sequence[Fig17RoutingPoint]) -> Dict[tuple, Dict[bool, Fig17RoutingPoint]]:
+    return pair_cells(points, cell=lambda p: (p.n_groups, p.n_types),
+                      optimized=lambda p: p.routed)
+
+
+def _check(results: Results) -> None:
     """The acceptance assertions (see module docstring)."""
-    # per-lookup CPU: every sharded point within FLAT_THRESHOLD of the
-    # same shard count's smallest-N point
+    # per-lookup work: every sharded point within FLAT_THRESHOLD of the
+    # same shard count's smallest-N point, in exact Python calls
     by_shards: Dict[int, List[Fig17StoragePoint]] = {}
-    for point in storage_points:
+    for point in _storage(results):
         if point.shards:
             by_shards.setdefault(point.shards, []).append(point)
     for shards, points in by_shards.items():
         base = min(points, key=lambda p: p.n_types)
         for point in points:
-            ratio = point.per_lookup_ns / base.per_lookup_ns
+            ratio = point.calls_per_lookup / base.calls_per_lookup
             assert ratio <= FLAT_THRESHOLD, (
-                f"per-lookup CPU not flat: sharded/{shards} at "
-                f"N={point.n_types} is {ratio:.2f}x the "
+                f"per-lookup work not flat: sharded/{shards} at "
+                f"N={point.n_types} makes {point.calls_per_lookup:.1f} "
+                f"Python calls per lookup, {ratio:.2f}x the "
                 f"N={base.n_types} point (> {FLAT_THRESHOLD}x)"
             )
-    # routed vs broadcast digests equal at every cell
-    by_cell: Dict[tuple, Dict[bool, Fig17RoutingPoint]] = {}
-    for point in routing_points:
-        by_cell.setdefault(
-            (point.n_groups, point.n_types), {}
-        )[point.routed] = point
-    for cell, pair in by_cell.items():
-        if False in pair and True in pair:
-            assert pair[False].result_digest == pair[True].result_digest, (
-                f"routed result digest diverged from broadcast at {cell}"
-            )
+    routing = _routing(results)
+    check_pairs_agree(_pairs(routing), "fig17 routing")
     # per-lookup messages flat across the routed series
-    routed = [p for p in routing_points if p.routed]
+    routed = [p for p in routing if p.routed]
     if routed:
         base = min(routed, key=lambda p: (p.n_groups, p.n_types))
         for point in routed:
@@ -431,30 +380,20 @@ def _check_flatness(storage_points: Sequence[Fig17StoragePoint],
             )
 
 
-def fig17_digest(results: Dict[str, List]) -> str:
-    """Order-independent merged fingerprint of the whole experiment.
-
-    Only deterministic fields enter the digest (lookup/result digests
-    and shard shapes) — never timings.
-    """
-    from repro.runner import merge_digests
-
-    named: Dict[str, str] = {}
-    for point in results["storage"]:
-        named[f"storage:{point.n_types}:{point.backend}"] = hashlib.sha256(
-            f"{point.lookup_digest}|{point.max_shard}".encode()
-        ).hexdigest()
-    for point in results["routing"]:
-        series = "routed" if point.routed else "bcast"
-        named[f"routing:{point.n_groups}:{point.n_types}:{series}"] = (
-            point.result_digest
-        )
-    return merge_digests(named)
+def _digest(result) -> str:
+    """Only deterministic fields (lookup/result digests and shard
+    shapes) — never timings."""
+    if isinstance(result, Fig17RoutingPoint):
+        return result.result_digest
+    return hashlib.sha256("\n".join(
+        f"{p.backend}|{p.lookup_digest}|{p.max_shard}" for p in result
+    ).encode()).hexdigest()
 
 
-def format_fig17(results: Dict[str, List]) -> str:
+def format_fig17(storage: Sequence[Fig17StoragePoint],
+                 routing: Sequence[Fig17RoutingPoint]) -> str:
     storage_rows = []
-    for point in results["storage"]:
+    for point in storage:
         storage_rows.append([
             point.n_types,
             point.backend,
@@ -469,41 +408,63 @@ def format_fig17(results: Dict[str, List]) -> str:
         storage_rows,
         title="Fig. 17a — registry backend lookup cost vs namespace size",
     )
-    routing_rows = []
-    by_cell: Dict[tuple, Dict[bool, Fig17RoutingPoint]] = {}
-    for point in results["routing"]:
-        by_cell.setdefault(
-            (point.n_groups, point.n_types), {}
-        )[point.routed] = point
-    for cell in sorted(by_cell):
-        pair = by_cell[cell]
-        for routed in (False, True):
-            point = pair.get(routed)
-            if point is None:
-                continue
-            routing_rows.append([
-                point.n_groups,
-                point.n_types,
-                "routed" if routed else "broadcast",
-                point.lookups,
-                round(point.messages_per_lookup, 1),
-                point.shard_route_hits if routed else "",
-                point.shard_fallbacks if routed else "",
-            ])
-        if False in pair and True in pair:
-            base, opt = pair[False], pair[True]
-            ratio = base.messages_per_lookup / max(
-                opt.messages_per_lookup, 1e-9
-            )
-            match = "==" if base.result_digest == opt.result_digest else "!!"
-            routing_rows.append([
-                cell[0], cell[1], f"ratio {ratio:.1f}x (results {match})",
-                "", "", "", "",
-            ])
+
+    def row(point: Fig17RoutingPoint) -> List:
+        return [
+            point.n_groups,
+            point.n_types,
+            "routed" if point.routed else "broadcast",
+            point.lookups,
+            round(point.messages_per_lookup, 1),
+            point.shard_route_hits if point.routed else "",
+            point.shard_fallbacks if point.routed else "",
+        ]
+
     text += "\n\n" + format_table(
         ["groups", "types", "series", "lookups", "msgs/lookup",
          "route hits", "fallbacks"],
-        routing_rows,
+        pair_rows(_pairs(routing), row,
+                  metric=lambda p: p.messages_per_lookup),
         title="Fig. 17b — per-lookup message cost vs super-peer groups",
     )
     return text
+
+
+def _units(grid: Tuple[Sequence[int], Sequence[Tuple[int, int]]]) -> List[WorkUnit]:
+    """One unit per (groups, types, series) routing cell — every pair
+    runs routed + broadcast — and one per storage size (all of a size's
+    backends in one process, where their digests can be compared)."""
+    storage_sizes, routing_grid = grid
+    units = [
+        WorkUnit(f"fig17:routing:{n_groups}g:{n_types}:"
+                 f"{'routed' if routed else 'bcast'}",
+                 "repro.experiments.fig17:run_routing_point",
+                 {"n_groups": n_groups, "n_types": n_types, "routed": routed})
+        for n_groups, n_types in routing_grid
+        for routed in (False, True)
+    ]
+    units += [
+        WorkUnit(f"fig17:storage:{n_types}",
+                 "repro.experiments.fig17:run_storage_point",
+                 {"n_types": n_types})
+        for n_types in storage_sizes
+    ]
+    return units
+
+
+# quick sweeps the storage backends to 10^5 types; the full run adds
+# the 10^6 point and the 16/64-group routing cells
+EXPERIMENT = Experiment(
+    name="fig17",
+    summary="registry lookup cost and routing messages, flat dict vs "
+            "consistent-hash shards",
+    quick=((1_000, 10_000, 100_000),
+           ((4, 1_000), (8, 1_000), (4, 10_000))),
+    full=((1_000, 10_000, 100_000, 1_000_000),
+          ((4, 1_000), (8, 1_000), (16, 1_000), (64, 1_000),
+           (4, 10_000), (4, 100_000))),
+    units=_units,
+    digest=_digest,
+    check=_check,
+    render=lambda results: format_fig17(_storage(results), _routing(results)),
+)

@@ -33,9 +33,9 @@ an open-loop exponential schedule.  Reports the time-to-ready
 Determinism: arrival traces, mix assignment and the simulation itself
 are all seeded; every request outcome folds into an order-independent
 :class:`~repro.load.stats.CommutativeDigest`, so a double run must
-agree bit-for-bit and ``--jobs`` fan-out merges to the same
-fingerprint regardless of worker scheduling (asserted by
-:func:`run_fig18`).
+agree bit-for-bit (the experiment declares a repeat of the 2x point)
+and ``--jobs`` fan-out merges to the same fingerprint regardless of
+worker scheduling.
 """
 
 from __future__ import annotations
@@ -46,9 +46,14 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.catalog import _deployfile, _steps, _type_xml
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
-from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
+from repro.experiments.workload import (
+    CLIENT_ERRORS,
+    PhasedLoad,
+    publish_installable_type,
+    serve_types,
+)
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import (
     CohortInjector,
@@ -62,6 +67,8 @@ from repro.load import (
     arrival_stream,
 )
 from repro.load.stats import CommutativeDigest
+from repro.net.interceptors import TRANSIENT_ERRORS
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 #: op classes and their share of open-loop traffic
@@ -78,13 +85,6 @@ REQUEST_TIMEOUT = 8.0
 
 #: post-horizon drain so in-flight requests resolve or time out
 DRAIN = REQUEST_TIMEOUT + 4.0
-
-TYPE_XML_TEMPLATE = """
-<ActivityTypeEntry name="{name}" kind="concrete">
-  <Domain>overload</Domain>
-  <Function name="run"><Input>data</Input><Output>result</Output></Function>
-</ActivityTypeEntry>
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -112,62 +112,24 @@ def _build_overload_vo(seed: int, n_sites: int, admission_limit: Optional[int]):
 
 
 def _setup_content(vo, server: str, n_types: int) -> List[str]:
-    """Register resolvable types with ACTIVE deployments on ``server``.
-
-    Returns the deployment keys (for ``instantiate``), discovered the
-    way a client would: one ``get_deployments`` per type.
-    """
-    keys: List[str] = []
-    for i in range(n_types):
-        type_name = f"Fig18Type{i:02d}"
-        vo.run_process(vo.client_call(
-            server, "register_type",
-            payload={"xml": TYPE_XML_TEMPLATE.format(name=type_name)},
-        ))
-        deployment = ActivityDeployment(
-            name=f"{type_name.lower()}-bin",
-            type_name=type_name,
-            kind=DeploymentKind.EXECUTABLE,
-            site=server,
-            path=f"/opt/deployments/{type_name.lower()}/bin/run",
-            home=f"/opt/deployments/{type_name.lower()}",
-            status=DeploymentStatus.ACTIVE,
-        )
-        vo.run_process(vo.client_call(
-            server, "register_deployment",
-            payload={"xml": deployment.wire_xml()},
-        ))
-        wires = vo.run_process(vo.client_call(
-            server, "get_deployments",
-            payload={"type": type_name, "auto_deploy": False},
-        ))
-        keys.extend(sorted(str(w["epr"]["key"]) for w in wires))
-    return keys
+    """Resolvable ``Fig18TypeNN`` types with ACTIVE deployments on
+    ``server``; returns the deployment keys (for ``instantiate``)."""
+    return serve_types(vo, server, "Fig18Type", n_types, "overload")
 
 
-def _wave_type(index: int) -> Tuple[str, str, str, str, int]:
-    """One synthetic installable type: (name, type_xml, deployfile_url,
-    deployfile_xml, archive_size)."""
-    name = f"Wave{index:02d}"
-    lower = name.lower()
-    home = f"$DEPLOYMENT_DIR/{lower}/{lower}"
-    archive_size = 2_000_000 + 350_000 * (index % 7)
-    archive_url = f"http://origin/archives/{lower}.tgz"
-    deployfile_url = f"http://origin/deployfiles/{lower}.build"
-    build_steps = _steps(home, [
-        {"name": "Configure", "depends": "Expand", "task": "sh ./configure",
-         "timeout": 60, "demand": 0.3 + 0.05 * (index % 5)},
-        {"name": "Install", "depends": "Configure", "task": "make install",
-         "timeout": 120, "demand": 0.2,
-         "produces": [(f"bin/{lower}", 400_000 + 10_000 * index, True)]},
-    ])
-    type_xml = _type_xml(
-        name, base="SyntheticService", domain="wave",
-        functions='<Function name="run"><Input>data</Input><Output>result</Output></Function>',
-        deployfile_url=deployfile_url,
-    )
-    deployfile_xml = _deployfile(name, archive_url, archive_size, build_steps, home)
-    return name, type_xml, deployfile_url, deployfile_xml, archive_size
+def _mix_call(driver: OpenLoopDriver, kind: str, index: int,
+              client_sites: List[str], server: str, n_types: int,
+              keys: List[str]) -> Generator:
+    """Arrival ``index`` of op class ``kind`` against the hot server."""
+    site = client_sites[index % len(client_sites)]
+    if kind == "enact":  # one AGWL activity instance through GRAM
+        payload = {"key": keys[index % len(keys)], "demand": 0.01}
+        value = yield from driver.call(site, server, "instantiate", payload)
+    else:  # resolve, or provision: the same lookup with auto-deploy on
+        payload = {"type": f"Fig18Type{index % n_types:02d}",
+                   "auto_deploy": kind == "provision"}
+        value = yield from driver.call(site, server, "get_deployments", payload)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +170,7 @@ def run_fig18_capacity(
                     site, server, RDM_SERVICE, "get_deployments",
                     payload={"type": type_name, "auto_deploy": False},
                 )
-            except Exception:
+            except TRANSIENT_ERRORS:
                 continue
             if vo.sim.now >= warmup:
                 completed[0] += 1
@@ -286,17 +248,7 @@ def run_fig18_point(
                             warmup=t0 + warmup)
 
     def make_call(op: str, index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        if op == "resolve":
-            payload = {"type": f"Fig18Type{index % n_types:02d}", "auto_deploy": False}
-            value = yield from driver.call(site, server, "get_deployments", payload)
-        elif op == "provision":
-            payload = {"type": f"Fig18Type{index % n_types:02d}", "auto_deploy": True}
-            value = yield from driver.call(site, server, "get_deployments", payload)
-        else:  # enact: one AGWL activity instance through GRAM
-            payload = {"key": keys[index % len(keys)], "demand": 0.01}
-            value = yield from driver.call(site, server, "instantiate", payload)
-        return value
+        return _mix_call(driver, op, index, client_sites, server, n_types, keys)
 
     def fire(t: float, i: int) -> None:
         driver.fire(mix.ops[assignment[i]], t, i, make_call)
@@ -372,22 +324,10 @@ def run_fig18_flash(
     client_sites = [s for s in vo.site_names if s != server]
     keys = _setup_content(vo, server, n_types)
 
-    phases = (("before", 0.0, spike_start),
-              ("during", spike_start, spike_end),
-              ("after", spike_end, horizon))
-    t0 = vo.sim.now  # workload clock starts after content setup
-    stats = {name: StreamStats(window=WINDOW) for name, _, _ in phases}
-    drivers = {
-        name: OpenLoopDriver(vo, stats[name], request_timeout=request_timeout,
-                             warmup=t0 + warmup)
-        for name, _, _ in phases
-    }
-
-    def phase_of(t: float) -> str:
-        for name, start, end in phases:
-            if start <= t < end:
-                return name
-        return phases[-1][0]
+    load = PhasedLoad(
+        vo, (("before", 0.0, spike_start), ("during", spike_start, spike_end),
+             ("after", spike_end, horizon)),
+        warmup=warmup, request_timeout=request_timeout, window=WINDOW)
 
     mix = TrafficMix(MIX_WEIGHTS, name="fig18-flash-mix")
     bg_times = PoissonProcess(0.7 * capacity, name="fig18-flash-bg").sample(horizon, seed)
@@ -399,44 +339,22 @@ def run_fig18_flash(
     hot_times = NHPoissonProcess(hot_rate, name="fig18-flash-hot").sample(horizon, seed)
 
     def make_bg_call(op: str, index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        driver = drivers[op.split("|", 1)[0]]
-        kind = op.split("|", 1)[1]
-        if kind == "resolve":
-            payload = {"type": f"Fig18Type{index % n_types:02d}", "auto_deploy": False}
-            value = yield from driver.call(site, server, "get_deployments", payload)
-        elif kind == "provision":
-            payload = {"type": f"Fig18Type{index % n_types:02d}", "auto_deploy": True}
-            value = yield from driver.call(site, server, "get_deployments", payload)
-        else:
-            payload = {"key": keys[index % len(keys)], "demand": 0.01}
-            value = yield from driver.call(site, server, "instantiate", payload)
-        return value
+        return _mix_call(load.driver(op), op.split("|", 1)[1], index,
+                         client_sites, server, n_types, keys)
 
     def make_hot_call(op: str, index: int) -> Generator:
         site = client_sites[index % len(client_sites)]
-        driver = drivers[op.split("|", 1)[0]]
         payload = {"type": "Fig18Type00", "auto_deploy": False}
-        value = yield from driver.call(site, server, "get_deployments", payload)
+        value = yield from load.driver(op).call(
+            site, server, "get_deployments", payload)
         return value
 
-    def fire_bg(t: float, i: int) -> None:
-        phase = phase_of(t - t0)
-        op = f"{phase}|{mix.ops[bg_assignment[i]]}"
-        drivers[phase].fire(op, t, i, make_bg_call)
-
-    def fire_hot(t: float, i: int) -> None:
-        phase = phase_of(t - t0)
-        drivers[phase].fire(f"{phase}|hot", t, i, make_hot_call)
-
-    CohortInjector(vo.sim, bg_times + t0, fire_bg, tick=TICK).start()
-    CohortInjector(vo.sim, hot_times + t0, fire_hot, tick=TICK).start()
-    vo.sim.run(until=t0 + horizon + DRAIN)
+    load.inject(bg_times, lambda i: mix.ops[bg_assignment[i]], make_bg_call, TICK)
+    load.inject(hot_times, lambda i: "hot", make_hot_call, TICK)
+    vo.sim.run(until=load.t0 + horizon + DRAIN)
 
     out_phases: Dict[str, Dict[str, float]] = {}
-    for name, start, end in phases:
-        s = stats[name]
-        span = end - max(start, warmup)
+    for name, s, span in load.measured():
         hot_key = f"{name}|hot"
         hot_digest = s.ops[hot_key].latency if hot_key in s.ops else LatencyDigest()
         bg_resolve = s.ops.get(f"{name}|resolve")
@@ -450,9 +368,7 @@ def run_fig18_flash(
             "hot_p99_ms": hot_digest.p99 * 1000.0,
             "bg_p99_ms": (bg_resolve.latency.p99 * 1000.0 if bg_resolve else 0.0),
         }
-    digest = hashlib.sha256(
-        "|".join(f"{name}:{stats[name].fingerprint()}" for name, _, _ in phases).encode()
-    ).hexdigest()
+    digest = hashlib.sha256(load.fingerprint().encode()).hexdigest()
     return Fig18Flash(
         capacity=capacity,
         hot_spike_rate=hot_spike,
@@ -503,14 +419,13 @@ def run_fig18_wave(
     community = vo.community_site
     wave_types: List[Tuple[str, str]] = []
     for i in range(n_types):
-        name, type_xml, deployfile_url, deployfile_xml, archive_size = _wave_type(i)
-        archive_url = f"http://origin/archives/{name.lower()}.tgz"
-        vo.publish_archive(archive_url, archive_size, md5sum=f"c0ffee{archive_size:x}")
-        vo.publish_deployfile(deployfile_url, deployfile_xml, md5sum="d41d8cd98f")
-        vo.run_process(vo.client_call(
-            community, "register_type", payload={"xml": type_xml},
-        ))
-        wave_types.append((name, type_xml))
+        name = f"Wave{i:02d}"
+        wave_types.append((name, publish_installable_type(
+            vo, name, domain="wave",
+            archive_size=2_000_000 + 350_000 * (i % 7),
+            configure_demand=0.3 + 0.05 * (i % 5), install_demand=0.2,
+            binary_size=400_000 + 10_000 * i,
+        )))
 
     units = [(t, s) for t in range(n_types) for s in vo.site_names]
     rng = arrival_stream(seed, "fig18-wave")
@@ -534,7 +449,7 @@ def run_fig18_wave(
                 status = "installed" if result.get("success", True) else "failed"
             else:
                 status = "installed"
-        except Exception as error:
+        except CLIENT_ERRORS as error:
             status = f"error:{type(error).__name__}"
         duration = vo.sim.now - start
         ttr.observe(duration)
@@ -609,117 +524,21 @@ def run_fig18_memory(
 
 
 # ---------------------------------------------------------------------------
-# Driver + formatting
+# Formatting + declaration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Fig18Result:
-    capacity: float
-    points: List[Fig18Point]
-    flash: Fig18Flash
-    wave: Fig18Wave
-    merged_digest: str
 
 
 #: sweep multiples of measured capacity (the ISSUE's 0.5x–4x)
 MULTIPLES = (0.5, 1.0, 2.0, 4.0)
 
 
-def run_fig18(
-    seed: int = 41,
-    quick: bool = False,
-    verify_determinism: bool = True,
-    jobs: int = 1,
-) -> Fig18Result:
-    """The full experiment: sweep + flash crowd + provisioning wave.
-
-    All scenario units are independent fixed-seed simulations, so with
-    ``jobs > 1`` they fan out across worker processes; the merged
-    digest is order-independent, and with ``verify_determinism`` the
-    2x sweep point runs twice and must agree bit-for-bit.
-    """
-    from repro.runner import WorkUnit, merge_digests, run_units
-
-    sweep_kwargs: Dict = {"seed": seed}
-    flash_kwargs: Dict = {"seed": seed}
-    wave_kwargs: Dict = {"seed": seed}
-    capacity_kwargs: Dict = {"seed": seed}
-    if quick:
-        sweep_kwargs.update(n_sites=6, horizon=16.0, warmup=4.0)
-        flash_kwargs.update(n_sites=6, horizon=24.0, warmup=4.0,
-                            spike_start=9.0, spike_end=16.0)
-        wave_kwargs.update(n_sites=6, n_types=8, span=30.0)
-        capacity_kwargs.update(n_sites=6, clients=24, horizon=8.0, warmup=2.0)
-
-    capacity = run_fig18_capacity(**capacity_kwargs)
-
-    units = [
-        WorkUnit(f"fig18:x{multiple}", "repro.experiments.fig18:run_fig18_point",
-                 dict(sweep_kwargs, multiple=multiple, capacity=capacity))
-        for multiple in MULTIPLES
-    ]
-    if verify_determinism:
-        units.append(WorkUnit(
-            "fig18:x2.0-repeat", "repro.experiments.fig18:run_fig18_point",
-            dict(sweep_kwargs, multiple=2.0, capacity=capacity),
-        ))
-    units.append(WorkUnit("fig18:flash", "repro.experiments.fig18:run_fig18_flash",
-                          dict(flash_kwargs, capacity=capacity)))
-    units.append(WorkUnit("fig18:wave", "repro.experiments.fig18:run_fig18_wave",
-                          wave_kwargs))
-    results = run_units(units, jobs=jobs)
-
-    points = list(results[:len(MULTIPLES)])
-    cursor = len(MULTIPLES)
-    if verify_determinism:
-        repeat = results[cursor]
-        cursor += 1
-        reference = next(p for p in points if p.multiple == 2.0)
-        if repeat.result_digest != reference.result_digest:
-            raise AssertionError(
-                f"fig18 2x point is not deterministic for seed {seed}: "
-                f"{reference.result_digest} != {repeat.result_digest}"
-            )
-    flash = results[cursor]
-    wave = results[cursor + 1]
-
-    # graceful degradation: goodput must plateau near capacity with
-    # shedding engaged, not collapse under 4x offered load
-    at_1x = next(p for p in points if p.multiple == 1.0)
-    at_max = max(points, key=lambda p: p.multiple)
-    if at_1x.goodput <= 0:
-        raise AssertionError("fig18: zero goodput at 1x offered load")
-    if at_max.goodput < 0.6 * at_1x.goodput:
-        raise AssertionError(
-            f"fig18: goodput collapsed under overload "
-            f"({at_max.goodput:.1f}/s at {at_max.multiple}x vs "
-            f"{at_1x.goodput:.1f}/s at 1x)"
-        )
-    if at_max.shed == 0:
-        raise AssertionError(
-            f"fig18: no shedding at {at_max.multiple}x offered load — "
-            "admission control never engaged"
-        )
-
-    named = {f"fig18:x{p.multiple}": p.result_digest for p in points}
-    named["fig18:flash"] = flash.result_digest
-    named["fig18:wave"] = wave.result_digest
-    return Fig18Result(
-        capacity=capacity,
-        points=points,
-        flash=flash,
-        wave=wave,
-        merged_digest=merge_digests(named),
-    )
-
-
-def format_fig18(result: Fig18Result) -> str:
+def format_fig18(points: List[Fig18Point], flash: Fig18Flash,
+                 wave: Fig18Wave) -> str:
     """Render the sweep, flash-crowd and wave reports."""
     headers = ["offered", "rate/s", "goodput/s", "shed%", "timeout%",
                "resolve p50/p99/p99.9 ms", "provision p99 ms", "enact p99 ms"]
     rows = []
-    for p in result.points:
+    for p in points:
         resolve = p.per_op.get("resolve", {})
         provision = p.per_op.get("provision", {})
         enact = p.per_op.get("enact", {})
@@ -738,10 +557,10 @@ def format_fig18(result: Fig18Result) -> str:
     out = [format_table(
         headers, rows,
         title=(f"Fig. 18 — open-loop overload sweep "
-               f"(measured capacity {result.capacity:.0f} req/s)"),
+               f"(measured capacity {points[0].capacity:.0f} req/s)"),
     )]
     shed_attribution = max(
-        result.points, key=lambda p: sum(p.server_shed_by_op.values()),
+        points, key=lambda p: sum(p.server_shed_by_op.values()),
     ).server_shed_by_op
     if shed_attribution:
         detail = ", ".join(f"{op}={n}" for op, n in shed_attribution.items())
@@ -751,7 +570,7 @@ def format_fig18(result: Fig18Result) -> str:
                      "hot completed", "hot p99 ms", "bg p99 ms"]
     flash_rows = []
     for name in ("before", "during", "after"):
-        ph = result.flash.phases.get(name, {})
+        ph = flash.phases.get(name, {})
         flash_rows.append([
             name,
             int(ph.get("arrivals", 0)),
@@ -765,10 +584,9 @@ def format_fig18(result: Fig18Result) -> str:
     out.append(format_table(
         flash_headers, flash_rows,
         title=(f"Fig. 18 — flash crowd (one type spikes 100x to "
-               f"{result.flash.hot_spike_rate:.0f}/s)"),
+               f"{flash.hot_spike_rate:.0f}/s)"),
     ))
 
-    wave = result.wave
     statuses = ", ".join(f"{k}={v}" for k, v in wave.statuses.items())
     out.append(
         f"mass-provisioning wave: {wave.installs} installs over "
@@ -782,3 +600,69 @@ def format_fig18(result: Fig18Result) -> str:
         "timeout = per-request deadline exceeded."
     )
     return "\n".join(out)
+
+
+def _units(grid: Dict[str, Dict]) -> List[WorkUnit]:
+    """Sweep points (+ a repeat of 2x), flash crowd and wave.
+
+    The capacity probe runs here, before anything fans out: every
+    offered-load multiple is anchored to the number it measures.
+    """
+    capacity = run_fig18_capacity(**grid["capacity"])
+    point = "repro.experiments.fig18:run_fig18_point"
+    units = [
+        WorkUnit(f"fig18:x{multiple}", point,
+                 dict(grid["sweep"], multiple=multiple, capacity=capacity))
+        for multiple in MULTIPLES
+    ]
+    units.append(WorkUnit("fig18:x2.0-repeat", point,
+                          dict(grid["sweep"], multiple=2.0, capacity=capacity)))
+    units.append(WorkUnit("fig18:flash", "repro.experiments.fig18:run_fig18_flash",
+                          dict(grid["flash"], capacity=capacity)))
+    units.append(WorkUnit("fig18:wave", "repro.experiments.fig18:run_fig18_wave",
+                          grid["wave"]))
+    return units
+
+
+def _points(results: Results) -> List[Fig18Point]:
+    return [results[f"fig18:x{multiple}"] for multiple in MULTIPLES]
+
+
+def _check(results: Results) -> None:
+    """Graceful degradation: goodput must plateau near capacity with
+    shedding engaged, not collapse under 4x offered load."""
+    points = _points(results)
+    at_1x = next(p for p in points if p.multiple == 1.0)
+    at_max = max(points, key=lambda p: p.multiple)
+    if at_1x.goodput <= 0:
+        raise AssertionError("fig18: zero goodput at 1x offered load")
+    if at_max.goodput < 0.6 * at_1x.goodput:
+        raise AssertionError(
+            f"fig18: goodput collapsed under overload "
+            f"({at_max.goodput:.1f}/s at {at_max.multiple}x vs "
+            f"{at_1x.goodput:.1f}/s at 1x)"
+        )
+    if at_max.shed == 0:
+        raise AssertionError(
+            f"fig18: no shedding at {at_max.multiple}x offered load — "
+            "admission control never engaged"
+        )
+
+
+EXPERIMENT = Experiment(
+    name="fig18",
+    summary="open-loop overload sweep, flash crowd and provisioning wave",
+    quick={
+        "capacity": dict(n_sites=6, clients=24, horizon=8.0, warmup=2.0),
+        "sweep": dict(n_sites=6, horizon=16.0, warmup=4.0),
+        "flash": dict(n_sites=6, horizon=24.0, warmup=4.0,
+                      spike_start=9.0, spike_end=16.0),
+        "wave": dict(n_sites=6, n_types=8, span=30.0),
+    },
+    full={"capacity": {}, "sweep": {}, "flash": {}, "wave": {}},
+    units=_units,
+    repeats={"fig18:x2.0-repeat": "fig18:x2.0"},
+    check=_check,
+    render=lambda results: format_fig18(
+        _points(results), results["fig18:flash"], results["fig18:wave"]),
+)

@@ -22,7 +22,7 @@ Two series run the identical seeded workload:
 
 Phases: *before* (base load) → *surge* (spike up, reconciler adapting)
 → *recovered* (spike still up, fleet scaled) → *after* (spike down,
-drain back).  Acceptance, asserted by :func:`run_fig19`:
+drain back).  Acceptance, asserted by the experiment's ``check``:
 
 1. the orchestrated run scales out (observed replicas > 1) and drains
    back to ``min_replicas`` by the end of the run;
@@ -45,19 +45,18 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.apps.catalog import _deployfile, _steps, _type_xml
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
-from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
-from repro.load import (
-    CohortInjector,
-    NHPoissonProcess,
-    OpenLoopDriver,
-    PoissonProcess,
-    StepRate,
-    StreamStats,
+from repro.experiments.workload import (
+    PhasedLoad,
+    publish_installable_type,
+    serve_types,
 )
+from repro.glare.model import DeploymentStatus
+from repro.load import NHPoissonProcess, PoissonProcess, StepRate
 from repro.orchestrate import DeploymentSpec, OrchestrationConfig
-from repro.vo import VOConfig, build_vo
+from repro.runner import WorkUnit
+from repro.vo import SITE_PREFIX, VOConfig, build_vo
 
 #: the managed (spiking) activity type
 HOT_TYPE = "Fig19Hot"
@@ -93,13 +92,6 @@ DRAIN = REQUEST_TIMEOUT + 6.0
 #: replica-trajectory sampling period
 SAMPLE_EVERY = 0.5
 
-BG_TYPE_XML = """
-<ActivityTypeEntry name="{name}" kind="concrete">
-  <Domain>fig19</Domain>
-  <Function name="run"><Input>data</Input><Output>result</Output></Function>
-</ActivityTypeEntry>
-"""
-
 
 # ---------------------------------------------------------------------------
 # VO construction + content
@@ -132,7 +124,7 @@ def _build_fig19_vo(seed: int, n_sites: int, orchestrated: bool,
     Lifecycle sweeps run every second so a drained replica is
     garbage-collected within the reconciler's grace window.
     """
-    community = f"agrid{0:02d}"
+    community = f"{SITE_PREFIX}00"
     return build_vo(VOConfig(
         n_sites=n_sites,
         seed=seed,
@@ -149,72 +141,20 @@ def _build_fig19_vo(seed: int, n_sites: int, orchestrated: bool,
     ))
 
 
-def _hot_type_content() -> Tuple[str, str, str, int]:
-    """The installable hot type: (type_xml, deployfile_url,
-    deployfile_xml, archive_size).  Build kept light so one scale-out
-    lands within a reconcile interval or two."""
-    lower = HOT_TYPE.lower()
-    home = f"$DEPLOYMENT_DIR/{lower}/{lower}"
-    archive_size = 1_500_000
-    archive_url = f"http://origin/archives/{lower}.tgz"
-    deployfile_url = f"http://origin/deployfiles/{lower}.build"
-    build_steps = _steps(home, [
-        {"name": "Configure", "depends": "Expand", "task": "sh ./configure",
-         "timeout": 60, "demand": 0.25},
-        {"name": "Install", "depends": "Configure", "task": "make install",
-         "timeout": 120, "demand": 0.15,
-         "produces": [(f"bin/{lower}", 400_000, True)]},
-    ])
-    type_xml = _type_xml(
-        HOT_TYPE, base="SyntheticService", domain="fig19",
-        functions='<Function name="run"><Input>data</Input><Output>result</Output></Function>',
-        deployfile_url=deployfile_url,
-    )
-    deployfile_xml = _deployfile(HOT_TYPE, archive_url, archive_size,
-                                 build_steps, home)
-    return type_xml, deployfile_url, deployfile_xml, archive_size
-
-
 def _setup_content(vo, server: str, n_bg_types: int) -> List[str]:
     """Background types on ``server`` + the installable hot type.
 
-    The hot type starts with exactly one replica, installed on
-    ``server`` through the real deploy pipeline (so scale-out installs
-    behave identically).  Returns the background deployment keys.
+    The hot type's build is kept light so one scale-out lands within a
+    reconcile interval or two.  It starts with exactly one replica,
+    installed on ``server`` through the real deploy pipeline (so
+    scale-out installs behave identically).  Returns the background
+    deployment keys.
     """
-    bg_keys: List[str] = []
-    for i in range(n_bg_types):
-        type_name = f"Fig19Bg{i:02d}"
-        vo.run_process(vo.client_call(
-            server, "register_type",
-            payload={"xml": BG_TYPE_XML.format(name=type_name)},
-        ))
-        deployment = ActivityDeployment(
-            name=f"{type_name.lower()}-bin",
-            type_name=type_name,
-            kind=DeploymentKind.EXECUTABLE,
-            site=server,
-            path=f"/opt/deployments/{type_name.lower()}/bin/run",
-            home=f"/opt/deployments/{type_name.lower()}",
-            status=DeploymentStatus.ACTIVE,
-        )
-        vo.run_process(vo.client_call(
-            server, "register_deployment",
-            payload={"xml": deployment.wire_xml()},
-        ))
-        wires = vo.run_process(vo.client_call(
-            server, "get_deployments",
-            payload={"type": type_name, "auto_deploy": False},
-        ))
-        bg_keys.extend(sorted(str(w["epr"]["key"]) for w in wires))
-
-    type_xml, deployfile_url, deployfile_xml, archive_size = _hot_type_content()
-    archive_url = f"http://origin/archives/{HOT_TYPE.lower()}.tgz"
-    vo.publish_archive(archive_url, archive_size, md5sum=f"c0ffee{archive_size:x}")
-    vo.publish_deployfile(deployfile_url, deployfile_xml, md5sum="d41d8cd98f")
-    vo.run_process(vo.client_call(
-        vo.community_site, "register_type", payload={"xml": type_xml},
-    ))
+    bg_keys = serve_types(vo, server, "Fig19Bg", n_bg_types, "fig19")
+    type_xml = publish_installable_type(
+        vo, HOT_TYPE, domain="fig19", archive_size=1_500_000,
+        configure_demand=0.25, install_demand=0.15, binary_size=400_000,
+    )
     result = vo.run_process(vo.client_call(
         server, "deploy", payload={"type_xml": type_xml},
     ))
@@ -302,27 +242,16 @@ def run_fig19_flash(
     server = vo.site_names[1]
     bg_keys = _setup_content(vo, server, n_bg_types)
 
-    phases = (("before", 0.0, spike_start),
-              ("surge", spike_start, spike_start + adapt),
-              ("recovered", spike_start + adapt, spike_end),
-              ("after", spike_end, horizon))
-    t0 = vo.sim.now  # workload clock starts after content setup
-    stats = {name: StreamStats(window=WINDOW) for name, _, _ in phases}
-    drivers = {
-        name: OpenLoopDriver(vo, stats[name], request_timeout=request_timeout,
-                             warmup=t0 + warmup)
-        for name, _, _ in phases
-    }
+    load = PhasedLoad(
+        vo, (("before", 0.0, spike_start),
+             ("surge", spike_start, spike_start + adapt),
+             ("recovered", spike_start + adapt, spike_end),
+             ("after", spike_end, horizon)),
+        warmup=warmup, request_timeout=request_timeout, window=WINDOW)
 
     replica_series: List[Tuple[float, int]] = []
     targets: List[Tuple[str, str]] = []
-    _start_replica_sampler(vo, t0, replica_series, targets)
-
-    def phase_of(t: float) -> str:
-        for name, start, end in phases:
-            if start <= t < end:
-                return name
-        return phases[-1][0]
+    _start_replica_sampler(vo, load.t0, replica_series, targets)
 
     bg_times = PoissonProcess(BG_RATE, name="fig19-bg").sample(horizon, seed)
     spike_rate = SPIKE_FACTOR * HOT_BASE_RATE
@@ -330,37 +259,27 @@ def run_fig19_flash(
     hot_times = NHPoissonProcess(hot_rate, name="fig19-hot").sample(horizon, seed)
 
     def make_bg_call(op: str, index: int) -> Generator:
-        driver = drivers[op.split("|", 1)[0]]
         payload = {"key": bg_keys[index % len(bg_keys)], "demand": BG_DEMAND}
-        value = yield from driver.call(community, server, "instantiate", payload)
+        value = yield from load.driver(op).call(
+            community, server, "instantiate", payload)
         return value
 
     def make_hot_call(op: str, index: int) -> Generator:
-        driver = drivers[op.split("|", 1)[0]]
         if targets:
             site, key = targets[index % len(targets)]
         else:  # pre-sampler edge: the seed replica on the primary
             site, key = server, f"{server}/{HOT_TYPE.lower()}-bin"
         payload = {"key": key, "demand": HOT_DEMAND}
-        value = yield from driver.call(community, site, "instantiate", payload)
+        value = yield from load.driver(op).call(
+            community, site, "instantiate", payload)
         return value
 
-    def fire_bg(t: float, i: int) -> None:
-        phase = phase_of(t - t0)
-        drivers[phase].fire(f"{phase}|bg", t, i, make_bg_call)
-
-    def fire_hot(t: float, i: int) -> None:
-        phase = phase_of(t - t0)
-        drivers[phase].fire(f"{phase}|hot", t, i, make_hot_call)
-
-    CohortInjector(vo.sim, bg_times + t0, fire_bg, tick=TICK).start()
-    CohortInjector(vo.sim, hot_times + t0, fire_hot, tick=TICK).start()
-    vo.sim.run(until=t0 + horizon + DRAIN)
+    load.inject(bg_times, lambda i: "bg", make_bg_call, TICK)
+    load.inject(hot_times, lambda i: "hot", make_hot_call, TICK)
+    vo.sim.run(until=load.t0 + horizon + DRAIN)
 
     out_phases: Dict[str, Dict[str, float]] = {}
-    for name, start, end in phases:
-        s = stats[name]
-        span = end - max(start, warmup)
+    for name, s, span in load.measured():
         hot = s.ops.get(f"{name}|hot")
         out_phases[name] = {
             "arrivals": s.offered,
@@ -375,7 +294,7 @@ def run_fig19_flash(
         }
 
     reconciler = vo.reconciler
-    digest_parts = [f"{name}:{stats[name].fingerprint()}" for name, _, _ in phases]
+    digest_parts = [load.fingerprint()]
     digest_parts.append(
         "replicas:" + ",".join(f"{t:.3f}={n}" for t, n in replica_series)
     )
@@ -400,59 +319,63 @@ def run_fig19_flash(
 
 
 # ---------------------------------------------------------------------------
-# Driver + formatting
+# Formatting + declaration
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Fig19Result:
-    orchestrated: Fig19Flash
-    static: Fig19Flash
-    merged_digest: str
-
-
-def run_fig19(
-    seed: int = 43,
-    quick: bool = False,
-    verify_determinism: bool = True,
-    jobs: int = 1,
-) -> Fig19Result:
-    """Orchestrated vs static flash crowd + acceptance assertions.
-
-    The three units (orchestrated, static, orchestrated-repeat) are
-    independent fixed-seed simulations, so ``jobs > 1`` fans them out;
-    the merged digest is order-independent.
-    """
-    from repro.runner import WorkUnit, merge_digests, run_units
-
-    kwargs: Dict = {"seed": seed}
-    if quick:
-        kwargs.update(
-            n_sites=6, max_replicas=3, horizon=40.0, warmup=4.0,
-            spike_start=10.0, spike_end=26.0, adapt=8.0,
+def format_fig19(orch: Fig19Flash, static: Fig19Flash) -> str:
+    """Render the orchestrated-vs-static phase comparison."""
+    headers = ["series", "phase", "arrivals", "goodput/s", "hot/s",
+               "hot shed", "hot p99 ms"]
+    rows = []
+    for flash in (orch, static):
+        series = "orchestrated" if flash.orchestrated else "static"
+        for name in ("before", "surge", "recovered", "after"):
+            ph = flash.phases.get(name, {})
+            rows.append([
+                series,
+                name,
+                int(ph.get("arrivals", 0)),
+                f"{ph.get('goodput', 0.0):.0f}",
+                f"{ph.get('hot_goodput', 0.0):.0f}",
+                int(ph.get("hot_shed", 0)),
+                f"{ph.get('hot_p99_ms', 0.0):.1f}",
+            ])
+    out = [format_table(
+        headers, rows,
+        title=(f"Fig. 19 — desired-state orchestration under a "
+               f"{SPIKE_FACTOR:.0f}x flash crowd ({orch.spike_rate:.0f}/s)"),
+    )]
+    trajectory = " → ".join(f"{n}@{t:.0f}s" for t, n in orch.replica_series)
+    out.append(f"replica trajectory (orchestrated): {trajectory}")
+    if orch.convergence_times:
+        times = ", ".join(f"{t:.1f}s" for t in sorted(orch.convergence_times))
+        out.append(
+            f"convergence times (diverged → plan converged): {times} "
+            f"over {orch.reconcile_rounds} rounds "
+            f"({orch.installs} installs, {orch.drains} drains)"
         )
+    out.append(
+        "scale-out = planner-driven rollout installs; scale-in = WSRF "
+        "lifetime shortening + lifetime-manager garbage collection; the "
+        "static series is the same seeded workload with orchestration off."
+    )
+    return "\n".join(out)
 
-    units = [
-        WorkUnit("fig19:orchestrated", "repro.experiments.fig19:run_fig19_flash",
+
+def _units(kwargs: Dict) -> List[WorkUnit]:
+    """The orchestrated series, its static twin, an orchestrated repeat."""
+    flash = "repro.experiments.fig19:run_fig19_flash"
+    return [
+        WorkUnit("fig19:orchestrated", flash, dict(kwargs, orchestrated=True)),
+        WorkUnit("fig19:static", flash, dict(kwargs, orchestrated=False)),
+        WorkUnit("fig19:orchestrated-repeat", flash,
                  dict(kwargs, orchestrated=True)),
-        WorkUnit("fig19:static", "repro.experiments.fig19:run_fig19_flash",
-                 dict(kwargs, orchestrated=False)),
     ]
-    if verify_determinism:
-        units.append(WorkUnit(
-            "fig19:orchestrated-repeat", "repro.experiments.fig19:run_fig19_flash",
-            dict(kwargs, orchestrated=True),
-        ))
-    results = run_units(units, jobs=jobs)
-    orchestrated, static = results[0], results[1]
 
-    if verify_determinism:
-        repeat = results[2]
-        if repeat.result_digest != orchestrated.result_digest:
-            raise AssertionError(
-                f"fig19 orchestrated run is not deterministic for seed {seed}: "
-                f"{orchestrated.result_digest} != {repeat.result_digest}"
-            )
+
+def _check(results: Results) -> None:
+    orchestrated, static = results["fig19:orchestrated"], results["fig19:static"]
 
     # 1. the reconciler scaled out and drained back to min replicas
     if orchestrated.max_replicas_seen < 2:
@@ -495,53 +418,17 @@ def run_fig19(
     if not orchestrated.convergence_times:
         raise AssertionError("fig19: no convergence events recorded")
 
-    named = {
-        "fig19:orchestrated": orchestrated.result_digest,
-        "fig19:static": static.result_digest,
-    }
-    return Fig19Result(
-        orchestrated=orchestrated,
-        static=static,
-        merged_digest=merge_digests(named),
-    )
 
-
-def format_fig19(result: Fig19Result) -> str:
-    """Render the orchestrated-vs-static phase comparison."""
-    headers = ["series", "phase", "arrivals", "goodput/s", "hot/s",
-               "hot shed", "hot p99 ms"]
-    rows = []
-    for flash in (result.orchestrated, result.static):
-        series = "orchestrated" if flash.orchestrated else "static"
-        for name in ("before", "surge", "recovered", "after"):
-            ph = flash.phases.get(name, {})
-            rows.append([
-                series,
-                name,
-                int(ph.get("arrivals", 0)),
-                f"{ph.get('goodput', 0.0):.0f}",
-                f"{ph.get('hot_goodput', 0.0):.0f}",
-                int(ph.get("hot_shed", 0)),
-                f"{ph.get('hot_p99_ms', 0.0):.1f}",
-            ])
-    orch = result.orchestrated
-    out = [format_table(
-        headers, rows,
-        title=(f"Fig. 19 — desired-state orchestration under a "
-               f"{SPIKE_FACTOR:.0f}x flash crowd ({orch.spike_rate:.0f}/s)"),
-    )]
-    trajectory = " → ".join(f"{n}@{t:.0f}s" for t, n in orch.replica_series)
-    out.append(f"replica trajectory (orchestrated): {trajectory}")
-    if orch.convergence_times:
-        times = ", ".join(f"{t:.1f}s" for t in sorted(orch.convergence_times))
-        out.append(
-            f"convergence times (diverged → plan converged): {times} "
-            f"over {orch.reconcile_rounds} rounds "
-            f"({orch.installs} installs, {orch.drains} drains)"
-        )
-    out.append(
-        "scale-out = planner-driven rollout installs; scale-in = WSRF "
-        "lifetime shortening + lifetime-manager garbage collection; the "
-        "static series is the same seeded workload with orchestration off."
-    )
-    return "\n".join(out)
+EXPERIMENT = Experiment(
+    name="fig19",
+    summary="desired-state orchestration under a flash crowd, "
+            "orchestrated vs static",
+    quick=dict(n_sites=6, max_replicas=3, horizon=40.0, warmup=4.0,
+               spike_start=10.0, spike_end=26.0, adapt=8.0),
+    full={},
+    units=_units,
+    repeats={"fig19:orchestrated-repeat": "fig19:orchestrated"},
+    check=_check,
+    render=lambda results: format_fig19(results["fig19:orchestrated"],
+                                        results["fig19:static"]),
+)

@@ -1,18 +1,35 @@
 """Plain-text rendering of experiment results (tables and series).
 
 Besides the table/series primitives every ``format_*`` helper builds
-on, this module hosts the *aggregate experiment report*: one document
-stitching together every shipped evaluation artefact (table 1 and
-figures 10–19), rendered by :func:`render_experiment_report` and
-reachable as ``repro report experiments``.
+on, this module hosts the A/B pair table (baseline row, optimized row,
+``ratio (results ==)`` row — Figs. 14, 15 and 17b) and the *aggregate
+experiment report*: one document stitching together every shipped
+evaluation artefact (table 1 and figures 10–19), rendered by
+:func:`render_experiment_report` and reachable as ``repro report
+experiments``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 Cell = Union[str, int, float]
+
+
+def banner(name: str) -> str:
+    """The ``=== name ===`` rule above one experiment's section."""
+    return f"=== {name} " + "=" * max(0, 70 - len(name))
 
 
 def render_experiment_report(
@@ -22,26 +39,81 @@ def render_experiment_report(
 ) -> str:
     """One document covering all shipped experiments.
 
-    Runs each experiment of the CLI's command table (``cli.COMMANDS``,
-    in its presentation order) through the same per-command driver the
-    CLI uses — so the sections are byte-identical to the standalone
-    runs — and joins the rendered sections under ``=== name ===``
-    banners.  ``names`` restricts the report to a subset (unknown names
-    raise).  The CLI import happens lazily: :mod:`repro.cli` imports
-    this module for its table helpers, so a top-level import would be
-    circular.
+    Runs each entry of ``repro.experiments.registry.EXPERIMENTS`` (in table
+    order) through the one engine the CLI uses — so the sections are
+    byte-identical to the standalone runs — and joins the rendered
+    sections under ``=== name ===`` banners.  ``names`` restricts the
+    report to a subset (unknown names raise).  The table import is
+    lazy: every figure module imports this one for its table helpers.
     """
-    from repro.cli import COMMANDS, _run_command
+    from repro.experiments.harness import run_experiment
+    from repro.experiments.registry import EXPERIMENTS
 
-    selected = tuple(names) if names is not None else tuple(COMMANDS)
-    unknown = [n for n in selected if n not in COMMANDS]
+    selected = tuple(names) if names is not None else tuple(EXPERIMENTS)
+    unknown = [n for n in selected if n not in EXPERIMENTS]
     if unknown:
         raise ValueError(f"unknown experiments: {', '.join(unknown)}")
-    sections = []
-    for name in selected:
-        banner = f"=== {name} " + "=" * max(0, 70 - len(name))
-        sections.append(banner + "\n" + _run_command(name, quick, jobs=jobs))
-    return "\n\n".join(sections)
+    return join_sections({
+        name: run_experiment(name, quick=quick, jobs=jobs).text
+        for name in selected
+    })
+
+
+def join_sections(sections: Mapping[str, str]) -> str:
+    """Rendered sections under their banners, in the mapping's order."""
+    return "\n\n".join(banner(name) + "\n" + text
+                       for name, text in sections.items())
+
+
+def pair_cells(points: Iterable[Any], cell: Callable[[Any], Any],
+               optimized: Callable[[Any], bool]) -> Dict[Any, Dict[bool, Any]]:
+    """Group A/B sweep points: ``{cell: {False: baseline, True: optimized}}``."""
+    cells: Dict[Any, Dict[bool, Any]] = {}
+    for point in points:
+        cells.setdefault(cell(point), {})[optimized(point)] = point
+    return dict(sorted(cells.items()))
+
+
+def check_pairs_agree(cells: Mapping[Any, Mapping[bool, Any]],
+                      what: str) -> None:
+    """Every complete pair returned the same result set, or raise."""
+    for cell, pair in cells.items():
+        if len(pair) == 2 and pair[False].result_digest != pair[True].result_digest:
+            raise AssertionError(
+                f"{what}: optimized result digest diverged from the "
+                f"baseline at {cell}"
+            )
+
+
+def pair_rows(
+    cells: Mapping[Any, Mapping[bool, Any]],
+    row: Callable[[Any], List[Cell]],
+    metric: Callable[[Any], float],
+    label: str = "ratio",
+    verdict: Optional[Callable[[Any, Any], Optional[str]]] = None,
+) -> List[List[Cell]]:
+    """Table rows of an A/B sweep: baseline, optimized, then one
+    ``<label> N.Nx (results ==)`` row per complete pair.
+
+    ``row`` renders one point (its leading cells are the pair's cell
+    key); ``metric`` is the cost whose baseline/optimized ratio the
+    summary row reports; ``verdict`` names a pair whose digests cannot
+    be compared (it returns the text to show, or ``None`` to compare).
+    """
+    rows: List[List[Cell]] = []
+    for cell, pair in cells.items():
+        rows.extend(row(pair[side]) for side in (False, True) if side in pair)
+        if len(pair) < 2:
+            continue
+        base, opt = pair[False], pair[True]
+        ratio = metric(base) / max(metric(opt), 1e-9)
+        match = verdict(base, opt) if verdict is not None else None
+        if match is None:
+            match = "==" if base.result_digest == opt.result_digest else "!!"
+        key = list(cell) if isinstance(cell, tuple) else [cell]
+        summary = key + [f"{label} {ratio:.1f}x (results {match})"]
+        rows.append(summary + [""] * (len(rows[-1]) - len(summary)))
+    return rows
 
 
 @dataclass

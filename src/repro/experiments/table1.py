@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence
 
 from repro.apps import TABLE1_APPLICATIONS, get_application, publish_applications
+from repro.experiments.harness import Experiment
 from repro.experiments.report import format_table
 from repro.glare.provisioning import NOTIFICATION_COST
+from repro.runner import WorkUnit
 from repro.vo import build_vo
 
 STAGES = (
@@ -76,8 +78,9 @@ class Table1Row:
         ]
 
 
-def _measure_one(application: str, handler: str, seed: int) -> Table1Row:
-    """Deploy ``application`` once through ``handler`` and time stages."""
+def run_table1_row(application: str, handler: str, seed: int = 1) -> Table1Row:
+    """Deploy ``application`` once through ``handler`` (on a fresh VO)
+    and time the stages."""
     vo = build_vo(n_sites=4, seed=seed, handler=handler, monitors=False)
     publish_applications(vo, [application])
     vo.form_overlay()
@@ -117,19 +120,6 @@ def _measure_one(application: str, handler: str, seed: int) -> Table1Row:
     )
 
 
-def run_table1(
-    applications: Sequence[str] = TABLE1_APPLICATIONS,
-    methods: Sequence[str] = ("expect", "javacog"),
-    seed: int = 1,
-) -> List[Table1Row]:
-    """Regenerate Table 1; one fresh VO per (method, application)."""
-    rows = []
-    for method in methods:
-        for application in applications:
-            rows.append(_measure_one(application, method, seed=seed))
-    return rows
-
-
 def format_table1(rows: List[Table1Row]) -> str:
     """Render in the paper's layout: stages as rows, apps as columns."""
     methods: Dict[str, List[Table1Row]] = {}
@@ -150,3 +140,23 @@ def format_table1(rows: List[Table1Row]) -> str:
                          title=f"Deployment method: {method}")
         )
     return "\n\n".join(blocks)
+
+
+def _units(applications: Sequence[str]) -> List[WorkUnit]:
+    return [
+        WorkUnit(f"table1:{handler}:{application}",
+                 "repro.experiments.table1:run_table1_row",
+                 {"application": application, "handler": handler})
+        for handler in ("expect", "javacog")
+        for application in applications
+    ]
+
+
+EXPERIMENT = Experiment(
+    name="table1",
+    summary="per-stage on-demand deployment overheads, Expect vs JavaCoG",
+    quick=("Wien2k",),
+    full=TABLE1_APPLICATIONS,
+    units=_units,
+    render=lambda results: format_table1(list(results.values())),
+)

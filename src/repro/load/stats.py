@@ -37,7 +37,7 @@ import sys
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.metrics import HISTOGRAM_BOUNDS
+from repro.obs.metrics import HISTOGRAM_BOUNDS, bucket_percentile
 
 __all__ = ["LatencyDigest", "OpStats", "StreamStats", "CommutativeDigest"]
 
@@ -86,22 +86,9 @@ class LatencyDigest:
         return self.total_ns / self.count / _NS_PER_SECOND
 
     def percentile(self, q: float) -> float:
-        """Approximate ``q``-quantile (``0 < q <= 1``) in seconds.
-
-        Same algorithm as ``repro.obs.metrics.Histogram.percentile``:
-        the crossing bucket's upper bound clamped to observed min/max.
-        """
-        if self.count == 0:
-            return 0.0
-        target = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
-                    return self.max
-                return min(max(HISTOGRAM_BOUNDS[index], self.min), self.max)
-        return self.max  # pragma: no cover - unreachable
+        """Approximate ``q``-quantile (``0 < q <= 1``) in seconds."""
+        return bucket_percentile(self.counts, self.count, self.min,
+                                 self.max, q)
 
     @property
     def p50(self) -> float:

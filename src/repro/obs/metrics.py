@@ -33,6 +33,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -64,6 +65,26 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
+
+
+def bucket_percentile(counts: Sequence[int], count: int, lo: float,
+                      hi: float, q: float) -> float:
+    """``q``-quantile (``0 < q <= 1``) of a :data:`HISTOGRAM_BOUNDS`
+    histogram: the crossing bucket's upper bound, clamped to the
+    observed ``lo``/``hi``.  The one percentile every latency histogram
+    in the tree (this module's and ``repro.load.stats``') answers with.
+    """
+    if count == 0:
+        return 0.0
+    target = max(1, math.ceil(q * count))
+    cumulative = 0
+    for index, bucket_count in enumerate(counts):
+        cumulative += bucket_count
+        if cumulative >= target:
+            if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
+                return hi
+            return min(max(HISTOGRAM_BOUNDS[index], lo), hi)
+    return hi  # pragma: no cover - unreachable
 
 
 class Histogram:
@@ -102,17 +123,8 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Approximate ``q``-quantile (``0 < q <= 1``) in seconds."""
-        if self.count == 0:
-            return 0.0
-        target = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
-                    return self.max
-                return min(max(HISTOGRAM_BOUNDS[index], self.min), self.max)
-        return self.max  # pragma: no cover - unreachable
+        return bucket_percentile(self.counts, self.count, self.min,
+                                 self.max, q)
 
     @property
     def p50(self) -> float:

@@ -214,7 +214,7 @@ def bench_rpc_roundtrips(
     )
 
 
-def _count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
+def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
     """Python ``call`` events (function entries + generator resumes)
     inside ``run()``, and what it returned.
 
@@ -272,7 +272,7 @@ def _fig10_index_pycalls_per_request(clients: int = 16, n_types: int = 100,
     from repro.experiments.fig10 import run_fig10_point
 
     run_fig10_point("index", False, clients, n_types=clients, seed=seed)
-    calls, point = _count_pycalls(
+    calls, point = count_pycalls(
         lambda: run_fig10_point("index", False, clients, n_types=n_types, seed=seed))
     return calls / round(point.throughput * 25.0)
 
@@ -383,17 +383,22 @@ def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
 def _run_faults(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
     """The Fig. 16 churn pair: fragile vs resilient under super-peer churn.
 
-    Runs the full experiment including its built-in same-seed
-    determinism double-run; the headline rate is wall-clock (simulated
-    client requests per wall second across all three runs).  Failure
-    counts, takeover latencies and per-request outcome digests are
-    simulated, so the fingerprint is read off the same two points.
+    Runs the full-size pair plus the same-seed repeat of the resilient
+    series the experiment declares; the headline rate is wall-clock
+    (simulated client requests per wall second across all three runs).
+    Failure counts, takeover latencies and per-request outcome digests
+    are simulated, so the fingerprint is read off the same two points.
     """
-    from repro.experiments.fig16 import run_fig16
+    from repro.experiments.fig16 import EXPERIMENT, run_fig16_point
 
     seed = 33
     with _Stopwatch() as watch:
-        fragile, resilient = run_fig16(seed=seed)
+        fragile = run_fig16_point(resilient=False, seed=seed)
+        resilient = run_fig16_point(resilient=True, seed=seed)
+        repeat = run_fig16_point(resilient=True, seed=seed)
+    if EXPERIMENT.digest(repeat) != EXPERIMENT.digest(resilient):
+        raise AssertionError(
+            f"fig16 resilient series is not deterministic for seed {seed}")
     # the determinism verification re-runs the resilient point
     requests = (fragile.resolutions + fragile.provisions
                 + 2 * (resilient.resolutions + resilient.provisions))
@@ -475,13 +480,13 @@ def _echo_pycalls_per_rpc(tier: str, clients: int = 4, horizon: float = 10.0,
     seconds, 4,630 RPCs), so quick and full runs record the same number.
     What ran before must stay out of the count: one unprofiled simulated
     second absorbs route searches and other first-use paths (and see
-    :func:`_count_pycalls`).
+    :func:`count_pycalls`).
     """
     sim, _net, completed = _echo_world(seed, clients,
                                        obs=_tier_observability(tier))
     sim.run(until=1.0)
     warm = completed[0]
-    calls, _ = _count_pycalls(lambda: sim.run(until=1.0 + horizon))
+    calls, _ = count_pycalls(lambda: sim.run(until=1.0 + horizon))
     return calls / (completed[0] - warm)
 
 
@@ -540,10 +545,11 @@ def obs_fingerprint(seed: int = 33) -> Dict[str, Any]:
     runs of the same tree must match exactly; the committed
     ``BENCH_obs.json`` pins them across refactors.
     """
-    from repro.experiments.fig16 import run_fig16_slo
+    from repro.experiments.fig16 import EXPERIMENT, run_fig16_point
 
-    fragile, resilient = run_fig16_slo(seed=seed, quick=True,
-                                       verify_determinism=False)
+    kwargs = dict(EXPERIMENT.quick["slo"], seed=seed)
+    fragile = run_fig16_point(resilient=False, **kwargs)
+    resilient = run_fig16_point(resilient=True, **kwargs)
     return {
         "seed": seed,
         "crashes": resilient.crashes,

@@ -42,6 +42,15 @@ from repro.site.gridsite import GridSite
 #: name of the pseudo-site hosting public download URLs
 ORIGIN = "origin"
 
+# The testbed's fixed shape: every caller runs these values, so they
+# are constants, not :class:`VOConfig` fields.
+SITE_PREFIX = "agrid"
+CORES_PER_SITE = 4
+WAN_BANDWIDTH = 12.5e6  # 100 Mbit/s
+GRIDFTP_SETUP = 0.3
+#: burn-rate evaluation cadence of the SLO engine (when SLOs are set)
+SLO_EVAL_INTERVAL = 5.0
+
 
 @dataclass
 class VOConfig:
@@ -53,14 +62,10 @@ class VOConfig:
     cache_enabled: bool = True
     handler: str = "expect"
     group_size: int = 3
-    cores_per_site: int = 4
     wan_latency: float = 0.004  # intra-Austria RTT ~8 ms
-    wan_bandwidth: float = 12.5e6  # 100 Mbit/s
     gram_overhead: float = 1.0
-    gridftp_setup: float = 0.3
     monitors: bool = True
     lifecycle: bool = True
-    site_prefix: str = "agrid"
     extra_site_attrs: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: resolution-path scaling switches (``None`` = everything off,
     #: preserving the byte-identical baseline behaviour)
@@ -84,8 +89,6 @@ class VOConfig:
     #: declarative service-level objectives (empty = no SLO engine, no
     #: pipeline layer — byte-identical baseline behaviour)
     slos: Tuple[SLOSpec, ...] = ()
-    #: burn-rate evaluation cadence of the SLO engine (when SLOs set)
-    slo_eval_interval: float = 5.0
     #: fault scenario for the VO-wide fault plane (``None`` = disabled,
     #: preserving the byte-identical baseline behaviour)
     faults: Optional[FaultsConfig] = None
@@ -138,7 +141,7 @@ class VirtualOrganization:
                 enabled=bool(config.observability),
                 sample_interval=config.sample_interval,
                 slos=config.slos,
-                slo_eval_interval=config.slo_eval_interval,
+                slo_eval_interval=SLO_EVAL_INTERVAL,
             )
         self.faults = FaultPlane(self.sim, config.faults)
         if self.obs.health is not None:
@@ -236,7 +239,7 @@ class VirtualOrganization:
 
 def _site_description(config: VOConfig, index: int) -> SiteDescription:
     """Deterministic heterogeneous site attributes (Austrian-Grid-ish)."""
-    name = f"{config.site_prefix}{index:02d}"
+    name = f"{SITE_PREFIX}{index:02d}"
     return SiteDescription(
         name=name,
         platform="Intel",
@@ -244,7 +247,7 @@ def _site_description(config: VOConfig, index: int) -> SiteDescription:
         arch="32bit",
         processor_speed_mhz=2200.0 + 200.0 * (index % 5),
         memory_mb=1024.0 * (1 + index % 4),
-        processors=config.cores_per_site,
+        processors=CORES_PER_SITE,
         uptime_hours=500.0 + 137.0 * index,
         extra=dict(config.extra_site_attrs.get(name, {})),
     )
@@ -261,22 +264,22 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
 
     vo = VirtualOrganization(config)
     provisioning = config.provisioning or ProvisioningConfig()
-    names = [f"{config.site_prefix}{i:02d}" for i in range(config.n_sites)]
+    names = [f"{SITE_PREFIX}{i:02d}" for i in range(config.n_sites)]
     vo.community_site = names[0]
 
     # Topology: star around the community site (national research
     # network hub) + a well-connected origin host for downloads.
     vo.topology.add_site(names[0])
     for name in names[1:]:
-        vo.topology.add_link(names[0], name, config.wan_latency, config.wan_bandwidth)
-    vo.topology.add_link(names[0], ORIGIN, config.wan_latency * 2, config.wan_bandwidth)
+        vo.topology.add_link(names[0], name, config.wan_latency, WAN_BANDWIDTH)
+    vo.topology.add_link(names[0], ORIGIN, config.wan_latency * 2, WAN_BANDWIDTH)
 
     # Origin pseudo-site: hosts archives, runs only GridFTP.
     origin_desc = SiteDescription(name=ORIGIN, processors=8, memory_mb=8192.0)
     vo.origin = GridSite(vo.network, origin_desc)
     GridFtpService(
         vo.network, ORIGIN, fs=vo.origin.fs,
-        setup_cost=config.gridftp_setup, url_catalog=vo.url_catalog,
+        setup_cost=GRIDFTP_SETUP, url_catalog=vo.url_catalog,
     )
 
     # Member sites.
@@ -292,7 +295,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         )
         stack.gridftp = GridFtpService(
             vo.network, name, fs=site.fs,
-            setup_cost=config.gridftp_setup, url_catalog=vo.url_catalog,
+            setup_cost=GRIDFTP_SETUP, url_catalog=vo.url_catalog,
             replica_transfers=provisioning.replica_transfers,
             transfer_singleflight=provisioning.transfer_singleflight,
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import perf
+from repro.experiments.harness import run_experiment
 
 
 class _QuickSuites(dict):
@@ -20,3 +21,19 @@ def quick_suites():
     Read-only: tests that tamper must ``copy.deepcopy`` first.
     """
     return _QuickSuites()
+
+
+class _QuickRuns(dict):
+    """``name -> run_experiment(name, quick=True)``, each run on first use."""
+
+    def __missing__(self, name):
+        self[name] = run_experiment(name, quick=True)
+        return self[name]
+
+
+@pytest.fixture(scope="session")
+def quick_runs():
+    """The serial ``--quick`` run of every experiment (results, merged
+    digest, rendered text), run at most once a session.  Read-only.
+    """
+    return _QuickRuns()

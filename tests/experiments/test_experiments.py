@@ -11,7 +11,7 @@ from repro.experiments.fig10 import run_fig10_point
 from repro.experiments.fig12 import run_fig12_point
 from repro.experiments.fig13 import run_requester_point, run_sink_point
 from repro.experiments.report import format_multi_series, format_series, format_table
-from repro.experiments.table1 import Table1Row, format_table1, run_table1
+from repro.experiments.table1 import Table1Row, format_table1, run_table1_row
 from repro.experiments.workload import (
     ClientStats,
     synthetic_activity_type,
@@ -94,9 +94,8 @@ class TestWorkload:
 
 class TestTable1Driver:
     def test_single_row_contract(self):
-        rows = run_table1(applications=("Wien2k",), methods=("expect",))
-        assert len(rows) == 1
-        row = rows[0]
+        row = run_table1_row("Wien2k", "expect")
+        rows = [row]
         assert isinstance(row, Table1Row)
         assert row.total_ms == pytest.approx(sum(row.stage_values()[:-1]))
         assert row.installation_ms > 1000
@@ -152,25 +151,15 @@ class TestCli:
 
 @pytest.mark.slow
 class TestCliQuickSweeps:
-    """The --quick CLI paths for every figure actually run end-to-end."""
+    """The --quick paths for every figure actually run end-to-end (the
+    session's one quick run of each; ``main`` itself is driven above)."""
 
-    def test_cli_quick_fig10(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig10", "--quick"]) == 0
-        out = capsys.readouterr().out
+    def test_cli_quick_fig10(self, quick_runs):
+        out = quick_runs["fig10"].text
         assert "registry/http" in out and "index/https" in out
 
-    def test_cli_quick_fig11(self, capsys):
-        from repro.cli import main
+    def test_cli_quick_fig11(self, quick_runs):
+        assert "Collapse probe" in quick_runs["fig11"].text
 
-        assert main(["fig11", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "Collapse probe" in out
-
-    def test_cli_quick_fig13(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig13", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "sinks@1s" in out
+    def test_cli_quick_fig13(self, quick_runs):
+        assert "sinks@1s" in quick_runs["fig13"].text

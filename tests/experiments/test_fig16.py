@@ -5,19 +5,18 @@ import pytest
 
 from repro import perf
 from repro.experiments.fig16 import (
+    EXPERIMENT,
     format_fig16,
     format_fig16_slo,
-    run_fig16,
     run_fig16_point,
-    run_fig16_slo,
 )
 
 
 @pytest.fixture(scope="module")
-def quick_pair():
-    # quick sizes mirror ``run_fig16(quick=True)`` without the
-    # determinism double-run (covered by its own test below)
-    return run_fig16(seed=33, quick=True, verify_determinism=False)
+def quick_pair(quick_runs):
+    # the session's one quick run of the experiment: the churn pair
+    results = quick_runs["fig16"].results
+    return results["fig16:fragile"], results["fig16:resilient"]
 
 
 class TestFig16Pair:
@@ -46,7 +45,7 @@ class TestFig16Pair:
 
     def test_same_seed_reproduces_digest(self, quick_pair):
         _, resilient = quick_pair
-        again = run_fig16(seed=33, quick=True, verify_determinism=False)[1]
+        again = run_fig16_point(resilient=True, **EXPERIMENT.quick["churn"])
         assert again.result_digest == resilient.result_digest
         assert again.recovery_times == resilient.recovery_times
 
@@ -59,8 +58,9 @@ class TestFig16Pair:
 
 
 @pytest.fixture(scope="module")
-def slo_pair():
-    return run_fig16_slo(seed=33, quick=True, verify_determinism=False)
+def slo_pair(quick_runs):
+    results = quick_runs["fig16"].results
+    return results["fig16:slo:fragile"], results["fig16:slo:resilient"]
 
 
 @pytest.mark.slow
@@ -96,12 +96,14 @@ class TestFig16SLO:
             assert "VO health" in point.report
 
     def test_detection_is_deterministic(self, slo_pair):
-        # verify_determinism=True re-runs the resilient series and
-        # raises on any digest / MTTD / MTTR divergence
-        fragile, resilient = run_fig16_slo(seed=33, quick=True,
-                                           verify_determinism=True)
+        # a fresh run of either series agrees with the session's on
+        # digest, MTTD and MTTR — what the declared repeat enforces
+        kwargs = EXPERIMENT.quick["slo"]
+        fragile = run_fig16_point(resilient=False, **kwargs)
+        resilient = run_fig16_point(resilient=True, **kwargs)
         assert resilient.detection_latencies == slo_pair[1].detection_latencies
         assert resilient.repair_times == slo_pair[1].repair_times
+        assert EXPERIMENT.digest(resilient) == EXPERIMENT.digest(slo_pair[1])
         assert fragile.result_digest == slo_pair[0].result_digest
 
     def test_format_reports_detection_columns(self, slo_pair):

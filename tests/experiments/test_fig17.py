@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.fig17 import (
+    EXPERIMENT,
     Fig17RoutingPoint,
-    fig17_digest,
     format_fig17,
     run_routing_point,
     run_storage_point,
 )
+from repro.experiments.harness import verify
+from repro.experiments.workload import plain_type_xml
 from repro.glare.storage import StorageConfig
 from repro.vo import build_vo
 
@@ -59,11 +61,14 @@ class TestRoutingSweep:
 
     def test_fig17_digest_and_format(self, pair):
         base, routed = pair
-        results = {"storage": run_storage_point(1_000, shard_counts=(4,)),
-                   "routing": [base, routed]}
-        digest = fig17_digest(results)
+        storage = run_storage_point(1_000, shard_counts=(4,))
+        digest = verify(EXPERIMENT, {
+            "fig17:storage:1000": storage,
+            "fig17:routing:4g:200:bcast": base,
+            "fig17:routing:4g:200:routed": routed,
+        })
         assert len(digest) == 64
-        text = format_fig17(results)
+        text = format_fig17(storage, [base, routed])
         assert "Fig. 17a" in text and "Fig. 17b" in text
         assert "results ==" in text
 
@@ -79,10 +84,9 @@ class TestShardedBackendInVO:
                           monitors=False, lifecycle=False, storage=storage)
             vo.form_overlay()
             names = vo.site_names
-            from repro.experiments.fig17 import TYPE_XML_TEMPLATE
             vo.run_process(vo.client_call(
                 names[-1], "register_type",
-                payload={"xml": TYPE_XML_TEMPLATE.format(name="ShardApp")},
+                payload={"xml": plain_type_xml("ShardApp", "scale")},
             ))
             records = []
 

@@ -89,14 +89,11 @@ class TestProvisioningWave:
 
 @pytest.mark.slow
 class TestFig18EndToEnd:
-    def test_quick_cli_fans_out_and_degrades_gracefully(self, capsys):
-        # the full quick driver: capacity probe, 0.5x-4x sweep with the
-        # determinism repeat, flash crowd, wave — fanned across two
-        # workers, merged digest order-independent by construction
-        from repro.cli import main
-
-        assert main(["fig18", "--quick", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
+    def test_quick_cli_fans_out_and_degrades_gracefully(self, quick_runs):
+        # the full quick experiment: capacity probe, 0.5x-4x sweep with
+        # the determinism repeat, flash crowd, wave (its fan-out against
+        # this serial run is tests/experiments/test_registry.py's job)
+        out = quick_runs["fig18"].text
         assert "offered" in out
         assert "flash" in out.lower()
         assert "wave" in out.lower()
@@ -104,7 +101,7 @@ class TestFig18EndToEnd:
 
 class TestFormatting:
     def test_format_renders_all_sections(self, nominal_point, overload_point):
-        from repro.experiments.fig18 import Fig18Flash, Fig18Result, Fig18Wave
+        from repro.experiments.fig18 import Fig18Flash, Fig18Wave
 
         flash = Fig18Flash(capacity=CAPACITY, hot_spike_rate=1200.0,
                            phases={"before": {"arrivals": 10, "goodput": 5.0,
@@ -117,10 +114,7 @@ class TestFormatting:
                          ttr={"p50_s": 9.0, "p90_s": 11.0, "p99_s": 12.0,
                               "max_s": 12.0},
                          wave_seconds=9.0, result_digest="e" * 64)
-        result = Fig18Result(capacity=CAPACITY,
-                             points=[nominal_point, overload_point],
-                             flash=flash, wave=wave, merged_digest="f" * 64)
-        text = format_fig18(result)
+        text = format_fig18([nominal_point, overload_point], flash, wave)
         assert "offered" in text
         assert "shed" in text.lower()
         assert "wave" in text.lower()

@@ -9,16 +9,15 @@ double runs must be digest-identical.
 import pytest
 
 from repro.experiments.fig19 import (
+    EXPERIMENT,
     Fig19Flash,
-    Fig19Result,
     HOT_TYPE,
     format_fig19,
     run_fig19_flash,
 )
 
-#: the quick-mode shape, shrunk once here and shared by the fixtures
-TINY = dict(seed=43, n_sites=6, max_replicas=3, horizon=40.0, warmup=4.0,
-            spike_start=10.0, spike_end=26.0, adapt=8.0)
+#: the quick-mode shape, as the experiment declares it
+TINY = dict(EXPERIMENT.quick, seed=43)
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +81,8 @@ class TestStaticSeries:
 
 @pytest.mark.slow
 class TestFig19EndToEnd:
-    def test_quick_cli_fans_out_and_asserts(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig19", "--quick", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
+    def test_quick_cli_fans_out_and_asserts(self, quick_runs):
+        out = quick_runs["fig19"].text
         assert "orchestrated" in out
         assert "replica trajectory" in out
         assert "convergence" in out
@@ -112,8 +108,7 @@ class TestFormatting:
             replica_series=[(0.0, 1)], max_replicas_seen=1,
             final_replicas=1, result_digest="b" * 64,
         )
-        text = format_fig19(Fig19Result(orchestrated=flash, static=static,
-                                        merged_digest="c" * 64))
+        text = format_fig19(flash, static)
         assert HOT_TYPE not in text  # the table speaks in series terms
         assert "orchestrated" in text
         assert "static" in text

@@ -1,0 +1,143 @@
+"""The ``EXPERIMENTS`` table is the one place that names the artefacts.
+
+Table-driven: every assertion here iterates the table, so a new entry
+is covered the moment it is declared — by ``--help``, ``repro all``,
+the aggregate report and the serial-vs-fanned digest check alike.
+"""
+
+import pytest
+
+from repro import cli
+from repro.experiments import fig17, fig18
+from repro.experiments.harness import (
+    ExperimentRun,
+    run_experiment,
+    run_grid,
+    verify,
+)
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.report import join_sections, render_experiment_report
+from repro.net.network import Network
+
+from .test_output_identity import mask_wall_time
+
+
+class TestTable:
+    def test_names_are_the_keys_in_presentation_order(self):
+        assert list(EXPERIMENTS) == [e.name for e in EXPERIMENTS.values()]
+        assert list(EXPERIMENTS)[0] == "table1"
+        assert list(EXPERIMENTS)[1:] == sorted(list(EXPERIMENTS)[1:])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_units_are_named_after_their_experiment(self, name, quick_runs):
+        experiment = EXPERIMENTS[name]
+        names = list(quick_runs[name].results)
+        assert len(names) > 1
+        assert all(n.startswith(f"{name}:") for n in names)
+        # a repeat and the unit it reproduces both exist
+        for repeat, original in experiment.repeats.items():
+            assert repeat in names and original in names
+
+    def test_no_switch_rides_on_a_declaration(self):
+        # grids are data; nothing on an Experiment is set by the user
+        for experiment in EXPERIMENTS.values():
+            assert experiment.quick is not None and experiment.full is not None
+        assert [e.name for e in EXPERIMENTS.values() if e.scale] == ["fig14"]
+        assert [e.name for e in EXPERIMENTS.values() if e.report] == ["fig16"]
+
+
+class TestCliReadsTheTable:
+    def test_help_lists_every_entry(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = capsys.readouterr().out
+        for name, experiment in EXPERIMENTS.items():
+            assert f"  {name:<7} {experiment.summary}" in out
+        positional = out[out.index("positional arguments:"):]
+        choices = positional[positional.index("{") + 1:positional.index("}")]
+        assert set(EXPERIMENTS) | {"all"} <= set(choices.split(","))
+
+    def test_all_runs_every_entry_in_table_order(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(name, **kwargs):
+            seen.append((name, kwargs))
+            return ExperimentRun(name, {}, "", f"<{name}>")
+
+        monkeypatch.setattr(cli, "run_experiment", stub)
+        assert cli.main(["all", "--quick", "--jobs", "3",
+                         "--report-out", "r.txt"]) == 0
+        assert [name for name, _ in seen] == list(EXPERIMENTS)
+        assert all(kwargs == {"quick": True, "jobs": 3, "scale": False,
+                              "report_out": "r.txt"} for _, kwargs in seen)
+        out = capsys.readouterr().out
+        assert all(f"=== {name} " in out and f"<{name}>" in out
+                   for name in EXPERIMENTS)
+
+    def test_one_command_per_entry_plus_all_plus_views(self):
+        assert list(cli.COMMANDS) == list(EXPERIMENTS) + [
+            "all", "trace", "metrics", "health", "slo", "analyze", "report"]
+
+
+class TestAggregateReport:
+    def test_sections_equal_the_standalone_renders(self, quick_runs):
+        names = ("fig15", "table1", "fig16")  # sub-second entries
+        report = render_experiment_report(quick=True, names=names)
+        assert report == join_sections(
+            {name: quick_runs[name].text for name in names})
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="fig99"):
+            render_experiment_report(names=("table1", "fig99"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_fanned_run_merges_to_the_serial_digest(name, quick_runs):
+    """``--jobs 4`` against the session's serial run: same merged
+    digest (every point matched) and the same rendered text."""
+    serial = quick_runs[name]
+    fanned = run_experiment(name, quick=True, jobs=4)
+    assert fanned.merged_digest == serial.merged_digest
+    assert list(fanned.results) == list(serial.results)
+    assert mask_wall_time(fanned.text) == mask_wall_time(serial.text)
+
+
+class TestFig17FlatnessIsNotAClock:
+    GRID = ((1_000, 16_000), ())  # two storage sizes, no routing cells
+
+    def test_skewed_timings_do_not_raise(self, monkeypatch):
+        # a busy sibling worker: the bigger backend "measures" 16x slower
+        monkeypatch.setattr(
+            fig17, "_time_lookups",
+            lambda backend, sample: 1e-9 * len(backend))
+        results = run_grid(fig17.EXPERIMENT, self.GRID)
+        sharded = [p for points in results.values() for p in points if p.shards]
+        assert max(p.per_lookup_ns for p in sharded) > 10 * min(
+            p.per_lookup_ns for p in sharded)
+        verify(fig17.EXPERIMENT, results)
+        assert len({p.calls_per_lookup for p in sharded}) == 1
+
+    def test_call_count_growing_with_n_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            fig17, "_calls_per_lookup",
+            lambda backend, sample: 3.0 + len(backend) / 1_000)
+        results = run_grid(fig17.EXPERIMENT, self.GRID)
+        with pytest.raises(AssertionError, match="per-lookup work not flat"):
+            verify(fig17.EXPERIMENT, results)
+
+
+class TestFig18CapacityProbe:
+    def test_probe_client_propagates_a_non_transient_error(self, monkeypatch):
+        """A bug in the call path must fail the run, not spin the probe
+        loop forever at one simulated instant."""
+        def broken_call(self, *args, **kwargs):
+            raise TypeError("call() got an unexpected keyword")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(fig18, "_setup_content", lambda *args: [])
+        monkeypatch.setattr(Network, "call", broken_call)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            fig18.run_fig18_capacity(n_sites=3, clients=2, horizon=1.0,
+                                     warmup=0.0)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fig14 import fig14_sweep_digest, run_fig14
+from repro.experiments import fig14
+from repro.experiments.harness import run_grid, verify
 from repro.runner import (
     WorkUnit,
     WorkerError,
@@ -135,11 +136,11 @@ class TestDeterministicMerge:
 
 class TestFig14Parallel:
     def test_fig14_sweep_fingerprint_matches_serial(self):
-        serial = run_fig14(sizes=(8, 16), jobs=1)
-        fanned = run_fig14(sizes=(8, 16), jobs=4)
-        assert fig14_sweep_digest(serial) == fig14_sweep_digest(fanned)
+        serial = run_grid(fig14.EXPERIMENT, (8, 16), jobs=1)
+        fanned = run_grid(fig14.EXPERIMENT, (8, 16), jobs=4)
+        assert (verify(fig14.EXPERIMENT, serial)
+                == verify(fig14.EXPERIMENT, fanned))
         # and not just the merged digest — the per-point results agree
-        for s, f in zip(serial, fanned):
-            assert s.n_sites == f.n_sites
-            assert s.optimized == f.optimized
-            assert s.result_digest == f.result_digest
+        assert list(serial) == list(fanned)
+        for name in serial:
+            assert serial[name] == fanned[name]
