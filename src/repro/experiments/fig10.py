@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence
 
-from repro.experiments.harness import Experiment
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_multi_series
 from repro.experiments.workload import (
     measure_throughput,
@@ -143,6 +143,33 @@ def _units(client_counts: Sequence[int]) -> List[WorkUnit]:
     ]
 
 
+def _check(results: Results) -> None:
+    """Paper Fig. 10: the registry sustains roughly twice the index's
+    saturated throughput ("Index Service is 50% slower than Activity
+    Registry because of its XPath-based querying mechanism") and
+    transport-level security costs both roughly half of theirs."""
+    points = list(results.values())
+
+    def series(service: str, security: str) -> List[float]:
+        return [p.throughput
+                for p in sorted(points, key=lambda p: p.clients)
+                if p.service == service and p.security == security]
+
+    registry_http = max(series("registry", "http"))
+    index_http = max(series("index", "http"))
+    assert 1.4 < registry_http / index_http < 3.0, (
+        f"fig10: registry/index saturated throughput {registry_http:.1f}/"
+        f"{index_http:.1f} is not ~2x")
+    for service, saturated, floor in (("registry", registry_http, 1.6),
+                                      ("index", index_http, 1.3)):
+        cost = saturated / max(series(service, "https"))
+        assert floor < cost < 3.2, (
+            f"fig10: TLS divides {service} throughput by {cost:.2f}, not ~2")
+    climb = series("registry", "http")
+    assert len(climb) < 2 or climb[0] < climb[-1], (
+        "fig10: registry throughput does not grow with clients")
+
+
 EXPERIMENT = Experiment(
     name="fig10",
     summary="registry vs WS-MDS index throughput under concurrent clients",
@@ -150,4 +177,5 @@ EXPERIMENT = Experiment(
     full=(1, 2, 4, 6, 8, 10, 12, 14, 16),
     units=_units,
     render=lambda results: format_fig10(list(results.values())),
+    check=_check,
 )

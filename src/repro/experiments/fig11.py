@@ -100,6 +100,27 @@ def _render(results: Results) -> str:
     )
 
 
+def _check(results: Results) -> None:
+    """Paper Fig. 11: hash-table lookups keep the registry flat as it
+    grows, XPath scans make the index decay, and past ~130 resources
+    with more than 10 clients the index "stops responding"."""
+    def series(service: str) -> List[float]:
+        sweep = [p for name, p in results.items() if name != PROBE
+                 and p.service == service and p.security == "http"]
+        return [p.throughput for p in sorted(sweep, key=lambda p: p.resources)]
+
+    registry, index = series("registry"), series("index")
+    assert max(registry) - min(registry) < 0.1 * max(registry), (
+        f"fig11: registry throughput is not flat within 10%: {registry}")
+    assert all(a >= b for a, b in zip(index, index[1:])), (
+        f"fig11: index throughput does not decay monotonically: {index}")
+    assert len(index) < 2 or index[-1] < 0.5 * index[0], (
+        f"fig11: index throughput decays by less than half: {index}")
+    probe = results[PROBE]
+    assert probe.throughput < 2.0, (
+        f"fig11: the overloaded index still serves {probe.throughput:.2f} req/s")
+
+
 EXPERIMENT = Experiment(
     name="fig11",
     summary="throughput vs registered activity types (index decay + "
@@ -108,4 +129,5 @@ EXPERIMENT = Experiment(
     full=(DEFAULT_SIZES, True),
     units=_units,
     render=_render,
+    check=_check,
 )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Sequence
 
-from repro.experiments.harness import Experiment
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
 from repro.experiments.workload import spawn_clients
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
@@ -145,6 +145,23 @@ def _units(site_counts: Sequence[int]) -> List[WorkUnit]:
     ]
 
 
+def _check(results: Results) -> None:
+    """Paper Fig. 12: "a significant improvement in performance by
+    increasing number of sites or by enabling the cache"."""
+    points = list(results.values())
+    uncached = {p.sites: p.mean_response_ms for p in points if not p.cache}
+    by_sites = [uncached[sites] for sites in sorted(uncached)]
+    assert all(a > b for a, b in zip(by_sites, by_sites[1:])), (
+        f"fig12: more sites are not faster without a cache: {uncached}")
+    cached = [p.mean_response_ms for p in points if p.cache]
+    if cached and 7 in uncached:
+        assert cached[0] < 0.5 * uncached[7], (
+            f"fig12: the cache ({cached[0]:.1f} ms) is not under half of "
+            f"no-cache on 7 sites ({uncached[7]:.1f} ms)")
+    assert all(p.completed > 100 for p in points), (
+        "fig12: a configuration completed too few requests to mean anything")
+
+
 EXPERIMENT = Experiment(
     name="fig12",
     summary="deployment-list response time: cache on one site vs no cache "
@@ -153,4 +170,5 @@ EXPERIMENT = Experiment(
     full=(1, 3, 7),
     units=_units,
     render=lambda results: format_fig12(list(results.values())),
+    check=_check,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence, Tuple
 
-from repro.experiments.harness import Experiment
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_multi_series
 from repro.experiments.workload import spawn_clients, synthetic_type_doc
 from repro.glare.model import ActivityType
@@ -158,6 +158,36 @@ def _units(
     return units
 
 
+def _check(results: Results) -> None:
+    """Paper Fig. 13: load grows with the number of sinks and with the
+    notification rate, "peaks slightly above 16 corresponding to 210
+    sinks" at a 1 s rate, and against requesters "peaks just below 5".
+    A claim whose points the grid lacks is skipped, never loosened."""
+    loads = {(p.series, p.count): p.load_average for p in results.values()}
+    claims = (
+        ("210 sinks at a 1 s rate load the host to ~16",
+         lambda peak: 8.0 < peak < 32.0, [("sinks@1s", 210)]),
+        ("load grows with the number of sinks",
+         lambda idle, mid, peak: idle < mid < peak,
+         [("sinks@1s", 0), ("sinks@1s", 120), ("sinks@1s", 210)]),
+        ("load grows with the notification rate",
+         lambda slow, peak: 0 < slow < peak,
+         [("sinks@5s", 210), ("sinks@1s", 210)]),
+        ("a 10 s rate loads no more than a 5 s rate",
+         lambda slower, slow: slower <= slow,
+         [("sinks@10s", 210), ("sinks@5s", 210)]),
+    )
+    for claim, holds, needs in claims:
+        if all(key in loads for key in needs):
+            measured = [loads[key] for key in needs]
+            assert holds(*measured), f"fig13: {claim} — measured {measured}"
+    if ("requesters", 210) in loads:  # the series reaches its peak
+        peak = max(load for (series, _), load in loads.items()
+                   if series == "requesters")
+        assert 1.0 < peak < 6.0, (
+            f"fig13: the requester series peaks at {peak:.2f}, not just below 5")
+
+
 _COUNTS = (0, 30, 60, 90, 120, 150, 180, 210)
 
 EXPERIMENT = Experiment(
@@ -167,4 +197,5 @@ EXPERIMENT = Experiment(
     full=(_COUNTS, _COUNTS, (1.0, 5.0, 10.0)),
     units=_units,
     render=lambda results: format_fig13(list(results.values())),
+    check=_check,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Sequence
 
 from repro.apps import TABLE1_APPLICATIONS, get_application, publish_applications
-from repro.experiments.harness import Experiment
+from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
 from repro.glare.provisioning import NOTIFICATION_COST
 from repro.runner import WorkUnit
@@ -152,6 +152,36 @@ def _units(applications: Sequence[str]) -> List[WorkUnit]:
     ]
 
 
+#: the paper's "Total overhead for meta-scheduler" row, in ms
+PAPER_TOTALS_MS = {
+    ("expect", "Wien2k"): 11068,
+    ("expect", "Invmod"): 30484,
+    ("expect", "Counter"): 32484,
+    ("javacog", "Wien2k"): 25001,
+    ("javacog", "Invmod"): 53527,
+    ("javacog", "Counter"): 43518,
+}
+
+
+def _check(results: Results) -> None:
+    """Paper Table 1's shape: Expect beats JavaCoG on every total, the
+    installation dominates a source build (Invmod), and every total is
+    within 2x of the paper's number."""
+    rows = {(r.method, r.application): r for r in results.values()}
+    for (method, application), row in rows.items():
+        other = rows.get(("javacog", application))
+        if method == "expect" and other is not None:
+            assert row.total_ms < other.total_ms, (
+                f"table1: Expect does not beat JavaCoG on {application}")
+        if application == "Invmod":
+            assert row.installation_ms > 0.5 * row.total_ms, (
+                f"table1: installation does not dominate Invmod/{method}")
+        paper_ms = PAPER_TOTALS_MS[(method, application)]
+        assert paper_ms / 2 < row.total_ms < paper_ms * 2, (
+            f"table1: {method}/{application} total {row.total_ms:.0f} ms is "
+            f"not within 2x of the paper's {paper_ms} ms")
+
+
 EXPERIMENT = Experiment(
     name="table1",
     summary="per-stage on-demand deployment overheads, Expect vs JavaCoG",
@@ -159,4 +189,5 @@ EXPERIMENT = Experiment(
     full=TABLE1_APPLICATIONS,
     units=_units,
     render=lambda results: format_table1(list(results.values())),
+    check=_check,
 )

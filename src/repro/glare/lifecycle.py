@@ -41,7 +41,8 @@ class LifecycleController:
         self.min_check_interval = min_check_interval
         self.lifetime = LifetimeManager(rdm.sim, interval=sweep_interval)
         self.lifetime.watch(rdm.atr.home, listener=self._on_type_expired)
-        self.lifetime.watch(rdm.adr.home, listener=self._on_deployment_expired)
+        # an expired deployment only needs the registry's own removal
+        self.lifetime.watch(rdm.adr.home, listener=rdm.adr.unpublish)
         self.cascaded_expiries = 0
         self.minimum_repairs = 0
         self._min_proc = None
@@ -63,32 +64,19 @@ class LifecycleController:
             self._min_proc.interrupt("stop")
         self._min_proc = None
 
-    # -- expiry listeners -----------------------------------------------------
+    # -- expiry listener ------------------------------------------------------
 
     def _on_type_expired(self, resource: WSResource) -> None:
         """Type expired: cascade onto its local deployments."""
-        type_name = resource.key
         atr, adr = self.rdm.atr, self.rdm.adr
-        if atr.cache.lookup(type_name) is None:
-            atr.hierarchy.remove(type_name)
-        atr.aggregation.remove(resource.epr)
-        for deployment in list(adr.local_deployments_for(type_name)):
+        atr.unpublish(resource)
+        for deployment in list(adr.local_deployments_for(resource.key)):
             # "an active (running) deployment at expiration time
             # completes its execution" — GRAM jobs already in flight are
             # independent processes, so dropping the registration does
             # not interrupt them.
-            adr.remove_local_deployment(deployment.key)
+            adr.remove_local(deployment.key)
             self.cascaded_expiries += 1
-
-    def _on_deployment_expired(self, resource: WSResource) -> None:
-        key = resource.key
-        adr = self.rdm.adr
-        deployment = adr.deployments.pop(key, None)
-        if deployment is not None:
-            adr.aggregation.remove(resource.epr)
-            keys = adr.by_type.get(deployment.type_name, [])
-            if key in keys and key not in adr.cached_deployments:
-                keys.remove(key)
 
     # -- expiry API (provider-facing) ---------------------------------------------
 

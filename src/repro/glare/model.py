@@ -192,6 +192,11 @@ class ActivityType(_WireCached):
             )
 
     @property
+    def key(self) -> str:
+        """Registry key: a type's WS-Resource is keyed by its name."""
+        return self.name
+
+    @property
     def is_concrete(self) -> bool:
         return self.kind == TypeKind.CONCRETE
 

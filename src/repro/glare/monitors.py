@@ -14,16 +14,14 @@ Deployment Status Monitor (paper §3.2/§3.3).
 * **Deployment Status Monitor** — "checks the status of each locally
   registered activity deployment and updates its resource and endpoint
   reference": it verifies executables still exist on disk, refreshes
-  the LUT, and flags vanished deployments as failed (which the
-  lifecycle machinery may then relocate to another site).
+  the LUT, and flags vanished deployments as failed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.glare.model import ActivityDeployment, ActivityType, DeploymentKind, DeploymentStatus
-from repro.glare.registry import epr_from_wire
+from repro.glare.model import DeploymentKind, DeploymentStatus
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.simkernel.errors import Interrupt, OfflineError
@@ -36,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: are treated as temporarily unreachable; no retry — the next cycle
 #: revisits them anyway)
 LUT_RETRY = RetryPolicy.single(8.0)
+
+#: what :meth:`CacheRefresher._ask` answers for an unreachable source
+#: (``None`` is taken: it is the LUT of a resource that is gone)
+_UNREACHABLE = object()
 
 
 class Monitor:
@@ -119,7 +121,15 @@ class IndexMonitor(Monitor):
 
 
 class CacheRefresher(Monitor):
-    """Revalidate cached types/deployments against their source LUTs."""
+    """Revalidate cached types/deployments against their source LUTs.
+
+    One loop over both registries and one :meth:`_revalidate` per
+    entry; ``ResolutionConfig.batch_revalidation`` only changes how the
+    source LUTs arrive — one ``get_lut`` per entry, or one
+    ``get_lut_batch`` per (source site, service) pair, which makes the
+    revalidation traffic O(distinct sources) instead of O(cached
+    entries) for the same end state.
+    """
 
     NAME = "cache-refresher"
 
@@ -131,127 +141,54 @@ class CacheRefresher(Monitor):
         self.batched_rpcs = 0
 
     def tick(self) -> Generator:
-        if self.rdm.resolution.batch_revalidation:
-            yield from self._refresh_batched(
-                self.rdm.atr, self.rdm.atr.drop_cached_type, "lookup_type",
-                self._recache_type,
+        batched = self.rdm.resolution.batch_revalidation
+        for registry in (self.rdm.atr, self.rdm.adr):
+            by_source: dict = {}
+            for key, source in list(registry.cache_sources.items()):
+                if registry.cache.lookup(key) is None:
+                    registry.drop_cached(key)  # the cached resource vanished
+                elif batched:
+                    by_source.setdefault((source.site, source.service), []).append(key)
+                else:
+                    lut = yield from self._ask(source.site, source.service, "get_lut", key)
+                    if lut is not _UNREACHABLE:
+                        yield from self._revalidate(registry, key, lut)
+            for (site, service), keys in by_source.items():
+                luts = yield from self._ask(site, service, "get_lut_batch", keys)
+                if luts is not _UNREACHABLE:
+                    self.batched_rpcs += 1
+                    for key in keys:
+                        yield from self._revalidate(registry, key, luts.get(key))
+
+    def _revalidate(self, registry, key: str, lut) -> Generator:
+        """Apply the source's current LUT to one cached entry (Fig. 6)."""
+        source = registry.cache_sources.get(key)
+        if source is None:
+            return  # evicted while the LUT was in flight
+        if lut is None:
+            # the source dropped the resource: discard the stale copy
+            registry.drop_cached(key)
+            self.discarded += 1
+        elif lut > source.last_update_time:
+            wire = yield from self._ask(
+                source.site, source.service, registry.FETCH_OP, key
             )
-            yield from self._refresh_batched(
-                self.rdm.adr, self.rdm.adr.drop_cached_deployment,
-                "get_deployment", self._recache_deployment,
-            )
-            return
-        yield from self._refresh_types()
-        yield from self._refresh_deployments()
+            if wire is not None and wire is not _UNREACHABLE:
+                registry.cache_wire(wire)
+                self.refreshed += 1
 
-    def _refresh_batched(self, registry, drop, fetch_method, recache) -> Generator:
-        """One ``get_lut_batch`` per (source site, service) pair.
-
-        End state is identical to the per-entry path: gone resources
-        are discarded, changed ones refetched — but the revalidation
-        traffic is O(distinct sources) instead of O(cached entries).
-        """
-        # entries whose cached resource vanished are dropped up front,
-        # exactly like the per-entry path's first guard
-        for key in list(registry.cache_sources):
-            if registry.cache.lookup(key) is None:
-                drop(key)
-        by_source: dict = {}
-        for key, source in list(registry.cache_sources.items()):
-            by_source.setdefault((source.site, source.service), []).append(key)
-        for (site, service), keys in by_source.items():
-            try:
-                luts = yield from self.rdm.network.call(
-                    self.rdm.node_name, site, service, "get_lut_batch",
-                    payload=list(keys), retry=LUT_RETRY,
-                )
-            except (OfflineError, RpcTimeout):
-                continue  # source temporarily unreachable: keep the copies
-            self.batched_rpcs += 1
-            for key in keys:
-                source = registry.cache_sources.get(key)
-                if source is None:
-                    continue  # evicted while the batch was in flight
-                lut = luts.get(key)
-                if lut is None:
-                    drop(key)
-                    self.discarded += 1
-                elif lut > source.last_update_time:
-                    wire = yield from self._safe_fetch(site, service, fetch_method, key)
-                    if wire is not None:
-                        recache(wire)
-                        self.refreshed += 1
-
-    def _recache_type(self, wire) -> None:
-        at = ActivityType.from_xml(wire["xml"])
-        self.rdm.atr.add_cached_type(at, epr_from_wire(wire["epr"]))
-
-    def _recache_deployment(self, wire) -> None:
-        deployment = ActivityDeployment.from_xml(wire["xml"])
-        self.rdm.adr.add_cached_deployment(deployment, epr_from_wire(wire["epr"]))
-
-    def _refresh_types(self) -> Generator:
-        atr = self.rdm.atr
-        for name, source in list(atr.cache_sources.items()):
-            cached = atr.cache.lookup(name)
-            if cached is None:
-                atr.drop_cached_type(name)
-                continue
-            try:
-                lut = yield from self.rdm.network.call(
-                    self.rdm.node_name, source.site, source.service, "get_lut",
-                    payload=name, retry=LUT_RETRY,
-                )
-            except (OfflineError, RpcTimeout):
-                continue  # source temporarily unreachable: keep the copy
-            if lut is None:
-                # the source dropped the resource: discard the stale copy
-                atr.drop_cached_type(name)
-                self.discarded += 1
-            elif lut > source.last_update_time:
-                wire = yield from self._safe_fetch(
-                    source.site, source.service, "lookup_type", name
-                )
-                if wire is not None:
-                    at = ActivityType.from_xml(wire["xml"])
-                    atr.add_cached_type(at, epr_from_wire(wire["epr"]))
-                    self.refreshed += 1
-
-    def _refresh_deployments(self) -> Generator:
-        adr = self.rdm.adr
-        for key, source in list(adr.cache_sources.items()):
-            cached = adr.cache.lookup(key)
-            if cached is None:
-                adr.drop_cached_deployment(key)
-                continue
-            try:
-                lut = yield from self.rdm.network.call(
-                    self.rdm.node_name, source.site, source.service, "get_lut",
-                    payload=key, retry=LUT_RETRY,
-                )
-            except (OfflineError, RpcTimeout):
-                continue
-            if lut is None:
-                adr.drop_cached_deployment(key)
-                self.discarded += 1
-            elif lut > source.last_update_time:
-                wire = yield from self._safe_fetch(
-                    source.site, source.service, "get_deployment", key
-                )
-                if wire is not None:
-                    deployment = ActivityDeployment.from_xml(wire["xml"])
-                    adr.add_cached_deployment(deployment, epr_from_wire(wire["epr"]))
-                    self.refreshed += 1
-
-    def _safe_fetch(self, site: str, service: str, method: str, key: str) -> Generator:
+    def _ask(self, site: str, service: str, method: str, payload) -> Generator:
+        """One revalidation RPC; ``_UNREACHABLE`` when the source is
+        temporarily offline or silent — its copies are kept and the
+        next cycle revisits them."""
         try:
-            wire = yield from self.rdm.network.call(
-                self.rdm.node_name, site, service, method, payload=key,
+            value = yield from self.rdm.network.call(
+                self.rdm.node_name, site, service, method, payload=payload,
                 retry=LUT_RETRY,
             )
-            return wire
         except (OfflineError, RpcTimeout):
-            return None
+            return _UNREACHABLE
+        return value
 
 
 class DeploymentStatusMonitor(Monitor):
@@ -259,10 +196,8 @@ class DeploymentStatusMonitor(Monitor):
 
     NAME = "deployment-status-monitor"
 
-    def __init__(self, rdm: "GlareRDMService", interval: float = 25.0,
-                 relocate_failed: bool = False) -> None:
+    def __init__(self, rdm: "GlareRDMService", interval: float = 25.0) -> None:
         super().__init__(rdm, interval)
-        self.relocate_failed = relocate_failed
         self.failures_detected = 0
 
     def tick(self) -> Generator:
@@ -287,16 +222,3 @@ class DeploymentStatusMonitor(Monitor):
             )
             if not healthy:
                 self.failures_detected += 1
-                if self.relocate_failed:
-                    yield from self._relocate(deployment)
-
-    def _relocate(self, deployment: ActivityDeployment) -> Generator:
-        """'If a deployment fails on one site, it can be moved to another.'"""
-        at = self.rdm.atr.find_type(deployment.type_name)
-        if at is None or not at.installable:
-            return
-        try:
-            yield from self.rdm.deployment_manager.deploy_on_demand(at)
-            self.rdm.adr.remove_local_deployment(deployment.key)
-        except Exception:
-            pass  # relocation is best-effort; the failure stays flagged

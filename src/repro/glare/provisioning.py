@@ -39,12 +39,12 @@ from repro.glare.model import (
     DeploymentKind,
     DeploymentStatus,
 )
-from repro.glare.registry import deployment_to_wire, epr_from_wire, wire_site
+from repro.glare.registry import deployment_to_wire, wire_site
 from repro.gridftp.service import TransferError
-from repro.net.interceptors import RetryPolicy
+from repro.net.interceptors import TRANSIENT_ERRORS, RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.simkernel.errors import OfflineError
-from repro.simkernel.primitives import bounded_gather
+from repro.simkernel.primitives import SingleFlight, bounded_gather
 from repro.site.description import SiteDescription
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,17 +107,6 @@ class ProvisioningConfig:
             transfer_singleflight=True,
         )
 
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            self.parallel_probe
-            or self.site_info_ttl > 0
-            or self.parallel_dependencies
-            or self.rollout_fanout > 1
-            or self.replica_transfers
-            or self.transfer_singleflight
-        )
-
 
 @dataclass
 class ProvisioningStats:
@@ -164,7 +153,7 @@ class DeploymentManager:
         #: the placement part of the key keeps concurrent rollout legs —
         #: same type, *different* target sites — from wrongly sharing
         #: one installation
-        self._in_flight: Dict[tuple, object] = {}
+        self._flights = SingleFlight(self.sim)
         self.piggybacked = 0
         #: probed SiteDescriptions by name: (probed_at, description)
         self._site_cache: Dict[str, Tuple[float, SiteDescription]] = {}
@@ -195,32 +184,24 @@ class DeploymentManager:
         # single-flight: if the same type is already being installed by
         # this site's deployment manager with the same placement intent,
         # wait for that result instead of installing a duplicate
-        key = (activity_type.name, preferred_site, tuple(sorted(exclude_sites)))
-        pending = self._in_flight.get(key)
-        if pending is not None:
-            self.piggybacked += 1
-            outcome = yield pending
-            if isinstance(outcome, dict) and outcome.get("ok"):
-                return outcome["wires"]
-            raise DeploymentFailed(
-                f"concurrent installation of {activity_type.name!r} failed"
-            )
-        done_event = self.sim.event(name=f"install:{activity_type.name}")
-        self._in_flight[key] = done_event
-        try:
+        def lead() -> Generator:
             with self.rdm.obs.tracer.span(
                 "deploy:on_demand", type=activity_type.name, depth=_depth
             ):
                 wires = yield from self._deploy_on_demand_inner(
                     activity_type, preferred_site, exclude_sites, _depth
                 )
-            done_event.succeed({"ok": True, "wires": wires})
             return wires
-        except BaseException:
-            done_event.succeed({"ok": False})
-            raise
-        finally:
-            self._in_flight.pop(key, None)
+
+        key = (activity_type.name, preferred_site, tuple(sorted(exclude_sites)))
+        led, ok, wires = yield from self._flights.run(key, lead)
+        if not led:
+            self.piggybacked += 1
+            if not ok:
+                raise DeploymentFailed(
+                    f"concurrent installation of {activity_type.name!r} failed"
+                )
+        return wires
 
     def _deploy_on_demand_inner(
         self,
@@ -336,8 +317,8 @@ class DeploymentManager:
         """One ``site_info`` RPC; ``None`` when the site is unreachable."""
         try:
             info = yield from self.rdm.rpc(name, "site_info", None, retry=PROBE_RETRY)
-        except (OfflineError, RpcTimeout):
-            return None
+        except TRANSIENT_ERRORS:
+            return None  # offline, silent or shedding: not a candidate now
         desc = SiteDescription.from_info(info)
         if self.config.site_info_ttl > 0:
             self._site_cache[name] = (self.sim.now, desc)
@@ -397,8 +378,7 @@ class DeploymentManager:
             raise DeploymentFailed(result.get("error", "installation failed"))
         # cache what the target registered
         for wire in result["deployments"]:
-            deployment = ActivityDeployment.from_xml(wire["xml"])
-            self.rdm.adr.add_cached_deployment(deployment, epr_from_wire(wire["epr"]))
+            self.rdm.adr.cache_wire(wire)
         return result["deployments"]
 
     def _provision_dependency(

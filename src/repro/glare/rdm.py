@@ -38,7 +38,7 @@ from repro.glare.registry import (
     ADR_SERVICE,
     ATR_SERVICE,
     deployment_to_wire,
-    epr_from_wire,
+    type_from_wire,
     type_to_wire,
     wire_site,
 )
@@ -52,6 +52,7 @@ from repro.net.message import Message, Response
 from repro.net.network import RpcTimeout
 from repro.net.service import Service
 from repro.simkernel.errors import OfflineError
+from repro.simkernel.primitives import SingleFlight
 from repro.site.gridsite import GridSite
 
 RDM_SERVICE = "glare-rdm"
@@ -75,9 +76,8 @@ class RequestManager:
         self.resolved_in_group = 0
         self.resolved_via_superpeer = 0
         self.resolved_by_deployment = 0
-        #: singleflight: in-flight resolution walks by (type, flags) key
-        self._inflight: Dict[tuple, object] = {}
-        self.singleflight_led = 0
+        #: in-flight resolution walks by (type, flags) key
+        self._flights = SingleFlight(self.sim)
         self.singleflight_joined = 0
         #: fan-out targets whose RPC failed (timeout/offline/error),
         #: as opposed to answering with an empty result
@@ -156,26 +156,20 @@ class RequestManager:
         return sorted(claims)
 
     def _cache_results(self, result: Dict[str, List[Dict]]) -> None:
-        """Fold remote lookup results into the local caches."""
+        """Fold remote lookup results into the local caches.
+
+        An authoritative local copy wins, and the wire metadata says so
+        without a parse: a type wire carries its ``name``, and the EPR
+        key *is* the deployment key ("site:name") for every wire the
+        registries emit.
+        """
         atr, adr = self.rdm.atr, self.rdm.adr
         for wire in result.get("types", []):
-            # metadata fast path: an authoritative local copy wins, so
-            # the wire need not even be parsed
-            name = wire.get("name")
-            if name is not None and atr.home.lookup(name) is not None:
-                continue
-            at = ActivityType.from_xml(wire["xml"])
-            if atr.home.lookup(at.name) is None:
-                atr.add_cached_type(at, epr_from_wire(wire["epr"]))
+            if atr.home.lookup(wire["name"]) is None:
+                atr.cache_wire(wire)
         for wire in result.get("deployments", []):
-            # the EPR key *is* the deployment key ("site:name") for
-            # every wire the registries emit; skip the parse when the
-            # deployment is registered here authoritatively
-            if wire["epr"]["key"] in adr.deployments:
-                continue
-            deployment = ActivityDeployment.from_xml(wire["xml"])
-            if deployment.key not in adr.deployments:
-                adr.add_cached_deployment(deployment, epr_from_wire(wire["epr"]))
+            if wire["epr"]["key"] not in adr.deployments:
+                adr.cache_wire(wire)
 
     # -- fan-out helpers -------------------------------------------------------------
 
@@ -276,36 +270,28 @@ class RequestManager:
         if not self.rdm.resolution.singleflight:
             wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
             return wires
-        key = (type_name, bool(auto_deploy), tuple(sorted(exclude_sites)))
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self.singleflight_joined += 1
-            self.rdm.obs.metrics.counter(
-                "glare.singleflight_joined", site=self.rdm.node_name
-            ).inc()
-            outcome = yield pending
-            if isinstance(outcome, dict) and outcome.get("ok"):
-                attr = self._TIER_ATTRS.get(outcome.get("tier"))
-                if attr is not None:
-                    setattr(self, attr, getattr(self, attr) + 1)
-                return list(outcome["wires"])
-            wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
-            return wires
-        done_event = self.sim.event(name=f"resolve:{type_name}")
-        self._inflight[key] = done_event
-        self.singleflight_led += 1
-        try:
+
+        def lead() -> Generator:
             before = self._tier_counters()
             wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
-            done_event.succeed(
-                {"ok": True, "wires": wires, "tier": self._tier_delta(before)}
-            )
+            return wires, self._tier_delta(before)
+
+        key = (type_name, bool(auto_deploy), tuple(sorted(exclude_sites)))
+        led, ok, value = yield from self._flights.run(key, lead)
+        if led:
+            return value[0]
+        self.singleflight_joined += 1
+        self.rdm.obs.metrics.counter(
+            "glare.singleflight_joined", site=self.rdm.node_name
+        ).inc()
+        if not ok:
+            wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
             return wires
-        except BaseException:
-            done_event.succeed({"ok": False})
-            raise
-        finally:
-            self._inflight.pop(key, None)
+        wires, tier = value
+        attr = self._TIER_ATTRS.get(tier)
+        if attr is not None:
+            setattr(self, attr, getattr(self, attr) + 1)
+        return list(wires)
 
     def _resolve(self, type_name: str, auto_deploy: bool = True,
                  exclude_sites: tuple = ()) -> Generator:
@@ -572,7 +558,7 @@ class RequestManager:
             return at
         # caching may be disabled: answer from the gathered wires directly
         for wire in merged.get("types", []):
-            candidate = ActivityType.from_xml(wire["xml"])
+            candidate = type_from_wire(wire)
             if candidate.name == type_name:
                 return candidate
         return None
@@ -608,7 +594,7 @@ class RequestManager:
                     if name is not None and scratch.get(name) is not None:
                         continue
                     try:
-                        scratch.add(ActivityType.from_xml(wire["xml"]))
+                        scratch.add(type_from_wire(wire))
                     except Exception:
                         continue
             for at in scratch.concrete_types_for(type_name):

@@ -93,35 +93,184 @@ def deployment_to_wire(
     )
 
 
+def type_from_wire(wire: Dict[str, object]) -> ActivityType:
+    """Decode a type wire (a fresh object per call, never an alias)."""
+    return ActivityType.from_xml(wire["xml"])
+
+
+def deployment_from_wire(wire: Dict[str, object]) -> ActivityDeployment:
+    """Decode a deployment wire (a fresh object per call)."""
+    return ActivityDeployment.from_xml(wire["xml"])
+
+
 def wire_site(wire: Dict[str, object]) -> str:
-    """Site of a deployment wire without re-parsing the XML.
-
-    Falls back to ``from_xml`` for old-shape wires that predate the
-    denormalized metadata (e.g. persisted fixtures).
-    """
-    site = wire.get("site")
-    if site is None:
-        site = ActivityDeployment.from_xml(str(wire["xml"])).site
-    return str(site)
+    """Site of a deployment wire, from its metadata (no XML parse)."""
+    return str(wire["site"])
 
 
-class ActivityTypeRegistry(Service):
-    """Per-site registry of activity types.
+class _Registry(Service):
+    """What the ATR and the ADR both are (paper §3.1).
+
+    A WSRF service over a resource ``home`` of locally registered
+    WS-Resources, a ``cache`` of resources discovered from remote
+    registries — each remembering the source EPR whose
+    ``LastUpdateTime`` revalidates it (Fig. 6) — and one service group
+    aggregating the local resources for XPath queries.  The base owns
+    every index both registries share, so publishing, unpublishing,
+    caching and evicting are each stated once; a subclass extends them
+    with ``super()`` for the indexes only it keeps.
+
+    Registered and cached items are :class:`ActivityType` /
+    :class:`ActivityDeployment` objects: both carry ``key`` and
+    ``to_xml()``.
 
     Parameters
     ----------
     lookup_demand:
         CPU per named (hash-table) lookup — flat in registry size.
     register_demand:
-        CPU per type registration (WS-Resource creation, validation).
-    per_visit_cost:
-        CPU per node visited by an XPath query (same engine as MDS).
+        CPU per registration (WS-Resource creation, validation).
     storage:
         Backend selection for the resource homes; defaults to the flat
         dict backend (byte-identical to the pre-backend registry).
     """
 
+    #: the operation returning one resource's wire by key — what the
+    #: Cache Refresher refetches a changed resource through
+    FETCH_OP = ""
+    #: wire -> item decoder (``type_from_wire`` / ``deployment_from_wire``)
+    from_wire = None
+
+    def __init__(self, network, node_name, lookup_demand: float,
+                 register_demand: float, cache_enabled: bool,
+                 storage: Optional[StorageConfig]) -> None:
+        super().__init__(network, node_name)
+        self.lookup_demand = lookup_demand
+        self.register_demand = register_demand
+        self.cache_enabled = cache_enabled
+        self.storage = storage if storage is not None else StorageConfig()
+        self.home = ResourceHome(self.storage.make_backend())  # registered here
+        self.cache = ResourceHome(self.storage.make_backend())  # discovered remotely
+        self.cache_sources: Dict[str, EndpointReference] = {}
+        self.aggregation = ServiceGroup(self.sim, name=f"{self.name}:{node_name}")
+        self.lookups = 0
+        self.cache_hits = 0
+        #: optional hook called with the *type name* an authoritative
+        #: registration claims; the RDM uses it to piggyback super-peer
+        #: digest updates onto registrations
+        self.on_local_registration = None
+
+    def _epr_for(self, key: str) -> EndpointReference:
+        return EndpointReference(
+            address=f"{self.node_name}/{self.name}",
+            service=self.name,
+            key=key,
+            last_update_time=self.sim.now,
+        )
+
+    def _resource(self, item, epr: EndpointReference) -> WSResource:
+        return WSResource(key=item.key, properties=item.to_xml(),
+                          owner_epr=epr, created_at=self.sim.now)
+
+    # -- local resources --------------------------------------------------------
+
+    def _publish(self, item) -> WSResource:
+        """Make ``item`` a local WS-Resource: in ``home`` and aggregated."""
+        resource = self.home.add(self._resource(item, self._epr_for(item.key)))
+        self.aggregation.add(resource.epr, resource.properties,
+                             provider=lambda r=resource: None if r.destroyed else r.properties)
+        return resource
+
+    def unpublish(self, resource: WSResource) -> None:
+        """Withdraw a local resource from ``home`` and the service group.
+
+        The one removal path: explicit removal hands over the resource
+        it looked up, an expiry sweep the resource it already took out
+        of ``home`` — so this works from the resource, not from ``home``.
+        """
+        self.home.remove(resource.key)
+        self.aggregation.remove(resource.epr)
+        resource.destroy()
+
+    def remove_local(self, key: str) -> bool:
+        """Unpublish the local resource under ``key``; False if none."""
+        resource = self.home.lookup(key)
+        if resource is None:
+            return False
+        self.unpublish(resource)
+        return True
+
+    # -- cached resources -------------------------------------------------------
+
+    def add_cached(self, item, source_epr: EndpointReference) -> Optional[WSResource]:
+        """Cache a resource discovered from a remote registry."""
+        if not self.cache_enabled:
+            return None
+        self.cache_sources[item.key] = source_epr
+        return self.cache.add(self._resource(item, source_epr))
+
+    def cache_wire(self, wire: Dict[str, object]) -> Optional[WSResource]:
+        """Decode a received wire and cache what it carries.
+
+        The single receive-side decode: every path that learns a remote
+        resource (lookup results, installations, revalidation) ends
+        here.  Nothing is parsed when caching is off.
+        """
+        if not self.cache_enabled:
+            return None
+        return self.add_cached(self.from_wire(wire), epr_from_wire(wire["epr"]))
+
+    def drop_cached(self, key: str) -> None:
+        """Evict a cached resource (stale, gone at its source, shadowed)."""
+        self.cache.remove(key)
+        self.cache_sources.pop(key, None)
+
+    # -- shared operations ------------------------------------------------------
+
+    def op_query(self, message: Message) -> Generator:
+        """XPath query over the aggregated resource documents."""
+        query = XPathQuery.compile(message.payload)
+        results, visits = query.evaluate(self.aggregation.documents())
+        yield from self.compute(self.lookup_demand + visits * self.per_visit_cost)
+        return query_reply(results)
+
+    def op_get_lut(self, message: Message) -> Generator:
+        """LastUpdateTime of a local resource (cache revalidation)."""
+        yield from self.compute(0.0008)
+        resource = self.home.lookup(message.payload)
+        return None if resource is None else resource.last_update_time
+
+    def op_get_lut_batch(self, message: Message) -> Generator:
+        """Batched LastUpdateTime: one RPC revalidates many entries.
+
+        Payload is a list of resource keys; the answer maps each key to
+        its LUT (or ``None`` when the resource is gone).  The marginal
+        per-key cost is a hash lookup, far below the fixed request cost
+        — which is exactly why the Cache Refresher batches.
+        """
+        keys = list(message.payload or [])
+        yield from self.compute(0.0008 + 0.0002 * max(0, len(keys) - 1))
+        luts: Dict[str, object] = {}
+        for key in keys:
+            resource = self.home.lookup(key)
+            luts[key] = None if resource is None else resource.last_update_time
+        # no explicit size: the default estimate_size(luts) accounts for
+        # the actual key lengths, where the old 40-bytes-per-entry
+        # heuristic undercharged batches of long keys
+        return Response(value=luts)
+
+
+class ActivityTypeRegistry(_Registry):
+    """Per-site registry of activity types: the shared core plus the
+    type hierarchy and WS-Notification of registry changes.
+
+    ``per_visit_cost`` is the CPU per node visited by an XPath query
+    (same engine as MDS); the colocated ADR charges the same figure.
+    """
+
     SERVICE_NAME = ATR_SERVICE
+    FETCH_OP = "lookup_type"
+    from_wire = staticmethod(type_from_wire)
 
     def __init__(
         self,
@@ -133,51 +282,21 @@ class ActivityTypeRegistry(Service):
         cache_enabled: bool = True,
         storage: Optional[StorageConfig] = None,
     ) -> None:
-        super().__init__(network, node_name)
-        self.lookup_demand = lookup_demand
-        self.register_demand = register_demand
+        super().__init__(network, node_name, lookup_demand, register_demand,
+                         cache_enabled, storage)
         self.per_visit_cost = per_visit_cost
-        self.cache_enabled = cache_enabled
-        self.storage = storage if storage is not None else StorageConfig()
-
         self.hierarchy = TypeHierarchy()
-        self.home = ResourceHome(self.storage.make_backend())  # locally registered types
-        self.cache = ResourceHome(self.storage.make_backend())  # remotely discovered, cached types
-        self.cache_sources: Dict[str, EndpointReference] = {}
-        self.aggregation = ServiceGroup(self.sim, name=f"atr:{node_name}")
         #: WS-Notification: sinks subscribe to registry-change events
         #: (the listeners of the paper's Fig. 13 experiment)
         self.notifications = NotificationBroker(network, node_name)
-        self.lookups = 0
-        self.cache_hits = 0
-        #: optional hook called with the type name on every *local*
-        #: (authoritative) registration; the RDM uses it to piggyback
-        #: super-peer digest updates onto registrations
-        self.on_local_registration = None
 
     # -- local bookkeeping ---------------------------------------------------
-
-    def _epr_for(self, key: str) -> EndpointReference:
-        return EndpointReference(
-            address=f"{self.node_name}/{self.name}",
-            service=self.name,
-            key=key,
-            last_update_time=self.sim.now,
-        )
 
     def add_local_type(self, activity_type: ActivityType) -> WSResource:
         """Insert a type authoritatively on this site (no RPC)."""
         activity_type.registered_at = self.sim.now
         self.hierarchy.add(activity_type)
-        resource = WSResource(
-            key=activity_type.name,
-            properties=activity_type.to_xml(),
-            owner_epr=self._epr_for(activity_type.name),
-            created_at=self.sim.now,
-        )
-        self.home.add(resource)
-        self.aggregation.add(resource.epr, resource.properties,
-                             provider=lambda r=resource: None if r.destroyed else r.properties)
+        resource = self._publish(activity_type)
         self.notifications.publish(
             "type-updates",
             {"event": "registered", "type": activity_type.name,
@@ -187,27 +306,24 @@ class ActivityTypeRegistry(Service):
             self.on_local_registration(activity_type.name)
         return resource
 
-    def add_cached_type(
-        self, activity_type: ActivityType, source_epr: EndpointReference
-    ) -> Optional[WSResource]:
-        """Cache a type discovered from a remote registry."""
-        if not self.cache_enabled:
-            return None
-        self.hierarchy.add(activity_type)
-        resource = WSResource(
-            key=activity_type.name,
-            properties=activity_type.to_xml(),
-            owner_epr=source_epr,
-            created_at=self.sim.now,
+    def unpublish(self, resource: WSResource) -> None:
+        super().unpublish(resource)
+        name = resource.key
+        if self.cache.lookup(name) is None:
+            self.hierarchy.remove(name)
+        self.notifications.publish(
+            "type-updates",
+            {"event": "removed", "type": name, "site": self.node_name},
         )
-        self.cache.add(resource)
-        self.cache_sources[activity_type.name] = source_epr
-        return resource
 
-    def drop_cached_type(self, name: str) -> None:
-        """Evict a cached type (refresher found it stale/gone)."""
-        self.cache.remove(name)
-        self.cache_sources.pop(name, None)
+    def add_cached(self, activity_type: ActivityType,
+                   source_epr: EndpointReference) -> Optional[WSResource]:
+        if self.cache_enabled:
+            self.hierarchy.add(activity_type)  # may refuse a cycle: index first
+        return super().add_cached(activity_type, source_epr)
+
+    def drop_cached(self, name: str) -> None:
+        super().drop_cached(name)
         if self.home.lookup(name) is None:
             self.hierarchy.remove(name)
 
@@ -225,20 +341,6 @@ class ActivityTypeRegistry(Service):
         if resource is not None:
             return resource.epr
         return self.cache_sources.get(name)
-
-    def remove_local_type(self, name: str) -> bool:
-        resource = self.home.remove(name)
-        if resource is None:
-            return False
-        self.aggregation.remove(resource.epr)
-        resource.destroy()
-        if self.cache.lookup(name) is None:
-            self.hierarchy.remove(name)
-        self.notifications.publish(
-            "type-updates",
-            {"event": "removed", "type": name, "site": self.node_name},
-        )
-        return True
 
     # -- operations -------------------------------------------------------------
 
@@ -296,43 +398,10 @@ class ActivityTypeRegistry(Service):
             wires.append(type_to_wire(at, epr))
         return Response(value=wires, size=sum(len(w["xml"]) for w in wires) or 128)
 
-    def op_query(self, message: Message) -> Generator:
-        """XPath query over the aggregated type documents."""
-        query = XPathQuery.compile(message.payload)
-        results, visits = query.evaluate(self.aggregation.documents())
-        yield from self.compute(self.lookup_demand + visits * self.per_visit_cost)
-        return query_reply(results)
-
-    def op_get_lut(self, message: Message) -> Generator:
-        """LastUpdateTime of a local type resource (cache revalidation)."""
-        name = message.payload
-        yield from self.compute(0.0008)
-        resource = self.home.lookup(name)
-        return None if resource is None else resource.last_update_time
-
-    def op_get_lut_batch(self, message: Message) -> Generator:
-        """Batched LastUpdateTime: one RPC revalidates many entries.
-
-        Payload is a list of resource keys; the answer maps each key to
-        its LUT (or ``None`` when the resource is gone).  The marginal
-        per-key cost is a hash lookup, far below the fixed request cost
-        — which is exactly why the Cache Refresher batches.
-        """
-        keys = list(message.payload or [])
-        yield from self.compute(0.0008 + 0.0002 * max(0, len(keys) - 1))
-        luts: Dict[str, object] = {}
-        for key in keys:
-            resource = self.home.lookup(key)
-            luts[key] = None if resource is None else resource.last_update_time
-        # no explicit size: the default estimate_size(luts) accounts for
-        # the actual key lengths, where the old 40-bytes-per-entry
-        # heuristic undercharged batches of long type names
-        return Response(value=luts)
-
     def op_remove_type(self, message: Message) -> Generator:
         name = message.payload
         yield from self.compute(self.lookup_demand)
-        return {"removed": self.remove_local_type(name)}
+        return {"removed": self.remove_local(name)}
 
     def op_list_types(self, message: Message) -> Generator:
         yield from self.compute(self.lookup_demand)
@@ -374,8 +443,9 @@ class ActivityTypeRegistry(Service):
         return {"name": payload["name"], "terminates_at": payload["at"]}
 
 
-class ActivityDeploymentRegistry(Service):
-    """Per-site registry of activity deployments.
+class ActivityDeploymentRegistry(_Registry):
+    """Per-site registry of activity deployments: the shared core plus
+    the deployment tables, the by-type index and status updates.
 
     "An activity type must be present in the type registry before
     registration of its deployments.  ...  In case of failure in
@@ -385,6 +455,8 @@ class ActivityDeploymentRegistry(Service):
     """
 
     SERVICE_NAME = ADR_SERVICE
+    FETCH_OP = "get_deployment"
+    from_wire = staticmethod(deployment_from_wire)
 
     def __init__(
         self,
@@ -396,38 +468,22 @@ class ActivityDeploymentRegistry(Service):
         cache_enabled: bool = True,
         storage: Optional[StorageConfig] = None,
     ) -> None:
-        super().__init__(network, node_name)
+        super().__init__(network, node_name, lookup_demand, register_demand,
+                         cache_enabled, storage)
         self.atr = atr
-        self.lookup_demand = lookup_demand
-        self.register_demand = register_demand
-        self.cache_enabled = cache_enabled
-        self.storage = storage if storage is not None else StorageConfig()
-
         # denormalized indexes (deployments/by_type/...) stay plain
         # dicts: they are per-site working sets, not the sharded
         # namespace — only the resource homes go through the backend
         self.deployments: Dict[str, ActivityDeployment] = {}
-        self.home = ResourceHome(self.storage.make_backend())
-        self.cache = ResourceHome(self.storage.make_backend())
         self.cached_deployments: Dict[str, ActivityDeployment] = {}
-        self.cache_sources: Dict[str, EndpointReference] = {}
         self.by_type: Dict[str, List[str]] = {}
-        self.aggregation = ServiceGroup(self.sim, name=f"adr:{node_name}")
-        self.lookups = 0
-        self.cache_hits = 0
-        #: optional hook called with the deployment's *type name* on
-        #: every local registration (digest piggyback, like the ATR's)
-        self.on_local_registration = None
+
+    @property
+    def per_visit_cost(self) -> float:
+        """XPath cost per visited node: the colocated ATR's figure."""
+        return self.atr.per_visit_cost
 
     # -- local bookkeeping ---------------------------------------------------
-
-    def _epr_for(self, key: str) -> EndpointReference:
-        return EndpointReference(
-            address=f"{self.node_name}/{self.name}",
-            service=self.name,
-            key=key,
-            last_update_time=self.sim.now,
-        )
 
     def add_local_deployment(self, deployment: ActivityDeployment) -> WSResource:
         """Insert a deployment authoritatively (type must already exist)."""
@@ -449,65 +505,46 @@ class ActivityDeploymentRegistry(Service):
         deployment.registered_at = self.sim.now
         deployment.last_update_time = self.sim.now
         self.deployments[deployment.key] = deployment
-        resource = WSResource(
-            key=deployment.key,
-            properties=deployment.to_xml(),
-            owner_epr=self._epr_for(deployment.key),
-            created_at=self.sim.now,
-        )
-        self.home.add(resource)
-        self.aggregation.add(resource.epr, resource.properties,
-                             provider=lambda r=resource: None if r.destroyed else r.properties)
-        keys = self.by_type.setdefault(deployment.type_name, [])
-        if deployment.key not in keys:
-            keys.append(deployment.key)
+        resource = self._publish(deployment)
+        self._index_by_type(deployment)
         if self.on_local_registration is not None:
             self.on_local_registration(deployment.type_name)
         return resource
 
-    def add_cached_deployment(
-        self, deployment: ActivityDeployment, source_epr: EndpointReference
-    ) -> None:
-        if not self.cache_enabled:
-            return
-        resource = WSResource(
-            key=deployment.key,
-            properties=deployment.to_xml(),
-            owner_epr=source_epr,
-            created_at=self.sim.now,
-        )
-        self.cache.add(resource)
-        self.cached_deployments[deployment.key] = deployment
-        self.cache_sources[deployment.key] = source_epr
+    def unpublish(self, resource: WSResource) -> None:
+        super().unpublish(resource)
+        key = resource.key
+        deployment = self.deployments.pop(key, None)
+        # a deploy initiator caches what the target registered, and the
+        # target may be this site: that same-key cached copy must not
+        # outlive the deployment it shadows
+        self.drop_cached(key)
+        if deployment is not None:
+            self._unindex_by_type(deployment)
+
+    def add_cached(self, deployment: ActivityDeployment,
+                   source_epr: EndpointReference) -> Optional[WSResource]:
+        resource = super().add_cached(deployment, source_epr)
+        if resource is not None:
+            self.cached_deployments[deployment.key] = deployment
+            self._index_by_type(deployment)
+        return resource
+
+    def drop_cached(self, key: str) -> None:
+        super().drop_cached(key)
+        deployment = self.cached_deployments.pop(key, None)
+        if deployment is not None and key not in self.deployments:
+            self._unindex_by_type(deployment)
+
+    def _index_by_type(self, deployment: ActivityDeployment) -> None:
         keys = self.by_type.setdefault(deployment.type_name, [])
         if deployment.key not in keys:
             keys.append(deployment.key)
 
-    def drop_cached_deployment(self, key: str) -> None:
-        self.cache.remove(key)
-        deployment = self.cached_deployments.pop(key, None)
-        self.cache_sources.pop(key, None)
-        if deployment is not None:
-            keys = self.by_type.get(deployment.type_name, [])
-            if key in keys and key not in self.deployments:
-                keys.remove(key)
-
-    def remove_local_deployment(self, key: str) -> bool:
-        deployment = self.deployments.pop(key, None)
-        if deployment is None:
-            return False
-        resource = self.home.remove(key)
-        if resource is not None:
-            self.aggregation.remove(resource.epr)
-            resource.destroy()
-        # a deploy initiator caches what the target registered, and the
-        # target may be this site: that same-key cached copy must not
-        # outlive the deployment it shadows
-        self.drop_cached_deployment(key)
+    def _unindex_by_type(self, deployment: ActivityDeployment) -> None:
         keys = self.by_type.get(deployment.type_name, [])
-        if key in keys:
-            keys.remove(key)
-        return True
+        if deployment.key in keys:
+            keys.remove(deployment.key)
 
     def local_deployments_for(self, type_name: str) -> List[ActivityDeployment]:
         out = []
@@ -614,31 +651,7 @@ class ActivityDeploymentRegistry(Service):
         self.aggregation.refresh(resource.epr)
         return {"key": key, "lut": deployment.last_update_time}
 
-    def op_get_lut(self, message: Message) -> Generator:
-        key = message.payload
-        yield from self.compute(0.0008)
-        resource = self.home.lookup(key)
-        return None if resource is None else resource.last_update_time
-
-    def op_get_lut_batch(self, message: Message) -> Generator:
-        """Batched LastUpdateTime over deployment keys (see the ATR's)."""
-        keys = list(message.payload or [])
-        yield from self.compute(0.0008 + 0.0002 * max(0, len(keys) - 1))
-        luts: Dict[str, object] = {}
-        for key in keys:
-            resource = self.home.lookup(key)
-            luts[key] = None if resource is None else resource.last_update_time
-        # sized by estimate_size(luts), like the ATR's batch op: exact
-        # for long deployment keys where 40*len(luts) undercharged
-        return Response(value=luts)
-
     def op_remove_deployment(self, message: Message) -> Generator:
         key = message.payload
         yield from self.compute(self.lookup_demand)
-        return {"removed": self.remove_local_deployment(key)}
-
-    def op_query(self, message: Message) -> Generator:
-        query = XPathQuery.compile(message.payload)
-        results, visits = query.evaluate(self.aggregation.documents())
-        yield from self.compute(self.lookup_demand + visits * self.atr.per_visit_cost)
-        return query_reply(results)
+        return {"removed": self.remove_local(key)}

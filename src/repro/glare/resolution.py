@@ -81,11 +81,6 @@ class ResolutionConfig:
             monitor_jitter=True,
         )
 
-    @property
-    def any_enabled(self) -> bool:
-        return (self.singleflight or self.batch_revalidation or self.digests
-                or self.negative_ttl > 0 or self.monitor_jitter)
-
 
 class TypeDigest:
     """A super-peer's epoch-stamped summary of where types live.

@@ -333,11 +333,6 @@ class StorageConfig:
             routing=routing,
         )
 
-    @property
-    def any_enabled(self) -> bool:
-        """Whether this config departs from the flat-dict default."""
-        return self.backend != "dict" or self.routing
-
     def make_backend(self) -> RegistryBackend:
         """Build a fresh backend instance for one resource home."""
         if self.backend == "dict":

@@ -27,6 +27,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.net.message import Message, Response
 from repro.net.service import Service
 from repro.simkernel.errors import OfflineError
+from repro.simkernel.primitives import SingleFlight
 from repro.site.filesystem import Filesystem, FilesystemError
 
 
@@ -174,8 +175,8 @@ class GridFtpService(Service):
         self.replica_hits = 0
         #: fetch_url calls that piggybacked on an in-flight download
         self.url_singleflight_joined = 0
-        #: in-flight fetch_url downloads by URL (singleflight)
-        self._inflight_urls: Dict[str, object] = {}
+        #: in-flight fetch_url downloads by URL
+        self._url_flights = SingleFlight(self.sim)
 
     # -- remote operations ----------------------------------------------------
 
@@ -298,15 +299,30 @@ class GridFtpService(Service):
     def fetch_url(self, url: str, dst_path: str, expected_md5: str = "") -> Generator:
         """Resolve ``url`` through the catalog and fetch it locally.
 
-        With :attr:`transfer_singleflight` on, concurrent fetches of the
-        same URL on this site coalesce into one download; with
-        :attr:`replica_transfers` on, the source is the nearest live
-        copy rather than always the origin host.
+        With :attr:`replica_transfers` on, the source is the nearest
+        live copy rather than always the origin host.  With
+        :attr:`transfer_singleflight` on, the first fetch of a URL on
+        this site leads; concurrent fetches of the same URL wait for it
+        and then copy the leader's file locally (setup cost only, no
+        wide-area transfer).  A failed leader is not shared — each
+        follower falls back to its own download.
         """
-        if self.transfer_singleflight:
-            entry = yield from self._fetch_url_coalesced(url, dst_path, expected_md5)
-        else:
+        if not self.transfer_singleflight:
             entry = yield from self._fetch_url_once(url, dst_path, expected_md5)
+            return entry
+        led, ok, entry = yield from self._url_flights.run(
+            url, lambda: self._fetch_url_once(url, dst_path, expected_md5)
+        )
+        if led:
+            return entry
+        self.url_singleflight_joined += 1
+        if not ok:
+            entry = yield from self._fetch_url_once(url, dst_path, expected_md5)
+            return entry
+        entry = yield from self.fetch(
+            self.node_name, entry.path, dst_path, expected_md5=expected_md5
+        )
+        entry.source_url = url
         return entry
 
     def _fetch_url_once(self, url: str, dst_path: str, expected_md5: str = "") -> Generator:
@@ -374,40 +390,6 @@ class GridFtpService(Service):
             return self.network.is_online(site)
         except ValueError:
             return False
-
-    def _fetch_url_coalesced(self, url: str, dst_path: str,
-                             expected_md5: str = "") -> Generator:
-        """Per-site singleflight gate in front of :meth:`_fetch_url_once`.
-
-        The first fetch of a URL leads; concurrent fetches of the same
-        URL wait for it and then copy the leader's file locally (setup
-        cost only, no wide-area transfer).  A failed leader is not
-        shared — each follower falls back to its own download.
-        """
-        pending = self._inflight_urls.get(url)
-        if pending is not None:
-            self.url_singleflight_joined += 1
-            outcome = yield pending
-            if isinstance(outcome, dict) and outcome.get("ok"):
-                entry = yield from self.fetch(
-                    self.node_name, outcome["path"], dst_path,
-                    expected_md5=expected_md5,
-                )
-                entry.source_url = url
-                return entry
-            entry = yield from self._fetch_url_once(url, dst_path, expected_md5)
-            return entry
-        done_event = self.sim.event(name=f"fetch-url:{url}")
-        self._inflight_urls[url] = done_event
-        try:
-            entry = yield from self._fetch_url_once(url, dst_path, expected_md5)
-            done_event.succeed({"ok": True, "path": entry.path})
-            return entry
-        except BaseException:
-            done_event.succeed({"ok": False})
-            raise
-        finally:
-            self._inflight_urls.pop(url, None)
 
 
 def install_gridftp(network, sites, url_catalog: Optional[UrlCatalog] = None,

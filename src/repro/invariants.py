@@ -9,7 +9,9 @@ the system is quiescent:
   which is a member of its own group and online-or-recently-failed;
   group epochs are consistent within a group;
 * registries: the ADR's by-type index agrees with its deployment
-  tables; every cached resource remembers its source EPR; deployments
+  tables; every cached resource remembers its source EPR and the ADR's
+  cached-deployment table has exactly the cache sources' keys; each
+  registry's service group aggregates exactly its ``home``; deployments
   reference types known to the colocated ATR;
 * hierarchy: acyclic (by construction, but re-verified);
 * filesystem: every ACTIVE executable deployment's path exists and is
@@ -82,13 +84,21 @@ def _check_registries(vo: "VirtualOrganization") -> List[str]:
             if atr.find_type(deployment.type_name) is None:
                 out.append(f"{name}: deployment {key} has no type "
                            f"{deployment.type_name} in the ATR")
-        # every cached resource knows its source
-        for cached_name in atr.cache.keys():
-            if cached_name not in atr.cache_sources:
-                out.append(f"{name}: cached type {cached_name} has no source")
-        for key in adr.cache.keys():
-            if key not in adr.cache_sources:
-                out.append(f"{name}: cached deployment {key} has no source")
+        # what the shared registry core keeps in step for both
+        for label, registry in (("ATR", atr), ("ADR", adr)):
+            # every cached resource knows its source
+            for key in registry.cache.keys():
+                if key not in registry.cache_sources:
+                    out.append(f"{name}: {label} cached {key} has no source")
+            # the service group aggregates exactly the local resources
+            grouped = {entry.epr.key for entry in registry.aggregation.entries()}
+            if grouped != set(registry.home.keys()):
+                out.append(f"{name}: {label} service group holds "
+                           f"{sorted(grouped)}, home {sorted(registry.home.keys())}")
+        if set(adr.cached_deployments) != set(adr.cache_sources):
+            out.append(f"{name}: cached deployments "
+                       f"{sorted(adr.cached_deployments)} != cache sources "
+                       f"{sorted(adr.cache_sources)}")
         # local home and hierarchy agree
         for type_name in atr.local_type_names():
             if atr.hierarchy.get(type_name) is None:

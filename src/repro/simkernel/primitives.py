@@ -8,7 +8,9 @@ These model the shared structures the Grid substrate is built from:
   wait queue (worker pools, CPU cores at the RPC level);
 * :class:`Container` — a continuous quantity (disk space, heap bytes);
 * :func:`bounded_gather` — run sub-generators concurrently with a
-  fan-out bound, collecting per-item outcomes in input order.
+  fan-out bound, collecting per-item outcomes in input order;
+* :class:`SingleFlight` — coalesce concurrent identical work onto the
+  first caller, who leads while the others wait for its outcome.
 
 All follow the same pattern: ``put``/``get``/``request`` return events
 that a process yields; the primitive fires them as capacity allows.
@@ -18,7 +20,10 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, Hashable, List,
+    Sequence, Tuple,
+)
 
 from repro.simkernel.events import Event
 
@@ -69,6 +74,41 @@ def bounded_gather(
     procs = [sim.process(worker(), name=f"{name}-{slot}") for slot in range(width)]
     yield sim.all_of(procs)
     return outcomes
+
+
+class SingleFlight:
+    """Coalesce concurrent identical work: one leader per key at a time.
+
+    ``led, ok, value = yield from flights.run(key, lead)``: the first
+    caller for ``key`` leads — it runs ``lead()`` and gets ``(True,
+    True, value)``, or the exception ``lead()`` raised, which is raised
+    *only* there.  Callers arriving while that run is in flight follow:
+    they wait for it and get ``(False, True, value)``, or ``(False,
+    False, None)`` when the leader failed or was interrupted.  What a
+    follower does with either — share the value, retry on its own,
+    raise — is the caller's policy, not this primitive's.
+    """
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        #: key -> the event the leader fires with its ``(ok, value)``
+        self.in_flight: Dict[Hashable, Event] = {}
+
+    def run(self, key: Hashable, lead: Callable[[], Generator]) -> Generator:
+        pending = self.in_flight.get(key)
+        if pending is not None:
+            ok, value = yield pending
+            return False, ok, value
+        done = self.in_flight[key] = self.sim.event(name=f"flight:{key}")
+        try:
+            value = yield from lead()
+        except BaseException:
+            done.succeed((False, None))
+            raise
+        finally:
+            del self.in_flight[key]
+        done.succeed((True, value))
+        return True, True, value
 
 
 class StorePut(Event):

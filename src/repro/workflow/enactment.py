@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
 from repro.glare.model import ActivityDeployment
+from repro.glare.registry import deployment_from_wire
 from repro.simkernel.errors import OfflineError
 from repro.net.network import RpcTimeout
 from repro.vo import VirtualOrganization
@@ -163,10 +164,7 @@ class EnactmentEngine:
             )
         except Exception:
             return None
-        candidates = [
-            ActivityDeployment.from_xml(w["xml"])
-            for w in wires
-        ]
+        candidates = [deployment_from_wire(w) for w in wires]
         candidates = [c for c in candidates if c.site != exclude]
         if not candidates:
             return None

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List
 
 from repro.glare.model import ActivityDeployment
+from repro.glare.registry import deployment_from_wire
 from repro.vo import VirtualOrganization
 from repro.workflow.model import ActivityNode, Workflow, WorkflowError
 
@@ -93,7 +94,7 @@ class Scheduler:
                     payload={"type": node.type_name, "auto_deploy": auto_deploy},
                 )
                 self.lookups += 1
-                candidates = [ActivityDeployment.from_xml(w["xml"]) for w in wires]
+                candidates = [deployment_from_wire(w) for w in wires]
                 deployment_cache[node.type_name] = candidates
             if not candidates:
                 raise WorkflowError(

@@ -5,10 +5,12 @@ is covered the moment it is declared — by ``--help``, ``repro all``,
 the aggregate report and the serial-vs-fanned digest check alike.
 """
 
+import copy
+
 import pytest
 
 from repro import cli
-from repro.experiments import fig17, fig18
+from repro.experiments import fig11, fig17, fig18
 from repro.experiments.harness import (
     ExperimentRun,
     run_experiment,
@@ -102,6 +104,91 @@ def test_fanned_run_merges_to_the_serial_digest(name, quick_runs):
     assert fanned.merged_digest == serial.merged_digest
     assert list(fanned.results) == list(serial.results)
     assert mask_wall_time(fanned.text) == mask_wall_time(serial.text)
+
+
+@pytest.mark.slow
+class TestPaperClaims:
+    """The paper's shape claims live in the ``check`` of ``table1`` and
+    ``fig10``-``fig13``: each holds on the session's quick run (or the
+    run would not exist) and raises once the results are doctored."""
+
+    @staticmethod
+    def doctored(quick_runs, name, change):
+        results = copy.deepcopy(quick_runs[name].results)
+        for unit, point in results.items():
+            change(unit, point)
+        return results
+
+    def refuted(self, quick_runs, name, change, match):
+        with pytest.raises(AssertionError, match=match):
+            EXPERIMENTS[name].check(self.doctored(quick_runs, name, change))
+
+    @staticmethod
+    def swap(attribute, one, other):
+        def change(unit, point):
+            value = getattr(point, attribute)
+            if value in (one, other):
+                setattr(point, attribute, other if value == one else one)
+        return change
+
+    def test_table1_raises_when_the_handlers_swap(self, quick_runs):
+        self.refuted(quick_runs, "table1",
+                     self.swap("method", "expect", "javacog"),
+                     "Expect does not beat JavaCoG")
+
+    def test_fig10_raises_when_registry_and_index_swap(self, quick_runs):
+        self.refuted(quick_runs, "fig10",
+                     self.swap("service", "registry", "index"), "not ~2x")
+
+    def test_fig10_raises_when_tls_is_free(self, quick_runs):
+        def change(unit, point):
+            if point.security == "https":
+                point.throughput *= 2.4
+        self.refuted(quick_runs, "fig10", change, "TLS divides")
+
+    def test_fig11_raises_when_registry_and_index_swap(self, quick_runs):
+        self.refuted(quick_runs, "fig11",
+                     self.swap("service", "registry", "index"), "not flat")
+
+    def test_fig11_raises_when_the_overloaded_index_keeps_serving(
+            self, quick_runs):
+        def change(unit, point):
+            if unit == fig11.PROBE:
+                point.throughput = 40.0
+        self.refuted(quick_runs, "fig11", change, "still serves")
+
+    def test_fig12_raises_when_the_cache_is_no_faster(self, quick_runs):
+        def change(unit, point):
+            if point.cache:
+                point.mean_response_ms *= 50
+        self.refuted(quick_runs, "fig12", change, "not under half")
+
+    def test_fig12_raises_when_more_sites_are_slower(self, quick_runs):
+        def change(unit, point):
+            point.sites = 8 - point.sites
+        self.refuted(quick_runs, "fig12", change, "more sites are not faster")
+
+    def test_fig13_raises_on_a_flat_sink_series(self, quick_runs):
+        def change(unit, point):
+            if point.series.startswith("sinks"):
+                point.load_average = 12.0
+        self.refuted(quick_runs, "fig13", change, "grows with the number")
+
+    def test_fig13_raises_on_unbounded_requesters(self, quick_runs):
+        def change(unit, point):
+            if point.series == "requesters":
+                point.load_average *= 10
+        self.refuted(quick_runs, "fig13", change, "requester series")
+
+    def test_a_claim_whose_points_are_absent_is_skipped(self, quick_runs):
+        for name, keep in (("fig12", lambda p: p.sites != 7),
+                           ("fig13", lambda p: p.count == 0),
+                           ("table1", lambda p: p.method == "expect")):
+            partial = {unit: point
+                       for unit, point in quick_runs[name].results.items()
+                       if keep(point)}
+            assert partial
+            EXPERIMENTS[name].check(partial)
 
 
 class TestFig17FlatnessIsNotAClock:

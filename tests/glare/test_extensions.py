@@ -26,7 +26,7 @@ def deploy_wien2k(vo):
     # un-deployment leaves remote caches stale until the refresher runs)
     adr = vo.stack("agrid01").adr
     for key in list(adr.cached_deployments):
-        adr.drop_cached_deployment(key)
+        adr.drop_cached(key)
     wires = vo.run_process(vo.client_call("agrid01", "get_deployments",
                                           payload="Wien2k"))
     return [ActivityDeployment.from_xml(w["xml"]) for w in wires]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.glare.lifecycle import LifecycleController
+from repro.invariants import check_vo_invariants
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.vo import build_vo
 
@@ -79,6 +80,60 @@ class TestExpiryCascade:
         vo.sim.run(until=vo.sim.now + 200)
         assert vo.stack("agrid01").atr.find_type("Ephemeral") is not None
         assert deployment.key in vo.stack("agrid01").adr.deployments
+
+
+class TestExpiryIsTheRegistrysRemoval:
+    """Expiry goes through the registries' one unpublish path, so it
+    leaves exactly what an explicit removal leaves."""
+
+    def test_expired_deployment_is_not_resolved_from_the_sites_own_cache(self):
+        """Regression: the deploy initiator caches what the target
+        registered; when the target is the initiator itself, that
+        same-key cached copy kept resolving the deployment after its
+        WSRF lifetime had expired (the reconciler's scale-in path)."""
+        from repro.apps import get_application, publish_applications
+        from repro.glare.errors import DeploymentNotFound
+
+        vo = build_vo(n_sites=3, seed=7, monitors=False)
+        publish_applications(vo, ["Counter"])
+        vo.form_overlay()
+        vo.run_process(vo.client_call(
+            "agrid00", "register_type",
+            payload={"xml": get_application("Counter").type_xml}))
+        wires = vo.run_process(vo.client_call(
+            "agrid00", "get_deployments", payload="Counter"))
+        key = wires[0]["epr"]["key"]
+        adr = vo.stack("agrid00").adr
+        assert key in adr.deployments and key in adr.cached_deployments
+        vo.run_process(vo.client_call(
+            "agrid00", "set_deployment_lifetime",
+            payload={"key": key, "at": vo.sim.now + 2.0}))
+        vo.sim.run(until=vo.sim.now + 30)  # the lifecycle sweep runs
+        assert adr.deployments == {} and adr.home.lookup(key) is None
+        assert key not in adr.cached_deployments
+        with pytest.raises(DeploymentNotFound):
+            vo.run_process(vo.client_call(
+                "agrid00", "get_deployments",
+                payload={"type": "Counter", "auto_deploy": False}))
+        assert check_vo_invariants(vo) == []
+
+    def test_type_expiry_publishes_the_removed_event(self):
+        from repro.glare.registry import ATR_SERVICE
+        from repro.wsrf.notification import NotificationSink
+
+        vo = make_vo()
+        sink = NotificationSink(vo.network, "agrid00", name="watcher")
+        vo.run_process(vo.network.call(
+            "agrid00", "agrid01", ATR_SERVICE, "subscribe",
+            payload={"sink_site": "agrid00", "sink_service": "watcher"},
+        ))
+        register(vo)
+        controller = LifecycleController(vo.rdm("agrid01"), sweep_interval=5.0)
+        controller.start()
+        controller.expire_type_at("Ephemeral", vo.sim.now + 10.0)
+        vo.sim.run(until=vo.sim.now + 30)
+        assert [e["event"] for e in sink.received] == ["registered", "removed"]
+        assert check_vo_invariants(vo, check_files=False) == []
 
 
 class TestMinimumDeployments:

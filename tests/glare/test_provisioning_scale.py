@@ -45,11 +45,13 @@ def holders(vo, type_name):
 
 class TestConfig:
     def test_defaults_are_all_off(self):
-        assert not ProvisioningConfig().any_enabled
+        config = ProvisioningConfig()
+        assert not (config.parallel_probe or config.parallel_dependencies
+                    or config.replica_transfers or config.transfer_singleflight)
+        assert config.site_info_ttl == 0.0 and config.rollout_fanout == 1
 
     def test_all_on_enables_everything(self):
         config = ProvisioningConfig.all_on(rollout_fanout=4)
-        assert config.any_enabled
         assert config.parallel_probe
         assert config.site_info_ttl > 0
         assert config.parallel_dependencies
@@ -94,6 +96,32 @@ class TestParallelProbe:
 
             elapsed[parallel] = vo.run_process(probe())
         assert elapsed[True] < elapsed[False]
+
+    @pytest.mark.parametrize("provisioning",
+                             [None, ProvisioningConfig.all_on()],
+                             ids=["serial", "parallel"])
+    def test_a_shedding_site_is_dropped_like_an_unreachable_one(
+            self, provisioning):
+        """Regression: a ``site_info`` probe shed by admission control
+        used to raise ``Overloaded`` out of the serial loop while the
+        parallel fork silently dropped the site."""
+        vo = make_vo(apps=(), provisioning=provisioning)
+        vo.rdm("agrid02").admission_limit = 0  # sheds every data-plane op
+        manager = vo.rdm("agrid00").deployment_manager
+        found = vo.run_process(manager.probe_sites(["agrid01", "agrid02"]))
+        assert sorted(found) == ["agrid01"]
+
+    def test_an_unexpected_probe_error_still_propagates(self):
+        vo = make_vo(apps=())
+
+        def broken(message):
+            raise ValueError("not a transport error")
+            yield
+
+        vo.rdm("agrid02").op_site_info = broken
+        manager = vo.rdm("agrid00").deployment_manager
+        with pytest.raises(ValueError):
+            vo.run_process(manager.probe_sites(["agrid01", "agrid02"]))
 
     def test_ttl_cache_skips_reprobes(self):
         vo = make_vo(apps=("Wien2k", "Invmod"),
@@ -357,7 +385,7 @@ class TestTransferSingleflight:
         for index in range(3):
             assert sites["dst"].fs.get_file(f"/tmp/copy{index}.tgz").size \
                 == 4_000_000
-        assert gridftp._inflight_urls == {}
+        assert gridftp._url_flights.in_flight == {}
 
     def test_failed_leader_is_not_shared(self):
         sim, sites, services, catalog = make_transfer_world(
@@ -378,4 +406,4 @@ class TestTransferSingleflight:
         # the follower joined, saw the leader fail, retried on its own
         assert gridftp.url_singleflight_joined == 1
         assert sorted(failures) == [0, 1]
-        assert gridftp._inflight_urls == {}
+        assert gridftp._url_flights.in_flight == {}

@@ -114,11 +114,11 @@ class TestTypeRegistry:
         remote = ActivityType.from_xml(TYPE_XML)
         source = EndpointReference("s1/atr", ATR_SERVICE, "App",
                                    last_update_time=1.0)
-        atr.add_cached_type(remote, source)
+        atr.add_cached(remote, source)
         assert atr.find_type("App") is not None
         assert atr.local_type_names() == []
         assert atr.authoritative_epr("App").site == "s1"
-        atr.drop_cached_type("App")
+        atr.drop_cached("App")
         assert atr.find_type("App") is None
 
     def test_cache_disabled_registry_does_not_cache(self, world):
@@ -126,7 +126,7 @@ class TestTypeRegistry:
         atr.cache_enabled = False
         remote = ActivityType.from_xml(TYPE_XML)
         source = EndpointReference("s1/atr", ATR_SERVICE, "App")
-        assert atr.add_cached_type(remote, source) is None
+        assert atr.add_cached(remote, source) is None
         assert atr.find_type("App") is None
 
     def test_list_types(self, world):
@@ -239,11 +239,11 @@ class TestDeploymentRegistry:
         call(sim, net, ATR_SERVICE, "register_type", {"xml": TYPE_XML})
         remote = ActivityDeployment.from_xml(deployment_xml("rapp", site="s1"))
         source = EndpointReference("s1/adr", ADR_SERVICE, remote.key)
-        adr.add_cached_deployment(remote, source)
+        adr.add_cached(remote, source)
         assert remote.key in adr.cached_deployments
         assert [d.name for d in adr.all_deployments_for("App")] == ["rapp"]
         assert adr.local_deployments_for("App") == []
-        adr.drop_cached_deployment(remote.key)
+        adr.drop_cached(remote.key)
         assert adr.all_deployments_for("App") == []
 
 

@@ -71,7 +71,7 @@ def test_piggybackers_see_failures():
     assert {name for _, name in failures} == {"DeploymentFailed"}
     rdm = vo.rdm("agrid01")
     assert rdm.deployment_manager.piggybacked == 1
-    assert rdm.deployment_manager._in_flight == {}
+    assert rdm.deployment_manager._flights.in_flight == {}
 
 
 def test_sequential_requests_do_not_piggyback():

@@ -210,12 +210,12 @@ class TestShardedRebalance:
 class TestStorageConfig:
     def test_defaults_are_off(self):
         config = StorageConfig()
-        assert not config.any_enabled
+        assert not config.routing
         assert isinstance(config.make_backend(), DictBackend)
 
     def test_sharded_factory(self):
         config = StorageConfig.sharded(shards=8, routing=True)
-        assert config.any_enabled
+        assert config.routing
         backend = config.make_backend()
         assert isinstance(backend, ShardedBackend)
         assert len(backend.ring) == 8
