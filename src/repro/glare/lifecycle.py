@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.simkernel.errors import Interrupt
+from repro.simkernel.primitives import Periodic
 from repro.wsrf.lifetime import LifetimeManager
 from repro.wsrf.resource import WSResource
 
@@ -38,14 +38,17 @@ class LifecycleController:
     ) -> None:
         self.rdm = rdm
         self.ensure_minimums = ensure_minimums
-        self.min_check_interval = min_check_interval
         self.lifetime = LifetimeManager(rdm.sim, interval=sweep_interval)
         self.lifetime.watch(rdm.atr.home, listener=self._on_type_expired)
         # an expired deployment only needs the registry's own removal
         self.lifetime.watch(rdm.adr.home, listener=rdm.adr.unpublish)
         self.cascaded_expiries = 0
         self.minimum_repairs = 0
-        self._min_proc = None
+        #: minimum-replica maintenance (started only with ``ensure_minimums``)
+        self.minimums = Periodic(
+            rdm.sim, min_check_interval, self._check_minimums,
+            f"min-deployments:{rdm.node_name}",
+        )
 
     @property
     def sim(self):
@@ -54,15 +57,15 @@ class LifecycleController:
     def start(self) -> None:
         self.lifetime.start()
         if self.ensure_minimums:
-            self._min_proc = self.sim.process(
-                self._minimum_loop(), name=f"min-deployments:{self.rdm.node_name}"
-            )
+            self.minimums.start()
 
     def stop(self) -> None:
         self.lifetime.stop()
-        if self._min_proc is not None and self._min_proc.is_alive:
-            self._min_proc.interrupt("stop")
-        self._min_proc = None
+        self.minimums.stop()
+
+    @property
+    def running(self) -> bool:
+        return self.lifetime.running or self.minimums.running
 
     # -- expiry listener ------------------------------------------------------
 
@@ -100,14 +103,6 @@ class LifecycleController:
         self.lifetime.sweep_now()
 
     # -- minimum replica maintenance ----------------------------------------------------
-
-    def _minimum_loop(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.min_check_interval)
-                yield from self._check_minimums()
-        except Interrupt:
-            return
 
     def _check_minimums(self) -> Generator:
         atr, adr = self.rdm.atr, self.rdm.adr

@@ -22,9 +22,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List
 
 from repro.glare.model import DeploymentKind, DeploymentStatus
+from repro.mds.index import UPSTREAM_UNREACHABLE
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
-from repro.simkernel.errors import Interrupt, OfflineError
+from repro.simkernel.errors import OfflineError
+from repro.simkernel.primitives import Periodic
 from repro.site.filesystem import FilesystemError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,50 +42,29 @@ LUT_RETRY = RetryPolicy.single(8.0)
 _UNREACHABLE = object()
 
 
-class Monitor:
-    """Base: a periodic background process owned by one RDM service."""
+class Monitor(Periodic):
+    """Base: a periodic background process owned by one RDM service.
+
+    ``phase`` is the one-shot start offset before the first round: with
+    hundreds of sites, a per-site deterministic phase (drawn from the
+    seeded kernel RNG by the RDM when monitor_jitter is on) keeps the
+    loops from firing in lockstep.
+    """
 
     NAME = "monitor"
 
     def __init__(self, rdm: "GlareRDMService", interval: float) -> None:
-        if interval <= 0:
-            raise ValueError("monitor interval must be positive")
+        super().__init__(
+            rdm.sim, interval, self._cycle, f"{self.NAME}:{rdm.node_name}"
+        )
         self.rdm = rdm
-        self.interval = interval
-        #: one-shot start offset before the first tick; with hundreds
-        #: of sites, a per-site deterministic phase (drawn from the
-        #: seeded kernel RNG by the RDM when monitor_jitter is on)
-        #: keeps the loops from firing in lockstep
-        self.phase = 0.0
-        self._proc = None
         self.cycles = 0
 
-    @property
-    def sim(self):
-        return self.rdm.sim
-
-    def start(self) -> None:
-        if self._proc is not None:
-            return
-        self._proc = self.sim.process(self._loop(), name=f"{self.NAME}:{self.rdm.node_name}")
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
-
-    def _loop(self) -> Generator:
-        try:
-            if self.phase > 0.0:
-                yield self.sim.timeout(self.phase)
-            while True:
-                yield self.sim.timeout(self.interval)
-                if not self.rdm.node.online:
-                    continue
-                yield from self.tick()
-                self.cycles += 1
-        except Interrupt:
-            return
+    def _cycle(self) -> Generator:
+        """One round: an offline node has spent its wait and skips the tick."""
+        if self.rdm.node.online:
+            yield from self.tick()
+            self.cycles += 1
 
     def tick(self) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -107,7 +88,7 @@ class IndexMonitor(Monitor):
             probe = yield from self.rdm.network.call(
                 self.rdm.node_name, self.rdm.node_name, index.name, "probe"
             )
-        except Exception:
+        except UPSTREAM_UNREACHABLE:
             return
         if not probe["community"]:
             return

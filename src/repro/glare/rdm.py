@@ -47,6 +47,7 @@ from repro.glare.storage import HashRing, StorageConfig
 from repro.glare.superpeer import OverlayManager, OverlayView
 from repro.gram.jobs import JobSpec
 from repro.gridftp.service import GridFtpService
+from repro.mds.index import UPSTREAM_UNREACHABLE
 from repro.net.interceptors import RetryPolicy
 from repro.net.message import Message, Response
 from repro.net.network import RpcTimeout
@@ -763,7 +764,7 @@ class GlareRDMService(Service):
                 )
                 if sites:
                     return list(sites)
-            except (OfflineError, RpcTimeout, Exception):
+            except UPSTREAM_UNREACHABLE:
                 pass
         view = self.overlay.view
         fallback = set(view.member_sites()) | set(view.super_peers) | {self.node_name}
@@ -924,8 +925,8 @@ class GlareRDMService(Service):
             pass  # best-effort: a lost note only costs digest coverage
 
     def start(self, monitors: bool = True) -> None:
-        """Launch the RDM's background components."""
-        if monitors:
+        """Launch the RDM's background components (idempotent)."""
+        if monitors and not self._monitors:
             from repro.glare.monitors import (
                 CacheRefresher,
                 DeploymentStatusMonitor,
@@ -951,6 +952,14 @@ class GlareRDMService(Service):
         for monitor in self._monitors:
             monitor.stop()
         self._monitors.clear()
+        self.overlay.detector.stop()
+
+    @property
+    def running(self) -> bool:
+        """True while a monitor or the overlay's failure detector runs."""
+        return self.overlay.detector.running or any(
+            monitor.running for monitor in self._monitors
+        )
 
     # -- client-facing operations -----------------------------------------------------
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.net.network import RpcTimeout
-from repro.simkernel.errors import Interrupt, OfflineError
+from repro.simkernel.errors import OfflineError
+from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
@@ -93,7 +94,11 @@ class OverlayManager:
         #: successful takeovers on this site: ``{"at", "missing",
         #: "epoch"}`` per event (experiments read recovery times here)
         self.takeover_log: List[Dict] = []
-        self._probe_proc = None
+        #: the failure detector: a plain member pings its super-peer;
+        #: every view that lands re-arms it (see :meth:`_restart_probe`)
+        self.detector = Periodic(
+            rdm.sim, probe_interval, self._check_super_peer, f"sp-probe:{self.me}"
+        )
         #: a takeover verification is already running: concurrent
         #: ``sp_missing`` reports for the same failure must not each
         #: run the vote (they would all pass the pre-checks before the
@@ -281,34 +286,21 @@ class OverlayManager:
     # -- failure detection -------------------------------------------------------------
 
     def _restart_probe(self) -> None:
-        current = self.sim.active_process
-        if self._probe_proc is not None and self._probe_proc is current:
-            # We're being called from inside the probe loop itself (a
-            # takeover path): the loop re-reads the view each iteration
-            # and exits on its own when the role changed.
-            if self.view.role != "peer" or not self.view.super_peer:
-                self._probe_proc = None
-            return
-        if self._probe_proc is not None and self._probe_proc.is_alive:
-            self._probe_proc.interrupt("new view")
-        if self.view.role == "peer" and self.view.super_peer:
-            self._probe_proc = self.sim.process(
-                self._probe_loop(), name=f"sp-probe:{self.me}"
-            )
-        else:
-            self._probe_proc = None
+        """A view landed: only a plain member probes, from a fresh wait.
 
-    def _probe_loop(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.probe_interval)
-                if self.view.role != "peer" or not self.view.super_peer:
-                    return
-                alive = yield from self._probe(self.view.super_peer)
-                if not alive:
-                    yield from self._report_super_peer_missing()
-        except Interrupt:
-            return
+        Reached from inside the detector's own tick on the takeover
+        path; ``stop()`` then ends the loop once that tick returns.
+        """
+        self.detector.stop()
+        if self.view.role == "peer" and self.view.super_peer:
+            # assigned before the election, ``probe_interval`` still counts
+            self.detector.interval = self.probe_interval
+            self.detector.start()
+
+    def _check_super_peer(self) -> Generator:
+        alive = yield from self._probe(self.view.super_peer)
+        if not alive:
+            yield from self._report_super_peer_missing()
 
     def _probe(self, site: str) -> Generator:
         try:

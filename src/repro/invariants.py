@@ -16,6 +16,9 @@ the system is quiescent:
 * hierarchy: acyclic (by construction, but re-verified);
 * filesystem: every ACTIVE executable deployment's path exists and is
   executable on its site.
+
+:func:`check_vo_quiescent` is the shutdown clause: what must hold after
+``vo.stop(); vo.sim.run()``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,29 @@ def check_vo_invariants(vo: "VirtualOrganization",
     if check_files:
         violations += _check_files(vo)
     return violations
+
+
+def check_vo_quiescent(vo: "VirtualOrganization") -> List[str]:
+    """Violations of a clean shutdown (empty list = quiescent).
+
+    Call after ``vo.stop(); vo.sim.run()``: the agenda is empty, no CPU
+    grant is held or queued, no RPC is in flight, no span leaked and no
+    background loop is running.
+    """
+    out: List[str] = []
+    pending = vo.sim.peek()
+    if pending != float("inf"):
+        out.append(f"agenda not empty: next event at t={pending}")
+    for name, node in vo.network.nodes.items():
+        if node.cpu.run_queue_length:
+            out.append(f"{name}: {node.cpu.run_queue_length} CPU grants "
+                       "held or queued")
+        if node.inflight_rpcs:
+            out.append(f"{name}: {node.inflight_rpcs} RPCs in flight")
+    out += [f"leaked span {span.name}" for span in vo.obs.tracer.leaked_spans()]
+    out += [f"{owner!r}: background loop still running"
+            for owner in vo.background() if owner.running]
+    return out
 
 
 def _check_overlay(vo: "VirtualOrganization") -> List[str]:

@@ -21,18 +21,18 @@ from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError
 from repro.net.message import Message
 from repro.net.network import ServiceNotFound
 from repro.net.service import Service
-from repro.simkernel.errors import Interrupt
-from repro.simkernel.primitives import Resource
+from repro.simkernel.primitives import Periodic, Resource
 from repro.wsrf.resource import EndpointReference
 from repro.wsrf.servicegroup import ServiceGroup
 from repro.wsrf.xmldoc import Element, parse_xml
 from repro.wsrf.xpath import XPathQuery, query_reply
 
 
-#: what ``Network.call`` raises when the upstream cannot be reached
-#: (offline, timed out, shedding) or cannot serve; anything else in the
-#: keepalive loop is a bug and surfaces
-_UPSTREAM_UNREACHABLE = TRANSIENT_ERRORS + (ServiceNotFound, RemoteError)
+#: what ``Network.call`` raises when an index cannot be reached
+#: (offline, timed out, shedding) or cannot serve — "the index did not
+#: answer" for the keepalive, the Index Monitor and ``known_sites``;
+#: anything else there is a bug and surfaces
+UPSTREAM_UNREACHABLE = TRANSIENT_ERRORS + (ServiceNotFound, RemoteError)
 
 
 @dataclass
@@ -103,7 +103,6 @@ class IndexService(Service):
         self.heap_node_budget = heap_node_budget
         self.gc_threshold = gc_threshold
         self.gc_cap = gc_cap
-        self.keepalive_interval = keepalive_interval
         self.registration_ttl = registration_ttl
 
         self.aggregation = ServiceGroup(self.sim, name=f"mds:{node_name}")
@@ -114,7 +113,11 @@ class IndexService(Service):
         self._active_queries = 0
         self.queries_served = 0
         self.thrashed_queries = 0
-        self._keepalive_proc = None
+        #: announces this index upstream at once, then every interval
+        self.keepalive = Periodic(
+            self.sim, keepalive_interval, self._register_upstream,
+            f"mds-keepalive:{node_name}", tick_first=True,
+        )
 
     # -- resource aggregation ------------------------------------------------
 
@@ -265,34 +268,26 @@ class IndexService(Service):
 
     def start(self) -> None:
         """Launch the upstream keepalive process (if an upstream is set)."""
-        if self.upstream is None or self._keepalive_proc is not None:
-            return
-        self._keepalive_proc = self.sim.process(
-            self._keepalive_loop(), name=f"mds-keepalive:{self.node_name}"
-        )
+        if self.upstream is not None:
+            self.keepalive.start()
 
     def stop(self) -> None:
-        if self._keepalive_proc is not None and self._keepalive_proc.is_alive:
-            self._keepalive_proc.interrupt("stop")
-        self._keepalive_proc = None
+        self.keepalive.stop()
 
-    def _keepalive_loop(self) -> Generator:
+    @property
+    def running(self) -> bool:
+        """True while the upstream keepalive loop runs."""
+        return self.keepalive.running
+
+    def _register_upstream(self) -> Generator:
         try:
-            while True:
-                try:
-                    yield from self.call(
-                        self.upstream,
-                        self.upstream_service or self.name,
-                        "register_site",
-                        payload={"site": self.node_name},
-                    )
-                except Interrupt:
-                    raise
-                except _UPSTREAM_UNREACHABLE:
-                    # keep trying; membership decay at the community
-                    # handles prolonged absence
-                    pass
-                yield self.sim.timeout(self.keepalive_interval)
-        except Interrupt:
-            return
-
+            yield from self.call(
+                self.upstream,
+                self.upstream_service or self.name,
+                "register_site",
+                payload={"site": self.node_name},
+            )
+        except UPSTREAM_UNREACHABLE:
+            # keep trying; membership decay at the community handles
+            # prolonged absence
+            pass

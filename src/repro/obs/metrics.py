@@ -37,6 +37,8 @@ from typing import (
     Tuple,
 )
 
+from repro.simkernel.primitives import Periodic
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
     from repro.vo import VirtualOrganization
@@ -295,7 +297,7 @@ class MetricsRegistry:
         return probe()
 
 
-class MetricsRecorder:
+class MetricsRecorder(Periodic):
     """A simulation process sampling per-site gauges on an interval.
 
     Samples, per member site: the 1-minute load average, the CPU
@@ -309,23 +311,10 @@ class MetricsRecorder:
     """
 
     def __init__(self, vo: "VirtualOrganization", interval: float = 5.0) -> None:
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
+        super().__init__(vo.sim, interval, self.sample_once, "metrics-recorder")
         self.vo = vo
-        self.interval = interval
         self.registry = vo.obs.metrics
         self.samples_taken = 0
-        self._proc = None
-
-    def start(self) -> None:
-        if self._proc is not None:
-            return
-        self._proc = self.vo.sim.process(self._loop(), name="metrics-recorder")
-
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
 
     def sample_once(self) -> None:
         """Take one sample of every gauge right now.
@@ -356,13 +345,3 @@ class MetricsRecorder:
                 registry.sample("site.adr_cache",
                                 len(stack.adr.cached_deployments), site=name)
         self.samples_taken += 1
-
-    def _loop(self):
-        from repro.simkernel.errors import Interrupt
-
-        try:
-            while True:
-                yield self.vo.sim.timeout(self.interval)
-                self.sample_once()
-        except Interrupt:
-            return

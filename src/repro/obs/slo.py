@@ -38,6 +38,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.simkernel.primitives import Periodic
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
 
@@ -240,8 +242,9 @@ class SLOEngine:
             raise ValueError("eval_interval must be positive")
         self.specs: Tuple[SLOSpec, ...] = specs
         self.eval_interval = eval_interval
-        self._sim: Optional["Simulator"] = None
-        self._proc = None
+        #: the periodic :meth:`evaluate` loop; exists once bound to a
+        #: simulator, whose clock :meth:`evaluate` reads through it
+        self.evaluator: Optional[Periodic] = None
         #: per-spec sliding event windows, kept as long as the longest alert
         self._windows: Dict[str, _Window] = {
             spec.name: _Window(max((r.window for r in spec.alerts), default=0.0))
@@ -261,29 +264,22 @@ class SLOEngine:
     # -- wiring -------------------------------------------------------------
 
     def bind(self, sim: "Simulator") -> None:
-        self._sim = sim
+        self.evaluator = Periodic(
+            sim, self.eval_interval, self.evaluate, "slo-evaluator"
+        )
 
     def start(self) -> None:
         """Spawn the periodic evaluator process (idempotent)."""
-        if self._proc is not None:
-            return
-        assert self._sim is not None, "SLOEngine.start() before bind()"
-        self._proc = self._sim.process(self._loop(), name="slo-evaluator")
+        assert self.evaluator is not None, "SLOEngine.start() before bind()"
+        self.evaluator.start()
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        if self.evaluator is not None:
+            self.evaluator.stop()
 
-    def _loop(self):
-        from repro.simkernel.errors import Interrupt
-
-        try:
-            while True:
-                yield self._sim.timeout(self.eval_interval)
-                self.evaluate()
-        except Interrupt:
-            return
+    @property
+    def running(self) -> bool:
+        return self.evaluator is not None and self.evaluator.running
 
     # -- event intake -------------------------------------------------------
 
@@ -319,8 +315,8 @@ class SLOEngine:
 
     def evaluate(self) -> None:
         """One evaluation tick: prune, compute burns, fire/resolve alerts."""
-        assert self._sim is not None, "SLOEngine.evaluate() before bind()"
-        now = self._sim.now
+        assert self.evaluator is not None, "SLOEngine.evaluate() before bind()"
+        now = self.evaluator.sim.now
         self.evaluations += 1
         for spec in self.specs:
             self._windows[spec.name].prune(now)

@@ -38,7 +38,7 @@ from repro.load.stats import CommutativeDigest
 from repro.orchestrate.actuator import Actuator, RdmActuator
 from repro.orchestrate.planner import Observed, Plan, Planner, SiteObservation
 from repro.orchestrate.spec import DesiredState, OrchestrationConfig
-from repro.simkernel.errors import Interrupt
+from repro.simkernel.primitives import Periodic
 
 __all__ = ["Reconciler", "RoundRecord"]
 
@@ -58,7 +58,7 @@ class RoundRecord:
     converged: bool
 
 
-class Reconciler:
+class Reconciler(Periodic):
     """Desired-state control loop over one VO (see module docstring)."""
 
     def __init__(
@@ -70,6 +70,9 @@ class Reconciler:
     ) -> None:
         if not config.any_enabled:
             raise ValueError("reconciler needs at least one deployment spec")
+        super().__init__(
+            rdm.sim, config.interval, self.reconcile_once, "orchestrate-reconciler"
+        )
         self.rdm = rdm
         self.config = config
         self.actuator = actuator if actuator is not None else RdmActuator(rdm)
@@ -87,45 +90,10 @@ class Reconciler:
         self._draining: Dict[Tuple[str, str], float] = {}
         self._diverged_since: Optional[float] = None
         self._spec_applied = False
-        self._proc = None
-        self._pending = None
-
-    @property
-    def sim(self):
-        return self.rdm.sim
 
     @property
     def managed_types(self) -> List[str]:
         return sorted(spec.type_name for spec in self.config.specs)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        if self._proc is not None:
-            raise RuntimeError("reconciler already started")
-        self._proc = self.sim.process(self._loop(), name="orchestrate-reconciler")
-
-    def stop(self) -> None:
-        """Idempotent; cancels the pending interval timeout outright
-        (same contract as :meth:`LifetimeManager.stop`)."""
-        proc, self._proc = self._proc, None
-        if proc is not None and proc.is_alive:
-            proc.interrupt("stop")
-        if self._pending is not None:
-            self.sim.cancel(self._pending)
-            self._pending = None
-
-    def _loop(self) -> Generator:
-        try:
-            while True:
-                self._pending = self.sim.timeout(self.config.interval)
-                yield self._pending
-                self._pending = None
-                yield from self.reconcile_once()
-        except Interrupt:
-            return
-        finally:
-            self._pending = None
 
     # -- one round ---------------------------------------------------------
 

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.net.network import Network
 from repro.net.service import EchoService
 from repro.net.topology import Topology
-from repro.simkernel import Simulator
+from repro.simkernel import Interrupt, Simulator
 from repro.simkernel.primitives import Resource, Store
 
 #: strips CPython object addresses out of event reprs so traces can be
@@ -953,7 +953,7 @@ def _mixed_kernel_scenario(seed: int) -> Simulator:
         while True:
             try:
                 yield sim.timeout(100.0)
-            except Exception:
+            except Interrupt:
                 yield sim.timeout(1.0)
                 return "recovered"
 

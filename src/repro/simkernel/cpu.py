@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Generator, List, Tuple
 
-from repro.simkernel.primitives import Resource
+from repro.simkernel.primitives import Periodic, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -89,7 +89,7 @@ class CPU:
             self._resource.release(request)
 
 
-class LoadAverage:
+class LoadAverage(Periodic):
     """Exponentially-damped run-queue sampler (Unix 1-minute loadavg).
 
     Call :meth:`start` to launch the sampling process; read
@@ -103,28 +103,14 @@ class LoadAverage:
         window: float = 60.0,
         interval: float = 5.0,
     ) -> None:
-        if window <= 0 or interval <= 0:
-            raise ValueError("window and interval must be positive")
-        self.sim = sim
+        if window <= 0:
+            raise ValueError("window must be positive")
+        super().__init__(sim, interval, self._sample, "loadavg")
         self.cpu = cpu
         self.window = window
-        self.interval = interval
         self.value = 0.0
         self.history: List[Tuple[float, float]] = []
         self._decay = math.exp(-interval / window)
-        self._proc = None
-
-    def start(self) -> None:
-        """Launch the periodic sampler as a simulation process."""
-        if self._proc is not None:
-            raise RuntimeError("load-average sampler already started")
-        self._proc = self.sim.process(self._sample_loop(), name="loadavg")
-
-    def stop(self) -> None:
-        """Interrupt the sampler process."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
 
     def peak(self) -> float:
         """Highest sampled load average so far."""
@@ -139,14 +125,7 @@ class LoadAverage:
             return self.value
         return sum(samples) / len(samples)
 
-    def _sample_loop(self) -> Generator:
-        from repro.simkernel.errors import Interrupt
-
-        try:
-            while True:
-                yield self.sim.timeout(self.interval)
-                n = self.cpu.run_queue_length
-                self.value = self.value * self._decay + n * (1.0 - self._decay)
-                self.history.append((self.sim.now, self.value))
-        except Interrupt:
-            return
+    def _sample(self) -> None:
+        n = self.cpu.run_queue_length
+        self.value = self.value * self._decay + n * (1.0 - self._decay)
+        self.history.append((self.sim.now, self.value))

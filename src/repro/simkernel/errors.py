@@ -23,11 +23,16 @@ class StopProcess(Exception):
         self.value = value
 
 
-class Interrupt(Exception):
+class Interrupt(BaseException):
     """Thrown into a process when another process interrupts it.
 
     The interrupt *cause* is an arbitrary object describing why the
     victim was interrupted (e.g. ``"super-peer failed"``).
+
+    Derives from :class:`BaseException` (as ``asyncio.CancelledError``
+    does): an interrupt is a ``stop()`` or an RPC deadline addressed to
+    the whole process, so a broad ``except Exception`` around a yielding
+    call — which only means "that call failed" — must not swallow it.
     """
 
     def __init__(self, cause: Any = None) -> None:

@@ -10,7 +10,9 @@ These model the shared structures the Grid substrate is built from:
 * :func:`bounded_gather` — run sub-generators concurrently with a
   fan-out bound, collecting per-item outcomes in input order;
 * :class:`SingleFlight` — coalesce concurrent identical work onto the
-  first caller, who leads while the others wait for its outcome.
+  first caller, who leads while the others wait for its outcome;
+* :class:`Periodic` — a background loop (wait, tick, repeat) with the
+  one start/stop contract every periodic component shares.
 
 All follow the same pattern: ``put``/``get``/``request`` return events
 that a process yields; the primitive fires them as capacity allows.
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from inspect import isgeneratorfunction
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, Hashable, List,
     Sequence, Tuple,
 )
 
+from repro.simkernel.errors import Interrupt
 from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,6 +113,98 @@ class SingleFlight:
             del self.in_flight[key]
         done.succeed((True, value))
         return True, True, value
+
+
+class Periodic:
+    """A background loop: wait ``interval``, run ``tick``, repeat.
+
+    The start/stop contract of every periodic component:
+
+    * :meth:`start` spawns the loop as a process called ``name`` unless
+      one is running; :meth:`stop` ends it.  Both are idempotent,
+      ``stop()`` before ``start()`` is a no-op and a stopped loop can
+      be started again.
+    * ``stop()`` interrupts the loop wherever it is parked — on its
+      wait or inside a yielding tick — and the loop withdraws the wait
+      it was parked on (:meth:`Simulator.cancel`): a stopped loop
+      leaves nothing on the agenda.
+    * The loop re-reads who it is before every round, so a ``stop()``
+      from inside its own tick (a process cannot interrupt itself), one
+      that lands before its first step, or an interrupt its tick
+      swallowed still ends it.
+
+    ``tick`` is a plain callable or a generator function, told apart
+    once, here; a plain tick's return value is ignored.  ``phase`` is a
+    one-shot offset ahead of the first round.  ``tick_first`` makes a
+    round tick, then wait (a keepalive announces itself at once)
+    instead of wait, then tick.  ``interval`` and ``phase`` are read
+    when the loop reaches them, so an owner may assign either later.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        interval: float,
+        tick: Callable[[], Any],
+        name: str,
+        phase: float = 0.0,
+        tick_first: bool = False,
+    ) -> None:
+        if interval <= 0:
+            raise ValueError(f"{name}: interval must be positive")
+        self.sim = sim
+        self.interval = interval
+        self.name = name
+        self.phase = phase
+        self.tick_first = tick_first
+        self._tick = tick
+        self._yields = isgeneratorfunction(tick)
+        self._proc = None
+
+    @property
+    def running(self) -> bool:
+        """True while a started, not stopped, loop process is alive."""
+        return self._proc is not None and self._proc.is_alive
+
+    def start(self) -> None:
+        if not self.running:
+            self._proc = self.sim.process(self._loop(), name=self.name)
+
+    def stop(self) -> None:
+        proc, self._proc = self._proc, None
+        # only a parked loop needs waking; any other reads ``_proc``
+        # before its next round
+        if proc is not None and proc.is_waiting:
+            proc.interrupt("stop")
+
+    def _loop(self) -> Generator:
+        sim = self.sim
+        me = sim.active_process
+        # ahead of the first tick: the phase, then (unless the loop
+        # ticks first) one interval; ahead of every later one, one
+        # interval
+        delays = [self.phase] if self.phase > 0.0 else []
+        if not self.tick_first:
+            delays.append(self.interval)
+        wait = None
+        try:
+            while self._proc is me:
+                for delay in delays:
+                    wait = sim.timeout(delay)
+                    yield wait
+                    # let go of the fired wait: the kernel recycles a
+                    # timeout nothing else refers to
+                    wait = None
+                if self._yields:
+                    yield from self._tick()
+                else:
+                    self._tick()
+                delays = (self.interval,)
+        except Interrupt:
+            pass
+        finally:
+            if wait is not None:
+                sim.cancel(wait)
 
 
 class StorePut(Event):

@@ -68,6 +68,17 @@ class Process(Event):
         """True while the generator has not terminated."""
         return self._ok is None
 
+    @property
+    def is_waiting(self) -> bool:
+        """True while parked on an event that has yet to be dispatched.
+
+        False before the first step, while stepping, with an interrupt
+        already queued and once terminated — the states in which the
+        process takes its next step (if any) without being interrupted.
+        """
+        target = self._target
+        return target is not None and not target._processed
+
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

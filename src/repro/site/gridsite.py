@@ -48,7 +48,6 @@ class GridSite:
             "GLOBUS_LOCATION": globus_location,
         }
         self.loadavg = LoadAverage(network.sim, self.runtime.cpu)
-        self._loadavg_started = False
 
     # -- identity ----------------------------------------------------------
 
@@ -86,9 +85,7 @@ class GridSite:
 
     def start_monitoring(self) -> None:
         """Begin sampling the 1-minute load average."""
-        if not self._loadavg_started:
-            self.loadavg.start()
-            self._loadavg_started = True
+        self.loadavg.start()
 
     # -- environment ------------------------------------------------------------
 

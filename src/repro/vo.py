@@ -193,6 +193,28 @@ class VirtualOrganization:
             raise proc.value
         return proc.value
 
+    # -- shutdown ----------------------------------------------------------------
+
+    def background(self) -> List[Any]:
+        """Every owner of a background loop ``build_vo`` or a caller can
+        start, each with ``stop()`` and ``running``.  The fault plane's
+        crash/churn schedule is finite — not a loop — and is left alone.
+        """
+        owners: List[Any] = [self.reconciler, self.obs.slo, self.obs.recorder]
+        for stack in self.stacks.values():
+            owners += [
+                stack.lifecycle, stack.rdm, stack.atr.aggregation,
+                stack.adr.aggregation, stack.index.aggregation, stack.index,
+                stack.site.loadavg,
+            ]
+        return [owner for owner in owners if owner is not None]
+
+    def stop(self) -> None:
+        """Stop every background loop: once ``sim.run()`` has drained
+        the work in flight, nothing is left on the agenda."""
+        for owner in self.background():
+            owner.stop()
+
     # -- overlay -----------------------------------------------------------------
 
     def form_overlay(self, settle: float = 10.0) -> Dict[str, List[str]]:

@@ -10,9 +10,9 @@ cascade type expiry onto deployments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from repro.simkernel.errors import Interrupt
+from repro.simkernel.primitives import Periodic
 from repro.wsrf.resource import ResourceHome, WSResource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,18 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ExpiryListener = Callable[[WSResource], None]
 
 
-class LifetimeManager:
+class LifetimeManager(Periodic):
     """Periodic expiry sweeper over a set of resource homes."""
 
     def __init__(self, sim: "Simulator", interval: float = 5.0) -> None:
-        if interval <= 0:
-            raise ValueError("sweep interval must be positive")
-        self.sim = sim
-        self.interval = interval
+        super().__init__(sim, interval, self.sweep_now, "wsrf-lifetime")
         self._homes: List[Tuple[ResourceHome, List[ExpiryListener]]] = []
-        self._proc = None
-        #: the sweep timeout currently on the agenda (cancelled by stop)
-        self._pending = None
         self.expired_total = 0
 
     def watch(self, home: ResourceHome, listener: Optional[ExpiryListener] = None) -> None:
@@ -48,28 +42,6 @@ class LifetimeManager:
         """Attach an expiry listener to an already-watched home."""
         self.watch(home, listener)
 
-    def start(self) -> None:
-        """Launch the periodic sweeping process."""
-        if self._proc is not None:
-            raise RuntimeError("lifetime manager already started")
-        self._proc = self.sim.process(self._sweep_loop(), name="wsrf-lifetime")
-
-    def stop(self) -> None:
-        """Stop sweeping; idempotent, leaves no standing agenda entry.
-
-        Interrupting the loop alone is not enough: the pending
-        ``timeout(interval)`` the loop waits on would stay on the
-        agenda until it lapses, so a drained VO would still hold one
-        scheduled event per stopped sweeper.  The pending timeout is
-        therefore cancelled outright.
-        """
-        proc, self._proc = self._proc, None
-        if proc is not None and proc.is_alive:
-            proc.interrupt("stop")
-        if self._pending is not None:
-            self.sim.cancel(self._pending)
-            self._pending = None
-
     def sweep_now(self) -> List[WSResource]:
         """Immediate synchronous sweep (used by tests and shutdown paths)."""
         expired_all: List[WSResource] = []
@@ -81,15 +53,3 @@ class LifetimeManager:
                     listener(resource)
         self.expired_total += len(expired_all)
         return expired_all
-
-    def _sweep_loop(self) -> Generator:
-        try:
-            while True:
-                self._pending = self.sim.timeout(self.interval)
-                yield self._pending
-                self._pending = None
-                self.sweep_now()
-        except Interrupt:
-            return
-        finally:
-            self._pending = None

@@ -15,9 +15,9 @@ implemented by the owner service).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.simkernel.errors import Interrupt
+from repro.simkernel.primitives import Periodic
 from repro.wsrf.resource import EndpointReference
 from repro.wsrf.xmldoc import Element
 from repro.wsrf.xpath import Forest
@@ -68,18 +68,15 @@ class ServiceGroup:
         refresh_interval: float = 30.0,
         max_stale_misses: int = 2,
     ) -> None:
-        if refresh_interval <= 0:
-            raise ValueError("refresh interval must be positive")
         self.sim = sim
         self.name = name
-        self.refresh_interval = refresh_interval
         self.max_stale_misses = max_stale_misses
         self._entries: Dict[str, ServiceGroupEntry] = {}
         #: memoized :meth:`documents` snapshot (and its query index);
         #: dropped whenever membership or any entry's content can change
         self._snapshot: Optional[Forest] = None
-        self._proc = None
         self.refreshes = 0
+        self.refresher = Periodic(sim, refresh_interval, self.refresh_all, f"sg:{name}")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -164,20 +161,11 @@ class ServiceGroup:
 
     def start(self) -> None:
         """Launch the periodic refresh process."""
-        if self._proc is not None:
-            raise RuntimeError("service group refresh already started")
-        self._proc = self.sim.process(self._refresh_loop(), name=f"sg:{self.name}")
+        self.refresher.start()
 
     def stop(self) -> None:
-        """Interrupt the refresh process."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        self.refresher.stop()
 
-    def _refresh_loop(self) -> Generator:
-        try:
-            while True:
-                yield self.sim.timeout(self.refresh_interval)
-                self.refresh_all()
-        except Interrupt:
-            return
+    @property
+    def running(self) -> bool:
+        return self.refresher.running

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.experiments.workload import publish_installable_type
+from repro.glare.rdm import RDM_SERVICE
 from repro.invariants import check_vo_invariants
+from repro.net.interceptors import RetryPolicy
+from repro.net.network import RpcTimeout
 from repro.vo import build_vo
 
 TYPE_XML = (
@@ -27,6 +31,62 @@ class TestKnownSites:
         vo.form_overlay()
         names = vo.run_process(vo.rdm("agrid02").known_sites())
         assert sorted(names) == sorted(vo.site_names)
+
+
+    def test_a_bug_in_the_index_is_not_taken_for_silence(self):
+        vo = build_vo(n_sites=4, seed=351, monitors=False)
+        vo.form_overlay()
+
+        def broken_list_sites(message):
+            raise TypeError("bad membership reply")
+            yield
+
+        vo.stack(vo.community_site).index.op_list_sites = broken_list_sites
+        with pytest.raises(TypeError, match="bad membership reply"):
+            vo.run_process(vo.rdm("agrid01").known_sites())
+
+    def test_a_client_deadline_inside_the_membership_rpc_is_honoured(self):
+        """Regression: handlers run in the caller's process, so the
+        deadline's interrupt surfaced inside ``known_sites``' broad
+        except, which ate it — the call ran on to an "ok" 60x late."""
+
+        def fresh_vo():
+            vo = build_vo(n_sites=4, seed=5, monitors=False, lifecycle=False)
+            vo.form_overlay()
+            publish_installable_type(
+                vo, "Late", domain="edge", archive_size=200_000,
+                configure_demand=1.0, install_demand=2.0, binary_size=50_000)
+            return vo
+
+        def resolve(vo, deadline):
+            return vo.network.call(
+                "agrid02", "agrid02", RDM_SERVICE, "get_deployments",
+                payload={"type": "Late", "auto_deploy": True},
+                retry=RetryPolicy.single(deadline))
+
+        # same-seed dry run: when is the community index serving?
+        vo, window = fresh_vo(), []
+        index = vo.stack(vo.community_site).index
+        serve = index.op_list_sites
+
+        def timed(message):
+            window.append(vo.sim.now)
+            sites = yield from serve(message)
+            window.append(vo.sim.now)
+            return sites
+
+        index.op_list_sites = timed
+        t0 = vo.sim.now
+        assert vo.run_process(resolve(vo, 60.0))
+        entered, left = window[0] - t0, window[1] - t0
+        assert left > entered
+        deadline = (entered + left) / 2
+
+        vo = fresh_vo()
+        t0 = vo.sim.now
+        with pytest.raises(RpcTimeout):
+            vo.run_process(resolve(vo, deadline))
+        assert vo.sim.now - t0 == pytest.approx(deadline)
 
 
 class TestInvariantCorruptionDetection:

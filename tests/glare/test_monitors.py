@@ -41,6 +41,33 @@ def register_type_and_deployment(vo, site, name="monapp", path=None):
     return deployment
 
 
+class TestMonitorRounds:
+    def test_offline_node_spends_its_wait_without_ticking(self):
+        vo = make_vo()
+        monitor = DeploymentStatusMonitor(vo.rdm("agrid01"), interval=10.0)
+        monitor.start()
+        t0 = vo.sim.now
+        vo.stack("agrid01").site.fail()
+        vo.sim.run(until=t0 + 25)  # two waits lapse offline
+        assert monitor.cycles == 0 and monitor.running
+        vo.stack("agrid01").site.recover()
+        vo.sim.run(until=t0 + 29)
+        assert monitor.cycles == 0  # the third wait was not restarted ...
+        vo.sim.run(until=t0 + 31)
+        assert monitor.cycles == 1  # ... it ends on the original grid
+
+    def test_phase_is_read_at_start(self):
+        vo = make_vo()
+        monitor = DeploymentStatusMonitor(vo.rdm("agrid01"), interval=10.0)
+        monitor.phase = 4.0  # what rdm.start() does under monitor_jitter
+        monitor.start()
+        t0 = vo.sim.now
+        vo.sim.run(until=t0 + 13.5)
+        assert monitor.cycles == 0
+        vo.sim.run(until=t0 + 24.5)
+        assert monitor.cycles == 2  # t0+14, t0+24: the phase is paid once
+
+
 class TestDeploymentStatusMonitor:
     def test_missing_executable_flagged_failed(self):
         vo = make_vo()
@@ -165,3 +192,33 @@ class TestIndexMonitor:
         before = plain.overlay.elections_run
         vo.sim.run(until=vo.sim.now + 60)
         assert plain.overlay.elections_run == before
+
+    def test_stop_during_the_probe_rpc_ends_the_monitor(self):
+        """Regression: ``tick``'s broad except ate the interrupt, so the
+        monitor outlived ``rdm.stop()`` and nothing could reach it."""
+        vo = build_vo(n_sites=3, seed=71)
+        rdm = vo.rdm("agrid01")
+        monitor, = (m for m in rdm._monitors if m.NAME == IndexMonitor.NAME)
+        vo.sim.run(until=20.00005)  # the first probe RPC is in flight
+        rdm.stop()
+        vo.sim.run(until=100.0)
+        assert monitor.cycles == 0
+        assert not monitor.running
+
+    def test_a_bug_in_the_index_is_not_taken_for_silence(self):
+        vo = make_vo()
+
+        def broken_probe(message):
+            raise TypeError("bad probe reply")
+            yield
+
+        vo.stack("agrid01").index.op_probe = broken_probe
+        monitor = IndexMonitor(vo.rdm("agrid01"))
+        with pytest.raises(TypeError, match="bad probe reply"):
+            vo.run_process(monitor.tick())
+
+    def test_unreachable_index_skips_the_round(self):
+        vo = make_vo()
+        vo.stack("agrid01").index.admission_limit = 0  # sheds every probe
+        monitor = IndexMonitor(vo.rdm("agrid01"))
+        assert vo.run_process(monitor.tick()) is None

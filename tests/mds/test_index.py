@@ -266,7 +266,7 @@ class TestKeepaliveFailures:
         assert community.live_sites() == ["s1", "s2"]
         net.set_online("s1", False)
         sim.run(until=100)
-        assert leaf._keepalive_proc.is_alive  # kept trying through the outage
+        assert leaf.keepalive.running  # kept trying through the outage
         assert community.live_sites() == ["s1"]  # membership decayed
         net.set_online("s1", True)
         sim.run(until=125)
@@ -277,7 +277,7 @@ class TestKeepaliveFailures:
         leaf = self._leaf(net)  # nobody hosts community-index: ServiceNotFound
         leaf.start()
         sim.run(until=35)
-        assert leaf._keepalive_proc.is_alive
+        assert leaf.keepalive.running
         community = IndexService(
             net, "s1", community=True, registration_ttl=25.0, name="community-index"
         )
@@ -297,4 +297,4 @@ class TestKeepaliveFailures:
         leaf.start()
         with pytest.raises(TypeError, match="bad keepalive payload"):
             sim.run(until=15)
-        assert not leaf._keepalive_proc.is_alive
+        assert not leaf.keepalive.running

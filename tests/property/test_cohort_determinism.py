@@ -23,7 +23,7 @@ import re
 
 import pytest
 
-from repro.simkernel import Simulator
+from repro.simkernel import Interrupt, Simulator
 from repro.simkernel.kernel import EmptySchedule
 
 #: heavy repetition → most timestamps collide into multi-event cohorts
@@ -65,7 +65,7 @@ def _build(sim: Simulator, order: list, schedule) -> None:
     def victim():
         try:
             yield sim.timeout(1000.0)
-        except Exception:
+        except Interrupt:
             order.append(("interrupted", sim.now))
             yield sim.timeout(0.5)
             order.append(("recovered", sim.now))

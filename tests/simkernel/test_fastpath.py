@@ -8,7 +8,7 @@ run-to-run determinism of the trace log.
 
 import pytest
 
-from repro.simkernel import Simulator
+from repro.simkernel import Interrupt, Simulator
 from repro.simkernel.errors import EventAlreadyFired, SimulationError
 from repro.simkernel.events import Event, Timeout
 from repro.simkernel.kernel import _POOL_LIMIT
@@ -114,7 +114,7 @@ class TestUnsubscribeTombstones:
             try:
                 yield gate
                 log.append("victim-resumed")
-            except Exception as exc:
+            except Interrupt as exc:
                 log.append(f"victim-interrupted:{exc.cause}")
 
         def bystander():

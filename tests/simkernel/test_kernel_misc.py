@@ -97,6 +97,27 @@ class TestRunSemantics:
 
 
 class TestInterruptEdges:
+    def test_is_waiting_only_while_parked(self):
+        sim = Simulator()
+        seen = []
+
+        def body():
+            seen.append(sim.active_process.is_waiting)  # first step
+            yield sim.timeout(1)
+            seen.append(sim.active_process.is_waiting)  # stepping again
+            yield sim.timeout(5)
+
+        proc = sim.process(body())
+        assert not proc.is_waiting  # not begun
+        sim.run(until=0.5)
+        assert proc.is_waiting
+        sim.run(until=2)
+        proc.interrupt("stop")
+        assert not proc.is_waiting  # the interrupt is queued
+        with pytest.raises(Interrupt):
+            sim.run()
+        assert seen == [False, False] and not proc.is_waiting  # terminated
+
     def test_interrupt_dead_process_rejected(self):
         sim = Simulator()
 

@@ -3,7 +3,7 @@
 Eight sites, all monitors running, several applications registered by
 different providers, workflows running from different home sites, a
 super-peer crash in the middle — and at the end the VO must be healthy
-by the global invariant sweep.
+by the global invariant sweep and shut down clean.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.apps import (
     register_base_hierarchy,
 )
 from repro.glare.model import ActivityDeployment
-from repro.invariants import check_vo_invariants
+from repro.invariants import check_vo_invariants, check_vo_quiescent
 from repro.vo import build_vo
 from repro.workflow import Workflow
 from repro.workflow.enactment import run_workflow
@@ -79,6 +79,12 @@ def test_day_in_the_life():
             payload={"key": deployment.key, "demand": 1.0},
         ))
         assert outcome["exit_code"] == 0
+
+    # Closing time: every background loop stops and nothing is left.
+    vo.stop()
+    vo.sim.run()
+    assert check_vo_quiescent(vo) == []
+    assert check_vo_invariants(vo) == []
 
 
 def test_invariants_detect_corruption():

@@ -5,6 +5,13 @@
 VO (e.g. after orchestration scale-in) kept one standing event per
 stopped sweeper.  ``stop()`` now cancels the pending timeout outright
 and is idempotent.
+
+That contract is ``simkernel.primitives.Periodic``'s now, shared by
+every background loop: ``tests/simkernel/test_periodic.py`` covers the
+primitive and ``tests/test_background_loops.py`` runs the same three
+lines against all ten owners (this manager is one row).  These cases
+stay as the sweeper's own regression: a stopped manager sweeps no more,
+a restarted one does.
 """
 
 import math
