@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.glare.errors import InvalidTypeDescription
-from repro.wsrf.xmldoc import parse_xml
+from repro.wsrf.xmldoc import parse_shared
 
 #: task-name prefixes recognized as structural (filesystem) operations
 TASK_MKDIR = "mkdir"
@@ -159,8 +159,12 @@ class BuildRecipe:
 
 
 def parse_deployfile(source) -> BuildRecipe:
-    """Parse and validate a deploy-file document (string or Element)."""
-    el = parse_xml(source) if isinstance(source, str) else source
+    """Parse and validate a deploy-file document (string or Element).
+
+    A string is decoded once per distinct document (every site of a
+    rollout fetches the same deploy-file); the recipe is built fresh.
+    """
+    el = parse_shared(source) if isinstance(source, str) else source
     if el.tag != "Build":
         raise InvalidTypeDescription(f"deploy-file root must be <Build>, got <{el.tag}>")
     recipe = BuildRecipe(

@@ -14,9 +14,11 @@ each occurrence in a registry is a WS-Resource.
 
 Wire-form caching
 -----------------
-Registry lookups serialize the *same* type/deployment document on
-every hit, and serialization dominated their wall-clock cost.  Both
-model classes therefore cache their serialized XML string (and its
+Registries move the *same* type/deployment document on every hit, and
+converting between object and XML string dominated their wall-clock
+cost.  Each direction is therefore done once per document.
+
+*Send.*  Both model classes cache their serialized XML string (and its
 byte size) after the first :meth:`wire_xml` call.  The invalidation
 rule: **any code that mutates a field appearing in** ``to_xml()``
 **must call** :meth:`invalidate_wire_cache` afterwards.  In this
@@ -27,6 +29,33 @@ Fields not serialized (``registered_at``, ``last_update_time``) may
 change freely.  The cached string is exactly ``to_xml().to_string()``,
 so every simulated message size computed from it is byte-identical to
 the uncached value.
+
+*Receive.*  ``from_xml(str)`` parses through
+:func:`repro.wsrf.xmldoc.parse_shared`: one parse per distinct document
+string — the string is immutable, and the client, its super-peer and
+the shard owner all receive the same one — into a tree that is **shared
+and read-only**.  Every caller still gets a *fresh* object built by the
+ordinary ``from_xml`` body (all ``__post_init__`` validation runs per
+copy; no list or dict is shared between copies or with the memo).
+:meth:`from_wire_xml` — what the registries decode a received wire with
+(``type_from_wire`` / ``deployment_from_wire`` / ``cache_wire``) — is
+``from_xml(str)`` whose copy also starts with its wire form set: the
+canonical re-serialisation of the decoded object, computed once per
+document and kept beside the tree.  That equals the received string for
+everything the registries emit but is computed, not assumed — parsing
+strips character data, so a hand-written document with a padded field
+re-serialises shorter.  A document somebody *wrote* (a registration, a
+deploy request) goes through plain ``from_xml`` and pays for a wire
+form only if it is ever served.  A registry *cache* entry keeps the
+shared tree as its property document
+(:meth:`repro.glare.registry._Registry.add_cached`); it is never
+aggregated or edited.  Whoever keeps, aggregates or edits what it
+parsed — the MDS index, the AGWL workflow parser, a registry's own
+``home`` resources — uses plain ``parse_xml`` / ``to_xml()``.  The
+memo's bound is a module constant (``xmldoc._SHARED_LIMIT``, cleared
+wholesale like the two older memos): it only has to exceed one run's
+working set of distinct documents, nothing simulated depends on it, and
+no caller has a reason to choose another value.
 """
 
 from __future__ import annotations
@@ -36,11 +65,32 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.glare.errors import InvalidTypeDescription
-from repro.wsrf.xmldoc import Element, parse_xml
+from repro.wsrf.xmldoc import Element, parse_shared, shared_document
 
 
 class _WireCached:
-    """Mixin: lazily cached serialized form of a ``to_xml()`` document."""
+    """Mixin: the serialized form of a ``to_xml()`` document, cached on
+    the way out (:meth:`wire_xml`) and on the way in (:meth:`from_wire_xml`)."""
+
+    @classmethod
+    def from_wire_xml(cls, text: str):
+        """Decode a document a registry sent: ``from_xml(text)``, and the
+        fresh copy keeps the wire form it arrived as.
+
+        That form is the canonical re-serialisation of the decoded
+        object, computed once per distinct document and kept beside the
+        shared tree — computed, not assumed to be ``text``: parsing
+        strips character data, so a padded field re-serialises shorter.
+        """
+        shared = shared_document(text)
+        item = cls.from_xml(shared.root)
+        if shared.canonical is None:
+            canonical = item.to_xml().to_string()
+            # equal for everything the registries emit: then keep the
+            # received object, one string per document in every memo
+            shared.canonical = text if canonical == text else canonical
+        item.__dict__["_wire_form"] = shared.canonical
+        return item
 
     def wire_xml(self) -> str:
         """The serialized property document (cached after first use)."""
@@ -246,7 +296,7 @@ class ActivityType(_WireCached):
 
     @classmethod
     def from_xml(cls, source) -> "ActivityType":
-        el = parse_xml(source) if isinstance(source, str) else source
+        el = parse_shared(source) if isinstance(source, str) else source
         if el.tag != "ActivityTypeEntry":
             raise InvalidTypeDescription(f"expected ActivityTypeEntry, got <{el.tag}>")
         name = el.get("name", "")
@@ -368,7 +418,7 @@ class ActivityDeployment(_WireCached):
 
     @classmethod
     def from_xml(cls, source) -> "ActivityDeployment":
-        el = parse_xml(source) if isinstance(source, str) else source
+        el = parse_shared(source) if isinstance(source, str) else source
         if el.tag != "ActivityDeployment":
             raise InvalidTypeDescription(f"expected ActivityDeployment, got <{el.tag}>")
         metrics = el.find("Metrics")

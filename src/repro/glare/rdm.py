@@ -596,8 +596,8 @@ class RequestManager:
                         continue
                     try:
                         scratch.add(type_from_wire(wire))
-                    except Exception:
-                        continue
+                    except (GlareError, ValueError):
+                        continue  # this wire does not decode: not a candidate
             for at in scratch.concrete_types_for(type_name):
                 if at.installable:
                     return at

@@ -25,33 +25,16 @@ from repro.glare.errors import (
 from repro.glare.hierarchy import TypeHierarchy
 from repro.glare.model import ActivityDeployment, ActivityType, DeploymentStatus
 from repro.glare.storage import StorageConfig
-from repro.net.message import Message, Response
+from repro.net.message import Message, Response, WireDict
 from repro.net.service import Service
 from repro.wsrf.notification import NotificationBroker
 from repro.wsrf.resource import EndpointReference, ResourceHome, WSResource
 from repro.wsrf.servicegroup import ServiceGroup
+from repro.wsrf.xmldoc import parse_shared
 from repro.wsrf.xpath import XPathQuery, query_reply
 
 ATR_SERVICE = "activity-type-registry"
 ADR_SERVICE = "activity-deployment-registry"
-
-
-class WireDict(dict):
-    """A wire form plus denormalized metadata, sized as canonical XML.
-
-    The resolution path repeatedly needs just the ``site``/``name`` of
-    a candidate wire; carrying them alongside the XML saves a full
-    parse per consultation.  The metadata duplicates attributes already
-    inside the XML document, so the simulated message size — derived
-    from ``repr`` by :func:`repro.net.message.estimate_size` — must not
-    grow: ``__repr__`` covers only the canonical ``{"xml", "epr"}``
-    body, byte-identical to the plain dict this type replaces.
-    """
-
-    _CANONICAL = ("xml", "epr")
-
-    def __repr__(self) -> str:
-        return repr({key: self[key] for key in self._CANONICAL if key in self})
 
 
 def type_to_wire(activity_type: ActivityType, epr: EndpointReference) -> Dict[str, object]:
@@ -94,13 +77,15 @@ def deployment_to_wire(
 
 
 def type_from_wire(wire: Dict[str, object]) -> ActivityType:
-    """Decode a type wire (a fresh object per call, never an alias)."""
-    return ActivityType.from_xml(wire["xml"])
+    """Decode a type wire: a fresh object per call, never an alias,
+    that starts with the wire form it arrived as (no re-serialisation
+    when it is cached and served on)."""
+    return ActivityType.from_wire_xml(wire["xml"])
 
 
 def deployment_from_wire(wire: Dict[str, object]) -> ActivityDeployment:
-    """Decode a deployment wire (a fresh object per call)."""
-    return ActivityDeployment.from_xml(wire["xml"])
+    """Decode a deployment wire (fresh per call, wire form set)."""
+    return ActivityDeployment.from_wire_xml(wire["xml"])
 
 
 def wire_site(wire: Dict[str, object]) -> str:
@@ -168,15 +153,13 @@ class _Registry(Service):
             last_update_time=self.sim.now,
         )
 
-    def _resource(self, item, epr: EndpointReference) -> WSResource:
-        return WSResource(key=item.key, properties=item.to_xml(),
-                          owner_epr=epr, created_at=self.sim.now)
-
     # -- local resources --------------------------------------------------------
 
     def _publish(self, item) -> WSResource:
         """Make ``item`` a local WS-Resource: in ``home`` and aggregated."""
-        resource = self.home.add(self._resource(item, self._epr_for(item.key)))
+        resource = self.home.add(WSResource(
+            key=item.key, properties=item.to_xml(),
+            owner_epr=self._epr_for(item.key), created_at=self.sim.now))
         self.aggregation.add(resource.epr, resource.properties,
                              provider=lambda r=resource: None if r.destroyed else r.properties)
         return resource
@@ -203,11 +186,18 @@ class _Registry(Service):
     # -- cached resources -------------------------------------------------------
 
     def add_cached(self, item, source_epr: EndpointReference) -> Optional[WSResource]:
-        """Cache a resource discovered from a remote registry."""
+        """Cache a resource discovered from a remote registry.
+
+        A cache entry is not aggregated, so its property document is the
+        shared read-only parse of the item's wire form — for an item
+        decoded from a wire, the tree it was just built from.
+        """
         if not self.cache_enabled:
             return None
         self.cache_sources[item.key] = source_epr
-        return self.cache.add(self._resource(item, source_epr))
+        return self.cache.add(WSResource(
+            key=item.key, properties=parse_shared(item.wire_xml()),
+            owner_epr=source_epr, created_at=self.sim.now))
 
     def cache_wire(self, wire: Dict[str, object]) -> Optional[WSResource]:
         """Decode a received wire and cache what it carries.

@@ -19,14 +19,36 @@ _STR_REPR_LEN: dict = {}
 _STR_REPR_LEN_LIMIT = 1024
 
 
+class WireDict(dict):
+    """A resource wire plus denormalized metadata, sized as canonical XML.
+
+    The resolution path repeatedly needs just the ``site``/``name`` of
+    a candidate wire; carrying them alongside the XML saves a full
+    parse per consultation.  The metadata duplicates attributes already
+    inside the XML document, so the simulated message size — derived
+    from ``repr`` by :func:`estimate_size` — must not grow: ``repr``
+    and :func:`_repr_len` cover only the canonical ``{"xml", "epr"}``
+    body, byte-identical to the plain dict this type replaces.
+    """
+
+    _CANONICAL = ("xml", "epr")
+    #: what each canonical item adds to the repr around its value:
+    #: the quoted key, ``": "`` and ``", "``
+    _ITEM_OVERHEAD = tuple((key, len(repr(key)) + 4) for key in _CANONICAL)
+
+    def __repr__(self) -> str:
+        return repr({key: self[key] for key in self._CANONICAL if key in self})
+
+
 def _repr_len(payload: Any) -> int:
     """Exact ``len(repr(payload))`` computed compositionally.
 
     For the plain ``dict``/``list``/``str`` payload shapes the wire
-    format uses, the repr length decomposes into the members' repr
-    lengths plus fixed punctuation, so big cached strings need to be
-    measured only once.  Anything else falls back to ``repr`` itself,
-    keeping the result exact for every payload.
+    format uses (and :class:`WireDict`, over its canonical body), the
+    repr length decomposes into the members' repr lengths plus fixed
+    punctuation, so big cached strings need to be measured only once.
+    Anything else falls back to ``repr`` itself, keeping the result
+    exact for every payload.
     """
     kind = type(payload)
     if kind is str:
@@ -37,18 +59,31 @@ def _repr_len(payload: Any) -> int:
                 _STR_REPR_LEN.clear()
             _STR_REPR_LEN[payload] = length
         return length
+    if kind is WireDict:
+        # the canonical body only: the XML through the string memo
+        # above, the small EPR dict through one repr (recursing into
+        # its four short fields costs more calls than it saves)
+        body = 0
+        for key, overhead in WireDict._ITEM_OVERHEAD:
+            if key in payload:
+                value = payload[key]
+                body += overhead + (
+                    _repr_len(value) if type(value) is str else len(repr(value)))
+        return body or 2
+    # "{k: v, k: v}" / "[v, v]": every member brings its ", " and the
+    # two brackets stand in for the last one's, so an empty container
+    # is the only special case.  Plain loops: a generator expression
+    # costs one more frame resume per member, once per envelope.
     if kind is dict:
-        if not payload:
-            return 2  # "{}"
-        # "{k: v, k: v}": braces + per-item ": " + ", " separators
-        return 2 * len(payload) + sum(
-            _repr_len(key) + _repr_len(value) + 2 for key, value in payload.items()
-        )
+        body = 0
+        for key, value in payload.items():
+            body += _repr_len(key) + _repr_len(value) + 4  # ": " and ", "
+        return body or 2  # "{}"
     if kind is list:
-        if not payload:
-            return 2  # "[]"
-        # "[v, v]": brackets + ", " separators
-        return 2 * len(payload) + sum(_repr_len(value) for value in payload)
+        body = 0
+        for value in payload:
+            body += _repr_len(value) + 2
+        return body or 2  # "[]"
     return len(repr(payload))
 
 
@@ -64,11 +99,7 @@ def estimate_size(payload: Any, floor: int = 256) -> int:
     """
     if payload is None:
         return floor
-    try:
-        body = _repr_len(payload)
-    except Exception:  # pragma: no cover - exotic payloads
-        body = floor
-    return max(floor, body)
+    return max(floor, _repr_len(payload))
 
 
 @dataclass

@@ -6,6 +6,11 @@ subset of XML those documents need — elements, attributes, character
 data, comments, self-closing tags, and an optional XML declaration —
 with position-annotated parse errors.  Namespaces are treated as plain
 prefixes (GT4 documents use them decoratively for our purposes).
+
+Two parsers, one grammar: :func:`parse_xml` builds a private tree its
+caller may keep and edit; :func:`parse_shared` decodes each distinct
+document string once and hands every caller the same *read-only* tree
+(the receive side of wire-form caching, see :mod:`repro.glare.model`).
 """
 
 from __future__ import annotations
@@ -327,3 +332,51 @@ def parse_xml(text: str) -> Element:
     if parser.pos != parser.length:
         raise parser.error("trailing content after document element")
     return root
+
+
+class SharedDocument:
+    """One wire document, decoded once for every receiver of its string.
+
+    ``root`` is read-only: whoever builds objects from it copies what
+    they keep.  ``canonical`` is the slot where the document's decoder
+    leaves its own re-serialisation of the decoded object (``None``
+    until computed), so that too happens once per distinct string.
+    """
+
+    __slots__ = ("root", "canonical")
+
+    def __init__(self, root: Element) -> None:
+        self.root = root
+        self.canonical: Optional[str] = None
+
+
+#: memoized :func:`parse_xml` per immutable document string: a wire
+#: travels client -> super-peer -> shard owner and every hop decodes
+#: the same string object.  Bounded like ``_STR_REPR_LEN`` and
+#: ``_COMPILE_CACHE``: cleared wholesale at the limit.  A constant, not
+#: a setting: one 64-site resolve pass touches ~1,500 distinct
+#: documents, and a memo smaller than the working set only thrashes.
+_SHARED: Dict[str, SharedDocument] = {}
+_SHARED_LIMIT = 4096
+
+
+def shared_document(text: str) -> SharedDocument:
+    """The memo entry for ``text`` (parsed on first sight).
+
+    A malformed document raises :class:`XmlParseError` every time and
+    is never stored.
+    """
+    shared = _SHARED.get(text)
+    if shared is None:
+        shared = SharedDocument(parse_xml(text))
+        if len(_SHARED) >= _SHARED_LIMIT:
+            _SHARED.clear()
+        _SHARED[text] = shared
+    return shared
+
+
+def parse_shared(text: str) -> Element:
+    """Root of ``text``, parsed once and shared by every caller: read
+    it, never edit it or graft it into another tree — :func:`parse_xml`
+    gives a private tree to aggregate or change."""
+    return shared_document(text).root

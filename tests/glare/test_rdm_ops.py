@@ -183,3 +183,43 @@ class TestRegisterForwarding:
         vo = make_vo()
         deployment = register_with_deployment(vo, "agrid01")
         assert deployment.key in vo.stack("agrid01").adr.deployments
+
+
+class TestPickInstallableDecoding:
+    """With caching off the gathered wires are decoded on the spot: one
+    that does not decode is not a candidate, a bug is not swallowed."""
+
+    INSTALLABLE = (
+        '<ActivityTypeEntry name="PickApp" kind="concrete">'
+        '<Installation mode="on-demand">'
+        '<DeployFile url="gsiftp://origin/pick.xml" md5sum="0"/>'
+        "</Installation></ActivityTypeEntry>"
+    )
+    UNDECODABLE = [
+        '<ActivityTypeEntry name="Cut"',                           # XmlParseError
+        '<ActivityTypeEntry name="Odd" kind="weird"/>',            # bad enum
+        '<ActivityTypeEntry name="Slow"><Benchmark platform="x">fast'
+        "</Benchmark></ActivityTypeEntry>",                        # bad float
+        "<Build/>",                                                # wrong document
+        '<ActivityTypeEntry name="Loop"><BaseType>Loop</BaseType>'
+        "</ActivityTypeEntry>",                                    # extends itself
+    ]
+
+    def gathered(self):
+        wires = [{"xml": xml, "epr": {}} for xml in self.UNDECODABLE]
+        wires.append({"xml": self.INSTALLABLE, "epr": {}, "name": "PickApp"})
+        return [None, {"types": wires, "deployments": []}]
+
+    def test_undecodable_wires_are_skipped(self):
+        manager = make_vo().rdm("agrid01").request_manager
+        picked = manager._pick_installable("PickApp", self.gathered())
+        assert picked is not None and picked.name == "PickApp"
+
+    def test_a_type_error_propagates(self, monkeypatch):
+        def buggy(wire):
+            raise TypeError("a bug, not a bad wire")
+
+        monkeypatch.setattr("repro.glare.rdm.type_from_wire", buggy)
+        manager = make_vo().rdm("agrid01").request_manager
+        with pytest.raises(TypeError, match="a bug"):
+            manager._pick_installable("PickApp", self.gathered())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.message import Message, Response, estimate_size
+from repro.net.message import Message, Response, WireDict, _repr_len, estimate_size
 from repro.net.service import EchoService, Service
 from repro.net import Network, Topology
 from repro.simkernel import CPU, Simulator
@@ -163,6 +163,32 @@ class TestSizeEstimationExactness:
         for _ in range(5):
             assert estimate_size(payload) == first == max(256, len(repr(payload)))
 
+    def test_wire_dict_is_sized_over_its_canonical_body(self):
+        epr = {"address": "s0/atr", "service": "atr", "key": "k", "lut": 1.5}
+        xml = "<T name='it&apos;s' note=\"q\">\n  <D>a\\b</D>\n</T>" * 40
+        plain = {"xml": xml, "epr": epr}
+        wire = WireDict(plain, name="T", site="s0", type="T")
+        assert repr(wire) == repr(plain)  # metadata adds no bytes
+        assert estimate_size(wire) == estimate_size(plain) == len(repr(plain))
+        assert estimate_size({"types": [wire, wire], "deployments": []}) == len(
+            repr({"types": [plain, plain], "deployments": []}))
+        # a wire missing part of its body still measures exactly
+        for partial in (WireDict(), WireDict(name="T"), WireDict(xml=xml),
+                        WireDict(epr=epr), WireDict(xml=None, epr=[1, 2])):
+            assert _repr_len(partial) == len(repr(partial))
+
+    def test_a_payload_whose_repr_raises_surfaces(self):
+        # no blanket catch: an unprintable payload is a bug to see, not
+        # a message silently charged the floor
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        with pytest.raises(RuntimeError, match="no repr"):
+            estimate_size({"value": [Unprintable()]})
+        with pytest.raises(RuntimeError, match="no repr"):
+            Message("a", "b", "svc", "op", payload=Unprintable())
+
 
 try:
     from hypothesis import given, settings
@@ -183,6 +209,25 @@ else:
         ),
         max_leaves=25,
     )
+
+    # XML-ish text with everything repr escapes or re-quotes
+    _documents = st.text(alphabet="ab <>&=/'\"\\\n\t", max_size=120)
+
+    @given(xml=_documents,
+           epr=st.dictionaries(st.sampled_from(["address", "service", "key", "lut"]),
+                               st.one_of(_documents, st.floats(allow_nan=False))),
+           meta=st.dictionaries(st.sampled_from(["name", "site", "type"]), _documents),
+           drop=st.sets(st.sampled_from(["xml", "epr"])))
+    @settings(max_examples=300)
+    def test_wire_dict_size_equals_repr_length(xml, epr, meta, drop):
+        body = {key: value for key, value in (("xml", xml), ("epr", epr))
+                if key not in drop}
+        wire = WireDict(body, **meta)
+        assert repr(wire) == repr(body)
+        assert _repr_len(wire) == len(repr(wire))
+        assert estimate_size(wire) == max(256, len(repr(wire)))
+        assert estimate_size([wire, {"w": wire}]) == max(
+            256, len(repr([body, {"w": body}])))
 
     @given(_payloads)
     @settings(max_examples=300)

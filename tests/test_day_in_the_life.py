@@ -18,10 +18,13 @@ from repro.invariants import check_vo_invariants, check_vo_quiescent
 from repro.vo import build_vo
 from repro.workflow import Workflow
 from repro.workflow.enactment import run_workflow
+from repro.wsrf import xmldoc
+from repro.wsrf.xmldoc import parse_xml
 
 
 @pytest.mark.slow
 def test_day_in_the_life():
+    xmldoc._SHARED.clear()  # what this day decodes, nothing older
     vo = build_vo(n_sites=8, seed=400, monitors=True, group_size=3)
     publish_applications(vo)
     groups = vo.form_overlay()
@@ -85,6 +88,14 @@ def test_day_in_the_life():
     vo.sim.run()
     assert check_vo_quiescent(vo) == []
     assert check_vo_invariants(vo) == []
+
+    # Every receiver of a wire document reads one shared parse of it
+    # (registry cache entries even keep it): nobody edited one, or
+    # grafted one into a tree of their own.
+    assert xmldoc._SHARED
+    for text, shared in xmldoc._SHARED.items():
+        assert shared.root.to_string() == parse_xml(text).to_string()
+        assert shared.root.parent is None
 
 
 def test_invariants_detect_corruption():

@@ -39,6 +39,7 @@ CONTRACT = {
     ("resolution", "MaxRise", "baseline_messages_per_resolution", 0.25),
     ("resolution", "MaxRise", "optimized_messages_per_resolution", 0.25),
     ("resolution", "Holds", "results_equal", True),
+    ("resolution", "Cap", "optimized_pycalls_per_resolution", 2110),
     ("provisioning", "Floor", "rollout_speedup", 3.0),
     ("provisioning", "Holds", "results_equal", True),
     ("faults", "Floor", "resilient_resolution_success", 0.95),
