@@ -738,11 +738,10 @@ class GlareRDMService(Service):
                 # an explicit per-call deadline overrides the policy's
                 # own per-attempt timeout (probe deadlines stay exact)
                 policy = dataclasses.replace(policy, per_try_timeout=timeout)
-        value = yield from self.network.call(
+        return self.network.call(
             self.node_name, dst, RDM_SERVICE, method, payload=payload,
             retry=policy,
         )
-        return value
 
     def rpc_local_adr_register(self, deployment: ActivityDeployment,
                                type_xml: Optional[str] = None) -> Generator:

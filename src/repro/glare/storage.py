@@ -42,15 +42,28 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
+#: memoised ``stable_hash``: routing hashes the same few thousand type
+#: names and ring points over and over.  Bounded like
+#: ``net.message._STR_REPR_LEN``: cleared wholesale at the limit.
+_STABLE_HASH: Dict[str, int] = {}
+_STABLE_HASH_LIMIT = 4096
+
+
 def stable_hash(text: str) -> int:
     """Seed-free 64-bit hash of ``text``, stable across processes.
 
     ``hash()`` is salted per-interpreter (PYTHONHASHSEED), which would
     make shard placement differ between runs and between pool workers —
     every determinism fingerprint in the harness would break.  sha256
-    is stable everywhere and cheap at registry scale.
+    is stable everywhere; each distinct ``text`` pays for it once.
     """
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    value = _STABLE_HASH.get(text)
+    if value is None:
+        value = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+        if len(_STABLE_HASH) >= _STABLE_HASH_LIMIT:
+            _STABLE_HASH.clear()
+        _STABLE_HASH[text] = value
+    return value
 
 
 class RegistryBackend(ABC):

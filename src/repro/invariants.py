@@ -47,8 +47,8 @@ def check_vo_quiescent(vo: "VirtualOrganization") -> List[str]:
     """Violations of a clean shutdown (empty list = quiescent).
 
     Call after ``vo.stop(); vo.sim.run()``: the agenda is empty, no CPU
-    grant is held or queued, no RPC is in flight, no span leaked and no
-    background loop is running.
+    grant is held or queued, no index worker is held or waited for, no
+    RPC is in flight, no span leaked and no background loop is running.
     """
     out: List[str] = []
     pending = vo.sim.peek()
@@ -60,6 +60,11 @@ def check_vo_quiescent(vo: "VirtualOrganization") -> List[str]:
                        "held or queued")
         if node.inflight_rpcs:
             out.append(f"{name}: {node.inflight_rpcs} RPCs in flight")
+    for name, stack in vo.stacks.items():
+        index = stack.index
+        if index is not None and (index.busy_workers or index.queued_queries):
+            out.append(f"{index.name}@{name}: {index.busy_workers} index "
+                       f"workers held, {index.queued_queries} queries queued")
     out += [f"leaked span {span.name}" for span in vo.obs.tracer.leaked_spans()]
     out += [f"{owner!r}: background loop still running"
             for owner in vo.background() if owner.running]

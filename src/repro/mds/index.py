@@ -137,6 +137,11 @@ class IndexService(Service):
         """Query worker threads currently occupied (pool gauge)."""
         return self._worker_pool.count
 
+    @property
+    def queued_queries(self) -> int:
+        """Queries waiting for a worker thread."""
+        return self._worker_pool.queue_length
+
     def op_register(self, message: Message) -> Generator:
         """Remote registration: payload {'xml': str, 'key': str, 'address': str}."""
         payload = message.payload
@@ -189,14 +194,19 @@ class IndexService(Service):
         with obs.tracer.span("mds:query", site=self.node_name) as span:
             queued_at = self.sim.now
             worker = self._worker_pool.request()
-            yield worker
-            queue_wait = self.sim.now - queued_at
-            span.set_attr("queue_wait", queue_wait)
-            obs.metrics.histogram("mds.queue_wait", site=self.node_name).observe(
-                queue_wait
-            )
-            self._active_queries += 1
+            active = 0
             try:
+                # the wait for a worker is covered too: a query whose
+                # deadline expires here must withdraw its request, or
+                # the slot is later granted to nobody and held forever
+                yield worker
+                queue_wait = self.sim.now - queued_at
+                span.set_attr("queue_wait", queue_wait)
+                obs.metrics.histogram("mds.queue_wait", site=self.node_name).observe(
+                    queue_wait
+                )
+                self._active_queries += 1
+                active = 1
                 results, visits = query.evaluate(self.aggregation.documents())
                 demand = self.fixed_cost + visits * self.per_visit_cost
                 multiplier = self._pressure_multiplier()
@@ -207,7 +217,7 @@ class IndexService(Service):
                 span.set_attr("visits", visits)
                 yield from self.compute(demand)
             finally:
-                self._active_queries -= 1
+                self._active_queries -= active
                 self._worker_pool.release(worker)
         self.queries_served += 1
         return query_reply(results)

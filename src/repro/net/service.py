@@ -84,14 +84,11 @@ class Service:
 
     def compute(self, demand: float) -> Generator:
         """Charge ``demand`` CPU-seconds to this service's host."""
-        yield from self.node.cpu.execute(demand)
+        return self.node.cpu.execute(demand)
 
     def call(self, dst: str, service: str, method: str, **kwargs) -> Generator:
         """Convenience: RPC from this service's node to another service."""
-        value = yield from self.network.call(
-            self.node_name, dst, service, method, **kwargs
-        )
-        return value
+        return self.network.call(self.node_name, dst, service, method, **kwargs)
 
     # -- dispatch -------------------------------------------------------------
 

@@ -210,7 +210,11 @@ def bench_rpc_roundtrips(
         "rpc", "rpcs_per_sec", completed[0], watch,
         {"clients": clients, "sim_horizon": horizon,
          "sim_throughput": completed[0] / horizon,
-         "wire_bytes": net.total_bytes},
+         "wire_bytes": net.total_bytes,
+         # the wall rate's exact twin: one fixed contended point (8
+         # clients on the 2-core server) whatever the suite mode
+         "rpc_pycalls_per_roundtrip": round(
+             _echo_pycalls_per_rpc("off", clients=8, horizon=4.0), 2)},
     )
 
 
@@ -1359,6 +1363,11 @@ SUITES: Dict[str, Suite] = {
             _same_jobs,
             RateFloor("results.kernel.value", 0.25),
             RateFloor("results.rpc.value", 0.25),
+            Cap(_detail("rpc", "rpc_pycalls_per_roundtrip"), 66,
+                "exact Python calls per bare echo RPC (recorded 60.1 + 10%; "
+                "~99 when every CPU claim trips the agenda): an uncontended "
+                "CPU claim is taking an agenda trip again, or a pass-through "
+                "wrapper grew a frame"),
             Cap(_detail("fig10_index", "fig10_index_pycalls_per_request"), 203,
                 "exact Python calls per index query at 16 clients x 100 "
                 "types (recorded 184.75 + 10%): the XPath surface is back "

@@ -10,14 +10,44 @@ the Linux kernel uses::
     load += (n - load) * (1 - exp(-interval / window))
 
 where ``n`` counts runnable jobs (running + queued).
+
+The station
+-----------
+:class:`CPU` is a count of busy cores plus a FIFO of *grant events*,
+one per job waiting for a core.  A claim that finds a core free takes
+it in the claimer's own step — a counter increment, no event: whether
+the core is free is known there and then, so a trip over the agenda
+would carry no simulated time and decide nothing, and every RPC claims
+three times (marshal, unmarshal, handler).  Only a claim that must wait
+creates an event and yields it.  A release hands the core straight to
+the longest waiter (the busy count does not move, so nobody can barge
+in between) or, with nobody waiting, frees it.
+
+A job can be interrupted (an RPC deadline, a ``stop()``) in three
+windows, and in each of them a core is never left held by nobody:
+*queued* — its grant event leaves the queue with it; *handed a core but
+not resumed yet* (the grant is triggered and still on the agenda) — it
+passes the core on exactly as a release would; *running* — it releases,
+and only the time the core was actually held counts as busy.
+
+FCFS order, every grant decision and every completion *time* are what
+they would be if each claim took the agenda trip.  What can differ is
+order *within one instant*: a job that takes a free core schedules its
+service time a trip earlier, so when another job is handed a core (at
+any CPU) in that same instant and both demands are equal, the two
+complete in the same instant in the other order.  Lock-stepped
+closed-loop clients do produce that tie on some seeds; no pinned
+digest or fingerprint contains one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, List, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Generator, List, Tuple
 
-from repro.simkernel.primitives import Periodic, Resource
+from repro.simkernel.events import Event
+from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -45,7 +75,11 @@ class CPU:
         self.sim = sim
         self.cores = cores
         self.speed = speed
-        self._resource = Resource(sim, capacity=cores)
+        #: cores held: by a running job, or handed to a waiter that has
+        #: not resumed yet
+        self._busy = 0
+        #: grant events of the jobs waiting for a core, longest first
+        self._waiting: Deque[Event] = deque()
         #: cumulative busy core-seconds, for utilisation reporting
         self.busy_time = 0.0
         self.jobs_completed = 0
@@ -53,12 +87,12 @@ class CPU:
     @property
     def run_queue_length(self) -> int:
         """Runnable jobs: running plus waiting (what loadavg samples)."""
-        return self._resource.count + self._resource.queue_length
+        return self._busy + len(self._waiting)
 
     @property
     def running(self) -> int:
         """Jobs currently holding a core."""
-        return self._resource.count
+        return self._busy
 
     def utilization(self) -> float:
         """Average core utilisation since t=0 (0..1)."""
@@ -73,20 +107,30 @@ class CPU:
         """
         if demand < 0:
             raise ValueError("demand must be non-negative")
-        request = self._resource.request()
-        start = None
+        sim = self.sim
+        waiting = self._waiting
+        grant = start = None
         try:
-            # the queue wait is covered too: a process interrupted here
-            # (an RPC deadline, say) must withdraw its request, or the
-            # core is later granted to nobody and held forever
-            yield request
-            start = self.sim.now
-            yield self.sim.timeout(demand / self.speed)
+            if self._busy < self.cores:
+                self._busy += 1  # a free core: taken here, no event
+            else:
+                grant = Event(sim)
+                waiting.append(grant)
+                yield grant
+            start = sim._now
+            yield sim.timeout(demand / self.speed)
             self.jobs_completed += 1
         finally:
             if start is not None:
-                self.busy_time += self.sim.now - start
-            self._resource.release(request)
+                self.busy_time += sim._now - start
+            if start is None and not grant.triggered:
+                waiting.remove(grant)  # interrupted in the queue: withdraw
+            elif waiting:
+                # held (or handed over and never resumed on): the core
+                # goes to the longest waiter without becoming free
+                waiting.popleft().succeed()
+            else:
+                self._busy -= 1
 
 
 class LoadAverage(Periodic):

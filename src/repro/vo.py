@@ -177,8 +177,7 @@ class VirtualOrganization:
     def client_call(self, site: str, method: str, payload: Any = None,
                     service: str = RDM_SERVICE) -> Generator:
         """Sub-generator: a client at ``site`` calls its local service."""
-        value = yield from self.network.call(site, site, service, method, payload=payload)
-        return value
+        return self.network.call(site, site, service, method, payload=payload)
 
     def run_process(self, generator: Generator, until: Optional[float] = None):
         """Run one client process to completion and return its value."""

@@ -6,8 +6,14 @@ classes pin the :class:`HashRing` guarantees (deterministic placement,
 balance, minimal movement) and the ``op_get_lut_batch`` wire-size fix.
 """
 
-import pytest
+import hashlib
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.glare import storage
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.glare.registry import (
     ActivityDeploymentRegistry,
@@ -168,8 +174,30 @@ class TestHashRing:
 
     def test_stable_hash_is_process_stable(self):
         # pinned value: breaks if stable_hash ever falls back to hash()
+        assert stable_hash("activity-type") == 0xD91A32000FCA3E91
         assert stable_hash("activity-type") == stable_hash("activity-type")
         assert stable_hash("a") != stable_hash("b")
+
+    def test_stable_hash_memo_refills_after_crossing_its_bound(self, monkeypatch):
+        monkeypatch.setattr(storage, "_STABLE_HASH", {})
+        monkeypatch.setattr(storage, "_STABLE_HASH_LIMIT", 4)
+        keys = [f"type-{i}" for i in range(10)]
+        first = [stable_hash(key) for key in keys]
+        # cleared wholesale at the limit, never larger than it
+        assert 0 < len(storage._STABLE_HASH) <= 4
+        assert first == [_unmemoised_hash(key) for key in keys]
+        assert [stable_hash(key) for key in keys] == first
+
+    @given(st.lists(st.text(), max_size=30))
+    def test_route_agrees_with_an_unmemoised_hash(self, keys):
+        ring = HashRing([f"n{i}" for i in range(5)], virtual_nodes=8)
+        for key in keys + keys:  # the second pass is answered by the memo
+            at = bisect_right(ring._points, _unmemoised_hash(key))
+            assert ring.route(key) == ring._owners[at % len(ring._owners)]
+
+
+def _unmemoised_hash(text):
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 class TestShardedRebalance:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.invariants import check_vo_quiescent
 from repro.mds import IndexService
 from repro.net import Network, Topology
+from repro.net.interceptors import RetryPolicy, RpcTimeout
 from repro.simkernel import Simulator
+from repro.vo import build_vo
 from repro.wsrf.xmldoc import Element
 
 
@@ -131,6 +134,48 @@ class TestOverloadCollapse:
         throughput = len(completed) / 60.0
         assert throughput < 2.0  # effectively unresponsive
         assert index.thrashed_queries > 0
+
+
+class TestWorkerPoolUnderDeadlines:
+    """A query that gives up while waiting for a worker leaves the pool."""
+
+    QUERY = "//ActivityType[@name='type1']"
+
+    def test_timed_out_queued_query_withdraws_its_request(self):
+        sim, net, index = make_world(workers=1, fixed_cost=1.0)
+        outcomes = []
+
+        def client(name, retry=None):
+            try:
+                yield from net.call("s1", "s0", "mds-index", "query",
+                                    payload=self.QUERY, retry=retry)
+                outcomes.append((name, "ok"))
+            except RpcTimeout:
+                outcomes.append((name, "timeout"))
+
+        sim.process(client("A"))                          # holds the one worker
+        sim.process(client("B", RetryPolicy.single(0.5)))  # expires in its queue
+        sim.run()
+        assert outcomes == [("B", "timeout"), ("A", "ok")]
+        # B's request left the queue with it: the worker is free again
+        assert index.busy_workers == 0 and index.queued_queries == 0
+        assert index._active_queries == 0
+        sim.process(client("C"))
+        sim.run()
+        assert outcomes[-1] == ("C", "ok") and index.queries_served == 2
+
+    def test_quiescence_check_names_the_index_with_a_leaked_worker(self):
+        vo = build_vo(n_sites=2, seed=3)
+        vo.stop()
+        vo.sim.run()
+        assert check_vo_quiescent(vo) == []
+        site = vo.site_names[1]
+        index = vo.stack(site).index
+        index._worker_pool.request()  # a grant nobody will ever release
+        vo.sim.run()
+        assert check_vo_quiescent(vo) == [
+            f"{index.name}@{site}: 1 index workers held, 0 queries queued"
+        ]
 
 
 class TestHierarchy:

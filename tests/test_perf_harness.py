@@ -35,6 +35,7 @@ KERNEL_TRACE_SHA = "608a9146715772e560498dcaf8ac5d94dbba4f9c21b1022034e9d4eb3f27
 CONTRACT = {
     ("kernel", "RateFloor", "results.kernel.value", 0.25),
     ("kernel", "RateFloor", "results.rpc.value", 0.25),
+    ("kernel", "Cap", "rpc_pycalls_per_roundtrip", 66),
     ("kernel", "Cap", "fig10_index_pycalls_per_request", 203),
     ("resolution", "MaxRise", "baseline_messages_per_resolution", 0.25),
     ("resolution", "MaxRise", "optimized_messages_per_resolution", 0.25),
