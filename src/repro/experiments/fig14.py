@@ -183,9 +183,7 @@ def run_fig14_point(
                      for s in set(client_sites))
         digest_stats["singleflight_joined"] = joined
         for name in vo.site_names:
-            digest = vo.rdm(name).digest
-            if digest is None:
-                continue
+            digest = vo.rdm(name).directory.digest
             digest_stats["group_hits"] = (
                 digest_stats.get("group_hits", 0) + digest.group_hits)
             digest_stats["member_skips"] = (
@@ -284,7 +282,7 @@ def run_revalidation_point(
 
     counts = {}
     for batched in (False, True):
-        resolution = ResolutionConfig(batch_revalidation=batched)
+        resolution = ResolutionConfig(scaled=batched)
         vo = build_vo(
             n_sites=n_sites, seed=seed, cache_enabled=True,
             group_size=n_sites + 1, monitors=False, lifecycle=False,

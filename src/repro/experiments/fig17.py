@@ -247,7 +247,8 @@ def run_routing_point(
     """
     n_sites = n_groups * GROUP_SIZE
     storage = (
-        StorageConfig.sharded(shards=4, routing=True) if routed else None
+        StorageConfig.sharded(shards=4, routing=True) if routed
+        else StorageConfig()
     )
     vo = build_vo(
         n_sites=n_sites,
@@ -313,6 +314,7 @@ def run_routing_point(
 
     workload_messages = vo.network.total_messages - setup_messages
     lookups = len(records)
+    planes = [vo.rdm(s).directory for s in names] if routed else []
     return Fig17RoutingPoint(
         n_groups=n_groups,
         n_sites=n_sites,
@@ -325,9 +327,9 @@ def run_routing_point(
             workload_messages / lookups if lookups else float("nan")
         ),
         result_digest=records_digest(records),
-        shard_route_hits=sum(vo.rdm(s).shard_route_hits for s in names),
-        shard_fallbacks=sum(vo.rdm(s).shard_fallbacks for s in names),
-        shard_handoffs=sum(vo.rdm(s).shard_handoffs for s in names),
+        shard_route_hits=sum(p.shard_route_hits for p in planes),
+        shard_fallbacks=sum(p.shard_fallbacks for p in planes),
+        shard_handoffs=sum(p.shard_handoffs for p in planes),
         tiers=tier_counts(vo, client_sites),
     )
 

@@ -94,11 +94,6 @@ class DeploymentHandler:
     #: permanent errors (md5 mismatch, unknown URL) are not
     download_retry = RetryPolicy(attempts=3, base_delay=0.5, backoff="linear")
 
-    @property
-    def download_attempts(self) -> int:
-        """Attempt budget of :attr:`download_retry` (legacy accessor)."""
-        return self.download_retry.attempts
-
     def __init__(self, site: GridSite, gridftp: GridFtpService) -> None:
         if gridftp.node_name != site.name:
             raise ValueError("handler needs the target site's own GridFTP endpoint")

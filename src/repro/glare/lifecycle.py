@@ -16,7 +16,7 @@ replica maintenance loop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List
+from typing import TYPE_CHECKING, Generator
 
 from repro.simkernel.primitives import Periodic
 from repro.wsrf.lifetime import LifetimeManager
@@ -118,8 +118,3 @@ class LifecycleController:
                     self.minimum_repairs += 1
                 except Exception:
                     break  # try again next cycle
-
-
-def deployments_of_type(rdm: "GlareRDMService", type_name: str) -> List[str]:
-    """Convenience: keys of all local deployments of ``type_name``."""
-    return [d.key for d in rdm.adr.local_deployments_for(type_name)]

@@ -47,8 +47,8 @@ class Monitor(Periodic):
 
     ``phase`` is the one-shot start offset before the first round: with
     hundreds of sites, a per-site deterministic phase (drawn from the
-    seeded kernel RNG by the RDM when monitor_jitter is on) keeps the
-    loops from firing in lockstep.
+    seeded kernel RNG by the RDM on the scaled resolution plane) keeps
+    the loops from firing in lockstep.
     """
 
     NAME = "monitor"
@@ -105,8 +105,8 @@ class CacheRefresher(Monitor):
     """Revalidate cached types/deployments against their source LUTs.
 
     One loop over both registries and one :meth:`_revalidate` per
-    entry; ``ResolutionConfig.batch_revalidation`` only changes how the
-    source LUTs arrive — one ``get_lut`` per entry, or one
+    entry; the scaled resolution plane only changes how the source
+    LUTs arrive — one ``get_lut`` per entry, or one
     ``get_lut_batch`` per (source site, service) pair, which makes the
     revalidation traffic O(distinct sources) instead of O(cached
     entries) for the same end state.
@@ -122,7 +122,7 @@ class CacheRefresher(Monitor):
         self.batched_rpcs = 0
 
     def tick(self) -> Generator:
-        batched = self.rdm.resolution.batch_revalidation
+        batched = self.rdm.resolution.scaled
         for registry in (self.rdm.atr, self.rdm.adr):
             by_source: dict = {}
             for key, source in list(registry.cache_sources.items()):

@@ -24,7 +24,7 @@ installation itself executes on the target through the target RDM's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from repro.glare.deployfile import parse_deployfile
 from repro.glare.errors import (
@@ -63,49 +63,51 @@ PROBE_RETRY = RetryPolicy.single(8.0)
 INSTALL_RETRY = RetryPolicy.single(600.0)
 
 
+#: concurrent ``site_info`` probes in flight on the scaled path
+PROBE_FANOUT = 8
+
+#: seconds a probed SiteDescription stays fresh on the scaled path;
+#: static attributes barely change, so even a short TTL removes the
+#: O(sites) re-probe from every deployment
+SITE_INFO_TTL = 300.0
+
+
 @dataclass(frozen=True)
 class ProvisioningConfig:
-    """Opt-in switches scaling the provisioning pipeline.
+    """The provisioning plane's switch: the paper's pipeline, or the scaled one.
 
-    Mirrors :class:`~repro.glare.resolution.ResolutionConfig`: every
-    switch defaults to *off* and the all-off configuration is
-    byte-identical to the serial baseline (pinned by the determinism
-    fingerprints), so each knob's cost/benefit can be measured in
-    isolation.  Thread through ``build_vo(provisioning=...)``.
+    ``scaled`` turns on, together: concurrent candidate probing
+    (:data:`PROBE_FANOUT` at a time) with a :data:`SITE_INFO_TTL` cache
+    of probed descriptions; concurrent installation of one type's
+    independent dependencies; and replica-aware GridFTP (verified
+    downloads become catalog replicas, fetches pull from the nearest
+    live copy, concurrent same-URL fetches on one site share one
+    wide-area transfer).  Both paths of every mechanism stay: paper vs
+    scaled is the A/B Fig. 15 measures.  Thread through
+    ``build_vo(provisioning=...)``.
     """
 
-    #: probe candidate sites concurrently instead of one ``site_info``
-    #: RPC at a time
-    parallel_probe: bool = False
-    #: concurrent probes in flight when :attr:`parallel_probe` is on
-    probe_fanout: int = 8
-    #: seconds a probed SiteDescription stays fresh (0 = never cache);
-    #: static attributes barely change, so even a short TTL removes the
-    #: O(sites) re-probe from every deployment
-    site_info_ttl: float = 0.0
-    #: install independent dependencies of one type concurrently
-    parallel_dependencies: bool = False
+    scaled: bool = False
     #: concurrent installation legs of a :meth:`DeploymentManager.rollout`
+    #: (1 = fully serial) — a workload parameter fig15 and the
+    #: ``rollout_churn`` benchmark set, not part of the switch
     rollout_fanout: int = 1
-    #: register verified downloads as catalog replicas and fetch from
-    #: the nearest live copy instead of always hitting origin
-    replica_transfers: bool = False
-    #: coalesce concurrent same-URL fetches on one site into a single
-    #: wide-area transfer
-    transfer_singleflight: bool = False
+
+    #: the paper's serial pipeline — the one default every constructor shares
+    PAPER: ClassVar["ProvisioningConfig"]
+
+    def __post_init__(self) -> None:
+        if self.rollout_fanout < 1:
+            raise ValueError(
+                f"rollout_fanout must be >= 1, got {self.rollout_fanout}")
 
     @classmethod
     def all_on(cls, rollout_fanout: int = 8) -> "ProvisioningConfig":
-        """Every optimisation enabled (the fig15 'parallel' series)."""
-        return cls(
-            parallel_probe=True,
-            probe_fanout=8,
-            site_info_ttl=300.0,
-            parallel_dependencies=True,
-            rollout_fanout=rollout_fanout,
-            replica_transfers=True,
-            transfer_singleflight=True,
-        )
+        """The scaled plane (the fig15 'parallel' series)."""
+        return cls(scaled=True, rollout_fanout=rollout_fanout)
+
+
+ProvisioningConfig.PAPER = ProvisioningConfig()
 
 
 @dataclass
@@ -139,13 +141,13 @@ class DeploymentManager:
         self,
         rdm: "GlareRDMService",
         handler: str = "expect",
-        config: Optional[ProvisioningConfig] = None,
+        config: ProvisioningConfig = ProvisioningConfig.PAPER,
     ) -> None:
         if handler not in ("expect", "javacog"):
             raise ValueError(f"unknown deployment handler {handler!r}")
         self.rdm = rdm
         self.handler_kind = handler
-        self.config = config if config is not None else ProvisioningConfig()
+        self.config = config
         self.stats = ProvisioningStats()
         #: in-flight installations keyed by (type, placement): concurrent
         #: requests with the same placement intent piggyback on the first
@@ -277,16 +279,15 @@ class DeploymentManager:
     def probe_sites(self, names: List[str]) -> Generator:
         """``site_info`` every site in ``names``; unreachable ones dropped.
 
-        Returns ``{name: SiteDescription}``.  With the TTL cache enabled
-        a fresh entry skips the RPC; with :attr:`ProvisioningConfig.
-        parallel_probe` the remaining probes run concurrently at most
-        ``probe_fanout`` at a time instead of serially.
+        Returns ``{name: SiteDescription}``.  On the scaled path a
+        fresh cache entry skips the RPC and the remaining probes run
+        concurrently, at most :data:`PROBE_FANOUT` at a time, instead
+        of serially.
 
         Public mechanism: besides candidate selection here, the
         desired-state reconciler's actuator probes through this method,
         so both policies share one probe path (and one cache).
         """
-        cfg = self.config
         descriptions: Dict[str, SiteDescription] = {}
         missing: List[str] = []
         for name in names:
@@ -296,11 +297,11 @@ class DeploymentManager:
                 self.probe_cache_hits += 1
             else:
                 missing.append(name)
-        if cfg.parallel_probe and len(missing) > 1:
+        if self.config.scaled and len(missing) > 1:
             outcomes = yield from bounded_gather(
                 self.sim,
                 [(lambda n=name: self._probe_one(n)) for name in missing],
-                limit=cfg.probe_fanout,
+                limit=PROBE_FANOUT,
                 name="probe",
             )
             for name, (ok, value) in zip(missing, outcomes):
@@ -320,16 +321,13 @@ class DeploymentManager:
         except TRANSIENT_ERRORS:
             return None  # offline, silent or shedding: not a candidate now
         desc = SiteDescription.from_info(info)
-        if self.config.site_info_ttl > 0:
+        if self.config.scaled:
             self._site_cache[name] = (self.sim.now, desc)
         return desc
 
     def _cached_description(self, name: str) -> Optional[SiteDescription]:
-        ttl = self.config.site_info_ttl
-        if ttl <= 0:
-            return None
         entry = self._site_cache.get(name)
-        if entry is not None and self.sim.now - entry[0] <= ttl:
+        if entry is not None and self.sim.now - entry[0] <= SITE_INFO_TTL:
             return entry[1]
         return None
 
@@ -343,10 +341,10 @@ class DeploymentManager:
         # Dependencies first — each must have a deployment on the target.
         # Installations of *different* dependency types are independent
         # (shared transitive dependencies still serialise through the
-        # single-flight gate), so with parallel_dependencies they all
-        # run at once under one barrier.
+        # single-flight gate), so on the scaled path they all run at
+        # once under one barrier.
         deps = list(spec.dependencies)
-        if self.config.parallel_dependencies and len(deps) > 1:
+        if self.config.scaled and len(deps) > 1:
             outcomes = yield from bounded_gather(
                 self.sim,
                 [

@@ -15,6 +15,14 @@ requests through the super-peer overlay:
 
 with each hop's results cached locally (two-level cache: site cache
 and super-peer cache).
+
+This module holds what §3.2 names: the Request Manager's walk, the
+client-facing operations, plumbing, and monitor start/stop.  Every
+other plane keeps its state, hooks and ``op_*`` in its own module and
+is attached (:meth:`GlareRDMService.attach`): the overlay, the paper's
+§6 extensions (un-deployment, wrapper generation, semantic search), the
+scaled directory (:class:`DirectoryPlane`, iff switched on) and — by
+``build_vo`` — the orchestration site agent.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import dataclasses
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.glare.errors import DeploymentNotFound, GlareError, TypeNotFound
+from repro.glare.hierarchy import TypeHierarchy
 from repro.glare.model import (
     ActivityDeployment,
     ActivityType,
     DeploymentKind,
-    DeploymentStatus,
     InstallationSpec,
     TypeKind,
 )
@@ -38,13 +46,17 @@ from repro.glare.registry import (
     ADR_SERVICE,
     ATR_SERVICE,
     deployment_to_wire,
+    merge_lookups,
     type_from_wire,
     type_to_wire,
     wire_site,
 )
-from repro.glare.resolution import ResolutionConfig, TypeDigest
-from repro.glare.storage import HashRing, StorageConfig
-from repro.glare.superpeer import OverlayManager, OverlayView
+from repro.glare.resolution import DirectoryPlane, ResolutionConfig
+from repro.glare.semantics import SemanticLookup
+from repro.glare.storage import StorageConfig
+from repro.glare.superpeer import OverlayManager
+from repro.glare.undeploy import Undeployer
+from repro.glare.wrapper import WrapperGenerator, wrapped_executable_path
 from repro.gram.jobs import JobSpec
 from repro.gridftp.service import GridFtpService
 from repro.mds.index import UPSTREAM_UNREACHABLE
@@ -156,7 +168,7 @@ class RequestManager:
                     claims.update(atr.hierarchy.ancestors(type_name))
         return sorted(claims)
 
-    def _cache_results(self, result: Dict[str, List[Dict]]) -> None:
+    def cache_results(self, result: Dict[str, List[Dict]]) -> None:
         """Fold remote lookup results into the local caches.
 
         An authoritative local copy wins, and the wire metadata says so
@@ -174,7 +186,7 @@ class RequestManager:
 
     # -- fan-out helpers -------------------------------------------------------------
 
-    def _safe_rpc(self, site: str, method: str, payload: Any,
+    def safe_rpc(self, site: str, method: str, payload: Any,
                   timeout: float = 20.0) -> Generator:
         try:
             value = yield from self.rdm.rpc(site, method, payload, timeout=timeout)
@@ -197,7 +209,7 @@ class RequestManager:
         obs counter, then dropped.
         """
         procs = [
-            self.sim.process(self._safe_rpc(site, method, payload),
+            self.sim.process(self.safe_rpc(site, method, payload),
                              name=f"fanout:{method}->{site}")
             for site in sites
         ]
@@ -261,14 +273,14 @@ class RequestManager:
                        exclude_sites: tuple = ()) -> Generator:
         """Singleflight gate in front of :meth:`_resolve`.
 
-        With coalescing enabled, concurrent identical resolutions on
+        On the scaled plane, concurrent identical resolutions on
         this site join the walk already in flight and share its result
         (bumping the same tier counter the leader's walk hit, so
         per-request tier accounting still adds up).  A failed leading
         walk is *not* shared: its error may be specific to the leader's
         timing, so each follower falls back to its own walk.
         """
-        if not self.rdm.resolution.singleflight:
+        if not self.rdm.resolution.scaled:
             wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
             return wires
 
@@ -329,8 +341,8 @@ class RequestManager:
                     peers, "local_lookup", {"type": type_name}
                 )
             gathered.extend(results)
-            merged = _merge(gathered)
-            self._cache_results(merged)
+            merged = merge_lookups(gathered)
+            self.cache_results(merged)
             # the fan-out gathered every group member's entries, so the
             # merged set is complete for this group with or without cache
             if _usable(merged["deployments"]):
@@ -346,14 +358,14 @@ class RequestManager:
                 )
         elif view.super_peer and view.super_peer != me:
             with tracer.span("tier:super-peer", via=view.super_peer):
-                sp_result = yield from self._safe_rpc(
+                sp_result = yield from self.safe_rpc(
                     view.super_peer, "sp_lookup",
                     {"type": type_name, "forwarded": False}, timeout=30.0,
                 )
         if sp_result:
             gathered.append(sp_result)
-            self._cache_results(sp_result)
-        merged = _merge(gathered)
+            self.cache_results(sp_result)
+        merged = merge_lookups(gathered)
         if _usable(merged["deployments"]):
             if sp_result and _usable(sp_result["deployments"]):
                 self.resolved_via_superpeer += 1
@@ -386,140 +398,52 @@ class RequestManager:
         )
 
     def super_peer_lookup(self, type_name: str, forwarded: bool) -> Generator:
-        """Super-peer body: own group first, then the super group.
+        """Super-peer body: own registries, then members, then the
+        other super-peers (unless another super-peer forwarded this).
 
-        With content digests enabled (:class:`ResolutionConfig`), the
-        member fan-out narrows to members whose claim notes cover the
-        type (only once every member has delivered its bulk note for
-        the current epoch), the cross-group escalation targets only
-        super-peers whose groups claim the type (falling back to the
-        full broadcast when the targeted query comes back empty), and a
-        full broadcast that finds nothing parks the type in a TTL-bound
-        negative cache.
+        With the directory plane on, the member fan-out is narrowed to
+        the members that claim the type and the cross-group step goes
+        through :meth:`DirectoryPlane.escalate`, which wraps
+        :meth:`broadcast` as its loss-free fallback.
         """
-        digest = self.rdm.digest if self.rdm.overlay.is_super_peer else None
+        plane = self.rdm.directory if self.rdm.overlay.is_super_peer else None
         result = self.local_lookup(type_name)
         if result["deployments"]:
             return result
-        view = self.rdm.overlay.view
         me = self.rdm.node_name
-        members = [s for s in view.member_sites() if s != me]
-        if digest is not None:
-            claimed = digest.members_for(type_name, members)
-            if claimed is not None:
-                digest.member_skips += len(members) - len(claimed)
-                members = claimed
+        members = [s for s in self.rdm.overlay.view.member_sites() if s != me]
+        if plane is not None:
+            members = plane.narrow(type_name, members)
         if members:
             results = yield from self.fanout(members, "local_lookup", {"type": type_name})
-            merged = _merge([result] + results)
-            self._cache_results(merged)  # the super-peer cache level
+            merged = merge_lookups([result] + results)
+            self.cache_results(merged)  # the super-peer cache level
             if merged["deployments"]:
                 return merged
             result = merged
-        if not forwarded:
-            ttl = self.rdm.resolution.negative_ttl
-            if (digest is not None and ttl > 0
-                    and digest.is_missing(type_name, self.sim.now)):
-                digest.negative_hits += 1
-                self.rdm.obs.metrics.counter(
-                    "glare.negative_cache_hits", site=me
-                ).inc()
-                return result
-            others = self.rdm.overlay.other_super_peers()
-            # Shard routing: one RPC to the type's directory owner
-            # replaces the all-super-peers broadcast.  An owner whose
-            # answer is empty (handoff window, stale directory, owner
-            # down) falls through to the broadcast below, so routing
-            # never shrinks the result set.
-            ring = self.rdm.shard_ring
-            if ring is not None and len(ring) > 1 and others:
-                owner = ring.route(type_name)
-                if owner != me and owner in set(others):
-                    value = yield from self._safe_rpc(
-                        owner, "shard_lookup", {"type": type_name},
-                        timeout=30.0,
-                    )
-                    if value and value.get("deployments"):
-                        self.rdm.shard_route_hits += 1
-                        merged = _merge([result, value])
-                        self._cache_results(merged)
-                        return merged
-                    self.rdm.shard_fallbacks += 1
-                    if value:
-                        result = _merge([result, value])
-            targeted = digest.groups_for(type_name) if digest is not None else None
-            if targeted is not None:
-                candidates = [s for s in targeted if s in set(others)]
-                if candidates:
-                    digest.group_hits += 1
-                    labeled = yield from self.fanout_labeled(
-                        candidates, "sp_lookup",
-                        {"type": type_name, "forwarded": True},
-                    )
-                    hits = []
-                    for sp_site, value in labeled:
-                        if value and value.get("deployments"):
-                            digest.learn_group(type_name, sp_site)
-                            hits.append(value)
-                        else:
-                            digest.forget_group(type_name, sp_site)
-                    merged = _merge([result] + hits)
-                    if merged["deployments"]:
-                        self._cache_results(merged)
-                        return merged
-                    # every claimed group came back empty: the digest
-                    # was stale — fall through to the full broadcast so
-                    # targeting never shrinks the result set
-                    others = [s for s in others if s not in set(candidates)]
-                    result = merged
-            if others:
-                labeled = yield from self.fanout_labeled(
-                    others, "sp_lookup", {"type": type_name, "forwarded": True}
-                )
-                if digest is not None:
-                    for sp_site, value in labeled:
-                        if value and value.get("deployments"):
-                            digest.learn_group(type_name, sp_site)
-                merged = _merge([result] + [value for _, value in labeled])
-                self._cache_results(merged)
-                if (digest is not None and ttl > 0
-                        and not merged["deployments"]):
-                    digest.note_missing(type_name, self.sim.now, ttl)
-                return merged
-        return result
-
-    def shard_lookup(self, type_name: str) -> Generator:
-        """Directory-owner body of a routed cross-group lookup.
-
-        This site owns ``type_name``'s slice of the shard directory:
-        its digest holds the set of super-peer groups claiming the
-        type (fed by ``shard_note`` hand-offs).  Answer from the own
-        group first, then fan out only to the claiming groups — the
-        caller handles the empty-answer fallback.
-        """
-        digest = self.rdm.digest
-        result = yield from self.super_peer_lookup(type_name, forwarded=True)
-        if result["deployments"]:
+        if forwarded:
+            return result
+        if plane is not None:
+            result = yield from plane.escalate(type_name, result)
             return result
         others = self.rdm.overlay.other_super_peers()
-        targeted = digest.groups_for(type_name) if digest is not None else None
-        if targeted:
-            candidates = [s for s in targeted if s in set(others)]
-            if candidates:
-                labeled = yield from self.fanout_labeled(
-                    candidates, "sp_lookup",
-                    {"type": type_name, "forwarded": True},
-                )
-                for sp_site, value in labeled:
-                    if value and value.get("deployments"):
-                        digest.learn_group(type_name, sp_site)
-                    else:
-                        digest.forget_group(type_name, sp_site)
-                merged = _merge([result] + [v for _, v in labeled])
-                if merged["deployments"]:
-                    self._cache_results(merged)
-                return merged
+        if others:
+            result, _ = yield from self.broadcast(type_name, result, others)
         return result
+
+    def broadcast(self, type_name: str, result: Dict,
+                  others: List[str]) -> Generator:
+        """The paper's cross-group step: ask every one of ``others``.
+
+        Returns ``(merged, labeled)``: ``result`` merged with every
+        answer (and cached), plus the answers by super-peer.
+        """
+        labeled = yield from self.fanout_labeled(
+            others, "sp_lookup", {"type": type_name, "forwarded": True}
+        )
+        merged = merge_lookups([result] + [value for _, value in labeled])
+        self.cache_results(merged)
+        return merged, labeled
 
     def discover_type(self, type_name: str) -> Generator:
         """Locate a type description anywhere in the VO (no deployments)."""
@@ -534,8 +458,8 @@ class RequestManager:
         results = yield from self.fanout(
             search_space, "local_lookup", {"type": type_name}
         )
-        merged = _merge(results)
-        self._cache_results(merged)
+        merged = merge_lookups(results)
+        self.cache_results(merged)
         at = self.rdm.atr.find_type(type_name)
         if at is not None:
             return at
@@ -544,16 +468,16 @@ class RequestManager:
         # forwards to the others
         if self.rdm.overlay.is_super_peer:
             sp_merged = yield from self.super_peer_lookup(type_name, forwarded=False)
-            self._cache_results(sp_merged)
-            merged = _merge([merged, sp_merged])
+            self.cache_results(sp_merged)
+            merged = merge_lookups([merged, sp_merged])
         elif view.super_peer and view.super_peer != me:
-            sp_result = yield from self._safe_rpc(
+            sp_result = yield from self.safe_rpc(
                 view.super_peer, "sp_lookup",
                 {"type": type_name, "forwarded": False}, timeout=30.0,
             )
             if sp_result:
-                self._cache_results(sp_result)
-                merged = _merge([merged, sp_result])
+                self.cache_results(sp_result)
+                merged = merge_lookups([merged, sp_result])
         at = self.rdm.atr.find_type(type_name)
         if at is not None:
             return at
@@ -579,8 +503,6 @@ class RequestManager:
             if at.installable:
                 return at
         if gathered:
-            from repro.glare.hierarchy import TypeHierarchy
-
             scratch = TypeHierarchy()
             for at in atr.hierarchy.all_types():
                 scratch.add(at)
@@ -604,20 +526,6 @@ class RequestManager:
         return None
 
 
-def _merge(results: List[Optional[Dict]]) -> Dict[str, List[Dict]]:
-    """Union lookup results, de-duplicated by resource key."""
-    types: Dict[str, Dict] = {}
-    deployments: Dict[str, Dict] = {}
-    for result in results:
-        if not result:
-            continue
-        for wire in result.get("types", []):
-            types.setdefault(wire["epr"]["key"], wire)
-        for wire in result.get("deployments", []):
-            deployments.setdefault(wire["epr"]["key"], wire)
-    return {"types": list(types.values()), "deployments": list(deployments.values())}
-
-
 class GlareRDMService(Service):
     """The per-site GLARE frontend (see module docstring).
 
@@ -635,13 +543,6 @@ class GlareRDMService(Service):
 
     SERVICE_NAME = RDM_SERVICE
 
-    #: reconciliation traffic bypasses admission shedding (see
-    #: :attr:`Service.CONTROL_OPS`) — the desired-state control loop
-    #: must observe and drain exactly when the data plane is overloaded
-    CONTROL_OPS = frozenset({
-        "report_observed", "apply_spec", "set_deployment_lifetime",
-    })
-
     def __init__(
         self,
         network,
@@ -654,10 +555,10 @@ class GlareRDMService(Service):
         community_index_service: str = "mds-index",
         group_size: int = 3,
         request_demand: float = 0.002,
-        resolution: Optional[ResolutionConfig] = None,
-        provisioning: Optional[ProvisioningConfig] = None,
+        resolution: ResolutionConfig = ResolutionConfig.PAPER,
+        provisioning: ProvisioningConfig = ProvisioningConfig.PAPER,
         retry_policy: Optional[RetryPolicy] = None,
-        storage: Optional[StorageConfig] = None,
+        storage: StorageConfig = StorageConfig.PAPER,
     ) -> None:
         super().__init__(network, site.name)
         #: default retry policy for this RDM's outbound RPC (``None``
@@ -670,53 +571,41 @@ class GlareRDMService(Service):
         self.community_site = community_site
         self.community_index_service = community_index_service
         self.request_demand = request_demand
-        self.resolution = resolution if resolution is not None else ResolutionConfig()
-        self.provisioning = (
-            provisioning if provisioning is not None else ProvisioningConfig()
-        )
-        self.storage = storage if storage is not None else StorageConfig()
+        self.resolution = resolution
+        self.storage = storage
+        self.admin_notifications: List[Dict] = []
+        self._monitors: List = []
 
         self.request_manager = RequestManager(self)
         self.deployment_manager = DeploymentManager(
-            self, handler=handler, config=self.provisioning
+            self, handler=handler, config=provisioning
         )
         self.overlay = OverlayManager(self, group_size=group_size)
-        #: super-peer content digest (only populated while this site
-        #: holds the super-peer role; ``None`` when the feature is off).
-        #: Shard routing reuses the digest as its directory slice, so
-        #: enabling routing enables the digest machinery too.
-        self.digest: Optional[TypeDigest] = (
-            TypeDigest()
-            if self.resolution.digests or self.storage.routing
-            else None
-        )
-        #: consistent-hash ring over the current view's super-peers —
-        #: the shard-routing table (``None`` until a view lands, or
-        #: when routing is off)
-        self.shard_ring: Optional[HashRing] = None
-        #: type names already announced to their ring owners this view
-        self._forwarded_claims: set = set()
-        self.shard_route_hits = 0
-        self.shard_fallbacks = 0
-        self.shard_handoffs = 0
-        if self.digest is not None:
-            self.overlay.on_view_applied = self._on_view_applied
-            self.atr.on_local_registration = self._note_local_claims
-            self.adr.on_local_registration = self._note_local_claims
-        from repro.glare.semantics import SemanticIndex
-        from repro.glare.undeploy import Undeployer
-        from repro.glare.wrapper import WrapperGenerator
+        for plane in (self.overlay, Undeployer(self), WrapperGenerator(self),
+                      SemanticLookup(self)):
+            self.attach(plane)
+        #: the scaled cross-group directory (super-peer digests, shard
+        #: routing); ``None`` on the paper's path.  Shard routing reuses
+        #: the digest as its directory slice, so either switch turns
+        #: the plane on.
+        self.directory: Optional[DirectoryPlane] = None
+        if resolution.scaled or storage.routing:
+            self.directory = DirectoryPlane(self)
+            self.attach(self.directory)
 
-        self.undeployer = Undeployer(self)
-        self.wrapper_generator = WrapperGenerator(self)
-        self.semantic_index = SemanticIndex(self.atr.hierarchy)
-        self.admin_notifications: List[Dict] = []
-        self._monitors: List = []
-        #: replicated desired-state document (orchestration); written
-        #: only via ``op_apply_spec`` — the reconciler is the sole
-        #: originator, so the document survives super-peer takeover on
-        #: whichever site hosts the next reconciler
-        self.desired_state = None  # Optional[repro.orchestrate.spec.DesiredState]
+    def attach(self, plane: Any) -> None:
+        """Serve ``plane``'s ``op_*`` handlers as this service's own.
+
+        :meth:`Service.dispatch` finds handlers by attribute, so
+        attaching is binding them here — and a plane that was never
+        constructed answers ``UnknownOperation``.  A plane's
+        ``CONTROL_OPS`` join this service's shed-exempt set.
+        """
+        for name in vars(type(plane)):
+            if name.startswith("op_"):
+                setattr(self, name, getattr(plane, name))
+        self.CONTROL_OPS = self.CONTROL_OPS | getattr(
+            plane, "CONTROL_OPS", frozenset())
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -773,155 +662,7 @@ class GlareRDMService(Service):
         """Textual content of a published deploy-file."""
         return self.gridftp.url_catalog.content(url)
 
-    # -- digest maintenance (ResolutionConfig.digests) ---------------------------------
-
-    def _on_view_applied(self, view: OverlayView) -> None:
-        """A new overlay view landed (election or takeover).
-
-        Super-peer: the digest resets to the new epoch — every claim
-        learned under the old grouping is invalid.  Member: push a full
-        (bulk) claim note so the super-peer can rebuild absence trust.
-        With shard routing on, the ring is rebuilt over the new view's
-        super-peers and this site's slice of the directory is handed
-        off: claims are re-announced to their (possibly new) owners.
-        """
-        if self.digest is not None and view.role == "super-peer":
-            self.digest.reset(view.epoch)
-        if self.storage.routing:
-            sps = sorted(view.super_peers)
-            self.shard_ring = (
-                HashRing(
-                    sps,
-                    virtual_nodes=self.storage.virtual_nodes,
-                    seed=self.storage.seed,
-                )
-                if sps
-                else None
-            )
-            self._forwarded_claims.clear()
-            if view.role == "super-peer":
-                self.sim.process(
-                    self._send_shard_notes(self.request_manager.local_claims()),
-                    name=f"shard-handoff:{self.node_name}",
-                )
-        if view.role == "peer" and view.super_peer and view.super_peer != self.node_name:
-            self.sim.process(
-                self._send_digest_note(full=True),
-                name=f"digest-note:{self.node_name}",
-            )
-
-    def _note_local_claims(self, type_name: str) -> None:
-        """Registration hook: piggyback new claims onto the digest.
-
-        Called synchronously by the colocated registries whenever a
-        type or deployment is registered authoritatively on this site.
-        """
-        claims = [type_name]
-        if self.atr.hierarchy.get(type_name) is not None:
-            claims.extend(self.atr.hierarchy.ancestors(type_name))
-        if self.digest is not None and self.overlay.is_super_peer:
-            # a super-peer consults its own registries before any
-            # fan-out, so only the negative cache needs clearing —
-            # plus, with routing on, announcing the new claims to
-            # their ring owners
-            for name in claims:
-                self.digest.clear_missing(name)
-            if self.storage.routing:
-                self.sim.process(
-                    self._send_shard_notes(claims),
-                    name=f"shard-note:{self.node_name}",
-                )
-            return
-        view = self.overlay.view
-        if view.role == "peer" and view.super_peer:
-            self.sim.process(
-                self._send_digest_note(full=False, claims=claims),
-                name=f"digest-note:{self.node_name}",
-            )
-
-    #: retry cadence/budget for refused or failed shard notes: covers
-    #: the overlay-formation window where a targeted owner has not
-    #: applied its view yet (or resets its digest just after the note
-    #: lands) without ever retrying forever into a dead node
-    SHARD_NOTE_RETRY_DELAY = 2.0
-    SHARD_NOTE_RETRY_LIMIT = 5
-
-    def _send_shard_notes(self, claims: List[str],
-                          attempt: int = 0) -> Generator:
-        """Detached process: announce claims to their ring-owner SPs.
-
-        Only *acknowledged* claims count as forwarded: group views land
-        at different times, so a note can reach an owner before that
-        owner is a routing-enabled super-peer (it refuses) or just
-        before its own view-apply wipes the digest (it acknowledges a
-        claim that no longer exists).  Refused and failed claims are
-        retried on a fixed cadence with a bounded budget; a claim still
-        undelivered after the budget only costs directory coverage —
-        lookups fall back to the loss-free broadcast, so results never
-        shrink.  The forwarded set clears on every view change, which
-        also restarts the announcement from scratch against the new
-        ring.
-        """
-        ring = self.shard_ring
-        if ring is None or len(ring) < 2 or not self.overlay.is_super_peer:
-            return
-        by_owner: Dict[str, List[str]] = {}
-        for name in claims:
-            if name in self._forwarded_claims:
-                continue
-            owner = ring.route(name)
-            if owner == self.node_name:
-                self._forwarded_claims.add(name)
-                continue  # my own digest is the slice for this name
-            by_owner.setdefault(owner, []).append(name)
-        pending: List[str] = []
-        for owner in sorted(by_owner):
-            names = by_owner[owner]
-            self.shard_handoffs += len(names)
-            try:
-                result = yield from self.rpc(
-                    owner, "shard_note",
-                    {"site": self.node_name, "claims": names},
-                    timeout=10.0,
-                )
-            except (OfflineError, RpcTimeout, GlareError):
-                result = None
-            if result and result.get("accepted"):
-                self._forwarded_claims.update(names)
-            else:
-                pending.extend(names)
-        if pending and attempt < self.SHARD_NOTE_RETRY_LIMIT:
-            ring_before = self.shard_ring
-
-            def retry() -> Generator:
-                yield self.sim.timeout(self.SHARD_NOTE_RETRY_DELAY)
-                # a view change already re-announces against the new
-                # ring; only retry while ours is still current
-                if self.shard_ring is ring_before:
-                    yield from self._send_shard_notes(
-                        pending, attempt=attempt + 1)
-
-            self.sim.process(
-                retry(), name=f"shard-note-retry:{self.node_name}")
-
-    def _send_digest_note(self, full: bool,
-                          claims: Optional[List[str]] = None) -> Generator:
-        """Detached process: deliver a claim note to my super-peer."""
-        view = self.overlay.view
-        target = view.super_peer
-        if not target or target == self.node_name:
-            return
-        payload = {
-            "site": self.node_name,
-            "claims": claims if claims is not None
-            else self.request_manager.local_claims(),
-            "epoch": view.epoch,
-            "full": full,
-        }
-        try:
-            yield from self.rpc(target, "digest_note", payload, timeout=10.0)
-        except (OfflineError, RpcTimeout, GlareError):
-            pass  # best-effort: a lost note only costs digest coverage
+    # -- background components --------------------------------------------------
 
     def start(self, monitors: bool = True) -> None:
         """Launch the RDM's background components (idempotent)."""
@@ -937,7 +678,7 @@ class GlareRDMService(Service):
                 CacheRefresher(self),
                 DeploymentStatusMonitor(self),
             ):
-                if self.resolution.monitor_jitter:
+                if self.resolution.scaled:
                     # deterministic per-(site, monitor) phase offset so
                     # hundreds of loops don't tick in lockstep
                     monitor.phase = self.sim.rng.uniform(
@@ -1056,15 +797,17 @@ class GlareRDMService(Service):
         """Bulk provisioning: deploy one type on every matching site.
 
         Payload: {'type_xml':, 'target_sites': optional [...],
-        'fanout': optional int}.
+        'fanout': optional int >= 1}.
         """
         payload = message.payload
+        fanout = payload.get("fanout")
+        if fanout is not None and (type(fanout) is not int or fanout < 1):
+            # bounded_gather reads a limit <= 0 as "unbounded"
+            raise GlareError(f"rollout fanout must be an int >= 1, got {fanout!r}")
         activity_type = ActivityType.from_xml(payload["type_xml"])
         yield from self.compute(self.request_demand)
         result = yield from self.deployment_manager.rollout(
-            activity_type,
-            target_sites=payload.get("target_sites"),
-            fanout=payload.get("fanout"),
+            activity_type, target_sites=payload.get("target_sites"), fanout=fanout,
         )
         return result
 
@@ -1095,75 +838,6 @@ class GlareRDMService(Service):
             "utilization": cpu.utilization(),
         }
 
-    def op_report_observed(self, message: Message) -> Generator:
-        """One observation sample for the desired-state reconciler.
-
-        Payload: ``{'types': [managed type names]}``.  Returns the live
-        gauges (instantaneous busy slots / capacity, not the since-t=0
-        average of ``op_site_load``) plus this site's admission-shed
-        tallies and the local ACTIVE deployments of each listed type.
-        """
-        payload = message.payload or {}
-        types = payload.get("types", [])
-        yield from self.compute(0.0005)
-        cpu = self.site.cpu
-        deployments = {
-            name: sorted(
-                d.key
-                for d in self.adr.local_deployments_for(name)
-                if d.status == DeploymentStatus.ACTIVE
-            )
-            for name in types
-        }
-        return {
-            "site": self.node_name,
-            "load": self.site.loadavg.value,
-            "run_queue": cpu.run_queue_length,
-            "cores": cpu.cores,
-            "utilization": cpu.running / cpu.cores,
-            "shed_by_op": dict(self.shed_by_op),
-            "deployments": deployments,
-        }
-
-    def op_apply_spec(self, message: Message) -> Generator:
-        """Revision-gated write of the replicated desired state.
-
-        Payload is ``DesiredState.to_wire()``.  A revision at or below
-        the one already held is rejected (guarded-accept, like
-        ``op_shard_note``) so re-deliveries after a takeover are
-        idempotent.  Returns ``{'accepted':, 'revision':}``.
-        """
-        from repro.orchestrate.spec import DeploymentSpec, DesiredState
-
-        wire = message.payload or {}
-        yield from self.compute(0.0005)
-        revision = int(wire.get("revision", 0))
-        held = self.desired_state
-        if held is not None and revision <= held.revision:
-            return {"accepted": False, "revision": held.revision}
-        specs = {}
-        for spec_wire in wire.get("specs", []):
-            spec = DeploymentSpec.from_wire(spec_wire)
-            specs[spec.type_name] = spec
-        self.desired_state = DesiredState(revision=revision, specs=specs)
-        return {"accepted": True, "revision": revision}
-
-    def op_set_deployment_lifetime(self, message: Message) -> Generator:
-        """Shorten (or extend) a local deployment's WSRF lifetime.
-
-        Payload: ``{'key':, 'at': absolute termination time}``.  The
-        reconciler's scale-in path: the registration stays visible until
-        the site's lifetime sweep garbage-collects it, so in-flight
-        requests drain naturally over the grace window.
-        """
-        payload = message.payload
-        yield from self.compute(0.0005)
-        resource = self.adr.home.lookup(payload["key"])
-        if resource is None:
-            return {"ok": False, "error": f"no local deployment {payload['key']!r}"}
-        resource.set_termination_time(float(payload["at"]))
-        return {"ok": True, "at": float(payload["at"])}
-
     def op_ping(self, message: Message) -> Generator:
         yield from self.compute(0.0002)
         return {"pong": self.node_name, "at": self.sim.now}
@@ -1188,8 +862,6 @@ class GlareRDMService(Service):
             yield from gridarm.authorize_instantiation(
                 key, payload.get("ticket"), client=message.src
             )
-
-        from repro.glare.wrapper import wrapped_executable_path
 
         started = self.sim.now
         wrapped = wrapped_executable_path(deployment)
@@ -1222,127 +894,3 @@ class GlareRDMService(Service):
             },
         )
         return {"key": key, "exit_code": exit_code, "duration": finished - started}
-
-    # -- extension operations (paper §6 future work) -------------------------------------
-
-    def op_undeploy(self, message: Message) -> Generator:
-        """Remove a local deployment (registry entry + installed files)."""
-        payload = message.payload
-        key = payload["key"] if isinstance(payload, dict) else payload
-        remove_files = (
-            payload.get("remove_files", True) if isinstance(payload, dict) else True
-        )
-        yield from self.compute(self.request_demand)
-        result = yield from self.undeployer.undeploy(key, remove_files=remove_files)
-        return result
-
-    def op_undeploy_type(self, message: Message) -> Generator:
-        """Remove every local deployment of a type (optionally the type)."""
-        payload = message.payload
-        yield from self.compute(self.request_demand)
-        result = yield from self.undeployer.undeploy_type(
-            payload["type"],
-            remove_type=payload.get("remove_type", False),
-            remove_files=payload.get("remove_files", True),
-        )
-        return result
-
-    def op_generate_wrapper(self, message: Message) -> Generator:
-        """Otho integration: wrap an executable deployment in a service."""
-        yield from self.compute(self.request_demand)
-        key = yield from self.wrapper_generator.wrap(message.payload)
-        return {"wrapper": key}
-
-    def op_semantic_lookup(self, message: Message) -> Generator:
-        """Search types by functional description instead of by name.
-
-        Payload: {'function':, 'inputs': [...], 'outputs': [...],
-        'domain':}.  Matches run over everything this site knows
-        (local + cached types).
-        """
-        from repro.glare.semantics import SemanticQuery
-
-        query = SemanticQuery.from_wire(message.payload or {})
-        # scan cost: proportional to the number of known types
-        yield from self.compute(
-            self.atr.lookup_demand + 2e-5 * len(self.atr.hierarchy)
-        )
-        matches = self.semantic_index.search(query)
-        return [m.to_wire() for m in matches]
-
-    # -- overlay operations (delegated) ------------------------------------------------
-
-    def op_digest_note(self, message: Message) -> Generator:
-        """A group member's claim note for this super-peer's digest."""
-        payload = message.payload
-        yield from self.compute(0.0005)
-        if self.digest is None or not self.overlay.is_super_peer:
-            return {"accepted": False}
-        self.digest.learn_member(
-            payload["site"],
-            payload.get("claims", []),
-            payload.get("epoch", -1),
-            payload.get("full", False),
-        )
-        if self.storage.routing:
-            # the member's claims are now part of this group's content:
-            # hand them to their ring owners (deduplicated per view)
-            self.sim.process(
-                self._send_shard_notes(list(payload.get("claims", []))),
-                name=f"shard-note:{self.node_name}",
-            )
-        return {"accepted": True}
-
-    def op_shard_note(self, message: Message) -> Generator:
-        """Another super-peer's claims for the directory slice I own.
-
-        Payload: ``{'site': origin super-peer, 'claims': [...]}``.
-        Refused (so the sender retries) until this site is a
-        routing-enabled super-peer with an applied view — group views
-        land at different times, and view epochs are per-group
-        counters, so the sender's epoch is meaningless here.  A stale
-        claim (sender demoted, claim gone) is self-pruning: the next
-        routed lookup that finds the claiming group empty forgets it.
-        """
-        payload = message.payload
-        yield from self.compute(0.0005 + 0.0001 * len(payload.get("claims", [])))
-        if (self.digest is None or not self.overlay.is_super_peer
-                or not self.storage.routing or self.overlay.view.epoch < 1):
-            return {"accepted": False}
-        for name in payload.get("claims", []):
-            self.digest.learn_group(name, payload["site"])
-            self.digest.clear_missing(name)
-        return {"accepted": True}
-
-    def op_shard_lookup(self, message: Message) -> Generator:
-        """Directory-owner query: answer from the groups that claim it."""
-        payload = message.payload
-        yield from self.compute(self.atr.lookup_demand)
-        result = yield from self.request_manager.shard_lookup(payload["type"])
-        return result
-
-    def op_election_notice(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        return self.overlay.handle_election_notice(message.payload)
-
-    def op_group_assign(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        return self.overlay.handle_group_assign(message.payload)
-
-    def op_peer_assign(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        return self.overlay.handle_peer_assign(message.payload)
-
-    def op_sp_missing(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        result = yield from self.overlay.handle_sp_missing(message.payload)
-        return result
-
-    def op_sp_verify(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        result = yield from self.overlay.handle_sp_verify(message.payload)
-        return result
-
-    def op_sp_update(self, message: Message) -> Generator:
-        yield from self.compute(0.001)
-        return self.overlay.handle_sp_update(message.payload)

@@ -93,6 +93,20 @@ def wire_site(wire: Dict[str, object]) -> str:
     return str(wire["site"])
 
 
+def merge_lookups(results: List[Optional[Dict]]) -> Dict[str, List[Dict]]:
+    """Union ``local_lookup``-shaped results, de-duplicated by resource key."""
+    types: Dict[str, Dict] = {}
+    deployments: Dict[str, Dict] = {}
+    for result in results:
+        if not result:
+            continue
+        for wire in result.get("types", []):
+            types.setdefault(wire["epr"]["key"], wire)
+        for wire in result.get("deployments", []):
+            deployments.setdefault(wire["epr"]["key"], wire)
+    return {"types": list(types.values()), "deployments": list(deployments.values())}
+
+
 class _Registry(Service):
     """What the ATR and the ADR both are (paper §3.1).
 
@@ -128,21 +142,20 @@ class _Registry(Service):
 
     def __init__(self, network, node_name, lookup_demand: float,
                  register_demand: float, cache_enabled: bool,
-                 storage: Optional[StorageConfig]) -> None:
+                 storage: StorageConfig) -> None:
         super().__init__(network, node_name)
         self.lookup_demand = lookup_demand
         self.register_demand = register_demand
         self.cache_enabled = cache_enabled
-        self.storage = storage if storage is not None else StorageConfig()
-        self.home = ResourceHome(self.storage.make_backend())  # registered here
-        self.cache = ResourceHome(self.storage.make_backend())  # discovered remotely
+        self.home = ResourceHome(storage.make_backend())  # registered here
+        self.cache = ResourceHome(storage.make_backend())  # discovered remotely
         self.cache_sources: Dict[str, EndpointReference] = {}
         self.aggregation = ServiceGroup(self.sim, name=f"{self.name}:{node_name}")
         self.lookups = 0
         self.cache_hits = 0
         #: optional hook called with the *type name* an authoritative
-        #: registration claims; the RDM uses it to piggyback super-peer
-        #: digest updates onto registrations
+        #: registration claims; the directory plane uses it to piggyback
+        #: super-peer digest updates onto registrations
         self.on_local_registration = None
 
     def _epr_for(self, key: str) -> EndpointReference:
@@ -270,7 +283,7 @@ class ActivityTypeRegistry(_Registry):
         register_demand: float = 0.62,
         per_visit_cost: float = 8e-6,
         cache_enabled: bool = True,
-        storage: Optional[StorageConfig] = None,
+        storage: StorageConfig = StorageConfig.PAPER,
     ) -> None:
         super().__init__(network, node_name, lookup_demand, register_demand,
                          cache_enabled, storage)
@@ -456,7 +469,7 @@ class ActivityDeploymentRegistry(_Registry):
         lookup_demand: float = 0.004,
         register_demand: float = 0.17,
         cache_enabled: bool = True,
-        storage: Optional[StorageConfig] = None,
+        storage: StorageConfig = StorageConfig.PAPER,
     ) -> None:
         super().__init__(network, node_name, lookup_demand, register_demand,
                          cache_enabled, storage)

@@ -22,10 +22,14 @@ Matching rules (scored, best first):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
 from repro.glare.hierarchy import TypeHierarchy
 from repro.glare.model import ActivityType
+from repro.net.message import Message
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.glare.rdm import GlareRDMService
 
 #: default synonym rings for the imaging/science vocabulary of the paper
 DEFAULT_SYNONYMS = [
@@ -158,3 +162,25 @@ class SemanticIndex:
             )
         matches.sort(key=lambda m: (-m.score, m.type_name))
         return matches
+
+
+class SemanticLookup:
+    """The ``semantic_lookup`` operation of one RDM service: a
+    :class:`SemanticIndex` over everything the site knows (local +
+    cached types), attached to the hosting service."""
+
+    def __init__(self, rdm: "GlareRDMService") -> None:
+        self.rdm = rdm
+        self.index = SemanticIndex(rdm.atr.hierarchy)
+
+    def op_semantic_lookup(self, message: Message) -> Generator:
+        """Search types by functional description instead of by name.
+
+        Payload: {'function':, 'inputs': [...], 'outputs': [...],
+        'domain':}.
+        """
+        query = SemanticQuery.from_wire(message.payload or {})
+        atr = self.rdm.atr
+        # scan cost: proportional to the number of known types
+        yield from self.rdm.compute(atr.lookup_demand + 2e-5 * len(atr.hierarchy))
+        return [m.to_wire() for m in self.index.search(query)]

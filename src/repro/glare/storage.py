@@ -22,15 +22,15 @@ shape the ioncore-python ``ResourceRegistryService`` exemplar uses
 * :class:`ShardedBackend` — the namespace partitioned over ring nodes
   into per-shard dicts, with :meth:`ShardedBackend.rebalance` moving
   only the keys whose owner changed.
-* :class:`StorageConfig` — the opt-in knob threaded through
+* :class:`StorageConfig` — the plane's switches, threaded through
   ``build_vo(storage=...)``; default is the dict backend with routing
   off, so existing fingerprints stay byte-identical.
 
-Distributed routing (the ``op_shard_lookup`` / ``op_shard_note`` plane
-in ``rdm.py``) builds a :class:`HashRing` over the overlay view's
-super-peers and uses the epoch-stamped ``TypeDigest`` as the routing
-table; this module holds only the data-structure layer, so it stays
-simulation-free and directly unit-testable.
+Distributed routing (``repro.glare.resolution.DirectoryPlane``) builds
+a :class:`HashRing` over the overlay view's super-peers and uses the
+epoch-stamped ``TypeDigest`` as the routing table; this module holds
+only the data-structure layer, so it stays simulation-free and directly
+unit-testable.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import hashlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 #: memoised ``stable_hash``: routing hashes the same few thousand type
@@ -217,18 +217,6 @@ class HashRing:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HashRing):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.virtual_nodes == other.virtual_nodes
-            and sorted(self._nodes) == sorted(other._nodes)
-        )
-
-    def __hash__(self) -> int:  # rings are mutable; identity hashing only
-        return id(self)
-
 
 class ShardedBackend(RegistryBackend):
     """The namespace consistent-hashed into per-node shard dicts.
@@ -240,8 +228,8 @@ class ShardedBackend(RegistryBackend):
     when the ring changes (a view change in the overlay).
     """
 
-    def __init__(self, ring: Optional[HashRing] = None) -> None:
-        self.ring = ring if ring is not None else HashRing(("shard-0",))
+    def __init__(self, ring: HashRing) -> None:
+        self.ring = ring
         if not len(self.ring):
             raise ValueError("ShardedBackend needs a ring with >= 1 node")
         self._shards: Dict[str, Dict[str, Any]] = {
@@ -311,53 +299,45 @@ class ShardedBackend(RegistryBackend):
 
 @dataclass(frozen=True)
 class StorageConfig:
-    """Registry storage selection, threaded through ``build_vo``.
+    """The storage plane's switches, threaded through ``build_vo``.
 
-    Everything defaults to today's behavior: flat dict backend, no
-    distributed routing.  ``backend="sharded"`` partitions each
-    registry's resource home over an in-process ring (``shards`` nodes,
-    ``virtual_nodes`` points each, placement seeded by ``seed``);
-    ``routing=True`` additionally turns on the cross-group shard
-    directory in the RDM (ring over the overlay's super-peers,
-    ``op_shard_note`` hand-off on registration, ``op_shard_lookup``
-    escalation instead of super-peer broadcast).
+    ``backend`` picks each registry's resource-home storage: ``"dict"``
+    (the paper's flat hash table) or ``"sharded"`` (partitioned over an
+    in-process :class:`HashRing` of ``shards`` nodes).  ``routing``
+    turns on the cross-group shard directory
+    (:class:`~repro.glare.resolution.DirectoryPlane`: a ring over the
+    overlay's super-peers, ``shard_note`` hand-off on registration,
+    ``shard_lookup`` escalation instead of super-peer broadcast).
+    Rings take :class:`HashRing`'s own ``virtual_nodes`` and ``seed``.
     """
 
     backend: str = "dict"
     shards: int = 4
-    virtual_nodes: int = 64
-    seed: int = 0
     routing: bool = False
 
+    #: flat dict, no routing — the one default every constructor shares
+    PAPER: ClassVar["StorageConfig"]
+
+    def __post_init__(self) -> None:
+        if self.backend not in ("dict", "sharded"):
+            raise ValueError(f"unknown storage backend {self.backend!r}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+
     @classmethod
-    def sharded(
-        cls,
-        shards: int = 4,
-        virtual_nodes: int = 64,
-        seed: int = 0,
-        routing: bool = False,
-    ) -> "StorageConfig":
+    def sharded(cls, shards: int = 4, routing: bool = False) -> "StorageConfig":
         """Sharded in-process backend (optionally with RDM routing)."""
-        return cls(
-            backend="sharded",
-            shards=shards,
-            virtual_nodes=virtual_nodes,
-            seed=seed,
-            routing=routing,
-        )
+        return cls(backend="sharded", shards=shards, routing=routing)
 
     def make_backend(self) -> RegistryBackend:
         """Build a fresh backend instance for one resource home."""
         if self.backend == "dict":
             return DictBackend()
-        if self.backend == "sharded":
-            ring = HashRing(
-                [f"shard-{i}" for i in range(self.shards)],
-                virtual_nodes=self.virtual_nodes,
-                seed=self.seed,
-            )
-            return ShardedBackend(ring)
-        raise ValueError(f"unknown storage backend {self.backend!r}")
+        return ShardedBackend(
+            HashRing([f"shard-{i}" for i in range(self.shards)]))
+
+
+StorageConfig.PAPER = StorageConfig()
 
 
 __all__ = [

@@ -16,8 +16,9 @@ its own rank, and (c) asks every member to confirm; a simple-majority
 acknowledgment lets it take over as the new super-peer.
 
 All message exchanges run over the RDM service's RPC operations — this
-module holds the per-site overlay state machine and the coroutine
-bodies; :mod:`repro.glare.rdm` wires them to ``op_*`` handlers.
+module holds the per-site overlay state machine, the coroutine bodies
+and the six ``op_*`` handlers, which the hosting RDM service attaches as
+its own.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
+from repro.net.message import Message
 from repro.net.network import RpcTimeout
 from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import Periodic
@@ -61,12 +63,6 @@ class OverlayView:
     def peers_of(self, me: str) -> List[str]:
         """Other members of my group (excluding me and the super-peer)."""
         return [m.site for m in self.members if m.site != me]
-
-    def rank_of(self, site: str) -> int:
-        for m in self.members:
-            if m.site == site:
-                return m.rank
-        return -1
 
 
 class OverlayManager:
@@ -105,8 +101,8 @@ class OverlayManager:
         #: first one applies the new view, re-electing several times)
         self._takeover_busy = False
         #: optional hook called with the new view whenever an
-        #: assignment (election or takeover) lands; the RDM uses it to
-        #: reset super-peer digests and push member claim notes
+        #: assignment (election or takeover) lands; the directory plane
+        #: uses it to reset super-peer digests and push member claim notes
         self.on_view_applied = None
 
     # -- identity helpers -----------------------------------------------------
@@ -220,6 +216,10 @@ class OverlayManager:
 
     # -- member side ----------------------------------------------------------------
 
+    def op_election_notice(self, message: Message) -> Generator:
+        yield from self.rdm.compute(0.001)
+        return self.handle_election_notice(message.payload)
+
     def handle_election_notice(self, payload: Dict) -> Optional[Dict]:
         """React to a coordinator's notification (phase 1 or 2)."""
         coordinator = payload["coordinator"]
@@ -240,8 +240,10 @@ class OverlayManager:
             "attributes": info.attributes,
         }
 
-    def handle_group_assign(self, payload: Dict) -> Dict:
+    def op_group_assign(self, message: Message) -> Generator:
         """A super-peer learns its group; fans the view to members."""
+        yield from self.rdm.compute(0.001)
+        payload = message.payload
         self._apply_view(payload, role="super-peer")
         # Tell every member (detached, so the coordinator isn't blocked).
         for member in self.view.members:
@@ -260,8 +262,10 @@ class OverlayManager:
         except (OfflineError, RpcTimeout):
             pass
 
-    def handle_peer_assign(self, payload: Dict) -> Dict:
+    def op_peer_assign(self, message: Message) -> Generator:
         """A plain member learns its group and super-peer."""
+        yield from self.rdm.compute(0.001)
+        payload = message.payload
         role = "super-peer" if payload["super_peer"] == self.me else "peer"
         self._apply_view(payload, role=role)
         self._restart_probe()
@@ -419,23 +423,24 @@ class OverlayManager:
         except (OfflineError, RpcTimeout):
             pass
 
-    def handle_sp_missing(self, payload: Dict) -> Generator:
+    def op_sp_missing(self, message: Message) -> Generator:
         """RPC body on the highest-ranked member."""
-        if payload.get("epoch", 0) != self.view.epoch:
+        yield from self.rdm.compute(0.001)
+        if message.payload.get("epoch", 0) != self.view.epoch:
             return {"scheduled": False}
         self.sim.process(self.takeover_check(), name=f"takeover:{self.me}")
         return {"scheduled": True}
-        yield  # pragma: no cover - make this a generator
 
-    def handle_sp_verify(self, payload: Dict) -> Generator:
+    def op_sp_verify(self, message: Message) -> Generator:
         """RPC body on an ordinary member: re-verify the failure."""
-        missing = payload["missing"]
-        alive = yield from self._probe(missing)
+        yield from self.rdm.compute(0.001)
+        alive = yield from self._probe(message.payload["missing"])
         return {"confirm": not alive, "site": self.me}
 
-    def handle_sp_update(self, payload: Dict) -> Dict:
+    def op_sp_update(self, message: Message) -> Generator:
         """Another group's super-peer changed; update my SP list."""
-        self.view.super_peers = sorted(set(payload["super_peers"]))
+        yield from self.rdm.compute(0.001)
+        self.view.super_peers = sorted(set(message.payload["super_peers"]))
         return {"ok": True}
 
     def other_super_peers(self) -> List[str]:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List
 
 from repro.glare.errors import DeploymentNotFound
 from repro.glare.model import DeploymentKind
+from repro.net.message import Message
 from repro.site.filesystem import FilesystemError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -22,15 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Undeployer:
-    """Per-site un-deployment logic, hosted by the RDM service."""
+    """Per-site un-deployment logic and its two operations, hosted by
+    (and attached to) the RDM service."""
 
     def __init__(self, rdm: "GlareRDMService") -> None:
         self.rdm = rdm
         self.undeployed = 0
-
-    @property
-    def sim(self):
-        return self.rdm.sim
 
     def undeploy(self, key: str, remove_files: bool = True) -> Generator:
         """Remove one local deployment; returns a summary dict."""
@@ -97,3 +95,26 @@ class Undeployer:
             "deployments_removed": removed,
             "type_removed": type_removed,
         }
+
+    # -- operations (attached to the hosting RDM service) -------------------
+
+    def op_undeploy(self, message: Message) -> Generator:
+        """Remove a local deployment (registry entry + installed files)."""
+        payload = message.payload
+        if not isinstance(payload, dict):
+            payload = {"key": payload}  # the bare-key spelling
+        yield from self.rdm.compute(self.rdm.request_demand)
+        result = yield from self.undeploy(
+            payload["key"], remove_files=payload.get("remove_files", True))
+        return result
+
+    def op_undeploy_type(self, message: Message) -> Generator:
+        """Remove every local deployment of a type (optionally the type)."""
+        payload = message.payload
+        yield from self.rdm.compute(self.rdm.request_demand)
+        result = yield from self.undeploy_type(
+            payload["type"],
+            remove_type=payload.get("remove_type", False),
+            remove_files=payload.get("remove_files", True),
+        )
+        return result

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.glare.errors import DeploymentNotFound, GlareError
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
+from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
@@ -33,10 +34,6 @@ class WrapperGenerator:
     def __init__(self, rdm: "GlareRDMService") -> None:
         self.rdm = rdm
         self.generated = 0
-
-    @property
-    def sim(self):
-        return self.rdm.sim
 
     def wrap(self, deployment_key: str) -> Generator:
         """Generate and register a wrapper service for ``deployment_key``.
@@ -78,6 +75,13 @@ class WrapperGenerator:
         yield from self.rdm.rpc_local_adr_register(wrapper)
         self.generated += 1
         return wrapper.key
+
+    def op_generate_wrapper(self, message: Message) -> Generator:
+        """Otho integration: wrap an executable deployment in a service
+        (attached to the hosting RDM service)."""
+        yield from self.rdm.compute(self.rdm.request_demand)
+        key = yield from self.wrap(message.payload)
+        return {"wrapper": key}
 
 
 def wrapped_executable_path(deployment: ActivityDeployment) -> str:

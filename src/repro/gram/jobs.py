@@ -58,18 +58,6 @@ class Job:
     exit_code: Optional[int] = None
     error: str = ""
 
-    @property
-    def queue_time(self) -> Optional[float]:
-        if self.started_at is None:
-            return None
-        return self.started_at - self.submitted_at
-
-    @property
-    def run_time(self) -> Optional[float]:
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
     def snapshot(self) -> Dict[str, object]:
         """Serializable status view (what ``op_status`` returns)."""
         return {

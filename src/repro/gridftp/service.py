@@ -135,14 +135,13 @@ class GridFtpService(Service):
         (connection reset, data-channel timeout).  The draw is
         delegated to the VO's :class:`~repro.faults.FaultPlane` on the
         historical per-path stream keys; zero in normal operation.
-    replica_transfers:
+    replica_aware:
         ``fetch_url`` registers verified downloads as catalog replicas
         and pulls from the nearest live copy instead of always hitting
-        origin.  Off by default (baseline behaviour is byte-identical).
-    transfer_singleflight:
-        Concurrent ``fetch_url`` calls for the same URL on this site
-        share one wide-area transfer; followers take a local copy once
-        the leader's download lands.  Off by default.
+        origin, and concurrent ``fetch_url`` calls for the same URL on
+        this site share one wide-area transfer (followers take a local
+        copy once the leader's download lands).  Off by default
+        (baseline behaviour is byte-identical).
     """
 
     SERVICE_NAME = "gridftp"
@@ -155,16 +154,14 @@ class GridFtpService(Service):
         setup_cost: float = 0.3,
         url_catalog: Optional[UrlCatalog] = None,
         failure_rate: float = 0.0,
-        replica_transfers: bool = False,
-        transfer_singleflight: bool = False,
+        replica_aware: bool = False,
     ) -> None:
         super().__init__(network, node_name)
         self.fs = fs
         self.setup_cost = setup_cost
         self.url_catalog = url_catalog or UrlCatalog()
         self.failure_rate = failure_rate
-        self.replica_transfers = replica_transfers
-        self.transfer_singleflight = transfer_singleflight
+        self.replica_aware = replica_aware
         self.transfers: List[TransferRecord] = []
         self.bytes_moved = 0
         self.transient_failures = 0
@@ -299,16 +296,17 @@ class GridFtpService(Service):
     def fetch_url(self, url: str, dst_path: str, expected_md5: str = "") -> Generator:
         """Resolve ``url`` through the catalog and fetch it locally.
 
-        With :attr:`replica_transfers` on, the source is the nearest
-        live copy rather than always the origin host.  With
-        :attr:`transfer_singleflight` on, the first fetch of a URL on
-        this site leads; concurrent fetches of the same URL wait for it
-        and then copy the leader's file locally (setup cost only, no
-        wide-area transfer).  A failed leader is not shared — each
-        follower falls back to its own download.
+        With :attr:`replica_aware` on, the source is the nearest live
+        copy rather than always the origin host, and the first fetch of
+        a URL on this site leads: concurrent fetches of the same URL
+        wait for it and then copy the leader's file locally (setup cost
+        only, no wide-area transfer).  A failed leader is not shared —
+        each follower falls back to its own download.
         """
-        if not self.transfer_singleflight:
-            entry = yield from self._fetch_url_once(url, dst_path, expected_md5)
+        if not self.replica_aware:
+            site, path = self.url_catalog.resolve(url)
+            entry = yield from self.fetch(site, path, dst_path, expected_md5=expected_md5)
+            entry.source_url = url
             return entry
         led, ok, entry = yield from self._url_flights.run(
             url, lambda: self._fetch_url_once(url, dst_path, expected_md5)
@@ -326,12 +324,8 @@ class GridFtpService(Service):
         return entry
 
     def _fetch_url_once(self, url: str, dst_path: str, expected_md5: str = "") -> Generator:
-        """One URL download (replica-aware when enabled)."""
-        if not self.replica_transfers:
-            site, path = self.url_catalog.resolve(url)
-            entry = yield from self.fetch(site, path, dst_path, expected_md5=expected_md5)
-            entry.source_url = url
-            return entry
+        """One replica-aware URL download: nearest live copy, origin
+        as the fallback, and the destination registered as a replica."""
         catalog = self.url_catalog
         origin = catalog.resolve(url)
         source = self._select_source(url, origin)

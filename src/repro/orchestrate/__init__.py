@@ -17,6 +17,10 @@ Service Grid capacity-planner/orchestrator split:
 * :mod:`~repro.orchestrate.actuator` — the mechanism boundary: the
   :class:`Actuator` interface over the Deployment Manager's probe /
   install / rollout machinery plus WSRF lifetime control.
+* :mod:`~repro.orchestrate.agent` — the per-site end: the
+  :class:`SiteAgent` every RDM service carries, with the three
+  operations the actuator calls (``report_observed``, ``apply_spec``,
+  ``set_deployment_lifetime``) and the replicated desired state.
 * :mod:`~repro.orchestrate.reconciler` — the control loop: a simulation
   process that each interval observes deployments, asks the planner for
   a plan, and actuates the diff — scale-out through ``rollout``,
@@ -25,12 +29,13 @@ Service Grid capacity-planner/orchestrator split:
   drained replicas.
 
 Policy/mechanism split: the reconciler is the **only writer** of
-desired state (``GlareRDMService.desired_state``, replicated via
+desired state (``SiteAgent.desired_state``, replicated via
 ``op_apply_spec`` so reconciliation survives super-peer takeover);
 the Deployment Manager keeps mechanism only.
 """
 
 from repro.orchestrate.actuator import Actuator, RdmActuator
+from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.planner import (
     Observed,
     Plan,
@@ -52,6 +57,7 @@ __all__ = [
     "RdmActuator",
     "Reconciler",
     "RoundRecord",
+    "SiteAgent",
     "SiteObservation",
     "TypePlan",
 ]

@@ -100,10 +100,6 @@ class RdmActuator(Actuator):
         self.installs = 0
         self.drains = 0
 
-    @property
-    def sim(self):
-        return self.rdm.sim
-
     def sites(self) -> Generator:
         names = yield from self.rdm.known_sites()
         return names

@@ -18,7 +18,7 @@ community site's RDM service.  Each round it
 The reconciler is the **only writer** of desired state: it pushes the
 spec document to every site via ``apply_spec`` (revision-gated, so
 re-deliveries after a super-peer takeover are idempotent) and nothing
-else in the system mutates ``GlareRDMService.desired_state``.
+else in the system mutates ``SiteAgent.desired_state``.
 
 Scale-in is additionally damped: a type must be proposed for scale-in
 ``scale_in_rounds`` rounds in a row before a replica is actually

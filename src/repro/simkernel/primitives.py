@@ -244,16 +244,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def waiting_getters(self) -> int:
-        """Number of get() calls currently blocked."""
-        return len(self._getters)
-
-    @property
-    def waiting_putters(self) -> int:
-        """Number of put() calls currently blocked."""
-        return len(self._putters)
-
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; event fires when the item is accepted."""
         event = StorePut(self.sim, item)

@@ -44,10 +44,6 @@ class RngRegistry:
         """One uniform draw on ``[low, high)`` from stream ``name``."""
         return float(self.stream(name).uniform(low, high))
 
-    def normal_clipped(self, name: str, mean: float, sd: float, floor: float = 0.0) -> float:
-        """A normal draw clipped below at ``floor`` (service-time jitter)."""
-        return max(floor, float(self.stream(name).normal(mean, sd)))
-
     def integers(self, name: str, low: int, high: int) -> int:
         """One integer draw on ``[low, high)`` from stream ``name``."""
         return int(self.stream(name).integers(low, high))

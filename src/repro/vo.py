@@ -34,6 +34,7 @@ from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
 from repro.obs.slo import SLOSpec
+from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.spec import OrchestrationConfig
 from repro.simkernel import Simulator
 from repro.site.description import SiteDescription
@@ -67,15 +68,15 @@ class VOConfig:
     monitors: bool = True
     lifecycle: bool = True
     extra_site_attrs: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    #: resolution-path scaling switches (``None`` = everything off,
-    #: preserving the byte-identical baseline behaviour)
-    resolution: Optional[ResolutionConfig] = None
-    #: provisioning-path scaling switches (``None`` = everything off,
-    #: preserving the byte-identical baseline behaviour)
-    provisioning: Optional[ProvisioningConfig] = None
-    #: registry storage backend + shard routing (``None`` = flat dict
-    #: backend, no routing — byte-identical baseline behaviour)
-    storage: Optional[StorageConfig] = None
+    # One switch per plane, each defaulting to the paper's path (the
+    # byte-identical baseline); paper vs scaled is what figs 14/15/17
+    # measure, and they are combined freely.
+    #: resolution plane: ``ResolutionConfig.all_on()`` for the scaled walk
+    resolution: ResolutionConfig = ResolutionConfig.PAPER
+    #: provisioning plane: ``ProvisioningConfig.all_on(rollout_fanout)``
+    provisioning: ProvisioningConfig = ProvisioningConfig.PAPER
+    #: storage plane: ``StorageConfig.sharded(shards, routing)``
+    storage: StorageConfig = StorageConfig.PAPER
     #: model fair-share bandwidth contention on shared links; off by
     #: default (the baseline charges every transfer the full bottleneck
     #: bandwidth regardless of concurrency)
@@ -119,6 +120,7 @@ class SiteStack:
         self.adr: Optional[ActivityDeploymentRegistry] = None
         self.gridarm: Optional[ReservationService] = None
         self.rdm: Optional[GlareRDMService] = None
+        self.agent: Optional[SiteAgent] = None
         self.lifecycle: Optional[LifecycleController] = None
 
     @property
@@ -284,7 +286,6 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         raise ValueError("a VO needs at least one site")
 
     vo = VirtualOrganization(config)
-    provisioning = config.provisioning or ProvisioningConfig()
     names = [f"{SITE_PREFIX}{i:02d}" for i in range(config.n_sites)]
     vo.community_site = names[0]
 
@@ -317,8 +318,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         stack.gridftp = GridFtpService(
             vo.network, name, fs=site.fs,
             setup_cost=GRIDFTP_SETUP, url_catalog=vo.url_catalog,
-            replica_transfers=provisioning.replica_transfers,
-            transfer_singleflight=provisioning.transfer_singleflight,
+            replica_aware=config.provisioning.scaled,
         )
         stack.gram = GramService(vo.network, name, submission_overhead=config.gram_overhead)
         stack.atr = ActivityTypeRegistry(
@@ -340,6 +340,9 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
             retry_policy=config.rpc_retry,
             storage=config.storage,
         )
+        # the site's end of desired-state orchestration, reconciler or not
+        stack.agent = SiteAgent(stack.rdm)
+        stack.rdm.attach(stack.agent)
         if config.admission_limit is not None:
             stack.rdm.admission_limit = config.admission_limit
         if config.lifecycle:

@@ -38,10 +38,6 @@ class LifetimeManager(Periodic):
                 return
         self._homes.append((home, [listener] if listener else []))
 
-    def add_listener(self, home: ResourceHome, listener: ExpiryListener) -> None:
-        """Attach an expiry listener to an already-watched home."""
-        self.watch(home, listener)
-
     def sweep_now(self) -> List[WSResource]:
         """Immediate synchronous sweep (used by tests and shutdown paths)."""
         expired_all: List[WSResource] = []

@@ -128,10 +128,6 @@ class WSResource:
         """Mark the resource destroyed (homes drop destroyed entries)."""
         self.destroyed = True
 
-    def property_document(self) -> Element:
-        """The resource-property document (a live reference)."""
-        return self.properties
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WSResource {self.key!r} lut={self.last_update_time:.3f}>"
 

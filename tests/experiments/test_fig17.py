@@ -103,7 +103,7 @@ class TestShardedBackendInVO:
             digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
             return digest, vo.network.total_messages
 
-        dict_digest, dict_msgs = run(None)
+        dict_digest, dict_msgs = run(StorageConfig())
         shard_digest, shard_msgs = run(StorageConfig.sharded(shards=4))
         assert dict_digest == shard_digest
         assert dict_msgs == shard_msgs

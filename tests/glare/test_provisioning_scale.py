@@ -1,9 +1,11 @@
 """The scaled provisioning path: parallel probing, concurrent
 dependencies, rollout, and replica-aware transfers.
 
-Every switch lives on :class:`repro.glare.provisioning.ProvisioningConfig`
-and defaults to off; these tests check each one both for its effect and
-for result-equivalence with the serial baseline.
+One switch (:class:`repro.glare.provisioning.ProvisioningConfig`,
+off by default) turns them on together; these tests check each
+mechanism both for its effect and for result-equivalence with the
+serial baseline.  (The config surface itself is pinned by
+``tests/glare/test_planes.py``.)
 """
 
 import pytest
@@ -43,30 +45,12 @@ def holders(vo, type_name):
     )
 
 
-class TestConfig:
-    def test_defaults_are_all_off(self):
-        config = ProvisioningConfig()
-        assert not (config.parallel_probe or config.parallel_dependencies
-                    or config.replica_transfers or config.transfer_singleflight)
-        assert config.site_info_ttl == 0.0 and config.rollout_fanout == 1
-
-    def test_all_on_enables_everything(self):
-        config = ProvisioningConfig.all_on(rollout_fanout=4)
-        assert config.parallel_probe
-        assert config.site_info_ttl > 0
-        assert config.parallel_dependencies
-        assert config.rollout_fanout == 4
-        assert config.replica_transfers
-        assert config.transfer_singleflight
-
-
 class TestParallelProbe:
     def test_parallel_probe_selects_the_same_site(self):
         """Concurrent site_info probing must not change placement."""
         targets = {}
         for parallel in (False, True):
-            vo = make_vo(provisioning=ProvisioningConfig(
-                parallel_probe=True) if parallel else None)
+            vo = make_vo(provisioning=ProvisioningConfig(scaled=parallel))
             wires = vo.run_process(vo.client_call(
                 "agrid02", "get_deployments", payload="Wien2k"
             ))
@@ -78,8 +62,7 @@ class TestParallelProbe:
     def test_parallel_probe_is_faster(self):
         elapsed = {}
         for parallel in (False, True):
-            vo = make_vo(provisioning=ProvisioningConfig(
-                parallel_probe=True) if parallel else None)
+            vo = make_vo(provisioning=ProvisioningConfig(scaled=parallel))
             rdm = vo.rdm("agrid02")
             from repro.glare.model import ActivityType
 
@@ -98,7 +81,7 @@ class TestParallelProbe:
         assert elapsed[True] < elapsed[False]
 
     @pytest.mark.parametrize("provisioning",
-                             [None, ProvisioningConfig.all_on()],
+                             [ProvisioningConfig(), ProvisioningConfig.all_on()],
                              ids=["serial", "parallel"])
     def test_a_shedding_site_is_dropped_like_an_unreachable_one(
             self, provisioning):
@@ -125,7 +108,7 @@ class TestParallelProbe:
 
     def test_ttl_cache_skips_reprobes(self):
         vo = make_vo(apps=("Wien2k", "Invmod"),
-                     provisioning=ProvisioningConfig(site_info_ttl=300.0))
+                     provisioning=ProvisioningConfig.all_on())
         manager = vo.rdm("agrid02").deployment_manager
         vo.run_process(vo.client_call("agrid02", "get_deployments",
                                       payload="Wien2k"))
@@ -151,10 +134,8 @@ class TestParallelDependencies:
     APPS = ("Java", "Ant", "JPOVray")
 
     def _deploy_jpovray(self, parallel):
-        provisioning = (
-            ProvisioningConfig(parallel_dependencies=True) if parallel else None
-        )
-        vo = make_vo(apps=self.APPS, provisioning=provisioning)
+        vo = make_vo(apps=self.APPS,
+                     provisioning=ProvisioningConfig(scaled=parallel))
         started = vo.sim.now
         wires = vo.run_process(vo.client_call(
             "agrid03", "get_deployments", payload="JPOVray"
@@ -246,6 +227,23 @@ class TestRollout:
         # a failed leg never aborts the rollout's other legs
         assert holders(vo, "Wien2k") == ["agrid02"]
 
+    @pytest.mark.parametrize("fanout", [0, -1, "2", 1.5, True])
+    def test_a_client_cannot_unbound_a_rollout_or_crash_its_handler(
+            self, fanout):
+        """Regression: ``op_rollout`` handed the payload's ``fanout``
+        straight to ``bounded_gather``, where ``limit <= 0`` means
+        *unbounded* — 0 and -1 ran every leg at once — and a string
+        died with a bare ``TypeError`` after CPU had been charged."""
+        from repro.glare.errors import GlareError
+
+        vo = make_vo()
+        with pytest.raises(GlareError, match="fanout"):
+            self._rollout(vo, fanout=fanout)
+        # refused before any work: nothing attempted, nothing installed
+        stats = vo.rdm("agrid01").deployment_manager.stats
+        assert stats.installs_attempted == 0
+        assert holders(vo, "Wien2k") == []
+
     def test_manual_mode_refuses_rollout(self):
         from repro.glare.errors import DeploymentFailed
         from repro.glare.model import ActivityType
@@ -265,7 +263,7 @@ class TestRollout:
         assert vo.run_process(run()) == "refused"
 
 
-def make_transfer_world(replica=True, singleflight=False):
+def make_transfer_world(replica_aware=True):
     """Three sites where ``near`` is strictly closer to ``dst`` than
     ``origin`` is, so replica selection has an unambiguous best choice."""
     sim = Simulator(seed=7)
@@ -282,7 +280,7 @@ def make_transfer_world(replica=True, singleflight=False):
     services = {
         name: GridFtpService(
             net, name, fs=site.fs, url_catalog=catalog,
-            replica_transfers=replica, transfer_singleflight=singleflight,
+            replica_aware=replica_aware,
         )
         for name, site in sites.items()
     }
@@ -355,7 +353,7 @@ class TestReplicaTransfers:
         assert services["dst"].transfers[-1].source == "origin"
 
     def test_replicas_off_always_hits_origin(self):
-        sim, sites, services, catalog = make_transfer_world(replica=False)
+        sim, sites, services, catalog = make_transfer_world(replica_aware=False)
         catalog.add_replica(URL, "near", "/tmp/app.tgz")
 
         def client():
@@ -368,8 +366,7 @@ class TestReplicaTransfers:
 
 class TestTransferSingleflight:
     def test_concurrent_fetches_share_one_download(self):
-        sim, sites, services, catalog = make_transfer_world(
-            replica=False, singleflight=True)
+        sim, sites, services, catalog = make_transfer_world()
         gridftp = services["dst"]
 
         def client(index):
@@ -388,8 +385,7 @@ class TestTransferSingleflight:
         assert gridftp._url_flights.in_flight == {}
 
     def test_failed_leader_is_not_shared(self):
-        sim, sites, services, catalog = make_transfer_world(
-            replica=False, singleflight=True)
+        sim, sites, services, catalog = make_transfer_world()
         gridftp = services["dst"]
         sites["origin"].fs.remove_file("/www/app.tgz")
         failures = []

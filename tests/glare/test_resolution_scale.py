@@ -1,12 +1,13 @@
-"""Tests for the scaled resolution path: singleflight coalescing,
+"""Tests for the scaled resolution plane: singleflight coalescing,
 batched cache revalidation, super-peer digests and negative caching
-(all off by default; see :class:`repro.glare.resolution.ResolutionConfig`)."""
+(one switch, off by default; see
+:class:`repro.glare.resolution.ResolutionConfig`)."""
 
 import pytest
 
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.glare.monitors import CacheRefresher
-from repro.glare.resolution import ResolutionConfig, TypeDigest
+from repro.glare.resolution import NEGATIVE_TTL, ResolutionConfig, TypeDigest
 from repro.vo import build_vo
 
 TYPE_XML = (
@@ -15,7 +16,7 @@ TYPE_XML = (
 )
 
 
-def make_vo(resolution=None, **kwargs):
+def make_vo(resolution=ResolutionConfig(), **kwargs):
     kwargs.setdefault("n_sites", 4)
     kwargs.setdefault("seed", 71)
     kwargs.setdefault("monitors", False)
@@ -67,7 +68,7 @@ def concurrent_resolutions(vo, site, type_name, count):
 
 class TestSingleflight:
     def test_concurrent_resolutions_coalesce(self):
-        config = ResolutionConfig(singleflight=True)
+        config = ResolutionConfig.all_on()
         vo = make_vo(resolution=config, cache_enabled=False)
         deployment = register_type_and_deployment(vo, "agrid02")
         baseline_vo = make_vo(cache_enabled=False)
@@ -89,7 +90,7 @@ class TestSingleflight:
         assert tiers == 5
 
     def test_leader_failure_falls_back_to_own_walk(self):
-        config = ResolutionConfig(singleflight=True)
+        config = ResolutionConfig.all_on()
         vo = make_vo(resolution=config, cache_enabled=False)
         outcomes, _ = concurrent_resolutions(vo, "agrid01", "NoSuchApp", 4)
         # the leader's walk raised; every follower ran (and failed) its own
@@ -97,7 +98,7 @@ class TestSingleflight:
         assert vo.rdm("agrid01").request_manager.singleflight_joined == 3
 
     def test_sequential_resolutions_never_join(self):
-        config = ResolutionConfig(singleflight=True)
+        config = ResolutionConfig.all_on()
         vo = make_vo(resolution=config, cache_enabled=False)
         register_type_and_deployment(vo, "agrid02")
         for _ in range(3):
@@ -119,7 +120,7 @@ class TestBatchedRevalidation:
         return deployment
 
     def test_source_update_propagates_via_batch(self):
-        vo = make_vo(resolution=ResolutionConfig(batch_revalidation=True))
+        vo = make_vo(resolution=ResolutionConfig.all_on())
         deployment = self.setup_cached_copy(vo)
         vo.sim.run(until=vo.sim.now + 5)
         vo.run_process(vo.client_call(
@@ -135,7 +136,7 @@ class TestBatchedRevalidation:
         assert refresher.batched_rpcs >= 1
 
     def test_vanished_source_resource_discarded_via_batch(self):
-        vo = make_vo(resolution=ResolutionConfig(batch_revalidation=True))
+        vo = make_vo(resolution=ResolutionConfig.all_on())
         deployment = self.setup_cached_copy(vo)
         vo.run_process(vo.client_call(
             "agrid01", "remove_deployment", payload=deployment.key,
@@ -150,7 +151,7 @@ class TestBatchedRevalidation:
         states, messages = [], []
         for batched in (False, True):
             vo = make_vo(
-                resolution=ResolutionConfig(batch_revalidation=batched),
+                resolution=ResolutionConfig(scaled=batched),
                 n_sites=5, group_size=6,
             )
             for index, home in enumerate(("agrid01", "agrid02", "agrid03",
@@ -225,28 +226,25 @@ class TestTypeDigest:
 
 
 class TestDigestIntegration:
-    CONFIG = dict(digests=True, negative_ttl=30.0)
-
     def test_negative_cache_suppresses_refloods_until_ttl(self):
-        vo = make_vo(resolution=ResolutionConfig(**self.CONFIG), n_sites=6)
+        vo = make_vo(resolution=ResolutionConfig.all_on(), n_sites=6)
         costs = []
         for _ in range(2):
             _, messages = concurrent_resolutions(vo, "agrid01", "GhostApp", 1)
             costs.append(messages)
         negative_hits = sum(
-            vo.rdm(name).digest.negative_hits
+            vo.rdm(name).directory.digest.negative_hits
             for name in vo.site_names
-            if vo.rdm(name).digest is not None
         )
         assert negative_hits == 1
         assert costs[1] < costs[0]
         # past the TTL the claim is re-verified with a full walk
-        vo.sim.run(until=vo.sim.now + 31.0)
+        vo.sim.run(until=vo.sim.now + NEGATIVE_TTL + 1.0)
         _, expired_cost = concurrent_resolutions(vo, "agrid01", "GhostApp", 1)
         assert expired_cost > costs[1]
 
     def test_registration_clears_negative_entry(self):
-        vo = make_vo(resolution=ResolutionConfig(**self.CONFIG), n_sites=6)
+        vo = make_vo(resolution=ResolutionConfig.all_on(), n_sites=6)
         outcomes, _ = concurrent_resolutions(vo, "agrid01", "LateApp", 1)
         assert outcomes == ["TypeNotFound"]
         deployment = register_type_and_deployment(vo, "agrid01", "LateApp")
@@ -255,32 +253,28 @@ class TestDigestIntegration:
         assert outcomes == [[deployment.key]]
 
     def test_reelection_resets_digests(self):
-        vo = make_vo(resolution=ResolutionConfig(**self.CONFIG), n_sites=6)
+        vo = make_vo(resolution=ResolutionConfig.all_on(), n_sites=6)
         register_type_and_deployment(vo, "agrid03")
         concurrent_resolutions(vo, "agrid01", "ScaleApp", 1)
         coordinator = vo.rdm(vo.community_site)
         resets_before = sum(
-            vo.rdm(n).digest.resets for n in vo.super_peers()
-            if vo.rdm(n).digest is not None
+            vo.rdm(n).directory.digest.resets for n in vo.super_peers()
         )
         vo.run_process(coordinator.overlay.run_election(list(vo.stacks)))
         vo.sim.run(until=vo.sim.now + 10.0)
         super_peers = vo.super_peers()
-        resets = [vo.rdm(n).digest.resets for n in super_peers
-                  if vo.rdm(n).digest is not None]
+        resets = [vo.rdm(n).directory.digest.resets for n in super_peers]
         assert sum(resets) > resets_before
         # digests carry the new election epoch
         for name in super_peers:
-            digest = vo.rdm(name).digest
-            assert digest is not None
+            digest = vo.rdm(name).directory.digest
             assert digest.epoch == vo.rdm(name).overlay.view.epoch
 
     def test_digest_narrowing_preserves_results(self):
         """Same request sequence, same answers, fewer messages."""
         results = {}
         for optimized in (False, True):
-            resolution = (ResolutionConfig(**self.CONFIG) if optimized
-                          else None)
+            resolution = ResolutionConfig(scaled=optimized)
             vo = make_vo(resolution=resolution, n_sites=8,
                          cache_enabled=False, group_size=3, seed=9)
             deployment = register_type_and_deployment(vo, "agrid05")
@@ -304,7 +298,7 @@ class TestJitterAndFanoutCounters:
         for _ in range(2):
             vo = build_vo(
                 n_sites=4, seed=5, monitors=True, lifecycle=False,
-                resolution=ResolutionConfig(monitor_jitter=True),
+                resolution=ResolutionConfig.all_on(),
             )
             phases.append({
                 (name, monitor.NAME): monitor.phase

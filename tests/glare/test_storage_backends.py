@@ -250,7 +250,7 @@ class TestStorageConfig:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            StorageConfig(backend="mongo").make_backend()
+            StorageConfig(backend="mongo")
 
     def test_backends_agree_on_registry_contents(self):
         # same writes through either backend → same reads: the
@@ -302,9 +302,9 @@ class TestShardNoteHandoff:
         from repro.glare.model import ActivityType
 
         vo, (sp_a, sp_b) = self._build()
-        rdm_a = vo.stacks[sp_a].rdm
-        rdm_b = vo.stacks[sp_b].rdm
-        name = self._type_owned_by(rdm_a.shard_ring, sp_b, sp_a)
+        rdm_a, rdm_b = vo.stacks[sp_a].rdm, vo.stacks[sp_b].rdm
+        plane_a, plane_b = rdm_a.directory, rdm_b.directory
+        name = self._type_owned_by(plane_a.ring, sp_b, sp_a)
 
         # stage the formation race: B's view "has not applied yet"
         real_epoch = rdm_b.overlay.view.epoch
@@ -312,30 +312,31 @@ class TestShardNoteHandoff:
         rdm_a.atr.add_local_type(ActivityType.from_xml(
             TYPE_XML.format(name=name)))
         vo.sim.run(until=vo.sim.now + 0.5)  # first announcement lands
-        assert rdm_b.digest.groups_for(name) is None
-        assert name not in rdm_a._forwarded_claims  # un-acked, not burned
+        assert plane_b.digest.groups_for(name) is None
+        assert name not in plane_a._forwarded_claims  # un-acked, not burned
 
         # B becomes ready; the bounded retry must deliver the claim
         rdm_b.overlay.view.epoch = real_epoch
-        vo.sim.run(until=vo.sim.now + 2 * rdm_a.SHARD_NOTE_RETRY_DELAY + 1.0)
-        assert rdm_b.digest.groups_for(name) == [sp_a]
-        assert name in rdm_a._forwarded_claims
+        vo.sim.run(until=vo.sim.now + 2 * plane_a.SHARD_NOTE_RETRY_DELAY + 1.0)
+        assert plane_b.digest.groups_for(name) == [sp_a]
+        assert name in plane_a._forwarded_claims
 
     def test_acked_claims_are_not_resent(self):
         from repro.glare.model import ActivityType
 
         vo, (sp_a, sp_b) = self._build()
         rdm_a = vo.stacks[sp_a].rdm
-        name = self._type_owned_by(rdm_a.shard_ring, sp_b, sp_a)
+        plane_a = rdm_a.directory
+        name = self._type_owned_by(plane_a.ring, sp_b, sp_a)
         rdm_a.atr.add_local_type(ActivityType.from_xml(
             TYPE_XML.format(name=name)))
         vo.sim.run(until=vo.sim.now + 1.0)
-        assert name in rdm_a._forwarded_claims
-        handoffs = rdm_a.shard_handoffs
+        assert name in plane_a._forwarded_claims
+        handoffs = plane_a.shard_handoffs
         # re-announcing the same claim is a no-op (no new hand-off RPC)
-        vo.sim.process(rdm_a._send_shard_notes([name]))
+        vo.sim.process(plane_a._send_shard_notes([name]))
         vo.sim.run(until=vo.sim.now + 1.0)
-        assert rdm_a.shard_handoffs == handoffs
+        assert plane_a.shard_handoffs == handoffs
 
 
 # -- op_get_lut_batch wire-size regression ---------------------------------

@@ -1,7 +1,6 @@
 """Property: batched and per-entry cache revalidation are one routine.
 
-``ResolutionConfig.batch_revalidation`` only changes how the source
-LUTs reach :meth:`CacheRefresher._revalidate` (one ``get_lut`` per
+The scaled resolution plane only changes how the source LUTs reach :meth:`CacheRefresher._revalidate` (one ``get_lut`` per
 entry, or one ``get_lut_batch`` per source).  So under any schedule of
 source updates, removals, offline windows and refresher ticks, a serial
 and a batched refresher must leave the observer's caches in the same
@@ -38,7 +37,7 @@ def run_schedule(batched, entries, schedule):
     vo = build_vo(
         n_sites=1 + len(SOURCES), seed=23, group_size=2 + len(SOURCES),
         monitors=False, lifecycle=False,
-        resolution=ResolutionConfig(batch_revalidation=batched),
+        resolution=ResolutionConfig(scaled=batched),
     )
     vo.form_overlay()
     home = {index: SOURCES[index % len(SOURCES)] for index in range(entries)}
