@@ -25,7 +25,7 @@ target host and materialise their ``Produces`` manifests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Callable, Generator, List
 
 from repro.glare.deployfile import BuildRecipe, BuildStep
 from repro.glare.errors import DeploymentFailed
@@ -81,8 +81,6 @@ class DeploymentHandler:
     session_overhead = 0.0
     #: extra cost charged before every individual step
     per_step_overhead = 0.0
-    #: whether interactive send/expect dialogs can be automated
-    supports_dialogs = True
     #: per-download client overhead on top of the GridFTP transfer
     per_download_overhead = 0.0
     #: extra wait per download as a multiple of the transfer time —
@@ -111,62 +109,58 @@ class DeploymentHandler:
 
     # -- main entry -------------------------------------------------------------
 
-    def execute(
-        self, recipe: BuildRecipe, extra_env: Optional[Dict[str, str]] = None
-    ) -> Generator:
+    def execute(self, recipe: BuildRecipe) -> Generator:
         """Run the deploy-file on the target site; yields an InstallReport."""
         report = InstallReport(
             recipe=recipe.name, site=self.site.name, handler=self.HANDLER_NAME
         )
         env = dict(recipe.collected_env())
-        if extra_env:
-            env.update(extra_env)
 
         overhead_start = self.sim.now
         yield from self.acquire_session()
         report.handler_overhead += self.sim.now - overhead_start
 
-        try:
-            for step in recipe.ordered_steps():
-                step_env = dict(env)
-                step_env.update(step.env)
-                env.update(step.env)  # Env definitions persist downstream
-                started = self.sim.now
-                if self.per_step_overhead > 0:
-                    yield from self.before_step(step)
-                    report.handler_overhead += self.sim.now - started
-                phase_start = self.sim.now
-                try:
-                    with self.obs.tracer.span(
-                        f"step:{step.kind}:{step.name}", site=self.site.name
-                    ):
-                        yield from self._run_step(step, step_env, report)
-                except (TransferError, FilesystemError, DeploymentFailed) as error:
-                    report.steps.append(
-                        StepResult(
-                            name=step.name, kind=step.kind, started_at=started,
-                            finished_at=self.sim.now, ok=False, error=str(error),
-                        )
-                    )
-                    report.success = False
-                    report.error = f"step {step.name!r} failed: {error}"
-                    return report
-                elapsed = self.sim.now - phase_start
-                self.obs.metrics.histogram(
-                    "handler.step", handler=self.HANDLER_NAME, kind=step.kind
-                ).observe(elapsed)
-                if step.kind == "download":
-                    report.communication_time += elapsed
-                else:
-                    report.installation_time += elapsed
+        subst = self.site.substituter(env)
+        for step in recipe.ordered_steps():
+            if not step.env.items() <= env.items():
+                # Env definitions persist downstream; only a step that
+                # redefines a variable needs another substituter
+                env.update(step.env)
+                subst = self.site.substituter(env)
+            started = self.sim.now
+            if self.per_step_overhead > 0:
+                yield from self.before_step(step)
+                report.handler_overhead += self.sim.now - started
+            phase_start = self.sim.now
+            try:
+                with self.obs.tracer.span(
+                    f"step:{step.kind}:{step.name}", site=self.site.name
+                ):
+                    yield from self._run_step(step, subst, report)
+            except (TransferError, FilesystemError, DeploymentFailed) as error:
                 report.steps.append(
                     StepResult(
                         name=step.name, kind=step.kind, started_at=started,
-                        finished_at=self.sim.now,
+                        finished_at=self.sim.now, ok=False, error=str(error),
                     )
                 )
-        finally:
-            yield from self.release_session()
+                report.success = False
+                report.error = f"step {step.name!r} failed: {error}"
+                return report
+            elapsed = self.sim.now - phase_start
+            self.obs.metrics.histogram(
+                "handler.step", handler=self.HANDLER_NAME, kind=step.kind
+            ).observe(elapsed)
+            if step.kind == "download":
+                report.communication_time += elapsed
+            else:
+                report.installation_time += elapsed
+            report.steps.append(
+                StepResult(
+                    name=step.name, kind=step.kind, started_at=started,
+                    finished_at=self.sim.now,
+                )
+            )
 
         report.success = True
         return report
@@ -177,10 +171,6 @@ class DeploymentHandler:
         """Log in / start the client; charged once per installation."""
         if self.session_overhead > 0:
             yield self.sim.timeout(self.session_overhead)
-
-    def release_session(self) -> Generator:
-        return
-        yield  # pragma: no cover - generator marker
 
     def before_step(self, step: BuildStep) -> Generator:
         """Per-step transport cost (GRAM submission for JavaCoG)."""
@@ -193,8 +183,9 @@ class DeploymentHandler:
 
     # -- step semantics -------------------------------------------------------------
 
-    def _run_step(self, step: BuildStep, env: Dict[str, str], report: InstallReport) -> Generator:
-        subst = lambda text: self.site.substitute_env(text, extra=env)  # noqa: E731
+    def _run_step(
+        self, step: BuildStep, subst: Callable[[str], str], report: InstallReport
+    ) -> Generator:
         base_dir = subst(step.base_dir) if step.base_dir else "/tmp"
 
         if step.dialogs:
@@ -229,10 +220,7 @@ class DeploymentHandler:
                     )
                     break
                 except TransferError as error:
-                    if (
-                        "transient" not in str(error)
-                        or attempt >= self.download_retry.attempts
-                    ):
+                    if not error.transient or attempt >= self.download_retry.attempts:
                         raise
                     # back off per the policy and retry the data channel;
                     # retries are counted apart from the failures that
@@ -273,11 +261,6 @@ class DeploymentHandler:
 
     def _handle_dialogs(self, step: BuildStep) -> Generator:
         """Interactive installer prompts."""
-        if not self.supports_dialogs:
-            raise DeploymentFailed(
-                f"step {step.name!r} requires interactive dialogs; "
-                f"{self.HANDLER_NAME} cannot automate them"
-            )
         for dialog in step.dialogs:
             yield self.sim.timeout(dialog.delay)
 
@@ -288,7 +271,6 @@ class ExpectHandler(DeploymentHandler):
     HANDLER_NAME = "expect"
     session_overhead = 2.1  # Table 1: "Expect Overhead" = 2,100 ms
     per_step_overhead = 0.0
-    supports_dialogs = True
     per_download_overhead = 0.05  # shell-driven globus-url-copy start
 
 
@@ -306,7 +288,6 @@ class JavaCoGHandler(DeploymentHandler):
     HANDLER_NAME = "javacog"
     session_overhead = 9.8  # Table 1: "JavaCoG Overhead" = 9,800 ms
     per_step_overhead = 0.0  # charged through real GRAM submissions instead
-    supports_dialogs = False
     per_download_overhead = 0.4  # CoG GridFTP client instantiation
     download_slowdown = 2.0  # single-stream Java I/O vs parallel streams
 

@@ -44,9 +44,12 @@ canonical re-serialisation of the decoded object, computed once per
 document and kept beside the tree.  That equals the received string for
 everything the registries emit but is computed, not assumed — parsing
 strips character data, so a hand-written document with a padded field
-re-serialises shorter.  A document somebody *wrote* (a registration, a
-deploy request) goes through plain ``from_xml`` and pays for a wire
-form only if it is ever served.  A registry *cache* entry keeps the
+re-serialises shorter.  ``op_deploy`` decodes its type document the
+same way: the installing site always serves it on.  A document somebody
+*wrote* and may never serve (a registration, a bulk-load) goes through
+plain ``from_xml`` and pays for a wire form only if it is ever served.
+The one decoded object receivers *do* share is immutable: a deploy-file's
+plan (:mod:`repro.glare.deployfile`).  A registry *cache* entry keeps the
 shared tree as its property document
 (:meth:`repro.glare.registry._Registry.add_cached`); it is never
 aggregated or edited.  Whoever keeps, aggregates or edits what it
@@ -74,8 +77,8 @@ class _WireCached:
 
     @classmethod
     def from_wire_xml(cls, text: str):
-        """Decode a document a registry sent: ``from_xml(text)``, and the
-        fresh copy keeps the wire form it arrived as.
+        """Decode a document its receiver serves on (a registry's wire, a
+        deploy request's type): ``from_xml(text)`` keeping its wire form.
 
         That form is the canonical re-serialisation of the decoded
         object, computed once per distinct document and kept beside the

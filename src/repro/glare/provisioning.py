@@ -23,7 +23,7 @@ installation itself executes on the target through the target RDM's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from repro.glare.deployfile import parse_deployfile
@@ -119,7 +119,6 @@ class ProvisioningStats:
     installs_failed: int = 0
     dependencies_installed: int = 0
     notifications_sent: int = 0
-    reports: List[InstallReport] = field(default_factory=list)
 
 
 class DeploymentManager:
@@ -560,7 +559,6 @@ class DeploymentManager:
         obs.metrics.histogram("provision.handler", handler=handler_kind).observe(
             self.sim.now - handler_started
         )
-        self.stats.reports.append(report)
         if not report.success:
             return {
                 "success": False,

@@ -784,7 +784,7 @@ class GlareRDMService(Service):
     def op_deploy(self, message: Message) -> Generator:
         """Target-side installation (invoked by a Deployment Manager)."""
         payload = message.payload
-        activity_type = ActivityType.from_xml(payload["type_xml"])
+        activity_type = ActivityType.from_wire_xml(payload["type_xml"])
         yield from self.compute(self.request_demand)
         result = yield from self.deployment_manager.install_locally(
             activity_type,

@@ -32,7 +32,12 @@ from repro.site.filesystem import Filesystem, FilesystemError
 
 
 class TransferError(Exception):
-    """Missing source files, unknown URLs, or checksum mismatches."""
+    """Missing source files, unknown URLs, checksum mismatches — or,
+    flagged :attr:`transient`, a data-channel failure worth retrying."""
+
+    def __init__(self, message: str, transient: bool = False) -> None:
+        super().__init__(message)
+        self.transient = transient
 
 
 @dataclass
@@ -253,7 +258,8 @@ class GridFtpService(Service):
             yield self.sim.timeout(self.setup_cost)
             self.transient_failures += 1
             raise TransferError(
-                f"transient transfer failure pulling {src_path} from {src_site}"
+                f"transient transfer failure pulling {src_path} from {src_site}",
+                transient=True,
             )
         if src_site == self.node_name:
             # Local copy: no network, just the control setup.

@@ -358,6 +358,10 @@ def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
     with _Stopwatch() as watch:
         base = run_fig15_point(n_sites, optimized=False, seed=seed)
         opt = run_fig15_point(n_sites, optimized=True, seed=seed)
+    # the exact host cost of the optimized point (see _run_resolution);
+    # the timed run above has already compiled the deploy-file
+    calls, counted = count_pycalls(
+        lambda: run_fig15_point(n_sites, optimized=True, seed=seed))
     result = _rate_result(
         "provisioning", "sim_installs_per_wall_sec",
         base.installed + opt.installed, watch,
@@ -371,6 +375,8 @@ def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
             "optimized_origin_bytes_out": opt.origin_bytes_out,
             "replica_hits": opt.replica_hits,
             "results_equal": base.result_digest == opt.result_digest,
+            "optimized_pycalls_per_install": round(
+                calls / counted.installed, 2),
         },
     )
     return [result], {"fingerprint": {
@@ -1400,6 +1406,10 @@ SUITES: Dict[str, Suite] = {
                   "parallel/replica rollout over the serial baseline"),
             Holds(_detail("provisioning", "results_equal"), True,
                   "the optimizations must never change what a rollout installs"),
+            Cap(_detail("provisioning", "optimized_pycalls_per_install"), 4263,
+                "exact Python calls per installation at the 16-site optimized "
+                "point (recorded 3,875.06 + 10%): every site compiles the "
+                "deploy-file for itself again, or substitutes uncompiled"),
             # pins optimized_origin_bytes_out too: the parallel rollout
             # may never pull more origin bytes than the committed run
             Exact("fingerprint"),

@@ -9,7 +9,7 @@ substitutes into deploy-files (paper §3.4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.site.description import SiteDescription
 from repro.site.filesystem import Filesystem
@@ -89,8 +89,9 @@ class GridSite:
 
     # -- environment ------------------------------------------------------------
 
-    def substitute_env(self, text: str, extra: Optional[Dict[str, str]] = None) -> str:
-        """Replace ``$VAR`` references with site environment values.
+    def substituter(self, extra: Optional[Dict[str, str]] = None) -> Callable[[str], str]:
+        """A function replacing ``$VAR`` / ``${VAR}`` references with
+        site environment values, compiled once for one environment.
 
         The RDM service "substitutes their values" for the default
         variables; ``extra`` lets a deploy-file add its own (paper
@@ -103,15 +104,30 @@ class GridSite:
         table = dict(self.env)
         if extra:
             table.update(extra)
-        keys = sorted(table, key=len, reverse=True)
-        for _ in range(5):  # bounded fixpoint: no runaway on cycles
-            before = text
-            for key in keys:
-                value = table[key]
-                text = text.replace(f"${{{key}}}", value).replace(f"${key}", value)
-            if text == before:
-                break
-        return text
+        patterns = [
+            (f"${{{key}}}", f"${key}", table[key])
+            for key in sorted(table, key=len, reverse=True)
+        ]
+
+        def substitute(text: str) -> str:
+            for _ in range(5):  # bounded fixpoint: no runaway on cycles
+                if "$" not in text:  # every pattern starts with one
+                    break
+                before = text
+                for braced, bare, value in patterns:
+                    if braced in text:
+                        text = text.replace(braced, value)
+                    if bare in text:
+                        text = text.replace(bare, value)
+                if text == before:
+                    break
+            return text
+
+        return substitute
+
+    def substitute_env(self, text: str, extra: Optional[Dict[str, str]] = None) -> str:
+        """One-off :meth:`substituter`: ``text`` with its references replaced."""
+        return self.substituter(extra)(text)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GridSite {self.name} cores={self.description.processors}>"

@@ -338,16 +338,19 @@ class SharedDocument:
     """One wire document, decoded once for every receiver of its string.
 
     ``root`` is read-only: whoever builds objects from it copies what
-    they keep.  ``canonical`` is the slot where the document's decoder
-    leaves its own re-serialisation of the decoded object (``None``
-    until computed), so that too happens once per distinct string.
+    they keep.  The other two slots are where the document's decoder
+    leaves what it derived (``None`` until computed), so that too
+    happens once per distinct string: ``canonical``, its own
+    re-serialisation of the decoded object, and ``compiled``, an
+    immutable object every receiver may share (a deploy-file's plan).
     """
 
-    __slots__ = ("root", "canonical")
+    __slots__ = ("root", "canonical", "compiled")
 
     def __init__(self, root: Element) -> None:
         self.root = root
         self.canonical: Optional[str] = None
+        self.compiled: Optional[object] = None
 
 
 #: memoized :func:`parse_xml` per immutable document string: a wire

@@ -4,6 +4,8 @@ import pytest
 
 from repro import perf
 from repro.experiments.harness import run_experiment
+from repro.glare.deployfile import BuildRecipe
+from repro.wsrf import xmldoc
 
 
 class _QuickSuites(dict):
@@ -37,3 +39,19 @@ def quick_runs():
     digest, rendered text), run at most once a session.  Read-only.
     """
     return _QuickRuns()
+
+
+@pytest.fixture()
+def compiled_recipes(monkeypatch):
+    """Names of the deploy-file plans compiled (``BuildRecipe``s built,
+    i.e. Kahn passes run) during the test, starting from an empty memo."""
+    names = []
+    validate = BuildRecipe.__post_init__
+
+    def counting(recipe):
+        names.append(recipe.name)
+        validate(recipe)
+
+    monkeypatch.setattr(BuildRecipe, "__post_init__", counting)
+    xmldoc._SHARED.clear()
+    return names

@@ -87,6 +87,20 @@ class TestTransientFailures:
             outcomes.add((report.success, gridftp.transient_failures, sim.now))
         assert len(outcomes) == 1
 
+    def test_permanent_failure_named_transient_is_not_retried(self):
+        """Retryable is the error's ``transient`` flag, not its text."""
+        sim, target, gridftp = make_world(failure_rate=0.0)
+        recipe = parse_deployfile(RECIPE.replace(
+            "http://origin/app.tgz", "http://origin/transient-solver.tgz"))
+        proc = sim.process(ExpectHandler(target, gridftp).execute(recipe))
+        sim.run(until=proc)
+        report = proc.value
+        assert not report.success
+        assert "unresolvable URL: http://origin/transient-solver.tgz" in report.error
+        assert gridftp.transfer_retries == 0
+        # session + mkdir + the download's client start; no back-off
+        assert sim.now == pytest.approx(2.1 + 0.01 + 0.05)
+
     def test_direct_fetch_raises_without_retry(self):
         """The retry policy lives in the handler, not in GridFTP."""
         sim, target, gridftp = make_world(failure_rate=1.0)

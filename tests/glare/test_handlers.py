@@ -11,6 +11,7 @@ from repro.net.topology import Topology
 from repro.simkernel import Simulator
 from repro.site.description import SiteDescription
 from repro.site.gridsite import GridSite
+from repro.wsrf.xmldoc import parse_xml
 
 RECIPE = """
 <Build baseDir="/opt/deployments/app" defaultTask="Deploy" name="app">
@@ -156,3 +157,44 @@ def test_expect_vs_javacog_total(world):
 
     assert expect_report.success and cog_report.success
     assert expect_report.total_time < cog_report.total_time
+
+
+def test_shared_plan_serves_sites_with_different_env():
+    """One compiled plan, two sites: what differs per site lives in the
+    handler, so the reports match private parses and the plan is untouched."""
+    text = RECIPE.replace(
+        "file:///opt/deployments/app/app.tgz", "file://$APP_HOME/app.tgz"
+    ).replace(
+        '<Property name="argument" value="$DEPLOYMENT_DIR/app"/>',
+        '<Env name="APP_HOME" value="${DEPLOYMENT_DIR}/app"/>'
+        '<Property name="argument" value="$APP_HOME"/>',
+    )
+
+    def install_on_both(recipe_for):
+        sim = Simulator(seed=31)
+        net = Network(sim, Topology.star("origin", ["plain", "custom"],
+                                         latency=0.003, bandwidth=1e7))
+        catalog = UrlCatalog()
+        origin = GridSite(net, SiteDescription(name="origin"))
+        GridFtpService(net, "origin", fs=origin.fs, url_catalog=catalog)
+        origin.fs.put_file("/www/app.tgz", size=3_000_000, md5sum="goodsum")
+        catalog.publish("http://origin/app.tgz", "origin", "/www/app.tgz")
+        reports = []
+        for name in ("plain", "custom"):
+            site = GridSite(net, SiteDescription(name=name))
+            if name == "custom":
+                site.env["DEPLOYMENT_DIR"] = "/srv/grid"
+            gridftp = GridFtpService(net, name, fs=site.fs, url_catalog=catalog)
+            proc = sim.process(ExpectHandler(site, gridftp).execute(recipe_for()))
+            sim.run(until=proc)
+            assert proc.value.success, proc.value.error
+            reports.append(proc.value)
+        return reports
+
+    plan = parse_deployfile(text)
+    shared = install_on_both(lambda: plan)
+    private = install_on_both(lambda: parse_deployfile(parse_xml(text)))
+    assert shared == private
+    assert shared[0].produced_files == ["/opt/deployments/app/bin/app"]
+    assert shared[1].produced_files == ["/srv/grid/app/bin/app"]
+    assert plan == parse_deployfile(parse_xml(text))

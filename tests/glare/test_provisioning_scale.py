@@ -183,6 +183,14 @@ class TestRollout:
         assert set(statuses.values()) == {"installed"}
         assert holders(vo, "Wien2k") == sorted(statuses)
 
+    def test_rollout_compiles_its_deployfile_once(self, compiled_recipes):
+        """Four sites, one document: one XML-to-plan compilation and one
+        Kahn pass, whoever gets there first."""
+        vo = make_vo()
+        result = self._rollout(vo)
+        assert [leg["status"] for leg in result["results"]] == ["installed"] * 4
+        assert compiled_recipes == ["Wien2k"]
+
     def test_second_rollout_reports_present(self):
         vo = make_vo()
         self._rollout(vo)

@@ -5,14 +5,17 @@ lookup path stops re-serializing per request; the cache must stay
 byte-identical to a fresh ``to_xml().to_string()`` and must be dropped
 whenever a serialized field mutates (the status-monitor update path).
 The receive side mirrors it: each distinct wire document is parsed once
-(``wsrf.xmldoc.parse_shared``), every decode still builds a fresh object.
+(``wsrf.xmldoc.parse_shared``), every decode still builds a fresh object
+— except a deploy-file, whose compiled plan is immutable and shared.
 """
 
 import collections
+import dataclasses
 
 import pytest
 
 from repro.glare.deployfile import parse_deployfile
+from repro.glare.errors import InvalidTypeDescription
 from repro.glare.model import (
     ActivityDeployment,
     ActivityType,
@@ -163,14 +166,35 @@ class TestSharedDecode:
         assert decoded.wire_xml() == decoded.to_xml().to_string() != padded
         assert ActivityType.from_wire_xml(padded).wire_xml() is decoded.wire_xml()
 
-    def test_deployfile_parse_is_shared_and_recipe_fresh(self, parses):
+    def test_deployfile_plan_is_shared_because_immutable(
+            self, parses, compiled_recipes):
         text = ('<Build name="b" baseDir="/opt/b"><Step name="get" '
                 'task="mkdir-p"><Env name="A" value="1"/></Step></Build>')
         one, two = parse_deployfile(text), parse_deployfile(text)
-        assert parses[text] == 1
-        one.steps[0].env["A"] = "changed"
-        assert two.steps[0].env == {"A": "1"}
-        assert parse_deployfile(text).steps[0].env == {"A": "1"}
+        assert one is two
+        assert parses[text] == 1 and compiled_recipes == ["b"]
+        step = one.steps[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.task = "rm -rf"
+        with pytest.raises(TypeError):
+            step.env["A"] = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.steps = ()
+        with pytest.raises(TypeError):
+            one.collected_env()["A"] = "changed"
+        assert isinstance(one.steps, tuple) and isinstance(step.properties, tuple)
+        # an Element compiles privately: equal, not the shared object
+        private = parse_deployfile(parse_xml(text))
+        assert private == one and private is not one
+        assert compiled_recipes == ["b", "b"]
+
+    def test_invalid_deployfile_raises_every_time_and_leaves_no_plan(self, parses):
+        cyclic = ('<Build name="loop"><Step name="a" depends="b" task="x"/>'
+                  '<Step name="b" depends="a" task="y"/></Build>')
+        for _ in range(2):
+            with pytest.raises(InvalidTypeDescription, match="dependency cycle"):
+                parse_deployfile(cyclic)
+        assert xmldoc._SHARED[cyclic].compiled is None
 
     def test_malformed_document_raises_identically_and_is_not_stored(self, parses):
         broken = '<ActivityTypeEntry name="T">\n  <Domain>x</Domian>'

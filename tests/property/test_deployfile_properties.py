@@ -1,10 +1,11 @@
 """Property-based tests: deploy-file ordering and lease invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.glare.deployfile import BuildRecipe, BuildStep
-from repro.glare.errors import LeaseError, NotAuthorized
+from repro.glare.errors import InvalidTypeDescription, LeaseError, NotAuthorized
 from repro.gridarm import LeaseKind, ReservationService
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -42,6 +43,24 @@ def test_ordering_is_deterministic(recipe):
     first = [s.name for s in recipe.ordered_steps()]
     second = [s.name for s in recipe.ordered_steps()]
     assert first == second
+
+
+def test_direct_construction_normalises_and_validates():
+    """Lists in, tuples kept; the Kahn pass runs when the recipe is built."""
+    a = BuildStep(name="a", task="tar xvfz", depends=["b"], env={"K": "v"},
+                  properties=[["argument", "x.tgz"]])
+    assert (a.depends, a.properties, a.kind) == (("b",), (("argument", "x.tgz"),), "expand")
+    assert a.env == {"K": "v"} and a.props("argument") == ["x.tgz"]
+    b = BuildStep(name="b", task="make")
+    recipe = BuildRecipe(name="r", steps=[a, b])
+    assert recipe.steps == (a, b) and recipe.ordered_steps() == (b, a)
+    assert recipe.collected_env() == {"K": "v"}
+    with pytest.raises(InvalidTypeDescription) as dangling:
+        BuildRecipe(name="r", steps=[a])
+    assert str(dangling.value) == "step 'a' depends on unknown step 'b'"
+    with pytest.raises(InvalidTypeDescription) as cyclic:
+        BuildRecipe(name="r", steps=[a, BuildStep(name="b", task="make", depends=["a"])])
+    assert str(cyclic.value) == "deploy-file 'r' has a dependency cycle"
 
 
 # --- lease concurrency invariant --------------------------------------------

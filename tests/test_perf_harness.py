@@ -43,6 +43,7 @@ CONTRACT = {
     ("resolution", "Cap", "optimized_pycalls_per_resolution", 2110),
     ("provisioning", "Floor", "rollout_speedup", 3.0),
     ("provisioning", "Holds", "results_equal", True),
+    ("provisioning", "Cap", "optimized_pycalls_per_install", 4263),
     ("faults", "Floor", "resilient_resolution_success", 0.95),
     ("faults", "Floor", "resilient_provision_success", 0.95),
     ("faults", "Floor", "reelections", 1),
