@@ -241,6 +241,8 @@ class DirectoryPlane:
         #: the shard-routing table (``None`` until a view lands, or
         #: when routing is off)
         self.ring: Optional[HashRing] = None
+        #: views applied: equal views share a ring, so retries count
+        self._views_applied = 0
         #: type names already announced to their ring owners this view
         self._forwarded_claims: set = set()
         self.shard_route_hits = 0
@@ -379,11 +381,12 @@ class DirectoryPlane:
         Super-peer: the digest resets to the new epoch — every claim
         learned under the old grouping is invalid.  Member: push a full
         (bulk) claim note so the super-peer can rebuild absence trust.
-        With shard routing on, the ring is rebuilt over the new view's
+        With shard routing on, the ring is the one over the new view's
         super-peers and this site's slice of the directory is handed
         off: claims are re-announced to their (possibly new) owners.
         """
         me = self.rdm.node_name
+        self._views_applied += 1
         if view.role == "super-peer":
             self.digest.reset(view.epoch)
         if self.routing:
@@ -476,13 +479,13 @@ class DirectoryPlane:
             else:
                 pending.extend(names)
         if pending and attempt < self.SHARD_NOTE_RETRY_LIMIT:
-            ring_before = self.ring
+            view_before = self._views_applied
 
             def retry() -> Generator:
                 yield self.sim.timeout(self.SHARD_NOTE_RETRY_DELAY)
-                # a view change already re-announces against the new
+                # a view change already re-announces against its own
                 # ring; only retry while ours is still current
-                if self.ring is ring_before:
+                if self._views_applied == view_before:
                     yield from self._send_shard_notes(
                         pending, attempt=attempt + 1)
 

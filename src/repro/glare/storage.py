@@ -1,36 +1,27 @@
 """Pluggable registry storage backends and the sharding ring.
 
-Both GLARE registries historically kept the entire type namespace in a
-flat in-process dict (``ResourceHome._resources``) — the hash table the
-paper credits for beating the XPath-scanning WS-MDS index.  That stays
-the default, but it caps the namespace at what one process comfortably
-holds and makes every super-peer a full replica of the directory.
-
-This module separates *registry logic* from *storage mechanism*, the
-shape the ioncore-python ``ResourceRegistryService`` exemplar uses
+*Registry logic* is separate from *storage mechanism*, the shape the
+ioncore-python ``ResourceRegistryService`` exemplar uses
 (``backend_class`` chosen by config, service logic backend-agnostic):
 
-* :class:`RegistryBackend` — the minimal storage contract
-  (``get / put / delete / scan / lut / __len__``).  The conformance
-  contract is documented on the class and enforced by the parametrized
-  suite in ``tests/glare/test_storage_backends.py``.
-* :class:`DictBackend` — today's behavior, byte-identical: one flat
+* :class:`RegistryBackend` — the storage contract (``get / put /
+  delete / scan / lut / __len__``), documented on the class and enforced
+  by the parametrized suite in ``tests/glare/test_storage_backends.py``.
+* :class:`DictBackend` — the paper's flat hash table, the default: one
   dict, insertion-order scans.
-* :class:`HashRing` — seeded consistent hashing with virtual nodes;
-  deterministic placement, bounded imbalance, minimal movement when
-  nodes join or leave.
+* :class:`HashRing` — seeded consistent hashing with virtual nodes, an
+  immutable interned *value*: one ring per ``(ordered nodes,
+  virtual_nodes, seed)``, shared by everyone who asks for it.
 * :class:`ShardedBackend` — the namespace partitioned over ring nodes
-  into per-shard dicts, with :meth:`ShardedBackend.rebalance` moving
-  only the keys whose owner changed.
+  into per-shard dicts; :meth:`ShardedBackend.rebalance` moves only the
+  keys whose owner changed.
 * :class:`StorageConfig` — the plane's switches, threaded through
-  ``build_vo(storage=...)``; default is the dict backend with routing
-  off, so existing fingerprints stay byte-identical.
+  ``build_vo(storage=...)``; the default (dict backend, routing off)
+  keeps every paper fingerprint byte-identical.
 
-Distributed routing (``repro.glare.resolution.DirectoryPlane``) builds
-a :class:`HashRing` over the overlay view's super-peers and uses the
-epoch-stamped ``TypeDigest`` as the routing table; this module holds
-only the data-structure layer, so it stays simulation-free and directly
-unit-testable.
+``repro.glare.resolution.DirectoryPlane`` routes across groups with the
+ring over the overlay view's super-peers; this module holds only the
+data-structure layer, so it stays simulation-free and unit-testable.
 """
 
 from __future__ import annotations
@@ -39,14 +30,31 @@ import hashlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
-#: memoised ``stable_hash``: routing hashes the same few thousand type
-#: names and ring points over and over.  Bounded like
+#: memoised ``stable_hash`` (routing hashes the same few thousand type
+#: names over and over), the interned rings, and the bound of a ring's
+#: own ``key -> owner`` memo.  All bounded like
 #: ``net.message._STR_REPR_LEN``: cleared wholesale at the limit.
 _STABLE_HASH: Dict[str, int] = {}
 _STABLE_HASH_LIMIT = 4096
+_RINGS: Dict[Tuple[Tuple[str, ...], int, int], "HashRing"] = {}
+_RINGS_LIMIT = 64
+_ROUTES_LIMIT = 4096
+
+
+def _remember(table: Dict, limit: int, key: Any, value: Any) -> Any:
+    """Store ``value`` in a bounded memo ``table`` and hand it back."""
+    if len(table) >= limit:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _sha64(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def stable_hash(text: str) -> int:
@@ -59,10 +67,7 @@ def stable_hash(text: str) -> int:
     """
     value = _STABLE_HASH.get(text)
     if value is None:
-        value = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-        if len(_STABLE_HASH) >= _STABLE_HASH_LIMIT:
-            _STABLE_HASH.clear()
-        _STABLE_HASH[text] = value
+        value = _remember(_STABLE_HASH, _STABLE_HASH_LIMIT, text, _sha64(text))
     return value
 
 
@@ -146,73 +151,63 @@ class DictBackend(RegistryBackend):
 
 
 class HashRing:
-    """Seeded consistent-hash ring with virtual nodes.
+    """Seeded consistent-hash ring with virtual nodes: an interned value.
 
     Each node is placed at ``virtual_nodes`` points derived from
     ``sha256(seed:node:replica)``; a key routes to the first node
-    clockwise from its own hash.  Properties the test suite pins:
+    clockwise from its own hash.  The constructor is the one way to get
+    a ring and returns the *same object* for the same ordered nodes (a
+    repeat counts once), ``virtual_nodes`` and ``seed``: every home of
+    equal ``shards`` shares one shard ring, every site of an overlay
+    view one directory ring, route memo included.  Order is identity
+    though it never changes routing: :meth:`nodes` order is
+    ``ShardedBackend.scan()`` order, and scans feed fingerprints.  A
+    ring is immutable; another membership is another ring.  Pinned by
+    the test suite:
 
     * **Deterministic placement** — same (nodes, seed, virtual_nodes)
       always yields the same routing, independent of insertion order.
     * **Balance** — with enough virtual nodes, shard sizes stay within
       a small factor of N/nodes (fig17 measures the realized bound).
-    * **Minimal movement** — adding or removing one node only remaps
-      keys whose clockwise-first owner changed, ~N/nodes keys.
+    * **Minimal movement** — a ring of one node more or less only
+      remaps keys whose clockwise-first owner changed, ~N/nodes keys.
     """
 
-    def __init__(
-        self,
-        nodes: Sequence[str] = (),
-        virtual_nodes: int = 64,
-        seed: int = 0,
-    ) -> None:
+    def __new__(cls, nodes: Iterable[str] = (), virtual_nodes: int = 64,
+                seed: int = 0) -> "HashRing":
         if virtual_nodes < 1:
             raise ValueError(f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        self.virtual_nodes = virtual_nodes
-        self.seed = seed
-        self._points: List[int] = []
-        self._owners: List[str] = []
-        self._nodes: List[str] = []
-        for node in nodes:
-            self.add_node(node)
-
-    def _node_points(self, node: str) -> List[int]:
-        return [
-            stable_hash(f"{self.seed}:{node}:{replica}")
-            for replica in range(self.virtual_nodes)
-        ]
+        members = tuple(dict.fromkeys(nodes))
+        key = (members, virtual_nodes, seed)
+        ring = _RINGS.get(key)
+        if ring is None:
+            # one stable sort: equal points stay in member order
+            placed = sorted(
+                ((_sha64(f"{seed}:{node}:{replica}"), node)
+                 for node in members for replica in range(virtual_nodes)),
+                key=itemgetter(0))
+            ring = super().__new__(cls)
+            ring.virtual_nodes, ring.seed = virtual_nodes, seed
+            ring._nodes, ring._routes = members, {}
+            ring._points = tuple(point for point, _ in placed)
+            ring._owners = tuple(node for _, node in placed)
+            _remember(_RINGS, _RINGS_LIMIT, key, ring)
+        return ring
 
     def nodes(self) -> List[str]:
         """The ring's member nodes, in insertion order."""
         return list(self._nodes)
 
-    def add_node(self, node: str) -> None:
-        """Place ``node`` on the ring (no-op if already present)."""
-        if node in self._nodes:
-            return
-        self._nodes.append(node)
-        for point in self._node_points(node):
-            idx = bisect_right(self._points, point)
-            self._points.insert(idx, point)
-            self._owners.insert(idx, node)
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node`` and all its virtual points (no-op if absent)."""
-        if node not in self._nodes:
-            return
-        self._nodes.remove(node)
-        keep = [(p, o) for p, o in zip(self._points, self._owners) if o != node]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
     def route(self, key: str) -> str:
         """The node owning ``key`` (first point clockwise of its hash)."""
-        if not self._points:
-            raise LookupError("cannot route on an empty ring")
-        idx = bisect_right(self._points, stable_hash(key))
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
+        owner = self._routes.get(key)
+        if owner is None:
+            if not self._points:
+                raise LookupError("cannot route on an empty ring")
+            idx = bisect_right(self._points, stable_hash(key))
+            owner = _remember(self._routes, _ROUTES_LIMIT, key,
+                              self._owners[idx % len(self._owners)])
+        return owner
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -308,7 +303,8 @@ class StorageConfig:
     (:class:`~repro.glare.resolution.DirectoryPlane`: a ring over the
     overlay's super-peers, ``shard_note`` hand-off on registration,
     ``shard_lookup`` escalation instead of super-peer broadcast).
-    Rings take :class:`HashRing`'s own ``virtual_nodes`` and ``seed``.
+    Rings take :class:`HashRing`'s own ``virtual_nodes`` and ``seed``,
+    so homes of equal ``shards`` share one ring and own only their dicts.
     """
 
     backend: str = "dict"

@@ -362,34 +362,31 @@ class GridFtpService(Service):
         return entry
 
     def _select_source(self, url: str, origin: Tuple[str, str]) -> Tuple[str, str]:
-        """Nearest live copy of ``url``: topology rank, load tie-break."""
+        """Nearest live copy of ``url``: topology rank, load tie-break.
+        One pass; liveness is asked only of a candidate that would lead."""
         catalog = self.url_catalog
         candidates: Dict[str, str] = {origin[0]: origin[1]}
         for site, path in catalog.replicas.get(url, ()):
             candidates.setdefault(site, path)
-        if len(candidates) > 1:
-            live = [
-                site for site in candidates
-                if site == self.node_name or self._source_online(site)
-            ]
-            ranked = self.network.topology.rank_sources(self.node_name, live)
-            if ranked:
-                best_latency, best_bandwidth = ranked[0][1], ranked[0][2]
-                tied = [
-                    site for site, latency, bandwidth in ranked
-                    if latency == best_latency and bandwidth == best_bandwidth
-                ]
-                chosen = min(tied, key=lambda s: (catalog.serving.get(s, 0), s))
-                if (chosen, candidates[chosen]) != origin:
-                    self.replica_hits += 1
-                return chosen, candidates[chosen]
-        return origin
-
-    def _source_online(self, site: str) -> bool:
-        try:
-            return self.network.is_online(site)
-        except ValueError:
-            return False
+        if len(candidates) == 1:
+            return origin
+        me, network, serving = self.node_name, self.network, catalog.serving
+        path_metrics = network.topology.path_metrics
+        best, chosen = None, None
+        for site in candidates:
+            try:
+                latency, bandwidth = path_metrics(site, me)
+                rank = (latency, -bandwidth, serving.get(site, 0), site)
+                if (best is None or rank < best) and (
+                        site == me or network.is_online(site)):
+                    best, chosen = rank, site
+            except ValueError:
+                pass  # unreachable, or not a node of this network
+        if chosen is None:
+            return origin
+        if (chosen, candidates[chosen]) != origin:
+            self.replica_hits += 1
+        return chosen, candidates[chosen]
 
 
 def install_gridftp(network, sites, url_catalog: Optional[UrlCatalog] = None,

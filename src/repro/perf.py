@@ -626,8 +626,26 @@ def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
             "max_shard": sharded.max_shard,
             "imbalance": sharded.imbalance,
             "digests_equal": all(p.digest_matches_dict for p in point),
+            **ring_work_per_routed_vo(),
         },
     )
+
+
+def ring_work_per_routed_vo(n_sites: int = 64) -> Dict[str, int]:
+    """Rings built and ring points hashed, from a cold table, by one routed
+    sharded ``n_sites`` VO build + overlay: the memberships it tells
+    apart (shard ring, super-peer ring), however many sites hold them."""
+    from repro.glare import resolution, storage
+    from repro.vo import build_vo
+
+    storage._RINGS.clear()
+    build_vo(n_sites=n_sites, seed=77, group_size=4,
+             resolution=resolution.ResolutionConfig.all_on(),
+             storage=storage.StorageConfig.sharded(4, routing=True),
+             ).form_overlay()
+    points = [len(ring._points) for ring in storage._RINGS.values()]
+    return {"ring_builds_per_routed_vo": len(points),
+            "ring_point_hashes_per_routed_vo": sum(points)}
 
 
 def storage_fingerprint(seed: int = 23) -> Dict[str, Any]:
@@ -1467,6 +1485,13 @@ SUITES: Dict[str, Suite] = {
                 "10^3 anchor: lookups must stay flat", noisy=True),
             Holds(_detail("storage", "digests_equal"), True,
                   "sharded lookups must return what the flat dict returns"),
+            Cap(_detail("storage", "ring_builds_per_routed_vo"), 2.2,
+                "exact rings built for a 64-site routed sharded VO (recorded "
+                "2 + 10%; 320 when every registry home and site built its "
+                "own): a holder asks for a ring with arguments only it uses"),
+            Cap(_detail("storage", "ring_point_hashes_per_routed_vo"), 1408,
+                "exact ring-point sha256s of that build (recorded 1,280 + "
+                "10%; 131,072): a membership is hashed once per holder"),
             _routed_equals_broadcast,
             Exact("fingerprint"),
         ),

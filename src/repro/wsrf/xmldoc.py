@@ -29,6 +29,8 @@ def escape_text(value: str) -> str:
 
 def unescape_text(value: str) -> str:
     """Reverse :func:`escape_text` plus ``&apos;``."""
+    if "&" not in value:
+        return value
     for raw, enc in reversed(_ESCAPES):
         value = value.replace(enc, raw)
     return value.replace("&apos;", "'")
@@ -227,8 +229,10 @@ class _Parser:
         return XmlParseError(message, self.pos, self.text)
 
     def skip_ws(self) -> None:
-        while self.pos < self.length and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos, length = self.text, self.pos, self.length
+        while pos < length and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def skip_prolog_and_comments(self) -> None:
         while True:
@@ -247,14 +251,14 @@ class _Parser:
                 return
 
     def parse_name(self) -> str:
-        start = self.pos
-        while self.pos < self.length and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-.:"
-        ):
-            self.pos += 1
-        if self.pos == start:
+        text, length = self.text, self.length
+        start = pos = self.pos
+        while pos < length and (text[pos].isalnum() or text[pos] in "_-.:"):
+            pos += 1
+        if pos == start:
             raise self.error("expected a name")
-        return self.text[start : self.pos]
+        self.pos = pos
+        return text[start:pos]
 
     def parse_attributes(self) -> Dict[str, str]:
         attrib: Dict[str, str] = {}

@@ -163,14 +163,15 @@ class TestHashRing:
             HashRing(virtual_nodes=0)
 
     def test_add_remove_roundtrip(self):
+        # the value API: another membership is another ring
         ring = HashRing(["a", "b"])
-        ring.add_node("c")
-        ring.add_node("c")  # idempotent
-        assert sorted(ring.nodes()) == ["a", "b", "c"]
-        ring.remove_node("b")
-        ring.remove_node("b")  # idempotent
-        assert sorted(ring.nodes()) == ["a", "c"]
-        assert all(ring.route(f"k{i}") in ("a", "c") for i in range(100))
+        grown = HashRing(ring.nodes() + ["c"])
+        assert HashRing(grown.nodes() + ["c"]) is grown  # idempotent
+        assert sorted(grown.nodes()) == ["a", "b", "c"]
+        shrunk = HashRing([n for n in grown.nodes() if n != "b"])
+        assert sorted(shrunk.nodes()) == ["a", "c"]
+        assert all(shrunk.route(f"k{i}") in ("a", "c") for i in range(100))
+        assert sorted(ring.nodes()) == ["a", "b"]  # the first is untouched
 
     def test_stable_hash_is_process_stable(self):
         # pinned value: breaks if stable_hash ever falls back to hash()
@@ -198,6 +199,142 @@ class TestHashRing:
 
 def _unmemoised_hash(text):
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+class ReferenceRing:
+    """The ring as it was built while every holder built its own: node
+    by node, each point ``bisect_right``-inserted.  The oracle for the
+    one-sort build; ``point_hash`` lets a test force colliding points."""
+
+    def __init__(self, nodes=(), virtual_nodes=64, seed=0,
+                 point_hash=_unmemoised_hash):
+        self._points = []
+        self._owners = []
+        self._nodes = []
+        for node in nodes:
+            if node in self._nodes:
+                continue
+            self._nodes.append(node)
+            for replica in range(virtual_nodes):
+                point = point_hash(f"{seed}:{node}:{replica}")
+                idx = bisect_right(self._points, point)
+                self._points.insert(idx, point)
+                self._owners.insert(idx, node)
+
+    def nodes(self):
+        return list(self._nodes)
+
+
+def _coarse_hash(text):
+    return _unmemoised_hash(text) % 11  # most points collide
+
+
+@pytest.fixture()
+def cold_tables(monkeypatch):
+    """Empty intern and routing-key tables for one test."""
+    for table in ("_RINGS", "_STABLE_HASH"):
+        monkeypatch.setattr(storage, table, {})
+
+
+class TestRingIsAValue:
+    """A ring is an immutable, interned function of its ordered nodes,
+    ``virtual_nodes`` and ``seed`` — built by one sort, equal to the
+    node-by-node build, shared by everyone who asks for it."""
+
+    @given(st.lists(st.text(max_size=6), max_size=8),
+           st.integers(1, 8), st.integers(0, 3))
+    def test_bulk_build_equals_node_by_node_build(self, nodes, vnodes, seed):
+        ring = HashRing(nodes, virtual_nodes=vnodes, seed=seed)
+        oracle = ReferenceRing(nodes, virtual_nodes=vnodes, seed=seed)
+        assert list(ring._points) == oracle._points
+        assert list(ring._owners) == oracle._owners
+        assert ring.nodes() == oracle.nodes()
+        assert len(ring) == len(oracle.nodes())
+
+    @given(st.lists(st.sampled_from("abcdef"), max_size=8), st.integers(1, 6))
+    def test_colliding_points_keep_insertion_order(self, nodes, vnodes):
+        # equal points are where a sort and an insert could disagree
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "_sha64", _coarse_hash)
+            patch.setattr(storage, "_RINGS", {})
+            ring = HashRing(nodes, virtual_nodes=vnodes)
+        oracle = ReferenceRing(nodes, virtual_nodes=vnodes,
+                               point_hash=_coarse_hash)
+        assert list(ring._points) == oracle._points
+        assert list(ring._owners) == oracle._owners
+
+    @given(st.lists(st.text(max_size=4), min_size=2, max_size=6, unique=True),
+           st.integers(1, 8), st.integers(0, 3))
+    def test_equal_ordered_arguments_are_one_object(self, nodes, vnodes, seed):
+        ring = HashRing(nodes, virtual_nodes=vnodes, seed=seed)
+        assert HashRing(list(nodes), vnodes, seed) is ring
+        assert HashRing(nodes + nodes[:1], vnodes, seed) is ring  # repeats drop
+        assert HashRing(nodes, vnodes + 1, seed) is not ring
+        assert HashRing(nodes, vnodes, seed + 1) is not ring
+        # order is identity (nodes() is scan order), never routing
+        turned = HashRing(nodes[::-1], vnodes, seed)
+        assert turned is not ring and turned.nodes() == nodes[::-1]
+        keys = [f"type-{i}" for i in range(50)]
+        assert [turned.route(k) for k in keys] == [ring.route(k) for k in keys]
+
+    def test_a_ring_in_hand_never_changes(self):
+        ring = HashRing(["a", "b"])
+        assert not hasattr(ring, "add_node") and not hasattr(ring, "remove_node")
+        assert isinstance(ring._points, tuple)
+        assert isinstance(ring._owners, tuple)
+        keys = [f"type-{i}" for i in range(200)]
+        before = [ring.route(k) for k in keys]
+        grown = HashRing(ring.nodes() + ["c"])
+        assert grown is not ring and len(grown) == 3
+        assert HashRing(["a", "b"]) is ring and len(ring) == 2
+        assert [ring.route(k) for k in keys] == before
+        assert set(before) == {"a", "b"}
+        assert "c" in {grown.route(k) for k in keys}
+
+    def test_intern_table_refills_after_crossing_its_bound(
+            self, monkeypatch, cold_tables):
+        monkeypatch.setattr(storage, "_RINGS_LIMIT", 4)
+        keys = [f"type-{i}" for i in range(40)]
+        memberships = [[f"n{j}" for j in range(i + 1)] for i in range(10)]
+        first = [HashRing(nodes) for nodes in memberships]
+        # cleared wholesale at the limit, never larger than it
+        assert 0 < len(storage._RINGS) <= 4
+        assert HashRing(memberships[-1]) is first[-1]  # still interned
+        again = HashRing(memberships[0])  # dropped by a clear: rebuilt equal
+        assert again is not first[0]
+        assert again._points == first[0]._points
+        assert again._owners == first[0]._owners
+        for ring, nodes in zip(first, memberships):
+            oracle = ReferenceRing(nodes)
+            assert list(ring._points) == oracle._points
+            assert list(ring._owners) == oracle._owners
+            assert [ring.route(k) for k in keys] == [
+                HashRing(nodes).route(k) for k in keys]
+
+    def test_route_memo_refills_after_crossing_its_bound(self, monkeypatch):
+        monkeypatch.setattr(storage, "_ROUTES_LIMIT", 4)
+        ring = HashRing(["r0", "r1", "r2"], virtual_nodes=8, seed=5)
+        keys = [f"type-{i}" for i in range(10)]
+        first = [ring.route(key) for key in keys]
+        assert 0 < len(ring._routes) <= 4
+        assert [ring.route(key) for key in keys] == first
+        for key, owner in zip(keys, first):
+            at = bisect_right(ring._points, _unmemoised_hash(key))
+            assert owner == ring._owners[at % len(ring._owners)]
+
+    def test_building_a_ring_leaves_the_routing_key_memo_alone(
+            self, cold_tables):
+        # 64 nodes x 64 points is the memo's whole bound: ring points
+        # riding it would wipe every type name's hash per build
+        HashRing([f"sp-{i}" for i in range(64)])
+        assert storage._STABLE_HASH == {}
+
+    def test_homes_built_from_one_config_share_their_ring(self):
+        config = StorageConfig.sharded(shards=4)
+        a, b = config.make_backend(), config.make_backend()
+        assert a.ring is b.ring
+        a.put("only-in-a", 1)
+        assert b.get("only-in-a") is None and len(b) == 0  # shards are not
 
 
 class TestShardedRebalance:
@@ -320,6 +457,40 @@ class TestShardNoteHandoff:
         vo.sim.run(until=vo.sim.now + 2 * plane_a.SHARD_NOTE_RETRY_DELAY + 1.0)
         assert plane_b.digest.groups_for(name) == [sp_a]
         assert name in plane_a._forwarded_claims
+
+    def test_pending_retry_dies_with_its_view_even_if_the_ring_survives(self):
+        """A re-election that returns the same super-peer set hands back
+        the *same* interned ring, so "no view change since" must be a
+        view count, never ``ring is ring_before``: each view's own
+        hand-off re-announces, a retry from an older view must not."""
+        from repro.glare.model import ActivityType
+        from repro.glare.superpeer import _member_wire
+
+        vo, (sp_a, sp_b) = self._build()
+        rdm_a, rdm_b = vo.stacks[sp_a].rdm, vo.stacks[sp_b].rdm
+        plane_a = rdm_a.directory
+        name = self._type_owned_by(plane_a.ring, sp_b, sp_a)
+        rdm_b.overlay.view.epoch = 0  # B refuses every note from here on
+        rdm_a.atr.add_local_type(ActivityType.from_xml(
+            TYPE_XML.format(name=name)))
+        vo.sim.run(until=vo.sim.now + 0.5)  # refused: a retry is pending
+        assert name not in plane_a._forwarded_claims
+
+        ring = plane_a.ring
+        for _ in range(2):  # two views, identical super-peers
+            view = rdm_a.overlay.view
+            rdm_a.overlay._apply_view({
+                "group_id": view.group_id, "super_peer": view.super_peer,
+                "members": [_member_wire(m) for m in view.members],
+                "super_peers": list(view.super_peers),
+                "coordinator": view.coordinator, "epoch": view.epoch + 1,
+            }, role=view.role)
+        assert plane_a.ring is ring
+        vo.sim.run(until=vo.sim.now + 0.5)  # both hand-offs sent, refused
+        handoffs = plane_a.shard_handoffs
+        # the first view's retry comes due before the hand-offs' own do
+        vo.sim.run(until=vo.sim.now + plane_a.SHARD_NOTE_RETRY_DELAY - 0.75)
+        assert plane_a.shard_handoffs == handoffs
 
     def test_acked_claims_are_not_resent(self):
         from repro.glare.model import ActivityType

@@ -60,6 +60,8 @@ CONTRACT = {
     ("obs", "Holds", "resilient_verdicts.client-availability", "met"),
     ("storage", "Cap", "flatness_ratio", 1.5),
     ("storage", "Holds", "digests_equal", True),
+    ("storage", "Cap", "ring_builds_per_routed_vo", 2.2),
+    ("storage", "Cap", "ring_point_hashes_per_routed_vo", 1408),
     ("workload", "Floor", "results.workload.value", 1_000_000.0),
     ("workload", "Cap", "target_rss_growth_kb", 131_072),
     ("workload", "Cap", "stats_footprint_bytes", 1_000_000),
