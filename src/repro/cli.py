@@ -15,9 +15,9 @@ Usage::
     python -m repro report  [SCENARIO|experiments]
 
 ``EXPERIMENT`` is any entry of ``repro.experiments.registry.EXPERIMENTS`` —
-the one table every shipped artefact (``table1``, ``fig10`` … ``fig19``)
-is declared in; ``--help`` lists them with their one-line summaries and
-``all`` runs them in table order.  Each rebuilds the corresponding
+the one table every shipped artefact (``table1``, ``fig10`` … ``fig19``,
+``ablation``, ``sensitivity``) is declared in; ``--help`` lists them with
+their one-line summaries and ``all`` runs them in table order.  Each rebuilds the corresponding
 table/figure on the simulated Grid and prints the rows/series;
 ``--quick`` selects the entry's small grid (fewer points / shorter
 horizons) for a fast sanity pass, ``--jobs N`` fans its work units over
@@ -189,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Regenerate the GLARE paper's tables and figures "
                     "on the simulated Grid.",
         epilog="experiments:\n" + "\n".join(
-            f"  {name:<7} {experiment.summary}"
+            f"  {name:<{max(map(len, EXPERIMENTS))}} {experiment.summary}"
             for name, experiment in EXPERIMENTS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

@@ -1,5 +1,6 @@
 """Experiment harness: regenerate every table and figure of the paper,
-and one figure per plane grown on top of it.
+one figure per plane grown on top of it, and the ablation and
+calibration-sensitivity claims of DESIGN.md.
 
 Each artefact module pairs its point functions (plain data structures
 in, a ``format_*`` companion rendering the rows/series the paper
@@ -8,9 +9,8 @@ declaration; :data:`repro.experiments.registry.EXPERIMENTS` is the one
 table of all of them (``repro --help`` prints it, one summary line
 each) — the CLI, ``repro all``, ``repro report experiments`` and CI
 read it, and :func:`~repro.experiments.harness.run_experiment` is the
-only driver.  The ``benchmarks/`` directory times the paper's grids
-under pytest-benchmark, and EXPERIMENTS.md records paper-vs-measured
-values and the contract for adding an entry.
+only driver.  EXPERIMENTS.md records paper-vs-measured values and the
+contract for adding an entry.
 
 Importing this package stays cheap (the table helpers of
 :mod:`~repro.experiments.report` are used by the observability

@@ -27,6 +27,7 @@ from repro.experiments.report import format_multi_series
 from repro.experiments.workload import (
     measure_throughput,
     spawn_clients,
+    synthetic_activity_type,
     synthetic_type_doc,
 )
 from repro.glare.registry import ActivityTypeRegistry, ATR_SERVICE
@@ -54,47 +55,55 @@ class Fig10Point:
     mean_response_ms: float
 
 
-def _build(service: str, secure: bool, n_types: int, seed: int):
+#: how a request names type number ``index``, by lookup mechanism: the
+#: hash-table path takes the name, the scan the XPath that finds it
+PAYLOADS = {
+    "lookup_type": "type{:04d}".format,
+    "query": "//ActivityTypeEntry[@name='type{:04d}']".format,
+}
+
+
+def _build(service: str, secure: bool, n_types: int, seed: int,
+           per_visit_cost: float = 8e-6, heap_node_budget: float = 20000.0,
+           cpu_fixed: float = 0.0035):
+    """One server holding ``n_types`` documents, seven client sites.
+
+    The three calibrated constants (XPath scan cost per node, the
+    index's heap budget, TLS crypto CPU per call) default to the
+    paper-point values; ``repro sensitivity`` sweeps them.
+    """
     sim = Simulator(seed=seed)
     topo = Topology.star(SERVER, [f"c{i}" for i in range(N_CLIENT_SITES)],
                          latency=0.004, bandwidth=12.5e6)
-    policy = SecurityPolicy.https() if secure else SecurityPolicy.http()
+    policy = (SecurityPolicy.https(cpu_fixed=cpu_fixed) if secure
+              else SecurityPolicy.http())
     net = Network(sim, topo, security=policy)
     net.add_node(SERVER, cores=2)
     for i in range(N_CLIENT_SITES):
         net.add_node(f"c{i}", cores=2)
 
     if service == "registry":
-        atr = ActivityTypeRegistry(net, SERVER)
+        atr = ActivityTypeRegistry(net, SERVER, per_visit_cost=per_visit_cost)
         for index in range(n_types):
-            from repro.glare.model import ActivityType
-
-            atr.add_local_type(ActivityType.from_xml(synthetic_type_doc(index)))
-        service_name, method = ATR_SERVICE, "lookup_type"
-
-        def payload_for(index: int):
-            return f"type{index % n_types:04d}"
-
-    else:
-        index_service = IndexService(net, SERVER)
-        for index in range(n_types):
-            epr = EndpointReference(address=f"{SERVER}/mds-index",
-                                    service="mds-index", key=f"type{index:04d}")
-            index_service.register_document(epr, synthetic_type_doc(index))
-        service_name, method = "mds-index", "query"
-
-        def payload_for(index: int):
-            return f"//ActivityTypeEntry[@name='type{index % n_types:04d}']"
-
-    return sim, net, service_name, method, payload_for
+            atr.add_local_type(synthetic_activity_type(index))
+        return sim, net, ATR_SERVICE, "lookup_type"
+    index_service = IndexService(net, SERVER, per_visit_cost=per_visit_cost,
+                                 heap_node_budget=heap_node_budget)
+    for index in range(n_types):
+        epr = EndpointReference(address=f"{SERVER}/mds-index",
+                                service="mds-index", key=f"type{index:04d}")
+        index_service.register_document(epr, synthetic_type_doc(index))
+    return sim, net, "mds-index", "query"
 
 
 def run_fig10_point(service: str, secure: bool, clients: int,
-                    n_types: int = DEFAULT_TYPES, seed: int = 3) -> Fig10Point:
-    """Measure one (service, security, client-count) throughput point."""
-    sim, net, service_name, method, payload_for = _build(
-        service, secure, n_types, seed
-    )
+                    n_types: int = DEFAULT_TYPES, seed: int = 3,
+                    **calibration: float) -> Fig10Point:
+    """Measure one (service, security, client-count) throughput point;
+    ``calibration`` passes through to :func:`_build`."""
+    sim, net, service_name, method = _build(
+        service, secure, n_types, seed, **calibration)
+    payload_for = PAYLOADS[method]
 
     def request_factory(client_index: int):
         site = f"c{client_index % N_CLIENT_SITES}"
@@ -102,7 +111,7 @@ def run_fig10_point(service: str, secure: bool, clients: int,
         def request() -> Generator:
             yield from net.call(
                 site, SERVER, service_name, method,
-                payload=payload_for(client_index),
+                payload=payload_for(client_index % n_types),
             )
 
         return request

@@ -57,7 +57,6 @@ from repro.experiments.workload import (
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import (
     CohortInjector,
-    LatencyDigest,
     NHPoissonProcess,
     OpenLoopDriver,
     PoissonProcess,
@@ -68,6 +67,7 @@ from repro.load import (
 )
 from repro.load.stats import CommutativeDigest
 from repro.net.interceptors import TRANSIENT_ERRORS
+from repro.obs.metrics import Histogram
 from repro.runner import WorkUnit
 from repro.vo import build_vo
 
@@ -356,7 +356,7 @@ def run_fig18_flash(
     out_phases: Dict[str, Dict[str, float]] = {}
     for name, s, span in load.measured():
         hot_key = f"{name}|hot"
-        hot_digest = s.ops[hot_key].latency if hot_key in s.ops else LatencyDigest()
+        hot_digest = s.ops[hot_key].latency if hot_key in s.ops else Histogram()
         bg_resolve = s.ops.get(f"{name}|resolve")
         out_phases[name] = {
             "arrivals": s.offered,
@@ -433,7 +433,7 @@ def run_fig18_wave(
     gaps = rng.exponential(span / max(len(units), 1), len(units))
     times = np.cumsum(gaps)
 
-    ttr = LatencyDigest()
+    ttr = Histogram()
     statuses: Dict[str, int] = {}
     digest = CommutativeDigest()
 

@@ -3,6 +3,7 @@
 from typing import Dict
 
 from repro.experiments import (
+    ablation,
     fig10,
     fig11,
     fig12,
@@ -13,6 +14,7 @@ from repro.experiments import (
     fig17,
     fig18,
     fig19,
+    sensitivity,
     table1,
 )
 from repro.experiments.harness import Experiment
@@ -21,5 +23,5 @@ from repro.experiments.harness import Experiment
 EXPERIMENTS: Dict[str, Experiment] = {
     module.EXPERIMENT.name: module.EXPERIMENT
     for module in (table1, fig10, fig11, fig12, fig13, fig14, fig15,
-                   fig16, fig17, fig18, fig19)
+                   fig16, fig17, fig18, fig19, ablation, sensitivity)
 }

@@ -35,9 +35,9 @@ from repro.glare.model import (
 )
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import CohortInjector, OpenLoopDriver, StreamStats
-from repro.load.stats import LatencyDigest
 from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError, RetryPolicy
 from repro.net.network import RpcTimeout
+from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
 from repro.simkernel.errors import Interrupt, OfflineError
 from repro.wsrf.xmldoc import Element
@@ -201,38 +201,34 @@ def synthetic_activity_type(index: int) -> ActivityType:
 class ClientStats:
     """What a load generator records — streaming, no per-request list.
 
-    ``observations``/``response_total`` replace the old unbounded
-    ``response_times`` list.  ``response_total`` accumulates with the
-    same left-to-right float additions ``sum(list)`` performed, so
-    ``mean_response`` stays *bit-identical* to the list-based
-    implementation (the perf fingerprints pin ``repr`` of fig10 means).
-    The `repro.load` histogram adds percentiles at fixed size.
+    ``latency.total`` accumulates with the same left-to-right float
+    additions ``sum(list)`` performed, so ``mean_response`` is
+    *bit-identical* to a list-based mean (the perf fingerprints pin
+    ``repr`` of fig10 means).
     """
 
     completed: int = 0
     failed: int = 0
-    observations: int = 0
-    response_total: float = 0.0
-    latency: LatencyDigest = field(default_factory=LatencyDigest)
+    latency: Histogram = field(default_factory=Histogram)
 
     def observe(self, seconds: float) -> None:
         """Record one measured response time."""
-        self.observations += 1
-        self.response_total += seconds
         self.latency.observe(seconds)
 
     def merge(self, other: "ClientStats") -> None:
         self.completed += other.completed
         self.failed += other.failed
-        self.observations += other.observations
-        self.response_total += other.response_total
         self.latency.merge(other.latency)
 
     @property
+    def observations(self) -> int:
+        return self.latency.count
+
+    @property
     def mean_response(self) -> float:
-        if not self.observations:
+        if not self.latency.count:
             return float("nan")
-        return self.response_total / self.observations
+        return self.latency.total / self.latency.count
 
 
 def closed_loop_client(
@@ -240,7 +236,6 @@ def closed_loop_client(
     request: Callable[[], Generator],
     stats: ClientStats,
     think_time: float = 0.0,
-    request_timeout: Optional[float] = None,
     warmup: float = 0.0,
     think_sampler: Optional[Callable[[], float]] = None,
 ) -> Generator:

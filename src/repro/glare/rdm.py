@@ -390,7 +390,8 @@ class RequestManager:
                     )
                     self.resolved_by_deployment += 1
                     return wires
-        if self.rdm.atr.find_type(type_name) is None:
+        # from the walk: cache off, the registry keeps no remote answer
+        if not merged["types"] and self.rdm.atr.find_type(type_name) is None:
             raise TypeNotFound(f"activity type {type_name!r} unknown in the VO")
         raise DeploymentNotFound(
             f"no deployment for {type_name!r} and on-demand installation "

@@ -55,9 +55,8 @@ class Observability:
     Parameters
     ----------
     enabled:
-        Master switch.  Disabled instances still accept site-probe
-        registrations (used by :func:`repro.stats.collect_metrics`)
-        but record no spans, counters or series.
+        Master switch.  A disabled instance records no spans, counters
+        or series (:func:`repro.stats.collect_metrics` needs none).
     sample_interval:
         Gauge sampling period of the :class:`MetricsRecorder` process.
     max_spans:

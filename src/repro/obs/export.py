@@ -23,7 +23,7 @@ from typing import IO, Any, Dict, Iterable, List, Optional
 
 from repro.experiments.report import format_table
 from repro.obs.health import HealthRegistry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import Span, walk_tree
 
@@ -167,12 +167,18 @@ def render_counters(registry: MetricsRegistry) -> str:
                         title="Counters")
 
 
+def _observed_mean(h: Histogram) -> float:
+    """The exported mean: the float sum in observation order over the
+    count (``Histogram.mean`` is the nanosecond-exact one)."""
+    return h.total / h.count if h.count else 0.0
+
+
 def render_histograms(registry: MetricsRegistry) -> str:
     rows = []
     for h in registry.histograms():
         rows.append([
             h.name, _labels_text(h.labels), h.count,
-            f"{h.mean * 1e3:.2f}", f"{h.p50 * 1e3:.2f}",
+            f"{_observed_mean(h) * 1e3:.2f}", f"{h.p50 * 1e3:.2f}",
             f"{h.p95 * 1e3:.2f}", f"{h.p99 * 1e3:.2f}",
         ])
     if not rows:
@@ -221,7 +227,8 @@ def metrics_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
         "histograms": [
             {
                 "name": h.name, "labels": dict(h.labels), "count": h.count,
-                "mean": h.mean, "p50": h.p50, "p95": h.p95, "p99": h.p99,
+                "mean": _observed_mean(h), "p50": h.p50, "p95": h.p95,
+                "p99": h.p99,
             }
             for h in registry.histograms()
         ],
@@ -251,7 +258,8 @@ def metrics_to_csv(registry: MetricsRegistry) -> str:
         writer.writerow({
             "kind": "histogram", "name": h.name,
             "labels": _labels_text(h.labels), "count": h.count,
-            "mean": h.mean, "p50": h.p50, "p95": h.p95, "p99": h.p99,
+            "mean": _observed_mean(h), "p50": h.p50, "p95": h.p95,
+            "p99": h.p99,
         })
     for s in registry.all_series():
         low, mean, high = s.stats()

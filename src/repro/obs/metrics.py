@@ -5,17 +5,12 @@ subsystem writes to.  Three instrument families:
 
 * :class:`Counter` — monotonic event counts (RPC calls, cache hits);
 * :class:`Histogram` — latency distributions over fixed log-scale
-  buckets with approximate p50/p95/p99 accessors;
+  buckets with approximate percentiles, mergeable shard by shard — the
+  one such accumulator in the tree (``repro.load``'s streaming stats and
+  the experiments' closed-loop clients hold unregistered instances);
 * :class:`TimeSeries` — gauge samples over simulated time, fed by the
   :class:`MetricsRecorder` process (per-site load average, run-queue
   depth, MDS worker-pool occupancy, cache sizes, in-flight requests).
-
-The registry additionally hosts *site probes*: callables registered at
-VO build time that read each site's live counters on demand.  Probes
-are registered (and readable) even when the hot-path instruments are
-disabled, which is what lets :func:`repro.stats.collect_metrics` source
-its snapshot from the registry instead of reaching into every
-subsystem.
 
 When disabled, ``counter()``/``histogram()``/``series()`` hand back a
 shared null instrument whose mutators are no-ops.
@@ -23,17 +18,16 @@ shared null instrument whose mutators are no-ops.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -49,6 +43,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: fixed log-scale histogram bucket upper bounds: 10 us doubling up to
 #: ~87,000 s (34 buckets), plus an implicit overflow bucket
 HISTOGRAM_BOUNDS: Tuple[float, ...] = tuple(1e-5 * 2.0 ** i for i in range(34))
+
+_NS_PER_SECOND = 1_000_000_000
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -69,44 +65,34 @@ class Counter:
         self.value += amount
 
 
-def bucket_percentile(counts: Sequence[int], count: int, lo: float,
-                      hi: float, q: float) -> float:
-    """``q``-quantile (``0 < q <= 1``) of a :data:`HISTOGRAM_BOUNDS`
-    histogram: the crossing bucket's upper bound, clamped to the
-    observed ``lo``/``hi``.  The one percentile every latency histogram
-    in the tree (this module's and ``repro.load.stats``') answers with.
-    """
-    if count == 0:
-        return 0.0
-    target = max(1, math.ceil(q * count))
-    cumulative = 0
-    for index, bucket_count in enumerate(counts):
-        cumulative += bucket_count
-        if cumulative >= target:
-            if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
-                return hi
-            return min(max(HISTOGRAM_BOUNDS[index], lo), hi)
-    return hi  # pragma: no cover - unreachable
-
-
 class Histogram:
-    """Fixed log-scale bucket histogram with percentile accessors.
+    """The one log-bucket accumulator: fixed size, mergeable, exact.
 
     Bucket ``i`` counts observations ``v <= HISTOGRAM_BOUNDS[i]`` (and
     above the previous bound); one overflow bucket catches the rest.
     Percentiles are approximate: the answer is the upper bound of the
     bucket where the cumulative count crosses the requested quantile,
     clamped to the observed min/max so tiny samples stay sensible.
+
+    Two totals, each pinned by an output that must not move: ``total``
+    is the float sum in observation order — ``ClientStats.mean_response``
+    (``BENCH_kernel.json`` pins the ``repr`` of fig10's means) and the
+    ``mean`` the metrics export writes divide it; ``total_ns`` is the
+    integer-nanosecond sum — integer addition is exact and commutative,
+    so :attr:`mean` and :meth:`fingerprint` (behind every
+    ``StreamStats.fingerprint``) are identical however shards are merged.
     """
 
-    __slots__ = ("name", "labels", "counts", "count", "total", "min", "max")
+    __slots__ = ("name", "labels", "counts", "count", "total", "total_ns",
+                 "min", "max")
 
-    def __init__(self, name: str, labels: LabelKey) -> None:
+    def __init__(self, name: str = "", labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
         self.counts = [0] * (len(HISTOGRAM_BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
+        self.total_ns = 0
         self.min = math.inf
         self.max = -math.inf
 
@@ -114,23 +100,50 @@ class Histogram:
         self.counts[bisect_left(HISTOGRAM_BOUNDS, value)] += 1
         self.count += 1
         self.total += value
+        self.total_ns += round(value * _NS_PER_SECOND)
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
 
+    def merge(self, other: "Histogram") -> None:
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.count += other.count
+        self.total += other.total
+        self.total_ns += other.total_ns
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        if self.count == 0:
+            return 0.0
+        return self.total_ns / self.count / _NS_PER_SECOND
 
     def percentile(self, q: float) -> float:
         """Approximate ``q``-quantile (``0 < q <= 1``) in seconds."""
-        return bucket_percentile(self.counts, self.count, self.min,
-                                 self.max, q)
+        if self.count == 0:
+            return 0.0
+        target = max(1, math.ceil(q * self.count))
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            cumulative += bucket_count
+            if cumulative >= target:  # reached: target <= count
+                break
+        if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
+            return self.max
+        return min(max(HISTOGRAM_BOUNDS[index], self.min), self.max)
 
     @property
     def p50(self) -> float:
         return self.percentile(0.50)
+
+    @property
+    def p90(self) -> float:
+        return self.percentile(0.90)
 
     @property
     def p95(self) -> float:
@@ -139,6 +152,34 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.percentile(0.99)
+
+    @property
+    def p999(self) -> float:
+        return self.percentile(0.999)
+
+    def fingerprint(self) -> str:
+        """Merge-order-independent digest of the full histogram state."""
+        payload = "|".join(
+            (
+                str(self.count),
+                str(self.total_ns),
+                repr(self.min),
+                repr(self.max),
+                ",".join(str(c) for c in self.counts),
+            )
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def to_dict(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "mean_ms": self.mean * 1000.0,
+            "p50_ms": self.p50 * 1000.0,
+            "p90_ms": self.p90 * 1000.0,
+            "p99_ms": self.p99 * 1000.0,
+            "p999_ms": self.p999 * 1000.0,
+            "max_ms": (self.max if self.count else 0.0) * 1000.0,
+        }
 
 
 class TimeSeries:
@@ -213,8 +254,6 @@ class MetricsRegistry:
         #: order, raw values): a site that asks again pays one probe
         self._counter_memo: Dict[tuple, Counter] = {}
         self._histogram_memo: Dict[tuple, Histogram] = {}
-        #: site name -> callable returning that site's live counter dict
-        self._site_probes: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
     def bind(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -276,25 +315,6 @@ class MetricsRegistry:
     def all_series(self) -> Iterator[TimeSeries]:
         return iter(sorted(self._series.values(),
                            key=lambda s: (s.name, s.labels)))
-
-    # -- site probes (always available, even when disabled) ------------------
-
-    def register_site_probe(
-        self, site: str, probe: Callable[[], Dict[str, Any]]
-    ) -> None:
-        """Register the callable that reads ``site``'s live counters."""
-        self._site_probes[site] = probe
-
-    def probed_sites(self) -> List[str]:
-        return list(self._site_probes)
-
-    def collect_site(self, site: str) -> Dict[str, Any]:
-        """Current counter snapshot for one site (via its probe)."""
-        try:
-            probe = self._site_probes[site]
-        except KeyError:
-            raise KeyError(f"no site probe registered for {site!r}")
-        return probe()
 
 
 class MetricsRecorder(Periodic):

@@ -21,7 +21,7 @@ Public surface
     Awaitable occurrences.
 ``Process``, ``Interrupt``
     Process handles and the interrupt exception.
-``Store``, ``PriorityStore``, ``Resource``, ``Container``
+``Store``, ``Resource``
     Queueing primitives used to model mailboxes, worker pools, and
     bounded buffers.
 ``CPU``
@@ -36,8 +36,6 @@ from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
 from repro.simkernel.kernel import Simulator
 from repro.simkernel.process import Process
 from repro.simkernel.primitives import (
-    Container,
-    PriorityStore,
     Resource,
     Store,
     bounded_gather,
@@ -49,12 +47,10 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CPU",
-    "Container",
     "bounded_gather",
     "Event",
     "Interrupt",
     "LoadAverage",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngRegistry",

@@ -1,12 +1,10 @@
-"""Queueing primitives: stores, resources, containers.
+"""Queueing primitives: stores and resources.
 
 These model the shared structures the Grid substrate is built from:
 
 * :class:`Store` — a FIFO buffer of items (service mailboxes, job queues);
-* :class:`PriorityStore` — like a store but get() returns smallest item;
 * :class:`Resource` — ``capacity`` interchangeable servers with a FIFO
   wait queue (worker pools, CPU cores at the RPC level);
-* :class:`Container` — a continuous quantity (disk space, heap bytes);
 * :func:`bounded_gather` — run sub-generators concurrently with a
   fan-out bound, collecting per-item outcomes in input order;
 * :class:`SingleFlight` — coalesce concurrent identical work onto the
@@ -21,7 +19,6 @@ that a process yields; the primitive fires them as capacity allows.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 from inspect import isgeneratorfunction
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, Hashable, List,
@@ -258,64 +255,18 @@ class Store:
         self._settle()
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the buffer is full."""
-        if len(self.items) >= self.capacity and not self._getters:
-            return False
-        self.put(item)
-        return True
-
-    # -- internal ----------------------------------------------------------
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.popleft())
-            return True
-        return False
-
     def _settle(self) -> None:
         progressed = True
         while progressed:
             progressed = False
-            while self._putters and self._do_put(self._putters[0]):
-                self._putters.popleft()
+            while self._putters and len(self.items) < self.capacity:
+                put = self._putters.popleft()
+                self.items.append(put.item)
+                put.succeed()
                 progressed = True
-            while self._getters and self._do_get(self._getters[0]):
-                self._getters.popleft()
+            while self._getters and self.items:
+                self._getters.popleft().succeed(self.items.popleft())
                 progressed = True
-
-
-class PriorityStore(Store):
-    """A store whose ``get()`` returns the smallest item first.
-
-    Items must be mutually comparable; use ``(priority, seq, payload)``
-    tuples or objects implementing ``__lt__``.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        super().__init__(sim, capacity)
-        self.items: List[Any] = []  # heapq needs list storage, not a deque
-        self._counter = 0
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(heappop(self.items))
-            return True
-        return False
 
 
 class Request(Event):
@@ -379,60 +330,3 @@ class Resource:
             request = self.queue.popleft()
             self.users.append(request)
             request.succeed(request)
-
-
-class Container:
-    """A continuous quantity with blocking put/get (disk, heap bytes)."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("container capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise ValueError("initial level out of range")
-        self.sim = sim
-        self.capacity = capacity
-        self.level = initial
-        self._putters: Deque[Tuple[Event, float]] = deque()
-        self._getters: Deque[Tuple[Event, float]] = deque()
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would overflow capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self.level += amount
-                    event.succeed()
-                    self._putters.popleft()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self.level >= amount:
-                    self.level -= amount
-                    event.succeed(amount)
-                    self._getters.popleft()
-                    progressed = True

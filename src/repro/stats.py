@@ -5,10 +5,8 @@ resolution tiers, cache hits, installs, traffic, elections) into one
 structured snapshot — the observability layer an operator of the real
 system would have had, and a convenient assertion surface for tests.
 
-The per-site counters are sourced through the *site probes* of the VO's
-:class:`~repro.obs.MetricsRegistry` — callables registered by
-:func:`repro.vo.build_vo` that read each site's live counters on
-demand.  Probes work whether or not the hot-path observability
+The per-site counters are read straight off each site's stack
+(:func:`site_counters`), whether or not the hot-path observability
 instruments (spans, histograms) are enabled, so this module needs no
 ``observability=True`` switch.
 
@@ -25,7 +23,7 @@ the sender, never received).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.experiments.report import format_table
 
@@ -140,72 +138,55 @@ class VOMetrics:
                             title=f"VO metrics @ t={self.taken_at:.1f}s") + footer
 
 
-def site_counter_probe(
-    vo: "VirtualOrganization", name: str
-) -> Callable[[], Dict[str, object]]:
-    """Build the probe callable that snapshots site ``name``'s counters.
-
-    The returned callable produces exactly the keyword set of
-    :class:`SiteMetrics` (minus ``site``); :func:`repro.vo.build_vo`
-    registers it with the VO's metrics registry.
-    """
-
-    def probe() -> Dict[str, object]:
-        stack = vo.stack(name)
-        rdm, atr, adr = stack.rdm, stack.atr, stack.adr
-        assert rdm is not None and atr is not None and adr is not None
-        runtime = vo.network.node(name)
-        rm = rdm.request_manager
-        dm = rdm.deployment_manager
-        return {
-            "requests": rm.requests,
-            "resolved_locally": rm.resolved_locally,
-            "resolved_in_group": rm.resolved_in_group,
-            "resolved_via_superpeer": rm.resolved_via_superpeer,
-            "resolved_by_deployment": rm.resolved_by_deployment,
-            "type_lookups": atr.lookups,
-            "type_cache_hits": atr.cache_hits,
-            "deployment_lookups": adr.lookups,
-            "deployment_cache_hits": adr.cache_hits,
-            "installs_succeeded": dm.stats.installs_succeeded,
-            "installs_failed": dm.stats.installs_failed,
-            "notifications_sent": dm.stats.notifications_sent,
-            "jobs_submitted": stack.gram.jobs_submitted if stack.gram else 0,
-            "bytes_in": runtime.bytes_in,
-            "bytes_out": runtime.bytes_out,
-            "messages_in": runtime.messages_in,
-            "messages_out": runtime.messages_out,
-            "local_types": len(atr.home),
-            "cached_types": len(atr.cache),
-            "local_deployments": len(adr.deployments),
-            "cached_deployments": len(adr.cached_deployments),
-            "is_super_peer": rdm.overlay.is_super_peer,
-            "reelections": rdm.overlay.reelections,
-        }
-
-    return probe
+def site_counters(vo: "VirtualOrganization", name: str) -> Dict[str, object]:
+    """Site ``name``'s live counters: exactly the keyword set of
+    :class:`SiteMetrics` (minus ``site``)."""
+    stack = vo.stack(name)
+    rdm, atr, adr = stack.rdm, stack.atr, stack.adr
+    assert rdm is not None and atr is not None and adr is not None
+    runtime = vo.network.node(name)
+    rm = rdm.request_manager
+    dm = rdm.deployment_manager
+    return {
+        "requests": rm.requests,
+        "resolved_locally": rm.resolved_locally,
+        "resolved_in_group": rm.resolved_in_group,
+        "resolved_via_superpeer": rm.resolved_via_superpeer,
+        "resolved_by_deployment": rm.resolved_by_deployment,
+        "type_lookups": atr.lookups,
+        "type_cache_hits": atr.cache_hits,
+        "deployment_lookups": adr.lookups,
+        "deployment_cache_hits": adr.cache_hits,
+        "installs_succeeded": dm.stats.installs_succeeded,
+        "installs_failed": dm.stats.installs_failed,
+        "notifications_sent": dm.stats.notifications_sent,
+        "jobs_submitted": stack.gram.jobs_submitted if stack.gram else 0,
+        "bytes_in": runtime.bytes_in,
+        "bytes_out": runtime.bytes_out,
+        "messages_in": runtime.messages_in,
+        "messages_out": runtime.messages_out,
+        "local_types": len(atr.home),
+        "cached_types": len(atr.cache),
+        "local_deployments": len(adr.deployments),
+        "cached_deployments": len(adr.cached_deployments),
+        "is_super_peer": rdm.overlay.is_super_peer,
+        "reelections": rdm.overlay.reelections,
+    }
 
 
 def collect_metrics(vo: "VirtualOrganization") -> VOMetrics:
     """Harvest a metrics snapshot from every site in the VO.
 
-    Per-site counters come from the metrics registry's site probes
-    (available even with observability disabled); wire totals come from
-    the network.
+    Per-site counters come from :func:`site_counters`; wire totals come
+    from the network.
     """
     snapshot = VOMetrics(
         taken_at=vo.sim.now,
         total_messages=vo.network.total_messages,
         total_bytes=vo.network.total_bytes,
     )
-    registry = vo.obs.metrics
     for name in vo.site_names:
-        try:
-            data = registry.collect_site(name)
-        except KeyError:
-            # VO assembled without build_vo: read the counters directly
-            data = site_counter_probe(vo, name)()
-        snapshot.sites[name] = SiteMetrics(site=name, **data)
+        snapshot.sites[name] = SiteMetrics(site=name, **site_counters(vo, name))
     members = set(vo.site_names)
     for node_name, runtime in vo.network.nodes.items():
         if node_name not in members:

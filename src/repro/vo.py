@@ -370,12 +370,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         if stack.lifecycle is not None:
             stack.lifecycle.start()
 
-    # Observability: site probes feed repro.stats regardless of the
-    # enabled flag; the gauge recorder only runs when enabled.
-    from repro.stats import site_counter_probe
-
-    for name in names:
-        vo.obs.metrics.register_site_probe(name, site_counter_probe(vo, name))
+    # Observability: the gauge recorder only runs when enabled.
     if vo.obs.enabled:
         vo.obs.recorder = MetricsRecorder(vo, interval=vo.obs.sample_interval)
         vo.obs.recorder.start()

@@ -1,9 +1,11 @@
 """Every artefact's ``--quick`` text is pinned, byte for byte.
 
-The sha256s below were recorded on the commit *before* the experiments
-moved onto the ``Experiment`` table (PR 16), from three runs each at
-``--jobs 1``, ``2`` and ``4`` that agreed on everything but one column:
-fig17a's ``ns/lookup`` is wall time, so it is masked before hashing.
+The sha256s of the table and figures were recorded on the commit
+*before* the experiments moved onto the ``Experiment`` table (PR 16),
+from three runs each at ``--jobs 1``, ``2`` and ``4`` that agreed on
+everything but one column: fig17a's ``ns/lookup`` is wall time, so it is
+masked before hashing.  ``ablation`` and ``sensitivity`` were recorded
+when they joined the table (PR 24).
 A refactor of the harness, the shared scenario content or a renderer
 that changes a single character of any table fails here by name.
 
@@ -30,10 +32,15 @@ GOLDEN = {
     "fig17": "8c5fdf9c439d44e4291681ecc5bb4ae7ed888b7c2e458958bbbabfe4865fb7c3",
     "fig18": "36a9a34f2a0de33ade2747575f7060f31319565fc68ad0a9910fa6ba18b8addb",
     "fig19": "a108b16809c3f3c2238c670826cb3dd15f98ff3e64bcc2bf45e6b2c8e42ef7b8",
+    "ablation": "914d1937e4ea4f3ff2c3ace1fecc71575ae7a712b6d208400f86a4aec6fa0584",
+    "sensitivity": "3194a8503a50c019049c7050fb538951d6782c7644b30baaabf850c4642f3448",
 }
 
 #: ``repro report experiments --quick``: every section under its banner
-GOLDEN_REPORT = "adf721b4f3148c47df5499814bc9a5b8d69fc3ab27e9b475f75e63c1db1ee1d7"
+GOLDEN_REPORT = "d484fcf3504e84dc3ce9e35ba12387bfb58ccfef789add676dc5c889e567e0a8"
+#: the same document before ``ablation`` and ``sensitivity`` joined it
+GOLDEN_REPORT_THROUGH_FIG19 = (
+    "adf721b4f3148c47df5499814bc9a5b8d69fc3ab27e9b475f75e63c1db1ee1d7")
 
 
 def mask_wall_time(text: str) -> str:
@@ -70,6 +77,9 @@ def test_quick_text_is_byte_identical(name, quick_runs):
 def test_aggregate_report_is_byte_identical(quick_runs):
     sections = {name: quick_runs[name].text for name in EXPERIMENTS}
     assert digest(join_sections(sections)) == GOLDEN_REPORT
+    for name in ("ablation", "sensitivity"):
+        del sections[name]
+    assert digest(join_sections(sections)) == GOLDEN_REPORT_THROUGH_FIG19
 
 
 def test_mask_touches_only_the_timing_column():

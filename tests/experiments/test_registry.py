@@ -6,11 +6,12 @@ the aggregate report and the serial-vs-fanned digest check alike.
 """
 
 import copy
+import inspect
 
 import pytest
 
 from repro import cli
-from repro.experiments import fig11, fig17, fig18
+from repro.experiments import ablation, fig11, fig17, fig18, sensitivity
 from repro.experiments.harness import (
     ExperimentRun,
     run_experiment,
@@ -27,8 +28,11 @@ from .test_output_identity import mask_wall_time
 class TestTable:
     def test_names_are_the_keys_in_presentation_order(self):
         assert list(EXPERIMENTS) == [e.name for e in EXPERIMENTS.values()]
-        assert list(EXPERIMENTS)[0] == "table1"
-        assert list(EXPERIMENTS)[1:] == sorted(list(EXPERIMENTS)[1:])
+        # the paper's table and figures in its order, then the planes'
+        # figures, then what cuts across them
+        figures = [name for name in EXPERIMENTS if name.startswith("fig")]
+        assert list(EXPERIMENTS) == (
+            ["table1"] + sorted(figures) + ["ablation", "sensitivity"])
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", list(EXPERIMENTS))
@@ -54,8 +58,9 @@ class TestCliReadsTheTable:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         out = capsys.readouterr().out
+        width = max(map(len, EXPERIMENTS))
         for name, experiment in EXPERIMENTS.items():
-            assert f"  {name:<7} {experiment.summary}" in out
+            assert f"  {name:<{width}} {experiment.summary}" in out
         positional = out[out.index("positional arguments:"):]
         choices = positional[positional.index("{") + 1:positional.index("}")]
         assert set(EXPERIMENTS) | {"all"} <= set(choices.split(","))
@@ -189,6 +194,98 @@ class TestPaperClaims:
                        if keep(point)}
             assert partial
             EXPERIMENTS[name].check(partial)
+
+
+def _swap_handlers(unit, result):
+    for seconds in result.values():
+        seconds["expect"], seconds["javacog"] = (seconds["javacog"],
+                                                 seconds["expect"])
+
+
+def _set(path, value):
+    """Doctor one figure of a result: ``path`` walks keys/attributes."""
+    def change(unit, result):
+        for step in path[:-1]:
+            result = result[step] if isinstance(result, dict) else getattr(
+                result, step)
+        if isinstance(result, dict):
+            result[path[-1]] = value
+        else:
+            setattr(result, path[-1], value)
+    return change
+
+
+@pytest.mark.slow
+class TestAblationAndSensitivityClaims:
+    """DESIGN.md's ablation and sensitivity claims are ``check`` clauses
+    too: one doctored figure per clause, refuted by name."""
+
+    #: entry, unit (prefix) to doctor, the doctoring, the clause it trips
+    CLAUSES = {
+        "xpath as fast as the hash path": (
+            "ablation", "ablation:lookup", _set(["xpath_ms"], 12.2),
+            "XPath is not clearly slower"),
+        "a cache that barely helps": (
+            "ablation", "ablation:cache",
+            _set(["on", "mean_response_ms"], 20.0), "only 1.7x"),
+        "nothing was cached to refresh": (
+            "ablation", "ablation:refresh", _set(["cached_as"], "evicted"),
+            "not 'active'"),
+        "the stale copy survives": (
+            "ablation", "ablation:refresh", _set(["after_flag"], "active"),
+            "still 'active' 120 s after"),
+        "the grouped VO is one group": (
+            "ablation", "ablation:overlay", _set(["grouped", "groups"], 1),
+            "not 1 and several"),
+        "the overlay saves no message": (
+            "ablation", "ablation:overlay", _set(["grouped", "messages"], 47),
+            "no fewer messages"),
+        "expect and javacog swapped": (
+            "ablation", "ablation:handler", _swap_handlers,
+            "Expect does not beat JavaCoG at every archive size"),
+        "a gap that does not widen": (
+            "ablation", "ablation:handler",
+            _set([32_000_000, "javacog"], 20.0), "does not widen"),
+        "a second install of one app": (
+            "ablation", "ablation:tiers",
+            _set(["on", "tiers", "on-demand-deploy"], 3),
+            "not one install per application"),
+        "few local hits with the cache on": (
+            "ablation", "ablation:tiers", _set(["on", "tiers", "local"], 19),
+            "too few local hits"),
+        "local hits in the uncached VO": (
+            "ablation", "ablation:tiers", _set(["off", "tiers", "local"], 4),
+            "cache off, yet requests resolved locally"),
+        "a cached median no faster": (
+            "ablation", "ablation:tiers", _set(["on", "median_ms"], 30.0),
+            "cached median is no faster"),
+        "the index beats the registry": (
+            "sensitivity", "sensitivity:scan:4e-06:registry@100",
+            _set(["throughput"], 150.0), "registry does not beat the index"),
+        "an index that does not decay": (
+            "sensitivity", "sensitivity:scan:1.6e-05:index@25",
+            _set(["throughput"], 70.0), "does not decay with registry size"),
+        "the collapsed index serves 50 req/s": (
+            "sensitivity", "sensitivity:heap:40000",
+            _set(["throughput"], 50.0), "has not collapsed"),
+        "the tls drop flattened to 10 %": (
+            "sensitivity", "sensitivity:crypto:0.002:https",
+            _set(["throughput"], 0.9 * 493.8), "registry only 10%"),
+    }
+
+    @pytest.mark.parametrize("case", list(CLAUSES))
+    def test_clause_raises_on_its_doctored_figure(self, case, quick_runs):
+        name, prefix, change, match = self.CLAUSES[case]
+        TestPaperClaims().refuted(
+            quick_runs, name,
+            lambda unit, result: unit.startswith(prefix) and change(
+                unit, result),
+            match)
+
+    def test_every_clause_is_refuted(self):
+        asserts = sum(inspect.getsource(module._check).count("assert ")
+                      for module in (ablation, sensitivity))
+        assert asserts == len(self.CLAUSES)
 
 
 class TestFig17FlatnessIsNotAClock:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import get_application, publish_applications
-from repro.glare.errors import DeploymentNotFound
+from repro.glare.errors import DeploymentNotFound, TypeNotFound
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.vo import build_vo
 
@@ -115,6 +115,29 @@ class TestGetDeploymentsOp:
         # nothing got installed anywhere
         for name in vo.site_names:
             assert vo.stack(name).adr.local_deployments_for("Wien2k") == []
+
+
+    @pytest.mark.parametrize("group_size", [3, 13])  # groups of 3 | flat
+    @pytest.mark.parametrize("cache_enabled", [False, True])
+    def test_error_names_what_the_walk_found(self, group_size, cache_enabled):
+        """A type a remote site answered with is not "unknown in the VO",
+        cache or no cache to retain it: only the deployment is missing."""
+        vo = make_vo(n_sites=12, group_size=group_size, seed=51,
+                     cache_enabled=cache_enabled)
+        vo.run_process(vo.client_call("agrid11", "register_type",
+                                      payload={"xml": TYPE_XML}))
+
+        def ask(site, type_name):
+            try:
+                yield from vo.client_call(
+                    site, "get_deployments",
+                    payload={"type": type_name, "auto_deploy": False})
+            except (TypeNotFound, DeploymentNotFound) as error:
+                return type(error)
+
+        assert vo.run_process(ask("agrid01", "OpApp")) is DeploymentNotFound
+        assert vo.run_process(ask("agrid11", "OpApp")) is DeploymentNotFound
+        assert vo.run_process(ask("agrid01", "NobodyHasIt")) is TypeNotFound
 
 
 class TestInstantiateOp:

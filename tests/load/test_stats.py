@@ -2,35 +2,28 @@
 
 import pytest
 
-from repro.load.stats import (
-    CommutativeDigest,
-    LatencyDigest,
-    OpStats,
-    StreamStats,
-)
-from repro.obs.metrics import HISTOGRAM_BOUNDS
+from repro.load.stats import CommutativeDigest, OpStats, StreamStats
+from repro.obs.metrics import HISTOGRAM_BOUNDS, Histogram
 
 
 class TestLatencyDigest:
     def test_fixed_size_state(self):
-        digest = LatencyDigest()
+        digest = Histogram()
         for i in range(50_000):
             digest.observe(1e-5 * (i % 997 + 1))
         assert len(digest.counts) == len(HISTOGRAM_BOUNDS) + 1
         assert digest.count == 50_000
 
     def test_mean_is_exact_integer_total(self):
-        digest = LatencyDigest()
+        digest = Histogram()
         for value in (0.001, 0.002, 0.003):
             digest.observe(value)
         assert digest.total_ns == 6_000_000
         assert digest.mean == pytest.approx(0.002)
 
     def test_percentile_matches_obs_histogram(self):
-        from repro.obs.metrics import Histogram
-
         values = [1e-5 * (i % 313 + 1) * 3.7 for i in range(2_000)]
-        digest = LatencyDigest()
+        digest = Histogram()
         histogram = Histogram("h", {})
         for value in values:
             digest.observe(value)
@@ -39,17 +32,17 @@ class TestLatencyDigest:
             assert digest.percentile(q) == histogram.percentile(q)
 
     def test_min_max_clamping(self):
-        digest = LatencyDigest()
+        digest = Histogram()
         digest.observe(0.5)
         assert digest.p50 == 0.5 == digest.p999
         assert digest.min == digest.max == 0.5
 
     def test_merge_equals_single_stream(self):
         values = [0.0001 * (i % 41 + 1) for i in range(400)]
-        whole = LatencyDigest()
+        whole = Histogram()
         for value in values:
             whole.observe(value)
-        left, right = LatencyDigest(), LatencyDigest()
+        left, right = Histogram(), Histogram()
         for value in values[:137]:
             left.observe(value)
         for value in values[137:]:
@@ -59,7 +52,7 @@ class TestLatencyDigest:
         assert left.mean == whole.mean
 
     def test_empty_digest_reports_zero(self):
-        digest = LatencyDigest()
+        digest = Histogram()
         assert digest.mean == 0.0
         assert digest.percentile(0.99) == 0.0
 

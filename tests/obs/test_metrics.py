@@ -95,14 +95,6 @@ class TestDisabledRegistry:
         assert registry.counter("c").value == 0
         assert registry.histogram("h").p99 == 0.0
 
-    def test_site_probes_work_even_when_disabled(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.register_site_probe("s1", lambda: {"requests": 7})
-        assert registry.probed_sites() == ["s1"]
-        assert registry.collect_site("s1") == {"requests": 7}
-        with pytest.raises(KeyError):
-            registry.collect_site("unknown")
-
 
 class TestMetricsRecorder:
     def test_interval_must_be_positive(self):

@@ -43,9 +43,13 @@ NAMES = st.sampled_from([
 ])
 REFERENCES = st.one_of(NAMES.map("${}".format), NAMES.map("${{{}}}".format))
 LITERALS = st.sampled_from(["", "/", "/opt", "lib-3.6.1", " ", "$", "${", "}", "$$"])
-TEXTS = st.lists(st.one_of(REFERENCES, LITERALS), max_size=6).map("".join)
+PIECES = st.one_of(REFERENCES, LITERALS)
+TEXTS = st.lists(PIECES, max_size=6).map("".join)
 PLAIN_TEXTS = st.text(alphabet="abc/{}_ .-", max_size=20)
-ENVIRONMENTS = st.dictionaries(NAMES, TEXTS, max_size=6)
+#: at most three pieces per definition: a self-growing one multiplies by
+#: its reference count in each of the five rounds (3^5 copies, not 6^5)
+ENVIRONMENTS = st.dictionaries(
+    NAMES, st.lists(PIECES, max_size=3).map("".join), max_size=6)
 
 
 @given(ENVIRONMENTS, st.lists(st.one_of(TEXTS, PLAIN_TEXTS), min_size=1, max_size=5))

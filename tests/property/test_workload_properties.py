@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.workload import ClientStats
 from repro.load.arrivals import (
     DiurnalRate,
     MMPPProcess,
@@ -22,7 +23,8 @@ from repro.load.arrivals import (
     StepRate,
 )
 from repro.load.inject import CohortInjector, NaiveInjector, quantize_ticks
-from repro.load.stats import CommutativeDigest, LatencyDigest, StreamStats
+from repro.load.stats import CommutativeDigest, StreamStats
+from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -124,16 +126,33 @@ class TestDigestProperties:
     @settings(max_examples=80, deadline=None)
     def test_latency_merge_is_split_invariant(self, values, cut):
         cut = min(cut, len(values))
-        whole = LatencyDigest()
+        whole = Histogram()
         for value in values:
             whole.observe(value)
-        left, right = LatencyDigest(), LatencyDigest()
+        left, right = Histogram(), Histogram()
         for value in values[:cut]:
             left.observe(value)
         for value in values[cut:]:
             right.observe(value)
         right.merge(left)  # and in the "wrong" direction
         assert right.fingerprint() == whole.fingerprint()
+        # merge-then-percentile == observe-all-then-percentile
+        for q in (0.5, 0.9, 0.95, 0.99, 0.999, 1.0):
+            assert right.percentile(q) == whole.percentile(q)
+        assert right.mean == whole.mean
+
+    @given(values=st.lists(st.floats(min_value=1e-6, max_value=100.0,
+                                     allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=200))
+    @settings(max_examples=80, deadline=None)
+    def test_client_mean_is_the_list_mean_bit_for_bit(self, values):
+        stats = ClientStats()
+        total = 0.0  # sum(values) before 3.12 made it a compensated sum
+        for value in values:
+            stats.observe(value)
+            total += value
+        assert stats.mean_response == total / len(values)
+        assert stats.observations == len(values)
 
     @given(records=st.lists(st.text(max_size=30), max_size=150),
            permutation_seed=seeds)

@@ -1,8 +1,8 @@
-"""Unit tests for stores, priority stores, containers, and events."""
+"""Unit tests for stores and events."""
 
 import pytest
 
-from repro.simkernel import Container, PriorityStore, Simulator, Store
+from repro.simkernel import Simulator, Store
 from repro.simkernel.errors import EventAlreadyFired
 
 
@@ -34,103 +34,9 @@ class TestStoreCapacity:
         gets = [entry[1] for entry in timeline if entry[0] == "get"]
         assert gets == [0, 1, 2, 3]
 
-    def test_try_put(self):
-        sim = Simulator()
-        store = Store(sim, capacity=1)
-        assert store.try_put("a") is True
-        assert store.try_put("b") is False
-        assert len(store) == 1
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Store(Simulator(), capacity=0)
-
-
-class TestPriorityStore:
-    def test_get_returns_smallest(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        received = []
-
-        def run():
-            for value in (5, 1, 3):
-                yield store.put(value)
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        sim.process(run())
-        sim.run()
-        assert received == [1, 3, 5]
-
-    def test_tuple_priorities(self):
-        sim = Simulator()
-        store = PriorityStore(sim)
-        received = []
-
-        def run():
-            yield store.put((2, "low"))
-            yield store.put((1, "high"))
-            item = yield store.get()
-            received.append(item)
-
-        sim.process(run())
-        sim.run()
-        assert received == [(1, "high")]
-
-
-class TestContainer:
-    def test_put_get_levels(self):
-        sim = Simulator()
-        container = Container(sim, capacity=100, initial=50)
-        log = []
-
-        def consumer():
-            yield container.get(30)
-            log.append(("got", container.level, sim.now))
-            yield container.get(40)  # blocks: only 20 left
-            log.append(("got2", container.level, sim.now))
-
-        def producer():
-            yield sim.timeout(5)
-            yield container.put(25)
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert log[0] == ("got", 20, 0)
-        assert log[1][2] == 5  # unblocked when producer delivered
-
-    def test_overflow_blocks(self):
-        sim = Simulator()
-        container = Container(sim, capacity=10, initial=8)
-        done = []
-
-        def producer():
-            yield container.put(5)  # would exceed capacity: blocks
-            done.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(3)
-            yield container.get(4)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert done == [3]
-        assert container.level == 9
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=5, initial=10)
-        container = Container(sim, capacity=5)
-        with pytest.raises(ValueError):
-            container.put(-1)
-        with pytest.raises(ValueError):
-            container.get(-1)
 
 
 class TestEventSemantics:

@@ -111,8 +111,7 @@ def test_render_empty_vo():
 
 
 def test_collect_metrics_without_probes():
-    """collect_metrics falls back to direct reads for hand-built VOs."""
+    """collect_metrics reads each site's stack; nothing is registered."""
     vo = build_vo(n_sites=2, seed=302, monitors=False)
-    vo.obs.metrics._site_probes.clear()  # simulate a bare assembly
     metrics = collect_metrics(vo)
     assert set(metrics.sites) == set(vo.site_names)
