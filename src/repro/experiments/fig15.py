@@ -31,7 +31,8 @@ deployment keys) are folded into an order-insensitive digest; baseline
 and optimized runs must produce the *same* digest, proving the
 parallel pipeline installs exactly what the serial one does — it only
 changes what the rollout costs in simulated wall-clock and where the
-bytes come from.
+bytes come from.  At every fleet size the optimized rollout must also
+finish at least 3x faster than the serial one.
 """
 
 from __future__ import annotations
@@ -175,7 +176,14 @@ def _units(sizes: Sequence[int]) -> List[WorkUnit]:
 
 
 def _check(results: Results) -> None:
-    check_pairs_agree(_pairs(list(results.values())), "fig15")
+    pairs = _pairs(list(results.values()))
+    check_pairs_agree(pairs, "fig15")
+    for n_sites, pair in pairs.items():
+        if len(pair) == 2:
+            speedup = pair[False].rollout_elapsed / pair[True].rollout_elapsed
+            assert speedup >= 3.0, (
+                f"fig15: optimized rollout under 3x faster than serial: "
+                f"{speedup:.2f}x at {n_sites} sites")
 
 
 EXPERIMENT = Experiment(

@@ -28,6 +28,9 @@ acknowledging the missing super-peer, read from the overlay's
 order-insensitive digest; two same-seed runs of a series must agree
 bit-for-bit (the fault plane draws from named seeded streams), which
 the experiment declares by listing a repeat of each resilient unit.
+Its ``check`` holds the contrast: resilient resolution and provision
+success ≥ 0.95, fragile resolution success below resilient, at least
+one takeover with the detector on and none with it off.
 
 The SLO extension runs the same pair with :data:`FIG16_SLOS` declared,
 on a churn schedule spaced so every incident can close before the next
@@ -35,9 +38,10 @@ crash (the sequential crash↔alert pairing in
 :func:`~repro.obs.health.detection_timeline` needs quiet gaps; the
 digest-pinned schedule above is left untouched).  Its acceptance is
 that every scheduled crash is *detected* — the attempt-level burn-rate
-alert fires after each one, in both series — and that detection is
-deterministic: the repeat must agree on digest, detection latencies
-and repair times.
+alert fires after each one, in both series — that the call-level
+verdicts separate the series (fragile ``exhausted``, resilient
+``met``), and that detection is deterministic: the repeat must agree
+on every field, detection latencies and repair times included.
 
 Methodology notes
 -----------------
@@ -52,7 +56,6 @@ content host: measured failures are pure overlay unavailability.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -67,6 +70,7 @@ from repro.experiments.workload import (
 from repro.faults import FaultsConfig
 from repro.glare.errors import GlareError
 from repro.net.interceptors import RetryPolicy
+from repro.obs import Observability
 from repro.obs.health import detection_timeline
 from repro.obs.slo import CALL, BurnRateRule, SLOSpec
 from repro.runner import WorkUnit
@@ -212,8 +216,8 @@ def run_fig16_point(
     With ``slos`` the VO carries the SLO engine + health registry and
     the returned point additionally reports burn-rate alerts, per-crash
     detection latencies (MTTD), incident repair times (MTTR) and the
-    error-budget verdicts.  The default (no SLOs) is the byte-identical
-    digest-pinned configuration gated by ``BENCH_faults.json``.
+    error-budget verdicts.  The default (no SLOs) is the churn pair,
+    which both grids run at this full size.
     """
     vo = build_vo(
         n_sites=n_sites,
@@ -225,7 +229,7 @@ def run_fig16_point(
         faults=FaultsConfig(
             churn_times=tuple(churn_times), churn_downtime=churn_downtime
         ),
-        slos=slos,
+        observability=Observability(enabled=False, slos=slos),
     )
     # The detector knob is the series switch; it must be set before the
     # election because probe loops start when the first view lands.
@@ -473,7 +477,8 @@ def format_fig16(points: List[Fig16Point]) -> str:
     return "\n".join(out)
 
 
-#: the --quick shape of both pairs (the churn schedules differ)
+#: the --quick shape of the SLO pair (the churn pair is full size in
+#: both grids: under a second, and its digests are the full-size pin)
 _QUICK = dict(
     n_sites=10, churn_downtime=40.0, n_clients=3, resolve_start=15.0,
     resolve_period=8.0, resolve_rounds=20,
@@ -493,15 +498,27 @@ def _units(grid: Dict[str, Dict]) -> List[WorkUnit]:
     ]
 
 
-def _digest(point: Fig16Point) -> str:
-    """The request digest plus every recovery/detection/repair trace."""
-    return hashlib.sha256(
-        f"{point.result_digest}|{point.recovery_times!r}|"
-        f"{point.detection_latencies!r}|{point.repair_times!r}".encode()
-    ).hexdigest()
-
-
 def _check(results: Results) -> None:
+    fragile, resilient = results["fig16:fragile"], results["fig16:resilient"]
+    for what in ("resolution", "provision"):
+        rate = getattr(resilient, f"{what}_success_rate")
+        assert rate >= 0.95, (
+            f"fig16: resilient {what} success below 0.95: {rate:.3f}")
+    assert fragile.resolution_success_rate < resilient.resolution_success_rate, (
+        f"fig16: fragile resolution success not below resilient: "
+        f"{fragile.resolution_success_rate:.3f} vs "
+        f"{resilient.resolution_success_rate:.3f}")
+    assert resilient.reelections >= 1, (
+        f"fig16: no takeover in the resilient series: "
+        f"{resilient.reelections} re-elections")
+    assert fragile.reelections == 0, (
+        f"fig16: takeover with the detector disabled: "
+        f"{fragile.reelections} re-elections")
+    for series, verdict in (("fragile", "exhausted"), ("resilient", "met")):
+        got = results[f"fig16:slo:{series}"].slo_verdicts.get("client-availability")
+        assert got == verdict, (
+            f"fig16: {series} client-availability verdict is not "
+            f"{verdict!r}: {got!r}")
     for series in ("fragile", "resilient"):
         point = results[f"fig16:slo:{series}"]
         if point.crashes and point.undetected_crashes:
@@ -532,14 +549,13 @@ EXPERIMENT = Experiment(
     name="fig16",
     summary="request success under super-peer churn, fragile vs resilient, "
             "plus the health/SLO judgements",
-    quick={"churn": dict(_QUICK, churn_times=(40.0, 110.0)),
+    quick={"churn": {},
            "slo": dict(_QUICK, churn_times=(40.0, 140.0), slos=FIG16_SLOS)},
     full={"churn": {},
           "slo": dict(churn_times=(60.0, 170.0, 280.0), slos=FIG16_SLOS)},
     units=_units,
     repeats={"fig16:resilient-repeat": "fig16:resilient",
              "fig16:slo:resilient-repeat": "fig16:slo:resilient"},
-    digest=_digest,
     check=_check,
     render=_render,
     report=_report,

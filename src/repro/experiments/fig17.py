@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Sequence, Tuple
 
-from repro.experiments.harness import Experiment, Results
+from repro.experiments.harness import Experiment, Results, result_digest
 from repro.experiments.report import (
     check_pairs_agree,
     format_table,
@@ -383,10 +383,10 @@ def _check(results: Results) -> None:
 
 
 def _digest(result) -> str:
-    """Only deterministic fields (lookup/result digests and shard
-    shapes) — never timings."""
+    """Only deterministic fields — never timings: a routing point whole
+    (it carries none), a storage point's lookup digest and shard shape."""
     if isinstance(result, Fig17RoutingPoint):
-        return result.result_digest
+        return result_digest(result)
     return hashlib.sha256("\n".join(
         f"{p.backend}|{p.lookup_digest}|{p.max_shard}" for p in result
     ).encode()).hexdigest()

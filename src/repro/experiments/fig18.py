@@ -49,11 +49,11 @@ import numpy as np
 from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
 from repro.experiments.workload import (
-    CLIENT_ERRORS,
     PhasedLoad,
     publish_installable_type,
     serve_types,
 )
+from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import (
     CohortInjector,

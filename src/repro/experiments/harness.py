@@ -29,14 +29,14 @@ Results = Dict[str, Any]
 
 
 def result_digest(result: Any) -> str:
-    """The digest a point function folded, else sha256 of its ``repr``.
+    """sha256 of the result's whole ``repr``.
 
     Simulated results are plain dataclasses of seeded figures, so their
-    ``repr`` is as deterministic as a hand-folded digest; an experiment
+    ``repr`` pins every field — a folded ``result_digest`` among them,
+    and the counts beside it that the fold leaves out.  An experiment
     whose results carry wall timings declares its own ``digest``.
     """
-    folded = getattr(result, "result_digest", "")
-    return folded or hashlib.sha256(repr(result).encode()).hexdigest()
+    return hashlib.sha256(repr(result).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import (
 )
 
 from repro.apps.catalog import _deployfile, _steps, _type_xml
-from repro.glare.errors import GlareError
+from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.model import (
     ActivityDeployment,
     ActivityType,
@@ -35,17 +35,12 @@ from repro.glare.model import (
 )
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import CohortInjector, OpenLoopDriver, StreamStats
-from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError, RetryPolicy
+from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
 from repro.simkernel.errors import Interrupt, OfflineError
 from repro.wsrf.xmldoc import Element
-
-#: what a client can be told instead of an answer — an application-level
-#: miss, a remote handler's fault, a transport failure.  Anything else
-#: is a bug in the scenario and propagates.
-CLIENT_ERRORS = (GlareError, RemoteError) + TRANSIENT_ERRORS
 
 _PLAIN_TYPE_XML = """
 <ActivityTypeEntry name="{name}" kind="concrete">

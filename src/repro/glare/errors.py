@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError
+
 
 class GlareError(Exception):
     """Base class for GLARE framework errors."""
@@ -47,3 +49,9 @@ class LeaseError(GlareError):
 
 class NotAuthorized(GlareError):
     """An instantiation was attempted without a valid lease ticket."""
+
+
+#: what a client can be told instead of an answer — an application-level
+#: miss, a remote handler's fault, a transport failure.  Anything else
+#: is a bug in the caller and propagates.
+CLIENT_ERRORS = (GlareError, RemoteError) + TRANSIENT_ERRORS

@@ -27,6 +27,7 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.net.interceptors import Overloaded, RetryPolicy, RpcTimeout
 
 from .arrivals import arrival_stream
@@ -63,7 +64,8 @@ class OpenLoopDriver:
     - success         -> ``stats.ok(op, latency, t)``
     - ``Overloaded``  -> ``stats.shed(op, t)`` (admission-shed)
     - ``RpcTimeout``  -> ``stats.timeout(op, t)``
-    - other errors    -> ``stats.fail(op, t)`` (app/transport faults)
+    - other ``CLIENT_ERRORS`` -> ``stats.fail(op, t)`` (app/transport
+      faults); anything else is a bug in ``make_call`` and fails the run
     """
 
     __slots__ = ("vo", "stats", "retry", "warmup", "spawned")
@@ -114,7 +116,7 @@ class OpenLoopDriver:
             outcome = "timeout"
             if measured:
                 stats.timeout(op, t)
-        except Exception:
+        except CLIENT_ERRORS:
             outcome = "failed"
             if measured:
                 stats.fail(op, t)

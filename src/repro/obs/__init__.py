@@ -26,7 +26,8 @@ One :class:`Observability` instance bundles everything for a VO.  The
 default is *disabled*: the null tracer and null instruments reduce
 every instrumentation point to one attribute check, no SLO engine or
 health registry exists, and benchmarks are unaffected.  Enable with
-``build_vo(observability=True)`` (and ``slos=(...)`` for objectives).
+``build_vo(observability=True)``, or pass a built instance —
+``build_vo(observability=Observability(slos=(...)))`` for objectives.
 """
 
 from __future__ import annotations

@@ -53,11 +53,13 @@ def _default_slos():
 
 def _build(n_sites: int = 4, seed: int = 7, **overrides) -> "VirtualOrganization":
     from repro.apps import publish_applications
+    from repro.obs import Observability
     from repro.vo import build_vo
 
     vo = build_vo(n_sites=n_sites, seed=seed, monitors=False,
-                  observability=True, sample_interval=2.0,
-                  slos=_default_slos(), **overrides)
+                  observability=Observability(sample_interval=2.0,
+                                              slos=_default_slos()),
+                  **overrides)
     publish_applications(vo, ["Wien2k"])
     return vo
 
@@ -112,6 +114,7 @@ def scenario_churn() -> "VirtualOrganization":
     the alert resolves.
     """
     from repro.faults import CrashSpec, FaultsConfig
+    from repro.glare.errors import CLIENT_ERRORS
     from repro.net.interceptors import RetryPolicy
 
     vo = _build(
@@ -129,7 +132,7 @@ def scenario_churn() -> "VirtualOrganization":
             try:
                 yield from vo.client_call("agrid02", "get_deployments",
                                           payload="Wien2k")
-            except Exception:
+            except CLIENT_ERRORS:
                 pass  # the outage window: failures are the point
             yield vo.sim.timeout(2.0)
 

@@ -15,7 +15,7 @@ All examples, tests and benchmark drivers build on this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Union
 
 from repro.faults import FaultPlane, FaultsConfig
 from repro.glare.lifecycle import LifecycleController
@@ -33,7 +33,6 @@ from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
-from repro.obs.slo import SLOSpec
 from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.spec import OrchestrationConfig
 from repro.simkernel import Simulator
@@ -49,8 +48,6 @@ SITE_PREFIX = "agrid"
 CORES_PER_SITE = 4
 WAN_BANDWIDTH = 12.5e6  # 100 Mbit/s
 GRIDFTP_SETUP = 0.3
-#: burn-rate evaluation cadence of the SLO engine (when SLOs are set)
-SLO_EVAL_INTERVAL = 5.0
 
 
 @dataclass
@@ -83,13 +80,9 @@ class VOConfig:
     contention: bool = False
     #: tracing + metrics: ``False`` (default, zero-overhead null tracer),
     #: ``True`` (fresh enabled bundle), or a pre-built
-    #: :class:`~repro.obs.Observability` instance
+    #: :class:`~repro.obs.Observability` instance — the one way to set a
+    #: sampling period or declare SLOs
     observability: Union[bool, Observability] = False
-    #: gauge sampling period of the metrics recorder (when enabled)
-    sample_interval: float = 5.0
-    #: declarative service-level objectives (empty = no SLO engine, no
-    #: pipeline layer — byte-identical baseline behaviour)
-    slos: Tuple[SLOSpec, ...] = ()
     #: fault scenario for the VO-wide fault plane (``None`` = disabled,
     #: preserving the byte-identical baseline behaviour)
     faults: Optional[FaultsConfig] = None
@@ -139,12 +132,7 @@ class VirtualOrganization:
         if isinstance(config.observability, Observability):
             self.obs = config.observability
         else:
-            self.obs = Observability(
-                enabled=bool(config.observability),
-                sample_interval=config.sample_interval,
-                slos=config.slos,
-                slo_eval_interval=SLO_EVAL_INTERVAL,
-            )
+            self.obs = Observability(enabled=bool(config.observability))
         self.faults = FaultPlane(self.sim, config.faults)
         if self.obs.health is not None:
             # the health registry consumes crash/restart events live

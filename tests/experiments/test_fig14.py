@@ -1,11 +1,8 @@
 """Fig. 14: the scaled resolution path must cut messages without
 changing any result set."""
 
-import copy
-
 import pytest
 
-from repro import perf
 from repro.experiments.fig14 import (
     FULL_WORKLOAD_RESOLUTIONS,
     format_fig14,
@@ -91,25 +88,3 @@ class TestRevalidationPoint:
         point = run_revalidation_point()
         assert point.cached_entries > point.distinct_sources
         assert point.batched_messages < point.per_entry_messages
-
-
-class TestResolutionHarness:
-    """In-process repeatability and the messages gate's wording; the
-    generic gate machinery is covered for every suite at once in
-    ``tests/test_perf_harness.py``."""
-
-    def test_fingerprint_is_deterministic(self, quick_suites):
-        _results, sections = perf.SUITES["resolution"].run(True)
-        assert sections["fingerprint"] == quick_suites["resolution"]["fingerprint"]
-
-    def test_baseline_roundtrip_and_drift_detection(self, quick_suites):
-        suite = quick_suites["resolution"]
-        assert perf.compare("resolution", suite, suite) == []
-        tampered = copy.deepcopy(suite)
-        tampered["results"]["resolution"]["details"][
-            "optimized_messages_per_resolution"] = 1.0
-        tampered["fingerprint"]["optimized_result_digest"] = "deadbeef"
-        failures = perf.compare("resolution", suite, tampered)
-        assert any("optimized_messages_per_resolution" in f and "above" in f
-                   for f in failures)
-        assert any("optimized_result_digest drifted" in f for f in failures)

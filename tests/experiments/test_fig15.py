@@ -1,11 +1,8 @@
 """Fig. 15: the parallel/replica rollout must cut simulated wall-clock
 without changing what gets installed where."""
 
-import copy
-
 import pytest
 
-from repro import perf
 from repro.experiments.fig15 import format_fig15, run_fig15_point
 
 
@@ -51,23 +48,3 @@ class TestFig15Point:
         assert base.result_digest == opt.result_digest
         assert base.rollout_elapsed / opt.rollout_elapsed >= 3.0
         assert opt.replica_hits > 0
-
-
-class TestProvisioningHarness:
-    """In-process repeatability and the speedup gate's wording; the
-    generic gate machinery is covered for every suite at once in
-    ``tests/test_perf_harness.py``."""
-
-    def test_fingerprint_is_deterministic(self, quick_suites):
-        _results, sections = perf.SUITES["provisioning"].run(True)
-        assert sections["fingerprint"] == quick_suites["provisioning"]["fingerprint"]
-
-    def test_baseline_roundtrip_and_drift_detection(self, quick_suites):
-        suite = quick_suites["provisioning"]
-        assert perf.compare("provisioning", suite, suite) == []
-        tampered = copy.deepcopy(suite)
-        tampered["results"]["provisioning"]["details"]["rollout_speedup"] = 1.0
-        tampered["fingerprint"]["optimized_result_digest"] = "deadbeef"
-        failures = perf.compare("provisioning", tampered, suite)
-        assert any("rollout_speedup" in f and "below" in f for f in failures)
-        assert any("optimized_result_digest drifted" in f for f in failures)

@@ -3,7 +3,6 @@ through super-peer churn that visibly degrades the fragile baseline."""
 
 import pytest
 
-from repro import perf
 from repro.experiments.fig16 import (
     EXPERIMENT,
     format_fig16,
@@ -111,11 +110,3 @@ class TestFig16SLO:
         assert "mean-MTTD-s" in text and "mean-MTTR-s" in text
         assert "fragile" in text and "resilient" in text
         assert "exhausted" in text and "met" in text
-
-
-class TestFaultsHarness:
-    def test_fingerprint_stable_across_runs(self, quick_suites):
-        """A second in-process pass repeats the first bit for bit (the
-        gates themselves are covered in ``tests/test_perf_harness.py``)."""
-        _results, sections = perf.SUITES["faults"].run(True)
-        assert sections["fingerprint"] == quick_suites["faults"]["fingerprint"]

@@ -1,4 +1,4 @@
-"""Every artefact's ``--quick`` text is pinned, byte for byte.
+"""Every artefact's ``--quick`` text and merged digest are pinned.
 
 The sha256s of the table and figures were recorded on the commit
 *before* the experiments moved onto the ``Experiment`` table (PR 16),
@@ -6,8 +6,15 @@ from three runs each at ``--jobs 1``, ``2`` and ``4`` that agreed on
 everything but one column: fig17a's ``ns/lookup`` is wall time, so it is
 masked before hashing.  ``ablation`` and ``sensitivity`` were recorded
 when they joined the table (PR 24).
+``fig16`` was re-recorded when its quick churn pair became the full-size
+one.
 A refactor of the harness, the shared scenario content or a renderer
 that changes a single character of any table fails here by name.
+
+The text shows only what is rendered; the merged digest folds the whole
+``repr`` of every unit's result, so it pins each simulated figure —
+message counts, byte counts, recovery traces — whether or not a table
+prints it.  They were recorded from serial runs under two hash seeds.
 
 The runs come from the session-scoped ``quick_runs`` cache, so no
 experiment runs twice in one test session.
@@ -28,7 +35,7 @@ GOLDEN = {
     "fig13": "e67a83163603b6c6e3833e5ff2d33a930f2360688a2b803663ec8faf4e60d77a",
     "fig14": "80b9ca0403f049f75805f7d69d8e31b83a03830ae2015f9a0c4bc07859cd9fa9",
     "fig15": "3858e5ad1727a93fc124b7eae1dd4460f3964e43360fd5066035d7c20b52e51a",
-    "fig16": "e6ce5e9312bddb8a2f2f61f511455f4d437afffb0e000a654ffe47b38c9ea3f9",
+    "fig16": "cf71a8d42652f72705ebc8995ff40c165968712ce60d76cf4bcddaf3aefe3313",
     "fig17": "8c5fdf9c439d44e4291681ecc5bb4ae7ed888b7c2e458958bbbabfe4865fb7c3",
     "fig18": "36a9a34f2a0de33ade2747575f7060f31319565fc68ad0a9910fa6ba18b8addb",
     "fig19": "a108b16809c3f3c2238c670826cb3dd15f98ff3e64bcc2bf45e6b2c8e42ef7b8",
@@ -36,11 +43,28 @@ GOLDEN = {
     "sensitivity": "3194a8503a50c019049c7050fb538951d6782c7644b30baaabf850c4642f3448",
 }
 
+#: ``run_experiment(name, quick=True).merged_digest``
+GOLDEN_DIGEST = {
+    "table1": "2bd0223f0e28d05de788e8e3f75c1d974b6a51d70ad14568b82fface9e6e70f6",
+    "fig10": "58b5588b8ff20f51048cd66be7837d18daa18a5c2669726a684e4616ecf163f5",
+    "fig11": "c62588f0e1c9ee7c66fe75db5767de8530ccd5d81436c1b3f7a36c084bfcfa89",
+    "fig12": "60778911700b46a5c023fba2baf485dd3d36a9f3114edb5e8fecd9d3c9bb2a7b",
+    "fig13": "e4bed8c1c8b198382db15e2e91fbd9233e8cac2b8ad34dba657d6db01535ad44",
+    "fig14": "782a2eae21fa6dfbc216d8a2419aa0dd3b7e301c3811042cea27bd7d2debe1cd",
+    "fig15": "09cf58776878407fa2afecccc15a463d627d7186d3942829c15012cd0bf40fc5",
+    "fig16": "259c73fe7d2bc413f54b95a54a922431bdb12f6aa39c7107276f2b5fa5e5565e",
+    "fig17": "3658c274ca968bbe45c91b46153aa129ff19ca25b5bd3c14700db2ff7af55bb8",
+    "fig18": "6b72fae56d4b5dffbe6b20949453d0b08f465a4772801b99af7a919faed0e57a",
+    "fig19": "eef7ac2b8a46285b9bd9262fbe9970038dcd0c85766a803ce393c459d1289fa4",
+    "ablation": "83eb07faa8eb359a6474d7054605a4dc1b009980c7f2558aacb7cc785b22e1ec",
+    "sensitivity": "5489b3e8013271f15f274ead368d1e94278eec848713a899d58a361165e50c9b",
+}
+
 #: ``repro report experiments --quick``: every section under its banner
-GOLDEN_REPORT = "d484fcf3504e84dc3ce9e35ba12387bfb58ccfef789add676dc5c889e567e0a8"
+GOLDEN_REPORT = "113a6e649e5f837070c88a7957ac08e28aa2a5e0be87476fbaf951af8cef9702"
 #: the same document before ``ablation`` and ``sensitivity`` joined it
 GOLDEN_REPORT_THROUGH_FIG19 = (
-    "adf721b4f3148c47df5499814bc9a5b8d69fc3ab27e9b475f75e63c1db1ee1d7")
+    "4756119a311a33f2c20fca72f412b23c0dd7aca8d655e0fa763ce44c1981ff75")
 
 
 def mask_wall_time(text: str) -> str:
@@ -64,13 +88,19 @@ def digest(text: str) -> str:
 
 
 def test_every_experiment_is_pinned():
-    assert set(GOLDEN) == set(EXPERIMENTS)
+    assert set(GOLDEN) == set(GOLDEN_DIGEST) == set(EXPERIMENTS)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_quick_text_is_byte_identical(name, quick_runs):
     assert digest(quick_runs[name].text) == GOLDEN[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(GOLDEN_DIGEST))
+def test_merged_digest_is_pinned(name, quick_runs):
+    assert quick_runs[name].merged_digest == GOLDEN_DIGEST[name]
 
 
 @pytest.mark.slow

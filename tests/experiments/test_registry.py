@@ -22,7 +22,7 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import join_sections, render_experiment_report
 from repro.net.network import Network
 
-from .test_output_identity import mask_wall_time
+from .test_output_identity import GOLDEN_DIGEST, mask_wall_time
 
 
 class TestTable:
@@ -99,14 +99,21 @@ class TestAggregateReport:
             render_experiment_report(names=("table1", "fig99"))
 
 
+#: one entry per path through the engine: plain units (``table1``),
+#: same-seed repeats plus a report (``fig16``), a custom ``digest``
+#: (``fig17``) — every serial merged digest is pinned, so fanning these
+#: out covers how ``--jobs`` can change one
+FAN_OUT_PATHS = ("table1", "fig16", "fig17")
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@pytest.mark.parametrize("name", FAN_OUT_PATHS)
 def test_fanned_run_merges_to_the_serial_digest(name, quick_runs):
-    """``--jobs 4`` against the session's serial run: same merged
+    """``--jobs 4`` against the session's serial run: the pinned merged
     digest (every point matched) and the same rendered text."""
     serial = quick_runs[name]
     fanned = run_experiment(name, quick=True, jobs=4)
-    assert fanned.merged_digest == serial.merged_digest
+    assert fanned.merged_digest == GOLDEN_DIGEST[name]
     assert list(fanned.results) == list(serial.results)
     assert mask_wall_time(fanned.text) == mask_wall_time(serial.text)
 
@@ -286,6 +293,73 @@ class TestAblationAndSensitivityClaims:
         asserts = sum(inspect.getsource(module._check).count("assert ")
                       for module in (ablation, sensitivity))
         assert asserts == len(self.CLAUSES)
+
+
+@pytest.mark.slow
+class TestFoldedClaims:
+    """The comparisons the perf suites used to gate on figure output are
+    ``check`` clauses of fig15, fig16 and fig19: one doctored figure per
+    clause, refuted by name."""
+
+    #: entry, unit (prefix) to doctor, the doctoring, the clause it trips
+    CLAUSES = {
+        "fig15-speedup": (
+            "fig15", "fig15:16:opt", _set(["rollout_elapsed"], 100.0),
+            "optimized rollout under 3x faster than serial"),
+        "fig16-resolution": (
+            "fig16", "fig16:resilient", _set(["resolution_failures"], 20),
+            "resilient resolution success below 0.95"),
+        "fig16-provision": (
+            "fig16", "fig16:resilient", _set(["provision_failures"], 1),
+            "resilient provision success below 0.95"),
+        "fig16-fragile-rate": (
+            "fig16", "fig16:fragile", _set(["resolution_failures"], 0),
+            "fragile resolution success not below resilient"),
+        "fig16-takeover": (
+            "fig16", "fig16:resilient", _set(["reelections"], 0),
+            "no takeover in the resilient series"),
+        "fig16-no-takeover": (
+            "fig16", "fig16:fragile", _set(["reelections"], 1),
+            "takeover with the detector disabled"),
+        "fig16-fragile-verdict": (
+            "fig16", "fig16:slo:fragile",
+            _set(["slo_verdicts", "client-availability"], "met"),
+            "fragile client-availability verdict is not 'exhausted'"),
+        "fig16-resilient-verdict": (
+            "fig16", "fig16:slo:resilient",
+            _set(["slo_verdicts", "client-availability"], "exhausted"),
+            "resilient client-availability verdict is not 'met'"),
+        "fig19-recovered": (
+            "fig19", "fig19:static",
+            _set(["phases", "recovered", "goodput"], 45.0),
+            "recovered goodput under 1.2x the static series"),
+    }
+
+    @pytest.mark.parametrize("case", list(CLAUSES))
+    def test_refuted(self, case, quick_runs):
+        name, prefix, change, match = self.CLAUSES[case]
+        TestPaperClaims().refuted(
+            quick_runs, name,
+            lambda unit, result: unit.startswith(prefix) and change(
+                unit, result),
+            match)
+
+    def test_recovered_must_clear_1_2x_the_static_series(self, quick_runs):
+        static = quick_runs["fig19"].results["fig19:static"]
+        bound = static.phases["recovered"]["goodput"]
+
+        def at(factor):
+            return _set(["phases", "recovered", "goodput"], factor * bound)
+
+        EXPERIMENTS["fig19"].check(TestPaperClaims.doctored(
+            quick_runs, "fig19",
+            lambda unit, result: unit == "fig19:orchestrated" and at(1.2)(
+                unit, result)))
+        TestPaperClaims().refuted(
+            quick_runs, "fig19",
+            lambda unit, result: unit == "fig19:orchestrated" and at(1.19)(
+                unit, result),
+            "recovered goodput under 1.2x the static series")
 
 
 class TestFig17FlatnessIsNotAClock:

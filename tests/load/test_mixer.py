@@ -5,7 +5,8 @@ import pytest
 
 from repro.load.mixer import OpenLoopDriver, TrafficMix
 from repro.load.stats import StreamStats
-from repro.net.interceptors import Overloaded, RpcTimeout
+from repro.net.interceptors import Overloaded, RemoteError, RpcTimeout
+from repro.simkernel import Simulator
 
 
 class TestTrafficMix:
@@ -67,7 +68,7 @@ class TestOpenLoopDriver:
         (None, "completed"),
         (Overloaded("shed"), "shed"),
         (RpcTimeout("deadline"), "timeouts"),
-        (RuntimeError("boom"), "failed"),
+        (RemoteError("boom"), "failed"),
     ])
     def test_outcome_classification(self, error, field):
         stats = StreamStats(window=5.0)
@@ -85,6 +86,18 @@ class TestOpenLoopDriver:
         assert driver.spawned == 2
         assert stats.offered == 1  # only the post-warmup arrival counted
         assert stats.digest.n == 1
+
+    def test_a_bug_in_make_call_fails_the_run(self):
+        """Only what a client can be told books a failed row; a
+        ``TypeError`` inside ``make_call`` is a bug and propagates."""
+        vo = _FakeVO()
+        vo.sim = Simulator(seed=1)
+        stats = StreamStats(window=5.0)
+        OpenLoopDriver(vo, stats).fire(
+            "resolve", 0.0, 0, _outcome_call(TypeError("bad call")))
+        with pytest.raises(TypeError, match="bad call"):
+            vo.sim.run()
+        assert "resolve" not in stats.ops and stats.digest.n == 0
 
     def test_single_attempt_policy(self):
         driver = OpenLoopDriver(_FakeVO(), StreamStats(), request_timeout=4.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     Histogram,
@@ -104,7 +105,7 @@ class TestMetricsRecorder:
 
     def test_recorder_samples_site_gauges(self):
         vo = build_vo(n_sites=2, seed=9, monitors=False,
-                      observability=True, sample_interval=1.0)
+                      observability=Observability(sample_interval=1.0))
         vo.sim.run(until=10.0)
         recorder = vo.obs.recorder
         assert recorder is not None and recorder.samples_taken >= 9
@@ -119,7 +120,7 @@ class TestMetricsRecorder:
 
     def test_stop_halts_sampling(self):
         vo = build_vo(n_sites=1, seed=9, monitors=False,
-                      observability=True, sample_interval=1.0)
+                      observability=Observability(sample_interval=1.0))
         vo.sim.run(until=3.0)
         recorder = vo.obs.recorder
         taken = recorder.samples_taken
@@ -136,7 +137,7 @@ class TestRecorderUnderFaults:
         from repro.faults import CrashSpec, FaultsConfig
 
         vo = build_vo(n_sites=2, seed=9, monitors=False,
-                      observability=True, sample_interval=1.0,
+                      observability=Observability(sample_interval=1.0),
                       faults=FaultsConfig(crashes=(
                           CrashSpec("agrid01", at=5.0, down_for=10.0),)))
         vo.sim.run(until=25.0)

@@ -9,7 +9,8 @@ Two layers of guarantee:
 * **fingerprint gates** — with the config absent (every experiment's
   default), every committed determinism fingerprint in the
   ``perf.SUITES`` table stays byte-identical to its ``BENCH_*.json``
-  baseline.
+  baseline (the experiments' own outputs are pinned by their merged
+  digests in ``tests/experiments/test_output_identity.py``).
 """
 
 import hashlib
@@ -19,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import perf
 from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+
+from tests.test_perf_harness import PINNED
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,12 +93,11 @@ class TestInertConfigIsInvisible:
         assert vo.reconciler.managed_types == ["Wien2k"]
 
 
-@pytest.mark.parametrize("suite", list(perf.SUITES))
+@pytest.mark.parametrize("suite", list(PINNED))
 def test_fingerprints_match_committed_baselines(suite, quick_suites):
     """Two-way: every committed key still matches *and* no key has
     appeared that the committed baseline does not pin yet."""
-    section = next(gate.path for gate in perf.SUITES[suite].gates
-                   if isinstance(gate, perf.Exact))
+    section = PINNED[suite]
     with (REPO_ROOT / f"BENCH_{suite}.json").open() as handle:
         expected = json.load(handle)[section]
     current = quick_suites[suite][section]

@@ -10,6 +10,7 @@ from repro.faults import FaultsConfig
 from repro.glare.lifecycle import LifecycleController
 from repro.glare.monitors import CacheRefresher
 from repro.invariants import check_vo_invariants, check_vo_quiescent
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.slo import SLOEngine, SLOSpec
 from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
@@ -134,8 +135,8 @@ def test_vo_stop_quiesces_an_observed_vo():
 
 
 def test_vo_stop_reaches_loops_a_caller_started():
-    vo = quiet_vo(n_sites=2, seed=3, slos=(
-        SLOSpec(name="avail", endpoint="*", target=0.99),))
+    vo = quiet_vo(n_sites=2, seed=3, observability=Observability(
+        enabled=False, slos=(SLOSpec(name="avail", endpoint="*", target=0.99),)))
     for stack in vo.stacks.values():
         stack.site.start_monitoring()
         stack.atr.aggregation.start()

@@ -4,12 +4,12 @@ Three layers:
 
 * the generic machinery — for *every* declared suite the committed
   ``BENCH_<name>.json`` is clean against itself, a fresh quick run
-  passes every deterministic gate against it (any optimisation that
-  changes a simulated-time result shows up as a byte-level diff,
+  passes every deterministic gate against it (an optimisation that
+  moves a pinned section or an exact counter shows up here,
   independent of how much faster it runs), and each declared gate,
   tampered alone, produces exactly one failure naming the suite and the
   field;
-* the ``bench_wallclock.py`` CLI over the table, including a toy ninth
+* the ``bench_wallclock.py`` CLI over the table, including a toy extra
   suite registered by the test and nothing else;
 * kernel-specific pins that must not move with a regenerated baseline.
 """
@@ -37,17 +37,8 @@ CONTRACT = {
     ("kernel", "RateFloor", "results.rpc.value", 0.25),
     ("kernel", "Cap", "rpc_pycalls_per_roundtrip", 66),
     ("kernel", "Cap", "fig10_index_pycalls_per_request", 203),
-    ("resolution", "MaxRise", "baseline_messages_per_resolution", 0.25),
-    ("resolution", "MaxRise", "optimized_messages_per_resolution", 0.25),
-    ("resolution", "Holds", "results_equal", True),
     ("resolution", "Cap", "optimized_pycalls_per_resolution", 2110),
-    ("provisioning", "Floor", "rollout_speedup", 3.0),
-    ("provisioning", "Holds", "results_equal", True),
     ("provisioning", "Cap", "optimized_pycalls_per_install", 4263),
-    ("faults", "Floor", "resilient_resolution_success", 0.95),
-    ("faults", "Floor", "resilient_provision_success", 0.95),
-    ("faults", "Floor", "reelections", 1),
-    ("faults", "Holds", "fragile_reelections", 0),
     ("obs", "Cap", "obs_overhead_frac", 0.60),
     ("obs", "Cap", "slo_overhead_frac", 0.60),
     ("obs", "Cap", "obs_extra_pycalls_per_rpc", 35),
@@ -55,18 +46,13 @@ CONTRACT = {
     ("obs", "MaxRise", "obs_overhead_frac", 0.15),
     ("obs", "MaxRise", "slo_overhead_frac", 0.15),
     ("obs", "Holds", "sim_throughput_equal", True),
-    ("obs", "Holds", "undetected_crashes", 0),
-    ("obs", "Holds", "fragile_verdicts.client-availability", "exhausted"),
-    ("obs", "Holds", "resilient_verdicts.client-availability", "met"),
     ("storage", "Cap", "flatness_ratio", 1.5),
-    ("storage", "Holds", "digests_equal", True),
     ("storage", "Cap", "ring_builds_per_routed_vo", 2.2),
     ("storage", "Cap", "ring_point_hashes_per_routed_vo", 1408),
     ("workload", "Floor", "results.workload.value", 1_000_000.0),
     ("workload", "Cap", "target_rss_growth_kb", 131_072),
     ("workload", "Cap", "stats_footprint_bytes", 1_000_000),
     ("orchestration", "RateFloor", "results.orchestration.value", 0.25),
-    ("orchestration", "Holds", "final_replicas", 1),
 }
 
 
@@ -90,36 +76,18 @@ def _leaves(doc, path):
         yield path
 
 
-def _pinned_section(name):
-    return next(g.path for g in perf.SUITES[name].gates
-                if isinstance(g, perf.Exact))
-
-
-#: how to break each relational predicate alone: (field it must name,
-#: edits applied to *both* documents so the Exact gate stays quiet)
-PREDICATE_TAMPERS = {
-    "_fragile_degrades": ("fragile_resolution_success", {
-        "results.faults.details.fragile_resolution_success": 1.0,
-        "results.faults.details.resilient_resolution_success": 1.0}),
-    "_routed_equals_broadcast": ("routed_result_digest", {
-        "fingerprint.routed_result_digest": "deadbeef"}),
-    "_scale_out_beats_static": ("recovered_goodput", {
-        "fingerprint.recovered_goodput": "1.0"}),
-}
+#: the suites that pin a section (``Exact``), and which one: what the
+#: host cannot change and no experiment runs
+PINNED = {name: gate.path for name, suite in perf.SUITES.items()
+          for gate in suite.gates if isinstance(gate, perf.Exact)}
 
 
 def _break(gate, current, baseline):
     """Edit the two documents so exactly ``gate`` fails; return the
     field its failure must name."""
-    if not isinstance(gate, perf.Gate):
-        if gate is perf._same_jobs:
-            current["jobs"] = 4
-            return "jobs"
-        field, edits = PREDICATE_TAMPERS[gate.__name__]
-        for path, value in edits.items():
-            _set(current, path, value)
-            _set(baseline, path, value)
-        return field
+    if gate is perf._same_jobs:
+        current["jobs"] = 4
+        return "jobs"
     if isinstance(gate, perf.RateFloor):
         _set(baseline, gate.path, 1000.0)
         _set(current, gate.path, 1000.0 * (1.0 - gate.bound) * 0.98)
@@ -197,12 +165,12 @@ class TestTable:
         assert failures[0].startswith(f"{name}: ")
         assert field in failures[0]
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", list(PINNED))
     def test_exact_gate_names_every_drifted_leaf(self, name):
         """Every key of the committed pinned section is gated — not a
         hand-picked subset — and a drift names the suite and the leaf."""
         current = _committed(name)
-        section = _pinned_section(name)
+        section = PINNED[name]
         leaves = list(_leaves(current[section], section))
         assert leaves
         for leaf in leaves:
@@ -248,14 +216,6 @@ class TestTable:
             assert len(matches) == 1, (name, kind, field, bound)
         assert len(declared) == len(CONTRACT)
 
-    def test_scale_out_must_clear_1_2x_the_static_series(self):
-        doc = _committed("orchestration")
-        static = float(doc["fingerprint"]["static_recovered_goodput"])
-        doc["fingerprint"]["recovered_goodput"] = repr(1.2 * static)
-        assert perf._scale_out_beats_static(doc, doc) == []
-        doc["fingerprint"]["recovered_goodput"] = repr(1.19 * static)
-        assert len(perf._scale_out_beats_static(doc, doc)) == 1
-
     @pytest.mark.parametrize("name", NAMES)
     def test_summary_and_help_come_from_the_declaration(self, name):
         baseline = _committed(name)
@@ -294,15 +254,15 @@ class TestCli:
         assert "BENCH_resolution.json" in out
 
     def test_tampered_baseline_fails_on_stderr(self, cli, capsys, tmp_path):
-        tampered = _committed("resolution")
-        tampered["fingerprint"]["optimized_result_digest"] = "deadbeef"
+        tampered = _committed("orchestration")
+        tampered["fingerprint"]["planner_decisions"] = "deadbeef"
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(tampered))
-        assert cli.main(["--suite", "resolution", "--quick",
+        assert cli.main(["--suite", "orchestration", "--quick",
                          "--check", str(path)]) == 1
         err = capsys.readouterr().err
         assert "FAIL:" in err
-        assert "resolution: fingerprint.optimized_result_digest drifted" in err
+        assert "orchestration: fingerprint.planner_decisions drifted" in err
 
     def test_unknown_suite_is_an_argparse_error(self, cli, capsys):
         with pytest.raises(SystemExit) as exit_info:
