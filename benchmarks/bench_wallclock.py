@@ -1,4 +1,4 @@
-"""Wall-clock perf-regression harness (CLI, not a pytest benchmark).
+"""Host-cost perf-regression harness (CLI, not a pytest benchmark).
 
 A thin front end over the suite table in :mod:`repro.perf`: every
 entry of ``perf.SUITES`` is one committed ``BENCH_<name>.json`` — its
@@ -19,15 +19,17 @@ Usage::
 
 ``--check`` gates the suite against a baseline file (default: the
 repo-root ``BENCH_<suite>.json``); exit status 1 on any failure, each
-naming the suite and the field.  ``--check-all`` runs every suite and
-gates each against its committed file in one invocation, aggregating
-failures and printing a per-suite timing summary.
+naming the suite and the field.  ``--check-all`` runs every suite, one
+per worker under ``--jobs``, and gates each against its committed file
+in one invocation, aggregating failures and printing a per-suite timing
+summary.
 
-Pinned sections must be **byte-identical** across perf work: any drift
-means an optimization changed simulated behaviour, which is a bug
-regardless of the speedup.  Wall-clock rates vary across machines; the
-committed baselines are only a tripwire for large same-machine-family
-regressions, which is why those tolerances are generous.
+Every gate reads an exact count: a pinned section must stay
+**byte-identical** (any drift means an optimization changed simulated
+behaviour, a bug regardless of the speedup), and a Python-call or ring
+counter may rise at most 10 % over its committed value.  Wall, CPU and
+RSS figures are recorded as trajectory and gate nothing, so the verdict
+is the same on any host at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import perf  # noqa: E402  (path bootstrap above)
-from repro.runner import WorkUnit, default_jobs, run_units  # noqa: E402
+from repro.runner import WorkUnit, run_units  # noqa: E402
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
@@ -64,34 +66,20 @@ def main(argv=None) -> int:
                              "invocation, with a timing summary")
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke job)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="kernel suite: keep the best of N runs per "
-                             "benchmark (default 3)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes: with --check-all one suite "
-                             "per worker (clamped to the core count), "
-                             "otherwise the kernel suite's (benchmark, "
-                             "repeat) batches (default 1)")
+                        help="worker processes for --check-all, one suite "
+                             "per worker (default 1)")
     parser.add_argument("-o", "--output", metavar="PATH",
                         help="write the suite result (with --check-all: "
                              "every suite, keyed by name) as JSON")
     args = parser.parse_args(argv)
 
-    # --check-all fans the *suites* across workers, one suite per worker
-    # and serial inside.  A suite only keeps a core to itself — and its
-    # wall rates comparable to a serially recorded baseline — while
-    # workers do not outnumber cores, so the fan-out is clamped to the
-    # machine.  A single suite runs inline and hands --jobs to its units.
     names = list(perf.SUITES) if args.check_all else [args.suite]
-    workers = max(1, min(args.jobs, default_jobs(), len(names)))
-    units = [
-        WorkUnit(name, "repro.perf:run_suite",
-                 {"name": name, "quick": args.quick, "repeats": args.repeats,
-                  "jobs": 1 if args.check_all else args.jobs})
-        for name in names
-    ]
+    units = [WorkUnit(name, "repro.perf:run_suite",
+                      {"name": name, "quick": args.quick})
+             for name in names]
     started = time.perf_counter()
-    suites = dict(zip(names, run_units(units, jobs=workers)))
+    suites = dict(zip(names, run_units(units, jobs=args.jobs)))
     total = time.perf_counter() - started
 
     # failures aggregate across suites so one bad gate doesn't mask the rest
@@ -119,9 +107,7 @@ def main(argv=None) -> int:
         for name, suite in suites.items():
             wall = sum(r["wall_seconds"] for r in suite["results"].values())
             print(f"  {name:13s} {wall:7.1f}s")
-        print(f"  {'harness total':13s} {total:7.1f}s "
-              f"({workers} worker{'s' if workers != 1 else ''} "
-              f"for --jobs {args.jobs})")
+        print(f"  {'harness total':13s} {total:7.1f}s (--jobs {args.jobs})")
 
     if failures:
         print("FAIL:", file=sys.stderr)

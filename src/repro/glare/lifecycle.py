@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.simkernel.primitives import Periodic
 from repro.wsrf.lifetime import LifetimeManager
 from repro.wsrf.resource import WSResource
@@ -116,5 +117,5 @@ class LifecycleController:
                 try:
                     yield from self.rdm.deployment_manager.deploy_on_demand(at)
                     self.minimum_repairs += 1
-                except Exception:
+                except CLIENT_ERRORS:
                     break  # try again next cycle

@@ -30,6 +30,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.net.interceptors import Overloaded
 from repro.net.network import RpcTimeout
 from repro.orchestrate.spec import DesiredState
@@ -131,9 +132,9 @@ class RdmActuator(Actuator):
             result = yield from self.rdm.deployment_manager.rollout(
                 activity_type, target_sites=[site], fanout=1
             )
-        except Exception:
+        except CLIENT_ERRORS:
             # a failed install is an observation for next round, never
-            # a reason to kill the control loop
+            # a reason to kill the control loop; anything else is a bug
             return "failed"
         status = result["results"][0]["status"]
         if status == "installed":

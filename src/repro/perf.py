@@ -1,10 +1,11 @@
-"""Wall-clock performance harness: one gate table, declared once.
+"""Host-cost harness: one gate table, declared once, and no gate reads a clock.
 
 The paper's whole evaluation (Figs. 10-13, Table 1) rides on the DES
-inner loop, so wall-clock speed of the kernel bounds how large a VO we
-can simulate.  This module measures what running the simulator *costs
-the host* — wall rates, CPU, RSS and exact Python-call and ring
-counters — at fixed seeds.  What a run *simulates* is the
+inner loop, so what running the simulator costs the host bounds how
+large a VO we can simulate.  This module measures that cost at fixed
+seeds: exact, machine-independent Python-call and ring counters, which
+the gates read, and wall, CPU and RSS figures, which are recorded as
+trajectory and gate nothing.  What a run *simulates* is the
 ``repro.experiments.registry.EXPERIMENTS`` table's to pin (each entry's
 merged digest) and to judge (each entry's ``check``); the only
 simulated values pinned here are the ones no experiment runs: the
@@ -14,24 +15,27 @@ the arrival models and the pure planner.
 Everything is driven by :data:`SUITES`: one :class:`Suite` declaration
 per committed ``BENCH_<name>.json``, naming
 
-* ``run`` — a single pass that returns the suite's
+* ``run`` — a single pass ``run(quick)`` that returns the suite's
   :class:`BenchResult` list *and* its pinned section, if any
   (``fingerprint``, or ``determinism`` for the kernel suite);
-* ``gates`` — small declarative checks (:class:`Exact`,
-  :class:`RateFloor`, :class:`MaxRise`, :class:`Floor`, :class:`Cap`,
-  :class:`Holds`, or a plain predicate for a relational check), each a
-  callable ``(suite, baseline) -> [failure, ...]``;
+* ``gates`` — declarative checks of three kinds, each a callable
+  ``(suite, baseline) -> [failure, ...]``: :class:`Exact` (a pinned
+  section, key by key), :class:`Budget` (a counter at most its committed
+  value x :data:`BUDGET`) and :class:`Holds` (a recorded verdict);
 * ``highlights`` — the dotted payload paths worth printing.
 
-:func:`run_suite`, :func:`compare`, :func:`summarize`,
-:func:`describe` and :func:`dump_suite` are the only consumers, so
-another suite is one more entry in the table.  The suites: ``kernel``
-(event churn, echo RPCs, two scaled Fig. 10 points, the seeded kernel
-trace), ``resolution`` and ``provisioning`` (the host cost of the
-Fig. 14 / Fig. 15 16-site pairs), ``obs`` (instrumentation tiers),
-``storage`` (Fig. 17 flat vs sharded backends, ring work), ``workload``
-(Fig. 18 arrival engine, memory flatness, arrival models) and
-``orchestration`` (Fig. 19 control loop, planner policy).
+Every gated counter is measured at one fixed point whatever the suite
+mode, so a quick run gates against a full recording and ``--check-all``
+gives the same verdict on any host at any ``--jobs``.
+:func:`run_suite`, :func:`compare`, :func:`summarize`, :func:`describe`
+and :func:`dump_suite` are the only consumers, so another suite is one
+more entry in the table.  The suites: ``kernel`` (event churn, echo
+RPCs, two scaled Fig. 10 points, the seeded kernel trace),
+``resolution`` and ``provisioning`` (the host cost of the Fig. 14 /
+Fig. 15 16-site pairs), ``obs`` (instrumentation tiers), ``storage``
+(Fig. 17 backends, ring work), ``workload`` (Fig. 18 arrival engine,
+streaming-stats footprint, arrival models) and ``orchestration``
+(Fig. 19 control loop, planner policy).
 
 ``benchmarks/bench_wallclock.py`` is the CLI over this table.
 Everything here uses only public simulator APIs so the harness itself
@@ -64,23 +68,18 @@ _ADDR_RE = re.compile(r"0x[0-9a-f]+")
 
 @dataclass
 class BenchResult:
-    """One microbenchmark measurement.
+    """One benchmark measurement.
 
-    Besides the wall-clock headline, every benchmark records the CPU
-    time its measured section actually consumed (``cpu_seconds`` — user
-    plus system, via ``time.process_time``) and the process's peak RSS
-    when it finished (``peak_rss_kb``).  Wall/CPU divergence flags a
-    loaded machine (rates untrustworthy); per-benchmark RSS attributes
-    memory growth to the workload that caused it, which the old single
-    suite-level figure could not.  RSS is a process-lifetime high-water
-    mark, so within one process later benchmarks inherit earlier peaks;
-    under ``--jobs`` each benchmark runs in its own worker and the
-    figure is genuinely its own.
+    ``details`` carries the exact counters the gates read.  The headline
+    ``value``, ``wall_seconds``, ``cpu_seconds`` (user plus system, via
+    ``time.process_time``) and ``peak_rss_kb`` (the process's high-water
+    mark when the benchmark finished, so later benchmarks in one process
+    inherit earlier peaks) are trajectory: recorded, never gated.
     """
 
     name: str
     metric: str  # e.g. "events_per_sec"
-    value: float  # the headline rate
+    value: float  # the headline figure
     wall_seconds: float
     work_units: int  # events / RPCs / requests completed
     cpu_seconds: float = 0.0
@@ -91,22 +90,6 @@ class BenchResult:
 def peak_rss_kb() -> int:
     """Peak resident set size of this process, in kilobytes."""
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
-
-
-def current_rss_kb() -> int:
-    """Current (not peak) resident set size, in kilobytes.
-
-    The memory-flatness gates need before/after deltas around a single
-    workload, which the process-lifetime high-water mark of
-    :func:`peak_rss_kb` cannot provide.  Falls back to the peak figure
-    on platforms without ``/proc``.
-    """
-    try:
-        with open("/proc/self/statm") as handle:
-            pages = int(handle.read().split()[1])
-        return pages * (_resource.getpagesize() // 1024)
-    except (OSError, IndexError, ValueError):  # pragma: no cover - non-Linux
-        return peak_rss_kb()
 
 
 class _Stopwatch:
@@ -133,13 +116,35 @@ def _rate_result(name: str, metric: str, work_units: int, watch: _Stopwatch,
     )
 
 
+def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
+    """Python ``call`` events (function entries + generator resumes)
+    inside ``run()``, and what it returned.
+
+    A collection beforehand finalises earlier worlds' suspended calls
+    (closing them runs their layers' exit hooks), which would otherwise
+    land inside the count.  Each counter below is taken after an
+    unprofiled run of the same shape has absorbed first-sight paths
+    (route searches, compilations, lazy imports), so it does not depend
+    on what ran before in the process.
+    """
+    import cProfile
+    import gc
+
+    gc.collect()
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        value = run()
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats()), value
+
+
 # -- kernel microbenchmark -------------------------------------------------
 
 
-def bench_kernel_events(
-    n_procs: int = 64, events_per_proc: int = 4000, seed: int = 11
-) -> BenchResult:
-    """Pure event churn: ``n_procs`` processes yielding timeouts.
+def _ticker_world(n_procs: int, events_per_proc: int, seed: int) -> Simulator:
+    """``n_procs`` processes yielding timeouts, ready to run.
 
     The delays differ per process so the agenda stays genuinely
     interleaved (no degenerate single-timestamp batching).
@@ -154,15 +159,27 @@ def bench_kernel_events(
 
     for index in range(n_procs):
         sim.process(ticker(index), name=f"ticker-{index}")
+    return sim
+
+
+def bench_kernel_events(
+    n_procs: int = 64, events_per_proc: int = 4000, seed: int = 11
+) -> BenchResult:
+    """Pure event churn, plus its exact twin: Python calls per event at
+    one fixed shape (32 processes x 1,500 ticks) whatever the suite mode.
+    """
+    sim = _ticker_world(n_procs, events_per_proc, seed)
     with _Stopwatch() as watch:
         sim.run()
+    calls, _ = count_pycalls(_ticker_world(32, 1500, seed).run)
     # per process: one init event, one timeout per tick, one
     # termination event for the Process itself
     events = n_procs * (events_per_proc + 2)
     return _rate_result(
         "kernel", "events_per_sec", events, watch,
         {"n_procs": n_procs, "events_per_proc": events_per_proc,
-         "final_time": sim.now},
+         "final_time": sim.now,
+         "kernel_pycalls_per_event": round(calls / (32 * (1500 + 2)), 2)},
     )
 
 
@@ -175,8 +192,8 @@ def _echo_world(seed: int, clients: int, obs: Any = None):
     Returns ``(sim, net, completed)`` with the SLO engine (if ``obs``
     carries one) and the client processes already started;
     ``completed[0]`` counts finished round-trips.  One topology for the
-    RPC benchmark and every observability tier, so the tiers' rate
-    deltas are pure instrumentation overhead.
+    RPC benchmark and every observability tier, so the tiers' call-count
+    deltas are pure instrumentation cost.
     """
     sim = Simulator(seed=seed)
     client_sites = [f"c{i}" for i in range(4)]
@@ -203,6 +220,43 @@ def _echo_world(seed: int, clients: int, obs: Any = None):
     return sim, net, completed
 
 
+def _tier_observability(tier: str):
+    """The observability bundle of one echo tier.
+
+    ``tier`` is ``"off"`` (null observability — the production default),
+    ``"obs"`` (tracer + metrics layers) or ``"slo"`` (tracer + metrics +
+    SLO engine fed by the pipeline).
+    """
+    from repro.obs import Observability
+    from repro.obs.slo import SLOSpec
+
+    if tier == "obs":
+        return Observability(enabled=True, sample_interval=5.0)
+    if tier == "slo":
+        # an availability objective over the echo endpoint (default alert
+        # rules), so every RPC crosses the SLO layer and engine
+        return Observability(enabled=True, sample_interval=5.0, slos=(
+            SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),
+        ))
+    return None
+
+
+def _echo_pycalls(tier: str, clients: int = 4, horizon: float = 10.0,
+                  seed: int = 11) -> Tuple[int, int]:
+    """Python calls and completed echo RPCs over ``horizon`` simulated
+    seconds at one observability tier.
+
+    One unprofiled simulated second first absorbs route searches and
+    other first-use paths (and see :func:`count_pycalls`).
+    """
+    sim, _net, completed = _echo_world(seed, clients,
+                                       obs=_tier_observability(tier))
+    sim.run(until=1.0)
+    warm = completed[0]
+    calls, _ = count_pycalls(lambda: sim.run(until=1.0 + horizon))
+    return calls, completed[0] - warm
+
+
 def bench_rpc_roundtrips(
     clients: int = 8, horizon: float = 40.0, seed: int = 11
 ) -> BenchResult:
@@ -210,93 +264,55 @@ def bench_rpc_roundtrips(
     sim, net, completed = _echo_world(seed, clients)
     with _Stopwatch() as watch:
         sim.run(until=horizon)
+    # the exact twin: one fixed contended point (8 clients on the 2-core
+    # server) whatever the suite mode
+    calls, rpcs = _echo_pycalls("off", clients=8, horizon=4.0)
     return _rate_result(
         "rpc", "rpcs_per_sec", completed[0], watch,
         {"clients": clients, "sim_horizon": horizon,
          "sim_throughput": completed[0] / horizon,
          "wire_bytes": net.total_bytes,
-         # the wall rate's exact twin: one fixed contended point (8
-         # clients on the 2-core server) whatever the suite mode
-         "rpc_pycalls_per_roundtrip": round(
-             _echo_pycalls_per_rpc("off", clients=8, horizon=4.0), 2)},
+         "rpc_pycalls_per_roundtrip": round(calls / rpcs, 2)},
     )
-
-
-def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
-    """Python ``call`` events (function entries + generator resumes)
-    inside ``run()``, and what it returned.
-
-    A collection beforehand finalises earlier worlds' suspended calls
-    (closing them runs their layers' exit hooks), which would otherwise
-    land inside the count.
-    """
-    import cProfile
-    import gc
-
-    gc.collect()
-    profile = cProfile.Profile(builtins=False)
-    profile.enable()
-    try:
-        value = run()
-    finally:
-        profile.disable()
-    return sum(entry.callcount for entry in profile.getstats()), value
 
 
 # -- scaled Fig. 10 scenario ----------------------------------------------
 
 
-def bench_fig10_point(
-    kind: str, clients: int = 8, n_types: int = 30, seed: int = 3
-) -> BenchResult:
-    """Scaled-down Fig. 10 point: ``"registry"`` (named hash-table
-    lookups) or ``"index"`` (XPath over the aggregation)."""
+def bench_fig10_point(kind: str, n_types: int = 30, seed: int = 3) -> BenchResult:
+    """Scaled-down Fig. 10 point at 16 clients — ``"registry"`` (named
+    hash-table lookups) or ``"index"`` (XPath over the aggregation) —
+    plus its exact twin: Python calls per completed request at 16
+    clients x 100 types whatever the suite mode.
+
+    The counted point includes its build — registering the documents is
+    part of what a registry or an index costs — and the timed run, with
+    the same clients and so the same requests, has already absorbed
+    query compilation and route searches.  An index query surface that
+    walks the aggregate per query costs ~420 calls per request; an
+    indexed one ~147.
+    """
     from repro.experiments.fig10 import run_fig10_point
 
     with _Stopwatch() as watch:
-        point = run_fig10_point(kind, False, clients, n_types=n_types, seed=seed)
+        point = run_fig10_point(kind, False, 16, n_types=n_types, seed=seed)
+    calls, counted = count_pycalls(
+        lambda: run_fig10_point(kind, False, 16, n_types=100, seed=seed))
     # simulated requests completed over the 30 s horizon
     requests = int(round(point.throughput * 25.0))
     return _rate_result(
         f"fig10_{kind}", "sim_requests_per_wall_sec", requests, watch,
         {"sim_throughput_rps": point.throughput,
-         "mean_response_ms": point.mean_response_ms},
+         "mean_response_ms": point.mean_response_ms,
+         f"fig10_{kind}_pycalls_per_request": round(
+             calls / round(counted.throughput * 25.0), 2)},
     )
-
-
-def _fig10_index_pycalls_per_request(clients: int = 16, n_types: int = 100,
-                                     seed: int = 3) -> float:
-    """Python ``call`` events per completed index query at one fixed
-    Fig. 10 point: the exact, machine-independent host cost of the
-    XPath query surface (see :func:`_echo_pycalls_per_rpc`).
-
-    The whole point is counted, build included — registering the
-    documents is part of what an index costs.  The point is the same
-    whatever the suite mode; a small unprofiled point with the same
-    clients first absorbs query compilation and route searches, so the
-    number does not depend on what ran before.  A query surface that
-    walks the aggregate per query costs ~420 here; an indexed one ~185.
-    """
-    from repro.experiments.fig10 import run_fig10_point
-
-    run_fig10_point("index", False, clients, n_types=clients, seed=seed)
-    calls, point = count_pycalls(
-        lambda: run_fig10_point("index", False, clients, n_types=n_types, seed=seed))
-    return calls / round(point.throughput * 25.0)
-
-
-def bench_fig10_index(clients: int = 8, n_types: int = 30, seed: int = 3) -> BenchResult:
-    """The ``"index"`` point's wall rate plus its exact call-count twin."""
-    result = bench_fig10_point("index", clients, n_types, seed)
-    result.details["fig10_index_pycalls_per_request"] = round(
-        _fig10_index_pycalls_per_request(), 2)
-    return result
 
 
 # -- resolution-path benchmark (Fig. 14 machinery) -------------------------
 
 
-def _run_resolution(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+def _run_resolution(quick: bool) -> SuiteRun:
     """Host cost of one Fig. 14 point pair: broadcast baseline vs scaled path.
 
     The headline rate is wall-clock (resolutions simulated per wall
@@ -311,9 +327,8 @@ def _run_resolution(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
         base = run_fig14_point(n_sites, optimized=False)
         opt = run_fig14_point(n_sites, optimized=True)
         reval = run_revalidation_point()
-    # the exact, machine-independent host cost of the optimized point
-    # (see _fig10_index_pycalls_per_request); the timed run above has
-    # already absorbed every first-sight parse, route and compilation
+    # the exact host cost of the optimized point; the timed run above
+    # has already absorbed every first-sight parse, route and compilation
     calls, counted = count_pycalls(
         lambda: run_fig14_point(n_sites, optimized=True))
     return [_rate_result(
@@ -334,7 +349,7 @@ def _run_resolution(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
 # -- provisioning-path benchmark (Fig. 15 machinery) -----------------------
 
 
-def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+def _run_provisioning(quick: bool) -> SuiteRun:
     """Host cost of one Fig. 15 point pair: serial origin-only vs
     parallel/replica.
 
@@ -371,105 +386,37 @@ def _run_provisioning(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
     )], {}
 
 
-# -- observability-overhead benchmark (obs + SLO plane) ---------------------
+# -- observability-cost benchmark (obs + SLO plane) -------------------------
 
-def _tier_observability(tier: str):
-    """The observability bundle of one echo tier.
 
-    ``tier`` is ``"off"`` (null observability — the production default),
-    ``"obs"`` (tracer + metrics layers) or ``"slo"`` (tracer + metrics +
-    SLO engine fed by the pipeline).
+def bench_obs(clients: int = 4, horizon: float = 10.0, seed: int = 11) -> BenchResult:
+    """Instrumentation cost: Python calls per echo RPC with obs off / on /
+    on+SLOs, and what the plane adds over the null tier.
+
+    One fixed workload whatever the suite mode (4 clients x 10 simulated
+    seconds, 4,630 RPCs per tier).  The plane charges no simulated time,
+    so every tier must complete the same RPCs.  The headline is the
+    instrumented-with-SLOs count.
     """
-    from repro.obs import Observability
-    from repro.obs.slo import SLOSpec
-
-    if tier == "obs":
-        return Observability(enabled=True, sample_interval=5.0)
-    if tier == "slo":
-        # an availability objective over the echo endpoint (default alert
-        # rules), so every RPC crosses the SLO layer and engine
-        return Observability(enabled=True, sample_interval=5.0, slos=(
-            SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),
-        ))
-    return None
-
-
-def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[str, Any]:
-    """One closed-loop echo workload at a given observability tier."""
-    sim, _net, completed = _echo_world(seed, clients,
-                                       obs=_tier_observability(tier))
-    start = time.perf_counter()
-    sim.run(until=horizon)
-    wall = time.perf_counter() - start
-    return {
-        "rpcs": completed[0],
-        "wall_seconds": wall,
-        "rpcs_per_wall_sec": completed[0] / wall,
-        "sim_throughput": completed[0] / horizon,
-    }
-
-
-def _echo_pycalls_per_rpc(tier: str, clients: int = 4, horizon: float = 10.0,
-                         seed: int = 11) -> float:
-    """Python ``call`` events (function entries + generator resumes) per
-    echo RPC at one tier: an exact, machine-independent cost counter.
-
-    Fixed workload whatever the suite mode (4 clients x 10 simulated
-    seconds, 4,630 RPCs), so quick and full runs record the same number.
-    What ran before must stay out of the count: one unprofiled simulated
-    second absorbs route searches and other first-use paths (and see
-    :func:`count_pycalls`).
-    """
-    sim, _net, completed = _echo_world(seed, clients,
-                                       obs=_tier_observability(tier))
-    sim.run(until=1.0)
-    warm = completed[0]
-    calls, _ = count_pycalls(lambda: sim.run(until=1.0 + horizon))
-    return calls / (completed[0] - warm)
-
-
-def bench_obs(
-    clients: int = 8, horizon: float = 40.0, seed: int = 11
-) -> BenchResult:
-    """Instrumentation overhead: echo RPCs with obs off / on / on+SLOs.
-
-    The *simulated* throughput must be identical across tiers (the
-    observability plane charges no simulated time); only wall-clock
-    differs.  The headline value is the instrumented-with-SLOs rate;
-    ``details`` carries the per-tier rates and the overhead fractions
-    the CI gate checks.
-    """
-    cpu_start = time.process_time()
-    runs = {tier: _echo_tier_run(tier, clients, horizon, seed)
-            for tier in ("off", "obs", "slo")}
-    cpu = time.process_time() - cpu_start
-    base_rate = runs["off"]["rpcs_per_wall_sec"]
-    overhead = {
-        tier: 1.0 - runs[tier]["rpcs_per_wall_sec"] / base_rate
-        for tier in ("obs", "slo")
-    }
-    pycalls = {tier: _echo_pycalls_per_rpc(tier) for tier in ("off", "obs", "slo")}
+    with _Stopwatch() as watch:
+        counted = {tier: _echo_pycalls(tier, clients, horizon, seed)
+                   for tier in ("off", "obs", "slo")}
+    per_rpc = {tier: calls / rpcs for tier, (calls, rpcs) in counted.items()}
+    rpcs = [rpcs for _calls, rpcs in counted.values()]
     return BenchResult(
         name="obs",
-        metric="instrumented_rpcs_per_wall_sec",
-        value=runs["slo"]["rpcs_per_wall_sec"],
-        wall_seconds=sum(r["wall_seconds"] for r in runs.values()),
-        work_units=sum(r["rpcs"] for r in runs.values()),
-        cpu_seconds=cpu,
+        metric="slo_pycalls_per_rpc",
+        value=round(per_rpc["slo"], 2),
+        wall_seconds=watch.wall,
+        work_units=sum(rpcs),
+        cpu_seconds=watch.cpu,
         peak_rss_kb=peak_rss_kb(),
         details={
             "clients": clients,
             "sim_horizon": horizon,
-            "null_rpcs_per_wall_sec": base_rate,
-            "obs_rpcs_per_wall_sec": runs["obs"]["rpcs_per_wall_sec"],
-            "slo_rpcs_per_wall_sec": runs["slo"]["rpcs_per_wall_sec"],
-            "obs_overhead_frac": overhead["obs"],
-            "slo_overhead_frac": overhead["slo"],
-            "obs_extra_pycalls_per_rpc": round(pycalls["obs"] - pycalls["off"], 2),
-            "slo_extra_pycalls_per_rpc": round(pycalls["slo"] - pycalls["off"], 2),
-            "sim_throughput_equal": len(
-                {r["sim_throughput"] for r in runs.values()}
-            ) == 1,
+            "obs_extra_pycalls_per_rpc": round(per_rpc["obs"] - per_rpc["off"], 2),
+            "slo_extra_pycalls_per_rpc": round(per_rpc["slo"] - per_rpc["off"], 2),
+            "sim_throughput_equal": len(set(rpcs)) == 1,
         },
     )
 
@@ -480,27 +427,23 @@ def bench_obs(
 def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
     """Registry-backend lookup cost: flat dict vs consistent-hash shards.
 
-    Loads both backends at a small anchor size and at ``n_types``, and
-    reports warm per-lookup CPU for each.  The headline rate is sharded
-    lookups per wall second at ``n_types``; the *in-run flatness ratio*
-    (sharded per-lookup at ``n_types`` over the anchor point) lands in
-    ``details`` — it is a same-machine ratio, so it travels across
-    hosts the way absolute nanoseconds never do.
+    Loads both backends with ``n_types`` records and reports warm
+    per-lookup CPU for each (trajectory: fig17's ``check`` holds lookups
+    flat in exact calls per lookup).  The headline rate is sharded
+    lookups per wall second; the exact counters are the ring work of one
+    routed VO build.
     """
     from repro.experiments.fig17 import run_storage_point
 
-    anchor_size = 1_000
     with _Stopwatch() as watch:
-        anchor = run_storage_point(anchor_size, shard_counts=(shards,))
         point = run_storage_point(n_types, shard_counts=(shards,))
     sharded = {p.backend: p for p in point}[f"sharded/{shards}"]
-    sharded_anchor = {p.backend: p for p in anchor}[f"sharded/{shards}"]
     return BenchResult(
         name="storage",
         metric="sharded_lookups_per_wall_sec",
         value=1e9 / sharded.per_lookup_ns,
         wall_seconds=watch.wall,
-        work_units=2 * (n_types + anchor_size),  # records loaded
+        work_units=2 * n_types,  # records loaded
         cpu_seconds=watch.cpu,
         peak_rss_kb=peak_rss_kb(),
         details={
@@ -508,8 +451,6 @@ def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
             "shards": shards,
             "dict_per_lookup_ns": point[0].per_lookup_ns,
             "sharded_per_lookup_ns": sharded.per_lookup_ns,
-            "flatness_ratio": (sharded.per_lookup_ns
-                               / sharded_anchor.per_lookup_ns),
             "max_shard": sharded.max_shard,
             "imbalance": sharded.imbalance,
             **ring_work_per_routed_vo(),
@@ -537,18 +478,11 @@ def ring_work_per_routed_vo(n_sites: int = 64) -> Dict[str, int]:
 # -- open-loop workload-plane benchmark (Fig. 18 machinery) -----------------
 
 
-def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchResult:
-    """Arrival-engine throughput: generate + schedule a diurnal trace.
-
-    Generates a non-homogeneous (two-region diurnal) arrival trace
-    sized to ``target_arrivals`` and injects it into a bare simulator
-    as same-timestamp cohorts, running the agenda to exhaustion.  The
-    headline rate counts *both* phases — an arrival only counts once
-    its cohort event has actually dispatched — so the figure is the
-    end-to-end cost of putting one open-loop user on the wire.  The
-    1M-arrivals-per-wall-second gate in ``BENCH_workload.json`` rides
-    this number.
-    """
+def _inject_diurnal(target_arrivals: int, seed: int):
+    """Generate a two-region diurnal arrival trace sized to
+    ``target_arrivals`` and inject it into a bare simulator as
+    same-timestamp cohorts, running the agenda to exhaustion; returns
+    the injector."""
     from repro.load.arrivals import DiurnalRate, NHPoissonProcess
     from repro.load.inject import CohortInjector
 
@@ -556,71 +490,59 @@ def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchRes
     # two staggered regions, weights summing to 1 => mean rate == base
     rate = DiurnalRate(target_arrivals / horizon, amplitude=0.8,
                        period=horizon, regions=((0.0, 0.6), (0.3 * horizon, 0.4)))
-    model = NHPoissonProcess(rate, name="bench-diurnal")
-
-    with _Stopwatch() as watch:
-        with _Stopwatch() as generate:
-            times = model.sample(horizon, seed)
-        sim = Simulator(seed=seed)
-        injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
-        injector.start()
-        sim.run()
+    times = NHPoissonProcess(rate, name="bench-diurnal").sample(horizon, seed)
+    sim = Simulator(seed=seed)
+    injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
+    injector.start()
+    sim.run()
     if injector.fired != times.size:  # pragma: no cover - harness invariant
         raise RuntimeError(
             f"cohort injection dropped arrivals: fired {injector.fired} "
             f"of {times.size}"
         )
+    return injector
+
+
+def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchResult:
+    """Arrival-engine cost: generate + schedule a diurnal trace.
+
+    The headline rate counts *both* phases — an arrival only counts once
+    its cohort event has actually dispatched — so it is the end-to-end
+    cost of putting one open-loop user on the wire.  Its exact twin is
+    Python calls per arrival at a fixed 200,000 whatever the suite mode.
+    """
+    with _Stopwatch() as watch:
+        injector = _inject_diurnal(target_arrivals, seed)
+    calls, counted = count_pycalls(lambda: _inject_diurnal(200_000, seed))
     return _rate_result(
-        "workload", "arrivals_per_wall_sec", int(times.size), watch,
+        "workload", "arrivals_per_wall_sec", injector.fired, watch,
         {
             "target_arrivals": target_arrivals,
-            "arrivals": int(times.size),
+            "arrivals": injector.fired,
             "cohorts": injector.cohorts,
-            "generate_seconds": generate.wall,
-            "schedule_seconds": watch.wall - generate.wall,
-            "final_time": sim.now,
+            "pycalls_per_arrival": round(calls / counted.fired, 4),
         },
     )
 
 
-def bench_workload_memory(
-    target_arrivals: int = 1_000_000, anchor_arrivals: int = 50_000
-) -> BenchResult:
-    """Memory flatness of the full open-loop fig18 path.
+def bench_workload_memory(target_arrivals: int = 12_000) -> BenchResult:
+    """The full open-loop fig18 path at one fixed size whatever the suite
+    mode, for its streaming-stats footprint.
 
-    Runs the fixed-rate overload scenario at an anchor size and at
-    ``target_arrivals`` (a 20x step in the full suite), reading RSS
-    before and after each.  A small throwaway run first pages in the
-    code and numpy buffers so the anchor delta is not polluted by
-    one-time warm-up.  Streaming stats bound the per-run state to the
-    fixed histogram grid plus one window row per elapsed window, so the
-    target run's RSS growth must stay O(1) in the arrival count — the
-    ``BENCH_workload.json`` gate caps it absolutely, which works at
-    both quick and full sizes precisely because flat means
-    size-independent.
+    Streaming stats bound the per-run state to the fixed histogram grid
+    plus one window row per elapsed window, so the footprint at a fixed
+    size is an exact budget: a per-request list anywhere in the stats
+    shows up in it.  ``peak_rss_kb`` is trajectory.
     """
     from repro.experiments.fig18 import run_fig18_memory
 
-    run_fig18_memory(max(anchor_arrivals // 5, 2_000))  # warm-up, unmeasured
-
-    rss0 = current_rss_kb()
-    anchor = run_fig18_memory(anchor_arrivals)
-    anchor_growth = current_rss_kb() - rss0
-
-    rss1 = current_rss_kb()
     with _Stopwatch() as watch:
         out = run_fig18_memory(target_arrivals)
-    target_growth = current_rss_kb() - rss1
-
-    arrivals = int(out["arrivals"])
     return _rate_result(
-        "workload_memory", "sim_arrivals_per_wall_sec", arrivals, watch,
+        "workload_memory", "sim_arrivals_per_wall_sec", int(out["arrivals"]),
+        watch,
         {
             "target_arrivals": target_arrivals,
-            "anchor_arrivals": int(anchor["arrivals"]),
-            "anchor_rss_growth_kb": int(anchor_growth),
-            "target_rss_growth_kb": int(target_growth),
-            "rss_bytes_per_arrival": 1024.0 * max(target_growth, 0) / arrivals,
             "stats_footprint_bytes": int(out["stats_footprint_bytes"]),
             "completed": int(out["completed"]),
             "shed": int(out["shed"]),
@@ -724,22 +646,25 @@ def _planner_decision_digest(seed: int = 43) -> str:
     return digest.hexdigest()
 
 
-def _run_orchestration(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
-    """Wall-clock cost of the desired-state loop, plus the pure planner.
+def _run_orchestration(quick: bool) -> SuiteRun:
+    """Host cost of the desired-state loop, plus the pure planner.
 
-    Times fig19's quick orchestrated flash crowd — thousands of
-    open-loop arrivals with the reconciler observing, planning and
-    actuating every interval — in both suite modes and reports
-    simulated reconcile rounds per wall second: the loop must stay a
-    negligible slice of a busy simulation's wall time.  What that run
-    simulates is fig19's to pin and judge; the planner decision digest
-    pins the pure policy layer, which no experiment runs alone.
+    Runs fig19's quick orchestrated flash crowd — thousands of open-loop
+    arrivals with the reconciler observing, planning and actuating every
+    interval — in both suite modes, timed once (reconcile rounds per
+    wall second) and then counted: Python calls per reconcile round, the
+    loop's exact share of a busy simulation.  What that run simulates is
+    fig19's to pin and judge; the planner decision digest pins the pure
+    policy layer, which no experiment runs alone.
     """
     from repro.experiments.fig19 import EXPERIMENT, run_fig19_flash
 
     seed = 43
+    flash_crowd = partial(run_fig19_flash, orchestrated=True, seed=seed,
+                          **EXPERIMENT.quick)
     with _Stopwatch() as watch:
-        flash = run_fig19_flash(orchestrated=True, seed=seed, **EXPERIMENT.quick)
+        flash = flash_crowd()
+    calls, counted = count_pycalls(flash_crowd)
     result = _rate_result(
         "orchestration", "reconcile_rounds_per_wall_sec",
         flash.reconcile_rounds, watch,
@@ -749,6 +674,8 @@ def _run_orchestration(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun
             "drains": flash.drains,
             "max_replicas_seen": flash.max_replicas_seen,
             "convergence_times": [round(t, 6) for t in flash.convergence_times],
+            "pycalls_per_reconcile_round": round(
+                calls / counted.reconcile_rounds, 2),
         },
     )
     return [result], {"fingerprint": {
@@ -858,102 +785,43 @@ def experiment_fingerprint(seed: int = 3) -> Dict[str, Any]:
     }
 
 
-# -- suite runs built from independent benchmark units -------------------------
+def _kernel_determinism() -> Dict[str, Any]:
+    """The kernel suite's pinned ``determinism`` section."""
+    return {"kernel_trace": kernel_trace_fingerprint(),
+            "experiment": experiment_fingerprint()}
+
+
+# -- suite runs built from independent benchmarks ------------------------------
+
+#: what a suite's ``run`` returns: its benchmark results plus the other
+#: top-level payload sections (the pinned ``fingerprint`` /
+#: ``determinism`` section)
+SuiteRun = Tuple[List[BenchResult], Dict[str, Any]]
 
 
 def _split_run(*benches: Tuple[Callable[..., BenchResult], Dict[str, Any]],
-               fingerprint: Optional[Callable[[], Dict[str, Any]]] = None):
-    """A suite run made of independent benchmarks (and a fingerprint
-    that shares no seeded point with them).
+               **sections: Callable[[], Dict[str, Any]]):
+    """A suite run made of independent benchmarks, plus pinned sections
+    that share no seeded point with them.
 
     ``benches`` are ``(function, quick-mode kwargs)`` pairs; the full
-    run uses each function's defaults.  The fingerprint uses the same
-    cheap sizes in both modes, so a quick CI run gates against a
-    baseline recorded with the full suite.
+    run uses each function's defaults.  ``sections`` name the payload's
+    pinned sections and the functions that produce them, which use the
+    same cheap sizes in both modes.
     """
-    def run(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
+    def run(quick: bool) -> SuiteRun:
         results = [bench(**(quick_kwargs if quick else {}))
                    for bench, quick_kwargs in benches]
-        return results, {"fingerprint": fingerprint()} if fingerprint else {}
+        return results, {name: pin() for name, pin in sections.items()}
 
     return run
 
 
-#: kernel-suite benchmarks in suite order: name -> (function, quick-mode
-#: kwargs); the full run uses each function's defaults
-_KERNEL_BENCHES = {
-    "kernel": (bench_kernel_events, {"n_procs": 32, "events_per_proc": 1500}),
-    "rpc": (bench_rpc_roundtrips, {"clients": 4, "horizon": 15.0}),
-    "fig10_registry": (partial(bench_fig10_point, "registry"),
-                       {"clients": 4, "n_types": 20}),
-    "fig10_index": (bench_fig10_index, {"clients": 4, "n_types": 20}),
-}
-
-#: the kernel suite's ``determinism`` sections
-_KERNEL_PINS = {
-    "kernel_trace": kernel_trace_fingerprint,
-    "experiment": experiment_fingerprint,
-}
-
-
-def run_bench_unit(name: str, quick: bool = False) -> Any:
-    """One kernel-suite work unit, addressable by name (the ``--jobs`` entry).
-
-    Module-level so :mod:`repro.runner` can ship it to a worker as a
-    dotted path.  Benchmark units return a :class:`BenchResult`;
-    fingerprint units return their digest dict.  Every unit's seed is
-    the fixed one baked into its benchmark — repeat batches
-    *intentionally* re-run the identical workload (they measure wall
-    clock, not new behaviour), so no per-repeat seed derivation here.
-    """
-    if name in _KERNEL_PINS:
-        return _KERNEL_PINS[name]()
-    bench, quick_kwargs = _KERNEL_BENCHES[name]
-    return bench(**(quick_kwargs if quick else {}))
-
-
-def _run_kernel(quick: bool, repeats: int = 1, jobs: int = 1) -> SuiteRun:
-    """Every kernel benchmark, best (lowest-wall) of ``repeats``.
-
-    Every (benchmark, repeat) batch — and the two determinism
-    fingerprints — is a :mod:`repro.runner` work unit, inline at
-    ``jobs=1`` and fanned across workers otherwise.  The reduction
-    (best-of per benchmark) is order-independent, and each worker
-    measures its own RSS, so the per-benchmark peak figures are
-    genuinely per-benchmark.  The worker count lands in the suite
-    metadata: wall-clock rates from an oversubscribed parallel run are
-    not comparable to serial ones (see :func:`_same_jobs`).
-    """
-    from repro.runner import WorkUnit, run_units
-
-    repeats = max(1, repeats)
-    units = [
-        WorkUnit(f"{name}#r{i}", "repro.perf:run_bench_unit",
-                 {"name": name, "quick": quick})
-        for name in _KERNEL_BENCHES
-        for i in range(repeats)
-    ]
-    units += [WorkUnit(name, "repro.perf:run_bench_unit", {"name": name})
-              for name in _KERNEL_PINS]
-    outputs = run_units(units, jobs=jobs)
-    n_batches = len(_KERNEL_BENCHES) * repeats
-    results = [min(outputs[at:at + repeats], key=lambda r: r.wall_seconds)
-               for at in range(0, n_batches, repeats)]
-    return results, {
-        "suite": "bench_wallclock",
-        "repeats": repeats,
-        "jobs": jobs,
-        "determinism": dict(zip(_KERNEL_PINS, outputs[n_batches:])),
-        "peak_rss_kb": peak_rss_kb(),
-    }
-
-
 # -- gates: declarative checks over a suite payload ---------------------------
 
-#: what a suite's ``run`` returns: its benchmark results plus the other
-#: top-level payload sections (the pinned ``fingerprint`` /
-#: ``determinism`` section, the kernel suite's worker metadata)
-SuiteRun = Tuple[List[BenchResult], Dict[str, Any]]
+#: the one threshold: a gated counter may rise at most 10 % over its
+#: committed value, so every re-record tightens its own budget
+BUDGET = 1.10
 
 
 def _dig(doc: Any, path: str) -> Any:
@@ -971,16 +839,11 @@ class Gate:
 
     Calling a gate with ``(suite, baseline)`` returns its failures
     (empty when it holds) and ``str(gate)`` is the line ``--help``
-    prints, so the threshold lives in exactly one place: the
-    declaration.  ``note`` says what a violation means; ``noisy`` marks
-    a bound on a wall-clock or RSS figure, which depends on the host in
-    a way the simulated figures never do.
+    prints.  ``note`` says what a violation means.
     """
 
     path: str
-    bound: Any = None
     note: str = ""
-    noisy: bool = False
 
     def rule(self) -> str:
         """The condition, as ``--help`` states it after the path."""
@@ -994,8 +857,7 @@ class Gate:
         return f"{text} — {self.note}" if self.note else text
 
     def __str__(self) -> str:
-        host = "  [host-dependent]" if self.noisy else ""
-        return self._annotated(f"{self.path} {self.rule()}{host}")
+        return self._annotated(f"{self.path} {self.rule()}")
 
     def __call__(self, suite: Dict[str, Any],
                  baseline: Dict[str, Any]) -> List[str]:
@@ -1003,12 +865,16 @@ class Gate:
         return [self._annotated(f"{self.path} {problem}")] if problem else []
 
 
+#: what a baseline-reading gate reports when the committed file lacks
+#: what it guards (a gate with nothing to compare against is not a pass)
+_MISSING = "is missing from the baseline"
+
+
 class Exact(Gate):
     """Every key of the baseline's ``path`` section must match exactly.
 
-    The walk follows the *committed* section's keys (recursively), so a
-    newly added figure passes until the baseline is re-recorded, while
-    any drift of a pinned one names the leaf that moved.
+    The walk follows the *committed* section's keys (recursively), so
+    any drift of a pinned value names the leaf that moved.
     """
 
     def rule(self) -> str:
@@ -1025,85 +891,33 @@ class Exact(Gate):
             return [self._annotated(
                 f"{path} drifted: {current!r} != baseline {expected!r}")]
 
-        return drift(self.path, _dig(suite, self.path) or {},
-                     _dig(baseline, self.path) or {})
+        expected = _dig(baseline, self.path)
+        if expected is None:
+            return [self._annotated(f"{self.path} {_MISSING}")]
+        return drift(self.path, _dig(suite, self.path), expected)
+
+
+class Budget(Gate):
+    """An exact counter may not exceed its committed value x :data:`BUDGET`."""
+
+    def rule(self) -> str:
+        return f"<= baseline x {BUDGET:g}"
+
+    def problem(self, current, base):
+        if base is None:
+            return _MISSING
+        limit = base * BUDGET
+        if current is not None and current <= limit:
+            return None
+        return (f"is {current!r}, over its budget {limit:g} "
+                f"(baseline {base:g} x {BUDGET:g})")
 
 
 @dataclass(frozen=True)
-class RateFloor(Gate):
-    """A wall-clock rate may not drop more than ``bound`` below baseline.
-
-    Absolute rates vary across machines; a large drop on the same
-    machine family signals a real fast-path regression.  Rates recorded
-    under different worker counts are not the same measurement, so the
-    gate stands aside there and lets :func:`_same_jobs` refuse.
-    """
-
-    noisy: bool = True
-
-    def rule(self) -> str:
-        return f">= {1.0 - self.bound:.0%} of baseline"
-
-    def __call__(self, suite, baseline):
-        if _same_jobs(suite, baseline):
-            return []
-        return super().__call__(suite, baseline)
-
-    def problem(self, current, base):
-        if current is None or not base or base <= 0:
-            return None
-        ratio = current / base
-        if ratio >= 1.0 - self.bound:
-            return None
-        return (f"is {current:,.1f}, {(1.0 - ratio) * 100:.1f}% below "
-                f"baseline {base:,.1f} (tolerance {self.bound:.0%})")
-
-
-@dataclass(frozen=True)
-class MaxRise(Gate):
-    """A cost may not rise above baseline x (1 + ``bound``) + ``plus``."""
-
-    plus: float = 0.0
-
-    def rule(self) -> str:
-        factor = f" x {1.0 + self.bound:g}" if self.bound else ""
-        return f"<= baseline{factor}" + (f" + {self.plus:g}" if self.plus else "")
-
-    def problem(self, current, base):
-        if current is None or base is None or (self.bound and base <= 0):
-            return None
-        limit = base * (1.0 + (self.bound or 0.0)) + self.plus
-        if current <= limit:
-            return None
-        return f"is {current:g}, above the {limit:g} allowed over baseline {base:g}"
-
-
-class Floor(Gate):
-    """The value must be at least ``bound`` (absolute, no baseline)."""
-
-    def rule(self) -> str:
-        return f">= {self.bound:,g}"
-
-    def problem(self, current, base):
-        if current is not None and current >= self.bound:
-            return None
-        return f"is {current!r}, below the required {self.bound:,g}"
-
-
-class Cap(Gate):
-    """The value must be at most ``bound`` (absolute, no baseline)."""
-
-    def rule(self) -> str:
-        return f"<= {self.bound:,g}"
-
-    def problem(self, current, base):
-        if current is not None and current <= self.bound:
-            return None
-        return f"is {current!r}, above the cap {self.bound:,g}"
-
-
 class Holds(Gate):
-    """A recorded boolean / count / verdict must equal ``bound``."""
+    """A recorded verdict must equal ``bound`` (the baseline is not read)."""
+
+    bound: Any = True
 
     def rule(self) -> str:
         return f"== {self.bound!r}"
@@ -1114,17 +928,6 @@ class Holds(Gate):
         return f"is {current!r}, expected {self.bound!r}"
 
 
-def _same_jobs(suite, baseline) -> List[str]:
-    """jobs == the baseline's worker count: concurrent workers timeshare
-    cores, so rates from different counts are not comparable"""
-    jobs, base_jobs = suite.get("jobs", 1), baseline.get("jobs", 1)
-    if jobs == base_jobs:
-        return []
-    return [f"jobs: suite ran with jobs={jobs} but the baseline was recorded "
-            f"with jobs={base_jobs}; rates are not comparable — rerun with "
-            "matching --jobs or re-record the baseline"]
-
-
 # -- the table ------------------------------------------------------------------
 
 
@@ -1132,18 +935,14 @@ def _same_jobs(suite, baseline) -> List[str]:
 class Suite:
     """One ``BENCH_<name>.json``: how to produce it and what gates it.
 
-    ``run(quick, repeats, jobs)`` makes one pass and returns a
-    :data:`SuiteRun`; ``repeats`` / ``jobs`` only mean something to a
-    suite made of independent wall-rate units (the kernel suite) —
-    single-scenario suites run once.  ``gates`` are callables
-    ``(suite, baseline) -> [failure, ...]``: :class:`Gate` instances,
-    or a plain predicate whose docstring is its description.
-    ``highlights`` are the dotted payload paths outside ``results``
-    that :func:`summarize` prints as well.
+    ``run(quick)`` makes one pass and returns a :data:`SuiteRun`.
+    ``gates`` are :class:`Gate` instances.  ``highlights`` are the
+    dotted payload paths outside ``results`` that :func:`summarize`
+    prints as well.
     """
 
-    run: Callable[[bool, int, int], SuiteRun]
-    gates: Tuple[Callable[[Dict[str, Any], Dict[str, Any]], List[str]], ...]
+    run: Callable[[bool], SuiteRun]
+    gates: Tuple[Gate, ...]
     highlights: Tuple[str, ...] = ()
 
 
@@ -1153,104 +952,93 @@ def _detail(result: str, key: str) -> str:
 
 SUITES: Dict[str, Suite] = {
     "kernel": Suite(
-        run=_run_kernel,
+        run=_split_run(
+            (bench_kernel_events, {"n_procs": 32, "events_per_proc": 1500}),
+            (bench_rpc_roundtrips, {"clients": 4, "horizon": 15.0}),
+            (partial(bench_fig10_point, "registry"), {"n_types": 16}),
+            (partial(bench_fig10_point, "index"), {"n_types": 16}),
+            determinism=_kernel_determinism,
+        ),
         gates=(
-            _same_jobs,
-            RateFloor("results.kernel.value", 0.25),
-            RateFloor("results.rpc.value", 0.25),
-            Cap(_detail("rpc", "rpc_pycalls_per_roundtrip"), 66,
-                "exact Python calls per bare echo RPC (recorded 60.1 + 10%; "
-                "~99 when every CPU claim trips the agenda): an uncontended "
-                "CPU claim is taking an agenda trip again, or a pass-through "
-                "wrapper grew a frame"),
-            Cap(_detail("fig10_index", "fig10_index_pycalls_per_request"), 203,
-                "exact Python calls per index query at 16 clients x 100 "
-                "types (recorded 184.75 + 10%): the XPath surface is back "
-                "to walking the aggregate per query"),
-            Exact("determinism", note="an optimization changed simulated "
+            Budget(_detail("kernel", "kernel_pycalls_per_event"),
+                   "Python calls per agenda event (32 tickers x 1,500 "
+                   "timeouts): the event loop grew a frame"),
+            Budget(_detail("rpc", "rpc_pycalls_per_roundtrip"),
+                   "Python calls per bare echo RPC (~99 when every CPU "
+                   "claim trips the agenda): an uncontended CPU claim is "
+                   "taking an agenda trip again, or a pass-through wrapper "
+                   "grew a frame"),
+            Budget(_detail("fig10_registry", "fig10_registry_pycalls_per_request"),
+                   "Python calls per named lookup at 16 clients x 100 types"),
+            Budget(_detail("fig10_index", "fig10_index_pycalls_per_request"),
+                   "Python calls per index query at 16 clients x 100 types "
+                   "(~420 walking): the XPath surface is back to walking the "
+                   "aggregate per query"),
+            Exact("determinism", "an optimization changed simulated "
                   "behaviour, a bug regardless of the speedup"),
         ),
-        highlights=("peak_rss_kb", "determinism.kernel_trace.sha256",
+        highlights=("determinism.kernel_trace.sha256",
                     "determinism.kernel_trace.events"),
     ),
     "resolution": Suite(
         run=_run_resolution,
         gates=(
-            Cap(_detail("resolution", "optimized_pycalls_per_resolution"), 2110,
-                "exact Python calls per resolution at the 16-site optimized "
-                "point (recorded 1,918.21 + 10%): resolving got heavier on "
-                "the host — the receive side is re-parsing wires, or replies "
-                "are sized member by member again"),
+            Budget(_detail("resolution", "optimized_pycalls_per_resolution"),
+                   "Python calls per resolution at the 16-site optimized "
+                   "point: the receive side is re-parsing wires, or replies "
+                   "are sized member by member again"),
         ),
     ),
     "provisioning": Suite(
         run=_run_provisioning,
         gates=(
-            Cap(_detail("provisioning", "optimized_pycalls_per_install"), 4263,
-                "exact Python calls per installation at the 16-site optimized "
-                "point (recorded 3,875.06 + 10%): every site compiles the "
-                "deploy-file for itself again, or substitutes uncompiled"),
+            Budget(_detail("provisioning", "optimized_pycalls_per_install"),
+                   "Python calls per installation at the 16-site optimized "
+                   "point: every site compiles the deploy-file for itself "
+                   "again, or substitutes uncompiled"),
         ),
     ),
     "obs": Suite(
-        run=_split_run((bench_obs, {"clients": 4, "horizon": 15.0})),
+        run=_split_run((bench_obs, {})),
         gates=(
-            # overhead *fractions* are same-machine ratios, so they travel
-            Cap(_detail("obs", "obs_overhead_frac"), 0.60, noisy=True),
-            MaxRise(_detail("obs", "obs_overhead_frac"), plus=0.15, noisy=True),
-            Cap(_detail("obs", "slo_overhead_frac"), 0.60, noisy=True),
-            MaxRise(_detail("obs", "slo_overhead_frac"), plus=0.15, noisy=True),
-            # exact counters: Python calls the plane adds to one echo RPC
-            Cap(_detail("obs", "obs_extra_pycalls_per_rpc"), 35,
-                "tracing + metrics, over the null tier"),
-            Cap(_detail("obs", "slo_extra_pycalls_per_rpc"), 50,
-                "tracing + metrics + one SLO, over the null tier"),
-            Holds(_detail("obs", "sim_throughput_equal"), True,
+            Budget(_detail("obs", "obs_extra_pycalls_per_rpc"),
+                   "tracing + metrics, over the null tier"),
+            Budget(_detail("obs", "slo_extra_pycalls_per_rpc"),
+                   "tracing + metrics + one SLO, over the null tier"),
+            Holds(_detail("obs", "sim_throughput_equal"),
                   "the observability plane must charge no simulated time"),
         ),
     ),
     "storage": Suite(
         run=_split_run((bench_storage, {"n_types": 10_000})),
         gates=(
-            # generous: fig17 itself asserts 1.3x; the CI tripwire allows
-            # 1.5x so shared runners don't flake
-            Cap(_detail("storage", "flatness_ratio"), 1.5,
-                "sharded per-lookup CPU at the sweep size over the in-run "
-                "10^3 anchor: lookups must stay flat", noisy=True),
-            Cap(_detail("storage", "ring_builds_per_routed_vo"), 2.2,
-                "exact rings built for a 64-site routed sharded VO (recorded "
-                "2 + 10%; 320 when every registry home and site built its "
-                "own): a holder asks for a ring with arguments only it uses"),
-            Cap(_detail("storage", "ring_point_hashes_per_routed_vo"), 1408,
-                "exact ring-point sha256s of that build (recorded 1,280 + "
-                "10%; 131,072): a membership is hashed once per holder"),
+            Budget(_detail("storage", "ring_builds_per_routed_vo"),
+                   "rings built for a 64-site routed sharded VO (320 when "
+                   "every registry home and site built its own): a holder "
+                   "asks for a ring with arguments only it uses"),
+            Budget(_detail("storage", "ring_point_hashes_per_routed_vo"),
+                   "ring-point sha256s of that build (131,072): a "
+                   "membership is hashed once per holder"),
         ),
     ),
     "workload": Suite(
-        # the 1M/s arrival-rate floor and the absolute RSS-growth cap
-        # both hold at the quick sizes as well as the full ones
         run=_split_run((bench_workload, {"target_arrivals": 200_000}),
-                       (bench_workload_memory, {"target_arrivals": 48_000,
-                                                "anchor_arrivals": 12_000}),
+                       (bench_workload_memory, {}),
                        fingerprint=workload_fingerprint),
         gates=(
-            Floor("results.workload.value", 1_000_000.0,
-                  "generated + scheduled arrivals per wall second",
-                  noisy=True),
-            # flat means size-independent, so one absolute cap serves
-            # quick and full sizes
-            Cap(_detail("workload_memory", "target_rss_growth_kb"), 131_072,
-                "the open-loop path must stay memory-flat", noisy=True),
-            Cap(_detail("workload_memory", "stats_footprint_bytes"), 1_000_000,
-                "streaming stats are bounded by their fixed histogram grid"),
+            Budget(_detail("workload", "pycalls_per_arrival"),
+                   "Python calls per generated + cohort-scheduled arrival"),
+            Budget(_detail("workload_memory", "stats_footprint_bytes"),
+                   "streaming stats are bounded by their fixed histogram grid "
+                   "and window rows"),
             Exact("fingerprint"),
         ),
     ),
     "orchestration": Suite(
         run=_run_orchestration,
         gates=(
-            RateFloor("results.orchestration.value", 0.25,
-                      "the control loop got expensive"),
+            Budget(_detail("orchestration", "pycalls_per_reconcile_round"),
+                   "the control loop got expensive"),
             Exact("fingerprint"),
         ),
     ),
@@ -1260,10 +1048,9 @@ SUITES: Dict[str, Suite] = {
 # -- generic entry points --------------------------------------------------------
 
 
-def run_suite(name: str, quick: bool = False, repeats: int = 1,
-              jobs: int = 1) -> Dict[str, Any]:
+def run_suite(name: str, quick: bool = False) -> Dict[str, Any]:
     """One pass of suite ``name``: its ``BENCH_<name>.json`` payload."""
-    results, sections = SUITES[name].run(quick, repeats, jobs)
+    results, sections = SUITES[name].run(quick)
     return {
         "suite": f"bench_{name}",
         "mode": "quick" if quick else "full",
@@ -1283,11 +1070,8 @@ def compare(name: str, suite: Dict[str, Any],
 
 def describe(name: str) -> str:
     """The gates of ``name``, one line each (rendered into ``--help``)."""
-    lines = [f"{name} (BENCH_{name}.json):"]
-    for gate in SUITES[name].gates:
-        text = str(gate) if isinstance(gate, Gate) else " ".join(gate.__doc__.split())
-        lines.append(f"  {text}")
-    return "\n".join(lines)
+    return "\n".join([f"{name} (BENCH_{name}.json):"]
+                     + [f"  {gate}" for gate in SUITES[name].gates])
 
 
 def _show(value: Any) -> str:
@@ -1301,10 +1085,8 @@ def _show(value: Any) -> str:
 
 
 def summarize(name: str, suite: Dict[str, Any]) -> str:
-    """Per-benchmark rates and details plus the declared highlights."""
-    workers = suite.get("jobs", 1)
-    lines = [f"{suite['suite']} ({suite['mode']}, "
-             f"{workers} worker{'s' if workers != 1 else ''})"]
+    """Per-benchmark headlines and details plus the declared highlights."""
+    lines = [f"{suite['suite']} ({suite['mode']})"]
     for result in suite["results"].values():
         lines.append(
             f"  {result['name']:15s} {result['value']:>14,.1f} {result['metric']}"

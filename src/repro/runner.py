@@ -1,11 +1,11 @@
 """Multiprocess sweep runner: fan independent work units across cores.
 
 Every sweep in the harness — fig14/fig15's (size, configuration)
-points, ``repro all``'s experiment commands, perf.py's repeat batches —
-is a list of *independent, fixed-seed* simulations: no unit reads
-another's output, and each carries its full seed explicitly.  That
-makes them embarrassingly parallel, and this module is the one place
-that exploits it.
+points, ``repro all``'s experiment commands, ``bench_wallclock.py
+--check-all``'s suites — is a list of *independent, fixed-seed*
+simulations: no unit reads another's output, and each carries its full
+seed explicitly.  That makes them embarrassingly parallel, and this
+module is the one place that exploits it.
 
 Determinism contract
 --------------------
@@ -14,7 +14,7 @@ Parallelism must never be observable in the results:
 * **Seeding** — a :class:`WorkUnit` carries everything its function
   needs, including the seed, in ``kwargs``; the runner itself never
   draws randomness and never injects worker identity.  A unit that
-  needs its own stream (e.g. a repeat batch that must differ from its
+  needs its own stream (e.g. a sweep point that must differ from its
   siblings) derives it *before* submission with :func:`derive_seed`,
   which hashes ``(base_seed, unit name)`` — stable across runs,
   machines and worker counts, unlike anything derived from pids or
@@ -43,7 +43,6 @@ any multiprocessing start method.
 from __future__ import annotations
 
 import hashlib
-import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -93,11 +92,6 @@ def derive_seed(base_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{base_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def default_jobs() -> int:
-    """Worker count matched to the machine (at least 1)."""
-    return max(1, os.cpu_count() or 1)
 
 
 def _resolve(path: str):
@@ -190,7 +184,6 @@ def merge_digests(named_digests: Mapping[str, str]) -> str:
 __all__ = [
     "WorkUnit",
     "WorkerError",
-    "default_jobs",
     "derive_seed",
     "merge_digests",
     "run_units",

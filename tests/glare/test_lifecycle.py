@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.glare.errors import DeploymentFailed
 from repro.glare.lifecycle import LifecycleController
 from repro.invariants import check_vo_invariants
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
@@ -136,7 +137,51 @@ class TestExpiryIsTheRegistrysRemoval:
         assert check_vo_invariants(vo, check_files=False) == []
 
 
+def _failing_minimums(monkeypatch, error):
+    """A controller keeping one Wien2k deployment whose every install
+    raises ``error``; returns ``(vo, controller, install attempt times)``."""
+    from repro.apps import get_application, publish_applications
+
+    vo = build_vo(n_sites=3, seed=83, monitors=False, lifecycle=False)
+    publish_applications(vo, ["Wien2k"])
+    vo.form_overlay()
+    xml = get_application("Wien2k").type_xml.replace(
+        "</ActivityTypeEntry>",
+        '<DeploymentLimits min="1"/></ActivityTypeEntry>')
+    vo.run_process(vo.client_call("agrid01", "register_type",
+                                  payload={"xml": xml}))
+    attempts = []
+
+    def deploy_on_demand(activity_type):
+        attempts.append(vo.sim.now)
+        yield vo.sim.timeout(1.0)
+        raise error
+
+    rdm = vo.rdm("agrid01")
+    monkeypatch.setattr(rdm.deployment_manager, "deploy_on_demand",
+                        deploy_on_demand)
+    controller = LifecycleController(rdm, min_check_interval=30.0,
+                                     ensure_minimums=True)
+    controller.start()
+    return vo, controller, attempts
+
+
 class TestMinimumDeployments:
+    def test_a_failed_install_is_retried_next_cycle(self, monkeypatch):
+        vo, controller, attempts = _failing_minimums(
+            monkeypatch, DeploymentFailed("no candidate site"))
+        vo.sim.run(until=vo.sim.now + 100)
+        assert len(attempts) == 3
+        assert controller.minimum_repairs == 0 and controller.running
+
+    def test_a_bug_in_the_install_propagates(self, monkeypatch):
+        """Only what a client can be told is absorbed; a ``TypeError``
+        inside the install is a bug and fails the run."""
+        vo, _controller, _attempts = _failing_minimums(
+            monkeypatch, TypeError("bad call"))
+        with pytest.raises(TypeError, match="bad call"):
+            vo.sim.run(until=vo.sim.now + 100)
+
     def test_minimum_repair_reinstalls(self):
         from repro.apps import get_application, publish_applications
 
