@@ -22,7 +22,7 @@ from typing import Generator, List, Sequence
 
 from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
-from repro.experiments.workload import spawn_clients
+from repro.experiments.workload import placed, spawn_clients
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.runner import WorkUnit
 from repro.vo import build_vo
@@ -73,7 +73,7 @@ def _populate(vo, registry_sites: List[str], total_deployments: int) -> None:
             counter += 1
             vo.run_process(vo.client_call(
                 site, "register_deployment",
-                payload={"xml": deployment.wire_xml()},
+                payload={"xml": placed(vo, deployment).wire_xml()},
             ))
 
 

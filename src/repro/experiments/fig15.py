@@ -114,14 +114,9 @@ def run_fig15_point(n_sites: int, optimized: bool, seed: int = 29) -> Fig15Point
         counts[leg["status"]] = counts.get(leg["status"], 0) + 1
         keys = sorted(str(w["epr"]["key"]) for w in leg["deployments"])
         records.append(f"{leg['site']}|{leg['status']}|{','.join(keys)}")
-    replica_hits = sum(
-        stack.gridftp.replica_hits for stack in vo.stacks.values()
-        if stack.gridftp is not None
-    )
-    singleflight_joined = sum(
-        stack.gridftp.url_singleflight_joined for stack in vo.stacks.values()
-        if stack.gridftp is not None
-    )
+    replica_hits = sum(stack.gridftp.replica_hits for stack in vo.stacks.values())
+    singleflight_joined = sum(stack.gridftp.url_singleflight_joined
+                              for stack in vo.stacks.values())
     manager = vo.rdm(initiator).deployment_manager
     return Fig15Point(
         n_sites=n_sites,

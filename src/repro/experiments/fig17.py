@@ -53,6 +53,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.workload import (
     active_deployment,
+    placed,
     plain_type_xml,
     records_digest,
     resolve,
@@ -270,14 +271,12 @@ def run_routing_point(
     for index in range(n_types):
         home = serving[index % len(serving)]
         atr = vo.stacks[home].atr
-        assert atr is not None
         if index < n_lookup_types:
             name = f"LookupType{index:02d}"
             atr.add_local_type(ActivityType.from_xml(
                 plain_type_xml(name, "scale")))
-            adr = vo.stacks[home].adr
-            assert adr is not None
-            adr.add_local_deployment(active_deployment(name, home))
+            vo.stacks[home].adr.add_local_deployment(
+                placed(vo, active_deployment(name, home)))
             lookup_types.append((name, home))
         else:
             atr.add_local_type(ActivityType.from_xml(

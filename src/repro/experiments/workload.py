@@ -69,6 +69,15 @@ def active_deployment(type_name: str, site: str) -> ActivityDeployment:
     )
 
 
+def placed(vo, deployment: ActivityDeployment) -> ActivityDeployment:
+    """``deployment``, once its binary is on its site's disk: what makes
+    an ACTIVE executable true before it is registered (otherwise the
+    Deployment Status Monitor flags it FAILED and the audit refuses it)."""
+    vo.stack(deployment.site).site.fs.put_file(deployment.path, size=1,
+                                               executable=True)
+    return deployment
+
+
 def register_served_type(vo, site: str, type_name: str, domain: str) -> None:
     """Register a plain type and its ACTIVE deployment at ``site``."""
     vo.run_process(vo.client_call(
@@ -77,7 +86,7 @@ def register_served_type(vo, site: str, type_name: str, domain: str) -> None:
     ))
     vo.run_process(vo.client_call(
         site, "register_deployment",
-        payload={"xml": active_deployment(type_name, site).wire_xml()},
+        payload={"xml": placed(vo, active_deployment(type_name, site)).wire_xml()},
     ))
 
 

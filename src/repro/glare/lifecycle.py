@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.glare.errors import CLIENT_ERRORS
+from repro.net.service import Plane
 from repro.simkernel.primitives import Periodic
 from repro.wsrf.lifetime import LifetimeManager
 from repro.wsrf.resource import WSResource
@@ -27,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
 
 
-class LifecycleController:
+class LifecycleController(Plane):
     """Per-site lifecycle machinery for one RDM service."""
 
     def __init__(
@@ -67,6 +68,9 @@ class LifecycleController:
     @property
     def running(self) -> bool:
         return self.lifetime.running or self.minimums.running
+
+    def loops(self):
+        return (self,)
 
     # -- expiry listener ------------------------------------------------------
 

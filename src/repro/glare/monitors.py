@@ -27,7 +27,6 @@ from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import Periodic
-from repro.site.filesystem import FilesystemError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
@@ -185,13 +184,8 @@ class DeploymentStatusMonitor(Monitor):
         adr = self.rdm.adr
         fs = self.rdm.site.fs
         for key, deployment in list(adr.deployments.items()):
-            healthy = True
-            if deployment.kind == DeploymentKind.EXECUTABLE:
-                try:
-                    entry = fs.get_file(deployment.path)
-                    healthy = entry.executable
-                except FilesystemError:
-                    healthy = False
+            healthy = (deployment.kind != DeploymentKind.EXECUTABLE
+                       or fs.is_executable(deployment.path))
             yield from self.rdm.network.call(
                 self.rdm.node_name, self.rdm.node_name,
                 adr.name, "update_status",

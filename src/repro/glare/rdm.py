@@ -28,7 +28,7 @@ scaled directory (:class:`DirectoryPlane`, iff switched on) and — by
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.glare.errors import DeploymentNotFound, GlareError, TypeNotFound
 from repro.glare.hierarchy import TypeHierarchy
@@ -36,6 +36,7 @@ from repro.glare.model import (
     ActivityDeployment,
     ActivityType,
     DeploymentKind,
+    DeploymentStatus,
     InstallationSpec,
     TypeKind,
 )
@@ -59,7 +60,7 @@ from repro.glare.undeploy import Undeployer
 from repro.glare.wrapper import WrapperGenerator, wrapped_executable_path
 from repro.gram.jobs import JobSpec
 from repro.gridftp.service import GridFtpService
-from repro.mds.index import UPSTREAM_UNREACHABLE
+from repro.mds.index import UPSTREAM_UNREACHABLE, IndexService
 from repro.net.interceptors import RetryPolicy
 from repro.net.message import Message, Response
 from repro.net.network import RpcTimeout
@@ -538,11 +539,13 @@ class GlareRDMService(Service):
         Colocated registries and transfer endpoint.
     handler:
         Default deployment handler: ``"expect"`` or ``"javacog"``.
-    community_site / community_index_service:
+    community_site:
         Where the VO-root community index lives (site discovery).
     """
 
     SERVICE_NAME = RDM_SERVICE
+    #: CPU per client-facing request (parse, validate, dispatch)
+    REQUEST_DEMAND = 0.002
 
     def __init__(
         self,
@@ -553,9 +556,7 @@ class GlareRDMService(Service):
         gridftp: GridFtpService,
         handler: str = "expect",
         community_site: Optional[str] = None,
-        community_index_service: str = "mds-index",
         group_size: int = 3,
-        request_demand: float = 0.002,
         resolution: ResolutionConfig = ResolutionConfig.PAPER,
         provisioning: ProvisioningConfig = ProvisioningConfig.PAPER,
         retry_policy: Optional[RetryPolicy] = None,
@@ -570,8 +571,6 @@ class GlareRDMService(Service):
         self.adr = adr
         self.gridftp = gridftp
         self.community_site = community_site
-        self.community_index_service = community_index_service
-        self.request_demand = request_demand
         self.resolution = resolution
         self.storage = storage
         self.admin_notifications: List[Dict] = []
@@ -648,7 +647,7 @@ class GlareRDMService(Service):
             try:
                 sites = yield from self.network.call(
                     self.node_name, self.community_site,
-                    self.community_index_service, "list_sites",
+                    IndexService.SERVICE_NAME, "list_sites",
                     retry=(self.retry_policy or RetryPolicy()).with_per_try(10.0),
                 )
                 if sites:
@@ -702,6 +701,18 @@ class GlareRDMService(Service):
             monitor.running for monitor in self._monitors
         )
 
+    def loops(self):
+        return (self,)
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        # what the Deployment Status Monitor would flag FAILED
+        for key, deployment in self.adr.deployments.items():
+            if (deployment.kind == DeploymentKind.EXECUTABLE
+                    and deployment.status == DeploymentStatus.ACTIVE
+                    and not self.site.fs.is_executable(deployment.path)):
+                yield "active-on-disk", (f"ACTIVE deployment {key}: no executable "
+                                         f"at {deployment.path}")
+
     # -- client-facing operations -----------------------------------------------------
 
     def op_get_deployments(self, message: Message) -> Generator:
@@ -713,7 +724,7 @@ class GlareRDMService(Service):
             type_name = payload["type"]
             auto_deploy = payload.get("auto_deploy", True)
             exclude = tuple(payload.get("exclude_sites", ()))
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         wires = yield from self.request_manager.get_deployments(
             type_name, auto_deploy=auto_deploy, exclude_sites=exclude
         )
@@ -738,7 +749,7 @@ class GlareRDMService(Service):
 
     def op_register_type(self, message: Message) -> Generator:
         """Example 2: register an activity type with the *local* service."""
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         result = yield from self.network.call(
             self.node_name, self.node_name, ATR_SERVICE, "register_type",
             payload=message.payload,
@@ -746,7 +757,7 @@ class GlareRDMService(Service):
         return result
 
     def op_register_deployment(self, message: Message) -> Generator:
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         result = yield from self.network.call(
             self.node_name, self.node_name, ADR_SERVICE, "register_deployment",
             payload=message.payload,
@@ -755,7 +766,7 @@ class GlareRDMService(Service):
 
     def op_lookup_type(self, message: Message) -> Generator:
         """Find a type description anywhere in the VO."""
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         at = yield from self.request_manager.discover_type(message.payload)
         if at is None:
             return Response(value=None)
@@ -786,7 +797,7 @@ class GlareRDMService(Service):
         """Target-side installation (invoked by a Deployment Manager)."""
         payload = message.payload
         activity_type = ActivityType.from_wire_xml(payload["type_xml"])
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         result = yield from self.deployment_manager.install_locally(
             activity_type,
             requester=payload.get("requester", message.src),
@@ -806,7 +817,7 @@ class GlareRDMService(Service):
             # bounded_gather reads a limit <= 0 as "unbounded"
             raise GlareError(f"rollout fanout must be an int >= 1, got {fanout!r}")
         activity_type = ActivityType.from_xml(payload["type_xml"])
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         result = yield from self.deployment_manager.rollout(
             activity_type, target_sites=payload.get("target_sites"), fanout=fanout,
         )
@@ -852,7 +863,7 @@ class GlareRDMService(Service):
         payload = message.payload
         key = payload["key"]
         demand = float(payload.get("demand", 1.0))
-        yield from self.compute(self.request_demand)
+        yield from self.compute(self.REQUEST_DEMAND)
         deployment = self.adr.deployments.get(key)
         if deployment is None:
             raise DeploymentNotFound(f"no local deployment {key!r} on {self.node_name}")

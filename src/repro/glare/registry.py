@@ -15,7 +15,7 @@ lives in the RDM service (:mod:`repro.glare.rdm`), not here.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.glare.errors import (
     GlareError,
@@ -228,6 +228,21 @@ class _Registry(Service):
         self.cache.remove(key)
         self.cache_sources.pop(key, None)
 
+    def loops(self):
+        return (self.aggregation,)
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        home = set(self.home.keys())
+        for key in self.cache.keys():
+            source = self.cache_sources.get(key)
+            if source is None:
+                yield "cache-sourced", f"cached {key} has no source"
+            elif source.site == self.node_name and key not in home:
+                yield "own-cache-in-home", f"cached {key} outlived its source here"
+        grouped = {entry.epr.key for entry in self.aggregation.entries()}
+        if grouped != home:
+            yield "group-is-home", f"group {sorted(grouped)}, home {sorted(home)}"
+
     # -- shared operations ------------------------------------------------------
 
     def op_query(self, message: Message) -> Generator:
@@ -338,6 +353,12 @@ class ActivityTypeRegistry(_Registry):
 
     def local_type_names(self) -> List[str]:
         return self.home.keys()
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        yield from super().invariants()
+        for name in self.local_type_names():
+            if self.hierarchy.get(name) is None:
+                yield "types-in-hierarchy", f"local type {name} not in the hierarchy"
 
     def authoritative_epr(self, name: str) -> Optional[EndpointReference]:
         resource = self.home.lookup(name)
@@ -562,6 +583,23 @@ class ActivityDeploymentRegistry(_Registry):
             if key in self.cached_deployments:
                 out.append(self.cached_deployments[key])
         return out
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        yield from super().invariants()
+        for type_name, keys in self.by_type.items():
+            for key in keys:
+                if key not in self.deployments and key not in self.cached_deployments:
+                    yield "by-type-known", f"by_type[{type_name}] has unknown {key}"
+        for key, deployment in self.deployments.items():
+            if key not in self.by_type.get(deployment.type_name, []):
+                yield "by-type-complete", f"{key} missing from by_type"
+            if deployment.site != self.node_name:
+                yield "deployments-here", f"{key} claims site {deployment.site}"
+            if self.atr.find_type(deployment.type_name) is None:
+                yield "deployments-typed", f"{key}: no type {deployment.type_name}"
+        if set(self.cached_deployments) != set(self.cache_sources):
+            yield "cache-tables-agree", (f"cached {sorted(self.cached_deployments)}, "
+                                         f"sources {sorted(self.cache_sources)}")
 
     def touch(self, key: str) -> None:
         """Refresh a deployment's LUT (Deployment Status Monitor)."""

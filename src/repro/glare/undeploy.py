@@ -103,7 +103,7 @@ class Undeployer:
         payload = message.payload
         if not isinstance(payload, dict):
             payload = {"key": payload}  # the bare-key spelling
-        yield from self.rdm.compute(self.rdm.request_demand)
+        yield from self.rdm.compute(self.rdm.REQUEST_DEMAND)
         result = yield from self.undeploy(
             payload["key"], remove_files=payload.get("remove_files", True))
         return result
@@ -111,7 +111,7 @@ class Undeployer:
     def op_undeploy_type(self, message: Message) -> Generator:
         """Remove every local deployment of a type (optionally the type)."""
         payload = message.payload
-        yield from self.rdm.compute(self.rdm.request_demand)
+        yield from self.rdm.compute(self.rdm.REQUEST_DEMAND)
         result = yield from self.undeploy_type(
             payload["type"],
             remove_type=payload.get("remove_type", False),

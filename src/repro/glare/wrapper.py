@@ -79,7 +79,7 @@ class WrapperGenerator:
     def op_generate_wrapper(self, message: Message) -> Generator:
         """Otho integration: wrap an executable deployment in a service
         (attached to the hosting RDM service)."""
-        yield from self.rdm.compute(self.rdm.request_demand)
+        yield from self.rdm.compute(self.rdm.REQUEST_DEMAND)
         key = yield from self.wrap(message.payload)
         return {"wrapper": key}
 

@@ -22,7 +22,7 @@ concurrent fetches of the same URL into one wide-area transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.net.message import Message, Response
 from repro.net.service import Service
@@ -179,6 +179,12 @@ class GridFtpService(Service):
         self.url_singleflight_joined = 0
         #: in-flight fetch_url downloads by URL
         self._url_flights = SingleFlight(self.sim)
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        for url, locations in self.url_catalog.replicas.items():
+            for site, path in locations:
+                if site == self.node_name and not self.fs.exists(path):
+                    yield "replicas-on-disk", f"replica of {url} at {path} is gone"
 
     # -- remote operations ----------------------------------------------------
 

@@ -44,7 +44,6 @@ def publish_site_info(vo, site_name: str) -> None:
     stack = vo.stack(site_name)
     site: GridSite = stack.site
     index = stack.index
-    assert index is not None
     from repro.wsrf.resource import EndpointReference
 
     epr = EndpointReference(
@@ -57,9 +56,7 @@ def publish_site_info(vo, site_name: str) -> None:
 def publish_software(vo, site_name: str, name: str, version: str,
                      path: str, home: str = "") -> None:
     """Register a software entry in the site's Default Index."""
-    stack = vo.stack(site_name)
-    index = stack.index
-    assert index is not None
+    index = vo.stack(site_name).index
     from repro.wsrf.resource import EndpointReference
 
     epr = EndpointReference(

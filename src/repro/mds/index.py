@@ -15,7 +15,7 @@ observed overload collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError
 from repro.net.message import Message
@@ -288,6 +288,15 @@ class IndexService(Service):
     def running(self) -> bool:
         """True while the upstream keepalive loop runs."""
         return self.keepalive.running
+
+    def loops(self):
+        return (self.aggregation, self)
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        # a query in flight holds, or waits for, at most one worker
+        held, queued, inflight = self.busy_workers, self.queued_queries, self.inflight
+        if held + queued > inflight:
+            yield "workers-held-by-queries", f"{held} held, {queued} queued, {inflight} in flight"
 
     def _register_upstream(self) -> Generator:
         try:

@@ -13,7 +13,7 @@ reservation service, and notification sinks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Tuple
 
 from repro.net.interceptors import Overloaded
 from repro.net.message import Message, Response
@@ -27,7 +27,21 @@ class UnknownOperation(Exception):
     """The service has no handler for the requested method."""
 
 
-class Service:
+class Plane:
+    """One part of a site (``SiteStack.planes``): the loops it owns, each
+    with ``stop()`` and ``running``, and a ``(clause, detail)`` for every
+    clause of its own state that is broken (:func:`repro.invariants.audit`)."""
+
+    name = ""
+
+    def loops(self) -> Tuple[Any, ...]:
+        return ()
+
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        return iter(())
+
+
+class Service(Plane):
     """A named service deployed on one Grid site.
 
     Subclasses set :attr:`SERVICE_NAME` (or pass ``name``) and define

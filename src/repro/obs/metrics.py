@@ -355,13 +355,9 @@ class MetricsRecorder(Periodic):
                             runtime.cpu.running / runtime.cpu.cores, site=name)
             registry.sample("site.inflight_rpcs",
                             runtime.inflight_rpcs, site=name)
-            if stack.index is not None:
-                registry.sample("site.mds_busy_workers",
-                                stack.index.busy_workers, site=name)
-            if stack.atr is not None:
-                registry.sample("site.atr_cache", len(stack.atr.cache),
-                                site=name)
-            if stack.adr is not None:
-                registry.sample("site.adr_cache",
-                                len(stack.adr.cached_deployments), site=name)
+            registry.sample("site.mds_busy_workers",
+                            stack.index.busy_workers, site=name)
+            registry.sample("site.atr_cache", len(stack.atr.cache), site=name)
+            registry.sample("site.adr_cache",
+                            len(stack.adr.cached_deployments), site=name)
         self.samples_taken += 1

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.glare.model import DeploymentStatus
 from repro.net.message import Message
+from repro.net.service import Plane
 from repro.orchestrate.spec import DeploymentSpec, DesiredState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SiteAgent"]
 
 
-class SiteAgent:
+class SiteAgent(Plane):
     """Observation and actuation operations of one site's RDM service."""
 
     #: reconciliation traffic bypasses admission shedding (see

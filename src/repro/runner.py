@@ -31,7 +31,9 @@ Failure surface
 A unit that raises in a worker is re-raised at the collection point as
 :class:`WorkerError` naming the unit and carrying the child's
 formatted traceback — one bad sweep point fails the whole run loudly
-instead of hanging or silently dropping a point.  (A worker that dies
+instead of hanging or silently dropping a point.  So does a unit that
+left a VO (any ``build_vo`` made during the unit, audited in the worker)
+breaking a :func:`repro.invariants.audit` clause.  (A worker that dies
 outright — segfault, OOM kill — surfaces as the executor's
 ``BrokenProcessPool``, which is equally loud.)
 
@@ -48,6 +50,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Dict, List, Mapping, Sequence
+
+from repro.invariants import audit, audit_scope
 
 
 class WorkerError(RuntimeError):
@@ -103,18 +107,26 @@ def _resolve(path: str):
 
 
 def _run_unit(unit: WorkUnit) -> Any:
-    """Child-side entry: execute one unit, wrapping failures.
+    """Child-side entry: execute one unit, then audit every VO it built.
 
     ``WorkerError`` carries only strings, so it survives the result
     pickle no matter what the original exception held.
     """
     try:
-        return _resolve(unit.fn)(**unit.kwargs)
+        with audit_scope() as vos:
+            result = _resolve(unit.fn)(**unit.kwargs)
     except BaseException:
         raise WorkerError(
             f"work unit {unit.name!r} ({unit.fn}) failed:\n"
             + traceback.format_exc()
         ) from None
+    violations = [violation for vo in vos for violation in audit(vo)]
+    if violations:
+        plane, clause, detail = violations[0]
+        raise WorkerError(
+            f"work unit {unit.name!r} ({unit.fn}) broke {len(violations)} "
+            f"audit clause(s), first {plane} {clause!r}: {detail}")
+    return result
 
 
 def run_units(

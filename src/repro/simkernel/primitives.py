@@ -62,7 +62,7 @@ def bounded_gather(
         try:
             value = yield from factories[index]()
             outcomes[index] = (True, value)
-        except Exception as error:
+        except Exception as error:  # every failure is its caller's to judge
             outcomes[index] = (False, error)
 
     pending: Deque[int] = deque(range(len(factories)))

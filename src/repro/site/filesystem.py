@@ -147,6 +147,13 @@ class Filesystem:
         except KeyError:
             raise FilesystemError(f"no such file: {path}")
 
+    def is_executable(self, path: str) -> bool:
+        """Whether ``path`` is an executable file."""
+        try:
+            return self.get_file(path).executable
+        except FilesystemError:
+            return False
+
     def remove_file(self, path: str) -> None:
         path = normalize(path)
         if path not in self._files:

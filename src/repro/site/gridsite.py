@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
+from repro.net.service import Plane
 from repro.site.description import SiteDescription
 from repro.site.filesystem import Filesystem
 from repro.simkernel.cpu import LoadAverage
@@ -19,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network, NodeRuntime
 
 
-class GridSite:
+class GridSite(Plane):
     """A simulated Grid site."""
 
     def __init__(
@@ -86,6 +87,9 @@ class GridSite:
     def start_monitoring(self) -> None:
         """Begin sampling the 1-minute load average."""
         self.loadavg.start()
+
+    def loops(self):
+        return (self.loadavg,)
 
     # -- environment ------------------------------------------------------------
 

@@ -143,7 +143,6 @@ def site_counters(vo: "VirtualOrganization", name: str) -> Dict[str, object]:
     :class:`SiteMetrics` (minus ``site``)."""
     stack = vo.stack(name)
     rdm, atr, adr = stack.rdm, stack.atr, stack.adr
-    assert rdm is not None and atr is not None and adr is not None
     runtime = vo.network.node(name)
     rm = rdm.request_manager
     dm = rdm.deployment_manager
@@ -160,7 +159,7 @@ def site_counters(vo: "VirtualOrganization", name: str) -> Dict[str, object]:
         "installs_succeeded": dm.stats.installs_succeeded,
         "installs_failed": dm.stats.installs_failed,
         "notifications_sent": dm.stats.notifications_sent,
-        "jobs_submitted": stack.gram.jobs_submitted if stack.gram else 0,
+        "jobs_submitted": stack.gram.jobs_submitted,
         "bytes_in": runtime.bytes_in,
         "bytes_out": runtime.bytes_out,
         "messages_in": runtime.messages_in,

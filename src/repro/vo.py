@@ -14,8 +14,8 @@ All examples, tests and benchmark drivers build on this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.faults import FaultPlane, FaultsConfig
 from repro.glare.lifecycle import LifecycleController
@@ -27,9 +27,11 @@ from repro.glare.storage import StorageConfig
 from repro.gram.service import GramService
 from repro.gridarm.reservation import ReservationService
 from repro.gridftp.service import GridFtpService, UrlCatalog
-from repro.mds.index import IndexService
+from repro.invariants import enlist
+from repro.mds.index import IndexService, SiteRegistration
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import Network
+from repro.net.service import Plane
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
@@ -101,24 +103,30 @@ class VOConfig:
     lifecycle_sweep_interval: float = 10.0
 
 
+@dataclass
 class SiteStack:
-    """All services deployed on one VO member site."""
+    """All services deployed on one VO member site, in start order."""
 
-    def __init__(self, site: GridSite) -> None:
-        self.site = site
-        self.index: Optional[IndexService] = None
-        self.gridftp: Optional[GridFtpService] = None
-        self.gram: Optional[GramService] = None
-        self.atr: Optional[ActivityTypeRegistry] = None
-        self.adr: Optional[ActivityDeploymentRegistry] = None
-        self.gridarm: Optional[ReservationService] = None
-        self.rdm: Optional[GlareRDMService] = None
-        self.agent: Optional[SiteAgent] = None
-        self.lifecycle: Optional[LifecycleController] = None
+    site: GridSite
+    index: IndexService
+    gridftp: GridFtpService
+    gram: GramService
+    atr: ActivityTypeRegistry
+    adr: ActivityDeploymentRegistry
+    gridarm: ReservationService
+    rdm: GlareRDMService
+    agent: SiteAgent
+    lifecycle: LifecycleController
 
     @property
     def name(self) -> str:
         return self.site.name
+
+    @property
+    def planes(self) -> Tuple[Plane, ...]:
+        """The site's parts in start order: what every walk over a site
+        (shutdown, audit) iterates instead of naming them."""
+        return tuple(getattr(self, part.name) for part in fields(self))
 
 
 class VirtualOrganization:
@@ -147,6 +155,8 @@ class VirtualOrganization:
         self.origin: Optional[GridSite] = None
         #: desired-state reconciler (orchestration config only)
         self.reconciler = None
+        #: set by :meth:`stop`: the audit's shutdown clauses now apply
+        self.stopped = False
 
     # -- accessors -----------------------------------------------------------
 
@@ -158,9 +168,7 @@ class VirtualOrganization:
         return self.stacks[name]
 
     def rdm(self, name: str) -> GlareRDMService:
-        rdm = self.stacks[name].rdm
-        assert rdm is not None
-        return rdm
+        return self.stacks[name].rdm
 
     # -- client helpers ----------------------------------------------------------
 
@@ -185,22 +193,20 @@ class VirtualOrganization:
     # -- shutdown ----------------------------------------------------------------
 
     def background(self) -> List[Any]:
-        """Every owner of a background loop ``build_vo`` or a caller can
-        start, each with ``stop()`` and ``running``.  The fault plane's
-        crash/churn schedule is finite — not a loop — and is left alone.
-        """
+        """Every owner of a loop ``build_vo`` or a caller can start, each
+        with ``stop()`` and ``running``: VO-wide, then each site's planes
+        in reverse start order.  The fault plane's finite crash/churn
+        schedule is not a loop and is left alone."""
         owners: List[Any] = [self.reconciler, self.obs.slo, self.obs.recorder]
         for stack in self.stacks.values():
-            owners += [
-                stack.lifecycle, stack.rdm, stack.atr.aggregation,
-                stack.adr.aggregation, stack.index.aggregation, stack.index,
-                stack.site.loadavg,
-            ]
+            owners += [loop for plane in reversed(stack.planes)
+                       for loop in plane.loops()]
         return [owner for owner in owners if owner is not None]
 
     def stop(self) -> None:
         """Stop every background loop: once ``sim.run()`` has drained
         the work in flight, nothing is left on the agenda."""
+        self.stopped = True
         for owner in self.background():
             owner.stop()
 
@@ -218,18 +224,14 @@ class VirtualOrganization:
         self.sim.run(until=self.sim.now + settle)
         groups: Dict[str, List[str]] = {}
         for name, stack in self.stacks.items():
-            assert stack.rdm is not None
             view = stack.rdm.overlay.view
             if view.super_peer:  # unassigned (e.g. offline) sites are skipped
                 groups.setdefault(view.super_peer, []).append(name)
         return groups
 
     def super_peers(self) -> List[str]:
-        return sorted(
-            name
-            for name, stack in self.stacks.items()
-            if stack.rdm is not None and stack.rdm.overlay.is_super_peer
-        )
+        return sorted(name for name, stack in self.stacks.items()
+                      if stack.rdm.overlay.is_super_peer)
 
     # -- content publication --------------------------------------------------------
 
@@ -295,31 +297,28 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
     # Member sites.
     for index, name in enumerate(names):
         site = GridSite(vo.network, _site_description(config, index))
-        stack = SiteStack(site)
-        vo.stacks[name] = stack
-
-        stack.index = IndexService(
+        mds = IndexService(
             vo.network, name,
             community=(name == vo.community_site),
             upstream=None if name == vo.community_site else vo.community_site,
         )
-        stack.gridftp = GridFtpService(
+        gridftp = GridFtpService(
             vo.network, name, fs=site.fs,
             setup_cost=GRIDFTP_SETUP, url_catalog=vo.url_catalog,
             replica_aware=config.provisioning.scaled,
         )
-        stack.gram = GramService(vo.network, name, submission_overhead=config.gram_overhead)
-        stack.atr = ActivityTypeRegistry(
+        gram = GramService(vo.network, name, submission_overhead=config.gram_overhead)
+        atr = ActivityTypeRegistry(
             vo.network, name, cache_enabled=config.cache_enabled,
             storage=config.storage,
         )
-        stack.adr = ActivityDeploymentRegistry(
-            vo.network, name, atr=stack.atr, cache_enabled=config.cache_enabled,
+        adr = ActivityDeploymentRegistry(
+            vo.network, name, atr=atr, cache_enabled=config.cache_enabled,
             storage=config.storage,
         )
-        stack.gridarm = ReservationService(vo.network, name)
-        stack.rdm = GlareRDMService(
-            vo.network, site, stack.atr, stack.adr, stack.gridftp,
+        gridarm = ReservationService(vo.network, name)
+        rdm = GlareRDMService(
+            vo.network, site, atr, adr, gridftp,
             handler=config.handler,
             community_site=vo.community_site,
             group_size=config.group_size,
@@ -329,33 +328,29 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
             storage=config.storage,
         )
         # the site's end of desired-state orchestration, reconciler or not
-        stack.agent = SiteAgent(stack.rdm)
-        stack.rdm.attach(stack.agent)
+        agent = SiteAgent(rdm)
+        rdm.attach(agent)
         if config.admission_limit is not None:
-            stack.rdm.admission_limit = config.admission_limit
-        if config.lifecycle:
-            stack.lifecycle = LifecycleController(
-                stack.rdm, sweep_interval=config.lifecycle_sweep_interval
-            )
+            rdm.admission_limit = config.admission_limit
+        # built on every site; ``config.lifecycle`` decides whether it runs
+        lifecycle = LifecycleController(
+            rdm, sweep_interval=config.lifecycle_sweep_interval)
+        vo.stacks[name] = SiteStack(site, mds, gridftp, gram, atr, adr,
+                                    gridarm, rdm, agent, lifecycle)
 
     # Bootstrap community membership (initial registrations at t=0),
     # then start the keepalive + monitor machinery.
     community_index = vo.stacks[vo.community_site].index
-    assert community_index is not None
-    from repro.mds.index import SiteRegistration
-
     for name in names:
         community_index.site_registrations[name] = SiteRegistration(
             site=name, registered_at=0.0, last_keepalive=0.0,
             ttl=community_index.registration_ttl,
         )
-    for name in names:
-        stack = vo.stacks[name]
-        assert stack.index is not None and stack.rdm is not None
+    for stack in vo.stacks.values():
         stack.index.start()
         if config.monitors:
             stack.rdm.start(monitors=True)
-        if stack.lifecycle is not None:
+        if config.lifecycle:
             stack.lifecycle.start()
 
     # Observability: the gauge recorder only runs when enabled.
@@ -373,7 +368,6 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         from repro.orchestrate import RdmActuator, Reconciler
 
         community_rdm = vo.stacks[vo.community_site].rdm
-        assert community_rdm is not None
         vo.reconciler = Reconciler(
             community_rdm,
             config.orchestration,
@@ -385,4 +379,5 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
     # Fault plane: spawn the crash/churn schedules (no-op when disabled).
     vo.faults.start()
 
+    enlist(vo)
     return vo

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.model import ActivityDeployment
 from repro.glare.registry import deployment_from_wire
 from repro.simkernel.errors import OfflineError
@@ -92,7 +93,7 @@ class EnactmentEngine:
                 run = yield from self._run_node(schedule, node, result)
                 result.runs[node.node_id] = run
                 done_events[node.node_id].succeed("ok")
-            except Exception as error:  # noqa: BLE001 - recorded, not raised
+            except (WorkflowError, *CLIENT_ERRORS) as error:
                 failure.append(f"{node.node_id}: {error}")
                 done_events[node.node_id].succeed("failed")
 
@@ -162,7 +163,7 @@ class EnactmentEngine:
                 payload={"type": node.type_name, "auto_deploy": True,
                          "exclude_sites": [exclude]},
             )
-        except Exception:
+        except CLIENT_ERRORS:
             return None
         candidates = [deployment_from_wire(w) for w in wires]
         candidates = [c for c in candidates if c.site != exclude]
@@ -180,7 +181,6 @@ class EnactmentEngine:
         """Move predecessor outputs to the activity's site via GridFTP."""
         start = self.sim.now
         target_ftp = self.vo.stack(deployment.site).gridftp
-        assert target_ftp is not None
         for pred_id in schedule.workflow.predecessors(node.node_id):
             pred_site = schedule.site_of(pred_id)
             if pred_site == deployment.site:

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
+from repro.net.interceptors import TRANSIENT_ERRORS, RemoteError
 from repro.net.message import Message
 from repro.net.service import Service
 from repro.simkernel.errors import OfflineError
@@ -162,5 +163,5 @@ class NotificationBroker:
         except OfflineError:
             self.failed_deliveries += 1
             self.unsubscribe(sub)
-        except Exception:
+        except TRANSIENT_ERRORS + (RemoteError,):
             self.failed_deliveries += 1

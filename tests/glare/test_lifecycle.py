@@ -3,8 +3,9 @@
 import pytest
 
 from repro.glare.errors import DeploymentFailed
+from repro.experiments.workload import placed
 from repro.glare.lifecycle import LifecycleController
-from repro.invariants import check_vo_invariants
+from repro.invariants import audit
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.vo import build_vo
 
@@ -30,7 +31,7 @@ def register(vo, site="agrid01", dep_name="eph"):
     )
     vo.run_process(vo.client_call(
         site, "register_deployment",
-        payload={"xml": deployment.to_xml().to_string()},
+        payload={"xml": placed(vo, deployment).to_xml().to_string()},
     ))
     return deployment
 
@@ -116,7 +117,7 @@ class TestExpiryIsTheRegistrysRemoval:
             vo.run_process(vo.client_call(
                 "agrid00", "get_deployments",
                 payload={"type": "Counter", "auto_deploy": False}))
-        assert check_vo_invariants(vo) == []
+        assert audit(vo) == []
 
     def test_type_expiry_publishes_the_removed_event(self):
         from repro.glare.registry import ATR_SERVICE
@@ -134,7 +135,7 @@ class TestExpiryIsTheRegistrysRemoval:
         controller.expire_type_at("Ephemeral", vo.sim.now + 10.0)
         vo.sim.run(until=vo.sim.now + 30)
         assert [e["event"] for e in sink.received] == ["registered", "removed"]
-        assert check_vo_invariants(vo, check_files=False) == []
+        assert audit(vo) == []
 
 
 def _failing_minimums(monkeypatch, error):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.workload import publish_installable_type
 from repro.glare.rdm import RDM_SERVICE
-from repro.invariants import check_vo_invariants
+from repro.invariants import audit
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.vo import build_vo
@@ -93,12 +93,12 @@ class TestInvariantCorruptionDetection:
     def test_overlay_role_mismatch_detected(self):
         vo = build_vo(n_sites=4, seed=357, monitors=False)
         vo.form_overlay()
-        assert check_vo_invariants(vo) == []
+        assert audit(vo) == []
         # plant: a super-peer whose view points elsewhere
         some_sp = vo.super_peers()[0]
         vo.rdm(some_sp).overlay.view.super_peer = "agrid-bogus"
-        violations = check_vo_invariants(vo, check_files=False)
-        assert violations  # role/member mismatches reported
+        assert {(v.plane, v.clause) for v in audit(vo)} == {
+            ("overlay", "super-peer-self"), ("overlay", "super-peer-member")}
 
     def test_cached_resource_without_source_detected(self):
         vo = build_vo(n_sites=3, seed=359, monitors=False)
@@ -111,8 +111,8 @@ class TestInvariantCorruptionDetection:
         atr2 = vo.stack("agrid02").atr
         assert "EdgeApp" in atr2.cache.keys()
         atr2.cache_sources.pop("EdgeApp")
-        violations = check_vo_invariants(vo, check_files=False)
-        assert any("no source" in v for v in violations)
+        assert [(v.plane, v.clause) for v in audit(vo)] == [
+            ("activity-type-registry@agrid02", "cache-sourced")]
 
 
 class TestIndexMonitorWithoutIndex:

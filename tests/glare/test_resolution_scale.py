@@ -5,6 +5,7 @@ batched cache revalidation, super-peer digests and negative caching
 
 import pytest
 
+from repro.experiments.workload import placed
 from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStatus
 from repro.glare.monitors import CacheRefresher
 from repro.glare.resolution import NEGATIVE_TTL, ResolutionConfig, TypeDigest
@@ -37,7 +38,7 @@ def register_type_and_deployment(vo, site, type_name="ScaleApp"):
     )
     vo.run_process(vo.client_call(
         site, "register_deployment",
-        payload={"xml": deployment.to_xml().to_string()},
+        payload={"xml": placed(vo, deployment).to_xml().to_string()},
     ))
     return deployment
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.invariants import check_vo_quiescent
+from repro.invariants import Violation, audit
 from repro.mds import IndexService
 from repro.net import Network, Topology
 from repro.net.interceptors import RetryPolicy, RpcTimeout
@@ -168,14 +168,14 @@ class TestWorkerPoolUnderDeadlines:
         vo = build_vo(n_sites=2, seed=3)
         vo.stop()
         vo.sim.run()
-        assert check_vo_quiescent(vo) == []
+        assert audit(vo) == []
         site = vo.site_names[1]
         index = vo.stack(site).index
         index._worker_pool.request()  # a grant nobody will ever release
         vo.sim.run()
-        assert check_vo_quiescent(vo) == [
-            f"{index.name}@{site}: 1 index workers held, 0 queries queued"
-        ]
+        assert audit(vo) == [Violation(
+            f"{index.name}@{site}", "workers-held-by-queries",
+            "1 held, 0 queued, 0 in flight")]
 
 
 class TestHierarchy:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.glare.monitors import CacheRefresher
 from repro.glare.registry import ADR_SERVICE, ATR_SERVICE
 from repro.glare.resolution import ResolutionConfig
-from repro.invariants import check_vo_invariants
+from repro.invariants import audit
 from repro.vo import build_vo
 
 from ..glare.test_resolution_scale import TYPE_XML, register_type_and_deployment
@@ -80,7 +80,7 @@ def run_schedule(batched, entries, schedule):
                     site, "remove_type", service=ATR_SERVICE,
                     payload=f"P{target}"))
 
-    assert check_vo_invariants(vo, check_files=False) == []
+    assert audit(vo) == []
     atr, adr = observer.atr, observer.adr
     return {
         "type LUTs": {name: epr.last_update_time

@@ -1,9 +1,10 @@
-"""Unit tests for stores and events."""
+"""Unit tests for stores, events and bounded gathering."""
 
 import pytest
 
 from repro.simkernel import Simulator, Store
-from repro.simkernel.errors import EventAlreadyFired
+from repro.simkernel.errors import EventAlreadyFired, Interrupt
+from repro.simkernel.primitives import bounded_gather
 
 
 class TestStoreCapacity:
@@ -99,3 +100,38 @@ class TestEventSemantics:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.timeout(-1)
+
+
+class TestBoundedGather:
+    def test_an_error_is_handed_back_as_a_value(self):
+        sim = Simulator()
+
+        def fails():
+            yield sim.timeout(1)
+            raise ValueError("leg failed")
+
+        def ok():
+            yield sim.timeout(2)
+            return "done"
+
+        proc = sim.process(bounded_gather(sim, [fails, ok], limit=1))
+        sim.run(until=proc)
+        (first_ok, error), second = proc.value
+        assert not first_ok and isinstance(error, ValueError)
+        assert second == (True, "done")
+
+    def test_an_interrupt_passes_through(self):
+        """The one broad catch left is ``Exception``: a stop still
+        unwinds the gathering process instead of becoming a value."""
+        sim = Simulator()
+        workers = []
+
+        def parked():
+            workers.append(sim.active_process)
+            yield sim.timeout(10)
+
+        proc = sim.process(bounded_gather(sim, [parked], limit=1))
+        sim.run(until=1)
+        workers[0].interrupt("stop")
+        with pytest.raises(Interrupt):
+            sim.run(until=proc)

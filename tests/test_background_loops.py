@@ -1,5 +1,6 @@
 """One stop contract for every owner of a background loop, and the
-VO-wide shutdown built on it (``vo.stop()`` + ``check_vo_quiescent``)."""
+VO-wide shutdown built on it (``vo.stop()`` + the audit's shutdown
+clauses)."""
 
 import math
 
@@ -9,7 +10,7 @@ from repro.experiments.workload import publish_installable_type
 from repro.faults import FaultsConfig
 from repro.glare.lifecycle import LifecycleController
 from repro.glare.monitors import CacheRefresher
-from repro.invariants import check_vo_invariants, check_vo_quiescent
+from repro.invariants import audit
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.slo import SLOEngine, SLOSpec
@@ -26,7 +27,7 @@ def quiet_vo(**config):
     vo = build_vo(monitors=False, lifecycle=False, **config)
     vo.stop()
     vo.sim.run()
-    assert check_vo_quiescent(vo) == []
+    assert audit(vo) == []
     return vo
 
 
@@ -124,14 +125,15 @@ def test_vo_stop_quiesces_an_observed_vo():
     # per site: lifecycle, RDM, MDS keepalive (the community index has
     # no upstream); VO-wide: the metrics recorder
     assert len(running) == 8 * 3 - 1 + 1
-    assert check_vo_quiescent(vo) != []
+    assert audit(vo) == []  # running: the shutdown clauses do not apply yet
 
     vo.stop()
+    assert {v.clause for v in audit(vo)} == {"agenda-empty"}  # not drained
     vo.sim.run()
     assert vo.sim.now == 44.15  # nothing was left to wait for
-    assert check_vo_quiescent(vo) == []
+    assert audit(vo) == []
     vo.stop()  # idempotent
-    assert check_vo_quiescent(vo) == []
+    assert audit(vo) == []
 
 
 def test_vo_stop_reaches_loops_a_caller_started():
@@ -147,7 +149,7 @@ def test_vo_stop_reaches_loops_a_caller_started():
     assert len([o for o in vo.background() if o.running]) == 2 * 4 + 1
     vo.stop()
     vo.sim.run()
-    assert check_vo_quiescent(vo) == []
+    assert audit(vo) == []
 
 
 def test_orchestration_under_churn_with_observability_stops_clean():
@@ -189,5 +191,4 @@ def test_orchestration_under_churn_with_observability_stops_clean():
     vo.stop()
     vo.sim.run()  # the fault plane's finite schedule plays out too
     assert len(vo.reconciler.rounds) == rounds_before  # the round was cut
-    assert check_vo_quiescent(vo) == []
-    assert check_vo_invariants(vo) == []
+    assert audit(vo) == []

@@ -14,7 +14,7 @@ from repro.apps import (
     register_base_hierarchy,
 )
 from repro.glare.model import ActivityDeployment
-from repro.invariants import check_vo_invariants, check_vo_quiescent
+from repro.invariants import audit
 from repro.vo import build_vo
 from repro.workflow import Workflow
 from repro.workflow.enactment import run_workflow
@@ -71,8 +71,7 @@ def test_day_in_the_life():
 
     # Let the monitors settle, then sweep the global invariants.
     vo.sim.run(until=vo.sim.now + 120)
-    violations = check_vo_invariants(vo)
-    assert violations == []
+    assert audit(vo) == []
 
     # Sanity: instantiation still works against the earlier install.
     if vo.stack(wien2k_site).site.online:
@@ -86,8 +85,7 @@ def test_day_in_the_life():
     # Closing time: every background loop stops and nothing is left.
     vo.stop()
     vo.sim.run()
-    assert check_vo_quiescent(vo) == []
-    assert check_vo_invariants(vo) == []
+    assert audit(vo) == []  # now with the shutdown clauses
 
     # Every receiver of a wire document reads one shared parse of it
     # (registry cache entries even keep it): nobody edited one, or
@@ -99,7 +97,7 @@ def test_day_in_the_life():
 
 
 def test_invariants_detect_corruption():
-    """The checker actually catches planted inconsistencies."""
+    """The audit actually catches planted inconsistencies."""
     vo = build_vo(n_sites=3, seed=401, monitors=False)
     vo.form_overlay()
     type_xml = ('<ActivityTypeEntry name="Inv" kind="concrete">'
@@ -119,16 +117,16 @@ def test_invariants_detect_corruption():
         "agrid01", "register_deployment",
         payload={"xml": deployment.to_xml().to_string()},
     ))
-    assert check_vo_invariants(vo) == []
+    assert audit(vo) == []
 
     # plant corruption: delete the binary behind an ACTIVE deployment
     vo.stack("agrid01").site.fs.remove_file(deployment.path)
-    violations = check_vo_invariants(vo)
-    assert any("missing on disk" in v for v in violations)
+    assert [(v.plane, v.clause) for v in audit(vo)] == [
+        ("glare-rdm@agrid01", "active-on-disk")]
 
     # plant corruption: orphan by_type entry
     vo.stack("agrid01").site.fs.put_file(deployment.path, size=1,
                                          executable=True)
     vo.stack("agrid01").adr.by_type["Inv"].append("ghost:key")
-    violations = check_vo_invariants(vo)
-    assert any("unknown key" in v for v in violations)
+    assert [(v.plane, v.clause) for v in audit(vo)] == [
+        ("activity-deployment-registry@agrid01", "by-type-known")]

@@ -9,14 +9,12 @@ class TestBuildVo:
     def test_full_stack_per_site(self):
         vo = build_vo(n_sites=3, seed=1, monitors=False)
         for name in vo.site_names:
-            stack = vo.stack(name)
-            assert stack.index is not None
-            assert stack.gridftp is not None
-            assert stack.gram is not None
-            assert stack.atr is not None
-            assert stack.adr is not None
-            assert stack.gridarm is not None
-            assert stack.rdm is not None
+            # the site's parts, whole and in start order
+            assert [type(plane).__name__ for plane in vo.stack(name).planes] == [
+                "GridSite", "IndexService", "GridFtpService", "GramService",
+                "ActivityTypeRegistry", "ActivityDeploymentRegistry",
+                "ReservationService", "GlareRDMService", "SiteAgent",
+                "LifecycleController"]
             runtime = vo.network.node(name)
             for service in ("mds-index", "gridftp", "gram",
                             "activity-type-registry",

@@ -122,6 +122,34 @@ class TestSchedulerAndEnactment:
         assert result.runs["render"].site != victim
         assert result.retries >= 1
 
+    def test_a_bug_in_an_activity_propagates(self, imaging_vo, monkeypatch):
+        """A failed node is a GLARE, transport or workflow error; a bug
+        is raised, not recorded as the node's failure."""
+        vo = imaging_vo
+        wf = Workflow("bug")
+        wf.add(ActivityNode("render", "JPOVray", demand=1.0))
+        schedule = vo.run_process(Scheduler(vo, "agrid02").map_workflow(wf))
+
+        def broken(*args):
+            raise TypeError("a bug")
+            yield
+
+        monkeypatch.setattr(EnactmentEngine, "_run_node", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            vo.run_process(EnactmentEngine(vo, "agrid02").run(schedule))
+
+    def test_a_bug_while_remapping_propagates(self, imaging_vo, monkeypatch):
+        vo = imaging_vo
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+            yield
+
+        monkeypatch.setattr(vo, "client_call", broken)
+        engine = EnactmentEngine(vo, "agrid02")
+        with pytest.raises(TypeError, match="a bug"):
+            vo.run_process(engine._remap(ActivityNode("x", "JPOVray"), "agrid01"))
+
     def test_unmappable_workflow_fails_cleanly(self, imaging_vo):
         vo = imaging_vo
         wf = Workflow("bad")

@@ -248,6 +248,23 @@ class TestNotification:
         assert broker.failed_deliveries == 1
         assert broker.subscriber_count("t") == 0
 
+    def test_a_bug_in_a_sink_propagates(self):
+        """A delivery that fails in transport is counted; a bug is not."""
+        sim, net = self.make_world()
+        sink = NotificationSink(net, "s1")
+
+        def broken(message):
+            raise TypeError("a bug")
+            yield
+
+        sink.op_notify = broken
+        broker = NotificationBroker(net, "pub")
+        broker.subscribe("t", "s1", sink.name)
+        broker.publish("t", "x")
+        with pytest.raises(TypeError, match="a bug"):
+            sim.run()
+        assert broker.failed_deliveries == 0
+
     def test_unsubscribe_stops_delivery(self):
         sim, net = self.make_world()
         sink = NotificationSink(net, "s1")
