@@ -29,12 +29,14 @@ nothing else.
 and prints every captured trace as an indented span tree (optionally
 exporting Chrome trace-event JSON / JSONL — gauge series ride along as
 counter events); ``metrics`` prints the counters, latency histograms
-and sampled gauge series.  The health/SLO plane has its own views:
-``health`` prints node/service states and the transition log, ``slo``
-prints the error-budget table, burn-rate alert log and crash-detection
+and sampled gauge series.  The health/SLO plane has its own views, each
+reading the run's journal (``sim.journal``): ``health`` prints
+node/service states and the health transitions, ``slo`` prints the
+error-budget table, the burn-rate alerts and the crash-detection
 timeline, ``analyze`` prints trace critical paths / self-time
 breakdowns / slowest-trace waterfalls, and ``report`` prints the
-unified run report (all of the above for one scenario).  Scenario
+unified run report (health, SLO, crash detection, metrics and trace
+analytics for one scenario).  Scenario
 defaults: ``churn`` for health/slo (it is the only one with faults),
 ``deploy`` otherwise.  ``report experiments`` instead renders the
 aggregate *experiment* report: every shipped table/figure section in
@@ -112,24 +114,15 @@ def _view_health(scenario: str, args: argparse.Namespace) -> str:
 
 
 def _view_slo(scenario: str, args: argparse.Namespace) -> str:
-    from repro.obs.export import render_alerts, render_slo
-    from repro.obs.health import detection_timeline
+    from repro.obs.export import render_alerts, render_detection, render_slo
 
     vo = run_scenario(scenario)
     engine = vo.obs.slo
     if engine is None:
         return "(no SLOs configured for this scenario)"
-    sections = [render_slo(engine), render_alerts(engine)]
-    crashes = [e for e in vo.faults.events if e.get("kind") == "crash"]
-    if crashes:
-        lines = ["Crash detection"]
-        for rec in detection_timeline(vo.faults.events, engine.alert_log):
-            mttd = f"{rec.mttd:.2f}s" if rec.mttd is not None else "UNDETECTED"
-            mttr = f"{rec.mttr:.2f}s" if rec.mttr is not None else "-"
-            lines.append(f"  {rec.site} crashed t={rec.crash_at:.2f}s: "
-                         f"detected in {mttd}, incident closed in {mttr}")
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections)
+    sections = [render_slo(engine), render_alerts(engine),
+                render_detection(vo.sim.journal)]
+    return "\n\n".join(filter(None, sections))
 
 
 def _view_analyze(scenario: str, args: argparse.Namespace) -> str:

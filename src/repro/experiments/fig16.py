@@ -23,8 +23,8 @@ Two series over the identical fault schedule:
 
 Per series the run reports the request success rates, the number of
 re-elections, and the recovery time of every crash (first takeover
-acknowledging the missing super-peer, read from the overlay's
-``takeover_log``).  Every request's outcome is folded into an
+acknowledging the missing super-peer, both read from the simulator's
+journal).  Every request's outcome is folded into an
 order-insensitive digest; two same-seed runs of a series must agree
 bit-for-bit (the fault plane draws from named seeded streams), which
 the experiment declares by listing a repeat of each resilient unit.
@@ -74,6 +74,7 @@ from repro.obs import Observability
 from repro.obs.health import detection_timeline
 from repro.obs.slo import CALL, BurnRateRule, SLOSpec
 from repro.runner import WorkUnit
+from repro.simkernel import entries
 from repro.vo import build_vo
 
 GROUP_SIZE = 5
@@ -150,7 +151,7 @@ class Fig16Point:
     repair_times: List[float] = field(default_factory=list)
     undetected_crashes: int = 0
     slo_verdicts: Dict[str, str] = field(default_factory=dict)
-    #: the rendered health/SLO report (CI artifact payload)
+    #: the rendered run report (CI artifact payload)
     report: str = ""
 
     @property
@@ -336,12 +337,9 @@ def run_fig16_point(
     # let any trailing restart from the last churn round land
     vo.sim.run(until=vo.sim.now + churn_downtime)
 
-    crash_events = [e for e in vo.faults.events if e["kind"] == "crash"]
-    takeovers = sorted(
-        (entry for name in vo.site_names
-         for entry in vo.rdm(name).overlay.takeover_log),
-        key=lambda e: e["at"],
-    )
+    journal = vo.sim.journal
+    crash_events = entries(journal, "faults", "crash")
+    takeovers = entries(journal, "overlay", "takeover")
     recovery_times: List[float] = []
     for crash in crash_events:
         for takeover in takeovers:
@@ -357,13 +355,13 @@ def run_fig16_point(
     verdicts: Dict[str, str] = {}
     report = ""
     if vo.obs.slo is not None:
-        from repro.obs.export import render_alerts, render_health, render_slo
+        from repro.obs.export import render_run_report
 
         engine = vo.obs.slo
         engine.evaluate()  # final tick: resolve anything still burning
         alerts_fired = engine.alerts_fired()
         verdicts = engine.verdicts()
-        for rec in detection_timeline(vo.faults.events, engine.alert_log):
+        for rec in detection_timeline(journal):
             if rec.mttd is None:
                 undetected += 1
                 continue
@@ -371,12 +369,8 @@ def run_fig16_point(
             if rec.mttr is not None:
                 repair_times.append(rec.mttr)
         series = "resilient" if resilient else "fragile"
-        report = "\n\n".join([
-            f"fig16 SLO extension — {series} series",
-            render_slo(engine),
-            render_alerts(engine),
-            render_health(vo.obs.health),
-        ])
+        report = (f"fig16 SLO extension — {series} series\n\n"
+                  + render_run_report(vo))
 
     return Fig16Point(
         resilient=resilient,

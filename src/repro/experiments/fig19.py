@@ -57,6 +57,7 @@ from repro.glare.model import DeploymentStatus
 from repro.load import NHPoissonProcess, PoissonProcess, StepRate
 from repro.orchestrate import DeploymentSpec, OrchestrationConfig
 from repro.runner import WorkUnit
+from repro.simkernel import entries
 from repro.vo import SITE_PREFIX, VOConfig, build_vo
 
 #: the managed (spiking) activity type
@@ -311,7 +312,7 @@ def run_fig19_flash(
         replica_series=replica_series,
         max_replicas_seen=max(counts),
         final_replicas=counts[-1],
-        reconcile_rounds=len(reconciler.rounds) if reconciler else 0,
+        reconcile_rounds=len(entries(vo.sim.journal, "orchestrate", "round")),
         installs=reconciler.actuator.installs if reconciler else 0,
         drains=reconciler.actuator.drains if reconciler else 0,
         convergence_times=list(reconciler.convergence_times) if reconciler else [],

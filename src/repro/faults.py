@@ -30,7 +30,7 @@ processes, no draws, byte-identical behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.interceptors import CallContext, RemoteError
 from repro.simkernel.errors import OfflineError, SimulationError
@@ -137,10 +137,6 @@ class FaultPlane:
         #: experiment hook: returns the next churn victim (or None to
         #: skip the round); default picks a seeded online site
         self.churn_selector: Optional[Callable[[], Optional[str]]] = None
-        #: chronological injection log (crash/restart rounds)
-        self.events: List[Dict] = []
-        #: callables receiving each event as it is logged (health plane)
-        self.listeners: List[Callable[[Dict], None]] = []
         self.crashes_induced = 0
         self.link_faults_injected = 0
         self.service_errors_injected = 0
@@ -176,21 +172,20 @@ class FaultPlane:
             yield self.sim.timeout(at - self.sim.now)
         yield from self._down_up(site, down_for)
 
-    def _emit(self, event: Dict) -> None:
-        """Log one event and fan it out to registered listeners."""
-        self.events.append(event)
-        for listener in self.listeners:
-            listener(event)
-
     def _down_up(self, site: str, down_for: Optional[float]):
+        health = self.network.health
         self.network.set_online(site, False)
         self.crashes_induced += 1
-        self._emit({"kind": "crash", "site": site, "at": self.sim.now})
+        self.sim.note("faults", "crash", site=site)
+        if health is not None:
+            health.crashed(site)
         if down_for is None:
             return
         yield self.sim.timeout(down_for)
         self.network.set_online(site, True)
-        self._emit({"kind": "restart", "site": site, "at": self.sim.now})
+        self.sim.note("faults", "restart", site=site)
+        if health is not None:
+            health.restarted(site)
 
     def _churn_proc(self):
         for index, when in enumerate(self.config.churn_times):
@@ -198,9 +193,7 @@ class FaultPlane:
                 yield self.sim.timeout(when - self.sim.now)
             victim = self._pick_victim()
             if victim is None or not self.network.is_online(victim):
-                self._emit(
-                    {"kind": "churn-skip", "site": victim, "at": self.sim.now}
-                )
+                self.sim.note("faults", "churn-skip", site=victim)
                 continue
             # rounds overlap-safe: each crash/restart runs detached
             self.sim.process(

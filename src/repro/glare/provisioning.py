@@ -653,10 +653,8 @@ class DeploymentManager:
             yield self.sim.timeout(NOTIFICATION_COST)
         obs.metrics.histogram("provision.notification").observe(NOTIFICATION_COST)
         self.stats.notifications_sent += 1
-        self.rdm.admin_notifications.append(
-            {"site": site, "type": activity_type.name, "reason": reason,
-             "at": self.sim.now}
-        )
+        self.sim.note("provisioning", "notify", site=site,
+                      type=activity_type.name, reason=reason)
 
 
 def _report_wire(report: InstallReport) -> Dict[str, object]:

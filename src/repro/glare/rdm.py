@@ -573,7 +573,6 @@ class GlareRDMService(Service):
         self.community_site = community_site
         self.resolution = resolution
         self.storage = storage
-        self.admin_notifications: List[Dict] = []
         self._monitors: List = []
 
         self.request_manager = RequestManager(self)

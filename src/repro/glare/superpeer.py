@@ -87,9 +87,6 @@ class OverlayManager:
         self._offers: Dict[str, int] = {}
         self.elections_run = 0
         self.reelections = 0
-        #: successful takeovers on this site: ``{"at", "missing",
-        #: "epoch"}`` per event (experiments read recovery times here)
-        self.takeover_log: List[Dict] = []
         #: the failure detector: a plain member pings its super-peer;
         #: every view that lands re-arms it (see :meth:`_restart_probe`)
         self.detector = Periodic(
@@ -381,9 +378,8 @@ class OverlayManager:
 
         # Take over.
         self.reelections += 1
-        self.takeover_log.append(
-            {"at": self.sim.now, "missing": missing, "epoch": self.view.epoch + 1}
-        )
+        self.sim.note("overlay", "takeover", site=self.me, missing=missing,
+                      epoch=self.view.epoch + 1)
         new_members = [m for m in self.view.members if m.site != missing]
         new_sps = [s for s in self.view.super_peers if s != missing] + [self.me]
         payload = {

@@ -18,7 +18,7 @@ A second *judgement* tier sits on top of the raw streams:
 * :mod:`repro.obs.slo` — declarative service-level objectives with
   sliding-window burn-rate alerts and error budgets;
 * :mod:`repro.obs.health` — a fault-aware node/service health registry
-  plus MTTD/MTTR analytics over fault-event ↔ alert timelines;
+  plus MTTD/MTTR analytics over the journal's crashes and alerts;
 * :mod:`repro.obs.analyze` — trace critical paths, self-time
   breakdowns and slowest-trace waterfalls.
 
@@ -67,8 +67,6 @@ class Observability:
         non-empty tuple builds an :class:`~repro.obs.slo.SLOEngine`
         (and installs the pipeline layer that feeds it) even when the
         tracer/metrics switch is off.
-    slo_eval_interval:
-        Burn-rate evaluation cadence of the SLO engine.
     """
 
     def __init__(
@@ -77,7 +75,6 @@ class Observability:
         sample_interval: float = 5.0,
         max_spans: Optional[int] = None,
         slos: Sequence[SLOSpec] = (),
-        slo_eval_interval: float = 5.0,
     ) -> None:
         self.enabled = enabled
         self.sample_interval = sample_interval
@@ -89,7 +86,7 @@ class Observability:
         self.recorder: Optional[MetricsRecorder] = None
         #: burn-rate engine (``None`` unless objectives are configured)
         self.slo: Optional[SLOEngine] = (
-            SLOEngine(slos, eval_interval=slo_eval_interval) if slos else None
+            SLOEngine(slos) if slos else None
         )
         #: health registry (present whenever any observer tier is on)
         self.health: Optional[HealthRegistry] = (

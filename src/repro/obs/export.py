@@ -22,10 +22,11 @@ import json
 from typing import IO, Any, Dict, Iterable, List, Optional
 
 from repro.experiments.report import format_table
-from repro.obs.health import HealthRegistry
+from repro.obs.health import HealthRegistry, detection_timeline
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
 from repro.obs.trace import Span, walk_tree
+from repro.simkernel.kernel import entries
 
 
 def span_to_dict(span: Span) -> Dict[str, Any]:
@@ -294,11 +295,12 @@ def render_slo(engine: SLOEngine) -> str:
 
 
 def render_alerts(engine: SLOEngine) -> str:
-    """The chronological burn-rate alert log plus still-active alerts."""
-    if not engine.alert_log:
+    """The journal's burn-rate alerts in order, plus still-active ones."""
+    alerts = engine.alerts()
+    if not alerts:
         return "(no burn-rate alerts fired)"
     lines = ["Burn-rate alerts"]
-    for entry in engine.alert_log:
+    for entry in alerts:
         lines.append(
             f"  t={entry['at']:9.2f}s  {entry['kind']:<8}  "
             f"{entry['slo']}/{entry['rule']}  burn={entry['burn']:.2f}"
@@ -307,6 +309,20 @@ def render_alerts(engine: SLOEngine) -> str:
     lines.append(f"active now: "
                  + (", ".join(f"{e['slo']}/{e['rule']}" for e in active)
                     if active else "none"))
+    return "\n".join(lines)
+
+
+def render_detection(journal: List[Dict[str, Any]]) -> str:
+    """Each journaled crash with its MTTD / MTTR ("" if none crashed)."""
+    records = detection_timeline(journal)
+    if not records:
+        return ""
+    lines = ["Crash detection"]
+    for rec in records:
+        mttd = f"{rec.mttd:.2f}s" if rec.mttd is not None else "UNDETECTED"
+        mttr = f"{rec.mttr:.2f}s" if rec.mttr is not None else "-"
+        lines.append(f"  {rec.site} crashed t={rec.crash_at:.2f}s: "
+                     f"detected in {mttd}, incident closed in {mttr}")
     return "\n".join(lines)
 
 
@@ -329,7 +345,7 @@ def health_to_dict(health: HealthRegistry) -> Dict[str, Any]:
             for node in health.nodes()
         ],
         "summary": health.summary(),
-        "transitions": list(health.transitions),
+        "transitions": entries(health.sim.journal, "health"),
     }
 
 
@@ -347,7 +363,7 @@ def health_to_csv(health: HealthRegistry) -> str:
 
 
 def render_health(health: HealthRegistry) -> str:
-    """Node/service states plus the transition log."""
+    """Node/service states plus the journal's health transitions."""
     rows = []
     for node in health.nodes():
         services = ", ".join(
@@ -364,9 +380,10 @@ def render_health(health: HealthRegistry) -> str:
     lines = [table, "summary: " + ", ".join(
         f"{state}={count}" for state, count in summary.items() if count
     )]
-    if health.transitions:
+    transitions = entries(health.sim.journal, "health")
+    if transitions:
         lines.append("transitions:")
-        for entry in health.transitions:
+        for entry in transitions:
             target = (f"{entry['site']}/{entry['service']}"
                       if entry["service"] else entry["site"])
             lines.append(
@@ -383,8 +400,9 @@ def render_run_report(vo, top: int = 3) -> str:
     """Everything the observability plane knows about one run.
 
     Sections appear only when their tier was on: health registry, SLO
-    budgets + alert log, metrics tables, and trace analytics (self
-    times, critical paths, waterfalls for the ``top`` slowest traces).
+    budgets + burn-rate alerts + crash detection, metrics tables, and
+    trace analytics (self times, critical paths, waterfalls for the
+    ``top`` slowest traces).
     """
     from repro.obs.analyze import format_trace_analytics
 
@@ -395,6 +413,7 @@ def render_run_report(vo, top: int = 3) -> str:
     if obs.slo is not None:
         sections.append(render_slo(obs.slo))
         sections.append(render_alerts(obs.slo))
+        sections.append(render_detection(vo.sim.journal))
     if obs.enabled:
         sections.append(render_metrics(obs.metrics))
         traces = obs.tracer.traces()
@@ -402,4 +421,4 @@ def render_run_report(vo, top: int = 3) -> str:
             sections.append(format_trace_analytics(traces, top=top))
     if not sections:
         return "(observability disabled: nothing to report)"
-    return "\n\n".join(sections)
+    return "\n\n".join(filter(None, sections))

@@ -4,8 +4,8 @@ The SLO plane (:mod:`repro.obs.slo`) judges *request streams*; this
 module judges *the VO itself*.  A :class:`HealthRegistry` keeps one
 state per node and per service, driven by three signal sources:
 
-* the :class:`~repro.faults.FaultPlane` event stream — a crash marks
-  the node ``down``, a restart marks it ``recovering``;
+* the :class:`~repro.faults.FaultPlane` — a crash marks the node
+  ``down``, a restart marks it ``recovering``;
 * :meth:`Service.dispatch <repro.net.service.Service.dispatch>`
   accounting — a failed or shed dispatch degrades the service (and its
   node) for a hold window; a success after the hold heals it, and the
@@ -14,21 +14,21 @@ state per node and per service, driven by three signal sources:
   recorder skips them), which is how dashboards see the outage.
 
 States and their precedence: ``down`` > ``recovering`` > ``degraded``
-> ``healthy``.  Every transition is appended to a chronological log
-with its simulated timestamp and reason, which is what the detection /
-repair analytics below consume.
+> ``healthy``.  Every transition is a ``health`` journal entry.
 
-:func:`detection_timeline` pairs fault-plane crash events with the SLO
-engine's burn-rate alert log: **MTTD** is crash → first alert fired,
-**MTTR** is crash → the moment every alert has resolved again (the
-operator's "incident closed" signal).  Both are pure functions of two
-deterministic logs, so the fig16 extension can gate their exact values.
+:func:`detection_timeline` pairs the journal's crashes with its
+burn-rate alerts: **MTTD** is crash → first alert fired, **MTTR** is
+crash → the moment every alert has resolved again (the operator's
+"incident closed" signal).  Both are pure functions of the journal, so
+the fig16 extension can gate their exact values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from repro.simkernel.kernel import entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -41,23 +41,18 @@ RECOVERING = "recovering"
 #: precedence for summarising (higher = worse)
 _SEVERITY = {HEALTHY: 0, DEGRADED: 1, RECOVERING: 2, DOWN: 3}
 
+#: how long (simulated seconds) a failure keeps an entity ``degraded``;
+#: the first *success* at or after the hold expiry returns it to
+#: ``healthy``
+DEGRADED_HOLD = 30.0
+
 
 class HealthRegistry:
-    """Per-node and per-service health, derived from live signals.
+    """Per-node and per-service health, derived from live signals."""
 
-    Parameters
-    ----------
-    degraded_hold:
-        How long (simulated seconds) a failure keeps an entity
-        ``degraded``; the first *success* at or after the hold expiry
-        returns it to ``healthy``.
-    """
-
-    def __init__(self, degraded_hold: float = 30.0) -> None:
-        if degraded_hold <= 0:
-            raise ValueError("degraded_hold must be positive")
-        self.degraded_hold = degraded_hold
-        self._sim: Optional["Simulator"] = None
+    def __init__(self) -> None:
+        #: the clock and journal; set by :meth:`bind`
+        self.sim: Optional["Simulator"] = None
         self._node_state: Dict[str, str] = {}
         self._node_since: Dict[str, float] = {}
         #: (node, service) -> degraded-until timestamp
@@ -65,19 +60,11 @@ class HealthRegistry:
         self._service_state: Dict[Tuple[str, str], str] = {}
         #: node -> degraded-until timestamp (dispatch failures only)
         self._node_degraded_until: Dict[str, float] = {}
-        #: chronological transition log
-        self.transitions: List[Dict] = []
         #: every (node, service) that ever dispatched, healthy or not
         self._seen: set = set()
-        self.dispatches_seen = 0
-        self.failures_seen = 0
 
     def bind(self, sim: "Simulator") -> None:
-        self._sim = sim
-
-    @property
-    def now(self) -> float:
-        return self._sim.now if self._sim is not None else 0.0
+        self.sim = sim
 
     # -- state updates ------------------------------------------------------
 
@@ -85,11 +72,9 @@ class HealthRegistry:
         if self._node_state.get(node, HEALTHY) == state:
             return
         self._node_state[node] = state
-        self._node_since[node] = self.now
-        self.transitions.append({
-            "site": node, "service": None, "state": state,
-            "at": self.now, "reason": reason,
-        })
+        self._node_since[node] = self.sim.now
+        self.sim.note("health", "transition", site=node, service=None,
+                      state=state, reason=reason)
 
     def _set_service(self, node: str, service: str, state: str,
                      reason: str) -> None:
@@ -97,26 +82,20 @@ class HealthRegistry:
         if self._service_state.get(key, HEALTHY) == state:
             return
         self._service_state[key] = state
-        self.transitions.append({
-            "site": node, "service": service, "state": state,
-            "at": self.now, "reason": reason,
-        })
+        self.sim.note("health", "transition", site=node, service=service,
+                      state=state, reason=reason)
 
-    def on_fault_event(self, event: Dict) -> None:
-        """Fault-plane listener: crash → down, restart → recovering."""
-        kind = event.get("kind")
-        site = event.get("site")
-        if site is None:
-            return
-        if kind == "crash":
-            self._set_node(site, DOWN, "fault-plane crash")
-        elif kind == "restart":
-            self._set_node(site, RECOVERING, "fault-plane restart")
+    def crashed(self, node: str) -> None:
+        """The fault plane took ``node`` down."""
+        self._set_node(node, DOWN, "fault-plane crash")
+
+    def restarted(self, node: str) -> None:
+        """The fault plane brought ``node`` back."""
+        self._set_node(node, RECOVERING, "fault-plane restart")
 
     def record_dispatch(self, node: str, service: str, ok: bool) -> None:
         """Fold one dispatch outcome (called by ``Service.dispatch``)."""
-        now = self.now
-        self.dispatches_seen += 1
+        now = self.sim.now
         key = (node, service)
         self._seen.add(key)
         if ok:
@@ -131,11 +110,10 @@ class HealthRegistry:
                 self._set_service(node, service, HEALTHY,
                                   "failure-free past hold")
         else:
-            self.failures_seen += 1
-            self._service_degraded_until[key] = now + self.degraded_hold
+            self._service_degraded_until[key] = now + DEGRADED_HOLD
             self._set_service(node, service, DEGRADED, "dispatch failure")
             if self._node_state.get(node, HEALTHY) == HEALTHY:
-                self._node_degraded_until[node] = now + self.degraded_hold
+                self._node_degraded_until[node] = now + DEGRADED_HOLD
                 self._set_node(node, DEGRADED, "dispatch failure")
 
     # -- read side ----------------------------------------------------------
@@ -202,24 +180,20 @@ class DetectionRecord:
         return self.recovered_at - self.crash_at
 
 
-def detection_timeline(crash_events: List[Dict],
-                       alert_log: List[Dict]) -> List[DetectionRecord]:
-    """Pair each fault-plane crash with the SLO alert timeline.
+def detection_timeline(journal: List[Dict]) -> List[DetectionRecord]:
+    """Pair each fault-plane crash in ``journal`` with the SLO alerts.
 
-    Crashes are matched in chronological order: each consumes the first
+    Crashes are matched in journal order: each consumes the first
     un-consumed ``fired`` entry at or after its crash time (MTTD), and
     recovery is the first subsequent moment the active-alert set drains
     to empty (MTTR).  Undetected crashes get ``detected_at=None``.
     """
-    crashes = sorted(
-        (e for e in crash_events if e.get("kind") == "crash"),
-        key=lambda e: e["at"],
-    )
-    fired = [e for e in alert_log if e["kind"] == "fired"]
+    alerts = entries(journal, "slo")
+    fired = [e for e in alerts if e["kind"] == "fired"]
     # moments when the active-alert set returns to empty
     quiet: List[float] = []
     active = set()
-    for entry in alert_log:
+    for entry in alerts:
         key = (entry["slo"], entry["rule"])
         if entry["kind"] == "fired":
             active.add(key)
@@ -230,7 +204,7 @@ def detection_timeline(crash_events: List[Dict],
 
     records: List[DetectionRecord] = []
     fired_index = 0
-    for crash in crashes:
+    for crash in entries(journal, "faults", "crash"):
         detected_at: Optional[float] = None
         while fired_index < len(fired):
             entry = fired[fired_index]
@@ -251,6 +225,7 @@ def detection_timeline(crash_events: List[Dict],
 
 __all__ = [
     "DEGRADED",
+    "DEGRADED_HOLD",
     "DOWN",
     "DetectionRecord",
     "HEALTHY",

@@ -15,17 +15,17 @@ on top of the raw tracing/metrics plane:
 * :class:`SLOEngine` — records per-request good/bad events from the
   RPC pipeline (see
   :class:`~repro.net.interceptors.SLOLayer`), evaluates
-  sliding-window **burn rates** on a fixed simulated-time cadence, and
-  keeps a chronological alert log of fired/resolved
-  :class:`BurnRateRule` alerts plus cumulative error-budget accounting
-  per objective.
+  sliding-window **burn rates** on a fixed simulated-time cadence,
+  notes each fired/resolved :class:`BurnRateRule` alert in the
+  simulator's journal, and keeps cumulative error-budget accounting per
+  objective.
 
 Burn rate follows the SRE convention: the windowed bad-event fraction
 divided by the error budget (``1 - target``), so a burn of 1.0 spends
 the budget exactly at the sustainable rate and a fast-window burn of
 several multiples means an incident in progress.  Everything is
-simulated-time and draw-free, so two same-seed runs produce identical
-alert logs — the property the fig16 extension gates on.
+simulated-time and draw-free, so two same-seed runs journal identical
+alerts — the property the fig16 extension gates on.
 
 A VO without configured SLOs carries no engine at all: the pipeline
 layer is not installed and no per-call work happens (the null path
@@ -38,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.simkernel.kernel import entries
 from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -228,7 +229,7 @@ class SLOEngine:
     Fed by the RPC pipeline (attempt level) and ``Network.call`` (call
     level); evaluated by a simulation process on a fixed
     ``eval_interval`` cadence.  All state is simulated-time and
-    draw-free, so the alert log is deterministic per seed.
+    draw-free, so its journal entries are deterministic per seed.
     """
 
     def __init__(self, specs, eval_interval: float = 5.0) -> None:
@@ -255,8 +256,6 @@ class SLOEngine:
         #: (endpoint, level) -> ((latency limit, window, totals), ...) of
         #: the governing specs, matched once per distinct endpoint
         self._governing: Dict[Tuple[str, str], tuple] = {}
-        #: chronological fired/resolved entries
-        self.alert_log: List[Dict] = []
         self._active: Dict[Tuple[str, str], Dict] = {}
         self.events_recorded = 0
         self.evaluations = 0
@@ -316,7 +315,8 @@ class SLOEngine:
     def evaluate(self) -> None:
         """One evaluation tick: prune, compute burns, fire/resolve alerts."""
         assert self.evaluator is not None, "SLOEngine.evaluate() before bind()"
-        now = self.evaluator.sim.now
+        sim = self.evaluator.sim
+        now = sim.now
         self.evaluations += 1
         for spec in self.specs:
             self._windows[spec.name].prune(now)
@@ -325,16 +325,12 @@ class SLOEngine:
                 key = (spec.name, rule.name)
                 active = self._active.get(key)
                 if burn >= rule.threshold and active is None:
-                    entry = {"kind": "fired", "slo": spec.name,
-                             "rule": rule.name, "at": now, "burn": burn}
-                    self._active[key] = entry
-                    self.alert_log.append(entry)
+                    self._active[key] = sim.note(
+                        "slo", "fired", slo=spec.name, rule=rule.name, burn=burn)
                 elif burn < rule.threshold and active is not None:
                     del self._active[key]
-                    self.alert_log.append({
-                        "kind": "resolved", "slo": spec.name,
-                        "rule": rule.name, "at": now, "burn": burn,
-                    })
+                    sim.note("slo", "resolved", slo=spec.name, rule=rule.name,
+                             burn=burn)
 
     # -- read side ----------------------------------------------------------
 
@@ -342,8 +338,12 @@ class SLOEngine:
         """Currently-firing alerts, oldest first."""
         return sorted(self._active.values(), key=lambda e: (e["at"], e["slo"]))
 
+    def alerts(self) -> List[Dict]:
+        """Every fired / resolved entry, in order."""
+        return entries(self.evaluator.sim.journal, "slo")
+
     def alerts_fired(self) -> int:
-        return sum(1 for e in self.alert_log if e["kind"] == "fired")
+        return sum(1 for e in self.alerts() if e["kind"] == "fired")
 
     def status(self, name: str) -> SLOStatus:
         """Cumulative budget status of one objective."""

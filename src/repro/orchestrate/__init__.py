@@ -43,7 +43,7 @@ from repro.orchestrate.planner import (
     SiteObservation,
     TypePlan,
 )
-from repro.orchestrate.reconciler import Reconciler, RoundRecord
+from repro.orchestrate.reconciler import Reconciler
 from repro.orchestrate.spec import DeploymentSpec, DesiredState, OrchestrationConfig
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "Planner",
     "RdmActuator",
     "Reconciler",
-    "RoundRecord",
     "SiteAgent",
     "SiteObservation",
     "TypePlan",

@@ -24,38 +24,32 @@ Scale-in is additionally damped: a type must be proposed for scale-in
 ``scale_in_rounds`` rounds in a row before a replica is actually
 drained, so one quiet sample between bursts does not thrash installs.
 
-Every actuation and every round folds a record into a
+Every round and every actuation is an ``orchestrate`` entry of the
+simulator's journal (``round``, ``install``, ``drain``);
+:meth:`Reconciler.fingerprint` folds them into a
 :class:`~repro.load.stats.CommutativeDigest`, making a whole
 orchestration run fingerprintable for the determinism gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.load.stats import CommutativeDigest
 from repro.orchestrate.actuator import Actuator, RdmActuator
 from repro.orchestrate.planner import Observed, Plan, Planner, SiteObservation
 from repro.orchestrate.spec import DesiredState, OrchestrationConfig
+from repro.simkernel.kernel import entries
 from repro.simkernel.primitives import Periodic
 
-__all__ = ["Reconciler", "RoundRecord"]
+__all__ = ["Reconciler"]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What one reconciliation round saw and did."""
-
-    at: float
-    #: sites that answered ``report_observed`` this round
-    observed_sites: int
-    #: replica count per managed type after planning, sorted by type
-    replicas: Tuple[Tuple[str, int], ...]
-    #: actuations performed ("install:TYPE@site=status" / "drain:TYPE@site/key")
-    actions: Tuple[str, ...]
-    #: the plan proposed no diff (desired state held)
-    converged: bool
+def _action(entry: Dict) -> str:
+    """An ``install`` / ``drain`` journal entry as one action string."""
+    if entry["kind"] == "install":
+        return f"install:{entry['type']}@{entry['site']}={entry['status']}"
+    return f"drain:{entry['type']}@{entry['site']}/{entry['deployments']}"
 
 
 class Reconciler(Periodic):
@@ -78,10 +72,8 @@ class Reconciler(Periodic):
         self.actuator = actuator if actuator is not None else RdmActuator(rdm)
         self.health = health
         self.planner = Planner(config)
-        self.rounds: List[RoundRecord] = []
         #: observed divergence → convergence durations (simulated s)
         self.convergence_times: List[float] = []
-        self.digest = CommutativeDigest()
         self._smoothed: Dict[str, float] = {}
         self._shed_totals: Dict[str, int] = {}
         self._scale_in_streak: Dict[str, int] = {}
@@ -115,22 +107,14 @@ class Reconciler(Periodic):
         actions = yield from self._actuate(plan, observed)
         self._track_convergence(plan)
 
-        replicas = tuple(
-            (tp.type_name, len(observed.placements.get(tp.type_name, ())))
-            for tp in plan.types
-        )
-        record = RoundRecord(
-            at=self.sim.now,
-            observed_sites=len(observed.sites),
-            replicas=replicas,
-            actions=tuple(actions),
-            converged=plan.converged,
-        )
-        self.rounds.append(record)
-        self.digest.fold(
-            f"round|{record.at:.6f}|{record.observed_sites}"
-            f"|{','.join(f'{t}={n}' for t, n in replicas)}"
-            f"|{';'.join(actions)}|{int(record.converged)}"
+        # ``replicas``: the count per managed type after planning, by
+        # type; ``converged``: the plan proposed no diff
+        self.sim.note(
+            "orchestrate", "round", observed_sites=len(observed.sites),
+            replicas=tuple(
+                (tp.type_name, len(observed.placements.get(tp.type_name, ())))
+                for tp in plan.types),
+            actions=tuple(actions), converged=plan.converged,
         )
         return plan
 
@@ -209,9 +193,9 @@ class Reconciler(Periodic):
                     break
                 status = yield from self.actuator.install(tp.type_name, site)
                 budget -= 1
-                entry = f"install:{tp.type_name}@{site}={status}"
-                actions.append(entry)
-                self.digest.fold(f"act|{self.sim.now:.6f}|{entry}")
+                actions.append(_action(self.sim.note(
+                    "orchestrate", "install", type=tp.type_name, site=site,
+                    status=status)))
 
             for site in tp.remove:
                 if budget <= 0:
@@ -228,9 +212,9 @@ class Reconciler(Periodic):
                 if drained:
                     budget -= 1
                     self._draining[pair] = deadline
-                    entry = f"drain:{tp.type_name}@{site}/{len(keys)}"
-                    actions.append(entry)
-                    self.digest.fold(f"act|{self.sim.now:.6f}|{entry}")
+                    actions.append(_action(self.sim.note(
+                        "orchestrate", "drain", type=tp.type_name, site=site,
+                        deployments=len(keys))))
         return actions
 
     def _track_convergence(self, plan: Plan) -> None:
@@ -244,14 +228,20 @@ class Reconciler(Periodic):
     # -- reporting ---------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """Deterministic digest over every round and actuation."""
-        return self.digest.hexdigest()
+        """Deterministic digest over every journaled round and actuation."""
+        digest = CommutativeDigest()
+        for entry in entries(self.sim.journal, "orchestrate"):
+            if entry["kind"] != "round":
+                digest.fold(f"act|{entry['at']:.6f}|{_action(entry)}")
+                continue
+            replicas = ",".join(f"{t}={n}" for t, n in entry["replicas"])
+            digest.fold(
+                f"round|{entry['at']:.6f}|{entry['observed_sites']}|{replicas}"
+                f"|{';'.join(entry['actions'])}|{int(entry['converged'])}")
+        return digest.hexdigest()
 
     def replica_history(self, type_name: str) -> List[Tuple[float, int]]:
-        """(time, observed replica count) per round for one type."""
-        out: List[Tuple[float, int]] = []
-        for record in self.rounds:
-            for name, count in record.replicas:
-                if name == type_name:
-                    out.append((record.at, count))
-        return out
+        """(time, observed replica count) per journaled round for one type."""
+        return [(entry["at"], count)
+                for entry in entries(self.sim.journal, "orchestrate", "round")
+                for name, count in entry["replicas"] if name == type_name]

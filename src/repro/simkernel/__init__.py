@@ -33,7 +33,7 @@ Public surface
 
 from repro.simkernel.errors import Interrupt, SimulationError, StopProcess
 from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
-from repro.simkernel.kernel import Simulator
+from repro.simkernel.kernel import Simulator, entries
 from repro.simkernel.process import Process
 from repro.simkernel.primitives import (
     Resource,
@@ -48,6 +48,7 @@ __all__ = [
     "AnyOf",
     "CPU",
     "bounded_gather",
+    "entries",
     "Event",
     "Interrupt",
     "LoadAverage",

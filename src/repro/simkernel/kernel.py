@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import NORMAL, AllOf, AnyOf, Event, Timeout
@@ -96,17 +96,12 @@ class Simulator:
     trace:
         When true, every dispatched event is appended to
         :attr:`trace_log` — handy in tests that assert on event order.
-    trace_limit:
-        Optional bound on :attr:`trace_log`.  When set, the log is a
-        ring buffer keeping only the most recent ``trace_limit``
-        entries, so long traced experiment runs cannot grow memory
-        without bound.  ``None`` (the default) keeps everything.
+
+    :attr:`journal` is the run's one, always-on event log: every plane
+    records through :meth:`note`; readers filter it with :func:`entries`.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False,
-                 trace_limit: Optional[int] = None) -> None:
-        if trace_limit is not None and trace_limit < 1:
-            raise ValueError("trace_limit must be a positive integer")
+    def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now: float = 0.0
         #: heap of distinct timestamps that have a pending bucket
         self._times: List[float] = []
@@ -118,10 +113,9 @@ class Simulator:
         self._urgent: deque = deque()
         self.rng = RngRegistry(seed)
         self.trace = trace
-        self.trace_limit = trace_limit
-        self.trace_log: Union[List[Tuple[float, str]], deque] = (
-            deque(maxlen=trace_limit) if trace_limit is not None else []
-        )
+        self.trace_log: List[Tuple[float, str]] = []
+        #: ``{"at", "plane", "kind", ...}`` per :meth:`note`, in order
+        self.journal: List[Dict[str, Any]] = []
         self._active_process: Optional[Process] = None
         #: free list of processed, otherwise-unreferenced Timeouts
         self._timeout_pool: List[Timeout] = []
@@ -141,6 +135,12 @@ class Simulator:
     def active_process(self) -> Optional[Process]:
         """The process currently being stepped, if any."""
         return self._active_process
+
+    def note(self, plane: str, kind: str, **fields: Any) -> Dict[str, Any]:
+        """Append one entry to :attr:`journal`, stamped with the clock."""
+        entry = {"at": self._now, "plane": plane, "kind": kind, **fields}
+        self.journal.append(entry)
+        return entry
 
     # -- event constructors ----------------------------------------------
 
@@ -511,3 +511,10 @@ class Simulator:
                 if not bucket:
                     pop_time(times)
                     del buckets[when]
+
+
+def entries(journal: List[Dict[str, Any]], plane: str,
+            *kinds: str) -> List[Dict[str, Any]]:
+    """``journal``'s entries from ``plane`` (of ``kinds``, if any), in order."""
+    return [entry for entry in journal
+            if entry["plane"] == plane and (not kinds or entry["kind"] in kinds)]

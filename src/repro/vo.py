@@ -142,9 +142,6 @@ class VirtualOrganization:
         else:
             self.obs = Observability(enabled=bool(config.observability))
         self.faults = FaultPlane(self.sim, config.faults)
-        if self.obs.health is not None:
-            # the health registry consumes crash/restart events live
-            self.faults.listeners.append(self.obs.health.on_fault_event)
         self.network = Network(
             self.sim, self.topology, security=security, obs=self.obs,
             contention=config.contention, faults=self.faults,

@@ -17,6 +17,7 @@ from repro.faults import (
     ServiceErrorRule,
 )
 from repro.net.interceptors import RemoteError
+from repro.simkernel import entries
 from repro.simkernel.errors import OfflineError
 from repro.vo import VOConfig, build_vo
 
@@ -70,7 +71,8 @@ class TestCrashSchedules:
         assert not vo.network.is_online("agrid02")
         vo.sim.run(until=20.0)
         assert vo.network.is_online("agrid02")
-        kinds = [(e["kind"], e["site"], e["at"]) for e in vo.faults.events]
+        kinds = [(e["kind"], e["site"], e["at"])
+                 for e in entries(vo.sim.journal, "faults")]
         assert kinds == [("crash", "agrid02", 10.0), ("restart", "agrid02", 15.0)]
         assert vo.faults.crashes_induced == 1
 
@@ -91,14 +93,14 @@ class TestCrashSchedules:
         vo.sim.run(until=16.0)
         assert vo.network.is_online("agrid04")  # restarted after 4s
         assert not vo.network.is_online("agrid01")
-        crashed = [e["site"] for e in vo.faults.events if e["kind"] == "crash"]
+        crashed = [e["site"] for e in entries(vo.sim.journal, "faults", "crash")]
         assert crashed == ["agrid04", "agrid01"]
 
     def test_churn_round_skipped_when_selector_returns_none(self):
         vo = make_vo(faults=FaultsConfig(churn_times=(5.0,)))
         vo.faults.churn_selector = lambda: None
         vo.sim.run(until=10.0)
-        assert [e["kind"] for e in vo.faults.events] == ["churn-skip"]
+        assert [e["kind"] for e in entries(vo.sim.journal, "faults")] == ["churn-skip"]
         assert vo.faults.crashes_induced == 0
 
     def test_default_victim_draw_is_deterministic(self):
@@ -106,7 +108,7 @@ class TestCrashSchedules:
             vo = make_vo(seed=seed, faults=FaultsConfig(churn_times=(5.0, 10.0),
                                                         churn_downtime=2.0))
             vo.sim.run(until=20.0)
-            return [e["site"] for e in vo.faults.events if e["kind"] == "crash"]
+            return [e["site"] for e in entries(vo.sim.journal, "faults", "crash")]
 
         assert crashed_sites(11) == crashed_sites(11)
 
@@ -268,8 +270,9 @@ class TestSuperPeerCrashRecovery:
         # the takeover bumped the epoch and was logged with the victim
         view = vo.rdm(leader).overlay.view
         assert view.epoch > epoch_before
-        log = vo.rdm(leader).overlay.takeover_log
-        assert len(log) == 1 and log[0]["missing"] == victim
+        log = entries(vo.sim.journal, "overlay", "takeover")
+        assert len(log) == 1 and log[0]["site"] == leader
+        assert log[0]["missing"] == victim
         assert log[0]["epoch"] == view.epoch
         # other groups learned the new super-peer list (the crashed
         # victim keeps its stale pre-crash view and is skipped)
@@ -278,6 +281,16 @@ class TestSuperPeerCrashRecovery:
             if overlay.is_super_peer and name not in (leader, victim):
                 assert leader in overlay.view.super_peers
                 assert victim not in overlay.view.super_peers
+
+    def test_crash_and_takeover_are_journaled_without_observability(self):
+        vo, victim, members = self._overlay_vo()
+        assert vo.obs.health is None and vo.obs.slo is None
+        vo.sim.run(until=80.0)
+        story = [(e["plane"], e["kind"]) for e in vo.sim.journal]
+        assert story == [("faults", "crash"), ("overlay", "takeover")]
+        crash, takeover = vo.sim.journal
+        assert crash["site"] == takeover["missing"] == victim
+        assert crash["at"] < takeover["at"]
 
     def test_stale_group_assign_rejected_after_takeover(self):
         vo, victim, members = self._overlay_vo()
@@ -317,11 +330,7 @@ class TestSuperPeerCrashRecovery:
         def takeover_at(seed):
             vo, victim, members = self._overlay_vo(seed=seed)
             vo.sim.run(until=80.0)
-            log = sorted(
-                (entry["at"], entry["missing"])
-                for name in vo.site_names
-                for entry in vo.rdm(name).overlay.takeover_log
-            )
-            return log
+            return [(entry["at"], entry["missing"])
+                    for entry in entries(vo.sim.journal, "overlay", "takeover")]
 
         assert takeover_at(23) == takeover_at(23)

@@ -5,6 +5,7 @@ import pytest
 from repro.apps import get_application, publish_applications
 from repro.glare.errors import ConstraintViolation, DeploymentFailed
 from repro.glare.model import ActivityDeployment, ActivityType
+from repro.simkernel import entries
 from repro.vo import VOConfig, build_vo
 
 MANUAL_TYPE_XML = (
@@ -49,8 +50,8 @@ class TestConstraints:
 
         message = vo.run_process(run())
         assert "administrator notified" in message
-        assert rdm.admin_notifications
-        assert rdm.admin_notifications[0]["reason"].startswith("manual")
+        notes = entries(vo.sim.journal, "provisioning", "notify")
+        assert notes and notes[0]["reason"].startswith("manual")
 
     def test_unsatisfiable_constraints_raise(self):
         vo = make_vo()
@@ -146,7 +147,8 @@ class TestFailureRelocation:
         assert rdm.deployment_manager.stats.installs_failed >= 1
         assert rdm.deployment_manager.stats.installs_succeeded == 1
         # the failing site's admin was notified about the failed attempt
-        assert any(n["site"] == first for n in rdm.admin_notifications)
+        assert any(n["site"] == first
+                   for n in entries(vo.sim.journal, "provisioning", "notify"))
 
     def test_all_sites_failing_raises(self):
         vo = make_vo(seed=109)

@@ -62,7 +62,7 @@ def test_health_defaults_to_the_churn_scenario(capsys):
     assert main(["health"]) == 0
     out = capsys.readouterr().out
     assert "VO health" in out
-    # the churn scenario crashes agrid01, so the transition log must
+    # the churn scenario crashes agrid01, so the health transitions must
     # show the fault plane driving the registry
     assert "fault-plane crash" in out
     assert "fault-plane restart" in out
@@ -108,8 +108,9 @@ def test_analyze_command_prints_trace_analytics(capsys):
 def test_report_command_prints_every_plane(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out
-    # health, SLO, metrics and analytics sections in one report
+    # health, SLO, crash detection, metrics and analytics in one report
     assert "VO health" in out
     assert "Service-level objectives" in out
+    assert "Crash detection" in out and "agrid01 crashed" in out
     assert "Counters" in out
     assert "Self-time by operation" in out

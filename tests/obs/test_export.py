@@ -216,7 +216,7 @@ def populated_health():
     health = HealthRegistry()
     health.bind(sim)
     health.record_dispatch("agrid00", "glare-rdm", ok=True)
-    health.on_fault_event({"kind": "crash", "site": "agrid01", "at": 0.0})
+    health.crashed("agrid01")
     return health
 
 
@@ -247,4 +247,5 @@ def test_render_health(populated_health):
 
 def test_render_health_empty():
     health = HealthRegistry()
+    health.bind(Simulator())
     assert render_health(health) == "(no health signals recorded)"

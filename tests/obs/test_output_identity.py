@@ -105,8 +105,8 @@ def obs_output_sha(vo, extra=()):
     for status in engine.statuses():
         line("slo", status.name, status.total, status.bad)
     line("events_recorded", engine.events_recorded)
-    for entry in engine.alert_log:
-        line("alert", sorted(entry.items()))
+    for entry in engine.alerts():
+        line("alert", sorted((k, v) for k, v in entry.items() if k != "plane"))
     for item in extra:
         line("extra", item)
     return sha.hexdigest()

@@ -152,7 +152,7 @@ class TestBurnRates:
         sim.run(until=20.0)
         engine.evaluate()
         assert engine.active_alerts() == []
-        kinds = [e["kind"] for e in engine.alert_log]
+        kinds = [e["kind"] for e in engine.alerts()]
         assert kinds == ["fired", "resolved"]
 
     def test_evaluator_process_runs_on_cadence(self):
@@ -171,7 +171,7 @@ class TestBurnRates:
         sim.run(until=11.0)
         assert engine.evaluations == 5
         assert engine.alerts_fired() == 1
-        assert engine.alert_log[0]["at"] == pytest.approx(4.0)
+        assert engine.alerts()[0]["at"] == pytest.approx(4.0)
         engine.stop()
         sim.run(until=20.0)
         assert engine.evaluations == 5  # stopped: no further ticks
@@ -179,7 +179,7 @@ class TestBurnRates:
 
 @pytest.mark.slow
 class TestScenarioDeterminism:
-    def test_churn_scenario_alert_log_is_deterministic(self):
+    def test_churn_scenario_alerts_are_deterministic(self):
         from repro.obs.scenarios import run_scenario
 
         logs = []
@@ -189,11 +189,25 @@ class TestScenarioDeterminism:
             engine = vo.obs.slo
             assert engine is not None
             logs.append([(e["kind"], e["slo"], e["rule"], e["at"])
-                         for e in engine.alert_log])
+                         for e in engine.alerts()])
             verdicts.append(engine.verdicts())
         assert logs[0] == logs[1]
         assert verdicts[0] == verdicts[1]
         assert logs[0], "the churn scenario must fire at least one alert"
+
+    def test_churn_scenario_journal_interleaves_planes(self):
+        from repro.obs.scenarios import run_scenario
+
+        journal = run_scenario("churn").sim.journal
+        planes = [e["plane"] for e in journal]
+        assert {"faults", "slo", "health"} <= set(planes)
+        # one log, not three joined: the planes alternate within it
+        assert planes.index("slo") < max(
+            i for i, plane in enumerate(planes) if plane == "health")
+        assert planes.index("health") < max(
+            i for i, plane in enumerate(planes) if plane == "faults")
+        times = [e["at"] for e in journal]
+        assert times == sorted(times)
 
     def test_churn_scenario_narrative(self):
         from repro.obs.health import detection_timeline
@@ -204,7 +218,7 @@ class TestScenarioDeterminism:
         # the outage burns the attempt budget; retries save the calls
         assert engine.verdicts() == {"rdm-attempts": "exhausted",
                                      "rdm-calls": "met"}
-        records = detection_timeline(vo.faults.events, engine.alert_log)
+        records = detection_timeline(vo.sim.journal)
         assert len(records) == 1
         assert records[0].detected
         assert records[0].mttd is not None and records[0].mttd <= 30.0

@@ -12,7 +12,7 @@ import math
 from repro.orchestrate.actuator import Actuator
 from repro.orchestrate.reconciler import Reconciler
 from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
-from repro.simkernel import Simulator
+from repro.simkernel import Simulator, entries
 
 
 class FakeRdm:
@@ -251,8 +251,8 @@ class TestConvergenceAndDigest:
         sim, actuator, reconciler = build(script)
         drive_rounds(reconciler, 2)
         assert reconciler.convergence_times == [CFG.interval]
-        assert reconciler.rounds[0].converged is False
-        assert reconciler.rounds[1].converged is True
+        rounds = entries(sim.journal, "orchestrate", "round")
+        assert [r["converged"] for r in rounds] == [False, True]
 
     def test_fingerprint_deterministic_across_runs(self):
         script = [{
@@ -265,6 +265,25 @@ class TestConvergenceAndDigest:
             drive_rounds(reconciler, 3)
             prints.append(reconciler.fingerprint())
         assert prints[0] == prints[1]
+
+    def test_fingerprint_folds_the_journal_as_before(self):
+        """One install, one drain, five rounds: the fold of the journal's
+        ``orchestrate`` entries equals the digest the reconciler kept
+        beside its round records before the journal existed."""
+        script = [{
+            "a": report(utilization=0.9, deployments={"Hot": ["a:hot-bin"]}),
+            "b": report(utilization=0.1),
+        }, {
+            "a": report(utilization=0.05, deployments={"Hot": ["a:hot-bin"]}),
+            "b": report(utilization=0.05),
+        }]
+        sim, actuator, reconciler = build(script)
+        drive_rounds(reconciler, 5)
+        kinds = [e["kind"] for e in entries(sim.journal, "orchestrate")]
+        assert kinds.count("round") == 5
+        assert kinds.count("install") == kinds.count("drain") == 1
+        assert reconciler.fingerprint() == (
+            "7109ada5c26c3831c13764e663de09c4c7f4025b096211f68a53b7b405ba74e8")
 
     def test_replica_history_tracks_observed_counts(self):
         script = [{
@@ -282,7 +301,7 @@ class TestLifecycle:
         sim, actuator, reconciler = build([BOOT])
         reconciler.start()
         sim.run(until=CFG.interval * 2.5)
-        assert reconciler.rounds  # the loop did run
+        assert entries(sim.journal, "orchestrate", "round")  # the loop did run
         reconciler.stop()
         reconciler.stop()  # idempotent
         sim.run()  # deliver the interrupt; the cancelled tick is gone
@@ -293,4 +312,4 @@ class TestLifecycle:
         reconciler.start()
         reconciler.start()
         sim.run(until=CFG.interval * 2.5)
-        assert len(reconciler.rounds) == 2  # one loop, not two
+        assert len(entries(sim.journal, "orchestrate", "round")) == 2  # one loop

@@ -5,7 +5,7 @@ per tick; it now bisects time-ordered arrays carrying a cumulative bad
 count.  The old scan lives on here as the reference, and random event
 sequences — on a coarse time grid, so events land exactly on window
 cutoffs and prune horizons — must give the same burn rates, totals and
-alert log entry for entry.
+journaled alerts entry for entry.
 """
 
 from collections import deque
@@ -105,7 +105,7 @@ def test_bisected_windows_match_the_brute_force_scan(steps):
                         == reference[spec.name].burn_rate(window, now))
 
     assert [(e["kind"], e["slo"], e["rule"], e["at"], e["burn"])
-            for e in engine.alert_log] == expected_log
+            for e in engine.alerts()] == expected_log
     for spec in SPECS:
         status = engine.status(spec.name)
         assert status.total == sum(step[1] for step in steps)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Simulator
+from repro.simkernel import Simulator, entries
 from repro.simkernel.errors import Interrupt, SimulationError, StopProcess
 from repro.simkernel.kernel import EmptySchedule
 
@@ -62,24 +62,18 @@ class TestRunSemantics:
         times = [t for t, _ in sim.trace_log]
         assert times == sorted(times)
 
-    def test_trace_limit_keeps_most_recent_entries(self):
-        sim = Simulator(trace=True, trace_limit=5)
-
-        def ticker():
-            for _ in range(20):
-                yield sim.timeout(1)
-
-        sim.process(ticker())
-        sim.run()
-        assert len(sim.trace_log) == 5
-        times = [t for t, _ in sim.trace_log]
-        assert times == sorted(times)
-        # the ring keeps the newest entries, so the last dispatch is there
-        assert times[-1] == sim.now
-
-    def test_trace_limit_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Simulator(trace=True, trace_limit=0)
+    def test_note_stamps_the_clock_and_entries_filters_by_plane(self):
+        sim = Simulator()
+        sim.note("faults", "crash", site="a")
+        sim.run(until=3.0)
+        entry = sim.note("slo", "fired", slo="s")
+        sim.note("faults", "restart", site="a")
+        assert entry == {"at": 3.0, "plane": "slo", "kind": "fired", "slo": "s"}
+        assert sim.journal[1] is entry
+        assert [e["kind"] for e in entries(sim.journal, "faults")] == [
+            "crash", "restart"]
+        assert entries(sim.journal, "faults", "restart") == [
+            {"at": 3.0, "plane": "faults", "kind": "restart", "site": "a"}]
 
     def test_unlimited_trace_log_is_plain_list(self):
         sim = Simulator(trace=True)
