@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
+from repro.obs.trace import SPAN_NAMES
 from repro.simkernel.errors import OfflineError, SimulationError
 
 
@@ -125,7 +126,8 @@ class TraceLayer(Layer):
         self.tracer = network.obs.tracer
 
     def enter(self, ctx: CallContext):
-        return self.tracer.span("rpc:" + ctx.endpoint, src=ctx.src, dst=ctx.dst)
+        return self.tracer.span(SPAN_NAMES["rpc", ctx.endpoint],
+                                src=ctx.src, dst=ctx.dst)
 
     def exit(self, ctx: CallContext, span, error) -> None:
         span.attrs["outcome"] = "ok" if error is None else type(error).__name__

@@ -38,6 +38,7 @@ from repro.net.transport import SecurityPolicy
 from repro.obs import Observability
 from repro.obs import disabled as _disabled_observability
 from repro.obs.slo import CALL as SLO_CALL_LEVEL
+from repro.obs.trace import SPAN_NAMES
 from repro.simkernel import CPU, Simulator
 from repro.simkernel.errors import Interrupt, OfflineError, SimulationError
 
@@ -460,7 +461,7 @@ class Network:
         dst_node.inflight_rpcs += 1
         try:
             if obs.enabled:
-                with obs.tracer.span("serve:" + ctx.endpoint, site=dst):
+                with obs.tracer.span(SPAN_NAMES["serve", ctx.endpoint], site=dst):
                     result = yield from handler.dispatch(method, message)
             else:
                 result = yield from handler.dispatch(method, message)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
@@ -46,18 +46,39 @@ class TraceContext:
     span_id: int
 
 
+class _SpanNames(dict):
+    """``kind:endpoint`` span names keyed ``(kind, endpoint)``: each is
+    built on first use and then shared by every span of that endpoint."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[str, str]) -> str:
+        name = self[key] = f"{key[0]}:{key[1]}"
+        return name
+
+
+#: the one memo behind every ``rpc:`` and ``serve:`` span name
+SPAN_NAMES = _SpanNames()
+
+
 class Span:
     """One timed operation; a node in a trace tree.
 
     Spans are created *and activated* by :meth:`Tracer.span` and
     finished by leaving their ``with`` block; ``start``/``end`` are
     simulated-time stamps.  ``parent_id`` is ``None`` for trace roots.
-    ``_key`` is the owning process, ``_prev`` the span this one
-    shadowed as its process's current span.
+    ``_key`` is the owning process only while the span is open (``None``
+    once it has finished), ``_prev`` the span this one shadowed as its
+    process's current span.
+
+    A finished span keeps only what it records: leaving the block drops
+    the process and folds the attribute dict into one flat
+    ``(*keys, *values)`` tuple, which :attr:`attrs` turns back into a
+    dict on first read and keeps.
     """
 
     __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
-                 "start", "end", "attrs", "_key", "_prev")
+                 "start", "end", "_attrs", "_key", "_prev")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: int,
                  span_id: int, parent_id: Optional[int], start: float,
@@ -70,11 +91,20 @@ class Span:
         self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
-        self.attrs = attrs
+        self._attrs: Any = attrs
         self._key = key
         self._prev = prev
 
     # -- attributes ---------------------------------------------------------
+
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        """The attribute dict (a finished span rebuilds it on first read)."""
+        attrs = self._attrs
+        if type(attrs) is tuple:
+            half = len(attrs) >> 1
+            attrs = self._attrs = dict(zip(attrs[:half], attrs[half:]))
+        return attrs
 
     def set_attr(self, key: str, value: Any) -> None:
         """Attach/overwrite one attribute."""
@@ -95,9 +125,12 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Finish: stamp the end, hand the process back to ``_prev``."""
+        """Finish: stamp the end, hand the process back to ``_prev``,
+        then let go of the process and fold the attributes."""
+        attrs = self._attrs  # a dict while the span is open
         if exc is not None:
-            self.attrs.setdefault("error", repr(exc))
+            attrs.setdefault("error", repr(exc))
+        self._attrs = (*attrs, *attrs.values())
         tracer = self.tracer
         self.end = tracer._sim._now
         current, key = tracer._current, self._key
@@ -106,6 +139,7 @@ class Span:
                 current[key] = self._prev
             else:
                 del current[key]
+        self._key = None
         finished = tracer._finished
         finished.append(self)
         if len(finished) > tracer._trim_at:

@@ -417,8 +417,63 @@ def bench_obs(clients: int = 4, horizon: float = 10.0, seed: int = 11) -> BenchR
             "obs_extra_pycalls_per_rpc": round(per_rpc["obs"] - per_rpc["off"], 2),
             "slo_extra_pycalls_per_rpc": round(per_rpc["slo"] - per_rpc["off"], 2),
             "sim_throughput_equal": len(set(rpcs)) == 1,
+            "retained_bytes_per_span": retained_bytes_per_span(),
         },
     )
+
+
+def one_shot_echo_calls(n_calls: int, seed: int = 11):
+    """``n_calls`` traced echo RPCs, each made by a process of its own
+    that ends with its call, run to completion; returns ``(sim, tracer)``.
+
+    The closed-loop echo clients never terminate, so only one-shot
+    callers can show what a finished span keeps alive after its process
+    is gone.
+    """
+    from repro.obs import Observability
+
+    obs = Observability(enabled=True)
+    sim, net, _completed = _echo_world(seed, 0, obs=obs)
+
+    def one_shot(index: int) -> Generator:
+        yield from net.call(f"c{index % 4}", "server", "echo", "echo",
+                            payload=f"ping-{index:03d}")
+
+    for index in range(n_calls):
+        sim.process(one_shot(index), name=f"one-shot-{index}")
+    sim.run()
+    return sim, obs.tracer
+
+
+def retained_bytes_per_span(n_calls: int = 200) -> float:
+    """Bytes each finished span keeps alive, as a count that repeats
+    exactly: ``tracemalloc``'s
+    traced total with :func:`one_shot_echo_calls`' spans retained, minus
+    the total once ``tracer.clear()`` and a collection have freed them,
+    over the span count (2 per call: ``rpc:`` and ``serve:``).
+
+    A full collection empties CPython's free lists, so collecting before
+    tracing starts makes every object the spans hold a traced block, and
+    collecting after ``clear()`` returns every one of them: the count
+    does not depend on what ran before in the process.
+    """
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # the simulator stays referenced: clear() frees only what spans held
+        sim, tracer = one_shot_echo_calls(n_calls)
+        gc.collect()
+        spans = len(tracer.spans)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracer.clear()
+        gc.collect()
+        freed = retained - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round(freed / spans, 1)
 
 
 # -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
@@ -1007,6 +1062,10 @@ SUITES: Dict[str, Suite] = {
                    "tracing + metrics + one SLO, over the null tier"),
             Holds(_detail("obs", "sim_throughput_equal"),
                   "the observability plane must charge no simulated time"),
+            Budget(_detail("obs", "retained_bytes_per_span"),
+                   "bytes a finished span keeps alive (~740 when it pinned "
+                   "its dead process and kept a name and a kwargs dict of "
+                   "its own): a finished span holds more than its record"),
         ),
     ),
     "storage": Suite(

@@ -115,16 +115,18 @@ class Process(Event):
                 else:
                     event.defused = True
                     next_event = generator.throw(event._value)
+            # A terminated process lets go of the event it last waited
+            # on, so the timeout it ends on goes back to the free list.
             except StopIteration as stop:
-                sim._active_process = None
+                sim._active_process = self._target = None
                 self.succeed(stop.value)
                 return
             except StopProcess as stop:
-                sim._active_process = None
+                sim._active_process = self._target = None
                 self.succeed(stop.value)
                 return
             except BaseException as error:
-                sim._active_process = None
+                sim._active_process = self._target = None
                 self.fail(error)
                 return
 
@@ -143,7 +145,7 @@ class Process(Event):
                 continue
 
             if not isinstance(next_event, Event):
-                sim._active_process = None
+                sim._active_process = self._target = None
                 crash = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )

@@ -1,15 +1,20 @@
 """Unit tests for the tracer: nesting, propagation, retention."""
 
+import gc
+
 import pytest
 
 from repro.obs.trace import (
+    SPAN_NAMES,
     NullTracer,
     TraceContext,
     Tracer,
     span_children,
     walk_tree,
 )
+from repro.perf import one_shot_echo_calls
 from repro.simkernel import Simulator
+from repro.simkernel.process import Process
 
 
 @pytest.fixture()
@@ -211,6 +216,60 @@ class TestRetention:
         assert tracer.spans
         tracer.clear()
         assert tracer.spans == []
+
+
+class TestFinishedSpanFootprint:
+    """A finished span holds only what it records."""
+
+    def test_retained_spans_do_not_keep_their_processes(self):
+        sim, tracer = one_shot_echo_calls(200)
+        gc.collect()
+        assert len(tracer.spans) == 400
+        dead = [obj for obj in gc.get_objects()
+                if isinstance(obj, Process) and obj.sim is sim
+                and not obj.is_alive]
+        assert dead == []
+
+    def test_spans_of_one_endpoint_share_their_name(self):
+        _sim, tracer = one_shot_echo_calls(2)
+        for kind in ("rpc", "serve"):
+            first, second = tracer.find(f"{kind}:")
+            assert first.name == f"{kind}:echo.echo"
+            assert first.name is second.name
+            endpoint = ".".join(["echo", "echo"])  # a fresh, equal string
+            assert SPAN_NAMES[kind, endpoint] is first.name
+
+    def test_every_way_of_setting_an_attribute_reads_back(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("s", site="agrid01") as span:
+            span.set_attr("tier", "local")
+            span.attrs["outcome"] = "ok"
+        assert span._key is None
+        assert list(span.attrs.items()) == [
+            ("site", "agrid01"), ("tier", "local"), ("outcome", "ok")]
+        with tracer.span("bare") as bare:
+            pass
+        assert bare.attrs == {}
+
+    def test_error_attribute_reads_back(self, traced_sim):
+        _, tracer = traced_sim
+        with pytest.raises(RuntimeError):
+            with tracer.span("boom", site="agrid01"):
+                raise RuntimeError("kaput")
+        boom, = tracer.find("boom")
+        assert boom.attrs == {"site": "agrid01", "error": "RuntimeError('kaput')"}
+
+    def test_set_attr_after_exit_persists(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("read-first", site="a") as read_first:
+            pass
+        assert read_first.attrs == {"site": "a"}
+        read_first.set_attr("late", 1)
+        with tracer.span("unread", site="b") as unread:
+            pass
+        unread.set_attr("late", 2)
+        assert [span.attrs for span in tracer.spans] == [
+            {"site": "a", "late": 1}, {"site": "b", "late": 2}]
 
 
 class TestNullTracer:

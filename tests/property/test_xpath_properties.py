@@ -141,7 +141,7 @@ def _identical(left, right):
 
 
 @given(forests(), st.lists(queries(), min_size=1, max_size=4))
-@settings(max_examples=300)
+@settings(max_examples=100)
 def test_forest_index_equals_walk(docs, expressions):
     """Same elements (by identity, in order) and same visit count.
 

@@ -202,8 +202,8 @@ class TestTimeoutPooling:
         sim = Simulator()
 
         def churn():
-            # several timeouts: a process's *final* wait target stays
-            # referenced by the process and is deliberately not pooled
+            # every one of these is pooled once dispatched, the final
+            # one too: a terminated process lets go of its wait target
             for _ in range(5):
                 yield sim.timeout(0.1, value="old")
 
@@ -217,6 +217,21 @@ class TestTimeoutPooling:
         assert t.delay == 0.2
         assert t._value == "new"
         assert not t.defused
+
+    def test_the_timeout_a_process_ends_on_is_pooled(self):
+        """One pooled timeout per terminated process, and a dead process
+        never reads as waiting on a recycled one."""
+        sim = Simulator()
+
+        def one_wait():
+            yield sim.timeout(1.0)
+
+        procs = [sim.process(one_wait()) for _ in range(5)]
+        sim.run()
+        assert len(sim._timeout_pool) == 5
+        assert not any(proc.is_alive or proc.is_waiting for proc in procs)
+        sim.timeout(2.0)  # hands out a pooled instance
+        assert not any(proc.is_waiting for proc in procs)
 
 
 class TestSeededDeterminism:

@@ -48,6 +48,7 @@ CONTRACT = {
     ("obs", "Budget", "results.obs.details.obs_extra_pycalls_per_rpc"),
     ("obs", "Budget", "results.obs.details.slo_extra_pycalls_per_rpc"),
     ("obs", "Holds", "results.obs.details.sim_throughput_equal"),
+    ("obs", "Budget", "results.obs.details.retained_bytes_per_span"),
     ("storage", "Budget", "results.storage.details.ring_builds_per_routed_vo"),
     ("storage", "Budget",
      "results.storage.details.ring_point_hashes_per_routed_vo"),
