@@ -34,6 +34,7 @@ stays byte-identical, pinned by the determinism fingerprints).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -188,7 +189,7 @@ class SLOStatus:
 
 
 class _Window:
-    """One objective's sliding event log, as time-ordered parallel arrays.
+    """One objective's sliding event log, as time-ordered typed arrays.
 
     ``ended[i]`` is when event *i* finished and ``bad[i]`` the
     objective's cumulative bad count up to and including it, so any
@@ -202,8 +203,8 @@ class _Window:
 
     def __init__(self, horizon: float) -> None:
         self.horizon = horizon
-        self.ended: List[float] = []
-        self.bad: List[int] = []
+        self.ended = array("d")
+        self.bad = array("q")
         self.base = 0
 
     def since(self, cutoff: float) -> Tuple[int, int]:

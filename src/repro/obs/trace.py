@@ -30,7 +30,9 @@ throughput benches are unaffected.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,18 +69,19 @@ class Span:
     Spans are created *and activated* by :meth:`Tracer.span` and
     finished by leaving their ``with`` block; ``start``/``end`` are
     simulated-time stamps.  ``parent_id`` is ``None`` for trace roots.
-    ``_key`` is the owning process only while the span is open (``None``
-    once it has finished), ``_prev`` the span this one shadowed as its
-    process's current span.
+    ``_key`` is the owning process and ``_prev`` the span this one
+    shadowed as its process's current span, both only while the span is
+    open (``None`` once it has finished).
 
-    A finished span keeps only what it records: leaving the block drops
-    the process and folds the attribute dict into one flat
-    ``(*keys, *values)`` tuple, which :attr:`attrs` turns back into a
-    dict on first read and keeps.
+    A finished span is a row of its tracer's columns (see
+    :class:`Tracer`): leaving the block appends the row, and ``_row`` is
+    its position.  The handle and every view of that row share one
+    attribute dict, kept in the row once :attr:`attrs` is first read; a
+    span whose row has been trimmed reads the attributes it last saw.
     """
 
     __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
-                 "start", "end", "_attrs", "_key", "_prev")
+                 "start", "end", "_attrs", "_key", "_prev", "_row")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: int,
                  span_id: int, parent_id: Optional[int], start: float,
@@ -94,16 +97,26 @@ class Span:
         self._attrs: Any = attrs
         self._key = key
         self._prev = prev
+        self._row: Optional[int] = None
 
     # -- attributes ---------------------------------------------------------
 
     @property
     def attrs(self) -> Dict[str, Any]:
-        """The attribute dict (a finished span rebuilds it on first read)."""
+        """The attribute dict (a finished row's is rebuilt on first read)."""
         attrs = self._attrs
-        if type(attrs) is tuple:
-            half = len(attrs) >> 1
-            attrs = self._attrs = dict(zip(attrs[:half], attrs[half:]))
+        if type(attrs) is dict:
+            return attrs
+        tracer = self.tracer
+        index = 2 * (self._row - tracer._base) + 1
+        if index < 0:  # the row was trimmed: the tuple last seen is its own
+            attrs = self._attrs = _unfold(attrs)
+            return attrs
+        rows = tracer._rows
+        attrs = rows[index]
+        if type(attrs) is not dict:
+            attrs = rows[index] = _unfold(attrs)
+        self._attrs = attrs
         return attrs
 
     def set_attr(self, key: str, value: Any) -> None:
@@ -126,28 +139,64 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """Finish: stamp the end, hand the process back to ``_prev``,
-        then let go of the process and fold the attributes."""
+        then append the row, with the attributes folded and interned."""
         attrs = self._attrs  # a dict while the span is open
         if exc is not None:
             attrs.setdefault("error", repr(exc))
-        self._attrs = (*attrs, *attrs.values())
         tracer = self.tracer
-        self.end = tracer._sim._now
+        end = self.end = tracer._sim._now
         current, key = tracer._current, self._key
         if current.get(key) is self:
             if self._prev is not None:
                 current[key] = self._prev
             else:
                 del current[key]
-        self._key = None
-        finished = tracer._finished
-        finished.append(self)
-        if len(finished) > tracer._trim_at:
+        self._key = self._prev = None
+        values = attrs.values()
+        try:
+            folded = tracer._interned[(*attrs, *values, *map(type, values))]
+        except TypeError:  # an unhashable value: the row keeps its own tuple
+            folded = (*attrs, *values)
+        self._attrs = folded
+        row = self._row = tracer._next_row
+        tracer._next_row = row + 1
+        tracer._ids.fromlist([self.trace_id, self.span_id, self.parent_id or 0])
+        tracer._times.fromlist([self.start, end])
+        tracer._rows += (self.name, folded)
+        if row - tracer._base >= tracer._trim_at:
             tracer._trim()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.duration:.4f}s" if self.end is not None else "open"
         return f"<Span {self.name!r} t{self.trace_id}/s{self.span_id} {state}>"
+
+
+def _unfold(folded: tuple) -> Dict[str, Any]:
+    """A folded ``(*keys, *values)`` tuple back as a dict."""
+    half = len(folded) >> 1
+    return dict(zip(folded[:half], folded[half:]))
+
+
+#: value types an attribute tuple may be interned with: an equal value of
+#: the same type is the same value (not so for floats: ``-0.0 == 0.0``)
+_INTERNABLE = frozenset({str, int, bool, type(None)})
+
+
+class _Interned(dict):
+    """Folded ``(*keys, *values)`` attribute tuples keyed
+    ``(*keys, *values, *types)``: equal tuples of the same value types
+    share one object, so ``1`` and ``True`` each read back as themselves.
+    A tuple holding a value of a type outside :data:`_INTERNABLE` is
+    folded but not kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> tuple:
+        third = len(key) // 3
+        folded = key[:2 * third]
+        if _INTERNABLE.issuperset(key[2 * third:]):
+            self[key] = folded
+        return folded
 
 
 class _NullSpan:
@@ -215,11 +264,22 @@ class _Unbound:
 class Tracer:
     """Collects finished spans, keyed into traces.
 
+    A finished span is a row of three typed columns: ``_ids`` holds
+    ``trace_id, span_id, parent_id`` (0 for no parent; ids start at 1),
+    ``_times`` holds ``start, end`` and ``_rows`` holds ``name, attrs``,
+    the attributes as an interned ``(*keys, *values)`` tuple (or, once
+    read, the row's dict).  No object is kept per span: :attr:`spans`
+    builds :class:`Span` views of the rows on each read.  ``_base`` is
+    the number of rows removed from the front (trimmed or cleared), so
+    a row at position ``p`` is at index ``p - _base`` while retained;
+    ``_next_row`` is ``_base + len(self)``, kept so that finishing a
+    span makes no ``len`` call.
+
     Parameters
     ----------
     max_spans:
         Optional retention bound: only the most recent ``max_spans``
-        finished spans are kept.  The buffer is trimmed in bulk at
+        finished spans are kept.  The columns are trimmed in bulk at
         twice the bound (amortised O(1) per span) and on every read.
     """
 
@@ -229,7 +289,12 @@ class Tracer:
         self.max_spans = max_spans
         self._trim_at = sys.maxsize if max_spans is None else 2 * max_spans
         self._sim: Any = _Unbound
-        self._finished: List[Span] = []
+        self._ids = array("q")
+        self._times = array("d")
+        self._rows: List[Any] = []
+        self._interned = _Interned()
+        self._base = 0
+        self._next_row = 0
         self._dropped = 0
         self._next_trace = 1
         self._next_span = 1
@@ -237,6 +302,10 @@ class Tracer:
         #: i.e. code running outside any process, such as test set-up);
         #: its ``_prev`` chain holds every span the process still has open
         self._current: Dict[Any, Span] = {}
+
+    def __len__(self) -> int:
+        """Finished rows held right now (up to twice ``max_spans``)."""
+        return len(self._rows) >> 1
 
     # -- wiring -------------------------------------------------------------
 
@@ -283,20 +352,38 @@ class Tracer:
         return span
 
     def _trim(self) -> None:
-        """Drop everything but the newest ``max_spans`` finished spans."""
+        """Drop everything but the newest ``max_spans`` finished rows."""
         if self.max_spans is not None:
-            overflow = len(self._finished) - self.max_spans
+            overflow = len(self) - self.max_spans
             if overflow > 0:
-                del self._finished[:overflow]
+                self._drop_front(overflow)
                 self._dropped += overflow
+
+    def _drop_front(self, n: int) -> None:
+        """Delete the oldest ``n`` rows from every column; forget the
+        interned tuples, so the table never outgrows the columns."""
+        del self._ids[:3 * n]
+        del self._times[:2 * n]
+        del self._rows[:2 * n]
+        self._base += n
+        self._interned.clear()
 
     # -- read side ----------------------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
-        """The retained finished spans, in completion order."""
+        """Views of the retained finished spans, in completion order."""
         self._trim()
-        return self._finished
+        ids, times, rows = iter(self._ids), iter(self._times), iter(self._rows)
+        views = []
+        for row, (trace_id, span_id, parent_id), (start, end), (name, attrs) in zip(
+                count(self._base), zip(ids, ids, ids), zip(times, times),
+                zip(rows, rows)):
+            view = Span(self, name, trace_id, span_id, parent_id or None,
+                        start, attrs)
+            view.end, view._row = end, row
+            views.append(view)
+        return views
 
     @property
     def dropped_spans(self) -> int:
@@ -355,7 +442,8 @@ class Tracer:
         return leaked
 
     def clear(self) -> None:
-        self._finished.clear()
+        """Forget every finished span (not counted in ``dropped_spans``)."""
+        self._drop_front(len(self))
 
 
 def span_children(spans: List[Span]) -> Dict[Optional[int], List[Span]]:

@@ -20,8 +20,9 @@ per committed ``BENCH_<name>.json``, naming
   (``fingerprint``, or ``determinism`` for the kernel suite);
 * ``gates`` — declarative checks of three kinds, each a callable
   ``(suite, baseline) -> [failure, ...]``: :class:`Exact` (a pinned
-  section, key by key), :class:`Budget` (a counter at most its committed
-  value x :data:`BUDGET`) and :class:`Holds` (a recorded verdict);
+  section, key by key, or one pinned value), :class:`Budget` (a counter
+  at most its committed value x :data:`BUDGET`) and :class:`Holds` (a
+  recorded verdict);
 * ``highlights`` — the dotted payload paths worth printing.
 
 Every gated counter is measured at one fixed point whatever the suite
@@ -418,6 +419,7 @@ def bench_obs(clients: int = 4, horizon: float = 10.0, seed: int = 11) -> BenchR
             "slo_extra_pycalls_per_rpc": round(per_rpc["slo"] - per_rpc["off"], 2),
             "sim_throughput_equal": len(set(rpcs)) == 1,
             "retained_bytes_per_span": retained_bytes_per_span(),
+            "tracked_objects_per_span": tracked_objects_per_span(),
         },
     )
 
@@ -466,7 +468,7 @@ def retained_bytes_per_span(n_calls: int = 200) -> float:
         # the simulator stays referenced: clear() frees only what spans held
         sim, tracer = one_shot_echo_calls(n_calls)
         gc.collect()
-        spans = len(tracer.spans)
+        spans = len(tracer)
         retained = tracemalloc.get_traced_memory()[0]
         tracer.clear()
         gc.collect()
@@ -474,6 +476,24 @@ def retained_bytes_per_span(n_calls: int = 200) -> float:
     finally:
         tracemalloc.stop()
     return round(freed / spans, 1)
+
+
+def tracked_objects_per_span(n_calls: int = 200) -> float:
+    """GC-tracked objects each finished span keeps alive: the drop in
+    ``len(gc.get_objects())`` when :func:`one_shot_echo_calls`' spans are
+    cleared, over the span count.  Each such object is one more for
+    every full collection to walk; a row store keeps none.
+    """
+    import gc
+
+    # the simulator stays referenced: clear() frees only what spans held
+    sim, tracer = one_shot_echo_calls(n_calls)
+    gc.collect()
+    spans = len(tracer)
+    tracked = len(gc.get_objects())
+    tracer.clear()
+    gc.collect()
+    return round((tracked - len(gc.get_objects())) / spans, 2)
 
 
 # -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
@@ -1065,7 +1085,12 @@ SUITES: Dict[str, Suite] = {
             Budget(_detail("obs", "retained_bytes_per_span"),
                    "bytes a finished span keeps alive (~740 when it pinned "
                    "its dead process and kept a name and a kwargs dict of "
-                   "its own): a finished span holds more than its record"),
+                   "its own, ~250 as one object per span): a finished span "
+                   "holds more than its row"),
+            Exact(_detail("obs", "tracked_objects_per_span"),
+                  "GC-tracked objects a finished span keeps alive (1.0 as "
+                  "one Span object per span): a finished span is an object "
+                  "again"),
         ),
     ),
     "storage": Suite(

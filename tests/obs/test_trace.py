@@ -1,9 +1,12 @@
 """Unit tests for the tracer: nesting, propagation, retention."""
 
 import gc
+import io
+import json
 
 import pytest
 
+from repro.obs.export import export_chrome, export_jsonl
 from repro.obs.trace import (
     SPAN_NAMES,
     NullTracer,
@@ -201,7 +204,7 @@ class TestRetention:
         for index in range(50_000):
             with tracer.span(f"s{index}"):
                 pass
-            longest = max(longest, len(tracer._finished))
+            longest = max(longest, len(tracer))
         # the buffer overshoots the bound between trims, never past twice it
         assert 1000 < longest <= 2001
         assert tracer.dropped_spans == 49_000
@@ -216,6 +219,169 @@ class TestRetention:
         assert tracer.spans
         tracer.clear()
         assert tracer.spans == []
+
+    def test_clear_is_not_a_drop(self):
+        sim = Simulator()
+        tracer = Tracer(max_spans=3)
+        tracer.bind(sim)
+        for index in range(5):
+            with tracer.span(f"s{index}"):
+                pass
+        tracer.clear()
+        assert len(tracer) == 0 and tracer.spans == []
+        assert tracer.dropped_spans == 0
+        for index in range(5):
+            with tracer.span(f"t{index}"):
+                pass
+        assert tracer.dropped_spans == 2
+
+    def test_intern_table_is_bounded_by_the_retention_bound(self):
+        """Unique attribute values through a 1000-span bound: the table
+        is cleared with every trim, so it never outgrows the columns."""
+        sim = Simulator()
+        tracer = Tracer(max_spans=1000)
+        tracer.bind(sim)
+        largest = 0
+        for index in range(50_000):
+            with tracer.span("s", n=index):
+                pass
+            largest = max(largest, len(tracer._interned))
+        assert largest <= 2000
+        assert tracer.spans[-1].attrs == {"n": 49_999}
+
+
+class TestRowStore:
+    """A finished span is a row: typed ids and times, shared attributes."""
+
+    def test_equal_values_of_different_types_keep_their_types(self, traced_sim):
+        _, tracer = traced_sim
+        for value in (1, True, 1.0, 1, True, 1.0):
+            with tracer.span("v", v=value):
+                pass
+        read = [span.attrs["v"] for span in tracer.spans]
+        assert [type(value) for value in read] == [int, bool, float] * 2
+        assert read == [1, True, 1.0] * 2
+        with tracer.span("z", v=0.0):
+            pass
+        with tracer.span("z", v=-0.0):
+            pass
+        assert [repr(span.attrs["v"]) for span in tracer.find("z")] == [
+            "0.0", "-0.0"]
+
+    def test_repeated_attributes_share_one_tuple(self, traced_sim):
+        _, tracer = traced_sim
+        for _ in range(3):
+            with tracer.span("s", src="a", dst="b") as span:
+                span.set_attr("outcome", "ok")
+        folded = tracer._rows[1::2]
+        assert folded[0] == ("src", "dst", "outcome", "a", "b", "ok")
+        assert folded[0] is folded[1] is folded[2]
+
+    def test_unhashable_value_still_records(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("s", peers=["a", "b"], site="x"):
+            pass
+        with tracer.span("s", peers=("a", ["b"])):
+            pass
+        first, second = tracer.spans
+        assert first.attrs == {"peers": ["a", "b"], "site": "x"}
+        assert second.attrs == {"peers": ("a", ["b"])}
+
+    def test_handle_and_view_share_one_dict(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("a", site="x") as first:
+            pass
+        with tracer.span("b", site="x") as second:
+            pass
+        first.set_attr("late", 1)  # handle first, then view
+        view_a, view_b = tracer.spans
+        assert view_a.attrs == {"site": "x", "late": 1}
+        view_b.set_attr("late", 2)  # view first, then handle
+        assert second.attrs == {"site": "x", "late": 2}
+        assert second.attrs is view_b.attrs
+        # the two rows shared an interned tuple; their dicts are their own
+        assert [span.attrs for span in tracer.spans] == [
+            {"site": "x", "late": 1}, {"site": "x", "late": 2}]
+
+    def test_handle_outlives_its_trimmed_row(self):
+        sim = Simulator()
+        tracer = Tracer(max_spans=10)
+        tracer.bind(sim)
+        with tracer.span("kept", index=0) as early:
+            pass
+        with tracer.span("read", index=1) as read:
+            pass
+        read.set_attr("late", True)
+        for index in range(2, 40):
+            with tracer.span("later", index=index):
+                pass
+        assert tracer.dropped_spans == 30
+        assert early.attrs == {"index": 0}
+        assert read.attrs == {"index": 1, "late": True}
+        early.set_attr("late", "x")
+        assert early.attrs == {"index": 0, "late": "x"}
+        assert [span.attrs["index"] for span in tracer.spans] == list(range(30, 40))
+        assert all("late" not in span.attrs for span in tracer.spans)
+
+    def test_handle_after_clear_reads_its_own_attributes(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("old", site="a") as old:
+            pass
+        tracer.clear()
+        with tracer.span("new", site="b"):
+            pass
+        assert old.attrs == {"site": "a"}
+        new, = tracer.spans
+        assert new.attrs == {"site": "b"}
+
+    def test_exit_lets_go_of_process_and_shadowed_span(self, traced_sim):
+        _, tracer = traced_sim
+        with tracer.span("outer"):
+            with tracer.span("inner") as inner:
+                assert inner._prev is not None
+        assert inner._key is None and inner._prev is None
+
+
+class TestViewParents:
+    """A root's parent reads back as None (the row stores 0) everywhere."""
+
+    @pytest.fixture()
+    def root_and_child(self, traced_sim):
+        sim, tracer = traced_sim
+
+        def work():
+            with tracer.span("root", site="a"):
+                with tracer.span("child", site="a"):
+                    yield sim.timeout(1)
+
+        sim.process(work())
+        sim.run()
+        return tracer
+
+    def test_export_jsonl(self, root_and_child):
+        stream = io.StringIO()
+        assert export_jsonl(root_and_child.spans, stream) == 2
+        child, root = map(json.loads, stream.getvalue().splitlines())
+        assert root["parent"] is None
+        assert child["parent"] == root["span"]
+
+    def test_export_chrome(self, root_and_child):
+        stream = io.StringIO()
+        export_chrome(root_and_child.spans, stream)
+        events = [e for e in json.loads(stream.getvalue())["traceEvents"]
+                  if e["ph"] == "X"]
+        child, root = events
+        assert (root["name"], child["name"]) == ("root", "child")
+        # Chrome nests by interval on one track: the child sits in the root
+        assert root["tid"] == child["tid"] == root_and_child.spans[1].trace_id
+        assert root["ts"] <= child["ts"]
+        assert child["ts"] + child["dur"] <= root["ts"] + root["dur"]
+
+    def test_walk_tree_roots(self, root_and_child):
+        walk = [(depth, span.name, span.parent_id)
+                for depth, span in walk_tree(root_and_child.spans)]
+        root_id = root_and_child.spans[1].span_id
+        assert walk == [(0, "root", None), (1, "child", root_id)]
 
 
 class TestFinishedSpanFootprint:

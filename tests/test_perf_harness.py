@@ -49,6 +49,7 @@ CONTRACT = {
     ("obs", "Budget", "results.obs.details.slo_extra_pycalls_per_rpc"),
     ("obs", "Holds", "results.obs.details.sim_throughput_equal"),
     ("obs", "Budget", "results.obs.details.retained_bytes_per_span"),
+    ("obs", "Exact", "results.obs.details.tracked_objects_per_span"),
     ("storage", "Budget", "results.storage.details.ring_builds_per_routed_vo"),
     ("storage", "Budget",
      "results.storage.details.ring_point_hashes_per_routed_vo"),
@@ -92,8 +93,8 @@ def _leaves(doc, path):
         yield path
 
 
-#: the suites that pin a section (``Exact``), and which one: what the
-#: host cannot change and no experiment runs
+#: the suites that pin a section or a value (``Exact``), and which one:
+#: what the host cannot change and no experiment runs
 PINNED = {name: gate.path for name, suite in perf.SUITES.items()
           for gate in suite.gates if isinstance(gate, perf.Exact)}
 
@@ -149,8 +150,8 @@ class TestTable:
             assert set(result["details"]) == set(fresh["results"][bench]["details"])
         if name in PINNED:
             section = PINNED[name]
-            assert (set(_leaves(fresh[section], section))
-                    == set(_leaves(baseline[section], section)))
+            assert (set(_leaves(perf._dig(fresh, section), section))
+                    == set(_leaves(perf._dig(baseline, section), section)))
 
     @pytest.mark.parametrize(
         "name,gate", BOUND_GATES,
@@ -169,7 +170,7 @@ class TestTable:
         hand-picked subset — and a drift names the suite and the leaf."""
         current = _committed(name)
         section = PINNED[name]
-        leaves = list(_leaves(current[section], section))
+        leaves = list(_leaves(perf._dig(current, section), section))
         assert leaves
         for leaf in leaves:
             baseline = copy.deepcopy(current)
