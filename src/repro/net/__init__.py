@@ -4,7 +4,8 @@ This package stands in for the Austrian Grid's physical network and the
 GT4 web-service transport stack.  It provides:
 
 * :class:`~repro.net.topology.Topology` — sites and links with latency
-  and bandwidth, backed by a ``networkx`` graph;
+  and bandwidth, kept as an adjacency dict (equal-latency paths tie as
+  networkx's bidirectional Dijkstra ties them);
 * :class:`~repro.net.network.Network` — node runtimes (CPU + registered
   services + online flag) plus the RPC ``call`` primitive used by every
   Grid service in the reproduction;

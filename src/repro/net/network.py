@@ -174,7 +174,7 @@ class Network:
         """Create the runtime for site ``name`` (adds it to the topology)."""
         if name in self.nodes:
             raise ValueError(f"node {name!r} already exists")
-        if name not in self.topology.sites():
+        if name not in self.topology:
             self.topology.add_site(name)
         runtime = NodeRuntime(self, name, CPU(self.sim, cores=cores, speed=speed))
         self.nodes[name] = runtime

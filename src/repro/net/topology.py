@@ -2,18 +2,25 @@
 
 The Austrian Grid connected ~10 sites across several cities; we model
 the wide-area fabric as an undirected graph whose edges carry one-way
-propagation latency (seconds) and bandwidth (bytes/second).  Paths use
-networkx shortest-path by latency; the effective path bandwidth is the
-bottleneck link.  Results are memoised because topologies are static
-during an experiment.
+propagation latency (seconds) and bandwidth (bytes/second), kept as an
+insertion-ordered adjacency dict.  Paths are minimum-latency paths; the
+effective path bandwidth is the bottleneck link.  Results are memoised
+because topologies are static during an experiment.
+
+Ties between equal-latency paths break as ``networkx.bidirectional_dijkstra``
+breaks them (see :func:`_shortest_path`), the search networkx 3.6 runs for
+``shortest_path(graph, src, dst, weight="latency")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
+#: site -> {neighbour: (latency, bandwidth)}, both in the order added
+Adjacency = Dict[str, Dict[str, Tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,55 @@ class Link:
             raise ValueError("link bandwidth must be positive")
 
 
+def _shortest_path(adj: Adjacency, src: str, dst: str) -> Optional[List[str]]:
+    """The minimum-latency path ``src`` .. ``dst``, or None if there is none.
+
+    A bidirectional Dijkstra that ties exactly as networkx's does: the
+    two searches alternate, forward first; heap entries are ``(dist,
+    counter, site)`` from one shared counter; neighbours are relaxed in
+    the order their links were added; a predecessor or the meeting site
+    changes only on a strict improvement.
+    """
+    if src not in adj or dst not in adj:
+        return None
+    if src == dst:
+        return [src]
+
+    def walk(preds: Dict[str, Optional[str]], hop: Optional[str]) -> List[str]:
+        hops = []
+        while hop is not None:
+            hops.append(hop)
+            hop = preds[hop]
+        return hops
+
+    done: Tuple[Dict[str, float], ...] = ({}, {})
+    seen: Tuple[Dict[str, float], ...] = ({src: 0}, {dst: 0})
+    preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+    fringe: Tuple[list, ...] = ([(0, 0, src)], [(0, 1, dst)])
+    counter = count(2)
+    best: Optional[float] = None
+    meet, side = src, 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, node = heappop(fringe[side])
+        if node in done[side]:
+            continue
+        done[side][node] = dist
+        if node in done[1 - side]:
+            return walk(preds[0], meet)[::-1] + walk(preds[1], preds[1][meet])
+        reached, other = seen[side], seen[1 - side]
+        for nbr, (latency, _) in adj[node].items():
+            length = dist + latency
+            if nbr in done[side] or (nbr in reached and length >= reached[nbr]):
+                continue
+            reached[nbr] = length
+            heappush(fringe[side], (length, next(counter), nbr))
+            preds[side][nbr] = node
+            if nbr in other and (best is None or best > length + other[nbr]):
+                best, meet = length + other[nbr], nbr
+    return None
+
+
 class Topology:
     """Static site/link graph with latency- and bandwidth-queries."""
 
@@ -40,31 +96,36 @@ class Topology:
     LOOPBACK_BANDWIDTH = 1e9
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adj: Adjacency = {}
         #: (src, dst) -> (latency, bandwidth); one search fills both directions
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         #: (src, dst) -> edges of the path a search *from src* found (per
         #: direction: the reverse search may break latency ties differently)
         self._edge_cache: Dict[Tuple[str, str], Tuple[Tuple[str, str], ...]] = {}
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._graph
+    def __contains__(self, name: object) -> bool:
+        return name in self._adj
 
     def add_site(self, name: str) -> None:
-        """Register a site node."""
-        self._graph.add_node(name)
-        self._forget_paths()
+        """Register a site node (a known site is left as it is).
+
+        A site without links lies on no path, so the memos stay.
+        """
+        self._adj.setdefault(name, {})
 
     def sites(self) -> List[str]:
-        """All registered site names."""
-        return list(self._graph.nodes)
+        """All registered site names, in the order they were added."""
+        return list(self._adj)
 
     def add_link(self, a: str, b: str, latency: float, bandwidth: float) -> None:
-        """Connect sites ``a`` and ``b`` (adds the nodes if missing)."""
+        """Connect sites ``a`` and ``b`` (adds the nodes if missing).
+
+        Re-adding a link replaces its figures and keeps its place.
+        """
         link = Link(a, b, latency, bandwidth)
-        self._graph.add_edge(a, b, latency=link.latency, bandwidth=link.bandwidth)
+        self._adj.setdefault(a, {})
+        self._adj.setdefault(b, {})
+        self._adj[a][b] = self._adj[b][a] = (link.latency, link.bandwidth)
         self._forget_paths()
 
     def _forget_paths(self) -> None:
@@ -72,18 +133,17 @@ class Topology:
         self._edge_cache.clear()
 
     def links(self) -> Iterable[Link]:
-        """Iterate over all links."""
-        for a, b, data in self._graph.edges(data=True):
-            yield Link(a, b, data["latency"], data["bandwidth"])
+        """Iterate over all links, each once, from its first-added end."""
+        done = set()
+        for a, neighbours in self._adj.items():
+            for b, (latency, bandwidth) in neighbours.items():
+                if b not in done:
+                    yield Link(a, b, latency, bandwidth)
+            done.add(a)
 
     def has_path(self, src: str, dst: str) -> bool:
         """True when ``src`` can reach ``dst``."""
-        if src == dst:
-            return src in self._graph
-        try:
-            return nx.has_path(self._graph, src, dst)
-        except nx.NodeNotFound:
-            return False
+        return _shortest_path(self._adj, src, dst) is not None
 
     def _search(self, src: str, dst: str) -> List[str]:
         """One shortest-path search from ``src``: the sites on the path.
@@ -91,17 +151,16 @@ class Topology:
         The first search of a pair, in either direction, fixes its
         ``(latency, bandwidth)`` for both.
         """
-        try:
-            path = nx.shortest_path(self._graph, src, dst, weight="latency")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
-            raise ValueError(f"no path between {src!r} and {dst!r}") from error
+        path = _shortest_path(self._adj, src, dst)
+        if path is None:
+            raise ValueError(f"no path between {src!r} and {dst!r}")
         if (src, dst) not in self._path_cache:
             latency = 0.0
             bandwidth = float("inf")
             for u, v in zip(path, path[1:]):
-                data = self._graph.edges[u, v]
-                latency += data["latency"]
-                bandwidth = min(bandwidth, data["bandwidth"])
+                hop_latency, hop_bandwidth = self._adj[u][v]
+                latency += hop_latency
+                bandwidth = min(bandwidth, hop_bandwidth)
             self._path_cache[src, dst] = self._path_cache[dst, src] = (
                 latency, bandwidth)
         return path

@@ -1,10 +1,13 @@
 """Unit tests for topology, RPC transport, and the security model."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net import Network, SecurityPolicy, Topology
 from repro.net.network import RpcTimeout, ServiceNotFound
 from repro.net.service import EchoService, UnknownOperation
+from repro.net.topology import _shortest_path
 from repro.simkernel import Simulator
 from repro.simkernel.errors import OfflineError
 
@@ -65,11 +68,18 @@ class TestTopology:
 class TestPathEdgeCache:
     """``path_edges`` is served from a memo; it must equal a fresh search."""
 
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        """``(src, dst)`` of every path search the topology runs."""
+        pairs = []
+        search = Topology._search
+        monkeypatch.setattr(Topology, "_search",
+                            lambda self, a, b: pairs.append((a, b)) or search(self, a, b))
+        return pairs
+
     @staticmethod
     def uncached_edges(topo, src, dst):
-        import networkx as nx
-
-        path = nx.shortest_path(topo.graph, src, dst, weight="latency")
+        path = _shortest_path(topo._adj, src, dst)
         return [tuple(sorted(hop)) for hop in zip(path, path[1:])]
 
     @staticmethod
@@ -80,17 +90,11 @@ class TestPathEdgeCache:
                           bandwidth=1e6 * (1 + i))
         return topo
 
-    def test_cached_edges_equal_the_uncached_path_in_both_directions(self, monkeypatch):
-        import networkx as nx
-
+    def test_cached_edges_equal_the_uncached_path_in_both_directions(self, searches):
         topo = self.ring()
         sites = topo.sites()
         expected = {(a, b): self.uncached_edges(topo, a, b)
                     for a in sites for b in sites if a != b}
-        searches = []
-        search = nx.shortest_path
-        monkeypatch.setattr(nx, "shortest_path",
-                            lambda *a, **kw: searches.append(a[1:3]) or search(*a, **kw))
         for _ in range(3):
             for (a, b), edges in expected.items():
                 assert list(topo.path_edges(a, b)) == edges
@@ -101,12 +105,12 @@ class TestPathEdgeCache:
 
     def test_metrics_and_edges_describe_the_same_path(self):
         topo = self.ring()
-        graph = topo.graph
+        hops = {tuple(sorted((link.a, link.b))): link for link in topo.links()}
         for dst in topo.sites()[1:]:
             latency, bandwidth = topo.path_metrics("s0", dst)
-            hops = [graph.edges[e] for e in topo.path_edges("s0", dst)]
-            assert latency == pytest.approx(sum(h["latency"] for h in hops))
-            assert bandwidth == min(h["bandwidth"] for h in hops)
+            path = [hops[e] for e in topo.path_edges("s0", dst)]
+            assert latency == pytest.approx(sum(h.latency for h in path))
+            assert bandwidth == min(h.bandwidth for h in path)
 
     def test_add_link_invalidates_cached_edges(self):
         topo = self.ring()
@@ -116,6 +120,84 @@ class TestPathEdgeCache:
         assert topo.path_edges("s0", "s4") == (("s0", "s4"),)
         assert topo.path_metrics("s0", "s4") == (0.0001, 1e6)
         assert list(topo.path_edges("s0", "s4")) == self.uncached_edges(topo, "s0", "s4")
+
+    def test_adding_a_site_keeps_the_caches(self, searches):
+        topo = self.ring()
+        assert "s3" in topo and "nowhere" not in topo
+        for _ in range(2):
+            topo.path_edges("s0", "s4")  # fills both memos
+            topo.path_metrics("s0", "s4")
+            topo.add_site("s3")
+            topo.add_site("s8")  # no links yet, so on no path
+        assert searches == [("s0", "s4")]
+        assert topo.sites()[-1] == "s8" and not topo.has_path("s0", "s8")
+
+
+#: a few site names, so links re-add, loop back and leave parts unjoined
+_SITES = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("site"), _SITES),
+    # small integer multiples of one latency, so exact ties are common
+    st.tuples(st.just("link"), _SITES, _SITES, st.integers(0, 3),
+              st.sampled_from([1e6, 2e6, 5e6])),
+), min_size=4, max_size=24)
+
+
+class TestNetworkxReference:
+    """The adjacency dict and its search against networkx, a test-only
+    reference: for a source-target pair ``nx.shortest_path(weight=...)``
+    runs ``nx.bidirectional_dijkstra``, the search the topology mirrors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_OPS)
+    # equal-latency paths that only the heap's first-in-first-out order
+    # and the forward-first alternation choose between
+    @example([("link", "g", "a", 1, 1e6), ("link", "d", "c", 0, 2e6), ("link", "g", "b", 2, 1e6),
+              ("link", "c", "b", 0, 2e6), ("link", "d", "g", 2, 1e6)])
+    @example([("link", "f", "e", 2, 2e6), ("link", "e", "d", 3, 2e6), ("link", "d", "c", 1, 5e6),
+              ("site", "e"), ("link", "c", "f", 2, 5e6)])
+    def test_topology_matches_networkx(self, ops):
+        nx = pytest.importorskip("networkx")
+        topo, graph = Topology(), nx.Graph()
+        for op in ops:
+            if op[0] == "site":
+                topo.add_site(op[1])
+                graph.add_node(op[1])
+            else:
+                _, a, b, units, bandwidth = op
+                topo.add_link(a, b, latency=0.001 * units, bandwidth=bandwidth)
+                graph.add_edge(a, b, latency=0.001 * units, bandwidth=bandwidth)
+        assert topo.sites() == list(graph.nodes)
+        assert [(l.a, l.b, l.latency, l.bandwidth) for l in topo.links()] == [
+            (a, b, d["latency"], d["bandwidth"]) for a, b, d in graph.edges(data=True)]
+        names = list(graph.nodes) + ["unknown"]
+        first = {}  # the first search of a pair fixes both directions' metrics
+        for src in names:
+            for dst in names:
+                assert topo.has_path(src, dst) == (
+                    src in graph and dst in graph and nx.has_path(graph, src, dst))
+                if src == dst:
+                    assert topo.path_edges(src, dst) == ()
+                    assert topo.path_metrics(src, dst) == (
+                        Topology.LOOPBACK_LATENCY, Topology.LOOPBACK_BANDWIDTH)
+                    continue
+                try:
+                    _, path = nx.bidirectional_dijkstra(graph, src, dst, weight="latency")
+                except (nx.NetworkXNoPath, nx.NodeNotFound):
+                    with pytest.raises(ValueError):
+                        topo.path_edges(src, dst)
+                    with pytest.raises(ValueError):
+                        topo.path_metrics(src, dst)
+                    continue
+                hops = list(zip(path, path[1:]))
+                assert topo.path_edges(src, dst) == tuple(tuple(sorted(h)) for h in hops)
+                latency, bandwidth = 0.0, float("inf")
+                for u, v in hops:
+                    latency += graph.edges[u, v]["latency"]
+                    bandwidth = min(bandwidth, graph.edges[u, v]["bandwidth"])
+                metrics = first.setdefault(frozenset((src, dst)), (latency, bandwidth))
+                assert topo.path_metrics(src, dst) == metrics
+                assert topo.rank_sources(dst, [src]) == [(src, *metrics)]
 
 
 class TestRpc:
