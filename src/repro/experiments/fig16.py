@@ -105,7 +105,7 @@ PROVISION_RETRY = RetryPolicy(
 )
 
 #: objectives for the SLO extension pair:
-#: the *attempt*-level objective is the detector — every pipeline pass
+#: the *attempt*-level objective is the detector — every transport pass
 #: against a crashed super-peer is a bad SLI event, so its fast
 #: burn-rate alert is what notices each crash; the *call*-level
 #: objective is the verdict — it sees only the post-retry outcome the

@@ -96,6 +96,9 @@ class RequestManager:
         #: fan-out targets whose RPC failed (timeout/offline/error),
         #: as opposed to answering with an empty result
         self.fanout_failures: Dict[str, int] = {}
+        #: tier -> (``glare.resolutions`` counter, ``glare.get_deployments``
+        #: histogram), resolved at the first resolution of that tier
+        self._tier_meters: Dict[str, tuple] = {}
 
     @property
     def sim(self):
@@ -250,12 +253,17 @@ class RequestManager:
         ) as span:
             wires = yield from self._resolve_entry(type_name, auto_deploy, exclude_sites)
             tier = self._tier_delta(before)
-            span.set_attr("tier", tier)
-            span.set_attr("deployments", len(wires))
-            obs.metrics.counter("glare.resolutions", tier=tier).inc()
-            obs.metrics.histogram("glare.get_deployments", tier=tier).observe(
-                self.sim.now - started
-            )
+            attrs = span.attrs
+            attrs["tier"] = tier
+            attrs["deployments"] = len(wires)
+            try:
+                meters = self._tier_meters[tier]
+            except KeyError:
+                meters = self._tier_meters[tier] = (
+                    obs.metrics.counter("glare.resolutions", tier=tier),
+                    obs.metrics.histogram("glare.get_deployments", tier=tier))
+            meters[0].inc()
+            meters[1].observe(self.sim.now - started)
         return wires
 
     def _tier_counters(self) -> tuple:

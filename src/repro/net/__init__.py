@@ -15,15 +15,16 @@ GT4 web-service transport stack.  It provides:
   security (http vs https) as per-message handshake latency and
   cryptographic CPU demand, reproducing the ~50 % throughput drop the
   paper reports with TLS enabled;
-* :mod:`~repro.net.interceptors` — the composable RPC pipeline
-  (trace/metrics/SLO layers, :class:`CallContext`) and the shared
+* :mod:`~repro.net.interceptors` — the :class:`CallContext` every
+  call carries, the RPC error types, and the shared
   :class:`RetryPolicy` used by every call site that retries or
-  deadlines remote operations.
+  deadlines remote operations.  Tracing, metrics and SLIs are not a
+  pipeline of their own: the network's one transport stage takes them
+  when the VO observes.
 """
 
 from repro.net.interceptors import (
     CallContext,
-    Layer,
     Overloaded,
     RemoteError,
     RetryPolicy,
@@ -37,7 +38,6 @@ from repro.net.transport import SecurityPolicy
 
 __all__ = [
     "CallContext",
-    "Layer",
     "Link",
     "Message",
     "Network",

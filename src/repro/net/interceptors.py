@@ -1,37 +1,28 @@
-"""Composable RPC pipeline: call contexts, layer hooks, retry policies.
+"""Call contexts, retry policies and the RPC error types.
 
-Every remote call in the reproduction flows through one pipeline
-composed by :class:`~repro.net.network.Network`.  A *layer* is a pair
-of plain hooks around the call — ``enter(ctx) -> state`` before it,
-``exit(ctx, state, error)`` after it — and each owns exactly one
-cross-cutting concern:
+Every remote call in the reproduction runs through
+:meth:`~repro.net.network.Network.call`: a :class:`CallContext` names
+the call, an optional :class:`RetryPolicy` drives attempts, deadlines
+and backoff around it, and each attempt is one pass through the
+network's transport stage (marshalling, security costs, wire transfer,
+server dispatch, the fault plane's two checks).  That stage also
+observes the attempt when the VO observes at all: the ``rpc:`` span,
+the per-endpoint ``rpc.*`` metrics and the attempt-level SLI are taken
+there, with each endpoint's instruments resolved once.
 
-* :class:`TraceLayer` — wraps the call in an ``rpc:`` span;
-* :class:`MetricsLayer` — per-endpoint call/error counters and latency
-  histograms;
-* :class:`SLOLayer` — one attempt-level SLI event per pipeline pass.
-
-:func:`compose` folds any number of layers and the network's terminal
-transport stage (marshalling, security costs, wire transfer, server
-dispatch, and the fault plane's two checks) into ONE generator, so a
-resumed call re-enters one pipeline frame however many layers are on.
-
-Retry is layered *around* the pipeline rather than inside it: a
-:class:`RetryPolicy` passed to ``Network.call`` re-runs the whole
-pipeline per attempt (fresh envelope, fresh fault draws), exactly as a
-client stack re-issues a failed request.
-
-Layers are only installed when their subsystem is on, so the default
-(observability off, no retry policy) is the bare transport — pinned by
-the determinism fingerprints in :mod:`repro.perf`.
+Retry wraps the transport rather than living inside it: a
+:class:`RetryPolicy` passed to ``Network.call`` re-runs the whole stage
+per attempt (fresh envelope, fresh fault draws), exactly as a client
+stack re-issues a failed request.  The default (observability off, no
+retry policy) is the bare transport — pinned by the determinism
+fingerprints in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.obs.trace import SPAN_NAMES
 from repro.simkernel.errors import OfflineError, SimulationError
 
 
@@ -73,7 +64,7 @@ TRANSIENT_ERRORS: Tuple[type, ...] = (OfflineError, RpcTimeout, Overloaded)
 
 
 class CallContext:
-    """Mutable per-call state threaded through the layer pipeline."""
+    """Mutable per-call state: what is called, where, and which attempt."""
 
     __slots__ = ("src", "dst", "service", "method", "payload", "size",
                  "security", "attempt", "endpoint")
@@ -88,124 +79,14 @@ class CallContext:
         self.payload = payload
         self.size = size
         self.security = security
-        #: 1-based attempt number (bumped by the retry layer)
+        #: 1-based attempt number (bumped by the retry loop)
         self.attempt = 1
-        #: ``service.method``, built once: every layer keys on it
+        #: ``service.method``, built once: every observer keys on it
         self.endpoint = f"{service}.{method}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CallContext {self.src}->{self.dst} {self.endpoint}"
                 f" attempt={self.attempt}>")
-
-
-class Layer:
-    """One named layer of the RPC pipeline: a pair of plain hooks.
-
-    ``enter`` runs before the call and returns whatever ``exit`` needs
-    back; ``exit`` always runs once ``enter`` returned, with the
-    exception that ended the call (``None`` on success).  Hooks never
-    yield — anything that must wait belongs in the transport stage.
-    """
-
-    name = "layer"
-
-    def enter(self, ctx: CallContext) -> Any:
-        return None
-
-    def exit(self, ctx: CallContext, state: Any,
-             error: Optional[BaseException]) -> None:
-        pass
-
-
-class TraceLayer(Layer):
-    """Wrap the call in an ``rpc:`` client span (observability on only)."""
-
-    name = "trace"
-
-    def __init__(self, network) -> None:
-        self.tracer = network.obs.tracer
-
-    def enter(self, ctx: CallContext):
-        return self.tracer.span(SPAN_NAMES["rpc", ctx.endpoint],
-                                src=ctx.src, dst=ctx.dst)
-
-    def exit(self, ctx: CallContext, span, error) -> None:
-        span.attrs["outcome"] = "ok" if error is None else type(error).__name__
-        span.__exit__(None, error, None)
-
-
-class MetricsLayer(Layer):
-    """Per-endpoint call/error counters + latency histogram."""
-
-    name = "metrics"
-
-    def __init__(self, network) -> None:
-        self.sim = network.sim
-        self.metrics = network.obs.metrics
-
-    def enter(self, ctx: CallContext) -> float:
-        return self.sim._now
-
-    def exit(self, ctx: CallContext, started: float, error) -> None:
-        metrics, endpoint = self.metrics, ctx.endpoint
-        metrics.counter("rpc.calls", endpoint=endpoint).inc()
-        if error is not None:
-            metrics.counter("rpc.errors", endpoint=endpoint).inc()
-        metrics.histogram("rpc.latency", endpoint=endpoint).observe(
-            self.sim._now - started
-        )
-
-
-class SLOLayer(Layer):
-    """Feed attempt-level request outcomes into the SLO engine.
-
-    Sits *inside* the retry layer, so every pipeline pass — including
-    each retry of a flaky call — is one service-level-indicator event:
-    the server-side view of reliability.  The client-side (post-retry)
-    view is recorded at the call level by the stage of ``Network.call``
-    that owns the whole call.  Installed only when the VO declares SLOs.
-    """
-
-    name = "slo"
-
-    def __init__(self, network) -> None:
-        self.sim = network.sim
-        self.engine = network.obs.slo
-
-    def enter(self, ctx: CallContext) -> float:
-        return self.sim._now
-
-    def exit(self, ctx: CallContext, started: float, error) -> None:
-        self.engine.record(ctx.endpoint, started, self.sim._now, error is None)
-
-
-def compose(layers: Sequence[Layer],
-            terminal: Callable[[CallContext], Generator]):
-    """Fold ``layers`` around ``terminal`` into one generator function.
-
-    Layers are entered outermost-first and exited innermost-first; a
-    layer whose ``enter`` raised is not exited, the ones entered before
-    it are.  No layers: the terminal itself, not a wrapper.
-    """
-    layers = tuple(layers)
-    if not layers:
-        return terminal
-
-    def pipeline(ctx: CallContext) -> Generator:
-        entered = []
-        error = None
-        try:
-            for layer in layers:
-                entered.append((layer, layer.enter(ctx)))
-            return (yield from terminal(ctx))
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            for layer, state in reversed(entered):
-                layer.exit(ctx, state, error)
-
-    return pipeline
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,7 +139,7 @@ class RetryPolicy:
 
     @property
     def engaged(self) -> bool:
-        """Whether the retry layer needs to run at all."""
+        """Whether the retry loop needs to run at all."""
         return (self.attempts > 1 or self.per_try_timeout is not None
                 or self.deadline is not None)
 
@@ -309,14 +190,9 @@ class RetryPolicy:
 
 __all__ = [
     "CallContext",
-    "Layer",
-    "MetricsLayer",
     "Overloaded",
     "RemoteError",
     "RetryPolicy",
     "RpcTimeout",
-    "SLOLayer",
     "TRANSIENT_ERRORS",
-    "TraceLayer",
-    "compose",
 ]

@@ -5,46 +5,55 @@ simulator: every site gets a :class:`NodeRuntime` (CPU + registered
 services + online flag), and processes anywhere in the model invoke
 remote operations through ``yield from network.call(...)``.
 
-Calls flow through the layer pipeline of :mod:`repro.net.interceptors`
-(trace, metrics, SLO hooks — each installed only when its subsystem is
-on) into the terminal *transport* stage, which charges, in order:
-client marshalling CPU, security handshake latency, request
-transmission (propagation + size/bandwidth), server-side crypto +
-unmarshalling CPU, the service handler itself (which typically
+Every attempt of a call runs through one *transport* stage, which
+charges, in order: client marshalling CPU, security handshake latency,
+request transmission (propagation + size/bandwidth), server-side
+crypto + unmarshalling CPU, the service handler itself (which typically
 executes on the server CPU), and the response transmission back.  This
 is the cost model every experiment in the paper's evaluation rides on.
-A :class:`RetryPolicy` passed to :meth:`Network.call` re-runs the whole
-pipeline per attempt; a per-attempt deadline is one cancellable timeout
-on the caller's own process (nothing left on the agenda afterwards).
+When the VO observes (tracer and metrics on, or SLOs declared) the same
+stage wraps the attempt in an ``rpc:`` span, counts it in the
+per-endpoint ``rpc.*`` metrics and records its attempt-level SLI; with
+nothing observed that costs one attribute check.  A :class:`RetryPolicy`
+passed to :meth:`Network.call` re-runs the stage per attempt; a
+per-attempt deadline is one cancellable timeout on the caller's own
+process (nothing left on the agenda afterwards).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from repro.net.interceptors import (
-    CallContext,
-    MetricsLayer,
-    RemoteError,
-    RetryPolicy,
-    RpcTimeout,
-    SLOLayer,
-    TraceLayer,
-    compose,
-)
+from repro.net.interceptors import CallContext, RemoteError, RetryPolicy, RpcTimeout
 from repro.net.message import Message, Response
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import Observability
 from repro.obs import disabled as _disabled_observability
 from repro.obs.slo import CALL as SLO_CALL_LEVEL
-from repro.obs.trace import SPAN_NAMES
+from repro.obs.trace import SPAN_NAMES, TraceContext
 from repro.simkernel import CPU, Simulator
 from repro.simkernel.errors import Interrupt, OfflineError, SimulationError
 
 
 class ServiceNotFound(SimulationError):
     """No service with the requested name is deployed on the target node."""
+
+
+class _Endpoint:
+    """The instruments the transport stage observes one endpoint with.
+
+    The span names are the shared :data:`SPAN_NAMES` strings.  The calls
+    counter and latency histogram are resolved at the endpoint's first
+    finished attempt, so no endpoint is exported before one has finished.
+    """
+
+    __slots__ = ("rpc", "serve", "calls", "latency")
+
+    def __init__(self, endpoint: str) -> None:
+        self.rpc = SPAN_NAMES["rpc", endpoint]
+        self.serve = SPAN_NAMES["serve", endpoint]
+        self.calls = self.latency = None
 
 
 class NodeRuntime:
@@ -104,8 +113,9 @@ class Network:
         The VO's :class:`~repro.obs.Observability` bundle.  When
         enabled, every RPC is wrapped in client/server spans, the
         envelope carries trace-context metadata, and per-endpoint
-        latency histograms and call counters are recorded.  Defaults
-        to a disabled instance (one attribute check per call).
+        latency histograms and call counters are recorded; declared
+        SLOs get one SLI per attempt and one per call.  Defaults to a
+        disabled instance (one attribute check per call).
     faults:
         The VO's :class:`~repro.faults.FaultPlane`.  When enabled, the
         transport stage draws a link fault (loss, partitions) before
@@ -132,7 +142,7 @@ class Network:
         #: health registry shared with ``Service.dispatch`` (may be None)
         self.health = self.obs.health
         if faults is None:
-            # deferred import: repro.faults itself imports the pipeline
+            # deferred import: repro.faults itself imports repro.net
             from repro.faults import FaultPlane
 
             faults = FaultPlane(sim)
@@ -144,29 +154,13 @@ class Network:
         self.nodes: Dict[str, NodeRuntime] = {}
         self.total_messages = 0
         self.total_bytes = 0
-        #: retry-layer attempts beyond the first, across all calls
+        #: retry-loop attempts beyond the first, across all calls
         self.retries_total = 0
-        self.interceptors: list = []
-        self.rebuild_pipeline()
-
-    def rebuild_pipeline(self) -> None:
-        """(Re)compose the layer hooks around the transport stage.
-
-        Layers are installed only when their subsystem is on, so the
-        all-off default collapses to the bare transport — the same
-        event sequence as the pre-pipeline code, byte-for-byte.
-        """
-        layers = []
-        if self.obs.enabled:
-            layers.append(TraceLayer(self))
-            layers.append(MetricsLayer(self))
-        if self.obs.slo is not None:
-            # inside trace/metrics, outside the transport's fault checks:
-            # each SLI event also sees the faults injected below it
-            layers.append(SLOLayer(self))
-        self.interceptors = layers
-        # an empty layer list composes to the transport stage itself
-        self._invoke = compose(layers, self._transport)
+        #: endpoint -> :class:`_Endpoint` of the observing transport
+        #: stage; ``None`` when nothing observes (tracer and metrics
+        #: off, no SLOs), which is all the bare stage checks
+        self._observed: Optional[Dict[str, _Endpoint]] = (
+            {} if self.obs.enabled or self.obs.slo is not None else None)
 
     # -- node management ---------------------------------------------------
 
@@ -244,22 +238,22 @@ class Network:
         :class:`OfflineError` when either endpoint is down,
         :class:`ServiceNotFound` for unknown services, and re-raises
         application exceptions from the remote handler.  With a
-        ``retry`` policy the whole pipeline is re-run per attempt
+        ``retry`` policy the transport stage is re-run per attempt
         (per-attempt timeouts raise :class:`RpcTimeout`; transient
         errors back off and retry within the deadline budget).
 
         Every call takes the same route: context → retry loop →
-        per-attempt deadline → layer pipeline → transport, each stage
-        present only when it has work to do.  The generator of the
-        outermost such stage is returned as is, so a stage that is off
-        costs the caller no frame; that outermost stage also records
-        the call-level SLI (one event per client-visible outcome, after
-        the attempt-level events of the :class:`SLOLayer` inside it).
+        per-attempt deadline → transport, each stage present only when
+        it has work to do.  The generator of the outermost such stage
+        is returned as is, so a stage that is off costs the caller no
+        frame; that outermost stage also records the call-level SLI
+        (one event per client-visible outcome, after the attempt-level
+        events the transport records).
         """
         ctx = CallContext(src, dst, service, method, payload, size, security)
         if retry is None or not retry.engaged:
             if self.obs.slo is None:
-                return self._invoke(ctx)
+                return self._transport(ctx)
             return self._record_call_sli(ctx)
         if retry.attempts == 1 and retry.deadline is None:
             # nothing to retry, no total budget: the per-try deadline
@@ -273,17 +267,17 @@ class Network:
         started = self.sim._now
         ok = False
         try:
-            value = yield from self._invoke(ctx)
+            value = yield from self._transport(ctx)
             ok = True
         finally:
             self.obs.slo.record(ctx.endpoint, started, self.sim._now, ok,
                                 level=SLO_CALL_LEVEL)
         return value
 
-    # -- retry layer -----------------------------------------------------------
+    # -- retry loop ------------------------------------------------------------
 
     def _call_with_policy(self, ctx: CallContext, policy: RetryPolicy) -> Generator:
-        """Run the pipeline under ``policy`` (attempts, timeouts, backoff)."""
+        """Run the transport under ``policy`` (attempts, timeouts, backoff)."""
         sim = self.sim
         start = sim.now
         jitter_key = f"retry:{ctx.src}:{ctx.endpoint}"
@@ -304,7 +298,7 @@ class Network:
                     per_try = min(per_try, remaining)
                 try:
                     if per_try is None:
-                        value = yield from self._invoke(ctx)
+                        value = yield from self._transport(ctx)
                     else:
                         value = yield from self._attempt_with_deadline(ctx, per_try)
                     ok = True
@@ -334,7 +328,7 @@ class Network:
 
     def _attempt_with_deadline(self, ctx: CallContext, timeout: float,
                                call_slo=None) -> Generator:
-        """One pipeline attempt under a deadline, inline in the caller's process.
+        """One transport attempt under a deadline, inline in the caller's process.
 
         The deadline is one timeout whose callback interrupts this
         process with the timeout itself as the cause.  Exactly that
@@ -352,7 +346,7 @@ class Network:
         deadline = sim.timeout(timeout)
         deadline.callbacks.append(proc.interrupt)
         try:
-            value = yield from self._invoke(ctx)
+            value = yield from self._transport(ctx)
             ok = True
         except Interrupt as interrupt:
             if interrupt.cause is not deadline:
@@ -372,11 +366,15 @@ class Network:
     def _transport(self, ctx: CallContext) -> Generator:
         """Marshalling, security, wire transfer and dispatch for one attempt.
 
-        The terminal stage of every route through :meth:`call` — bare,
-        under a retry policy, or inside the layer pipeline.  Kept as
-        one flat generator: every frame between a process and the event
-        it waits on is re-entered on each resume.  The fault plane's
-        two checks live here because they must wait or sit mid-route: a
+        The one stage of every route through :meth:`call` — bare, under
+        a deadline or under a retry policy.  Kept as one flat generator:
+        every frame between a process and the event it waits on is
+        re-entered on each resume.  It observes the attempt when the VO
+        observes: it opens the ``rpc:`` span and stamps the start, and
+        one ``finally`` records, in order, the attempt-level SLI, the
+        ``rpc.calls`` / ``rpc.errors`` / ``rpc.latency`` metrics, then
+        the span's ``outcome`` and its close.  The fault plane's two
+        checks live here because they must wait or sit mid-route: a
         lost or partitioned link behaves like an unreachable target
         (the caller burns the connection timeout, then sees
         :class:`OfflineError`), a service fault fails the dispatch.
@@ -384,108 +382,145 @@ class Network:
         sim = self.sim
         obs = self.obs
         src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
-        faults = self.faults if self.faults.enabled else None
-        if faults is not None:
-            dropped = faults.link_fault(src, dst)
-            if dropped is not None:
-                yield sim.timeout(self.connect_fail_delay)
-                raise dropped
-        policy = ctx.security if ctx.security is not None else self.security
-        src_node = self.node(src)
-        dst_node = self.node(dst)
-        if not src_node.online:
-            raise OfflineError(f"source node {src!r} is offline")
-
-        message = Message(
-            src=src,
-            dst=dst,
-            service=service,
-            method=method,
-            payload=ctx.payload,
-            size=ctx.size,
-            secure=policy.enabled,
-        )
-        if obs.enabled:
-            # inject the caller's span identity into the envelope (the
-            # simulated ``traceparent`` header)
-            message.trace_ctx = obs.tracer.current_context()
-        msize = message.size
-        latency, bandwidth = self.topology.path_metrics(src, dst)
-        contended = self.contention and src != dst
-
-        # client-side marshalling + crypto, co-scheduled as one CPU
-        # grant: they belong to the same send path, and splitting them
-        # would change FCFS ordering under load
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.client_cpu_demand(msize)
-        if demand > 0:
-            yield from src_node.cpu.execute(demand)
-
-        # transport security handshake (TLS round trips)
-        handshake = policy.handshake_latency(2.0 * latency)
-        if handshake > 0:
-            yield sim.timeout(handshake)
-
-        # request transmission
-        if contended:
-            yield from self._transmit(src, dst, msize)
-        else:
-            yield sim.timeout(latency + msize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += msize
-        src_node.messages_out += 1
-        src_node.bytes_out += msize
-
-        if not dst_node.online:
-            # the connection attempt times out
-            yield sim.timeout(self.connect_fail_delay)
-            raise OfflineError(f"target node {dst!r} is offline")
-
-        dst_node.messages_in += 1
-        dst_node.bytes_in += msize
-
-        # server-side crypto + unmarshalling (one co-scheduled grant)
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.server_cpu_demand(msize)
-        if demand > 0:
-            yield from dst_node.cpu.execute(demand)
-
-        # dispatch: fault rules, inflight gauge, server span.  Handlers
-        # run inline in the caller's process, so the server span nests
-        # under the ``rpc:`` span by itself.
-        handler = dst_node.service(service)
-        if faults is not None:
-            injected = faults.service_fault(ctx)
-            if injected is not None:
-                raise injected
-        dst_node.inflight_rpcs += 1
-        try:
+        observed = self._observed
+        span = error = None
+        if observed is not None:
+            endpoint = ctx.endpoint
             if obs.enabled:
-                with obs.tracer.span(SPAN_NAMES["serve", ctx.endpoint], site=dst):
-                    result = yield from handler.dispatch(method, message)
-            else:
-                result = yield from handler.dispatch(method, message)
-        finally:
-            dst_node.inflight_rpcs -= 1
-        response = result if isinstance(result, Response) else Response(value=result)
+                try:
+                    points = observed[endpoint]
+                except KeyError:
+                    points = observed[endpoint] = _Endpoint(endpoint)
+                span = obs.tracer.span(points.rpc, src=src, dst=dst)
+            started = sim._now
+        try:
+            faults = self.faults if self.faults.enabled else None
+            if faults is not None:
+                dropped = faults.link_fault(src, dst)
+                if dropped is not None:
+                    yield sim.timeout(self.connect_fail_delay)
+                    raise dropped
+            policy = ctx.security if ctx.security is not None else self.security
+            src_node = self.node(src)
+            dst_node = self.node(dst)
+            if not src_node.online:
+                raise OfflineError(f"source node {src!r} is offline")
 
-        # crypto on the response body + the return transmission
-        rsize = response.size
-        resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
-        if resp_crypto > 0:
-            yield from dst_node.cpu.execute(resp_crypto)
-        if contended:
-            yield from self._transmit(dst, src, rsize)
-        else:
-            latency, bandwidth = self.topology.path_metrics(dst, src)
-            yield sim.timeout(latency + rsize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += rsize
-        dst_node.messages_out += 1
-        dst_node.bytes_out += rsize
-        src_node.messages_in += 1
-        src_node.bytes_in += rsize
-        return response.value
+            message = Message(
+                src=src,
+                dst=dst,
+                service=service,
+                method=method,
+                payload=ctx.payload,
+                size=ctx.size,
+                secure=policy.enabled,
+            )
+            if span is not None:
+                # the caller's span identity rides the envelope (the
+                # simulated ``traceparent`` header)
+                message.trace_ctx = TraceContext(span.trace_id, span.span_id)
+            msize = message.size
+            latency, bandwidth = self.topology.path_metrics(src, dst)
+            contended = self.contention and src != dst
+
+            # client-side marshalling + crypto, co-scheduled as one CPU
+            # grant: they belong to the same send path, and splitting
+            # them would change FCFS ordering under load
+            demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+            demand += policy.client_cpu_demand(msize)
+            if demand > 0:
+                yield from src_node.cpu.execute(demand)
+
+            # transport security handshake (TLS round trips)
+            handshake = policy.handshake_latency(2.0 * latency)
+            if handshake > 0:
+                yield sim.timeout(handshake)
+
+            # request transmission
+            if contended:
+                yield from self._transmit(src, dst, msize)
+            else:
+                yield sim.timeout(latency + msize / bandwidth)
+            self.total_messages += 1
+            self.total_bytes += msize
+            src_node.messages_out += 1
+            src_node.bytes_out += msize
+
+            if not dst_node.online:
+                # the connection attempt times out
+                yield sim.timeout(self.connect_fail_delay)
+                raise OfflineError(f"target node {dst!r} is offline")
+
+            dst_node.messages_in += 1
+            dst_node.bytes_in += msize
+
+            # server-side crypto + unmarshalling (one co-scheduled grant)
+            demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+            demand += policy.server_cpu_demand(msize)
+            if demand > 0:
+                yield from dst_node.cpu.execute(demand)
+
+            # dispatch: fault rules, inflight gauge, server span.
+            # Handlers run inline in the caller's process, so the server
+            # span nests under the ``rpc:`` span by itself.
+            handler = dst_node.service(service)
+            if faults is not None:
+                injected = faults.service_fault(ctx)
+                if injected is not None:
+                    raise injected
+            dst_node.inflight_rpcs += 1
+            try:
+                if span is not None:
+                    with obs.tracer.span(points.serve, site=dst):
+                        result = yield from handler.dispatch(method, message)
+                else:
+                    result = yield from handler.dispatch(method, message)
+            finally:
+                dst_node.inflight_rpcs -= 1
+            response = result if isinstance(result, Response) else Response(value=result)
+
+            # crypto on the response body + the return transmission
+            rsize = response.size
+            resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
+            if resp_crypto > 0:
+                yield from dst_node.cpu.execute(resp_crypto)
+            if contended:
+                yield from self._transmit(dst, src, rsize)
+            else:
+                latency, bandwidth = self.topology.path_metrics(dst, src)
+                yield sim.timeout(latency + rsize / bandwidth)
+            self.total_messages += 1
+            self.total_bytes += rsize
+            dst_node.messages_out += 1
+            dst_node.bytes_out += rsize
+            src_node.messages_in += 1
+            src_node.bytes_in += rsize
+            return response.value
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            if observed is not None:
+                ended = sim._now
+                if obs.slo is not None:
+                    obs.slo.record(endpoint, started, ended, error is None)
+                if span is not None:
+                    metrics = obs.metrics
+                    if points.calls is None:  # the endpoint's first exit
+                        points.calls = metrics.counter("rpc.calls", endpoint=endpoint)
+                        points.latency = metrics.histogram("rpc.latency",
+                                                           endpoint=endpoint)
+                    points.calls.inc()
+                    if error is not None:
+                        metrics.counter("rpc.errors", endpoint=endpoint).inc()
+                    points.latency.observe(ended - started)
+                    # an open span's attributes are its dict
+                    span._attrs["outcome"] = (
+                        "ok" if error is None else type(error).__name__)
+                    span.__exit__(None, error, None)
+            # the error's traceback holds this frame: drop the reference
+            # back, or each failed attempt leaves a cycle for the collector
+            error = None
 
     def call_with_timeout(
         self,

@@ -65,7 +65,7 @@ class Observability:
     slos:
         Declarative :class:`~repro.obs.slo.SLOSpec` objectives.  A
         non-empty tuple builds an :class:`~repro.obs.slo.SLOEngine`
-        (and installs the pipeline layer that feeds it) even when the
+        (which the network's transport stage then feeds) even when the
         tracer/metrics switch is off.
     """
 

@@ -9,12 +9,12 @@ on top of the raw tracing/metrics plane:
 * :class:`SLOSpec` — a declarative objective over one RPC endpoint
   family: an **availability** target (fraction of requests that must
   succeed) or a **latency** target (fraction that must finish under a
-  threshold), measured at either the *attempt* level (every pipeline
+  threshold), measured at either the *attempt* level (every transport
   pass, what a server-side SLI sees) or the *call* level (the outcome
   after retries, what the client experiences);
 * :class:`SLOEngine` — records per-request good/bad events from the
-  RPC pipeline (see
-  :class:`~repro.net.interceptors.SLOLayer`), evaluates
+  RPC stack (one per attempt from the network's transport stage, one
+  per call from the stage that owns the call), evaluates
   sliding-window **burn rates** on a fixed simulated-time cadence,
   notes each fired/resolved :class:`BurnRateRule` alert in the
   simulator's journal, and keeps cumulative error-budget accounting per
@@ -27,9 +27,9 @@ several multiples means an incident in progress.  Everything is
 simulated-time and draw-free, so two same-seed runs journal identical
 alerts — the property the fig16 extension gates on.
 
-A VO without configured SLOs carries no engine at all: the pipeline
-layer is not installed and no per-call work happens (the null path
-stays byte-identical, pinned by the determinism fingerprints).
+A VO without configured SLOs carries no engine at all: the transport
+records no SLI and no per-call work happens (the null path stays
+byte-identical, pinned by the determinism fingerprints).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class SLOSpec:
     threshold_s:
         Latency objectives only: the per-request deadline.
     level:
-        ``"attempt"`` counts every pipeline pass (retries burn budget);
+        ``"attempt"`` counts every transport pass (retries burn budget);
         ``"call"`` counts the post-retry outcome the client saw.
     alerts:
         Burn-rate alert rules (may be empty for report-only SLOs).
@@ -227,8 +227,8 @@ class _Window:
 class SLOEngine:
     """Records request outcomes and evaluates burn-rate alerts.
 
-    Fed by the RPC pipeline (attempt level) and ``Network.call`` (call
-    level); evaluated by a simulation process on a fixed
+    Fed by the transport stage (attempt level) and ``Network.call``
+    (call level); evaluated by a simulation process on a fixed
     ``eval_interval`` cadence.  All state is simulated-time and
     draw-free, so its journal entries are deterministic per seed.
     """

@@ -31,17 +31,15 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simkernel.kernel import Simulator
     from repro.simkernel.process import Process
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """The wire form of a span identity (what RPC metadata carries)."""
 
     trace_id: int
@@ -316,12 +314,19 @@ class Tracer:
 
     def _on_spawn(self, child: "Process", parent: Optional["Process"]) -> None:
         """A new process inherits the spawner's active span."""
-        span = self._current.get(parent)
+        current = self._current
+        span = current.get(parent)
         if span is not None:
-            self._current[child] = span
-            # drop the inherited entry once the process terminates so
-            # the table does not accumulate dead processes
-            child.subscribe(lambda _ev: self._current.pop(child, None))
+            current[child] = span
+
+            def forget(_event) -> None:
+                # drop the inherited entry once the process terminates so
+                # the table does not accumulate dead processes; a span
+                # the process left open stays, for open_spans() to find
+                if current.get(child) is span:
+                    del current[child]
+
+            child.subscribe(forget)
 
     # -- span lifecycle -----------------------------------------------------
 

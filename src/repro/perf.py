@@ -122,8 +122,8 @@ def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
     inside ``run()``, and what it returned.
 
     A collection beforehand finalises earlier worlds' suspended calls
-    (closing them runs their layers' exit hooks), which would otherwise
-    land inside the count.  Each counter below is taken after an
+    (closing one runs its transport's observer exits), which would
+    otherwise land inside the count.  Each counter below is taken after an
     unprofiled run of the same shape has absorbed first-sight paths
     (route searches, compilations, lazy imports), so it does not depend
     on what ran before in the process.
@@ -225,8 +225,8 @@ def _tier_observability(tier: str):
     """The observability bundle of one echo tier.
 
     ``tier`` is ``"off"`` (null observability — the production default),
-    ``"obs"`` (tracer + metrics layers) or ``"slo"`` (tracer + metrics +
-    SLO engine fed by the pipeline).
+    ``"obs"`` (tracer + metrics) or ``"slo"`` (tracer + metrics + SLO
+    engine fed by the transport stage).
     """
     from repro.obs import Observability
     from repro.obs.slo import SLOSpec
@@ -235,7 +235,7 @@ def _tier_observability(tier: str):
         return Observability(enabled=True, sample_interval=5.0)
     if tier == "slo":
         # an availability objective over the echo endpoint (default alert
-        # rules), so every RPC crosses the SLO layer and engine
+        # rules), so every RPC records an attempt SLI in the engine
         return Observability(enabled=True, sample_interval=5.0, slos=(
             SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),
         ))

@@ -17,6 +17,7 @@ from repro.faults import (
     ServiceErrorRule,
 )
 from repro.net.interceptors import RemoteError
+from repro.net.network import Network
 from repro.simkernel import entries
 from repro.simkernel.errors import OfflineError
 from repro.vo import VOConfig, build_vo
@@ -29,19 +30,26 @@ def make_vo(faults=None, n_sites=6, seed=11, **kwargs):
     return vo
 
 
+def is_bare_transport(vo):
+    """Whether a plain call on ``vo`` is the transport stage itself."""
+    call = vo.network.call(vo.site_names[0], vo.site_names[1], "glare-rdm", "ping")
+    call.close()
+    return call.gi_code is Network._transport.__code__
+
+
 class TestPlaneLifecycle:
     def test_disabled_by_default(self):
         vo = make_vo()
         assert not vo.faults.enabled
         assert vo.network.faults is vo.faults
-        assert vo.network.interceptors == []
+        assert is_bare_transport(vo)
 
     def test_enabled_plane_fails_a_lossy_link_before_the_source_check(self):
         """A lost link burns the connection timeout, then is unreachable —
         drawn first thing in the transport, ahead of the source-online check."""
         vo = make_vo(faults=FaultsConfig(links=(LinkRule(loss=1.0),)))
         assert vo.faults.enabled
-        assert vo.network.interceptors == []  # no layer: the transport draws
+        assert is_bare_transport(vo)  # nothing wraps it: the transport draws
         src, dst = vo.site_names[1], vo.site_names[2]
         vo.network.set_online(src, False)
         start = vo.sim.now

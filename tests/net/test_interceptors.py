@@ -1,17 +1,15 @@
-"""Unit tests for the RPC interceptor pipeline, retry engine and
-admission control (the unified RPC stack)."""
+"""Unit tests for the RPC stack: the observing transport stage, the
+retry engine and admission control."""
 
 import pytest
 
 from repro.net import Network, Topology
 from repro.net.interceptors import (
     CallContext,
-    Layer,
     Overloaded,
     RemoteError,
     RetryPolicy,
     RpcTimeout,
-    compose,
 )
 from repro.net.message import Message, Response
 from repro.net.service import EchoService, Service
@@ -61,36 +59,46 @@ class SlowService(Service):
         return Response(value="slow done")
 
 
-class Tag(Layer):
-    """Records its hook calls into a shared trace; can fail on enter."""
+def make_observed_net(enabled=True):
+    """A two-site network whose VO observes: tracer and metrics when
+    ``enabled``, plus attempt- and call-level SLOs over every endpoint."""
+    from repro.obs import Observability
+    from repro.obs.slo import SLOSpec
 
-    def __init__(self, label, trace, fail_enter=False):
-        self.label, self.trace, self.fail_enter = label, trace, fail_enter
-
-    def enter(self, ctx):
-        self.trace.append(f"+{self.label}")
-        if self.fail_enter:
-            raise RuntimeError(f"{self.label} refused")
-        return f"state:{self.label}"
-
-    def exit(self, ctx, state, error):
-        assert state == f"state:{self.label}"
-        self.trace.append(f"-{self.label}:{type(error).__name__}")
-
-
-def run_chain(chain, payload="value"):
-    ctx = CallContext("A", "B", "svc", "m", payload, 0, None)
+    slos = (SLOSpec(name="attempts", endpoint="*", target=0.9,
+                    level="attempt", alerts=()),
+            SLOSpec(name="calls", endpoint="*", target=0.9,
+                    level="call", alerts=()))
     sim = Simulator(seed=1)
+    topo = Topology.full_mesh(("A", "B"), latency=0.005, bandwidth=1e7)
+    net = Network(sim, topo, obs=Observability(enabled=enabled, slos=slos))
+    for site in ("A", "B"):
+        net.add_node(site, cores=2)
+    return sim, net
 
-    def run():
-        try:
-            return (yield from chain(ctx))
-        except Exception as error:
-            return error
 
-    proc = sim.process(run())
+def run_calls(sim, net, *calls):
+    """Run each ``(service, method, retry)`` call from A to B in turn;
+    returns each outcome (the value, or the error it raised)."""
+    outcomes = []
+
+    def client():
+        for service, method, retry in calls:
+            try:
+                outcomes.append((yield from net.call(
+                    "A", "B", service, method, payload="x", retry=retry)))
+            except Exception as error:
+                outcomes.append(error)
+
+    sim.process(client())
     sim.run()
-    return proc.value
+    return outcomes
+
+
+def counter_values(net, name):
+    """``{endpoint: value}`` of every ``name`` counter in the registry."""
+    return {dict(c.labels)["endpoint"]: c.value
+            for c in net.obs.metrics.counters() if c.name == name}
 
 
 def generator_depth(gen, stop):
@@ -104,62 +112,127 @@ def generator_depth(gen, stop):
 
 
 class TestCompose:
-    def test_composition_order_is_outermost_first(self):
-        """Enter outermost-first, exit innermost-first, around one terminal."""
-        trace = []
-
-        def terminal(ctx):
-            trace.append("terminal")
-            return ctx.payload
-            yield  # pragma: no cover - generator marker
-
-        chain = compose([Tag("outer", trace), Tag("inner", trace)], terminal)
-        assert run_chain(chain) == "value"
-        assert trace == ["+outer", "+inner", "terminal",
-                         "-inner:NoneType", "-outer:NoneType"]
-
-    def test_enter_that_raises_unwinds_the_layers_already_entered(self):
-        trace = []
-
-        def terminal(ctx):
-            trace.append("terminal")
-            yield  # pragma: no cover - never reached
-
-        chain = compose([Tag("outer", trace), Tag("mid", trace, fail_enter=True),
-                         Tag("inner", trace)], terminal)
-        error = run_chain(chain)
-        assert isinstance(error, RuntimeError) and "mid refused" in str(error)
-        # mid never finished entering, inner and the terminal never ran
-        assert trace == ["+outer", "+mid", "-outer:RuntimeError"]
-
-    def test_exit_sees_the_error_of_the_call(self):
-        trace = []
-
-        def terminal(ctx):
-            yield from ()
-            raise OfflineError("down")
-
-        chain = compose([Tag("outer", trace), Tag("inner", trace)], terminal)
-        assert isinstance(run_chain(chain), OfflineError)
-        assert trace == ["+outer", "+inner",
-                         "-inner:OfflineError", "-outer:OfflineError"]
-
-    def test_empty_chain_is_the_terminal(self):
-        def terminal(ctx):
-            return "t"
-            yield  # pragma: no cover - generator marker
-
-        assert compose([], terminal) is terminal
+    """How one attempt composes its observers: the transport stage opens
+    the ``rpc:`` span, and one ``finally`` records the attempt SLI, the
+    ``rpc.*`` metrics, then the span's outcome and close, in that order;
+    the call-level SLI comes after, from the stage that owns the call."""
 
     def test_default_pipeline_has_no_layers(self):
-        _, net = make_net()
-        assert net.interceptors == []
+        sim, net = make_net()
+        EchoService(net, "B")
+        assert net._observed is None
+        assert run_calls(sim, net, ("echo", "echo", None)) == ["x"]
+        assert net.obs.tracer.spans == []
+        assert list(net.obs.metrics.counters()) == []
+
+    def test_attempt_sli_is_recorded_before_the_call_level_one(self):
+        sim, net = make_observed_net()
+        EchoService(net, "B")
+        engine, tracer = net.obs.slo, net.obs.tracer
+        seen = []
+        record = engine.record
+
+        def spy(endpoint, started, ended, ok, level="attempt"):
+            calls = counter_values(net, "rpc.calls").get(endpoint, 0)
+            seen.append((level, calls, [s.name for s in tracer.open_spans()]))
+            record(endpoint, started, ended, ok, level=level)
+
+        engine.record = spy
+        run_calls(sim, net, ("echo", "echo", None),
+                  ("echo", "echo", RetryPolicy.single(1.0)),
+                  ("echo", "echo", RetryPolicy(attempts=2, deadline=5.0)))
+        # each attempt SLI sees its call not yet counted and its span
+        # still open; each call-level SLI follows with both done
+        assert seen == [
+            ("attempt", 0, ["rpc:echo.echo"]), ("call", 1, []),
+            ("attempt", 1, ["rpc:echo.echo"]), ("call", 2, []),
+            ("attempt", 2, ["rpc:echo.echo"]), ("call", 3, []),
+        ]
+
+    def test_rpc_errors_is_absent_until_the_first_error(self):
+        from repro.obs.export import render_metrics
+
+        sim, net = make_observed_net()
+        EchoService(net, "B")
+        run_calls(sim, net, ("echo", "echo", None), ("echo", "echo", None))
+        assert counter_values(net, "rpc.calls") == {"echo.echo": 2}
+        assert counter_values(net, "rpc.errors") == {}
+        assert "rpc.errors" not in render_metrics(net.obs.metrics)
+        outcome, = run_calls(sim, net, ("echo", "fail", None))
+        assert isinstance(outcome, RuntimeError)
+        assert counter_values(net, "rpc.errors") == {"echo.fail": 1}
+        assert "rpc.errors" in render_metrics(net.obs.metrics)
+
+    def test_one_failure_shows_in_span_metrics_and_sli(self):
+        sim, net = make_observed_net()
+        FlakyService(net, "B", failures=10, error=ValueError)
+        outcome, = run_calls(sim, net, ("flaky", "work", None))
+        assert isinstance(outcome, ValueError)
+        span, = net.obs.tracer.find("rpc:")
+        assert list(span.attrs) == ["src", "dst", "outcome", "error"]
+        assert span.attrs["outcome"] == "ValueError"
+        assert "induced failure #1" in span.attrs["error"]
+        assert counter_values(net, "rpc.calls") == {"flaky.work": 1}
+        assert counter_values(net, "rpc.errors") == {"flaky.work": 1}
+        latency, = (h for h in net.obs.metrics.histograms()
+                    if h.name == "rpc.latency")
+        assert latency.count == 1
+        attempts = net.obs.slo.status("attempts")
+        assert (attempts.total, attempts.bad) == (1, 1)
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_a_failed_attempt_leaves_no_reference_cycle(self, observed):
+        """The stage keeps the error for its exits, then lets it go: the
+        traceback holds the stage's frame, so a kept error would be a
+        cycle per failed attempt, freed only by the cyclic collector."""
+        import gc
+        import weakref
+
+        class Boom(Exception):
+            pass
+
+        if observed:
+            sim, net = make_observed_net()
+        else:
+            sim, net = make_net()
+        FlakyService(net, "B", failures=1, error=Boom)
+        refs = []
+
+        def client():
+            try:
+                yield from net.call("A", "B", "flaky", "work")
+            except Boom as error:
+                refs.append(weakref.ref(error))
+
+        gc.disable()
+        try:
+            sim.process(client())
+            sim.run()
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
+
+    def test_slo_only_network_records_slis_but_no_spans_or_metrics(self):
+        sim, net = make_observed_net(enabled=False)
+        FlakyService(net, "B", failures=2)
+        outcome, = run_calls(sim, net, ("flaky", "work",
+                                        RetryPolicy(attempts=4, base_delay=0.5)))
+        assert outcome == "ok after 3"
+        engine = net.obs.slo
+        assert (engine.status("attempts").total,
+                engine.status("attempts").bad) == (3, 2)
+        assert (engine.status("calls").total, engine.status("calls").bad) == (1, 0)
+        assert net.obs.tracer.spans == []
+        assert list(net.obs.metrics.counters()) == []
+        assert list(net.obs.metrics.histograms()) == []
+        assert net._observed == {}
 
 
 class TestPipelineDepth:
     """Every frame between a process and its event is re-entered per resume."""
 
     def test_everything_on_is_at_most_three_generators_deep(self):
+        """Exactly two: the deadline stage, then the observing transport."""
         from repro.faults import FaultPlane, FaultsConfig, LinkRule
         from repro.obs import Observability
         from repro.obs.slo import SLOSpec
@@ -173,14 +246,13 @@ class TestPipelineDepth:
         )
         for site in ("A", "B"):
             net.add_node(site, cores=2)
-        assert [layer.name for layer in net.interceptors] == [
-            "trace", "metrics", "slo"]
+        assert net.obs.enabled and net.obs.slo is not None
         assert net.faults.enabled
         call = net.call("A", "B", "echo", "echo", retry=RetryPolicy.single(1.0))
         sim.process(call)
         sim.step()  # run the call up to its first wait
-        # deadline stage -> the one pipeline frame -> transport
-        assert generator_depth(call, Network._transport) <= 3
+        # deadline stage -> transport
+        assert generator_depth(call, Network._transport) == 2
 
     def test_everything_off_is_the_transport_itself(self):
         _, net = make_net()
@@ -419,14 +491,13 @@ class TestSLOInterceptor:
         return sim, net
 
     def test_layer_installed_only_when_slos_configured(self):
+        """The transport observes when anything does: SLOs alone suffice."""
         _, plain = make_net()
-        assert [i.name for i in plain.interceptors] == []
+        assert plain._observed is None
         _, net = self.make_slo_net()
-        assert [i.name for i in net.interceptors] == ["slo"]
+        assert net._observed == {}
         _, full = self.make_slo_net(enabled=True)
-        # inside trace/metrics so every SLI sees the full pipeline pass
-        assert [i.name for i in full.interceptors] == [
-            "trace", "metrics", "slo"]
+        assert full._observed == {}
 
     def test_every_retry_attempt_is_one_sli_event(self):
         sim, net = self.make_slo_net()

@@ -510,6 +510,45 @@ class TestSpanLifecycle:
         assert [s.name for s in leaked] == ["dropped"]
         assert leaked[0].end is None
 
+    def test_span_dropped_by_a_process_spawned_under_a_span_is_a_leak(
+            self, traced_sim):
+        """A child that inherited a span and leaks one of its own keeps
+        its entry when it ends: the leak is reported like an orphan's."""
+        sim, tracer = traced_sim
+
+        def sloppy_leg():
+            tracer.span("dropped").__enter__()  # deliberately never exited
+            yield sim.timeout(1)
+
+        def fanout():
+            with tracer.span("fanout") as parent:
+                yield sim.process(sloppy_leg())
+            return parent
+
+        proc = sim.process(fanout())
+        sim.run()
+        assert [s.name for s in tracer.open_spans()] == ["dropped"]
+        leaked = tracer.leaked_spans()
+        assert [s.name for s in leaked] == ["dropped"]
+        assert leaked[0].parent_id == proc.value.span_id
+
+    def test_a_clean_spawned_process_leaves_no_entry(self, traced_sim):
+        """The inherited entry goes when the child ends, its own spans closed."""
+        sim, tracer = traced_sim
+
+        def leg():
+            with tracer.span("leg"):
+                yield sim.timeout(1)
+
+        def fanout():
+            with tracer.span("fanout"):
+                yield sim.process(leg())
+
+        sim.process(fanout())
+        sim.run()
+        assert tracer._current == {}
+        assert tracer.open_spans() == []
+
 
 class TestTreeHelpers:
     def test_walk_tree_depths(self, traced_sim):

@@ -143,6 +143,27 @@ def test_a_broken_shutdown_clause_is_reported_alone(clause, doctor):
     assert [(v.plane, v.clause) for v in audit(vo)] == [("vo", clause)]
 
 
+def test_a_span_leaked_in_a_spawned_process_breaks_spans_closed():
+    """A fan-out leg (spawned under a span) that leaks a span is caught."""
+    vo = consistent_vo(observability=True)
+    vo.stop()
+    vo.sim.run()
+    sim, tracer = vo.sim, vo.obs.tracer
+
+    def sloppy_leg():
+        tracer.span("leaked-in-leg").__enter__()
+        yield sim.timeout(0.0)
+
+    def fanout():
+        with tracer.span("fanout"):
+            yield sim.process(sloppy_leg())
+
+    sim.process(fanout())
+    sim.run()
+    assert [(v.plane, v.clause, v.detail) for v in audit(vo)] == [
+        ("vo", "spans-closed", "leaked span leaked-in-leg")]
+
+
 def test_every_declared_clause_has_a_refutation():
     root = Path(repro.__file__).parent
     declared = {clause for path in root.rglob("*.py")
