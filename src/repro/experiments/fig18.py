@@ -485,44 +485,6 @@ def run_fig18_wave(
 
 
 # ---------------------------------------------------------------------------
-# Memory probe (used by the perf harness RSS-flatness gate)
-# ---------------------------------------------------------------------------
-
-
-def run_fig18_memory(
-    target_arrivals: int,
-    seed: int = 41,
-    offered_rate: float = 1500.0,
-    n_sites: int = 8,
-    admission_limit: Optional[int] = 64,
-) -> Dict[str, float]:
-    """A fixed-rate open-loop run sized to ``target_arrivals``.
-
-    The perf harness budgets its streaming-stats footprint at one fixed
-    size (``BENCH_workload.json``): no per-request lists anywhere.
-    """
-    horizon = target_arrivals / offered_rate
-    point = run_fig18_point(
-        multiple=1.0,
-        capacity=offered_rate,
-        seed=seed,
-        n_sites=n_sites,
-        admission_limit=admission_limit,
-        horizon=horizon,
-        warmup=min(5.0, 0.1 * horizon),
-    )
-    return {
-        "arrivals": point.arrivals,
-        "completed": point.completed,
-        "shed": point.shed,
-        "timeouts": point.timeouts,
-        "failed": point.failed,
-        "stats_footprint_bytes": point.stats_footprint_bytes,
-        "digest": point.result_digest,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Formatting + declaration
 # ---------------------------------------------------------------------------
 

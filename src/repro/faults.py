@@ -30,7 +30,7 @@ processes, no draws, byte-identical behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.net.interceptors import CallContext, RemoteError
 from repro.simkernel.errors import OfflineError, SimulationError
@@ -90,8 +90,9 @@ class FaultsConfig:
 
     ``churn_times`` fires one crash round per entry; the victim is
     picked by :attr:`FaultPlane.churn_selector` at fire time (falling
-    back to a seeded draw over online sites), which is how experiments
-    target "whoever is the super-peer *right now*" across takeovers.
+    back to a seeded draw over the online member sites), which is how
+    experiments target "whoever is the super-peer *right now*" across
+    takeovers.
     """
 
     crashes: Tuple[CrashSpec, ...] = ()
@@ -135,8 +136,11 @@ class FaultPlane:
         self.config = config
         self.network = None
         #: experiment hook: returns the next churn victim (or None to
-        #: skip the round); default picks a seeded online site
+        #: skip the round); default picks a seeded online member site
         self.churn_selector: Optional[Callable[[], Optional[str]]] = None
+        #: the sites churn may crash (set by :meth:`start`): VO members,
+        #: never the origin download host
+        self._members: Tuple[str, ...] = ()
         self.crashes_induced = 0
         self.link_faults_injected = 0
         self.service_errors_injected = 0
@@ -153,10 +157,12 @@ class FaultPlane:
 
     # -- scheduled faults (crash / churn) -----------------------------------------
 
-    def start(self) -> None:
-        """Spawn the crash and churn schedules (idempotent, no-op when disabled)."""
+    def start(self, members: Sequence[str]) -> None:
+        """Spawn the crash and churn schedules (idempotent, no-op when
+        disabled); the default churn draw picks among ``members``."""
         if self._started or not self.enabled:
             return
+        self._members = tuple(sorted(members))
         self._started = True
         assert self.network is not None, "FaultPlane.start() before bind()"
         for crash in self.config.crashes:
@@ -204,9 +210,7 @@ class FaultPlane:
     def _pick_victim(self) -> Optional[str]:
         if self.churn_selector is not None:
             return self.churn_selector()
-        online = sorted(
-            name for name, node in self.network.nodes.items() if node.online
-        )
+        online = [name for name in self._members if self.network.is_online(name)]
         if not online:
             return None
         return self.sim.rng.choice("fault:churn", online)

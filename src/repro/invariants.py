@@ -3,10 +3,11 @@
 :func:`audit` reads (never runs or drains) a VO and returns one
 :class:`Violation` per broken clause.  Each site plane's
 ``invariants()`` states the clauses of its own state next to the code
-that keeps it; the cross-site overlay clauses and, once ``vo.stop()``
-was called, the shutdown clauses are below.  ``build_vo`` enlists each
-VO in the open :func:`audit_scope` (``repro.runner`` opens one per work
-unit) and retains nothing outside one.
+that keeps it; the cross-site overlay clauses, the network's traffic
+ledger and, once ``vo.stop()`` was called, the shutdown clauses are
+below.  ``build_vo`` enlists each VO in the open :func:`audit_scope`
+(``repro.runner`` opens one per work unit) and retains nothing outside
+one.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ def audit(vo: "VirtualOrganization") -> List[Violation]:
              for site, stack in vo.stacks.items() for plane in stack.planes
              for clause, detail in plane.invariants()]
     found += [Violation("overlay", *broken) for broken in _overlay(vo)]
+    found += [Violation("network", *broken) for broken in _traffic(vo)]
     if vo.stopped:
         found += [Violation("vo", *broken) for broken in _shutdown(vo)]
     return found
@@ -63,6 +65,19 @@ def _overlay(vo: "VirtualOrganization") -> Clauses:
     for super_peer, seen in epochs.items():
         if len(seen) > 1:
             yield "one-epoch-per-group", f"group of {super_peer}: epochs {sorted(seen)}"
+
+
+def _traffic(vo: "VirtualOrganization") -> Clauses:
+    """Every leg on the wire was sent by one node; a leg to an offline
+    node is sent but never received, so inbound may only fall short."""
+    net, nodes = vo.network, vo.network.nodes.values()
+    wire = (net.total_bytes, net.total_messages)
+    sent = (sum(n.bytes_out for n in nodes), sum(n.messages_out for n in nodes))
+    received = (sum(n.bytes_in for n in nodes), sum(n.messages_in for n in nodes))
+    if sent != wire:
+        yield "traffic-conserved", f"sent {sent} != wire {wire} (bytes, messages)"
+    elif received[0] > wire[0] or received[1] > wire[1]:
+        yield "traffic-conserved", f"received {received} > wire {wire} (bytes, messages)"
 
 
 def _shutdown(vo: "VirtualOrganization") -> Clauses:

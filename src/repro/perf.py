@@ -1,11 +1,11 @@
-"""Host-cost harness: one gate table, declared once, and no gate reads a clock.
+"""Host-cost harness: one gate table, declared once, and nothing reads a clock.
 
 The paper's whole evaluation (Figs. 10-13, Table 1) rides on the DES
 inner loop, so what running the simulator costs the host bounds how
-large a VO we can simulate.  This module measures that cost at fixed
-seeds: exact, machine-independent Python-call and ring counters, which
-the gates read, and wall, CPU and RSS figures, which are recorded as
-trajectory and gate nothing.  What a run *simulates* is the
+large a VO we can simulate.  This module counts that cost at fixed
+seeds: exact, machine-independent Python-call, ring and footprint
+counters, the same on every host.  Host wall time has its own harness,
+``benchmarks/e2e``.  What a run *simulates* is the
 ``repro.experiments.registry.EXPERIMENTS`` table's to pin (each entry's
 merged digest) and to judge (each entry's ``check``); the only
 simulated values pinned here are the ones no experiment runs: the
@@ -15,7 +15,7 @@ the arrival models and the pure planner.
 Everything is driven by :data:`SUITES`: one :class:`Suite` declaration
 per committed ``BENCH_<name>.json``, naming
 
-* ``run`` — a single pass ``run(quick)`` that returns the suite's
+* ``run`` — a single pass ``run()`` that returns the suite's
   :class:`BenchResult` list *and* its pinned section, if any
   (``fingerprint``, or ``determinism`` for the kernel suite);
 * ``gates`` — declarative checks of three kinds, each a callable
@@ -25,18 +25,18 @@ per committed ``BENCH_<name>.json``, naming
   recorded verdict);
 * ``highlights`` — the dotted payload paths worth printing.
 
-Every gated counter is measured at one fixed point whatever the suite
-mode, so a quick run gates against a full recording and ``--check-all``
-gives the same verdict on any host at any ``--jobs``.
+Each benchmark makes one warm-up run and then one counted run of the
+same fixed shape (:func:`_warm_count`), so ``--check-all`` gives the
+same verdict on any host and writes the same file at any ``--jobs``.
 :func:`run_suite`, :func:`compare`, :func:`summarize`, :func:`describe`
 and :func:`dump_suite` are the only consumers, so another suite is one
 more entry in the table.  The suites: ``kernel`` (event churn, echo
 RPCs, two scaled Fig. 10 points, the seeded kernel trace),
-``resolution`` and ``provisioning`` (the host cost of the Fig. 14 /
-Fig. 15 16-site pairs), ``obs`` (instrumentation tiers), ``storage``
-(Fig. 17 backends, ring work), ``workload`` (Fig. 18 arrival engine,
-streaming-stats footprint, arrival models) and ``orchestration``
-(Fig. 19 control loop, planner policy).
+``resolution`` and ``provisioning`` (the optimized 16-site Fig. 14 /
+Fig. 15 points), ``obs`` (instrumentation tiers), ``storage`` (ring
+work), ``workload`` (Fig. 18 arrival engine, streaming-stats
+footprint, arrival models) and ``orchestration`` (Fig. 19 control
+loop, planner policy).
 
 ``benchmarks/bench_wallclock.py`` is the CLI over this table.
 Everything here uses only public simulator APIs so the harness itself
@@ -48,8 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import resource as _resource
-import time
 
 import numpy as np
 from dataclasses import asdict, dataclass, field
@@ -69,52 +67,10 @@ _ADDR_RE = re.compile(r"0x[0-9a-f]+")
 
 @dataclass
 class BenchResult:
-    """One benchmark measurement.
-
-    ``details`` carries the exact counters the gates read.  The headline
-    ``value``, ``wall_seconds``, ``cpu_seconds`` (user plus system, via
-    ``time.process_time``) and ``peak_rss_kb`` (the process's high-water
-    mark when the benchmark finished, so later benchmarks in one process
-    inherit earlier peaks) are trajectory: recorded, never gated.
-    """
+    """One benchmark: the exact counters its gates read, under ``details``."""
 
     name: str
-    metric: str  # e.g. "events_per_sec"
-    value: float  # the headline figure
-    wall_seconds: float
-    work_units: int  # events / RPCs / requests completed
-    cpu_seconds: float = 0.0
-    peak_rss_kb: int = 0
     details: Dict[str, Any] = field(default_factory=dict)
-
-
-def peak_rss_kb() -> int:
-    """Peak resident set size of this process, in kilobytes."""
-    return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
-
-
-class _Stopwatch:
-    """Wall-clock and CPU (user + system) seconds spent in a ``with`` block."""
-
-    wall = cpu = 0.0
-
-    def __enter__(self) -> "_Stopwatch":
-        self._wall, self._cpu = time.perf_counter(), time.process_time()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.cpu = time.process_time() - self._cpu
-        self.wall = time.perf_counter() - self._wall
-
-
-def _rate_result(name: str, metric: str, work_units: int, watch: _Stopwatch,
-                 details: Dict[str, Any]) -> BenchResult:
-    """A result whose headline is ``work_units`` per measured wall second."""
-    return BenchResult(
-        name=name, metric=metric, value=work_units / watch.wall,
-        wall_seconds=watch.wall, work_units=work_units,
-        cpu_seconds=watch.cpu, peak_rss_kb=peak_rss_kb(), details=details,
-    )
 
 
 def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
@@ -123,10 +79,7 @@ def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
 
     A collection beforehand finalises earlier worlds' suspended calls
     (closing one runs its transport's observer exits), which would
-    otherwise land inside the count.  Each counter below is taken after an
-    unprofiled run of the same shape has absorbed first-sight paths
-    (route searches, compilations, lazy imports), so it does not depend
-    on what ran before in the process.
+    otherwise land inside the count.
     """
     import cProfile
     import gc
@@ -139,6 +92,15 @@ def count_pycalls(run: Callable[[], Any]) -> Tuple[int, Any]:
     finally:
         profile.disable()
     return sum(entry.callcount for entry in profile.getstats()), value
+
+
+def _warm_count(run: Callable[[], Any]) -> Tuple[int, Any]:
+    """:func:`count_pycalls` of ``run`` after one unprofiled ``run()``
+    has absorbed first-sight paths (route searches, compilations, lazy
+    imports), so the count does not depend on what ran before in the
+    process."""
+    run()
+    return count_pycalls(run)
 
 
 # -- kernel microbenchmark -------------------------------------------------
@@ -163,25 +125,16 @@ def _ticker_world(n_procs: int, events_per_proc: int, seed: int) -> Simulator:
     return sim
 
 
-def bench_kernel_events(
-    n_procs: int = 64, events_per_proc: int = 4000, seed: int = 11
-) -> BenchResult:
-    """Pure event churn, plus its exact twin: Python calls per event at
-    one fixed shape (32 processes x 1,500 ticks) whatever the suite mode.
-    """
-    sim = _ticker_world(n_procs, events_per_proc, seed)
-    with _Stopwatch() as watch:
-        sim.run()
-    calls, _ = count_pycalls(_ticker_world(32, 1500, seed).run)
+def bench_kernel_events(n_procs: int = 32, events_per_proc: int = 1500,
+                        seed: int = 11) -> BenchResult:
+    """Pure event churn: Python calls per agenda event."""
+    calls, _ = _warm_count(
+        lambda: _ticker_world(n_procs, events_per_proc, seed).run())
     # per process: one init event, one timeout per tick, one
     # termination event for the Process itself
     events = n_procs * (events_per_proc + 2)
-    return _rate_result(
-        "kernel", "events_per_sec", events, watch,
-        {"n_procs": n_procs, "events_per_proc": events_per_proc,
-         "final_time": sim.now,
-         "kernel_pycalls_per_event": round(calls / (32 * (1500 + 2)), 2)},
-    )
+    return BenchResult("kernel", {
+        "kernel_pycalls_per_event": round(calls / events, 2)})
 
 
 # -- RPC microbenchmark ----------------------------------------------------
@@ -258,170 +211,86 @@ def _echo_pycalls(tier: str, clients: int = 4, horizon: float = 10.0,
     return calls, completed[0] - warm
 
 
-def bench_rpc_roundtrips(
-    clients: int = 8, horizon: float = 40.0, seed: int = 11
-) -> BenchResult:
-    """Closed-loop echo RPCs: the full marshalling + transport path."""
-    sim, net, completed = _echo_world(seed, clients)
-    with _Stopwatch() as watch:
-        sim.run(until=horizon)
-    # the exact twin: one fixed contended point (8 clients on the 2-core
-    # server) whatever the suite mode
-    calls, rpcs = _echo_pycalls("off", clients=8, horizon=4.0)
-    return _rate_result(
-        "rpc", "rpcs_per_sec", completed[0], watch,
-        {"clients": clients, "sim_horizon": horizon,
-         "sim_throughput": completed[0] / horizon,
-         "wire_bytes": net.total_bytes,
-         "rpc_pycalls_per_roundtrip": round(calls / rpcs, 2)},
-    )
+def bench_rpc_roundtrips(clients: int = 8, horizon: float = 4.0) -> BenchResult:
+    """Closed-loop echo RPCs: the full marshalling + transport path, at
+    one contended point (8 clients on the 2-core server)."""
+    calls, rpcs = _echo_pycalls("off", clients=clients, horizon=horizon)
+    return BenchResult("rpc", {
+        "rpc_pycalls_per_roundtrip": round(calls / rpcs, 2)})
 
 
 # -- scaled Fig. 10 scenario ----------------------------------------------
 
 
-def bench_fig10_point(kind: str, n_types: int = 30, seed: int = 3) -> BenchResult:
+def bench_fig10_point(kind: str, n_types: int = 100, seed: int = 3) -> BenchResult:
     """Scaled-down Fig. 10 point at 16 clients — ``"registry"`` (named
-    hash-table lookups) or ``"index"`` (XPath over the aggregation) —
-    plus its exact twin: Python calls per completed request at 16
-    clients x 100 types whatever the suite mode.
+    hash-table lookups) or ``"index"`` (XPath over the aggregation):
+    Python calls per completed request.
 
     The counted point includes its build — registering the documents is
-    part of what a registry or an index costs — and the timed run, with
-    the same clients and so the same requests, has already absorbed
-    query compilation and route searches.  An index query surface that
-    walks the aggregate per query costs ~420 calls per request; an
+    part of what a registry or an index costs.  An index query surface
+    that walks the aggregate per query costs ~420 calls per request; an
     indexed one ~147.
     """
     from repro.experiments.fig10 import run_fig10_point
 
-    with _Stopwatch() as watch:
-        point = run_fig10_point(kind, False, 16, n_types=n_types, seed=seed)
-    calls, counted = count_pycalls(
-        lambda: run_fig10_point(kind, False, 16, n_types=100, seed=seed))
+    calls, point = _warm_count(
+        lambda: run_fig10_point(kind, False, 16, n_types=n_types, seed=seed))
     # simulated requests completed over the 30 s horizon
-    requests = int(round(point.throughput * 25.0))
-    return _rate_result(
-        f"fig10_{kind}", "sim_requests_per_wall_sec", requests, watch,
-        {"sim_throughput_rps": point.throughput,
-         "mean_response_ms": point.mean_response_ms,
-         f"fig10_{kind}_pycalls_per_request": round(
-             calls / round(counted.throughput * 25.0), 2)},
-    )
+    requests = round(point.throughput * 25.0)
+    return BenchResult(f"fig10_{kind}", {
+        f"fig10_{kind}_pycalls_per_request": round(calls / requests, 2)})
 
 
-# -- resolution-path benchmark (Fig. 14 machinery) -------------------------
+# -- resolution and provisioning paths (Figs. 14 and 15 machinery) -----------
 
 
-def _run_resolution(quick: bool) -> SuiteRun:
-    """Host cost of one Fig. 14 point pair: broadcast baseline vs scaled path.
+def bench_resolution(n_sites: int = 16) -> BenchResult:
+    """Host cost of fig14's optimized quick-grid point at its default
+    seed: Python calls per resolution.  What the point simulates is
+    fig14's to pin and judge."""
+    from repro.experiments.fig14 import run_fig14_point
 
-    The headline rate is wall-clock (resolutions simulated per wall
-    second, both series combined).  The points are fig14's quick-grid
-    units at their default seed, so what they simulate — message
-    counts, result sets — is that entry's to pin and judge.
-    """
-    from repro.experiments.fig14 import run_fig14_point, run_revalidation_point
-
-    n_sites = 16
-    with _Stopwatch() as watch:
-        base = run_fig14_point(n_sites, optimized=False)
-        opt = run_fig14_point(n_sites, optimized=True)
-        reval = run_revalidation_point()
-    # the exact host cost of the optimized point; the timed run above
-    # has already absorbed every first-sight parse, route and compilation
-    calls, counted = count_pycalls(
+    calls, point = _warm_count(
         lambda: run_fig14_point(n_sites, optimized=True))
-    return [_rate_result(
-        "resolution", "sim_resolutions_per_wall_sec",
-        base.resolutions + opt.resolutions, watch,
-        {
-            "n_sites": n_sites,
-            "message_ratio": (base.messages_per_resolution
-                              / max(opt.messages_per_resolution, 1e-9)),
-            "optimized_pycalls_per_resolution": round(
-                calls / counted.resolutions, 2),
-            "revalidation_per_entry_messages": reval.per_entry_messages,
-            "revalidation_batched_messages": reval.batched_messages,
-        },
-    )], {}
+    return BenchResult("resolution", {
+        "optimized_pycalls_per_resolution": round(calls / point.resolutions, 2)})
 
 
-# -- provisioning-path benchmark (Fig. 15 machinery) -----------------------
-
-
-def _run_provisioning(quick: bool) -> SuiteRun:
-    """Host cost of one Fig. 15 point pair: serial origin-only vs
-    parallel/replica.
-
-    The headline rate is wall-clock (installations simulated per wall
-    second, both series combined).  The points are fig15's quick-grid
-    units at their default seed, so what they simulate — rollout times,
-    origin bytes, deployment sets — is that entry's to pin and judge.
-    """
+def bench_provisioning(n_sites: int = 16) -> BenchResult:
+    """Host cost of fig15's parallel/replica quick-grid point at its
+    default seed: Python calls per installation.  What the point
+    simulates is fig15's to pin and judge."""
     from repro.experiments.fig15 import run_fig15_point
 
-    n_sites = 16
-    with _Stopwatch() as watch:
-        base = run_fig15_point(n_sites, optimized=False)
-        opt = run_fig15_point(n_sites, optimized=True)
-    # the exact host cost of the optimized point (see _run_resolution);
-    # the timed run above has already compiled the deploy-file
-    calls, counted = count_pycalls(
+    calls, point = _warm_count(
         lambda: run_fig15_point(n_sites, optimized=True))
-    return [_rate_result(
-        "provisioning", "sim_installs_per_wall_sec",
-        base.installed + opt.installed, watch,
-        {
-            "n_sites": n_sites,
-            "baseline_rollout_elapsed": base.rollout_elapsed,
-            "optimized_rollout_elapsed": opt.rollout_elapsed,
-            "rollout_speedup": (base.rollout_elapsed
-                                / max(opt.rollout_elapsed, 1e-9)),
-            "baseline_origin_bytes_out": base.origin_bytes_out,
-            "optimized_origin_bytes_out": opt.origin_bytes_out,
-            "replica_hits": opt.replica_hits,
-            "optimized_pycalls_per_install": round(
-                calls / counted.installed, 2),
-        },
-    )], {}
+    return BenchResult("provisioning", {
+        "optimized_pycalls_per_install": round(calls / point.installed, 2)})
 
 
 # -- observability-cost benchmark (obs + SLO plane) -------------------------
 
 
 def bench_obs(clients: int = 4, horizon: float = 10.0, seed: int = 11) -> BenchResult:
-    """Instrumentation cost: Python calls per echo RPC with obs off / on /
-    on+SLOs, and what the plane adds over the null tier.
+    """Instrumentation cost: what tracing + metrics, and an SLO on top,
+    add to the Python calls of a null-tier echo RPC, plus what a
+    finished span retains.
 
-    One fixed workload whatever the suite mode (4 clients x 10 simulated
-    seconds, 4,630 RPCs per tier).  The plane charges no simulated time,
-    so every tier must complete the same RPCs.  The headline is the
-    instrumented-with-SLOs count.
+    One fixed workload (4 clients x 10 simulated seconds, 4,630 RPCs per
+    tier).  The plane charges no simulated time, so every tier must
+    complete the same RPCs.
     """
-    with _Stopwatch() as watch:
-        counted = {tier: _echo_pycalls(tier, clients, horizon, seed)
-                   for tier in ("off", "obs", "slo")}
+    counted = {tier: _echo_pycalls(tier, clients, horizon, seed)
+               for tier in ("off", "obs", "slo")}
     per_rpc = {tier: calls / rpcs for tier, (calls, rpcs) in counted.items()}
-    rpcs = [rpcs for _calls, rpcs in counted.values()]
-    return BenchResult(
-        name="obs",
-        metric="slo_pycalls_per_rpc",
-        value=round(per_rpc["slo"], 2),
-        wall_seconds=watch.wall,
-        work_units=sum(rpcs),
-        cpu_seconds=watch.cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "clients": clients,
-            "sim_horizon": horizon,
-            "obs_extra_pycalls_per_rpc": round(per_rpc["obs"] - per_rpc["off"], 2),
-            "slo_extra_pycalls_per_rpc": round(per_rpc["slo"] - per_rpc["off"], 2),
-            "sim_throughput_equal": len(set(rpcs)) == 1,
-            "retained_bytes_per_span": retained_bytes_per_span(),
-            "tracked_objects_per_span": tracked_objects_per_span(),
-        },
-    )
+    return BenchResult("obs", {
+        "obs_extra_pycalls_per_rpc": round(per_rpc["obs"] - per_rpc["off"], 2),
+        "slo_extra_pycalls_per_rpc": round(per_rpc["slo"] - per_rpc["off"], 2),
+        "sim_throughput_equal": len({rpcs for _, rpcs in counted.values()}) == 1,
+        "retained_bytes_per_span": retained_bytes_per_span(),
+        "tracked_objects_per_span": tracked_objects_per_span(),
+    })
 
 
 def one_shot_echo_calls(n_calls: int, seed: int = 11):
@@ -499,38 +368,10 @@ def tracked_objects_per_span(n_calls: int = 200) -> float:
 # -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
 
 
-def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
-    """Registry-backend lookup cost: flat dict vs consistent-hash shards.
-
-    Loads both backends with ``n_types`` records and reports warm
-    per-lookup CPU for each (trajectory: fig17's ``check`` holds lookups
-    flat in exact calls per lookup).  The headline rate is sharded
-    lookups per wall second; the exact counters are the ring work of one
-    routed VO build.
-    """
-    from repro.experiments.fig17 import run_storage_point
-
-    with _Stopwatch() as watch:
-        point = run_storage_point(n_types, shard_counts=(shards,))
-    sharded = {p.backend: p for p in point}[f"sharded/{shards}"]
-    return BenchResult(
-        name="storage",
-        metric="sharded_lookups_per_wall_sec",
-        value=1e9 / sharded.per_lookup_ns,
-        wall_seconds=watch.wall,
-        work_units=2 * n_types,  # records loaded
-        cpu_seconds=watch.cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_types": n_types,
-            "shards": shards,
-            "dict_per_lookup_ns": point[0].per_lookup_ns,
-            "sharded_per_lookup_ns": sharded.per_lookup_ns,
-            "max_shard": sharded.max_shard,
-            "imbalance": sharded.imbalance,
-            **ring_work_per_routed_vo(),
-        },
-    )
+def bench_storage() -> BenchResult:
+    """Ring work of one routed sharded VO build (fig17 holds lookups
+    flat in exact calls per lookup)."""
+    return BenchResult("storage", ring_work_per_routed_vo())
 
 
 def ring_work_per_routed_vo(n_sites: int = 64) -> Dict[str, int]:
@@ -578,52 +419,34 @@ def _inject_diurnal(target_arrivals: int, seed: int):
     return injector
 
 
-def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchResult:
-    """Arrival-engine cost: generate + schedule a diurnal trace.
-
-    The headline rate counts *both* phases — an arrival only counts once
-    its cohort event has actually dispatched — so it is the end-to-end
-    cost of putting one open-loop user on the wire.  Its exact twin is
-    Python calls per arrival at a fixed 200,000 whatever the suite mode.
-    """
-    with _Stopwatch() as watch:
-        injector = _inject_diurnal(target_arrivals, seed)
-    calls, counted = count_pycalls(lambda: _inject_diurnal(200_000, seed))
-    return _rate_result(
-        "workload", "arrivals_per_wall_sec", injector.fired, watch,
-        {
-            "target_arrivals": target_arrivals,
-            "arrivals": injector.fired,
-            "cohorts": injector.cohorts,
-            "pycalls_per_arrival": round(calls / counted.fired, 4),
-        },
-    )
+def bench_workload(target_arrivals: int = 200_000, seed: int = 17) -> BenchResult:
+    """Arrival-engine cost: Python calls per generated + cohort-scheduled
+    diurnal arrival — an arrival only counts once its cohort event has
+    actually dispatched, so this is the cost of putting one open-loop
+    user on the wire."""
+    calls, injector = _warm_count(
+        lambda: _inject_diurnal(target_arrivals, seed))
+    return BenchResult("workload", {
+        "pycalls_per_arrival": round(calls / injector.fired, 4)})
 
 
 def bench_workload_memory(target_arrivals: int = 12_000) -> BenchResult:
-    """The full open-loop fig18 path at one fixed size whatever the suite
-    mode, for its streaming-stats footprint.
+    """The full open-loop fig18 path at one fixed size and a rate it
+    serves (1,500 arrivals/s), for its streaming-stats footprint.
 
     Streaming stats bound the per-run state to the fixed histogram grid
     plus one window row per elapsed window, so the footprint at a fixed
     size is an exact budget: a per-request list anywhere in the stats
-    shows up in it.  ``peak_rss_kb`` is trajectory.
+    shows up in it.
     """
-    from repro.experiments.fig18 import run_fig18_memory
+    from repro.experiments.fig18 import run_fig18_point
 
-    with _Stopwatch() as watch:
-        out = run_fig18_memory(target_arrivals)
-    return _rate_result(
-        "workload_memory", "sim_arrivals_per_wall_sec", int(out["arrivals"]),
-        watch,
-        {
-            "target_arrivals": target_arrivals,
-            "stats_footprint_bytes": int(out["stats_footprint_bytes"]),
-            "completed": int(out["completed"]),
-            "shed": int(out["shed"]),
-            "digest": out["digest"],
-        },
-    )
+    rate = 1500.0
+    horizon = target_arrivals / rate
+    point = run_fig18_point(1.0, rate, horizon=horizon,
+                            warmup=min(5.0, 0.1 * horizon))
+    return BenchResult("workload_memory", {
+        "stats_footprint_bytes": point.stats_footprint_bytes})
 
 
 def workload_fingerprint(seed: int = 41) -> Dict[str, Any]:
@@ -633,9 +456,8 @@ def workload_fingerprint(seed: int = 41) -> Dict[str, Any]:
     Arrival-trace digests (sha256 over the raw float64 timestamps) pin
     every generator model bit-for-bit; the cohort count pins the
     quantisation grid.  Both are pure draws from named streams, so the
-    same sizes run in quick and full mode and the committed
-    ``BENCH_workload.json`` pins them across refactors (the open-loop
-    path itself is fig18's, pinned by its merged digest).
+    committed ``BENCH_workload.json`` pins them across refactors (the
+    open-loop path itself is fig18's, pinned by its merged digest).
     """
     from repro.load.arrivals import (
         DiurnalRate,
@@ -677,8 +499,10 @@ def workload_fingerprint(seed: int = 41) -> Dict[str, Any]:
 
 # -- desired-state orchestration benchmark (Fig. 19 machinery) --------------
 
-def _planner_decision_digest(seed: int = 43) -> str:
-    """Digest of the pure planner over a grid of synthetic worlds.
+def _planner_fingerprint(seed: int = 43) -> Dict[str, Any]:
+    """The orchestration suite's pinned section: a digest of the pure
+    planner over a grid of synthetic worlds, which no experiment runs
+    alone.
 
     No simulator at all: every (utilization level, shed level, health
     mix, placement count) cell is planned once and its TypePlan folded
@@ -718,45 +542,21 @@ def _planner_decision_digest(seed: int = 43) -> str:
                         f"{tp.desired}|{tp.placements}|{tp.add}|{tp.remove}"
                         f"|{tp.reason};".encode()
                     )
-    return digest.hexdigest()
+    return {"seed": seed, "planner_decisions": digest.hexdigest()}
 
 
-def _run_orchestration(quick: bool) -> SuiteRun:
-    """Host cost of the desired-state loop, plus the pure planner.
-
-    Runs fig19's quick orchestrated flash crowd — thousands of open-loop
-    arrivals with the reconciler observing, planning and actuating every
-    interval — in both suite modes, timed once (reconcile rounds per
-    wall second) and then counted: Python calls per reconcile round, the
-    loop's exact share of a busy simulation.  What that run simulates is
-    fig19's to pin and judge; the planner decision digest pins the pure
-    policy layer, which no experiment runs alone.
-    """
+def bench_orchestration(seed: int = 43) -> BenchResult:
+    """Host cost of the desired-state loop: Python calls per reconcile
+    round of fig19's quick orchestrated flash crowd — thousands of
+    open-loop arrivals with the reconciler observing, planning and
+    actuating every interval.  What that run simulates is fig19's to pin
+    and judge."""
     from repro.experiments.fig19 import EXPERIMENT, run_fig19_flash
 
-    seed = 43
-    flash_crowd = partial(run_fig19_flash, orchestrated=True, seed=seed,
-                          **EXPERIMENT.quick)
-    with _Stopwatch() as watch:
-        flash = flash_crowd()
-    calls, counted = count_pycalls(flash_crowd)
-    result = _rate_result(
-        "orchestration", "reconcile_rounds_per_wall_sec",
-        flash.reconcile_rounds, watch,
-        {
-            "rounds": flash.reconcile_rounds,
-            "installs": flash.installs,
-            "drains": flash.drains,
-            "max_replicas_seen": flash.max_replicas_seen,
-            "convergence_times": [round(t, 6) for t in flash.convergence_times],
-            "pycalls_per_reconcile_round": round(
-                calls / counted.reconcile_rounds, 2),
-        },
-    )
-    return [result], {"fingerprint": {
-        "seed": seed,
-        "planner_decisions": _planner_decision_digest(seed),
-    }}
+    calls, flash = _warm_count(partial(
+        run_fig19_flash, orchestrated=True, seed=seed, **EXPERIMENT.quick))
+    return BenchResult("orchestration", {
+        "pycalls_per_reconcile_round": round(calls / flash.reconcile_rounds, 2)})
 
 
 # -- determinism fingerprints ----------------------------------------------
@@ -874,20 +674,14 @@ def _kernel_determinism() -> Dict[str, Any]:
 SuiteRun = Tuple[List[BenchResult], Dict[str, Any]]
 
 
-def _split_run(*benches: Tuple[Callable[..., BenchResult], Dict[str, Any]],
-               **sections: Callable[[], Dict[str, Any]]):
+def _split_run(*benches: Callable[[], BenchResult],
+               **sections: Callable[[], Dict[str, Any]]) -> Callable[[], SuiteRun]:
     """A suite run made of independent benchmarks, plus pinned sections
-    that share no seeded point with them.
-
-    ``benches`` are ``(function, quick-mode kwargs)`` pairs; the full
-    run uses each function's defaults.  ``sections`` name the payload's
-    pinned sections and the functions that produce them, which use the
-    same cheap sizes in both modes.
-    """
-    def run(quick: bool) -> SuiteRun:
-        results = [bench(**(quick_kwargs if quick else {}))
-                   for bench, quick_kwargs in benches]
-        return results, {name: pin() for name, pin in sections.items()}
+    (named by keyword, each produced by its function) that share no
+    seeded point with them."""
+    def run() -> SuiteRun:
+        return ([bench() for bench in benches],
+                {name: pin() for name, pin in sections.items()})
 
     return run
 
@@ -1010,13 +804,13 @@ class Holds(Gate):
 class Suite:
     """One ``BENCH_<name>.json``: how to produce it and what gates it.
 
-    ``run(quick)`` makes one pass and returns a :data:`SuiteRun`.
+    ``run()`` makes one pass and returns a :data:`SuiteRun`.
     ``gates`` are :class:`Gate` instances.  ``highlights`` are the
     dotted payload paths outside ``results`` that :func:`summarize`
     prints as well.
     """
 
-    run: Callable[[bool], SuiteRun]
+    run: Callable[[], SuiteRun]
     gates: Tuple[Gate, ...]
     highlights: Tuple[str, ...] = ()
 
@@ -1027,13 +821,10 @@ def _detail(result: str, key: str) -> str:
 
 SUITES: Dict[str, Suite] = {
     "kernel": Suite(
-        run=_split_run(
-            (bench_kernel_events, {"n_procs": 32, "events_per_proc": 1500}),
-            (bench_rpc_roundtrips, {"clients": 4, "horizon": 15.0}),
-            (partial(bench_fig10_point, "registry"), {"n_types": 16}),
-            (partial(bench_fig10_point, "index"), {"n_types": 16}),
-            determinism=_kernel_determinism,
-        ),
+        run=_split_run(bench_kernel_events, bench_rpc_roundtrips,
+                       partial(bench_fig10_point, "registry"),
+                       partial(bench_fig10_point, "index"),
+                       determinism=_kernel_determinism),
         gates=(
             Budget(_detail("kernel", "kernel_pycalls_per_event"),
                    "Python calls per agenda event (32 tickers x 1,500 "
@@ -1056,7 +847,7 @@ SUITES: Dict[str, Suite] = {
                     "determinism.kernel_trace.events"),
     ),
     "resolution": Suite(
-        run=_run_resolution,
+        run=_split_run(bench_resolution),
         gates=(
             Budget(_detail("resolution", "optimized_pycalls_per_resolution"),
                    "Python calls per resolution at the 16-site optimized "
@@ -1065,7 +856,7 @@ SUITES: Dict[str, Suite] = {
         ),
     ),
     "provisioning": Suite(
-        run=_run_provisioning,
+        run=_split_run(bench_provisioning),
         gates=(
             Budget(_detail("provisioning", "optimized_pycalls_per_install"),
                    "Python calls per installation at the 16-site optimized "
@@ -1074,7 +865,7 @@ SUITES: Dict[str, Suite] = {
         ),
     ),
     "obs": Suite(
-        run=_split_run((bench_obs, {})),
+        run=_split_run(bench_obs),
         gates=(
             Budget(_detail("obs", "obs_extra_pycalls_per_rpc"),
                    "tracing + metrics, over the null tier"),
@@ -1094,7 +885,7 @@ SUITES: Dict[str, Suite] = {
         ),
     ),
     "storage": Suite(
-        run=_split_run((bench_storage, {"n_types": 10_000})),
+        run=_split_run(bench_storage),
         gates=(
             Budget(_detail("storage", "ring_builds_per_routed_vo"),
                    "rings built for a 64-site routed sharded VO (320 when "
@@ -1106,8 +897,7 @@ SUITES: Dict[str, Suite] = {
         ),
     ),
     "workload": Suite(
-        run=_split_run((bench_workload, {"target_arrivals": 200_000}),
-                       (bench_workload_memory, {}),
+        run=_split_run(bench_workload, bench_workload_memory,
                        fingerprint=workload_fingerprint),
         gates=(
             Budget(_detail("workload", "pycalls_per_arrival"),
@@ -1119,7 +909,8 @@ SUITES: Dict[str, Suite] = {
         ),
     ),
     "orchestration": Suite(
-        run=_run_orchestration,
+        run=_split_run(bench_orchestration,
+                       fingerprint=_planner_fingerprint),
         gates=(
             Budget(_detail("orchestration", "pycalls_per_reconcile_round"),
                    "the control loop got expensive"),
@@ -1132,12 +923,11 @@ SUITES: Dict[str, Suite] = {
 # -- generic entry points --------------------------------------------------------
 
 
-def run_suite(name: str, quick: bool = False) -> Dict[str, Any]:
+def run_suite(name: str) -> Dict[str, Any]:
     """One pass of suite ``name``: its ``BENCH_<name>.json`` payload."""
-    results, sections = SUITES[name].run(quick)
+    results, sections = SUITES[name].run()
     return {
         "suite": f"bench_{name}",
-        "mode": "quick" if quick else "full",
         "results": {r.name: asdict(r) for r in results},
         **sections,
     }
@@ -1169,17 +959,12 @@ def _show(value: Any) -> str:
 
 
 def summarize(name: str, suite: Dict[str, Any]) -> str:
-    """Per-benchmark headlines and details plus the declared highlights."""
-    lines = [f"{suite['suite']} ({suite['mode']})"]
+    """Per-benchmark details plus the declared highlights."""
+    lines = [suite["suite"]]
     for result in suite["results"].values():
-        lines.append(
-            f"  {result['name']:15s} {result['value']:>14,.1f} {result['metric']}"
-            f" ({result['wall_seconds']:.3f}s wall, "
-            f"{result.get('cpu_seconds', 0.0):.3f}s cpu, "
-            f"{result.get('peak_rss_kb', 0):,d} kB peak)"
-        )
+        lines.append(f"  {result['name']}")
         lines += [f"    {key:36s} {_show(value)}"
-                  for key, value in result.get("details", {}).items()]
+                  for key, value in result["details"].items()]
     lines += [f"  {path:38s} {_show(_dig(suite, path))}"
               for path in SUITES[name].highlights]
     return "\n".join(lines)

@@ -374,7 +374,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         vo.reconciler.start()
 
     # Fault plane: spawn the crash/churn schedules (no-op when disabled).
-    vo.faults.start()
+    vo.faults.start(vo.site_names)
 
     enlist(vo)
     return vo

@@ -8,21 +8,21 @@ from repro.glare.deployfile import BuildRecipe
 from repro.wsrf import xmldoc
 
 
-class _QuickSuites(dict):
-    """``name -> perf.run_suite(name, quick=True)``, each run on first use."""
+class _FreshSuites(dict):
+    """``name -> perf.run_suite(name)``, each run on first use."""
 
     def __missing__(self, name):
-        self[name] = perf.run_suite(name, quick=True)
+        self[name] = perf.run_suite(name)
         return self[name]
 
 
 @pytest.fixture(scope="session")
-def quick_suites():
-    """Quick-mode payload of every perf suite, run at most once a session.
+def fresh_suites():
+    """A fresh payload of every perf suite, run at most once a session.
 
     Read-only: tests that tamper must ``copy.deepcopy`` first.
     """
-    return _QuickSuites()
+    return _FreshSuites()
 
 
 class _QuickRuns(dict):

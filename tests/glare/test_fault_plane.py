@@ -120,6 +120,17 @@ class TestCrashSchedules:
 
         assert crashed_sites(11) == crashed_sites(11)
 
+    def test_default_victim_draw_crashes_only_members(self):
+        """The origin download host is a node but no VO member: churn
+        never takes it down (15 of these 40 runs used to)."""
+        crashed = set()
+        for seed in range(40):
+            vo = make_vo(n_sites=4, seed=seed, faults=FaultsConfig(
+                churn_times=(5.0, 10.0, 15.0), churn_downtime=1.0))
+            vo.sim.run(until=20.0)
+            crashed |= {e["site"] for e in entries(vo.sim.journal, "faults", "crash")}
+        assert crashed == set(vo.site_names)
+
 
 class TestLinkFaults:
     def test_partition_window_splits_the_vo(self):

@@ -98,13 +98,13 @@ class TestInertConfigIsInvisible:
 
 
 @pytest.mark.parametrize("suite", list(FINGERPRINTS))
-def test_fingerprints_match_committed_baselines(suite, quick_suites):
+def test_fingerprints_match_committed_baselines(suite, fresh_suites):
     """Two-way: every committed key still matches *and* no key has
     appeared that the committed baseline does not pin yet."""
     section = FINGERPRINTS[suite]
     with (REPO_ROOT / f"BENCH_{suite}.json").open() as handle:
         expected = json.load(handle)[section]
-    current = quick_suites[suite][section]
+    current = fresh_suites[suite][section]
     assert set(current) == set(expected)
     for key in sorted(expected):
         assert current[key] == expected[key], f"{suite}: drift in {key}"

@@ -111,6 +111,9 @@ STATE_CASES = [
      lambda vo: setattr(view(vo, "agrid03"), "epoch", view(vo, "agrid03").epoch + 1)),
     ("overlay", "one-claim-per-epoch",
      lambda vo: view(vo, "agrid02").members.append(MemberInfo("agrid03", 0))),
+    ("network", "traffic-conserved",
+     lambda vo: setattr(vo.network.node("agrid01"), "bytes_out",
+                        vo.network.node("agrid01").bytes_out + 1)),
 ]
 
 #: (clause, doctor) applied after ``vo.stop(); vo.sim.run()``

@@ -3,12 +3,12 @@
 Three layers:
 
 * the generic machinery — for *every* declared suite the committed
-  ``BENCH_<name>.json`` is clean against itself, a fresh quick run
-  passes every gate against it (an optimisation that moves a pinned
-  section or an exact counter shows up here, independent of how much
-  faster it runs), each declared gate, tampered alone, produces exactly
-  one failure naming the suite and the field, and no gate reads a
-  clock;
+  ``BENCH_<name>.json`` is clean against itself, a fresh run passes
+  every gate against it (an optimisation that moves a pinned section
+  or an exact counter shows up here, independent of how much faster it
+  runs), each declared gate, tampered alone, produces exactly one
+  failure naming the suite and the field, and a result records no
+  clock for a gate to read;
 * the ``bench_wallclock.py`` CLI over the table, including a toy extra
   suite registered by the test and nothing else;
 * kernel-specific pins that must not move with a regenerated baseline.
@@ -17,6 +17,7 @@ Three layers:
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -61,9 +62,6 @@ CONTRACT = {
      "results.orchestration.details.pycalls_per_reconcile_round"),
     ("orchestration", "Exact", "fingerprint"),
 }
-
-#: what every result records as trajectory and no gate may read
-TRAJECTORY = ("value", "wall_seconds", "cpu_seconds", "peak_rss_kb")
 
 
 def _committed(name):
@@ -131,22 +129,20 @@ class TestTable:
         assert perf.compare(name, baseline, baseline) == []
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_fresh_run_passes_deterministic_gates(self, name, quick_suites):
+    def test_fresh_run_passes_deterministic_gates(self, name, fresh_suites):
         """BENCH_<name>.json stays in lockstep with the code: every gate
         reads an exact count, so every gate must hold here."""
-        assert perf.compare(name, quick_suites[name], _committed(name)) == []
+        assert perf.compare(name, fresh_suites[name], _committed(name)) == []
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_fresh_payload_keeps_the_committed_shape(self, name, quick_suites):
+    def test_fresh_payload_keeps_the_committed_shape(self, name, fresh_suites):
         """Two-way: no committed key went missing, and no key appeared
         that the committed baseline does not record (or pin) yet."""
-        fresh, baseline = quick_suites[name], _committed(name)
-        assert set(baseline) <= set(fresh)
-        assert fresh["mode"] == "quick"
+        fresh, baseline = fresh_suites[name], _committed(name)
+        assert set(baseline) == set(fresh)
         assert fresh["suite"] == baseline["suite"]
         assert set(fresh["results"]) == set(baseline["results"])
         for bench, result in baseline["results"].items():
-            assert set(result) <= set(fresh["results"][bench])
             assert set(result["details"]) == set(fresh["results"][bench]["details"])
         if name in PINNED:
             section = PINNED[name]
@@ -204,12 +200,18 @@ class TestTable:
         assert failures[0].startswith(f"{name}: {gate.path} {expected}")
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_no_gate_reads_a_clock(self, name):
-        doc, baseline = _committed(name), _committed(name)
-        for result in doc["results"].values():
-            for key in TRAJECTORY:
-                result[key] *= 10
-        assert perf.compare(name, doc, baseline) == []
+    def test_no_gate_reads_a_clock(self, name, fresh_suites):
+        """A result, committed or fresh, is its name and its exact
+        details: there is no wall, CPU or RSS figure to read."""
+        for doc in (_committed(name), fresh_suites[name]):
+            for bench, result in doc["results"].items():
+                assert set(result) == {"name", "details"}
+                assert result["name"] == bench
+
+    def test_a_benchmark_repeats_itself_in_one_process(self):
+        """The warm-up run absorbs every first-sight path, so a second
+        run in the same process counts exactly what the first did."""
+        assert perf.bench_resolution() == perf.bench_resolution()
 
     def test_declared_thresholds_match_the_contract(self):
         declared = {(name, type(gate).__name__, gate.path)
@@ -219,10 +221,12 @@ class TestTable:
     @pytest.mark.parametrize("name", NAMES)
     def test_summary_and_help_come_from_the_declaration(self, name):
         baseline = _committed(name)
-        text = perf.summarize(name, baseline)
-        assert text.startswith(f"{baseline['suite']} (full")
-        for bench in baseline["results"]:
-            assert f"  {bench} " in text
+        lines = perf.summarize(name, baseline).splitlines()
+        assert lines[0] == baseline["suite"]
+        for bench, result in baseline["results"].items():
+            assert f"  {bench}" in lines
+            for key in result["details"]:
+                assert any(line.startswith(f"    {key} ") for line in lines)
         described = perf.describe(name)
         assert described.startswith(f"{name} (BENCH_{name}.json):")
         assert len(described.splitlines()) == 1 + len(perf.SUITES[name].gates)
@@ -240,15 +244,14 @@ def cli():
     return module
 
 
-def _toy_run(quick):
-    result = perf.BenchResult(name="toy", metric="toys_per_sec", value=2.0,
-                              wall_seconds=1.0, work_units=2)
-    return [result], {"fingerprint": {"answer": 42 if quick else 41}}
+def _toy_run():
+    return ([perf.BenchResult("toy", {"toys": 2})],
+            {"fingerprint": {"answer": 42}})
 
 
 class TestCli:
     def test_check_against_the_committed_default(self, cli, capsys):
-        assert cli.main(["--suite", "resolution", "--quick", "--check"]) == 0
+        assert cli.main(["--suite", "resolution", "--check"]) == 0
         out = capsys.readouterr().out
         assert "resolution baseline check passed" in out
         assert "BENCH_resolution.json" in out
@@ -258,8 +261,7 @@ class TestCli:
         tampered["results"]["storage"]["details"]["ring_builds_per_routed_vo"] = 1
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(tampered))
-        assert cli.main(["--suite", "storage", "--quick",
-                         "--check", str(path)]) == 1
+        assert cli.main(["--suite", "storage", "--check", str(path)]) == 1
         err = capsys.readouterr().err
         assert "FAIL:" in err
         assert ("storage: results.storage.details.ring_builds_per_routed_vo "
@@ -271,13 +273,21 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_exactly_the_six_options(self, cli, capsys):
+    def test_check_and_check_all_are_exclusive(self, cli, capsys):
+        """``--check-all`` gates every suite against its committed file,
+        so a ``--check PATH`` beside it would be ignored: refused."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--check", "other.json", "--check-all"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_exactly_the_five_options(self, cli, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         usage = capsys.readouterr().out
-        options = {word.strip("[],") for word in usage.split("options:")[0].split()
-                   if word.startswith("[-")}
-        assert options == {"-h", "--suite", "--check", "--check-all", "--quick",
+        options = set(re.findall(r"(?<=[\[ ])--?[a-z][-a-z]*",
+                                 usage.split("options:")[0]))
+        assert options == {"-h", "--suite", "--check", "--check-all",
                            "--jobs", "-o"}
         for name in NAMES:  # the epilog is rendered from the table
             assert perf.describe(name) in usage
@@ -287,22 +297,27 @@ class TestCli:
                                               monkeypatch):
         monkeypatch.setitem(perf.SUITES, "toy", perf.Suite(
             run=_toy_run,
-            gates=(perf.Budget("results.toy.value"), perf.Exact("fingerprint")),
+            gates=(perf.Budget("results.toy.details.toys"),
+                   perf.Exact("fingerprint")),
             highlights=("fingerprint.answer",),
         ))
-        suite = perf.run_suite("toy", quick=True)
-        assert suite["suite"] == "bench_toy" and suite["mode"] == "quick"
+        suite = perf.run_suite("toy")
+        assert suite == {"suite": "bench_toy",
+                         "results": {"toy": {"name": "toy",
+                                             "details": {"toys": 2}}},
+                         "fingerprint": {"answer": 42}}
         assert perf.compare("toy", suite, suite) == []
         assert "fingerprint.answer" in perf.summarize("toy", suite)
-        assert "results.toy.value <= baseline x 1.1" in perf.describe("toy")
+        assert "results.toy.details.toys <= baseline x 1.1" in perf.describe("toy")
 
         path = tmp_path / "BENCH_toy.json"
-        assert cli.main(["--suite", "toy", "--quick", "-o", str(path)]) == 0
+        assert cli.main(["--suite", "toy", "-o", str(path)]) == 0
         assert json.loads(path.read_text()) == suite
-        assert cli.main(["--suite", "toy", "--quick", "--check", str(path)]) == 0
+        assert cli.main(["--suite", "toy", "--check", str(path)]) == 0
         capsys.readouterr()
+        path.write_text(json.dumps(dict(suite, fingerprint={"answer": 41})))
         assert cli.main(["--suite", "toy", "--check", str(path)]) == 1
-        assert "toy: fingerprint.answer drifted: 41 != baseline 42" \
+        assert "toy: fingerprint.answer drifted: 42 != baseline 41" \
             in capsys.readouterr().err
 
     def test_check_all_hands_jobs_to_the_runner(self, cli, capsys, monkeypatch):
@@ -315,7 +330,7 @@ class TestCli:
             return [_committed(u.name) for u in units]
 
         monkeypatch.setattr(cli, "run_units", fake_run_units)
-        assert cli.main(["--quick", "--check-all", "--jobs", "4"]) == 0
+        assert cli.main(["--check-all", "--jobs", "4"]) == 0
         assert seen == {"jobs": 4, "units": NAMES}
         out = capsys.readouterr().out
         assert "(--jobs 4)" in out
@@ -342,8 +357,8 @@ class TestDeterminismGate:
         assert current["final_time"] == "100.0"
 
     def test_experiment_outputs_match_committed_baseline(self, baseline,
-                                                         quick_suites):
-        current = quick_suites["kernel"]["determinism"]["experiment"]
+                                                         fresh_suites):
+        current = fresh_suites["kernel"]["determinism"]["experiment"]
         expected = baseline["determinism"]["experiment"]
         # compare key-by-key so a drift names the quantity that moved
         assert set(current) == set(expected)
@@ -352,13 +367,5 @@ class TestDeterminismGate:
 
 
 class TestBaselineFile:
-    def test_baseline_has_required_rates(self, baseline):
-        for name in ("kernel", "rpc", "fig10_registry", "fig10_index"):
-            result = baseline["results"][name]
-            assert result["value"] > 0
-            assert result["wall_seconds"] > 0
-            assert result["work_units"] > 0
-            assert result["peak_rss_kb"] > 0
-
     def test_compare_to_baseline_accepts_itself(self, baseline):
         assert perf.compare("kernel", baseline, baseline) == []
