@@ -6,8 +6,8 @@ on one site and resolves it from another — which triggers the complete
 provisioning pipeline (tier walk, candidate selection, deploy-file
 transfer, handler execution, registration, notification).  All of that
 lands in ONE distributed trace because span context propagates through
-the RPC metadata; this script prints the span tree, the latency
-histograms, and dumps a Chrome trace-event file you can load in
+the RPC metadata; this script prints the trace's critical path and
+waterfall, the latency histograms, and dumps a Chrome trace-event file you can load in
 chrome://tracing or ui.perfetto.dev.
 
 Run:  python examples/tracing.py
@@ -17,7 +17,8 @@ import tempfile
 from pathlib import Path
 
 from repro.apps import get_application, publish_applications
-from repro.obs.export import export_chrome, format_trace_tree, render_histograms
+from repro.obs.analyze import format_critical_path, format_waterfall
+from repro.obs.export import export_chrome, render_histograms
 from repro.vo import build_vo
 
 
@@ -38,14 +39,16 @@ def main() -> None:
     print(f"resolved {len(wires)} deployment(s) at t={vo.sim.now:.2f}s\n")
 
     # 3. The resolution is one trace: find the get_deployments root and
-    #    print its whole tree.
+    #    print the hops its latency waited on, then its whole tree.
     tracer = vo.obs.tracer
     roots = tracer.find("rpc:glare-rdm.get_deployments")
     assert roots, "expected a traced get_deployments call"
     spans = tracer.trace_of(roots[0])
-    print(format_trace_tree(
+    print(format_critical_path(
         spans, title=f"on-demand deployment ({len(spans)} spans)"
     ))
+    print()
+    print(format_waterfall(spans))
 
     # The tree must contain every pipeline stage, correctly nested.
     names = {span.name for span in spans}

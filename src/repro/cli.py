@@ -6,13 +6,9 @@ Usage::
     python -m repro fig14 [--quick] [--scale]
     python -m repro fig16 [--quick] [--report-out FILE]
     python -m repro all [--quick] [--jobs N]
-    python -m repro trace [deploy|lookup|election|churn] [--chrome-out FILE]
-                          [--jsonl-out FILE]
-    python -m repro metrics [SCENARIO] [--format text|json|csv]
-    python -m repro health  [SCENARIO] [--format text|json|csv]
-    python -m repro slo     [SCENARIO]
-    python -m repro analyze [SCENARIO] [--top N]
-    python -m repro report  [SCENARIO|experiments]
+    python -m repro report [SCENARIO] [--format text|json] [--top N]
+                           [--chrome-out FILE] [--jsonl-out FILE]
+    python -m repro report experiments [--quick] [--jobs N]
 
 ``EXPERIMENT`` is any entry of ``repro.experiments.registry.EXPERIMENTS`` —
 the one table every shipped artefact (``table1``, ``fig10`` … ``fig19``,
@@ -21,26 +17,21 @@ their one-line summaries and ``all`` runs them in table order.  Each rebuilds th
 table/figure on the simulated Grid and prints the rows/series;
 ``--quick`` selects the entry's small grid (fewer points / shorter
 horizons) for a fast sanity pass, ``--jobs N`` fans its work units over
-N processes.  :data:`COMMANDS` is that table plus ``all`` plus the
-observability views below; ``main`` looks the command up and calls it,
-nothing else.
+N processes.  :data:`COMMANDS` is that table plus ``all`` plus
+``report``; ``main`` looks the command up and calls it, nothing else.
 
-``trace`` runs a representative scenario on an observability-enabled VO
-and prints every captured trace as an indented span tree (optionally
-exporting Chrome trace-event JSON / JSONL — gauge series ride along as
-counter events); ``metrics`` prints the counters, latency histograms
-and sampled gauge series.  The health/SLO plane has its own views, each
-reading the run's journal (``sim.journal``): ``health`` prints
-node/service states and the health transitions, ``slo`` prints the
-error-budget table, the burn-rate alerts and the crash-detection
-timeline, ``analyze`` prints trace critical paths / self-time
-breakdowns / slowest-trace waterfalls, and ``report`` prints the
-unified run report (health, SLO, crash detection, metrics and trace
-analytics for one scenario).  Scenario
-defaults: ``churn`` for health/slo (it is the only one with faults),
-``deploy`` otherwise.  ``report experiments`` instead renders the
-aggregate *experiment* report: every shipped table/figure section in
-one document (honours ``--quick`` and ``--jobs``).
+``report SCENARIO`` is the one observability command.  It runs a canned
+scenario (default ``churn``, the only one with faults) on an
+observability-enabled VO and prints the run report: health, SLO budgets,
+burn-rate alerts, crash detection, metrics and trace analytics for the
+``--top`` slowest traces.  ``--format json`` prints the same sections as
+one record instead, plus the :mod:`repro.stats` snapshot;
+``--chrome-out`` / ``--jsonl-out`` also write every span as Chrome
+trace-event JSON (gauge series ride along as counter events) / one JSON
+object per line.  ``report experiments`` instead renders the aggregate
+*experiment* report: every shipped table/figure section in one document
+(honours ``--quick`` and ``--jobs``).  The scenario and the four report
+options are refused, with exit status 2, anywhere else.
 """
 
 from __future__ import annotations
@@ -56,94 +47,40 @@ from repro.experiments.report import banner, render_experiment_report
 from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.runner import WorkerError
 
+#: the options only ``report SCENARIO`` reads, flag -> attribute
+_REPORT_OPTIONS = {"--format": "format", "--top": "top",
+                   "--chrome-out": "chrome_out", "--jsonl-out": "jsonl_out"}
 
-def _view_trace(scenario: str, args: argparse.Namespace) -> str:
-    from repro.obs.export import export_chrome, export_jsonl, format_trace_tree
 
-    vo = run_scenario(scenario)
-    tracer = vo.obs.tracer
-    sections = []
-    for trace_id, spans in sorted(tracer.traces().items()):
-        sections.append(format_trace_tree(
-            spans, title=f"trace {trace_id} ({len(spans)} spans)"
-        ))
-    if not sections:
-        sections.append("(no spans captured)")
+def _report(args: argparse.Namespace) -> None:
+    if args.scenario == "experiments":
+        print(render_experiment_report(quick=args.quick, jobs=args.jobs))
+        return
+    import json
+
+    from repro.obs.export import (
+        export_chrome,
+        export_jsonl,
+        render_run_report,
+        run_record,
+    )
+
+    vo = run_scenario(args.scenario or "churn")
+    top = 3 if args.top is None else args.top
+    if args.format == "json":
+        print(json.dumps(run_record(vo, top=top), indent=2, sort_keys=True))
+    else:
+        print(render_run_report(vo, top=top))
+    spans = vo.obs.tracer.spans
     if args.chrome_out:
         with open(args.chrome_out, "w") as stream:
-            events = export_chrome(tracer.spans, stream,
-                                   registry=vo.obs.metrics)
-        sections.append(
-            f"wrote {events} Chrome trace events to {args.chrome_out}")
+            events = export_chrome(spans, stream, registry=vo.obs.metrics)
+        print(f"wrote {events} Chrome trace events to {args.chrome_out}",
+              file=sys.stderr)
     if args.jsonl_out:
         with open(args.jsonl_out, "w") as stream:
-            written = export_jsonl(tracer.spans, stream)
-        sections.append(f"wrote {written} spans to {args.jsonl_out}")
-    return "\n\n".join(sections)
-
-
-def _view_metrics(scenario: str, args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.obs.export import metrics_to_csv, metrics_to_dict, render_metrics
-    from repro.stats import collect_metrics
-
-    vo = run_scenario(scenario)
-    if args.format == "json":
-        return _json.dumps(metrics_to_dict(vo.obs.metrics), indent=2,
-                           sort_keys=True)
-    if args.format == "csv":
-        return metrics_to_csv(vo.obs.metrics).rstrip("\n")
-    return render_metrics(vo.obs.metrics) + "\n\n" + collect_metrics(vo).render()
-
-
-def _view_health(scenario: str, args: argparse.Namespace) -> str:
-    import json as _json
-
-    from repro.obs.export import health_to_csv, health_to_dict, render_health
-
-    vo = run_scenario(scenario)
-    health = vo.obs.health
-    if health is None:
-        return "(health registry disabled for this scenario)"
-    if args.format == "json":
-        return _json.dumps(health_to_dict(health), indent=2, sort_keys=True)
-    if args.format == "csv":
-        return health_to_csv(health).rstrip("\n")
-    return render_health(health)
-
-
-def _view_slo(scenario: str, args: argparse.Namespace) -> str:
-    from repro.obs.export import render_alerts, render_detection, render_slo
-
-    vo = run_scenario(scenario)
-    engine = vo.obs.slo
-    if engine is None:
-        return "(no SLOs configured for this scenario)"
-    sections = [render_slo(engine), render_alerts(engine),
-                render_detection(vo.sim.journal)]
-    return "\n\n".join(filter(None, sections))
-
-
-def _view_analyze(scenario: str, args: argparse.Namespace) -> str:
-    from repro.obs.analyze import format_trace_analytics
-
-    vo = run_scenario(scenario)
-    return format_trace_analytics(vo.obs.tracer.traces(), top=args.top)
-
-
-def _view_report(scenario: str, args: argparse.Namespace) -> str:
-    if scenario == "experiments":
-        return render_experiment_report(quick=args.quick, jobs=args.jobs)
-    from repro.obs.export import render_run_report
-
-    return render_run_report(run_scenario(scenario), top=args.top)
-
-
-def _view(render: Callable[[str, argparse.Namespace], str],
-          default_scenario: str) -> Callable[[argparse.Namespace], None]:
-    """An observability command: ``render`` over the chosen scenario."""
-    return lambda args: print(render(args.scenario or default_scenario, args))
+            written = export_jsonl(spans, stream)
+        print(f"wrote {written} spans to {args.jsonl_out}", file=sys.stderr)
 
 
 def _experiments(*names: str) -> Callable[[argparse.Namespace], None]:
@@ -162,18 +99,20 @@ def _experiments(*names: str) -> Callable[[argparse.Namespace], None]:
 
 
 #: every command, by name: one per :data:`EXPERIMENTS` entry, ``all``,
-#: and the observability views with the scenario each defaults to (the
-#: health/SLO views need the only scenario that injects faults)
+#: and ``report``, the one observability command
 COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
     **{name: _experiments(name) for name in EXPERIMENTS},
     "all": _experiments(*EXPERIMENTS),
-    "trace": _view(_view_trace, "deploy"),
-    "metrics": _view(_view_metrics, "deploy"),
-    "health": _view(_view_health, "churn"),
-    "slo": _view(_view_slo, "churn"),
-    "analyze": _view(_view_analyze, "deploy"),
-    "report": _view(_view_report, "churn"),
+    "report": _report,
 }
+
+
+def _count(text: str) -> int:
+    """``--top``'s type: a whole number, never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -190,15 +129,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment",
         choices=list(COMMANDS),
         help="which evaluation artefact to regenerate ('all': every "
-             "one, in table order), or an observability view (trace/"
-             "metrics/health/slo/analyze/report) over a canned scenario",
+             "one, in table order), or 'report' over a canned scenario",
     )
     parser.add_argument(
         "scenario", nargs="?", default=None,
         choices=list(SCENARIOS) + ["experiments"],
-        help="scenario for the observability subcommands (default: "
-             "churn for health/slo/report, deploy otherwise); 'report "
-             "experiments' renders the aggregate experiment report",
+        help="report only: the scenario to run and report (default: "
+             "churn); 'experiments' renders the aggregate experiment "
+             "report",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -206,20 +144,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--chrome-out", metavar="FILE", default=None,
-        help="trace only: also write Chrome trace-event JSON with gauge "
-             "counter tracks (load in chrome://tracing or ui.perfetto.dev)",
+        help="report SCENARIO only: also write Chrome trace-event JSON "
+             "with gauge counter tracks (load in chrome://tracing or "
+             "ui.perfetto.dev)",
     )
     parser.add_argument(
         "--jsonl-out", metavar="FILE", default=None,
-        help="trace only: also write one JSON object per span",
+        help="report SCENARIO only: also write one JSON object per span",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="metrics/health only: output format (default: text)",
+        "--format", choices=("text", "json"), default=None,
+        help="report SCENARIO only: the report as text (default) or as "
+             "one JSON record",
     )
     parser.add_argument(
-        "--top", type=int, default=3, metavar="N",
-        help="analyze/report only: how many slowest traces to break down",
+        "--top", type=_count, default=None, metavar="N",
+        help="report SCENARIO only: how many slowest traces to break "
+             "down (default: 3)",
     )
     parser.add_argument(
         "--report-out", metavar="FILE", default=None,
@@ -243,6 +184,12 @@ def main(argv: Optional[List[str]] = None) -> int:
              "unit dies (the terminal shows a truncated traceback)",
     )
     args = parser.parse_args(argv)
+    if args.experiment != "report" and args.scenario is not None:
+        parser.error(f"scenario {args.scenario!r} applies only to 'report'")
+    if args.experiment != "report" or args.scenario == "experiments":
+        for flag, attribute in _REPORT_OPTIONS.items():
+            if getattr(args, attribute) is not None:
+                parser.error(f"{flag} applies only to 'report SCENARIO'")
     try:
         COMMANDS[args.experiment](args)
     except WorkerError as error:

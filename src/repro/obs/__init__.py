@@ -11,7 +11,9 @@ measurements imply:
 * :mod:`repro.obs.metrics` — counters, log-scale latency histograms
   (p50/p95/p99) and gauge time series sampled by a recorder process;
 * :mod:`repro.obs.export` — JSONL / Chrome trace-event export and
-  text rendering (machine-readable JSON/CSV included).
+  the run report behind ``repro report``, the one observability
+  command: text (:func:`~repro.obs.export.render_run_report`) or one
+  JSON record (:func:`~repro.obs.export.run_record`).
 
 A second *judgement* tier sits on top of the raw streams:
 

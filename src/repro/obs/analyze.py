@@ -110,6 +110,8 @@ def self_time_breakdown(spans: List[Span]) -> List[OpStat]:
 def slowest_traces(traces: Dict[int, List[Span]],
                    k: int = 5) -> List[Tuple[int, List[Span], float]]:
     """Top-``k`` traces by root duration: ``(trace_id, spans, duration)``."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, not {k}")
     ranked = []
     for trace_id, spans in traces.items():
         root = trace_root(spans)

@@ -1,4 +1,4 @@
-"""Trace and metrics export: JSONL, Chrome trace-event, JSON/CSV, text.
+"""Trace and metrics export: JSONL, Chrome trace-event, the run report.
 
 Chrome export follows the Trace Event Format (the JSON consumed by
 ``chrome://tracing`` and https://ui.perfetto.dev): one complete
@@ -8,24 +8,41 @@ one "thread" per trace.  Gauge time series additionally export as
 counter (``"ph": "C"``) events, so per-site load and queue depths render
 as stacked area tracks alongside the spans.
 
-The text renderers at the bottom feed the CLI; every table also has a
-machine-readable JSON/CSV twin (``metrics_to_dict``/``metrics_to_csv``,
-``health_to_dict``/``health_to_csv``) so experiment artifacts can be
-consumed without scraping.
+The renderers at the bottom feed ``repro report``, the one
+observability command: :func:`render_run_report` is the run as text,
+:func:`run_record` the same sections as one JSON-friendly record (plus
+the :mod:`repro.stats` snapshot).  One section list drives both, so a
+section is in the record exactly when it is in the text.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import IO, Any, Dict, Iterable, List, Optional
+from dataclasses import asdict
+from functools import partial
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.experiments.report import format_table
+from repro.obs.analyze import (
+    critical_path,
+    format_trace_analytics,
+    self_time_breakdown,
+    slowest_traces,
+)
 from repro.obs.health import HealthRegistry, detection_timeline
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SLOEngine
-from repro.obs.trace import Span, walk_tree
+from repro.obs.trace import Span
 from repro.simkernel.kernel import entries
 
 
@@ -134,27 +151,6 @@ def export_chrome(spans: Iterable[Span], stream: IO[str],
     return len(events)
 
 
-def format_trace_tree(spans: List[Span], title: str = "") -> str:
-    """ASCII rendering of one trace's span tree with timings."""
-    if not spans:
-        return "(no spans)"
-    lines = []
-    if title:
-        lines.append(title)
-    base = min(s.start for s in spans)
-    lines.append(f"{'t+ms':>10}  {'dur ms':>10}  span")
-    for depth, span in walk_tree(spans):
-        attrs = " ".join(
-            f"{k}={v}" for k, v in sorted(span.attrs.items())
-            if isinstance(v, (str, int, float, bool))
-        )
-        lines.append(
-            f"{(span.start - base) * 1e3:10.2f}  {span.duration * 1e3:10.2f}  "
-            f"{'  ' * depth}{span.name}" + (f"  [{attrs}]" if attrs else "")
-        )
-    return "\n".join(lines)
-
-
 def _labels_text(labels) -> str:
     return ",".join(f"{k}={v}" for k, v in labels) if labels else "-"
 
@@ -243,35 +239,6 @@ def metrics_to_dict(registry: MetricsRegistry) -> Dict[str, Any]:
     }
 
 
-_METRICS_CSV_FIELDS = ["kind", "name", "labels", "count", "value",
-                       "mean", "p50", "p95", "p99", "min", "max", "last"]
-
-
-def metrics_to_csv(registry: MetricsRegistry) -> str:
-    """One flat CSV over every instrument (one row per instrument)."""
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=_METRICS_CSV_FIELDS)
-    writer.writeheader()
-    for c in registry.counters():
-        writer.writerow({"kind": "counter", "name": c.name,
-                         "labels": _labels_text(c.labels), "value": c.value})
-    for h in registry.histograms():
-        writer.writerow({
-            "kind": "histogram", "name": h.name,
-            "labels": _labels_text(h.labels), "count": h.count,
-            "mean": _observed_mean(h), "p50": h.p50, "p95": h.p95,
-            "p99": h.p99,
-        })
-    for s in registry.all_series():
-        low, mean, high = s.stats()
-        writer.writerow({
-            "kind": "series", "name": s.name,
-            "labels": _labels_text(s.labels), "count": len(s.samples),
-            "mean": mean, "min": low, "max": high, "last": s.last,
-        })
-    return out.getvalue()
-
-
 # -- SLO / alert renderers --------------------------------------------------
 
 
@@ -349,19 +316,6 @@ def health_to_dict(health: HealthRegistry) -> Dict[str, Any]:
     }
 
 
-def health_to_csv(health: HealthRegistry) -> str:
-    """One row per node and per service (flat, diff-friendly)."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["node", "service", "state", "since"])
-    for node in health.nodes():
-        writer.writerow([node, "", health.node_state(node),
-                         health.node_since(node)])
-        for svc in health.services_of(node):
-            writer.writerow([node, svc, health.service_state(node, svc), ""])
-    return out.getvalue()
-
-
 def render_health(health: HealthRegistry) -> str:
     """Node/service states plus the journal's health transitions."""
     rows = []
@@ -396,29 +350,90 @@ def render_health(health: HealthRegistry) -> str:
 # -- the unified run report -------------------------------------------------
 
 
-def render_run_report(vo, top: int = 3) -> str:
-    """Everything the observability plane knows about one run.
+def _slo_rows(engine: SLOEngine) -> List[Dict[str, Any]]:
+    """The error-budget table as data: one row per objective."""
+    return [{"slo": s.name, "endpoint": s.endpoint, "objective": s.objective,
+             "level": s.level, "target": s.target, "events": s.total,
+             "bad": s.bad, "good_rate": s.good_rate,
+             "budget_consumed": s.budget_consumed, "verdict": s.verdict}
+            for s in engine.statuses()]
+
+
+def _alerts(engine: SLOEngine) -> Dict[str, Any]:
+    return {"log": engine.alerts(), "active": engine.active_alerts()}
+
+
+def _detection_rows(journal: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    return [{**asdict(rec), "mttd": rec.mttd, "mttr": rec.mttr}
+            for rec in detection_timeline(journal)]
+
+
+def _trace_analytics(traces: Dict[int, List[Span]], top: int) -> Dict[str, Any]:
+    """Self times of every operation and the ``top`` slowest traces'
+    critical paths, as data."""
+    all_spans = [span for spans in traces.values() for span in spans]
+    return {
+        "self_times": [asdict(stat) for stat in self_time_breakdown(all_spans)],
+        "slowest": [{"trace": trace_id, "duration": duration,
+                     "spans": len(spans),
+                     "critical_path": [s.name for s in critical_path(spans)]}
+                    for trace_id, spans, duration in slowest_traces(traces, k=top)],
+    }
+
+
+_Section = Tuple[str, Callable[[], str], Callable[[], Any]]
+
+
+def _sections(vo, top: int) -> Iterator[_Section]:
+    """The run's report sections in order, as ``(record key, text,
+    data)``: the one set of presence rules both views read.
 
     Sections appear only when their tier was on: health registry, SLO
     budgets + burn-rate alerts + crash detection, metrics tables, and
     trace analytics (self times, critical paths, waterfalls for the
-    ``top`` slowest traces).
+    ``top`` slowest traces).  An empty text or data is left out.
     """
-    from repro.obs.analyze import format_trace_analytics
-
-    sections: List[str] = []
     obs = vo.obs
     if obs.health is not None:
-        sections.append(render_health(obs.health))
+        yield ("health", partial(render_health, obs.health),
+               partial(health_to_dict, obs.health))
     if obs.slo is not None:
-        sections.append(render_slo(obs.slo))
-        sections.append(render_alerts(obs.slo))
-        sections.append(render_detection(vo.sim.journal))
+        yield ("slo", partial(render_slo, obs.slo), partial(_slo_rows, obs.slo))
+        yield ("alerts", partial(render_alerts, obs.slo),
+               partial(_alerts, obs.slo))
+        yield ("detection", partial(render_detection, vo.sim.journal),
+               partial(_detection_rows, vo.sim.journal))
     if obs.enabled:
-        sections.append(render_metrics(obs.metrics))
+        yield ("metrics", partial(render_metrics, obs.metrics),
+               partial(metrics_to_dict, obs.metrics))
         traces = obs.tracer.traces()
         if traces:
-            sections.append(format_trace_analytics(traces, top=top))
+            yield ("traces", partial(format_trace_analytics, traces, top=top),
+                   partial(_trace_analytics, traces, top))
+
+
+def render_run_report(vo, top: int = 3) -> str:
+    """Everything the observability plane knows about one run, as text."""
+    sections = [text() for _, text, _ in _sections(vo, top)]
     if not sections:
         return "(observability disabled: nothing to report)"
     return "\n\n".join(filter(None, sections))
+
+
+def run_record(vo, top: int = 3) -> Dict[str, Any]:
+    """The run report as one JSON-friendly record: each section of
+    :func:`render_run_report` under its key, plus ``stats``, the
+    :func:`repro.stats.collect_metrics` snapshot with its resolution
+    breakdown and cache hit rate."""
+    from repro.stats import collect_metrics
+
+    record: Dict[str, Any] = {}
+    for key, _, data in _sections(vo, top):
+        value = data()
+        if value:
+            record[key] = value
+    snapshot = collect_metrics(vo)
+    record["stats"] = {**asdict(snapshot),
+                       "resolution": snapshot.resolution_breakdown(),
+                       "cache_hit_rate": snapshot.cache_hit_rate()}
+    return record

@@ -1,10 +1,10 @@
-"""Canned traced scenarios behind ``python -m repro trace/metrics``.
+"""Canned traced scenarios behind ``python -m repro report SCENARIO``.
 
 Full paper experiments sweep hundreds of configurations; tracing one of
 those produces an unreadable wall of spans.  These scenarios instead
 run one *representative* workload each on a small observability-enabled
-VO, so the CLI can show a complete, comprehensible trace tree and
-metrics dump:
+VO, so the run report can show complete, comprehensible traces and
+metrics:
 
 * ``deploy``   — a client resolves an undeployed activity type,
   triggering the full on-demand provisioning pipeline (Example 3 +

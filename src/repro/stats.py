@@ -1,9 +1,11 @@
-"""VO-wide metrics collection and reporting.
+"""VO-wide metrics collection.
 
 Aggregates the counters every subsystem already keeps (request
 resolution tiers, cache hits, installs, traffic, elections) into one
 structured snapshot — the observability layer an operator of the real
 system would have had, and a convenient assertion surface for tests.
+``repro report --format json`` carries it as the run record's
+``stats`` section.
 
 The per-site counters are read straight off each site's stack
 (:func:`site_counters`), whether or not the hot-path observability
@@ -23,9 +25,7 @@ the sender, never received).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
-
-from repro.experiments.report import format_table
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vo import VirtualOrganization
@@ -108,34 +108,6 @@ class VOMetrics:
             "super-peer": self.total("resolved_via_superpeer"),
             "on-demand-deploy": self.total("resolved_by_deployment"),
         }
-
-    def render(self) -> str:
-        """Human-readable metrics table."""
-        headers = ["site", "role", "reqs", "local", "group", "sp", "deploy",
-                   "types", "deps", "msgs in", "msgs out"]
-        rows: List[List] = []
-        for name in sorted(self.sites):
-            m = self.sites[name]
-            rows.append([
-                name,
-                "SP" if m.is_super_peer else "peer",
-                m.requests, m.resolved_locally, m.resolved_in_group,
-                m.resolved_via_superpeer, m.resolved_by_deployment,
-                f"{m.local_types}+{m.cached_types}",
-                f"{m.local_deployments}+{m.cached_deployments}",
-                m.messages_in, m.messages_out,
-            ])
-        breakdown = self.resolution_breakdown()
-        footer = (
-            f"\nresolution: {breakdown} | cache hit rate "
-            f"{self.cache_hit_rate():.1%} | wire: {self.total_messages} msgs, "
-            f"{self.wire_bytes / 1e6:.1f} MB | site in/out: "
-            f"{self.site_bytes_in / 1e6:.1f}/{self.site_bytes_out / 1e6:.1f} MB "
-            f"(origin {self.origin_bytes_in / 1e6:.1f}/"
-            f"{self.origin_bytes_out / 1e6:.1f} MB)"
-        )
-        return format_table(headers, rows,
-                            title=f"VO metrics @ t={self.taken_at:.1f}s") + footer
 
 
 def site_counters(vo: "VirtualOrganization", name: str) -> Dict[str, object]:

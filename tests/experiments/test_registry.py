@@ -83,8 +83,7 @@ class TestCliReadsTheTable:
                    for name in EXPERIMENTS)
 
     def test_one_command_per_entry_plus_all_plus_views(self):
-        assert list(cli.COMMANDS) == list(EXPERIMENTS) + [
-            "all", "trace", "metrics", "health", "slo", "analyze", "report"]
+        assert list(cli.COMMANDS) == list(EXPERIMENTS) + ["all", "report"]
 
 
 class TestAggregateReport:

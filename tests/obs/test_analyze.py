@@ -101,6 +101,14 @@ class TestSlowestTraces:
         assert ranked[0][2] == pytest.approx(10.0)
         assert len(slowest_traces(traces, k=1)) == 1
 
+    def test_negative_k_is_refused(self, fanout_trace):
+        # k=-1 once sliced ranked[:-1]: every trace but the fastest
+        traces = {1: fanout_trace,
+                  2: [make_span("quick", 9, 0.0, 1.0, trace_id=2)]}
+        assert slowest_traces(traces, k=0) == []
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            slowest_traces(traces, k=-1)
+
 
 class TestRenderers:
     def test_format_critical_path(self, fanout_trace):

@@ -1,6 +1,5 @@
 """Tests for the JSONL/Chrome exporters and text renderers."""
 
-import csv
 import io
 import json
 
@@ -11,10 +10,7 @@ from repro.obs.export import (
     chrome_trace_events,
     export_chrome,
     export_jsonl,
-    format_trace_tree,
-    health_to_csv,
     health_to_dict,
-    metrics_to_csv,
     metrics_to_dict,
     render_alerts,
     render_health,
@@ -81,20 +77,6 @@ def test_export_chrome_writes_valid_json(sample_spans):
     document = json.loads(stream.getvalue())
     assert len(document["traceEvents"]) == count
     assert document["displayTimeUnit"] == "ms"
-
-
-def test_format_trace_tree_indents_children(sample_spans):
-    text = format_trace_tree(sample_spans, title="demo")
-    lines = text.splitlines()
-    assert lines[0] == "demo"
-    rpc_line = next(l for l in lines if "rpc:svc.op" in l)
-    serve_line = next(l for l in lines if "serve:svc.op" in l)
-    assert rpc_line.index("rpc:") < serve_line.index("serve:")
-    assert "[dst=agrid02 src=agrid01]" in rpc_line
-
-
-def test_format_trace_tree_empty():
-    assert format_trace_tree([]) == "(no spans)"
 
 
 def test_render_metrics_empty_registry():
@@ -164,15 +146,6 @@ def test_metrics_to_dict(populated_registry):
     assert series["samples"] == [[0.0, 1.5], [0.0, 2.5]]
 
 
-def test_metrics_to_csv(populated_registry):
-    rows = list(csv.DictReader(io.StringIO(
-        metrics_to_csv(populated_registry))))
-    kinds = [row["kind"] for row in rows]
-    assert kinds == ["counter", "histogram", "series"]
-    assert rows[0]["value"] == "3"
-    assert rows[2]["last"] == "2.5"
-
-
 # -- SLO / health renderers --------------------------------------------------
 
 
@@ -228,13 +201,6 @@ def test_health_to_dict(populated_health):
     assert nodes["agrid00"]["services"] == {"glare-rdm": "healthy"}
     assert data["summary"]["down"] == 1
     assert data["transitions"][0]["state"] == "down"
-
-
-def test_health_to_csv(populated_health):
-    rows = list(csv.reader(io.StringIO(health_to_csv(populated_health))))
-    assert rows[0] == ["node", "service", "state", "since"]
-    assert ["agrid00", "glare-rdm", "healthy", ""] in rows
-    assert any(r[0] == "agrid01" and r[2] == "down" for r in rows)
 
 
 def test_render_health(populated_health):

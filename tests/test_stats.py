@@ -1,8 +1,11 @@
 """Tests for the VO metrics layer."""
 
+import json
+
 import pytest
 
 from repro.apps import get_application, publish_applications
+from repro.obs.export import run_record
 from repro.stats import SiteMetrics, VOMetrics, collect_metrics
 from repro.vo import build_vo
 
@@ -55,10 +58,13 @@ def test_traffic_counters_consistent(active_vo):
 
 
 def test_render_is_readable(active_vo):
-    text = collect_metrics(active_vo).render()
-    assert "VO metrics" in text
-    assert "agrid01" in text
-    assert "cache hit rate" in text
+    """The snapshot renders as the run record's ``stats`` section, the
+    only section of a VO with observability off."""
+    record = run_record(active_vo)
+    assert set(record) == {"stats"}
+    stats = json.loads(json.dumps(record))["stats"]
+    assert stats["sites"]["agrid01"]["local_types"] == 1
+    assert stats["cache_hit_rate"] == collect_metrics(active_vo).cache_hit_rate()
 
 
 def test_cache_hit_rate_bounds(active_vo):
@@ -87,10 +93,12 @@ def test_bytes_reconcile(active_vo):
 
 
 def test_render_reports_byte_split(active_vo):
-    text = collect_metrics(active_vo).render()
-    assert "wire:" in text
-    assert "site in/out:" in text
-    assert "origin" in text
+    stats = run_record(active_vo)["stats"]
+    metrics = collect_metrics(active_vo)
+    assert stats["total_bytes"] == metrics.wire_bytes
+    assert stats["origin_bytes_out"] == metrics.origin_bytes_out > 0
+    assert sum(site["bytes_out"] for site in stats["sites"].values()) == (
+        metrics.site_bytes_out)
 
 
 def test_cache_hit_rate_zero_lookups():
@@ -100,14 +108,13 @@ def test_cache_hit_rate_zero_lookups():
 
 
 def test_render_empty_vo():
-    """A snapshot with no sites still renders without dividing by zero."""
-    metrics = VOMetrics(taken_at=0.0)
-    text = metrics.render()
-    assert "VO metrics" in text
-    assert "cache hit rate 0.0%" in text
-    assert metrics.resolution_breakdown() == {
-        "local": 0, "group": 0, "super-peer": 0, "on-demand-deploy": 0,
-    }
+    """A snapshot with no sites, or of a VO that served nothing, renders
+    without dividing by zero."""
+    zeros = {"local": 0, "group": 0, "super-peer": 0, "on-demand-deploy": 0}
+    assert VOMetrics(taken_at=0.0).resolution_breakdown() == zeros
+    stats = run_record(build_vo(n_sites=2, seed=303, monitors=False))["stats"]
+    assert stats["cache_hit_rate"] == 0.0
+    assert stats["resolution"] == zeros
 
 
 def test_collect_metrics_without_probes():
