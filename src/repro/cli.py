@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro EXPERIMENT [--quick] [--jobs N]
-    python -m repro fig14 [--quick] [--scale]
+    python -m repro fig14 [--quick | --scale]
     python -m repro fig16 [--quick] [--report-out FILE]
     python -m repro all [--quick] [--jobs N]
     python -m repro report [SCENARIO] [--format text|json] [--top N]
@@ -31,7 +31,10 @@ trace-event JSON (gauge series ride along as counter events) / one JSON
 object per line.  ``report experiments`` instead renders the aggregate
 *experiment* report: every shipped table/figure section in one document
 (honours ``--quick`` and ``--jobs``).  The scenario and the four report
-options are refused, with exit status 2, anywhere else.
+options are refused, with exit status 2, anywhere else; so are
+``--scale`` and ``--report-out`` unless a selected experiment declares
+them (``Experiment.scale`` / ``Experiment.report``), and ``--scale``
+with ``--quick``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ from repro.runner import WorkerError
 #: the options only ``report SCENARIO`` reads, flag -> attribute
 _REPORT_OPTIONS = {"--format": "format", "--top": "top",
                    "--chrome-out": "chrome_out", "--jsonl-out": "jsonl_out"}
+
+#: the options only an experiment declaring them reads, flag ->
+#: (attribute, the :class:`Experiment` field that declares it)
+_EXPERIMENT_OPTIONS = {"--scale": ("scale", "scale"),
+                       "--report-out": ("report_out", "report")}
+
+
+def _declaring(declaration: str) -> List[str]:
+    """The experiments that set ``declaration``, in table order."""
+    return [name for name, experiment in EXPERIMENTS.items()
+            if getattr(experiment, declaration) is not None]
 
 
 def _report(args: argparse.Namespace) -> None:
@@ -164,8 +178,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--report-out", metavar="FILE", default=None,
-        help="fig16 (alone or within 'all'): write the rendered "
-             "health/SLO extension report to FILE",
+        help=f"{', '.join(_declaring('report'))} (alone or within 'all'): "
+             "write the experiment's full report to FILE",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -175,8 +189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--scale", action="store_true",
-        help="fig14 only: add the 4096-site point with the sampled "
-             "(extrapolated) broadcast baseline — see EXPERIMENTS.md",
+        help=f"{', '.join(_declaring('scale'))} (alone or within 'all'), "
+             "not with --quick: run the experiment's scale grid in place "
+             "of its full one — see EXPERIMENTS.md",
     )
     parser.add_argument(
         "--error-out", metavar="FILE", default="repro-error.json",
@@ -190,6 +205,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         for flag, attribute in _REPORT_OPTIONS.items():
             if getattr(args, attribute) is not None:
                 parser.error(f"{flag} applies only to 'report SCENARIO'")
+    selected = set(EXPERIMENTS) if args.experiment == "all" else {args.experiment}
+    for flag, (attribute, declaration) in _EXPERIMENT_OPTIONS.items():
+        declaring = _declaring(declaration)
+        if getattr(args, attribute) and not selected & set(declaring):
+            parser.error(f"{flag} applies only to {', '.join(declaring)} "
+                         "(alone or within 'all')")
+    if args.scale and args.quick:
+        parser.error("--scale and --quick exclude each other")
     try:
         COMMANDS[args.experiment](args)
     except WorkerError as error:

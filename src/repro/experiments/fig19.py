@@ -55,7 +55,7 @@ from repro.experiments.workload import (
 )
 from repro.glare.model import DeploymentStatus
 from repro.load import NHPoissonProcess, PoissonProcess, StepRate
-from repro.orchestrate import DeploymentSpec, OrchestrationConfig
+from repro.orchestrate import DeploymentSpec
 from repro.runner import WorkUnit
 from repro.simkernel import entries
 from repro.vo import SITE_PREFIX, VOConfig, build_vo
@@ -100,28 +100,9 @@ SAMPLE_EVERY = 0.5
 # ---------------------------------------------------------------------------
 
 
-def _orchestration_config(community: str, max_replicas: int) -> OrchestrationConfig:
-    """The spec the reconciler drives toward: hot type, bounded fleet."""
-    return OrchestrationConfig(
-        specs=(DeploymentSpec(
-            HOT_TYPE,
-            min_replicas=1,
-            max_replicas=max_replicas,
-            target_utilization=0.6,
-            avoid_sites=(community,),
-        ),),
-        interval=2.0,
-        drain_grace=3.0,
-        scale_in_rounds=2,
-        scale_out_step=1,
-        max_actions_per_round=4,
-        utilization_smoothing=0.5,
-    )
-
-
 def _build_fig19_vo(seed: int, n_sites: int, orchestrated: bool,
                     admission_limit: Optional[int], max_replicas: int):
-    """Identical VO either way; only the orchestration config differs.
+    """Identical VO either way; only the orchestration specs differ.
 
     Lifecycle sweeps run every second so a drained replica is
     garbage-collected within the reconciler's grace window.
@@ -136,10 +117,11 @@ def _build_fig19_vo(seed: int, n_sites: int, orchestrated: bool,
         lifecycle_sweep_interval=1.0,
         admission_limit=admission_limit,
         gram_overhead=0.05,
-        orchestration=(
-            _orchestration_config(community, max_replicas)
-            if orchestrated else None
-        ),
+        # the spec the reconciler drives toward: hot type, bounded fleet
+        orchestration=(DeploymentSpec(
+            HOT_TYPE, min_replicas=1, max_replicas=max_replicas,
+            target_utilization=0.6, avoid_sites=(community,),
+        ),) if orchestrated else (),
     ))
 
 

@@ -46,7 +46,7 @@ class Experiment:
     ``quick``/``full`` are opaque to the engine: whichever applies is
     handed to ``units``.  ``scale`` is the grid ``--scale`` selects in
     place of ``full``, ``report`` the payload ``--report-out`` writes;
-    an experiment that leaves them unset ignores those flags.
+    the CLI refuses those flags unless a selected experiment sets them.
     """
 
     name: str

@@ -4,16 +4,19 @@
 :class:`Violation` per broken clause.  Each site plane's
 ``invariants()`` states the clauses of its own state next to the code
 that keeps it; the cross-site overlay clauses, the network's traffic
-ledger and, once ``vo.stop()`` was called, the shutdown clauses are
-below.  ``build_vo`` enlists each VO in the open :func:`audit_scope`
-(``repro.runner`` opens one per work unit) and retains nothing outside
-one.
+ledger, the reconciler's replica bounds and, once ``vo.stop()`` was
+called, the shutdown clauses are below.  ``build_vo`` enlists each VO
+in the open :func:`audit_scope` (``repro.runner`` opens one per work
+unit) and retains nothing outside one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+from repro.glare.model import DeploymentStatus
+from repro.simkernel.kernel import entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vo import VirtualOrganization
@@ -36,6 +39,8 @@ def audit(vo: "VirtualOrganization") -> List[Violation]:
              for clause, detail in plane.invariants()]
     found += [Violation("overlay", *broken) for broken in _overlay(vo)]
     found += [Violation("network", *broken) for broken in _traffic(vo)]
+    if vo.reconciler is not None:
+        found += [Violation("orchestrate", *broken) for broken in _replicas(vo)]
     if vo.stopped:
         found += [Violation("vo", *broken) for broken in _shutdown(vo)]
     return found
@@ -78,6 +83,25 @@ def _traffic(vo: "VirtualOrganization") -> Clauses:
         yield "traffic-conserved", f"sent {sent} != wire {wire} (bytes, messages)"
     elif received[0] > wire[0] or received[1] > wire[1]:
         yield "traffic-conserved", f"received {received} > wire {wire} (bytes, messages)"
+
+
+def _replicas(vo: "VirtualOrganization") -> Clauses:
+    """Once the reconciler's last round converged, each spec's live
+    replicas lie within its bounds: ACTIVE deployments on online sites
+    whose WSRF termination time is unset (a draining one has it set)."""
+    rounds = entries(vo.sim.journal, "orchestrate", "round")
+    if not rounds or not rounds[-1]["converged"]:
+        return
+    for spec in vo.reconciler.specs:
+        live = sum(
+            1 for stack in vo.stacks.values() if stack.site.online
+            for deployment in stack.adr.local_deployments_for(spec.type_name)
+            if deployment.status == DeploymentStatus.ACTIVE
+            and stack.adr.home.lookup(deployment.key).termination_time is None)
+        if not spec.min_replicas <= live <= spec.max_replicas:
+            yield "replicas-in-bounds", (
+                f"{spec.type_name}: {live} live replicas, bounds "
+                f"[{spec.min_replicas}, {spec.max_replicas}]")
 
 
 def _shutdown(vo: "VirtualOrganization") -> Clauses:

@@ -7,13 +7,12 @@ Service Grid capacity-planner/orchestrator split:
 
 * :mod:`~repro.orchestrate.spec` — the declarative layer: a frozen
   :class:`DeploymentSpec` per activity type (replica bounds, target
-  utilization, placement constraints) and the off-by-default
-  :class:`OrchestrationConfig` that :func:`repro.vo.build_vo` threads
-  through.
+  utilization, placement constraints).  ``VOConfig.orchestration`` is
+  the tuple of them; the default, empty, builds no reconciler.
 * :mod:`~repro.orchestrate.planner` — a *pure* capacity planner: specs
-  + observed site gauges (utilization, load, run-queue depth, shed
-  counts, health states) in, placement plan out.  No simulator access,
-  no randomness, no mutation.
+  + the site gauges the reconciler's probes report (utilization, load,
+  run-queue depth, shed counts) in, placement plan out.  No simulator
+  access, no randomness, no mutation.
 * :mod:`~repro.orchestrate.actuator` — the mechanism boundary: the
   :class:`Actuator` interface over the Deployment Manager's probe /
   install / rollout machinery plus WSRF lifetime control.
@@ -26,7 +25,9 @@ Service Grid capacity-planner/orchestrator split:
   a plan, and actuates the diff — scale-out through ``rollout``,
   scale-in by shortening WSRF resource lifetimes so the per-site
   :class:`~repro.wsrf.lifetime.LifetimeManager` garbage-collects
-  drained replicas.
+  drained replicas.  A site that does not answer its probe drops out of
+  the observation, so the loop plans only from what it observes, the
+  same with observability on or off.
 
 Policy/mechanism split: the reconciler is the **only writer** of
 desired state (``SiteAgent.desired_state``, replicated via
@@ -44,14 +45,13 @@ from repro.orchestrate.planner import (
     TypePlan,
 )
 from repro.orchestrate.reconciler import Reconciler
-from repro.orchestrate.spec import DeploymentSpec, DesiredState, OrchestrationConfig
+from repro.orchestrate.spec import DeploymentSpec, DesiredState
 
 __all__ = [
     "Actuator",
     "DeploymentSpec",
     "DesiredState",
     "Observed",
-    "OrchestrationConfig",
     "Plan",
     "Planner",
     "RdmActuator",

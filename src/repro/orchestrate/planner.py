@@ -1,13 +1,14 @@
 """The pure capacity planner.
 
-``Planner.plan(specs, observed)`` maps declared desired state plus one
+``Planner().plan(specs, observed)`` maps declared desired state plus one
 round of observations to a placement plan.  It is deliberately a pure
 function: no simulator handle, no randomness, no mutation of its
 inputs, deterministic tie-breaking everywhere — so the same gauges
 always yield the same plan (unit-tested as a property), and a plan can
 be recomputed after a super-peer takeover from replicated state alone.
 
-Signals per managed type:
+It plans only from what the reconciler's own probes report.  Signals
+per managed type:
 
 * **pressure** — mean utilization (busy slots / capacity) over the
   type's current replica sites, as smoothed by the reconciler; no
@@ -15,14 +16,15 @@ Signals per managed type:
 * **shed** — admission-control sheds on replica sites since the last
   round; any shedding forces scale-out even below the utilization
   threshold (the queue is already overflowing).
-* **health** — sites reported ``down`` (and, by default, ``degraded``)
-  by the health plane are never planned *onto*, and replicas already
-  there are planned *off*, which is how the loop routes around
-  fault-plane crashes.
+* **presence** — a site that did not answer its probe (crashed, or
+  churned out) is missing from the observation, so its replicas do not
+  count and the type is topped back up elsewhere.
 
 Scale-out targets are the least-loaded eligible sites; scale-in drains
-from the lexicographic tail of the healthy placement set, so the
-longest-prefix sites (the original replicas) are the stable core.
+from the lexicographic tail of the eligible placement set, so the
+longest-prefix sites (the original replicas) are the stable core.  A
+replica on a site the spec no longer admits is drained only while the
+placements left still reach ``min_replicas``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.health import DEGRADED, DOWN, HEALTHY
-from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+from repro.orchestrate.spec import DeploymentSpec
 from repro.site.description import SiteDescription
 
 __all__ = ["Observed", "Plan", "Planner", "SiteObservation", "TypePlan"]
+
+#: replicas added per overloaded type per round
+SCALE_OUT_STEP = 1
+#: scale-in hysteresis: a replica drains only when mean utilization
+#: sits below this fraction of the spec's ``target_utilization``
+LOW_WATER_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,6 @@ class SiteObservation:
     run_queue: int = 0
     #: admission sheds on this site since the previous round (delta)
     shed: int = 0
-    #: health-plane node state (``healthy``/``degraded``/``down``/...)
-    health: str = HEALTHY
     #: probed static attributes for placement-constraint matching
     description: Optional[SiteDescription] = None
 
@@ -106,22 +111,16 @@ class Plan:
 class Planner:
     """Pure spec + gauges → plan mapping (see module docstring)."""
 
-    def __init__(self, config: Optional[OrchestrationConfig] = None) -> None:
-        self.config = config if config is not None else OrchestrationConfig()
-
     # -- eligibility -------------------------------------------------------
 
     def _eligible(self, spec: DeploymentSpec,
                   observed: Observed) -> List[SiteObservation]:
         """Sites this type may be placed on, in observation order."""
-        bad_states = {DOWN}
-        if self.config.avoid_degraded:
-            bad_states.add(DEGRADED)
         avoid = set(spec.avoid_sites)
         constraints = spec.constraints_map
         out: List[SiteObservation] = []
         for obs in observed.sites:
-            if obs.site in avoid or obs.health in bad_states:
+            if obs.site in avoid:
                 continue
             if constraints:
                 if obs.description is None:
@@ -143,13 +142,11 @@ class Planner:
 
     def _plan_type(self, spec: DeploymentSpec, observed: Observed,
                    by_site: Dict[str, SiteObservation]) -> TypePlan:
-        cfg = self.config
         eligible = self._eligible(spec, observed)
         eligible_names = {o.site for o in eligible}
         current = sorted(
             s for s in observed.placements.get(spec.type_name, ()) if s in by_site
         )
-        #: placements on now-ineligible sites are always planned off
         keep = [s for s in current if s in eligible_names]
         routed_off = [s for s in current if s not in eligible_names]
 
@@ -162,13 +159,11 @@ class Planner:
         if not current:
             desired, reason = spec.min_replicas, "bootstrap"
         elif pressure > spec.target_utilization or shed > 0:
-            desired, reason = desired + cfg.scale_out_step, "scale-out"
-        elif (pressure < cfg.low_water_fraction * spec.target_utilization
+            desired, reason = desired + SCALE_OUT_STEP, "scale-out"
+        elif (pressure < LOW_WATER_FRACTION * spec.target_utilization
                 and shed == 0):
             desired, reason = desired - 1, "scale-in"
         desired = max(spec.min_replicas, min(spec.max_replicas, desired))
-        if routed_off and reason == "steady":
-            reason = "route-around"
 
         # scale-out: least-loaded eligible sites not already placed
         candidates = sorted(
@@ -179,13 +174,19 @@ class Planner:
         while len(keep) + len(add) < desired and candidates:
             add.append(candidates.pop(0).site)
 
-        # scale-in: drain the lexicographic tail of the healthy set so
+        # scale-in: drain the lexicographic tail of the eligible set so
         # the longest-standing (lowest-named) replicas stay put
-        remove = list(routed_off)
         surplus = sorted(keep)[desired:] if len(keep) > desired else []
-        remove.extend(surplus)
+        # an ineligible replica drains only while the placements left
+        # still reach min_replicas; the lowest-named ones stay first
+        left = len(keep) - len(surplus) + len(add)
+        stay = routed_off[:max(0, spec.min_replicas - left)]
+        routed_off = routed_off[len(stay):]
+        if routed_off and reason == "steady":
+            reason = "route-around"
+        remove = routed_off + surplus
         placements = tuple(sorted(
-            [s for s in keep if s not in set(surplus)] + add
+            [s for s in keep if s not in set(surplus)] + add + stay
         ))
         if desired != len(current) and not add and not surplus:
             reason = "steady"  # nothing actionable (e.g. no eligible site)

@@ -21,8 +21,11 @@ re-deliveries after a super-peer takeover are idempotent) and nothing
 else in the system mutates ``SiteAgent.desired_state``.
 
 Scale-in is additionally damped: a type must be proposed for scale-in
-``scale_in_rounds`` rounds in a row before a replica is actually
+:data:`SCALE_IN_ROUNDS` rounds in a row before a replica is actually
 drained, so one quiet sample between bursts does not thrash installs.
+
+The loop's settings are the module constants below, each at the one
+value fig19 runs it with; the specs are all a caller declares.
 
 Every round and every actuation is an ``orchestrate`` entry of the
 simulator's journal (``round``, ``install``, ``drain``);
@@ -33,16 +36,29 @@ orchestration run fingerprintable for the determinism gates.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.load.stats import CommutativeDigest
 from repro.orchestrate.actuator import Actuator, RdmActuator
 from repro.orchestrate.planner import Observed, Plan, Planner, SiteObservation
-from repro.orchestrate.spec import DesiredState, OrchestrationConfig
+from repro.orchestrate.spec import DeploymentSpec, DesiredState
 from repro.simkernel.kernel import entries
 from repro.simkernel.primitives import Periodic
 
 __all__ = ["Reconciler"]
+
+#: reconcile cadence (seconds between observe → plan → actuate rounds)
+INTERVAL = 2.0
+#: extra lifetime granted to a drained replica before the WSRF sweep
+#: garbage-collects it (lets in-flight requests finish)
+DRAIN_GRACE = 3.0
+#: consecutive scale-in proposals required before a replica drains
+SCALE_IN_ROUNDS = 2
+#: bound on actuations per round (installs are expensive; the loop
+#: converges over several rounds rather than thundering)
+MAX_ACTIONS_PER_ROUND = 4
+#: EWMA factor of the per-site utilization signal (1.0 = raw samples)
+UTILIZATION_SMOOTHING = 0.5
 
 
 def _action(entry: Dict) -> str:
@@ -58,20 +74,21 @@ class Reconciler(Periodic):
     def __init__(
         self,
         rdm,
-        config: OrchestrationConfig,
+        specs: Sequence[DeploymentSpec],
         actuator: Optional[Actuator] = None,
-        health=None,
     ) -> None:
-        if not config.any_enabled:
+        names = [spec.type_name for spec in specs]
+        if not names:
             raise ValueError("reconciler needs at least one deployment spec")
+        if len(names) != len(set(names)):
+            raise ValueError("duplicate type in orchestration specs")
         super().__init__(
-            rdm.sim, config.interval, self.reconcile_once, "orchestrate-reconciler"
+            rdm.sim, INTERVAL, self.reconcile_once, "orchestrate-reconciler"
         )
         self.rdm = rdm
-        self.config = config
+        self.specs = tuple(specs)
         self.actuator = actuator if actuator is not None else RdmActuator(rdm)
-        self.health = health
-        self.planner = Planner(config)
+        self.planner = Planner()
         #: observed divergence → convergence durations (simulated s)
         self.convergence_times: List[float] = []
         self._smoothed: Dict[str, float] = {}
@@ -85,7 +102,7 @@ class Reconciler(Periodic):
 
     @property
     def managed_types(self) -> List[str]:
-        return sorted(spec.type_name for spec in self.config.specs)
+        return sorted(spec.type_name for spec in self.specs)
 
     # -- one round ---------------------------------------------------------
 
@@ -94,7 +111,7 @@ class Reconciler(Periodic):
         if not self._spec_applied:
             state = DesiredState(
                 revision=1,
-                specs={s.type_name: s for s in self.config.specs},
+                specs={s.type_name: s for s in self.specs},
             )
             yield from self.actuator.apply_spec(state)
             self._spec_applied = True
@@ -103,7 +120,7 @@ class Reconciler(Periodic):
         names = sorted(names)
         descriptions = yield from self.actuator.probe(names)
         observed = yield from self._observe(names, descriptions)
-        plan = self.planner.plan(list(self.config.specs), observed)
+        plan = self.planner.plan(self.specs, observed)
         actions = yield from self._actuate(plan, observed)
         self._track_convergence(plan)
 
@@ -119,7 +136,6 @@ class Reconciler(Periodic):
         return plan
 
     def _observe(self, names: List[str], descriptions: Dict) -> Generator:
-        cfg = self.config
         managed = self.managed_types
         sites: List[SiteObservation] = []
         placements: Dict[str, List[str]] = {t: [] for t in managed}
@@ -134,22 +150,18 @@ class Reconciler(Periodic):
                 continue
             raw = float(report.get("utilization", 0.0))
             prev = self._smoothed.get(name, raw)
-            alpha = cfg.utilization_smoothing
-            smoothed = alpha * raw + (1.0 - alpha) * prev
+            smoothed = (UTILIZATION_SMOOTHING * raw
+                        + (1.0 - UTILIZATION_SMOOTHING) * prev)
             self._smoothed[name] = smoothed
             shed_total = sum(report.get("shed_by_op", {}).values())
             shed_delta = max(0, shed_total - self._shed_totals.get(name, 0))
             self._shed_totals[name] = shed_total
-            health = (
-                self.health.node_state(name) if self.health is not None else "healthy"
-            )
             sites.append(SiteObservation(
                 site=name,
                 utilization=smoothed,
                 load=float(report.get("load", 0.0)),
                 run_queue=int(report.get("run_queue", 0)),
                 shed=shed_delta,
-                health=health,
                 description=descriptions.get(name),
             ))
             for type_name, keys in report.get("deployments", {}).items():
@@ -158,7 +170,7 @@ class Reconciler(Periodic):
                 pair = (type_name, name)
                 deadline = self._draining.get(pair)
                 if deadline is not None:
-                    if now <= deadline + cfg.interval:
+                    if now <= deadline + INTERVAL:
                         continue  # draining; the sweep will collect it
                     self._draining.pop(pair)  # overdue: treat as live again
                 placements[type_name].append(name)
@@ -175,15 +187,14 @@ class Reconciler(Periodic):
         )
 
     def _actuate(self, plan: Plan, observed: Observed) -> Generator:
-        cfg = self.config
-        budget = cfg.max_actions_per_round
+        budget = MAX_ACTIONS_PER_ROUND
         actions: List[str] = []
         for tp in plan.types:
             # scale-in damping: drain only after N consecutive proposals
             if tp.reason == "scale-in":
                 streak = self._scale_in_streak.get(tp.type_name, 0) + 1
                 self._scale_in_streak[tp.type_name] = streak
-                if streak < cfg.scale_in_rounds:
+                if streak < SCALE_IN_ROUNDS:
                     continue
             else:
                 self._scale_in_streak[tp.type_name] = 0
@@ -204,7 +215,7 @@ class Reconciler(Periodic):
                 if pair in self._draining:
                     continue  # already on its way out
                 keys = self._deployment_keys.get(pair, [])
-                deadline = self.sim.now + cfg.drain_grace
+                deadline = self.sim.now + DRAIN_GRACE
                 drained = False
                 for key in keys:
                     ok = yield from self.actuator.set_lifetime(site, key, deadline)

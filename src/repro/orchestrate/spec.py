@@ -9,11 +9,8 @@ dicts (``to_wire``/``from_wire``) because the reconciler replicates
 them to RDM services via ``op_apply_spec`` — desired state must survive
 a super-peer takeover, so it travels like any other registry content.
 
-:class:`OrchestrationConfig` mirrors the repo's other opt-in configs
-(:class:`~repro.glare.provisioning.ProvisioningConfig` and friends):
-the default instance carries no specs and is inert, and an absent /
-inert config leaves every determinism fingerprint byte-identical to
-the pre-orchestration baseline.
+``VOConfig.orchestration`` is the tuple of specs to manage; the
+default, an empty tuple, builds no reconciler at all.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
-__all__ = ["DeploymentSpec", "DesiredState", "OrchestrationConfig"]
+__all__ = ["DeploymentSpec", "DesiredState"]
 
 
 @dataclass(frozen=True)
@@ -110,59 +107,3 @@ class DesiredState:
             "specs": [self.specs[name].to_wire() for name in sorted(self.specs)],
         }
 
-
-@dataclass(frozen=True)
-class OrchestrationConfig:
-    """Opt-in switches for the desired-state control loop.
-
-    Mirrors :class:`~repro.glare.provisioning.ProvisioningConfig`: the
-    default instance is inert (no specs, :attr:`any_enabled` false) and
-    ``build_vo(orchestration=None)`` — the default — builds a VO with
-    no reconciler at all, keeping every determinism fingerprint
-    byte-identical to the baseline.
-    """
-
-    #: the managed activity types; empty = orchestration off
-    specs: Tuple[DeploymentSpec, ...] = ()
-    #: reconcile cadence (seconds between observe→plan→actuate rounds)
-    interval: float = 5.0
-    #: extra lifetime granted to a drained replica before the WSRF
-    #: sweep garbage-collects it (lets in-flight requests finish)
-    drain_grace: float = 5.0
-    #: scale-in hysteresis: replicas drain only when mean utilization
-    #: sits below ``low_water_fraction * target_utilization``
-    low_water_fraction: float = 0.5
-    #: consecutive idle planning rounds required before a scale-in is
-    #: actuated (damps single-sample utilization blips)
-    scale_in_rounds: int = 2
-    #: replicas added per overloaded type per round
-    scale_out_step: int = 1
-    #: bound on actuations per round (installs are expensive; the loop
-    #: converges over several rounds rather than thundering)
-    max_actions_per_round: int = 4
-    #: exponential smoothing factor for the per-site utilization signal
-    #: (1.0 = raw instantaneous samples)
-    utilization_smoothing: float = 0.5
-    #: skip degraded (not just down) sites during placement
-    avoid_degraded: bool = True
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("reconcile interval must be positive")
-        if self.drain_grace < 0:
-            raise ValueError("drain_grace must be >= 0")
-        if not 0.0 < self.utilization_smoothing <= 1.0:
-            raise ValueError("utilization_smoothing must be in (0, 1]")
-        if self.scale_in_rounds < 1:
-            raise ValueError("scale_in_rounds must be >= 1")
-        if self.scale_out_step < 1:
-            raise ValueError("scale_out_step must be >= 1")
-        if self.max_actions_per_round < 1:
-            raise ValueError("max_actions_per_round must be >= 1")
-        names = [spec.type_name for spec in self.specs]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate type in orchestration specs")
-
-    @property
-    def any_enabled(self) -> bool:
-        return bool(self.specs)

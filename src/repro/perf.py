@@ -504,22 +504,24 @@ def _planner_fingerprint(seed: int = 43) -> Dict[str, Any]:
     planner over a grid of synthetic worlds, which no experiment runs
     alone.
 
-    No simulator at all: every (utilization level, shed level, health
-    mix, placement count) cell is planned once and its TypePlan folded
-    into one sha256.  Catches policy drift — threshold comparisons,
-    tie-breaking, clamping — independently of the simulation around it.
+    No simulator at all: every (utilization level, shed level, site
+    missing from the observation, placement count) cell is planned once
+    and its TypePlan folded into one sha256.  A missing site is how the
+    reconciler sees a crashed one.  Catches policy drift — threshold
+    comparisons, tie-breaking, clamping — independently of the
+    simulation around it.
     """
     from repro.orchestrate.planner import Observed, Planner, SiteObservation
-    from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+    from repro.orchestrate.spec import DeploymentSpec
 
-    planner = Planner(OrchestrationConfig())
+    planner = Planner()
     spec = DeploymentSpec(type_name="T", min_replicas=1, max_replicas=3,
                           target_utilization=0.6)
     digest = hashlib.sha256(f"planner|{seed}".encode())
     site_names = ("a", "b", "c", "d")
     for busy in (0.05, 0.3, 0.65, 0.95):
         for shed in (0, 5):
-            for bad in ("", "a", "d"):
+            for missing in ("", "a", "d"):
                 for n_placed in (0, 1, 2, 4):
                     sites = tuple(
                         SiteObservation(
@@ -528,9 +530,9 @@ def _planner_fingerprint(seed: int = 43) -> Dict[str, Any]:
                             load=busy * 4.0,
                             run_queue=index,
                             shed=shed if index == 0 else 0,
-                            health="down" if name == bad else "healthy",
                         )
                         for index, name in enumerate(site_names)
+                        if name != missing
                     )
                     observed = Observed(
                         sites=sites,
@@ -538,7 +540,7 @@ def _planner_fingerprint(seed: int = 43) -> Dict[str, Any]:
                     )
                     tp = planner.plan([spec], observed).types[0]
                     digest.update(
-                        f"{busy}|{shed}|{bad}|{n_placed}=>"
+                        f"{busy}|{shed}|{missing}|{n_placed}=>"
                         f"{tp.desired}|{tp.placements}|{tp.add}|{tp.remove}"
                         f"|{tp.reason};".encode()
                     )

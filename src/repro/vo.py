@@ -36,7 +36,7 @@ from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
 from repro.orchestrate.agent import SiteAgent
-from repro.orchestrate.spec import OrchestrationConfig
+from repro.orchestrate.spec import DeploymentSpec
 from repro.simkernel import Simulator
 from repro.site.description import SiteDescription
 from repro.site.gridsite import GridSite
@@ -94,9 +94,9 @@ class VOConfig:
     #: admission bound on each RDM frontend (``None`` = unbounded;
     #: excess concurrent requests are shed with ``Overloaded``)
     admission_limit: Optional[int] = None
-    #: desired-state orchestration (``None`` or a spec-less config =
-    #: no reconciler process at all — byte-identical baseline behaviour)
-    orchestration: Optional["OrchestrationConfig"] = None
+    #: desired-state orchestration: the activity types one reconciler
+    #: keeps within their replica bounds (empty = no reconciler process)
+    orchestration: Tuple[DeploymentSpec, ...] = ()
     #: WSRF expiry-sweep cadence of each site's LifecycleController
     #: (orchestration experiments shorten it so drained replicas are
     #: garbage-collected within a reconcile interval or two)
@@ -150,7 +150,7 @@ class VirtualOrganization:
         self.stacks: Dict[str, SiteStack] = {}
         self.community_site: str = ""
         self.origin: Optional[GridSite] = None
-        #: desired-state reconciler (orchestration config only)
+        #: desired-state reconciler (orchestration specs only)
         self.reconciler = None
         #: set by :meth:`stop`: the audit's shutdown clauses now apply
         self.stopped = False
@@ -358,19 +358,14 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         vo.obs.slo.start()
 
     # Desired-state orchestration: one reconciler process on the
-    # community site, driving the VO toward the declared specs.  The
-    # health plane (when enabled) feeds degraded/down states into
-    # placement.  Off by default — no config, no process, no events.
-    if config.orchestration is not None and config.orchestration.any_enabled:
-        from repro.orchestrate import RdmActuator, Reconciler
+    # community site, driving the VO toward the declared specs from
+    # its own probes alone, so observability cannot steer it.  Off by
+    # default — no specs, no process, no events.
+    if config.orchestration:
+        from repro.orchestrate import Reconciler
 
-        community_rdm = vo.stacks[vo.community_site].rdm
         vo.reconciler = Reconciler(
-            community_rdm,
-            config.orchestration,
-            actuator=RdmActuator(community_rdm),
-            health=vo.obs.health,
-        )
+            vo.stacks[vo.community_site].rdm, config.orchestration)
         vo.reconciler.start()
 
     # Fault plane: spawn the crash/churn schedules (no-op when disabled).

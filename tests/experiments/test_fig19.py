@@ -6,8 +6,11 @@ replicas; the static twin of the same seeded workload must not move;
 double runs must be digest-identical.
 """
 
+import dataclasses
+
 import pytest
 
+import repro.experiments.fig19 as fig19
 from repro.experiments.fig19 import (
     EXPERIMENT,
     Fig19Flash,
@@ -59,6 +62,17 @@ class TestOrchestratedSeries:
         again = run_fig19_flash(orchestrated=True, **TINY)
         assert again.result_digest == orchestrated.result_digest
         assert again.replica_series == orchestrated.replica_series
+
+    def test_observability_does_not_steer_the_reconciler(self, orchestrated,
+                                                         monkeypatch):
+        """The reconciler plans from its own probes, so tracing, metrics
+        and the health registry leave what is simulated untouched."""
+        build_vo = fig19.build_vo
+        monkeypatch.setattr(fig19, "build_vo", lambda config: build_vo(
+            dataclasses.replace(config, observability=True)))
+        observed = run_fig19_flash(orchestrated=True, **TINY)
+        assert observed.result_digest == orchestrated.result_digest
+        assert observed.installs == orchestrated.installs
 
 
 class TestStaticSeries:

@@ -6,6 +6,7 @@ the aggregate report and the serial-vs-fanned digest check alike.
 """
 
 import copy
+import dataclasses
 import inspect
 
 import pytest
@@ -81,6 +82,35 @@ class TestCliReadsTheTable:
         out = capsys.readouterr().out
         assert all(f"=== {name} " in out and f"<{name}>" in out
                    for name in EXPERIMENTS)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["table1", "--quick", "--report-out", "r.txt"], "--report-out"),
+        (["table1", "--scale"], "--scale"),
+        (["fig14", "--quick", "--scale"], "--quick"),
+    ])
+    def test_an_option_no_selected_entry_reads_exits_2(self, argv, named,
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never reached
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_scale_follows_the_declarations(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(name, **kwargs):
+            seen.append((name, kwargs["scale"]))
+            return ExperimentRun(name, {}, "", "")
+
+        monkeypatch.setattr(cli, "run_experiment", stub)
+        assert cli.main(["fig14", "--scale", "--jobs", "4"]) == 0
+        assert seen == [("fig14", True)]
+        monkeypatch.setitem(EXPERIMENTS, "fig14", dataclasses.replace(
+            EXPERIMENTS["fig14"], scale=None))
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["fig14", "--scale"])
+        assert raised.value.code == 2
 
     def test_one_command_per_entry_plus_all_plus_views(self):
         assert list(cli.COMMANDS) == list(EXPERIMENTS) + ["all", "report"]

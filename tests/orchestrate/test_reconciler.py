@@ -9,9 +9,11 @@ draining bookkeeping, convergence tracking, shutdown hygiene).
 
 import math
 
+import pytest
+
 from repro.orchestrate.actuator import Actuator
-from repro.orchestrate.reconciler import Reconciler
-from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+from repro.orchestrate.reconciler import DRAIN_GRACE, INTERVAL, Reconciler
+from repro.orchestrate.spec import DeploymentSpec
 from repro.simkernel import Simulator, entries
 
 
@@ -97,14 +99,8 @@ def report(utilization=0.1, shed_total=0, deployments=None):
     }
 
 
-CFG = OrchestrationConfig(
-    specs=(DeploymentSpec(type_name="Hot", min_replicas=1, max_replicas=3,
-                          target_utilization=0.6),),
-    interval=2.0,
-    drain_grace=1.0,
-    scale_in_rounds=2,
-    utilization_smoothing=1.0,  # raw samples: no EWMA lag in tests
-)
+SPECS = (DeploymentSpec(type_name="Hot", min_replicas=1, max_replicas=3,
+                        target_utilization=0.6),)
 
 
 def drive_rounds(reconciler, n):
@@ -115,17 +111,17 @@ def drive_rounds(reconciler, n):
         for _ in range(n):
             plan = yield from reconciler.reconcile_once()
             plans.append(plan)
-            yield reconciler.sim.timeout(CFG.interval)
+            yield reconciler.sim.timeout(INTERVAL)
 
     reconciler.sim.process(driver(), name="test-driver")
     reconciler.sim.run()
     return plans
 
 
-def build(script, config=CFG):
+def build(script):
     sim = Simulator()
     actuator = ScriptedActuator(script)
-    reconciler = Reconciler(FakeRdm(sim), config, actuator=actuator)
+    reconciler = Reconciler(FakeRdm(sim), SPECS, actuator=actuator)
     # the fake advances its script in lockstep with the driver
     original = reconciler.reconcile_once
 
@@ -142,6 +138,12 @@ BOOT = {"a": report(deployments={"Hot": ["a:hot-bin"]}), "b": report()}
 
 
 class TestSpecReplication:
+    def test_specs_must_name_distinct_types(self):
+        sim = Simulator()
+        for specs in ((), SPECS + SPECS):
+            with pytest.raises(ValueError):
+                Reconciler(FakeRdm(sim), specs, actuator=ScriptedActuator([BOOT]))
+
     def test_first_round_applies_revision_one_once(self):
         sim, actuator, reconciler = build([BOOT])
         drive_rounds(reconciler, 3)
@@ -213,7 +215,7 @@ class TestScaleIn:
         drive_rounds(reconciler, 2)
         (site, key, when) = actuator.drained[0]
         assert key == "b:hot-bin"
-        assert when == sim.now - CFG.interval + CFG.drain_grace
+        assert when == sim.now - INTERVAL + DRAIN_GRACE
 
     def test_draining_pair_not_double_drained(self):
         quiet = {
@@ -250,7 +252,7 @@ class TestConvergenceAndDigest:
         }]
         sim, actuator, reconciler = build(script)
         drive_rounds(reconciler, 2)
-        assert reconciler.convergence_times == [CFG.interval]
+        assert reconciler.convergence_times == [INTERVAL]
         rounds = entries(sim.journal, "orchestrate", "round")
         assert [r["converged"] for r in rounds] == [False, True]
 
@@ -300,7 +302,7 @@ class TestLifecycle:
     def test_stop_leaves_no_standing_agenda_entry(self):
         sim, actuator, reconciler = build([BOOT])
         reconciler.start()
-        sim.run(until=CFG.interval * 2.5)
+        sim.run(until=INTERVAL * 2.5)
         assert entries(sim.journal, "orchestrate", "round")  # the loop did run
         reconciler.stop()
         reconciler.stop()  # idempotent
@@ -311,5 +313,5 @@ class TestLifecycle:
         sim, actuator, reconciler = build([BOOT])
         reconciler.start()
         reconciler.start()
-        sim.run(until=CFG.interval * 2.5)
+        sim.run(until=INTERVAL * 2.5)
         assert len(entries(sim.journal, "orchestrate", "round")) == 2  # one loop

@@ -6,6 +6,7 @@ that ``(plane, clause)`` — so a clause that stops firing, or one that
 fires for its neighbour's fault, fails here.
 """
 
+import dataclasses
 import gc
 import re
 import types
@@ -17,10 +18,16 @@ import pytest
 import repro
 from repro.experiments.harness import Experiment, run_experiment
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.workload import plain_type_xml, register_served_type
+from repro.experiments.workload import (
+    active_deployment,
+    placed,
+    plain_type_xml,
+    register_served_type,
+)
 from repro.glare.registry import ActivityDeploymentRegistry
 from repro.glare.superpeer import MemberInfo
 from repro.invariants import audit, audit_scope
+from repro.orchestrate import DeploymentSpec, Reconciler
 from repro.runner import WorkerError, WorkUnit
 from repro.vo import build_vo
 from repro.wsrf import WSResource
@@ -64,6 +71,19 @@ def leave_a_stale_replica(vo):
     vo.publish_archive("http://origin/archives/a.tgz", 10)
     vo.url_catalog.add_replica("http://origin/archives/a.tgz", "agrid01",
                                "/scratch/a.tgz")
+
+
+def register_past_max_replicas(vo):
+    """A reconciler converged on Inv at max_replicas=1; a second ACTIVE
+    registration then lands beside the first."""
+    vo.reconciler = Reconciler(vo.rdm(vo.community_site),
+                               (DeploymentSpec("Inv", max_replicas=1),))
+    assert vo.run_process(vo.reconciler.reconcile_once()).converged
+    assert audit(vo) == []
+    spare = dataclasses.replace(active_deployment("Inv", "agrid01"),
+                                name="inv-spare", path=f"{BINARY}-spare")
+    vo.run_process(vo.client_call("agrid01", "register_deployment",
+                                  payload={"xml": placed(vo, spare).wire_xml()}))
 
 
 ATR, ADR = "activity-type-registry", "activity-deployment-registry"
@@ -114,6 +134,7 @@ STATE_CASES = [
     ("network", "traffic-conserved",
      lambda vo: setattr(vo.network.node("agrid01"), "bytes_out",
                         vo.network.node("agrid01").bytes_out + 1)),
+    ("orchestrate", "replicas-in-bounds", register_past_max_replicas),
 ]
 
 #: (clause, doctor) applied after ``vo.stop(); vo.sim.run()``

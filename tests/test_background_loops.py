@@ -14,7 +14,7 @@ from repro.invariants import audit
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.slo import SLOEngine, SLOSpec
-from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+from repro.orchestrate.spec import DeploymentSpec
 from repro.simkernel import CPU, LoadAverage, Simulator, entries
 from repro.vo import VOConfig, build_vo
 from repro.wsrf import LifetimeManager, ServiceGroup
@@ -160,14 +160,10 @@ def test_orchestration_under_churn_with_observability_stops_clean():
         n_sites=5, seed=19, monitors=False, lifecycle=True,
         lifecycle_sweep_interval=1.0, gram_overhead=0.05, observability=True,
         faults=FaultsConfig(churn_times=(4.0, 14.0), churn_downtime=6.0),
-        orchestration=OrchestrationConfig(
-            specs=(DeploymentSpec(
-                "Hot", min_replicas=3, max_replicas=4, target_utilization=0.6,
-                avoid_sites=("agrid00",),
-            ),),
-            interval=2.0, drain_grace=3.0, scale_in_rounds=2, scale_out_step=1,
-            max_actions_per_round=4, utilization_smoothing=0.5,
-        ),
+        orchestration=(DeploymentSpec(
+            "Hot", min_replicas=3, max_replicas=4, target_utilization=0.6,
+            avoid_sites=("agrid00",),
+        ),),
     ))
     vo.faults.churn_selector = lambda: "agrid02"
     type_xml = publish_installable_type(
