@@ -32,7 +32,7 @@ def main() -> None:
     group_members = [m for m in groups[victim] if m != victim]
     print(f"\nCrashing super-peer {victim!r} "
           f"(group members: {group_members})")
-    vo.stack(victim).site.fail()
+    vo.faults.crash(victim)
 
     # Members probe their super-peer periodically; give the protocol
     # time to detect, verify by majority, and re-elect.
@@ -74,7 +74,7 @@ def main() -> None:
 
     # Bring the old super-peer back: it rejoins as a plain site; the
     # community index will fold it into the next election round.
-    vo.stack(victim).site.recover()
+    vo.faults.restart(victim)
     print(f"{victim} recovered (will rejoin at the next election round)")
 
 

@@ -35,7 +35,7 @@ one takeover with the detector on and none with it off.
 The SLO extension runs the same pair with :data:`FIG16_SLOS` declared,
 on a churn schedule spaced so every incident can close before the next
 crash (the sequential crash↔alert pairing in
-:func:`~repro.obs.health.detection_timeline` needs quiet gaps; the
+:func:`~repro.obs.slo.detection_timeline` needs quiet gaps; the
 digest-pinned schedule above is left untouched).  Its acceptance is
 that every scheduled crash is *detected* — the attempt-level burn-rate
 alert fires after each one, in both series — that the call-level
@@ -71,8 +71,7 @@ from repro.faults import FaultsConfig
 from repro.glare.errors import GlareError
 from repro.net.interceptors import RetryPolicy
 from repro.obs import Observability
-from repro.obs.health import detection_timeline
-from repro.obs.slo import CALL, BurnRateRule, SLOSpec
+from repro.obs.slo import CALL, BurnRateRule, SLOSpec, detection_timeline
 from repro.runner import WorkUnit
 from repro.simkernel import entries
 from repro.vo import build_vo
@@ -214,10 +213,10 @@ def run_fig16_point(
 ) -> Fig16Point:
     """One series: the full workload under the churn schedule.
 
-    With ``slos`` the VO carries the SLO engine + health registry and
-    the returned point additionally reports burn-rate alerts, per-crash
-    detection latencies (MTTD), incident repair times (MTTR) and the
-    error-budget verdicts.  The default (no SLOs) is the churn pair,
+    With ``slos`` the VO carries the SLO engine and the returned point
+    additionally reports burn-rate alerts, per-crash detection
+    latencies (MTTD), incident repair times (MTTR) and the error-budget
+    verdicts.  The default (no SLOs) is the churn pair,
     which both grids run at this full size.
     """
     vo = build_vo(

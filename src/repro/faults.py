@@ -7,8 +7,10 @@ the reproduction could only inject GridFTP transfer failures through a
 service-private knob; every other failure mode meant hand-editing a
 test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
 
-* **node crash/restart schedules** — take whole sites offline at fixed
-  times (or via selector-driven churn rounds) and bring them back;
+* **node crash/restart** — :meth:`FaultPlane.crash` and
+  :meth:`FaultPlane.restart` are the one way a site's liveness changes
+  (each flips the node and journals it); fixed schedules and
+  selector-driven churn rounds call them;
 * **link loss and partition windows** — per-call drops and time-boxed
   network splits, drawn first thing in the transport stage
   (:meth:`~repro.net.network.Network._transport`);
@@ -125,8 +127,9 @@ class FaultPlane:
 
     Always present on the :class:`~repro.net.network.Network` (like the
     observability bundle); disabled unless built with a non-empty
-    :class:`FaultsConfig`.  :meth:`start` spawns the crash/churn
-    processes; the per-call hooks (:meth:`link_fault`,
+    :class:`FaultsConfig`.  :meth:`crash` / :meth:`restart` work on any
+    network, enabled or not; :meth:`start` spawns the crash/churn
+    schedules that call them; the per-call hooks (:meth:`link_fault`,
     :meth:`service_fault`, :meth:`transfer_fault`) are invoked by the
     RPC pipeline and GridFTP.
     """
@@ -141,7 +144,6 @@ class FaultPlane:
         #: the sites churn may crash (set by :meth:`start`): VO members,
         #: never the origin download host
         self._members: Tuple[str, ...] = ()
-        self.crashes_induced = 0
         self.link_faults_injected = 0
         self.service_errors_injected = 0
         self.transfer_faults_injected = 0
@@ -173,34 +175,43 @@ class FaultPlane:
         if self.config.churn_times:
             self.sim.process(self._churn_proc(), name="fault:churn")
 
+    def crash(self, site: Optional[str]) -> bool:
+        """Take ``site`` offline and journal the ``crash``.
+
+        A crash of no site (``None``) or of one already down is skipped:
+        journaled as ``crash-skip`` and ``False`` returned, so its caller
+        schedules no restart that would revive a site a later crash
+        still holds down.
+        """
+        node = None if site is None else self.network.node(site)
+        if node is None or not node.online:
+            self.sim.note("faults", "crash-skip", site=site)
+            return False
+        node.online = False
+        self.sim.note("faults", "crash", site=site)
+        return True
+
+    def restart(self, site: str) -> None:
+        """Bring ``site`` back online and journal the ``restart``."""
+        self.network.node(site).online = True
+        self.sim.note("faults", "restart", site=site)
+
     def _crash_proc(self, site: str, at: float, down_for: Optional[float]):
         if at > self.sim.now:
             yield self.sim.timeout(at - self.sim.now)
         yield from self._down_up(site, down_for)
 
-    def _down_up(self, site: str, down_for: Optional[float]):
-        health = self.network.health
-        self.network.set_online(site, False)
-        self.crashes_induced += 1
-        self.sim.note("faults", "crash", site=site)
-        if health is not None:
-            health.crashed(site)
-        if down_for is None:
+    def _down_up(self, site: Optional[str], down_for: Optional[float]):
+        if not self.crash(site) or down_for is None:
             return
         yield self.sim.timeout(down_for)
-        self.network.set_online(site, True)
-        self.sim.note("faults", "restart", site=site)
-        if health is not None:
-            health.restarted(site)
+        self.restart(site)
 
     def _churn_proc(self):
         for index, when in enumerate(self.config.churn_times):
             if when > self.sim.now:
                 yield self.sim.timeout(when - self.sim.now)
             victim = self._pick_victim()
-            if victim is None or not self.network.is_online(victim):
-                self.sim.note("faults", "churn-skip", site=victim)
-                continue
             # rounds overlap-safe: each crash/restart runs detached
             self.sim.process(
                 self._down_up(victim, self.config.churn_downtime),

@@ -34,9 +34,15 @@ class Overloaded(SimulationError):
     """A service shed the request at admission (inflight bound hit).
 
     Transient by definition: the caller may retry after backing off.
+    ``request`` is the shed envelope, so the transport stage that sent
+    it, and no stage above it, counts the shed.
     """
 
     transient = True
+
+    def __init__(self, text: str, request: Any = None) -> None:
+        super().__init__(text)
+        self.request = request
 
 
 class RemoteError(Exception):

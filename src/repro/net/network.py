@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from repro.net.interceptors import CallContext, RemoteError, RetryPolicy, RpcTimeout
+from repro.net.interceptors import (
+    CallContext,
+    Overloaded,
+    RemoteError,
+    RetryPolicy,
+    RpcTimeout,
+)
 from repro.net.message import Message, Response
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
@@ -139,8 +145,6 @@ class Network:
         self.security = security or SecurityPolicy.http()
         self.obs = obs if obs is not None else _disabled_observability()
         self.obs.bind(sim)
-        #: health registry shared with ``Service.dispatch`` (may be None)
-        self.health = self.obs.health
         if faults is None:
             # deferred import: repro.faults itself imports repro.net
             from repro.faults import FaultPlane
@@ -189,10 +193,6 @@ class Network:
                 f"service {service.name!r} already deployed on {service.node_name!r}"
             )
         runtime.services[service.name] = service
-
-    def set_online(self, name: str, online: bool) -> None:
-        """Fail or recover a site; offline nodes refuse all calls."""
-        self.node(name).online = online
 
     def is_online(self, name: str) -> bool:
         """Liveness of site ``name``."""
@@ -372,12 +372,13 @@ class Network:
         re-entered on each resume.  It observes the attempt when the VO
         observes: it opens the ``rpc:`` span and stamps the start, and
         one ``finally`` records, in order, the attempt-level SLI, the
-        ``rpc.calls`` / ``rpc.errors`` / ``rpc.latency`` metrics, then
-        the span's ``outcome`` and its close.  The fault plane's two
-        checks live here because they must wait or sit mid-route: a
-        lost or partitioned link behaves like an unreachable target
-        (the caller burns the connection timeout, then sees
-        :class:`OfflineError`), a service fault fails the dispatch.
+        ``rpc.calls`` / ``rpc.errors`` / ``rpc.shed`` / ``rpc.latency``
+        metrics, then the span's ``outcome`` and its close.  The fault
+        plane's two checks live here because they must wait or sit
+        mid-route: a lost or partitioned link behaves like an
+        unreachable target (the caller burns the connection timeout,
+        then sees :class:`OfflineError`), a service fault fails the
+        dispatch.
         """
         sim = self.sim
         obs = self.obs
@@ -513,6 +514,11 @@ class Network:
                     points.calls.inc()
                     if error is not None:
                         metrics.counter("rpc.errors", endpoint=endpoint).inc()
+                        # only an Overloaded from this dispatch carries
+                        # this attempt's envelope
+                        if type(error) is Overloaded and error.request is message:
+                            metrics.counter("rpc.shed", service=service,
+                                            node=dst, op=method).inc()
                     points.latency.observe(ended - started)
                     # an open span's attributes are its dict
                     span._attrs["outcome"] = (

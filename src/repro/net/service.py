@@ -111,34 +111,25 @@ class Service(Plane):
         handler = getattr(self, f"op_{method}", None)
         if handler is None:
             raise UnknownOperation(f"{self.name} has no operation {method!r}")
-        health = self.network.health
         if (self.admission_limit is not None
                 and self.inflight >= self.admission_limit
                 and method not in self.CONTROL_OPS):
             self.requests_shed += 1
             self.shed_by_op[method] = self.shed_by_op.get(method, 0) + 1
-            self.obs.metrics.counter(
-                "rpc.shed", service=self.name, node=self.node_name, op=method
-            ).inc()
-            if health is not None:
-                health.record_dispatch(self.node_name, self.name, ok=False)
             raise Overloaded(
                 f"{self.name} on {self.node_name} shed {method!r}: "
                 f"{self.inflight} requests already in flight "
-                f"(limit {self.admission_limit})"
+                f"(limit {self.admission_limit})",
+                request=message,
             )
         self.inflight += 1
         try:
             result = yield from handler(message)
         except BaseException:
             self.requests_failed += 1
-            if health is not None:
-                health.record_dispatch(self.node_name, self.name, ok=False)
             raise
         else:
             self.requests_handled += 1
-            if health is not None:
-                health.record_dispatch(self.node_name, self.name, ok=True)
             return result
         finally:
             self.inflight -= 1

@@ -18,17 +18,17 @@ measurements imply:
 A second *judgement* tier sits on top of the raw streams:
 
 * :mod:`repro.obs.slo` — declarative service-level objectives with
-  sliding-window burn-rate alerts and error budgets;
-* :mod:`repro.obs.health` — a fault-aware node/service health registry
-  plus MTTD/MTTR analytics over the journal's crashes and alerts;
+  sliding-window burn-rate alerts and error budgets, plus MTTD/MTTR
+  analytics over the journal's crashes and alerts;
 * :mod:`repro.obs.analyze` — trace critical paths, self-time
   breakdowns and slowest-trace waterfalls.
 
 One :class:`Observability` instance bundles everything for a VO.  The
 default is *disabled*: the null tracer and null instruments reduce
-every instrumentation point to one attribute check, no SLO engine or
-health registry exists, and benchmarks are unaffected.  Enable with
-``build_vo(observability=True)``, or pass a built instance —
+every instrumentation point to one attribute check, no SLO engine
+exists, and benchmarks are unaffected.  Node health is no tier of its
+own: the run report folds it from the fault plane's journal entries.
+Enable with ``build_vo(observability=True)``, or pass a built instance —
 ``build_vo(observability=Observability(slos=(...)))`` for objectives.
 """
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.obs.health import HealthRegistry
 from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     Counter,
@@ -53,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Observability:
-    """Tracer + metrics + SLO/health plane configuration for one VO.
+    """Tracer + metrics + SLO plane configuration for one VO.
 
     Parameters
     ----------
@@ -90,10 +89,6 @@ class Observability:
         self.slo: Optional[SLOEngine] = (
             SLOEngine(slos) if slos else None
         )
-        #: health registry (present whenever any observer tier is on)
-        self.health: Optional[HealthRegistry] = (
-            HealthRegistry() if (enabled or self.slo is not None) else None
-        )
 
     def bind(self, sim: "Simulator") -> None:
         """Attach every tier to a simulator's clock."""
@@ -101,8 +96,6 @@ class Observability:
         self.metrics.bind(sim)
         if self.slo is not None:
             self.slo.bind(sim)
-        if self.health is not None:
-            self.health.bind(sim)
 
 
 def disabled() -> Observability:
@@ -114,7 +107,6 @@ __all__ = [
     "BurnRateRule",
     "Counter",
     "HISTOGRAM_BOUNDS",
-    "HealthRegistry",
     "Histogram",
     "MetricsRecorder",
     "MetricsRegistry",

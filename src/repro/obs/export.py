@@ -39,9 +39,8 @@ from repro.obs.analyze import (
     self_time_breakdown,
     slowest_traces,
 )
-from repro.obs.health import HealthRegistry, detection_timeline
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.slo import SLOEngine
+from repro.obs.slo import SLOEngine, detection_timeline
 from repro.obs.trace import Span
 from repro.simkernel.kernel import entries
 
@@ -293,57 +292,60 @@ def render_detection(journal: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-# -- health renderers -------------------------------------------------------
+# -- health: a fold over the fault plane's journal --------------------------
+
+#: journal kind -> (the node state it starts, the transition's reason)
+_TRANSITIONS = {"crash": ("down", "fault-plane crash"),
+                "restart": ("up", "fault-plane restart")}
 
 
-def health_to_dict(health: HealthRegistry) -> Dict[str, Any]:
-    """The registry's full state as one JSON-friendly document."""
+def node_health(journal: List[Dict[str, Any]],
+                nodes: Iterable[str]) -> Dict[str, Tuple[str, float]]:
+    """``{node: (state, since)}`` for each of ``nodes``, sorted: ``down``
+    from a fault-plane ``crash`` until its ``restart``, ``up`` otherwise;
+    ``since`` is the time of the node's last such entry (0.0 if none)."""
+    health = {node: ("up", 0.0) for node in sorted(nodes)}
+    for entry in entries(journal, "faults", *_TRANSITIONS):
+        health[entry["site"]] = (_TRANSITIONS[entry["kind"]][0], entry["at"])
+    return health
+
+
+def _health_summary(health: Dict[str, Tuple[str, float]]) -> Dict[str, int]:
+    """How many nodes are in each state."""
+    states = [state for state, _ in health.values()]
+    return {state: states.count(state) for state in ("up", "down")}
+
+
+def health_to_dict(journal: List[Dict[str, Any]],
+                   nodes: Iterable[str]) -> Dict[str, Any]:
+    """The health fold as one JSON-friendly document."""
+    health = node_health(journal, nodes)
     return {
-        "nodes": [
-            {
-                "node": node,
-                "state": health.node_state(node),
-                "since": health.node_since(node),
-                "services": {
-                    svc: health.service_state(node, svc)
-                    for svc in health.services_of(node)
-                },
-            }
-            for node in health.nodes()
-        ],
-        "summary": health.summary(),
-        "transitions": entries(health.sim.journal, "health"),
+        "nodes": [{"node": node, "state": state, "since": since}
+                  for node, (state, since) in health.items()],
+        "summary": _health_summary(health),
+        "transitions": entries(journal, "faults", *_TRANSITIONS),
     }
 
 
-def render_health(health: HealthRegistry) -> str:
-    """Node/service states plus the journal's health transitions."""
-    rows = []
-    for node in health.nodes():
-        services = ", ".join(
-            f"{svc}={health.service_state(node, svc)}"
-            for svc in health.services_of(node)
-        )
-        rows.append([node, health.node_state(node),
-                     f"{health.node_since(node):.2f}", services or "-"])
-    if not rows:
+def render_health(journal: List[Dict[str, Any]], nodes: Iterable[str]) -> str:
+    """Node states plus the journal's crash/restart transitions."""
+    health = node_health(journal, nodes)
+    if not health:
         return "(no health signals recorded)"
-    table = format_table(["node", "state", "since", "services"], rows,
-                         title="VO health")
-    summary = health.summary()
-    lines = [table, "summary: " + ", ".join(
-        f"{state}={count}" for state, count in summary.items() if count
-    )]
-    transitions = entries(health.sim.journal, "health")
+    rows = [[node, state, f"{since:.2f}"]
+            for node, (state, since) in health.items()]
+    lines = [format_table(["node", "state", "since"], rows, title="VO health"),
+             "summary: " + ", ".join(
+                 f"{state}={count}"
+                 for state, count in _health_summary(health).items() if count)]
+    transitions = entries(journal, "faults", *_TRANSITIONS)
     if transitions:
         lines.append("transitions:")
         for entry in transitions:
-            target = (f"{entry['site']}/{entry['service']}"
-                      if entry["service"] else entry["site"])
-            lines.append(
-                f"  t={entry['at']:9.2f}s  {target:<24}  -> {entry['state']:<10}"
-                f"  ({entry['reason']})"
-            )
+            state, reason = _TRANSITIONS[entry["kind"]]
+            lines.append(f"  t={entry['at']:9.2f}s  {entry['site']:<24}"
+                         f"  -> {state:<10}  ({reason})")
     return "\n".join(lines)
 
 
@@ -388,15 +390,17 @@ def _sections(vo, top: int) -> Iterator[_Section]:
     """The run's report sections in order, as ``(record key, text,
     data)``: the one set of presence rules both views read.
 
-    Sections appear only when their tier was on: health registry, SLO
+    Sections appear only when their tier was on: node health (the
+    journal's crash/restart fold, whenever anything observes), SLO
     budgets + burn-rate alerts + crash detection, metrics tables, and
     trace analytics (self times, critical paths, waterfalls for the
     ``top`` slowest traces).  An empty text or data is left out.
     """
     obs = vo.obs
-    if obs.health is not None:
-        yield ("health", partial(render_health, obs.health),
-               partial(health_to_dict, obs.health))
+    if obs.enabled or obs.slo is not None:
+        journal, nodes = vo.sim.journal, vo.network.nodes
+        yield ("health", partial(render_health, journal, nodes),
+               partial(health_to_dict, journal, nodes))
     if obs.slo is not None:
         yield ("slo", partial(render_slo, obs.slo), partial(_slo_rows, obs.slo))
         yield ("alerts", partial(render_alerts, obs.slo),

@@ -16,13 +16,13 @@ metrics:
   over the formed overlay.
 * ``churn``    — a crash/restart of the activity type's home site under
   a retrying client workload, with SLOs declared: the burn-rate alert
-  fires during the outage, the health registry walks the node through
-  ``down -> recovering -> healthy``, and the error-budget table shows
+  fires during the outage, the health fold shows the node ``down`` from
+  its crash until its restart, and the error-budget table shows
   the attempt-level objective burning while the call-level one holds.
 
 Each scenario returns the finished :class:`~repro.vo.VirtualOrganization`
 with its tracer and metrics registry populated (and, for ``churn``, the
-SLO engine and health registry).  Every scenario also audits the span
+SLO engine).  Every scenario also audits the span
 lifecycle: a span left open by a *dead* process is an error-path leak,
 and :func:`run_scenario` raises on it.
 
@@ -109,9 +109,9 @@ def scenario_churn() -> "VirtualOrganization":
     The type home (``agrid01``) goes down at t=40 for 30 s with site
     caching off, so every resolution during the outage hits the dead
     node: attempt-level SLO events go bad, the fast burn-rate alert
-    fires, and the health registry marks the node ``down``.  The client
-    retries each request, so after the restart the node recovers and
-    the alert resolves.
+    fires, and the report's health fold shows the node ``down``.  The
+    client retries each request, so after the restart the node is
+    ``up`` again and the alert resolves.
     """
     from repro.faults import CrashSpec, FaultsConfig
     from repro.glare.errors import CLIENT_ERRORS

@@ -18,14 +18,19 @@ on top of the raw tracing/metrics plane:
   sliding-window **burn rates** on a fixed simulated-time cadence,
   notes each fired/resolved :class:`BurnRateRule` alert in the
   simulator's journal, and keeps cumulative error-budget accounting per
-  objective.
+  objective;
+* :func:`detection_timeline` — pairs the journal's fault-plane crashes
+  with those alerts: **MTTD** is crash → first alert fired, **MTTR** is
+  crash → the moment every alert has resolved again (the operator's
+  "incident closed" signal).
 
 Burn rate follows the SRE convention: the windowed bad-event fraction
 divided by the error budget (``1 - target``), so a burn of 1.0 spends
 the budget exactly at the sustainable rate and a fast-window burn of
 several multiples means an incident in progress.  Everything is
 simulated-time and draw-free, so two same-seed runs journal identical
-alerts — the property the fig16 extension gates on.
+alerts, and the detection timeline, a pure function of the journal,
+repeats exactly — the properties the fig16 extension gates on.
 
 A VO without configured SLOs carries no engine at all: the transport
 records no SLI and no per-call work happens (the null path stays
@@ -364,14 +369,87 @@ class SLOEngine:
         return {s.name: s.verdict for s in self.statuses()}
 
 
+@dataclass
+class DetectionRecord:
+    """One crash paired with its alert timeline."""
+
+    site: str
+    crash_at: float
+    detected_at: Optional[float]
+    recovered_at: Optional[float]
+
+    @property
+    def detected(self) -> bool:
+        return self.detected_at is not None
+
+    @property
+    def mttd(self) -> Optional[float]:
+        """Crash → first burn-rate alert fired."""
+        if self.detected_at is None:
+            return None
+        return self.detected_at - self.crash_at
+
+    @property
+    def mttr(self) -> Optional[float]:
+        """Crash → every alert resolved (incident closed)."""
+        if self.recovered_at is None:
+            return None
+        return self.recovered_at - self.crash_at
+
+
+def detection_timeline(journal: List[Dict]) -> List[DetectionRecord]:
+    """Pair each fault-plane crash in ``journal`` with the SLO alerts.
+
+    Crashes are matched in journal order: each consumes the first
+    un-consumed ``fired`` entry at or after its crash time (MTTD), and
+    recovery is the first subsequent moment the active-alert set drains
+    to empty (MTTR).  Undetected crashes get ``detected_at=None``.
+    """
+    alerts = entries(journal, "slo")
+    fired = [e for e in alerts if e["kind"] == "fired"]
+    # moments when the active-alert set returns to empty
+    quiet: List[float] = []
+    active = set()
+    for entry in alerts:
+        key = (entry["slo"], entry["rule"])
+        if entry["kind"] == "fired":
+            active.add(key)
+        else:
+            active.discard(key)
+            if not active:
+                quiet.append(entry["at"])
+
+    records: List[DetectionRecord] = []
+    fired_index = 0
+    for crash in entries(journal, "faults", "crash"):
+        detected_at: Optional[float] = None
+        while fired_index < len(fired):
+            entry = fired[fired_index]
+            if entry["at"] >= crash["at"]:
+                detected_at = entry["at"]
+                fired_index += 1
+                break
+            fired_index += 1
+        recovered_at: Optional[float] = None
+        if detected_at is not None:
+            recovered_at = next((t for t in quiet if t >= detected_at), None)
+        records.append(DetectionRecord(
+            site=crash["site"], crash_at=crash["at"],
+            detected_at=detected_at, recovered_at=recovered_at,
+        ))
+    return records
+
+
 __all__ = [
     "ATTEMPT",
     "AVAILABILITY",
     "BurnRateRule",
     "CALL",
     "DEFAULT_ALERTS",
+    "DetectionRecord",
     "LATENCY",
     "SLOEngine",
     "SLOSpec",
     "SLOStatus",
+    "detection_timeline",
 ]

@@ -74,14 +74,6 @@ class GridSite(Plane):
     def online(self) -> bool:
         return self.runtime.online
 
-    def fail(self) -> None:
-        """Take the whole site offline (crash)."""
-        self.network.set_online(self.name, False)
-
-    def recover(self) -> None:
-        """Bring the site back online."""
-        self.network.set_online(self.name, True)
-
     # -- monitoring ------------------------------------------------------------
 
     def start_monitoring(self) -> None:

@@ -37,7 +37,7 @@ class TestMidOperationFailures:
         # ~30 s, so it will be mid-install)
         def assassin():
             yield vo.sim.timeout(vo.sim.now + 10.0 - vo.sim.now + 10.0)
-            vo.stack(victim).site.fail()
+            vo.faults.crash(victim)
 
         vo.sim.process(assassin())
 
@@ -66,7 +66,7 @@ class TestMidOperationFailures:
                     "<Domain>x</Domain></ActivityTypeEntry>")
         vo.run_process(vo.client_call(provider, "register_type",
                                       payload={"xml": type_xml}))
-        vo.stack(community).site.fail()
+        vo.faults.crash(community)
         wire = vo.run_process(vo.client_call(client, "lookup_type",
                                              payload="Hardy"))
         assert wire is not None
@@ -82,7 +82,7 @@ class TestMidOperationFailures:
         wires = vo.run_process(vo.client_call("agrid02", "get_deployments",
                                               payload="Wien2k"))
         target = ActivityDeployment.from_xml(wires[0]["xml"]).site
-        vo.stack(target).site.fail()
+        vo.faults.crash(target)
         # agrid02 still answers from its cache (stale, but available —
         # the refresher would eventually reconcile)
         wires_again = vo.run_process(vo.client_call(
@@ -106,7 +106,7 @@ class TestChurn:
 
         # a previously dead site "joins": here we simulate membership
         # change by failing one site (membership shrinks after TTL)
-        vo.stack("agrid05").site.fail()
+        vo.faults.crash("agrid05")
         vo.sim.run(until=vo.sim.now + 300)
         assert coordinator.overlay.elections_run > first_elections
         # the dead site is in nobody's current group
@@ -119,9 +119,9 @@ class TestChurn:
     def test_recovered_site_rejoins_groups(self):
         vo = build_vo(n_sites=5, seed=223, monitors=True, group_size=3)
         vo.sim.run(until=60)
-        vo.stack("agrid04").site.fail()
+        vo.faults.crash("agrid04")
         vo.sim.run(until=vo.sim.now + 300)
-        vo.stack("agrid04").site.recover()
+        vo.faults.restart("agrid04")
         vo.stack("agrid04").index.start()  # keepalive resumes
         vo.sim.run(until=vo.sim.now + 400)
         view = vo.rdm("agrid04").overlay.view

@@ -16,9 +16,11 @@ from repro.faults import (
     PartitionSpec,
     ServiceErrorRule,
 )
+from repro.net import Topology
 from repro.net.interceptors import RemoteError
 from repro.net.network import Network
-from repro.simkernel import entries
+from repro.net.service import EchoService
+from repro.simkernel import Simulator, entries
 from repro.simkernel.errors import OfflineError
 from repro.vo import VOConfig, build_vo
 
@@ -51,7 +53,7 @@ class TestPlaneLifecycle:
         assert vo.faults.enabled
         assert is_bare_transport(vo)  # nothing wraps it: the transport draws
         src, dst = vo.site_names[1], vo.site_names[2]
-        vo.network.set_online(src, False)
+        vo.faults.crash(src)
         start = vo.sim.now
 
         def caller():
@@ -70,6 +72,51 @@ class TestPlaneLifecycle:
         assert not vo.faults.enabled
 
 
+class TestCrashRestartSeam:
+    """``crash`` / ``restart`` are the one way liveness changes, on any
+    network: a bare one's disabled plane needs no ``start()``."""
+
+    def test_bare_network_crash_and_restart(self):
+        sim = Simulator(seed=1)
+        net = Network(sim, Topology.full_mesh(("A", "B"), latency=0.005,
+                                              bandwidth=1e7))
+        for name in ("A", "B"):
+            net.add_node(name)
+        EchoService(net, "B")
+        assert not net.faults.enabled
+
+        outcomes = []
+
+        def ping():
+            try:
+                yield from net.call("A", "B", "echo", "echo", payload="x")
+                outcomes.append("ok")
+            except OfflineError:
+                outcomes.append("offline")
+
+        assert net.faults.crash("B") is True
+        assert not net.is_online("B")
+        sim.process(ping())
+        sim.run()
+        net.faults.restart("B")
+        assert net.is_online("B")
+        sim.process(ping())
+        sim.run()
+        assert outcomes == ["offline", "ok"]
+        assert [(e["kind"], e["site"]) for e in entries(sim.journal, "faults")] \
+            == [("crash", "B"), ("restart", "B")]
+
+    def test_crash_of_a_down_site_is_a_journaled_skip(self):
+        vo = make_vo()
+        assert vo.faults.crash("agrid03") is True
+        assert vo.faults.crash("agrid03") is False
+        assert vo.faults.crash(None) is False
+        assert [(e["kind"], e["site"]) for e in entries(vo.sim.journal, "faults")] \
+            == [("crash", "agrid03"), ("crash-skip", "agrid03"),
+                ("crash-skip", None)]
+        assert not vo.network.is_online("agrid03")
+
+
 class TestCrashSchedules:
     def test_crash_and_restart_at_configured_times(self):
         vo = make_vo(faults=FaultsConfig(
@@ -82,7 +129,23 @@ class TestCrashSchedules:
         kinds = [(e["kind"], e["site"], e["at"])
                  for e in entries(vo.sim.journal, "faults")]
         assert kinds == [("crash", "agrid02", 10.0), ("restart", "agrid02", 15.0)]
-        assert vo.faults.crashes_induced == 1
+
+    def test_overlapping_crash_schedules_no_second_restart(self):
+        """A crash of a site already down is skipped and schedules no
+        restart, so the first crash's restart alone brings it back."""
+        vo = make_vo(faults=FaultsConfig(crashes=(
+            CrashSpec("agrid02", at=10.0, down_for=30.0),
+            CrashSpec("agrid02", at=20.0, down_for=30.0),
+        )))
+        vo.sim.run(until=39.0)
+        assert not vo.network.is_online("agrid02")
+        vo.sim.run(until=45.0)
+        assert vo.network.is_online("agrid02")
+        kinds = [(e["kind"], e["at"]) for e in entries(vo.sim.journal, "faults")]
+        assert kinds == [("crash", 10.0), ("crash-skip", 20.0), ("restart", 40.0)]
+        vo.sim.run(until=60.0)
+        assert vo.network.is_online("agrid02")
+        assert len(entries(vo.sim.journal, "faults")) == 3
 
     def test_permanent_crash(self):
         vo = make_vo(faults=FaultsConfig(
@@ -108,8 +171,8 @@ class TestCrashSchedules:
         vo = make_vo(faults=FaultsConfig(churn_times=(5.0,)))
         vo.faults.churn_selector = lambda: None
         vo.sim.run(until=10.0)
-        assert [e["kind"] for e in entries(vo.sim.journal, "faults")] == ["churn-skip"]
-        assert vo.faults.crashes_induced == 0
+        assert [e["kind"] for e in entries(vo.sim.journal, "faults")] == ["crash-skip"]
+        assert entries(vo.sim.journal, "faults", "crash") == []
 
     def test_default_victim_draw_is_deterministic(self):
         def crashed_sites(seed):
@@ -303,7 +366,7 @@ class TestSuperPeerCrashRecovery:
 
     def test_crash_and_takeover_are_journaled_without_observability(self):
         vo, victim, members = self._overlay_vo()
-        assert vo.obs.health is None and vo.obs.slo is None
+        assert not vo.obs.enabled and vo.obs.slo is None
         vo.sim.run(until=80.0)
         story = [(e["plane"], e["kind"]) for e in vo.sim.journal]
         assert story == [("faults", "crash"), ("overlay", "takeover")]

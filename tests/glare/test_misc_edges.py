@@ -19,7 +19,7 @@ class TestKnownSites:
     def test_falls_back_to_overlay_when_community_down(self):
         vo = build_vo(n_sites=4, seed=351, monitors=False)
         vo.form_overlay()
-        vo.stack(vo.community_site).site.fail()
+        vo.faults.crash(vo.community_site)
         rdm = vo.rdm("agrid01")
         names = vo.run_process(rdm.known_sites())
         # the overlay view still names this site's group + super group
@@ -137,10 +137,10 @@ class TestOfflineRdmBehaviour:
         rdm = vo.rdm("agrid01")
         monitor = DeploymentStatusMonitor(rdm, interval=10.0)
         monitor.start()
-        vo.stack("agrid01").site.fail()
+        vo.faults.crash("agrid01")
         vo.sim.run(until=100)
         cycles_while_down = monitor.cycles
-        vo.stack("agrid01").site.recover()
+        vo.faults.restart("agrid01")
         vo.sim.run(until=200)
         assert monitor.cycles > cycles_while_down
 
@@ -148,7 +148,7 @@ class TestOfflineRdmBehaviour:
         from repro.simkernel.errors import OfflineError
 
         vo = build_vo(n_sites=2, seed=373, monitors=False)
-        vo.stack("agrid01").site.fail()
+        vo.faults.crash("agrid01")
 
         def client():
             try:

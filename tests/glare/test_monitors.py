@@ -47,10 +47,10 @@ class TestMonitorRounds:
         monitor = DeploymentStatusMonitor(vo.rdm("agrid01"), interval=10.0)
         monitor.start()
         t0 = vo.sim.now
-        vo.stack("agrid01").site.fail()
+        vo.faults.crash("agrid01")
         vo.sim.run(until=t0 + 25)  # two waits lapse offline
         assert monitor.cycles == 0 and monitor.running
-        vo.stack("agrid01").site.recover()
+        vo.faults.restart("agrid01")
         vo.sim.run(until=t0 + 29)
         assert monitor.cycles == 0  # the third wait was not restarted ...
         vo.sim.run(until=t0 + 31)
@@ -162,7 +162,7 @@ class TestCacheRefresher:
         """A transiently offline source doesn't evict the cache."""
         vo = make_vo()
         deployment = self.setup_cached_copy(vo)
-        vo.stack("agrid01").site.fail()
+        vo.faults.crash("agrid01")
         refresher = CacheRefresher(vo.rdm("agrid02"), interval=15.0)
         refresher.start()
         vo.sim.run(until=vo.sim.now + 40)

@@ -104,7 +104,7 @@ class TestFailureRelocation:
             return names
 
         first = vo.run_process(candidates())[0]
-        vo.stack(first).site.fail()
+        vo.faults.crash(first)
 
         def run():
             wires = yield from rdm.deployment_manager.deploy_on_demand(at)
@@ -157,7 +157,7 @@ class TestFailureRelocation:
         rdm = vo.rdm("agrid00")
         for name in vo.site_names:
             if name != "agrid00":
-                vo.stack(name).site.fail()
+                vo.faults.crash(name)
         # the local site stays up but we exclude it explicitly
         def run():
             try:

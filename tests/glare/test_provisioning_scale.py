@@ -225,7 +225,7 @@ class TestRollout:
 
     def test_explicit_targets_and_per_site_failure(self):
         vo = make_vo()
-        vo.network.set_online("agrid03", False)
+        vo.faults.crash("agrid03")
         result = self._rollout(vo, target_sites=["agrid02", "agrid03"])
         by_site = {leg["site"]: leg for leg in result["results"]}
         assert by_site["agrid02"]["status"] == "installed"
@@ -350,7 +350,7 @@ class TestReplicaTransfers:
         sim, sites, services, catalog = make_transfer_world()
         catalog.add_replica(URL, "near", "/tmp/app.tgz")
         sim_net = services["dst"].network
-        sim_net.set_online("near", False)
+        sim_net.faults.crash("near")
 
         def client():
             yield from services["dst"].fetch_url(URL, "/tmp/app.tgz",

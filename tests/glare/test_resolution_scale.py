@@ -321,7 +321,7 @@ class TestJitterAndFanoutCounters:
     def test_fanout_failures_counted_per_site(self):
         vo = make_vo(cache_enabled=False)
         register_type_and_deployment(vo, "agrid02")
-        vo.stack("agrid03").site.fail()
+        vo.faults.crash("agrid03")
         outcomes, _ = concurrent_resolutions(vo, "agrid01", "ScaleApp", 1)
         assert outcomes and isinstance(outcomes[0], list)
         failures = {}

@@ -58,7 +58,7 @@ class TestElection:
 
     def test_offline_site_excluded_from_election(self):
         vo = make_vo(6, group_size=3)
-        vo.stack("agrid04").site.fail()
+        vo.faults.crash("agrid04")
         groups = vo.form_overlay()
         assigned = {m for members in groups.values() for m in members}
         assert "agrid04" not in {m for m in assigned if m}
@@ -96,7 +96,7 @@ class TestFailureRecovery:
         vo = make_vo(9, group_size=3)
         groups = vo.form_overlay()
         victim, survivors = self.failing_group(vo, groups)
-        vo.stack(victim).site.fail()
+        vo.faults.crash(victim)
         vo.sim.run(until=vo.sim.now + 120)
         new_views = {m: vo.rdm(m).overlay.view for m in survivors}
         new_sp = {view.super_peer for view in new_views.values()}
@@ -115,7 +115,7 @@ class TestFailureRecovery:
         groups = vo.form_overlay()
         victim, survivors = self.failing_group(vo, groups)
         other_sps = [sp for sp in groups if sp != victim]
-        vo.stack(victim).site.fail()
+        vo.faults.crash(victim)
         vo.sim.run(until=vo.sim.now + 150)
         new_sp = vo.rdm(survivors[0]).overlay.view.super_peer
         for sp in other_sps:
@@ -127,7 +127,7 @@ class TestFailureRecovery:
         vo = make_vo(9, group_size=3)
         groups = vo.form_overlay()
         victim, survivors = self.failing_group(vo, groups)
-        vo.stack(victim).site.fail()
+        vo.faults.crash(victim)
         vo.sim.run(until=vo.sim.now + 150)
         type_xml = ('<ActivityTypeEntry name="Post" kind="concrete">'
                     "<Domain>x</Domain></ActivityTypeEntry>")
@@ -143,7 +143,7 @@ class TestFailureRecovery:
         super_peer = next(sp for sp, members in groups.items()
                           if len(members) >= 3)
         plain_member = [m for m in groups[super_peer] if m != super_peer][0]
-        vo.stack(plain_member).site.fail()
+        vo.faults.crash(plain_member)
         vo.sim.run(until=vo.sim.now + 120)
         assert vo.rdm(super_peer).overlay.is_super_peer
         assert vo.rdm(super_peer).overlay.view.super_peer == super_peer
@@ -152,7 +152,7 @@ class TestFailureRecovery:
         vo = make_vo(6, group_size=3)
         groups = vo.form_overlay()
         victim, survivors = self.failing_group(vo, groups)
-        vo.stack(victim).site.fail()
+        vo.faults.crash(victim)
         vo.sim.run(until=vo.sim.now + 150)
         new_sp = vo.rdm(survivors[0]).overlay.view.super_peer
         assert vo.rdm(new_sp).overlay.reelections >= 1

@@ -54,7 +54,7 @@ def test_prefers_idle_site(vo):
 
 
 def test_offline_site_dropped(vo):
-    vo.stack("agrid03").site.fail()
+    vo.faults.crash("agrid03")
     broker = ResourceBroker(vo, "agrid00")
     candidates = [deployment_on("agrid01"), deployment_on("agrid03")]
     ranked = vo.run_process(broker.rank(candidates))

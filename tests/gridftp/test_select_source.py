@@ -89,7 +89,7 @@ def build(world):
     for name in [ME] + LINKED + [ISLE]:
         net.add_node(name)
     for name in world["offline"]:
-        net.set_online(name, False)
+        net.faults.crash(name)
     origin = (world["origin"], "/www/app.tgz")
     catalog = UrlCatalog()
     catalog.publish(URL, *origin)
@@ -137,7 +137,7 @@ def test_liveness_is_asked_only_of_a_candidate_that_would_lead():
 
     # equal metrics: only a candidate ahead on (serving, name) is asked
     del asked[:]
-    net.set_online("near", False)
+    net.faults.crash("near")
     catalog.serving["far00"] = 1
     assert service._select_source(URL, ("far00", "/www/app.tgz")) == (
         "far01", "/tmp/app.tgz")

@@ -192,7 +192,7 @@ class TestHierarchy:
         sim.run(until=30)
         # the community host itself is always a live member
         assert community.live_sites() == ["s1", "s2"]
-        net.set_online("s2", False)
+        net.faults.crash("s2")
         sim.run(until=200)
         assert community.live_sites() == ["s1"]
 
@@ -309,11 +309,11 @@ class TestKeepaliveFailures:
         leaf.start()
         sim.run(until=15)
         assert community.live_sites() == ["s1", "s2"]
-        net.set_online("s1", False)
+        net.faults.crash("s1")
         sim.run(until=100)
         assert leaf.keepalive.running  # kept trying through the outage
         assert community.live_sites() == ["s1"]  # membership decayed
-        net.set_online("s1", True)
+        net.faults.restart("s1")
         sim.run(until=125)
         assert community.live_sites() == ["s1", "s2"]
 

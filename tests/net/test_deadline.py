@@ -199,7 +199,7 @@ class TestNoDeadlineLeftBehind:
     def test_offline_target(self):
         sim, net = make_net()
         EchoService(net, "B")
-        net.set_online("B", False)
+        net.faults.crash("B")
         outcome = self.finish(sim, net, net.call_with_timeout(
             "A", "B", "echo", "echo", payload="x", timeout=self.TIMEOUT))
         assert isinstance(outcome, OfflineError)
@@ -207,7 +207,7 @@ class TestNoDeadlineLeftBehind:
     def test_every_attempt_of_a_retried_call(self):
         sim, net = make_net()
         EchoService(net, "B")
-        net.set_online("B", False)
+        net.faults.crash("B")
         policy = RetryPolicy(attempts=3, per_try_timeout=self.TIMEOUT,
                              base_delay=0.1)
         outcome = self.finish(sim, net, net.call(

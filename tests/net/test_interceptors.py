@@ -13,6 +13,7 @@ from repro.net.interceptors import (
 )
 from repro.net.message import Message, Response
 from repro.net.service import EchoService, Service
+from repro.obs import Observability
 from repro.simkernel import Simulator
 from repro.simkernel.errors import OfflineError
 
@@ -380,13 +381,13 @@ class TestRetryPolicy:
     def test_offline_target_retried_after_recovery(self):
         sim, net = make_net()
         EchoService(net, "B")
-        net.set_online("B", False)
+        net.faults.crash("B")
         policy = RetryPolicy(attempts=5, base_delay=2.0, multiplier=1.0,
                              backoff="linear")
 
         def recover():
             yield sim.timeout(3.0)
-            net.set_online("B", True)
+            net.faults.restart("B")
 
         def client():
             value = yield from net.call(
@@ -452,6 +453,39 @@ class TestAdmissionControl:
         assert svc.requests_shed == 4
         assert svc.shed_by_op == {"work": 4}
         assert sum(svc.shed_by_op.values()) == svc.requests_shed
+
+    def test_a_relayed_shed_is_counted_once_where_it_was_shed(self):
+        """The ``Overloaded`` C sheds crosses B's handler unwrapped; only
+        the attempt that reached C counts it in ``rpc.shed``."""
+        sim = Simulator(seed=1)
+        net = Network(sim, Topology.full_mesh(("A", "B", "C"), latency=0.005,
+                                              bandwidth=1e7),
+                      obs=Observability())
+        for name in ("A", "B", "C"):
+            net.add_node(name)
+        SlowService(net, "C").admission_limit = 0
+
+        class Relay(Service):
+            SERVICE_NAME = "relay"
+
+            def op_work(self, message):
+                return (yield from self.call("C", "slow", "work"))
+
+        Relay(net, "B")
+        outcomes = []
+
+        def client():
+            try:
+                yield from net.call("A", "B", "relay", "work")
+            except Overloaded:
+                outcomes.append("shed")
+
+        sim.process(client())
+        sim.run()
+        assert outcomes == ["shed"]
+        assert [(c.labels, c.value) for c in net.obs.metrics.counters()
+                if c.name == "rpc.shed"] == [
+            ((("node", "C"), ("op", "work"), ("service", "slow")), 1)]
 
     def test_shed_request_is_retryable(self):
         assert Overloaded("x").transient

@@ -263,7 +263,7 @@ class TestRpc:
     def test_offline_target_raises(self):
         sim, net = make_net()
         EchoService(net, "B")
-        net.set_online("B", False)
+        net.faults.crash("B")
         errors = []
 
         def client():

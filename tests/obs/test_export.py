@@ -12,13 +12,13 @@ from repro.obs.export import (
     export_jsonl,
     health_to_dict,
     metrics_to_dict,
+    node_health,
     render_alerts,
     render_health,
     render_metrics,
     render_slo,
     span_to_dict,
 )
-from repro.obs.health import HealthRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import BurnRateRule, SLOEngine, SLOSpec
 from repro.obs.trace import Tracer
@@ -183,35 +183,52 @@ def test_render_alerts_empty():
     assert render_alerts(engine) == "(no burn-rate alerts fired)"
 
 
+def fault(kind, site, at):
+    return {"at": at, "plane": "faults", "kind": kind, "site": site}
+
+
 @pytest.fixture()
 def populated_health():
-    sim = Simulator(seed=1)
-    health = HealthRegistry()
-    health.bind(sim)
-    health.record_dispatch("agrid00", "glare-rdm", ok=True)
-    health.crashed("agrid01")
-    return health
+    """A journal in which agrid01 crashes for good and agrid02 crashes
+    and restarts, among entries the fold must ignore; three nodes."""
+    journal = [fault("crash", "agrid01", 10.0), fault("crash", "agrid02", 20.0),
+               fault("crash-skip", "agrid01", 30.0),
+               {"at": 40.0, "plane": "slo", "kind": "fired", "slo": "s",
+                "rule": "fast", "burn": 2.0},
+               fault("restart", "agrid02", 50.0)]
+    return journal, ("agrid02", "agrid00", "agrid01")
+
+
+def test_node_health_is_a_fold_over_the_journal(populated_health):
+    assert node_health(*populated_health) == {
+        "agrid00": ("up", 0.0),     # never crashed
+        "agrid01": ("down", 10.0),  # a crash without a restart
+        "agrid02": ("up", 50.0),    # crash then restart, since the restart
+    }
+    journal, nodes = populated_health
+    assert list(node_health(journal[:2], nodes).values()) == [
+        ("up", 0.0), ("down", 10.0), ("down", 20.0)]
 
 
 def test_health_to_dict(populated_health):
-    data = health_to_dict(populated_health)
+    data = health_to_dict(*populated_health)
     json.dumps(data)
     nodes = {n["node"]: n for n in data["nodes"]}
     assert nodes["agrid01"]["state"] == "down"
-    assert nodes["agrid00"]["services"] == {"glare-rdm": "healthy"}
-    assert data["summary"]["down"] == 1
-    assert data["transitions"][0]["state"] == "down"
+    assert nodes["agrid02"] == {"node": "agrid02", "state": "up", "since": 50.0}
+    assert data["summary"] == {"up": 2, "down": 1}
+    assert [t["kind"] for t in data["transitions"]] == [
+        "crash", "crash", "restart"]
 
 
 def test_render_health(populated_health):
-    text = render_health(populated_health)
+    text = render_health(*populated_health)
     assert "VO health" in text
     assert "agrid01" in text and "down" in text
-    assert "summary: healthy=1, down=1" in text
+    assert "summary: up=2, down=1" in text
     assert "fault-plane crash" in text
+    assert "-> up          (fault-plane restart)" in text
 
 
 def test_render_health_empty():
-    health = HealthRegistry()
-    health.bind(Simulator())
-    assert render_health(health) == "(no health signals recorded)"
+    assert render_health([], ()) == "(no health signals recorded)"

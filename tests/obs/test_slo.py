@@ -1,4 +1,5 @@
-"""Unit tests for SLO specs, the engine, burn rates and alerts."""
+"""Unit tests for SLO specs, the engine, burn rates, alerts and the
+detection timeline."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.obs.slo import (
     BurnRateRule,
     SLOEngine,
     SLOSpec,
+    detection_timeline,
 )
 from repro.simkernel import Simulator
 
@@ -200,17 +202,14 @@ class TestScenarioDeterminism:
 
         journal = run_scenario("churn").sim.journal
         planes = [e["plane"] for e in journal]
-        assert {"faults", "slo", "health"} <= set(planes)
-        # one log, not three joined: the planes alternate within it
-        assert planes.index("slo") < max(
-            i for i, plane in enumerate(planes) if plane == "health")
-        assert planes.index("health") < max(
+        assert {"faults", "slo"} <= set(planes)
+        # one log, not two joined: the planes alternate within it
+        assert planes.index("faults") < planes.index("slo") < max(
             i for i, plane in enumerate(planes) if plane == "faults")
         times = [e["at"] for e in journal]
         assert times == sorted(times)
 
     def test_churn_scenario_narrative(self):
-        from repro.obs.health import detection_timeline
         from repro.obs.scenarios import run_scenario
 
         vo = run_scenario("churn")
@@ -222,3 +221,54 @@ class TestScenarioDeterminism:
         assert len(records) == 1
         assert records[0].detected
         assert records[0].mttd is not None and records[0].mttd <= 30.0
+
+
+def crash(site, at, kind="crash"):
+    return {"at": at, "plane": "faults", "kind": kind, "site": site}
+
+
+def alert(kind, at, rule="fast"):
+    return {"at": at, "plane": "slo", "kind": kind, "slo": "s", "rule": rule,
+            "burn": 2.0}
+
+
+class TestDetectionTimeline:
+    def test_pairs_crashes_with_alerts(self):
+        journal = [crash("a", 40.0), alert("fired", 50.0),
+                   alert("resolved", 90.0), crash("b", 110.0),
+                   alert("fired", 115.0), alert("resolved", 150.0)]
+        records = detection_timeline(journal)
+        assert [(r.site, r.mttd, r.mttr) for r in records] == [
+            ("a", 10.0, 50.0), ("b", 5.0, 40.0),
+        ]
+        assert all(r.detected for r in records)
+
+    def test_undetected_crash(self):
+        records = detection_timeline([crash("a", 40.0)])
+        assert records[0].detected_at is None
+        assert records[0].mttd is None and records[0].mttr is None
+        assert not records[0].detected
+
+    def test_alert_before_crash_is_not_a_detection(self):
+        journal = [alert("fired", 10.0), alert("resolved", 20.0),
+                   crash("a", 40.0)]
+        records = detection_timeline(journal)
+        assert not records[0].detected
+
+    def test_recovery_waits_for_all_alerts_to_resolve(self):
+        journal = [crash("a", 40.0),
+                   alert("fired", 45.0, rule="fast"),
+                   alert("fired", 60.0, rule="slow"),
+                   alert("resolved", 80.0, rule="fast"),
+                   alert("resolved", 95.0, rule="slow")]
+        records = detection_timeline(journal)
+        # incident closes only when the *last* alert resolves
+        assert records[0].mttr == pytest.approx(55.0)
+
+    def test_non_crash_events_are_ignored(self):
+        journal = [crash("a", 10.0, kind="restart"), crash("b", 20.0),
+                   {"at": 22.0, "plane": "overlay", "kind": "takeover",
+                    "site": "c", "missing": "b", "epoch": 2},
+                   alert("fired", 25.0)]
+        records = detection_timeline(journal)
+        assert [(r.site, r.mttd) for r in records] == [("b", 5.0)]

@@ -64,7 +64,7 @@ def test_single_super_peer_crash_recovers(n_sites, seed):
         return  # all singleton groups: nothing to recover
     victim, members = candidates[0]
     survivors = [m for m in members if m != victim]
-    vo.stack(victim).site.fail()
+    vo.faults.crash(victim)
     vo.sim.run(until=vo.sim.now + 200)
 
     new_sps = {vo.rdm(m).overlay.view.super_peer for m in survivors}

@@ -58,8 +58,10 @@ def run_schedule(batched, entries, schedule):
         if action == "tick":
             vo.run_process(refresher.tick())
         elif action in ("offline", "online"):
-            site = vo.stack(target).site
-            site.fail() if action == "offline" else site.recover()
+            if action == "offline":
+                vo.faults.crash(target)
+            else:
+                vo.faults.restart(target)
         elif (target < entries and target not in removed
               and vo.stack(home[target]).site.online):
             site = home[target]

@@ -153,9 +153,9 @@ class TestGridSite:
     def test_fail_and_recover(self):
         site = self.make_site()
         assert site.online
-        site.fail()
+        site.network.faults.crash(site.name)
         assert not site.online
-        site.recover()
+        site.network.faults.restart(site.name)
         assert site.online
 
     def test_rank_matches_description(self):

@@ -53,7 +53,7 @@ def test_day_in_the_life():
     # Mid-day disaster: one super-peer dies.
     victim = next(sp for sp, members in groups.items() if len(members) >= 3)
     survivors = [m for m in groups[victim] if m != victim]
-    vo.stack(victim).site.fail()
+    vo.faults.crash(victim)
     vo.sim.run(until=vo.sim.now + 180)  # detection + re-election + refresh
 
     # The surviving group re-elected and keeps serving.

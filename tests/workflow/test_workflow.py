@@ -114,10 +114,10 @@ class TestSchedulerAndEnactment:
         scheduler = Scheduler(vo, "agrid02")
         schedule = vo.run_process(scheduler.map_workflow(wf))
         victim = schedule.site_of("render")
-        vo.stack(victim).site.fail()
+        vo.faults.crash(victim)
         engine = EnactmentEngine(vo, "agrid02", max_retries=2)
         result = vo.run_process(engine.run(schedule))
-        vo.stack(victim).site.recover()
+        vo.faults.restart(victim)
         assert result.success, result.error
         assert result.runs["render"].site != victim
         assert result.retries >= 1

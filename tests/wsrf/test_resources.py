@@ -242,7 +242,7 @@ class TestNotification:
         sink = NotificationSink(net, "s1")
         broker = NotificationBroker(net, "pub")
         broker.subscribe("t", "s1", sink.name)
-        net.set_online("s1", False)
+        net.faults.crash("s1")
         broker.publish("t", "x")
         sim.run()
         assert broker.failed_deliveries == 1
