@@ -72,10 +72,15 @@ from repro.site.gridsite import GridSite
 RDM_SERVICE = "glare-rdm"
 
 
+def _flight_key(type_name: str, auto_deploy: bool, exclude_sites: tuple) -> tuple:
+    """The scaled plane's singleflight key of one resolution."""
+    return type_name, bool(auto_deploy), tuple(sorted(exclude_sites))
+
+
 class RequestManager:
     """Discovery logic: local → peers → super-peer → other super-peers."""
 
-    #: tier name (as reported by :meth:`_tier_delta`) -> counter attribute
+    #: tier name (as returned by :meth:`_resolve`) -> counter attribute
     _TIER_ATTRS = {
         "local": "resolved_locally",
         "group": "resolved_in_group",
@@ -114,9 +119,25 @@ class RequestManager:
         linking them — so a remote site caching the result can rebuild
         the abstract→concrete resolution path locally.
         """
-        atr, adr = self.rdm.atr, self.rdm.adr
+        concrete = self.rdm.atr.hierarchy.concrete_types_for(type_name)
+        return self._lookup(type_name, concrete, self._deployment_wires(concrete))
+
+    def _deployment_wires(self, concrete: List[ActivityType]) -> List[Dict]:
+        """Wires of every known deployment of the ``concrete`` types."""
+        adr = self.rdm.adr
+        wires: List[Dict] = []
+        for at in concrete:
+            for deployment in adr.all_deployments_for(at.name):
+                key = deployment.key
+                epr = adr.cache_sources.get(key) or adr._epr_for(key)
+                wires.append(deployment_to_wire(deployment, epr))
+        return wires
+
+    def _lookup(self, type_name: str, concrete: List[ActivityType],
+                deployments: List[Dict]) -> Dict[str, List[Dict]]:
+        """:meth:`local_lookup` from ``concrete`` and its deployments."""
+        atr = self.rdm.atr
         type_wires: List[Dict] = []
-        deployment_wires: List[Dict] = []
         # A site can contribute even when it never registered the
         # requested name itself: a locally known concrete type may list
         # the requested (remote) type among its base types, and the
@@ -124,7 +145,6 @@ class RequestManager:
         # "registered dynamically with one site can be discovered
         # automatically by other sites" when the abstract ancestor and
         # the concrete descendant live on different sites.
-        concrete = atr.hierarchy.concrete_types_for(type_name)
         if atr.find_type(type_name) is not None or concrete:
             relevant: List[str] = (
                 [type_name] if atr.hierarchy.get(type_name) is not None else []
@@ -141,14 +161,7 @@ class RequestManager:
                     continue  # dangling base-type reference
                 epr = atr.authoritative_epr(name) or atr._epr_for(name)
                 type_wires.append(type_to_wire(node, epr))
-            for at in concrete:
-                for deployment in adr.all_deployments_for(at.name):
-                    epr_d = (
-                        adr.cache_sources.get(deployment.key)
-                        or adr._epr_for(deployment.key)
-                    )
-                    deployment_wires.append(deployment_to_wire(deployment, epr_d))
-        return {"types": type_wires, "deployments": deployment_wires}
+        return {"types": type_wires, "deployments": deployments}
 
     def local_claims(self) -> List[str]:
         """Every type name this site can answer ``local_lookup`` for.
@@ -240,19 +253,27 @@ class RequestManager:
         ``exclude_sites`` lets a client (e.g. an enactment engine
         re-mapping after a site failure) rule out deployments on known
         failed sites — including for any fresh on-demand installation.
+
+        The walk's first tier is plain calls, and a hit ends there having
+        built only its deployment wires: the walk's generators, and on
+        the scaled plane its flight, exist only for a miss.  Every walk
+        is labelled by the tier it resolved at.
         """
         self.requests += 1
         obs = self.rdm.obs
         if not obs.enabled:
-            wires = yield from self._resolve_entry(type_name, auto_deploy, exclude_sites)
+            wires, local = self._local_tier(type_name, auto_deploy, exclude_sites)
+            if wires is None:
+                wires, _ = yield from self._walk(type_name, auto_deploy, exclude_sites, local)
             return wires
         started = self.sim.now
-        before = self._tier_counters()
         with obs.tracer.span(
             "glare:get_deployments", type=type_name, site=self.rdm.node_name
         ) as span:
-            wires = yield from self._resolve_entry(type_name, auto_deploy, exclude_sites)
-            tier = self._tier_delta(before)
+            wires, local = self._local_tier(type_name, auto_deploy, exclude_sites, obs.tracer)
+            tier = "local"
+            if wires is None:
+                wires, tier = yield from self._walk(type_name, auto_deploy, exclude_sites, local)
             attrs = span.attrs
             attrs["tier"] = tier
             attrs["deployments"] = len(wires)
@@ -266,77 +287,85 @@ class RequestManager:
             meters[1].observe(self.sim.now - started)
         return wires
 
-    def _tier_counters(self) -> tuple:
-        return (self.resolved_locally, self.resolved_in_group,
-                self.resolved_via_superpeer, self.resolved_by_deployment)
+    def _local_tier(self, type_name: str, auto_deploy: bool, exclude_sites: tuple,
+                    tracer: Any = None) -> Tuple[Optional[List[Dict]], Optional[Dict]]:
+        """:meth:`_local_answer`, spanned as ``tier:local`` by ``tracer``,
+        unless the request joins the same walk in flight: ``(None, None)``."""
+        if self.rdm.resolution.scaled and _flight_key(
+                type_name, auto_deploy, exclude_sites) in self._flights.in_flight:
+            return None, None
+        if tracer is None:
+            return self._local_answer(type_name, exclude_sites)
+        with tracer.span("tier:local", type=type_name):
+            return self._local_answer(type_name, exclude_sites)
 
-    def _tier_delta(self, before: tuple) -> str:
-        """Which resolution counter moved since ``before`` was captured."""
-        names = ("local", "group", "super-peer", "on-demand")
-        for name, was, now in zip(names, before, self._tier_counters()):
-            if now > was:
-                return name
-        return "unresolved"
+    def _local_answer(self, type_name: str, exclude_sites: tuple
+                      ) -> Tuple[Optional[List[Dict]], Optional[Dict]]:
+        """``(wires, None)`` on a hit, else ``(None, local_lookup)``.
 
-    def _resolve_entry(self, type_name: str, auto_deploy: bool = True,
-                       exclude_sites: tuple = ()) -> Generator:
-        """Singleflight gate in front of :meth:`_resolve`.
+        A hit is local knowledge (authoritative + cached) short-cutting
+        the walk: the cache is on and a deployment outside
+        ``exclude_sites`` is known here.  With caching disabled, every
+        request gathers the full deployment list from the distributed
+        registries: the contrast paper Fig. 12 measures.
+        """
+        concrete = self.rdm.atr.hierarchy.concrete_types_for(type_name)
+        deployments = self._deployment_wires(concrete)
+        if self.rdm.adr.cache_enabled:
+            wires = deployments
+            if exclude_sites:
+                wires = [w for w in wires if wire_site(w) not in exclude_sites]
+            if wires:
+                self.resolved_locally += 1
+                return wires, None
+        return None, self._lookup(type_name, concrete, deployments)
+
+    def _walk(self, type_name: str, auto_deploy: bool, exclude_sites: tuple,
+              local: Optional[Dict]) -> Generator:
+        """Singleflight gate in front of :meth:`_resolve`: ``(wires, tier)``.
 
         On the scaled plane, concurrent identical resolutions on
-        this site join the walk already in flight and share its result
-        (bumping the same tier counter the leader's walk hit, so
-        per-request tier accounting still adds up).  A failed leading
+        this site join the walk already in flight and share its result,
+        bumping the tier counter the leader's walk returned, so
+        per-request tier accounting still adds up.  A failed leading
         walk is *not* shared: its error may be specific to the leader's
         timing, so each follower falls back to its own walk.
         """
         if not self.rdm.resolution.scaled:
-            wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
-            return wires
-
-        def lead() -> Generator:
-            before = self._tier_counters()
-            wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
-            return wires, self._tier_delta(before)
-
-        key = (type_name, bool(auto_deploy), tuple(sorted(exclude_sites)))
-        led, ok, value = yield from self._flights.run(key, lead)
+            result = yield from self._resolve(type_name, auto_deploy, exclude_sites, local)
+            return result
+        led, ok, value = yield from self._flights.run(
+            _flight_key(type_name, auto_deploy, exclude_sites),
+            lambda: self._resolve(type_name, auto_deploy, exclude_sites, local))
         if led:
-            return value[0]
+            return value
         self.singleflight_joined += 1
-        self.rdm.obs.metrics.counter(
-            "glare.singleflight_joined", site=self.rdm.node_name
-        ).inc()
+        self.rdm.obs.metrics.counter("glare.singleflight_joined", site=self.rdm.node_name).inc()
         if not ok:
-            wires = yield from self._resolve(type_name, auto_deploy, exclude_sites)
-            return wires
+            result = yield from self._resolve(type_name, auto_deploy, exclude_sites)
+            return result
         wires, tier = value
-        attr = self._TIER_ATTRS.get(tier)
-        if attr is not None:
-            setattr(self, attr, getattr(self, attr) + 1)
-        return list(wires)
+        attr = self._TIER_ATTRS[tier]
+        setattr(self, attr, getattr(self, attr) + 1)
+        return list(wires), tier
 
     def _resolve(self, type_name: str, auto_deploy: bool = True,
-                 exclude_sites: tuple = ()) -> Generator:
-        """The resolution walk itself (see :meth:`get_deployments`)."""
+                 exclude_sites: tuple = (), local: Optional[Dict] = None) -> Generator:
+        """The walk from the group tier on: ``(wires, tier)``, ``tier``
+        naming the counter it bumped.  ``local`` is the local tier's
+        miss; a failed follower passes none and takes that tier itself."""
         tracer = self.rdm.obs.tracer
         excluded = set(exclude_sites)
+        if local is None:
+            with tracer.span("tier:local", type=type_name):
+                wires, local = self._local_answer(type_name, exclude_sites)
+            if wires is not None:
+                return wires, "local"
 
         def _usable(wires):
             if not excluded:
                 return wires
             return [w for w in wires if wire_site(w) not in excluded]
-
-        # With caching enabled, local knowledge (authoritative + cached)
-        # short-circuits the walk.  With caching disabled, every request
-        # must gather the full deployment list from the distributed
-        # registries — this is exactly the contrast paper Fig. 12
-        # measures (cache on vs off over 1/3/7 sites).
-        cache_on = self.rdm.adr.cache_enabled
-        with tracer.span("tier:local", type=type_name):
-            local = self.local_lookup(type_name)
-        if cache_on and _usable(local["deployments"]):
-            self.resolved_locally += 1
-            return _usable(local["deployments"])
 
         view = self.rdm.overlay.view
         me = self.rdm.node_name
@@ -356,7 +385,7 @@ class RequestManager:
             # merged set is complete for this group with or without cache
             if _usable(merged["deployments"]):
                 self.resolved_in_group += 1
-                return _usable(merged["deployments"])
+                return _usable(merged["deployments"]), "group"
 
         # super-peer escalation
         sp_result: Optional[Dict] = None
@@ -378,9 +407,9 @@ class RequestManager:
         if _usable(merged["deployments"]):
             if sp_result and _usable(sp_result["deployments"]):
                 self.resolved_via_superpeer += 1
-            else:
-                self.resolved_in_group += 1
-            return _usable(merged["deployments"])
+                return _usable(merged["deployments"]), "super-peer"
+            self.resolved_in_group += 1
+            return _usable(merged["deployments"]), "group"
 
         # nothing deployed anywhere: on-demand deployment
         if auto_deploy:
@@ -398,7 +427,7 @@ class RequestManager:
                         concrete, exclude_sites=tuple(excluded)
                     )
                     self.resolved_by_deployment += 1
-                    return wires
+                    return wires, "on-demand"
         # from the walk: cache off, the registry keeps no remote answer
         if not merged["types"] and self.rdm.atr.find_type(type_name) is None:
             raise TypeNotFound(f"activity type {type_name!r} unknown in the VO")
@@ -719,6 +748,11 @@ class GlareRDMService(Service):
                     and not self.site.fs.is_executable(deployment.path)):
                 yield "active-on-disk", (f"ACTIVE deployment {key}: no executable "
                                          f"at {deployment.path}")
+        # a request resolves at one tier or fails: no tier counts it twice
+        manager = self.request_manager
+        resolved = sum(getattr(manager, attr) for attr in manager._TIER_ATTRS.values())
+        if resolved > manager.requests:
+            yield "resolutions-counted", f"{resolved} resolved of {manager.requests} requests"
 
     # -- client-facing operations -----------------------------------------------------
 
@@ -735,7 +769,10 @@ class GlareRDMService(Service):
         wires = yield from self.request_manager.get_deployments(
             type_name, auto_deploy=auto_deploy, exclude_sites=exclude
         )
-        return Response(value=wires, size=sum(len(w["xml"]) for w in wires) or 128)
+        size = 0
+        for wire in wires:  # a loop: a generator would resume once per wire
+            size += len(wire["xml"])
+        return Response(value=wires, size=size or 128)
 
     def op_get_template(self, message: Message) -> Generator:
         """Skeleton activity-type XML for providers (paper Example 2:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.obs.trace import TraceContext
@@ -102,34 +101,32 @@ def estimate_size(payload: Any, floor: int = 256) -> int:
     return max(floor, _repr_len(payload))
 
 
-@dataclass
 class Message:
-    """A request in flight from ``src`` to ``dst``."""
+    """A request from ``src`` to ``dst``, sized like a :class:`Response`
+    unless ``size`` is given; ``trace_ctx`` is its ``traceparent`` header."""
 
-    src: str
-    dst: str
-    service: str
-    method: str
-    payload: Any = None
-    size: int = 0
-    secure: bool = False
-    msg_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
-    #: trace-context metadata (the simulated ``traceparent`` header);
-    #: set by the transport when tracing is enabled
-    trace_ctx: Optional[TraceContext] = None
+    __slots__ = ("src", "dst", "service", "method", "payload", "size",
+                 "secure", "msg_id", "trace_ctx")
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            self.size = estimate_size(self.payload)
+    def __init__(self, src: str, dst: str, service: str, method: str,
+                 payload: Any = None, size: int = 0, secure: bool = False,
+                 trace_ctx: Optional[TraceContext] = None) -> None:
+        self.src = src
+        self.dst = dst
+        self.service = service
+        self.method = method
+        self.payload = payload
+        self.size = size if size > 0 else estimate_size(payload)
+        self.secure = secure
+        self.msg_id = next(_MESSAGE_IDS)
+        self.trace_ctx = trace_ctx
 
 
-@dataclass
 class Response:
     """A handler's reply; ``size`` drives the return transmission time."""
 
-    value: Any = None
-    size: int = 0
+    __slots__ = ("value", "size")
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            self.size = estimate_size(self.value)
+    def __init__(self, value: Any = None, size: int = 0) -> None:
+        self.value = value
+        self.size = size if size > 0 else estimate_size(value)

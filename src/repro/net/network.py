@@ -402,6 +402,8 @@ class Network:
                     yield sim.timeout(self.connect_fail_delay)
                     raise dropped
             policy = ctx.security if ctx.security is not None else self.security
+            # https only: under http every security cost is 0.0, so skip the calls
+            secure = policy.enabled
             src_node = self.node(src)
             dst_node = self.node(dst)
             if not src_node.online:
@@ -414,7 +416,7 @@ class Network:
                 method=method,
                 payload=ctx.payload,
                 size=ctx.size,
-                secure=policy.enabled,
+                secure=secure,
             )
             if span is not None:
                 # the caller's span identity rides the envelope (the
@@ -428,14 +430,16 @@ class Network:
             # grant: they belong to the same send path, and splitting
             # them would change FCFS ordering under load
             demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-            demand += policy.client_cpu_demand(msize)
+            if secure:
+                demand += policy.client_cpu_demand(msize)
             if demand > 0:
                 yield from src_node.cpu.execute(demand)
 
             # transport security handshake (TLS round trips)
-            handshake = policy.handshake_latency(2.0 * latency)
-            if handshake > 0:
-                yield sim.timeout(handshake)
+            if secure:
+                handshake = policy.handshake_latency(2.0 * latency)
+                if handshake > 0:
+                    yield sim.timeout(handshake)
 
             # request transmission
             if contended:
@@ -457,7 +461,8 @@ class Network:
 
             # server-side crypto + unmarshalling (one co-scheduled grant)
             demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-            demand += policy.server_cpu_demand(msize)
+            if secure:
+                demand += policy.server_cpu_demand(msize)
             if demand > 0:
                 yield from dst_node.cpu.execute(demand)
 
@@ -482,9 +487,10 @@ class Network:
 
             # crypto on the response body + the return transmission
             rsize = response.size
-            resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
-            if resp_crypto > 0:
-                yield from dst_node.cpu.execute(resp_crypto)
+            if secure:
+                resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
+                if resp_crypto > 0:
+                    yield from dst_node.cpu.execute(resp_crypto)
             if contended:
                 yield from self._transmit(dst, src, rsize)
             else:

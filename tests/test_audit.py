@@ -86,6 +86,23 @@ def register_past_max_replicas(vo):
                                   payload={"xml": placed(vo, spare).wire_xml()}))
 
 
+def double_count_a_hit(vo):
+    """A mutant local hit bumps ``resolved_locally`` twice; agrid02
+    then answers Inv from its cache."""
+    manager = vo.rdm("agrid02").request_manager
+    answer = manager._local_answer
+
+    def twice(type_name, exclude_sites):
+        wires, local = answer(type_name, exclude_sites)
+        if wires is not None:
+            manager.resolved_locally += 1
+        return wires, local
+
+    manager._local_answer = twice
+    vo.run_process(vo.client_call("agrid02", "get_deployments",
+                                  payload={"type": "Inv", "auto_deploy": False}))
+
+
 ATR, ADR = "activity-type-registry", "activity-deployment-registry"
 
 #: (plane, clause, doctor): the doctor breaks exactly that clause
@@ -121,6 +138,7 @@ STATE_CASES = [
     ("gridftp@agrid01", "replicas-on-disk", leave_a_stale_replica),
     ("glare-rdm@agrid01", "active-on-disk",
      lambda vo: vo.stack("agrid01").site.fs.remove_file(BINARY)),
+    ("glare-rdm@agrid02", "resolutions-counted", double_count_a_hit),
     ("overlay", "super-peer-self",
      lambda vo: setattr(view(vo, "agrid01"), "super_peer", "agrid03")),
     ("overlay", "member-of-own-group",
