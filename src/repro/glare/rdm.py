@@ -27,7 +27,6 @@ scaled directory (:class:`DirectoryPlane`, iff switched on) and — by
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.glare.errors import DeploymentNotFound, GlareError, TypeNotFound
@@ -662,7 +661,7 @@ class GlareRDMService(Service):
             else:
                 # an explicit per-call deadline overrides the policy's
                 # own per-attempt timeout (probe deadlines stay exact)
-                policy = dataclasses.replace(policy, per_try_timeout=timeout)
+                policy = policy.timed(timeout)
         return self.network.call(
             self.node_name, dst, RDM_SERVICE, method, payload=payload,
             retry=policy,
@@ -684,7 +683,7 @@ class GlareRDMService(Service):
                 sites = yield from self.network.call(
                     self.node_name, self.community_site,
                     IndexService.SERVICE_NAME, "list_sites",
-                    retry=(self.retry_policy or RetryPolicy()).with_per_try(10.0),
+                    retry=(self.retry_policy or RetryPolicy.single(10.0)).with_per_try(10.0),
                 )
                 if sites:
                     return list(sites)

@@ -377,11 +377,11 @@ class GridFtpService(Service):
         if len(candidates) == 1:
             return origin
         me, network, serving = self.node_name, self.network, catalog.serving
-        path_metrics = network.topology.path_metrics
+        routes = network.topology.routes
         best, chosen = None, None
         for site in candidates:
             try:
-                latency, bandwidth = path_metrics(site, me)
+                latency, bandwidth, _ = routes[site, me]
                 rank = (latency, -bandwidth, serving.get(site, 0), site)
                 if (best is None or rank < best) and (
                         site == me or network.is_online(site)):

@@ -113,6 +113,8 @@ def _shutdown(vo: "VirtualOrganization") -> Clauses:
             yield "cpu-released", f"{name}: {node.cpu.run_queue_length} CPU grants"
         if node.inflight_rpcs:
             yield "no-rpc-in-flight", f"{name}: {node.inflight_rpcs} RPCs in flight"
+    for (a, b), count in vo.network._link_active.items():
+        yield "links-released", f"link {a}-{b}: {count} transfers still claim it"
     for span in vo.obs.tracer.leaked_spans():
         yield "spans-closed", f"leaked span {span.name}"
     for owner in vo.background():

@@ -68,6 +68,12 @@ class RemoteError(Exception):
 #: transport-level errors every retry policy treats as retryable
 TRANSIENT_ERRORS: Tuple[type, ...] = (OfflineError, RpcTimeout, Overloaded)
 
+#: ``(policy, type(t), t)`` -> the policy with per-attempt timeout ``t``, one
+#: frozen instance per key (``8`` and ``8.0`` time out with different
+#: texts), cleared wholesale at the limit
+_TIMED: dict = {}
+_TIMED_LIMIT = 1024
+
 
 class CallContext:
     """Mutable per-call state: what is called, where, and which attempt."""
@@ -141,7 +147,7 @@ class RetryPolicy:
     @classmethod
     def single(cls, timeout: float) -> "RetryPolicy":
         """One attempt with a deadline — the old ``call_with_timeout``."""
-        return cls(attempts=1, per_try_timeout=timeout)
+        return _ONE_ATTEMPT.timed(timeout)
 
     @property
     def engaged(self) -> bool:
@@ -153,7 +159,17 @@ class RetryPolicy:
         """Fill in a per-attempt timeout if the policy lacks one."""
         if timeout is None or self.per_try_timeout is not None:
             return self
-        return dataclasses.replace(self, per_try_timeout=timeout)
+        return self.timed(timeout)
+
+    def timed(self, timeout: float) -> "RetryPolicy":
+        """``dataclasses.replace(self, per_try_timeout=timeout)``, shared."""
+        key = (self, type(timeout), timeout)
+        policy = _TIMED.get(key)
+        if policy is None:
+            if len(_TIMED) >= _TIMED_LIMIT:
+                _TIMED.clear()
+            policy = _TIMED[key] = dataclasses.replace(self, per_try_timeout=timeout)
+        return policy
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is worth another attempt under this policy."""
@@ -193,6 +209,8 @@ class RetryPolicy:
             delays.append(delay)
         return delays
 
+
+_ONE_ATTEMPT = RetryPolicy()
 
 __all__ = [
     "CallContext",

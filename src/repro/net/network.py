@@ -22,7 +22,7 @@ process (nothing left on the agenda afterwards).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.net.interceptors import (
     CallContext,
@@ -200,24 +200,26 @@ class Network:
 
     # -- transmission ----------------------------------------------------------
 
-    def _transmit(self, src: str, dst: str, size: int) -> Generator:
-        """Move ``size`` bytes: propagation + (possibly shared) bandwidth."""
-        latency, bandwidth = self.topology.path_metrics(src, dst)
-        if not self.contention or src == dst:
-            yield self.sim.timeout(latency + size / bandwidth)
-            return
-        edges = self.topology.path_edges(src, dst)
-        active = max((self._link_active.get(e, 0) for e in edges), default=0)
-        effective = bandwidth / (active + 1)
+    def _claim(self, edges: Tuple[Tuple[str, str], ...], bandwidth: float) -> float:
+        """Claim ``edges``: ``bandwidth`` / (1 + the busiest one's prior count)."""
+        active = self._link_active
+        busiest = 0
         for edge in edges:
-            self._link_active[edge] = self._link_active.get(edge, 0) + 1
-        try:
-            yield self.sim.timeout(latency + size / effective)
-        finally:
-            for edge in edges:
-                self._link_active[edge] -= 1
-                if self._link_active[edge] <= 0:
-                    del self._link_active[edge]
+            count = active.get(edge, 0)
+            if count > busiest:
+                busiest = count
+            active[edge] = count + 1
+        return bandwidth / (busiest + 1)
+
+    def _release(self, edges: Tuple[Tuple[str, str], ...]) -> None:
+        """Undo :meth:`_claim` on ``edges``."""
+        active = self._link_active
+        for edge in edges:
+            count = active[edge] - 1
+            if count:
+                active[edge] = count
+            else:
+                del active[edge]
 
     # -- RPC -----------------------------------------------------------------
 
@@ -384,7 +386,7 @@ class Network:
         obs = self.obs
         src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
         observed = self._observed
-        span = error = None
+        span = error = held = None
         if observed is not None:
             endpoint = ctx.endpoint
             if obs.enabled:
@@ -423,8 +425,11 @@ class Network:
                 # simulated ``traceparent`` header)
                 message.trace_ctx = TraceContext(span.trace_id, span.span_id)
             msize = message.size
-            latency, bandwidth = self.topology.path_metrics(src, dst)
             contended = self.contention and src != dst
+            if contended:
+                latency, bandwidth, edges = self.topology.routes[src, dst]
+            else:
+                latency, bandwidth = self.topology.path_metrics(src, dst)
 
             # client-side marshalling + crypto, co-scheduled as one CPU
             # grant: they belong to the same send path, and splitting
@@ -441,11 +446,14 @@ class Network:
                 if handshake > 0:
                     yield sim.timeout(handshake)
 
-            # request transmission
+            # request transmission (a contended leg holds its links on the wire)
             if contended:
-                yield from self._transmit(src, dst, msize)
-            else:
-                yield sim.timeout(latency + msize / bandwidth)
+                bandwidth = self._claim(edges, bandwidth)
+                held = edges
+            yield sim.timeout(latency + msize / bandwidth)
+            if held is not None:
+                self._release(held)
+                held = None
             self.total_messages += 1
             self.total_bytes += msize
             src_node.messages_out += 1
@@ -492,10 +500,12 @@ class Network:
                 if resp_crypto > 0:
                     yield from dst_node.cpu.execute(resp_crypto)
             if contended:
-                yield from self._transmit(dst, src, rsize)
+                latency, bandwidth, edges = self.topology.routes[dst, src]
+                bandwidth = self._claim(edges, bandwidth)
+                held = edges
             else:
                 latency, bandwidth = self.topology.path_metrics(dst, src)
-                yield sim.timeout(latency + rsize / bandwidth)
+            yield sim.timeout(latency + rsize / bandwidth)
             self.total_messages += 1
             self.total_bytes += rsize
             dst_node.messages_out += 1
@@ -507,6 +517,8 @@ class Network:
             error = exc
             raise
         finally:
+            if held is not None:  # the reply leg's, or one interrupted on the wire
+                self._release(held)
             if observed is not None:
                 ended = sim._now
                 if obs.slo is not None:

@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 #: site -> {neighbour: (latency, bandwidth)}, both in the order added
 Adjacency = Dict[str, Dict[str, Tuple[float, float]]]
+Route = Tuple[float, float, Tuple[Tuple[str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,24 @@ def _shortest_path(adj: Adjacency, src: str, dst: str) -> Optional[List[str]]:
     return None
 
 
+class Routes(dict):
+    """``(src, dst)`` -> ``(*path_metrics(src, dst), edges)``, the edges
+    (sorted pairs) of the path a search *from src* found: the reverse
+    may break latency ties differently.  Every search fills it, so a
+    read after a pair's first is a plain dict hit.  Never write it."""
+
+    def __init__(self, topology: "Topology") -> None:
+        super().__init__()
+        self.topology = topology
+
+    def __missing__(self, pair: Tuple[str, str]) -> Route:
+        if pair[0] != pair[1]:
+            self.topology._search(*pair)
+            return self[pair]
+        route = self[pair] = (Topology.LOOPBACK_LATENCY, Topology.LOOPBACK_BANDWIDTH, ())
+        return route
+
+
 class Topology:
     """Static site/link graph with latency- and bandwidth-queries."""
 
@@ -99,9 +118,8 @@ class Topology:
         self._adj: Adjacency = {}
         #: (src, dst) -> (latency, bandwidth); one search fills both directions
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        #: (src, dst) -> edges of the path a search *from src* found (per
-        #: direction: the reverse search may break latency ties differently)
-        self._edge_cache: Dict[Tuple[str, str], Tuple[Tuple[str, str], ...]] = {}
+        #: the route memo, read as ``routes[src, dst]``
+        self.routes = Routes(self)
 
     def __contains__(self, name: object) -> bool:
         return name in self._adj
@@ -126,11 +144,8 @@ class Topology:
         self._adj.setdefault(a, {})
         self._adj.setdefault(b, {})
         self._adj[a][b] = self._adj[b][a] = (link.latency, link.bandwidth)
-        self._forget_paths()
-
-    def _forget_paths(self) -> None:
         self._path_cache.clear()
-        self._edge_cache.clear()
+        self.routes.clear()
 
     def links(self) -> Iterable[Link]:
         """Iterate over all links, each once, from its first-added end."""
@@ -145,8 +160,8 @@ class Topology:
         """True when ``src`` can reach ``dst``."""
         return _shortest_path(self._adj, src, dst) is not None
 
-    def _search(self, src: str, dst: str) -> List[str]:
-        """One shortest-path search from ``src``: the sites on the path.
+    def _search(self, src: str, dst: str) -> None:
+        """One shortest-path search from ``src``, memoised in :attr:`routes`.
 
         The first search of a pair, in either direction, fixes its
         ``(latency, bandwidth)`` for both.
@@ -163,23 +178,12 @@ class Topology:
                 bandwidth = min(bandwidth, hop_bandwidth)
             self._path_cache[src, dst] = self._path_cache[dst, src] = (
                 latency, bandwidth)
-        return path
+        self.routes[src, dst] = (*self._path_cache[src, dst],
+                                 tuple(tuple(sorted(hop)) for hop in zip(path, path[1:])))
 
     def path_edges(self, src: str, dst: str) -> Tuple[Tuple[str, str], ...]:
-        """Edges (as sorted pairs) on the minimum-latency path.
-
-        Memoised per direction on first request (only contended
-        transfers ask), so a pair costs one search here however many
-        transfers cross it.
-        """
-        if src == dst:
-            return ()
-        edges = self._edge_cache.get((src, dst))
-        if edges is None:
-            path = self._search(src, dst)
-            edges = self._edge_cache[src, dst] = tuple(
-                tuple(sorted(hop)) for hop in zip(path, path[1:]))
-        return edges
+        """Edges (as sorted pairs) on the minimum-latency path."""
+        return self.routes[src, dst][2]
 
     def path_metrics(self, src: str, dst: str) -> Tuple[float, float]:
         """``(latency, bandwidth)`` of the best path from src to dst.
@@ -187,13 +191,7 @@ class Topology:
         Latency is the sum of link latencies on the minimum-latency
         path; bandwidth is the bottleneck link on that path.
         """
-        if src == dst:
-            return (self.LOOPBACK_LATENCY, self.LOOPBACK_BANDWIDTH)
-        cached = self._path_cache.get((src, dst))
-        if cached is None:
-            self._search(src, dst)
-            cached = self._path_cache[src, dst]
-        return cached
+        return self._path_cache.get((src, dst)) or self.routes[src, dst][:2]
 
     def rank_sources(self, dst: str, sources: Iterable[str]) -> List[Tuple[str, float, float]]:
         """Order candidate ``sources`` by proximity to ``dst``, best first.

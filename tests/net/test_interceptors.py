@@ -1,9 +1,11 @@
 """Unit tests for the RPC stack: the observing transport stage, the
 retry engine and admission control."""
 
+import dataclasses
+
 import pytest
 
-from repro.net import Network, Topology
+from repro.net import Network, Topology, interceptors
 from repro.net.interceptors import (
     CallContext,
     Overloaded,
@@ -16,6 +18,7 @@ from repro.net.service import EchoService, Service
 from repro.obs import Observability
 from repro.simkernel import Simulator
 from repro.simkernel.errors import OfflineError
+from repro.vo import build_vo
 
 
 def make_net(sites=("A", "B", "C"), seed=1):
@@ -399,6 +402,71 @@ class TestRetryPolicy:
         sim.run()
         assert proc.value == "hi"
         assert net.retries_total >= 1
+
+
+class TestPolicyMemo:
+    """A policy per distinct timeout is built once and shared."""
+
+    @staticmethod
+    def timeout_text(policy):
+        sim, net = make_net()
+        SlowService(net, "B", delay=20.0)
+
+        def client():
+            try:
+                yield from net.call("A", "B", "slow", "work", retry=policy)
+            except RpcTimeout as error:
+                return str(error)
+
+        proc = sim.process(client())
+        sim.run()
+        return proc.value
+
+    def test_single_is_shared_per_timeout(self):
+        assert RetryPolicy.single(8.0) is RetryPolicy.single(8.0)
+        assert RetryPolicy.single(8.0) == RetryPolicy(attempts=1, per_try_timeout=8.0)
+
+    def test_an_int_and_a_float_timeout_stay_apart(self):
+        as_int, as_float = RetryPolicy.single(8), RetryPolicy.single(8.0)
+        assert as_int is not as_float
+        assert type(as_int.per_try_timeout) is int
+        assert self.timeout_text(as_int).endswith("timed out after 8s")
+        assert self.timeout_text(as_float).endswith("timed out after 8.0s")
+
+    def test_the_memo_is_cleared_wholesale_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(interceptors, "_TIMED", {})
+        memo = interceptors._TIMED
+        for index in range(interceptors._TIMED_LIMIT):
+            RetryPolicy.single(index + 0.5)
+        assert len(memo) == interceptors._TIMED_LIMIT
+        first = RetryPolicy.single(0.5)
+        RetryPolicy.single(-1.0)  # one past the limit
+        assert len(memo) == 1
+        assert RetryPolicy.single(0.5) is not first  # rebuilt after the clear
+        assert RetryPolicy.single(0.5) == first
+
+    def test_timed_equals_replace_and_is_shared(self):
+        policy = RetryPolicy(attempts=3, per_try_timeout=1.0, jitter=0.1)
+        assert policy.timed(2.5) == dataclasses.replace(policy, per_try_timeout=2.5)
+        assert policy.timed(2.5) is policy.timed(2.5)
+        assert policy.timed(2) is not policy.timed(2.0)
+        assert RetryPolicy().with_per_try(4.0) is RetryPolicy().with_per_try(4.0)
+
+    @pytest.mark.parametrize("rpc_retry", [None, RetryPolicy(attempts=3, base_delay=0.1)])
+    def test_rdm_rpc_overrides_the_per_try_timeout(self, rpc_retry, monkeypatch):
+        vo = build_vo(n_sites=2, seed=4, monitors=False, lifecycle=False,
+                      rpc_retry=rpc_retry)
+        rdm = vo.stack("agrid00").rdm
+        sent = []
+        monkeypatch.setattr(vo.network, "call",
+                            lambda *args, retry=None, **kwargs: sent.append(retry))
+        rdm.rpc("agrid01", "ping", timeout=2.5)
+        rdm.rpc("agrid01", "ping", timeout=2.5)
+        rdm.rpc("agrid01", "ping")
+        base = rpc_retry if rpc_retry is not None else RetryPolicy()
+        assert sent[0] == dataclasses.replace(base, per_try_timeout=2.5)
+        assert sent[1] is sent[0]
+        assert sent[2] is rpc_retry
 
 
 class TestRemoteError:

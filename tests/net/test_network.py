@@ -103,6 +103,21 @@ class TestPathEdgeCache:
         # one search per ordered pair, however often either query repeats
         assert sorted(searches) == sorted(expected)
 
+    def test_routes_hold_each_pairs_metrics_and_edges(self, searches):
+        for topo in (self.ring(), Topology.star("hub", ["a", "b", "c"])):
+            sites = topo.sites()
+            for src in sites:  # reverse directions first, then forwards
+                for dst in reversed(sites):
+                    route = topo.routes[src, dst]
+                    assert route == (*topo.path_metrics(src, dst),
+                                     tuple(self.uncached_edges(topo, src, dst)))
+                    assert topo.routes[src, dst] is route
+            with pytest.raises(ValueError):
+                topo.routes[sites[0], "nowhere"]
+        # one search per ordered pair of distinct sites (each failed
+        # lookup searches again)
+        assert len(searches) == 8 * 7 + 4 * 3 + 2
+
     def test_metrics_and_edges_describe_the_same_path(self):
         topo = self.ring()
         hops = {tuple(sorted((link.a, link.b))): link for link in topo.links()}

@@ -160,6 +160,7 @@ SHUTDOWN_CASES = [
     ("agenda-empty", lambda vo: vo.sim.timeout(1.0)),
     ("cpu-released", lambda vo: setattr(vo.network.node("agrid01").cpu, "_busy", 1)),
     ("no-rpc-in-flight", lambda vo: setattr(vo.network.node("agrid01"), "inflight_rpcs", 1)),
+    ("links-released", lambda vo: vo.network._claim((("agrid00", "agrid01"),), 1.0)),
     ("spans-closed", lambda vo: vo.obs.tracer.span("leaked").__enter__()),
     ("loops-stopped", lambda vo: setattr(vo, "reconciler", types.SimpleNamespace(
         running=True, stop=lambda: None))),
