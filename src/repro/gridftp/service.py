@@ -340,27 +340,23 @@ class GridFtpService(Service):
         as the fallback, and the destination registered as a replica."""
         catalog = self.url_catalog
         origin = catalog.resolve(url)
-        source = self._select_source(url, origin)
-        catalog.serving[source[0]] = catalog.serving.get(source[0], 0) + 1
-        try:
+        # ``serving`` counts the site being pulled from; a fallback moves it to origin
+        for site, path in (self._select_source(url, origin), origin):
+            catalog.serving[site] = catalog.serving.get(site, 0) + 1
             try:
-                entry = yield from self.fetch(
-                    source[0], source[1], dst_path, expected_md5=expected_md5
-                )
+                entry = yield from self.fetch(site, path, dst_path, expected_md5=expected_md5)
+                break
             except (TransferError, OfflineError):
-                if source == origin:
+                if (site, path) == origin:
                     raise
                 # a stale replica (deleted file, offline host, bad
                 # checksum) must never lose the fetch: drop it and pull
                 # from origin
-                catalog.discard_replica(url, source[0])
-                entry = yield from self.fetch(
-                    origin[0], origin[1], dst_path, expected_md5=expected_md5
-                )
-        finally:
-            catalog.serving[source[0]] -= 1
-            if catalog.serving[source[0]] <= 0:
-                del catalog.serving[source[0]]
+                catalog.discard_replica(url, site)
+            finally:
+                catalog.serving[site] -= 1
+                if catalog.serving[site] <= 0:
+                    del catalog.serving[site]
         entry.source_url = url
         # the download verified (md5-checked when the caller supplied a
         # digest): this site is now a replica for later fetches

@@ -144,3 +144,37 @@ class TestUrlCatalog:
         sim.process(client())
         sim.run()
         assert caught == [True]
+
+
+class TestReplicaFallback:
+    URL = "http://www.povray.org/povlinux-3.6.tgz"
+
+    def test_an_origin_fallback_credits_origin_with_the_load(self):
+        """A stale replica fails, so the fetch pulls from origin: for that
+        whole download ``serving`` counts origin, not the dropped replica."""
+        sim = Simulator(seed=7)
+        topo = Topology()
+        topo.add_link("dst", "src", latency=0.001, bandwidth=1e6)
+        topo.add_link("dst", "origin", latency=0.005, bandwidth=1e6)
+        net = Network(sim, topo)
+        sites = {name: GridSite(net, SiteDescription(name=name))
+                 for name in ("src", "dst", "origin")}
+        catalog = UrlCatalog()
+        services = install_gridftp(net, sites.values(), url_catalog=catalog)
+        services["dst"].replica_aware = True
+        sites["origin"].fs.put_file("/www/pov.tgz", size=2_000_000)
+        catalog.publish(self.URL, "origin", "/www/pov.tgz")
+        catalog.add_replica(self.URL, "src", "/tmp/gone.tgz")  # never written
+        seen = []
+
+        def probe():
+            yield sim.timeout(1.0)  # the origin reply is on the wire
+            seen.append(dict(catalog.serving))
+
+        sim.process(probe())
+        entry = run(sim, services["dst"].fetch_url(self.URL, "/tmp/pov.tgz"))
+        assert entry.size == 2_000_000 and services["dst"].replica_hits == 1
+        assert net.node("origin").bytes_out == 2_000_000
+        assert seen == [{"origin": 1}]
+        assert catalog.serving == {}
+        assert catalog.replicas[self.URL] == [("dst", "/tmp/pov.tgz")]
