@@ -68,11 +68,18 @@ class RemoteError(Exception):
 #: transport-level errors every retry policy treats as retryable
 TRANSIENT_ERRORS: Tuple[type, ...] = (OfflineError, RpcTimeout, Overloaded)
 
-#: ``(policy, type(t), t)`` -> the policy with per-attempt timeout ``t``, one
-#: frozen instance per key (``8`` and ``8.0`` time out with different
-#: texts), cleared wholesale at the limit
+#: ``(type(t), t)`` -> ``single(t)`` and ``(policy, type(t), t)`` -> the policy
+#: with per-attempt timeout ``t``: one frozen instance per key (``8`` and
+#: ``8.0`` time out with different texts), cleared wholesale at the limit
 _TIMED: dict = {}
 _TIMED_LIMIT = 1024
+
+
+def _remember(key: tuple, policy: "RetryPolicy") -> "RetryPolicy":
+    if len(_TIMED) >= _TIMED_LIMIT:
+        _TIMED.clear()
+    _TIMED[key] = policy
+    return policy
 
 
 class CallContext:
@@ -147,7 +154,8 @@ class RetryPolicy:
     @classmethod
     def single(cls, timeout: float) -> "RetryPolicy":
         """One attempt with a deadline — the old ``call_with_timeout``."""
-        return _ONE_ATTEMPT.timed(timeout)
+        key = (type(timeout), timeout)
+        return _TIMED.get(key) or _remember(key, cls(attempts=1, per_try_timeout=timeout))
 
     @property
     def engaged(self) -> bool:
@@ -164,12 +172,7 @@ class RetryPolicy:
     def timed(self, timeout: float) -> "RetryPolicy":
         """``dataclasses.replace(self, per_try_timeout=timeout)``, shared."""
         key = (self, type(timeout), timeout)
-        policy = _TIMED.get(key)
-        if policy is None:
-            if len(_TIMED) >= _TIMED_LIMIT:
-                _TIMED.clear()
-            policy = _TIMED[key] = dataclasses.replace(self, per_try_timeout=timeout)
-        return policy
+        return _TIMED.get(key) or _remember(key, dataclasses.replace(self, per_try_timeout=timeout))
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is worth another attempt under this policy."""
@@ -208,9 +211,6 @@ class RetryPolicy:
             total += delay
             delays.append(delay)
         return delays
-
-
-_ONE_ATTEMPT = RetryPolicy()
 
 __all__ = [
     "CallContext",

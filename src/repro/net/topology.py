@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 #: site -> {neighbour: (latency, bandwidth)}, both in the order added
 Adjacency = Dict[str, Dict[str, Tuple[float, float]]]
-Route = Tuple[float, float, Tuple[Tuple[str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,15 @@ def _shortest_path(adj: Adjacency, src: str, dst: str) -> Optional[List[str]]:
 
 
 class Routes(dict):
-    """``(src, dst)`` -> ``(*path_metrics(src, dst), edges)``, the edges
-    (sorted pairs) of the path a search *from src* found: the reverse
-    may break latency ties differently.  Every search fills it, so a
-    read after a pair's first is a plain dict hit.  Never write it."""
+    """``(src, dst)`` -> ``(*path_metrics(src, dst), edges)``: the edges (sorted
+    pairs) a search *from src* found, as the reverse may break ties otherwise.
+    Every search fills it, so a read after a pair's first is a dict hit."""
 
     def __init__(self, topology: "Topology") -> None:
         super().__init__()
         self.topology = topology
 
-    def __missing__(self, pair: Tuple[str, str]) -> Route:
+    def __missing__(self, pair: Tuple[str, str]) -> tuple:
         if pair[0] != pair[1]:
             self.topology._search(*pair)
             return self[pair]
@@ -118,7 +116,7 @@ class Topology:
         self._adj: Adjacency = {}
         #: (src, dst) -> (latency, bandwidth); one search fills both directions
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        #: the route memo, read as ``routes[src, dst]``
+        #: the route memo, read (never written) as ``routes[src, dst]``
         self.routes = Routes(self)
 
     def __contains__(self, name: object) -> bool:
@@ -191,6 +189,8 @@ class Topology:
         Latency is the sum of link latencies on the minimum-latency
         path; bandwidth is the bottleneck link on that path.
         """
+        if src == dst:
+            return (self.LOOPBACK_LATENCY, self.LOOPBACK_BANDWIDTH)
         return self._path_cache.get((src, dst)) or self.routes[src, dst][:2]
 
     def rank_sources(self, dst: str, sources: Iterable[str]) -> List[Tuple[str, float, float]]:
