@@ -366,29 +366,27 @@ class GridFtpService(Service):
     def _select_source(self, url: str, origin: Tuple[str, str]) -> Tuple[str, str]:
         """Nearest live copy of ``url``: topology rank, load tie-break.
         One pass; liveness is asked only of a candidate that would lead."""
-        catalog = self.url_catalog
-        candidates: Dict[str, str] = {origin[0]: origin[1]}
-        for site, path in catalog.replicas.get(url, ()):
-            candidates.setdefault(site, path)
-        if len(candidates) == 1:
+        replicas = self.url_catalog.replicas.get(url)
+        if not replicas:
             return origin
-        me, network, serving = self.node_name, self.network, catalog.serving
+        me, network, serving = self.node_name, self.network, self.url_catalog.serving
         routes = network.topology.routes
-        best, chosen = None, None
-        for site in candidates:
+        best = chosen = None
+        for site, path in (origin, *replicas):
             try:
                 latency, bandwidth, _ = routes[site, me]
                 rank = (latency, -bandwidth, serving.get(site, 0), site)
+                # a site listed again ranks the same, so its first entry holds
                 if (best is None or rank < best) and (
                         site == me or network.is_online(site)):
-                    best, chosen = rank, site
+                    best, chosen = rank, (site, path)
             except ValueError:
                 pass  # unreachable, or not a node of this network
         if chosen is None:
             return origin
-        if (chosen, candidates[chosen]) != origin:
+        if chosen != origin:
             self.replica_hits += 1
-        return chosen, candidates[chosen]
+        return chosen
 
 
 def install_gridftp(network, sites, url_catalog: Optional[UrlCatalog] = None,
