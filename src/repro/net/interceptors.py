@@ -212,6 +212,7 @@ class RetryPolicy:
             delays.append(delay)
         return delays
 
+
 __all__ = [
     "CallContext",
     "Overloaded",
