@@ -156,28 +156,22 @@ def test_two_overlapping_legs_end_where_the_formula_puts_them():
     assert net._link_active == {}
 
 
-def test_a_deadline_mid_wire_frees_the_links_at_once():
+@pytest.mark.parametrize("deadline, share", [(0.5, 1), (None, 2)])
+def test_a_deadline_mid_wire_frees_the_links_at_once(deadline, share):
     """A leg interrupted on the wire releases its links at the interrupt
-    instant: a leg started just after it gets the whole link."""
+    instant, so a leg started just after it gets the whole link; without
+    the deadline the first leg still holds ``b-h`` and they share it."""
     sim, net, arrivals = star_world()
     ends = {}
-    sim.process(leg_call(net, "x", "a", "b", 1_000_000, 1, 0.0, ends, timeout=0.5))
+    limit = {} if deadline is None else {"timeout": deadline}
+    sim.process(leg_call(net, "x", "a", "b", 1_000_000, 1, 0.0, ends, **limit))
     sim.process(leg_call(net, "y", "c", "b", 200_000, 1, 0.6, ends))
     sim.run()
-    assert ends["x"] == ("timeout", 0.5, {})
-    assert "x" not in arrivals
-    assert arrivals["y"] == 0.6 + (0.002 + 200_000 / (1e6 / 1))
+    if deadline is not None:
+        assert ends["x"] == ("timeout", 0.5, {})
+        assert "x" not in arrivals
+    assert arrivals["y"] == 0.6 + (0.002 + 200_000 / (1e6 / share))
     assert net._link_active == {}
-
-
-def test_without_the_deadline_the_late_leg_shares_the_link():
-    """The control for the test above: ``x`` still on the wire at 0.6."""
-    sim, net, arrivals = star_world()
-    ends = {}
-    sim.process(leg_call(net, "x", "a", "b", 1_000_000, 1, 0.0, ends))
-    sim.process(leg_call(net, "y", "c", "b", 200_000, 1, 0.6, ends))
-    sim.run()
-    assert arrivals["y"] == 0.6 + (0.002 + 200_000 / (1e6 / 2))
 
 
 def reference_ends(topology, t0, calls):
