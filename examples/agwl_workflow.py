@@ -58,7 +58,7 @@ def main() -> None:
     publish_applications(vo)
     vo.form_overlay()
     for site in vo.site_names:
-        vo.stack(site).site.start_monitoring()
+        vo.stack(site).site.loadavg.start()
     vo.run_process(register_base_hierarchy(vo, "agrid01"))
     for app in ("Java", "Ant", "JPOVray", "ImageViewer"):
         vo.run_process(register_application(vo, "agrid01", app))

@@ -9,8 +9,9 @@ test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
 
 * **node crash/restart** — :meth:`FaultPlane.crash` and
   :meth:`FaultPlane.restart` are the one way a site's liveness changes
-  (each flips the node and journals it); fixed schedules and
-  selector-driven churn rounds call them;
+  (each flips the node, stops or restarts the loops of its planes and
+  journals it); fixed schedules and selector-driven churn rounds call
+  them;
 * **link loss and partition windows** — per-call drops and time-boxed
   network splits, drawn first thing in the transport stage
   (:meth:`~repro.net.network.Network._transport`);
@@ -32,10 +33,11 @@ processes, no draws, byte-identical behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.interceptors import CallContext, RemoteError
 from repro.simkernel.errors import OfflineError, SimulationError
+from repro.simkernel.primitives import Periodic
 
 
 class FaultInjected(SimulationError):
@@ -147,6 +149,9 @@ class FaultPlane:
         self.link_faults_injected = 0
         self.service_errors_injected = 0
         self.transfer_faults_injected = 0
+        #: per crashed site, the loops its crash stopped: exactly what
+        #: its restart starts again (``vo.stop()`` clears it)
+        self.held: Dict[str, List[Periodic]] = {}
         self._started = False
 
     @property
@@ -176,7 +181,8 @@ class FaultPlane:
             self.sim.process(self._churn_proc(), name="fault:churn")
 
     def crash(self, site: Optional[str]) -> bool:
-        """Take ``site`` offline and journal the ``crash``.
+        """Take ``site`` offline, stop the loops of its planes that run
+        and journal the ``crash``.
 
         A crash of no site (``None``) or of one already down is skipped:
         journaled as ``crash-skip`` and ``False`` returned, so its caller
@@ -188,12 +194,20 @@ class FaultPlane:
             self.sim.note("faults", "crash-skip", site=site)
             return False
         node.online = False
+        running = [loop for plane in node.planes for loop in plane.loops()
+                   if loop.running]
+        for loop in running:
+            loop.stop()
+        self.held[site] = running
         self.sim.note("faults", "crash", site=site)
         return True
 
     def restart(self, site: str) -> None:
-        """Bring ``site`` back online and journal the ``restart``."""
+        """Bring ``site`` back online, start exactly the loops its
+        crash stopped and journal the ``restart``."""
         self.network.node(site).online = True
+        for loop in self.held.pop(site, ()):
+            loop.start()
         self.sim.note("faults", "restart", site=site)
 
     def _crash_proc(self, site: str, at: float, down_for: Optional[float]):

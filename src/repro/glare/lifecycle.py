@@ -51,6 +51,7 @@ class LifecycleController(Plane):
             rdm.sim, min_check_interval, self._check_minimums,
             f"min-deployments:{rdm.node_name}",
         )
+        rdm.node.planes.append(self)
 
     @property
     def sim(self):
@@ -61,16 +62,8 @@ class LifecycleController(Plane):
         if self.ensure_minimums:
             self.minimums.start()
 
-    def stop(self) -> None:
-        self.lifetime.stop()
-        self.minimums.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.lifetime.running or self.minimums.running
-
     def loops(self):
-        return (self,)
+        return (self.lifetime, self.minimums)
 
     # -- expiry listener ------------------------------------------------------
 

@@ -60,10 +60,8 @@ class Monitor(Periodic):
         self.cycles = 0
 
     def _cycle(self) -> Generator:
-        """One round: an offline node has spent its wait and skips the tick."""
-        if self.rdm.node.online:
-            yield from self.tick()
-            self.cycles += 1
+        yield from self.tick()
+        self.cycles += 1
 
     def tick(self) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -17,7 +17,7 @@ with each hop's results cached locally (two-level cache: site cache
 and super-peer cache).
 
 This module holds what §3.2 names: the Request Manager's walk, the
-client-facing operations, plumbing, and monitor start/stop.  Every
+client-facing operations, plumbing, and its monitors.  Every
 other plane keeps its state, hooks and ``op_*`` in its own module and
 is attached (:meth:`GlareRDMService.attach`): the overlay, the paper's
 §6 extensions (un-deployment, wrapper generation, semantic search), the
@@ -699,45 +699,34 @@ class GlareRDMService(Service):
 
     # -- background components --------------------------------------------------
 
-    def start(self, monitors: bool = True) -> None:
-        """Launch the RDM's background components (idempotent)."""
-        if monitors and not self._monitors:
+    def start(self) -> None:
+        """Launch the three monitors (idempotent); the overlay arms its
+        own failure detector."""
+        if not self._monitors:
             from repro.glare.monitors import (
                 CacheRefresher,
                 DeploymentStatusMonitor,
                 IndexMonitor,
             )
 
-            for monitor in (
+            self._monitors = [
                 IndexMonitor(self),
                 CacheRefresher(self),
                 DeploymentStatusMonitor(self),
-            ):
-                if self.resolution.scaled:
+            ]
+            if self.resolution.scaled:
+                for monitor in self._monitors:
                     # deterministic per-(site, monitor) phase offset so
                     # hundreds of loops don't tick in lockstep
                     monitor.phase = self.sim.rng.uniform(
                         f"monitor-jitter:{self.node_name}:{monitor.NAME}",
                         0.0, monitor.interval,
                     )
-                monitor.start()
-                self._monitors.append(monitor)
-
-    def stop(self) -> None:
         for monitor in self._monitors:
-            monitor.stop()
-        self._monitors.clear()
-        self.overlay.detector.stop()
-
-    @property
-    def running(self) -> bool:
-        """True while a monitor or the overlay's failure detector runs."""
-        return self.overlay.detector.running or any(
-            monitor.running for monitor in self._monitors
-        )
+            monitor.start()
 
     def loops(self):
-        return (self,)
+        return (*self._monitors, self.overlay.detector)
 
     def invariants(self) -> Iterator[Tuple[str, str]]:
         # what the Deployment Status Monitor would flag FAILED

@@ -229,7 +229,7 @@ class _Registry(Service):
         self.cache_sources.pop(key, None)
 
     def loops(self):
-        return (self.aggregation,)
+        return (self.aggregation.refresher,)
 
     def invariants(self) -> Iterator[Tuple[str, str]]:
         home = set(self.home.keys())

@@ -4,10 +4,11 @@
 :class:`Violation` per broken clause.  Each site plane's
 ``invariants()`` states the clauses of its own state next to the code
 that keeps it; the cross-site overlay clauses, the network's traffic
-ledger, the reconciler's replica bounds and, once ``vo.stop()`` was
-called, the shutdown clauses are below.  ``build_vo`` enlists each VO
-in the open :func:`audit_scope` (``repro.runner`` opens one per work
-unit) and retains nothing outside one.
+ledger, the stopped loops of crashed sites, the reconciler's replica
+bounds and, once ``vo.stop()`` was called, the shutdown clauses are
+below.  ``build_vo`` enlists each VO in the open :func:`audit_scope`
+(``repro.runner`` opens one per work unit) and retains nothing outside
+one.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def audit(vo: "VirtualOrganization") -> List[Violation]:
              for clause, detail in plane.invariants()]
     found += [Violation("overlay", *broken) for broken in _overlay(vo)]
     found += [Violation("network", *broken) for broken in _traffic(vo)]
+    found += [Violation("faults", *broken) for broken in _offline(vo)]
     if vo.reconciler is not None:
         found += [Violation("orchestrate", *broken) for broken in _replicas(vo)]
     if vo.stopped:
@@ -85,6 +87,17 @@ def _traffic(vo: "VirtualOrganization") -> Clauses:
         yield "traffic-conserved", f"received {received} > wire {wire} (bytes, messages)"
 
 
+def _offline(vo: "VirtualOrganization") -> Clauses:
+    """A crashed site runs nothing: no loop of its planes is running."""
+    for name, node in vo.network.nodes.items():
+        if node.online:
+            continue
+        for plane in node.planes:
+            for loop in plane.loops():
+                if loop.running:
+                    yield "offline-loops-stopped", f"{name}: {loop.name} runs while offline"
+
+
 def _replicas(vo: "VirtualOrganization") -> Clauses:
     """Once the reconciler's last round converged, each spec's live
     replicas lie within its bounds: ACTIVE deployments on online sites
@@ -117,9 +130,9 @@ def _shutdown(vo: "VirtualOrganization") -> Clauses:
         yield "links-released", f"link {a}-{b}: {count} transfers still claim it"
     for span in vo.obs.tracer.leaked_spans():
         yield "spans-closed", f"leaked span {span.name}"
-    for owner in vo.background():
-        if owner.running:
-            yield "loops-stopped", f"{owner!r}: background loop still running"
+    for loop in vo.background():
+        if loop.running:
+            yield "loops-stopped", f"{loop.name}: background loop still running"
 
 
 #: the VOs built inside the innermost open :func:`audit_scope`

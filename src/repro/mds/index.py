@@ -281,16 +281,8 @@ class IndexService(Service):
         if self.upstream is not None:
             self.keepalive.start()
 
-    def stop(self) -> None:
-        self.keepalive.stop()
-
-    @property
-    def running(self) -> bool:
-        """True while the upstream keepalive loop runs."""
-        return self.keepalive.running
-
     def loops(self):
-        return (self.aggregation, self)
+        return (self.aggregation.refresher, self.keepalive)
 
     def invariants(self) -> Iterator[Tuple[str, str]]:
         # a query in flight holds, or waits for, at most one worker

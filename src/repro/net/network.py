@@ -22,7 +22,7 @@ process (nothing left on the agenda afterwards).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.net.interceptors import (
     CallContext,
@@ -63,13 +63,17 @@ class _Endpoint:
 
 
 class NodeRuntime:
-    """Per-site execution context: CPU, services, liveness."""
+    """Per-site execution context: CPU, services and planes, liveness."""
 
     def __init__(self, network: "Network", name: str, cpu: CPU) -> None:
         self.network = network
         self.name = name
         self.cpu = cpu
         self.services: Dict[str, Any] = {}
+        #: the site's parts (its services, plus any other plane that
+        #: enlists itself), in construction order: what a walk over the
+        #: site's loops or state clauses iterates
+        self.planes: List[Any] = []
         self.online = True
         # traffic counters (for reports and tests)
         self.messages_in = 0
@@ -193,6 +197,7 @@ class Network:
                 f"service {service.name!r} already deployed on {service.node_name!r}"
             )
         runtime.services[service.name] = service
+        runtime.planes.append(service)
 
     def is_online(self, name: str) -> bool:
         """Liveness of site ``name``."""

@@ -28,9 +28,10 @@ class UnknownOperation(Exception):
 
 
 class Plane:
-    """One part of a site (``SiteStack.planes``): the loops it owns, each
-    with ``stop()`` and ``running``, and a ``(clause, detail)`` for every
-    clause of its own state that is broken (:func:`repro.invariants.audit`)."""
+    """One part of a site (``NodeRuntime.planes``): the
+    :class:`~repro.simkernel.primitives.Periodic` loops it owns, and a
+    ``(clause, detail)`` for every clause of its own state that is
+    broken (:func:`repro.invariants.audit`)."""
 
     name = ""
 

@@ -273,19 +273,6 @@ class SLOEngine:
             sim, self.eval_interval, self.evaluate, "slo-evaluator"
         )
 
-    def start(self) -> None:
-        """Spawn the periodic evaluator process (idempotent)."""
-        assert self.evaluator is not None, "SLOEngine.start() before bind()"
-        self.evaluator.start()
-
-    def stop(self) -> None:
-        if self.evaluator is not None:
-            self.evaluator.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.evaluator is not None and self.evaluator.running
-
     # -- event intake -------------------------------------------------------
 
     def record(self, endpoint: str, started: float, ended: float,

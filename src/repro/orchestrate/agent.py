@@ -18,6 +18,7 @@ from repro.orchestrate.spec import DeploymentSpec, DesiredState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
+    from repro.orchestrate.reconciler import Reconciler
 
 __all__ = ["SiteAgent"]
 
@@ -39,6 +40,14 @@ class SiteAgent(Plane):
         #: so the document survives super-peer takeover on whichever
         #: site hosts the next reconciler
         self.desired_state: Optional[DesiredState] = None
+        #: the VO's desired-state reconciler when it runs on this site
+        #: (``build_vo`` places it on the community site), so it is one
+        #: of this site's loops
+        self.reconciler: Optional["Reconciler"] = None
+        rdm.node.planes.append(self)
+
+    def loops(self):
+        return () if self.reconciler is None else (self.reconciler,)
 
     def op_report_observed(self, message: Message) -> Generator:
         """One observation sample for the desired-state reconciler.

@@ -158,7 +158,7 @@ def _echo_world(seed: int, clients: int, obs: Any = None):
         net.add_node(site, cores=2)
     EchoService(net, "server", demand=0.0005)
     if obs is not None and obs.slo is not None:
-        obs.slo.start()
+        obs.slo.evaluator.start()
 
     completed = [0]
 

@@ -36,6 +36,7 @@ class GridSite(Plane):
             cores=description.processors,
             speed=description.speed_factor,
         )
+        self.runtime.planes.append(self)
         self.fs = Filesystem()
         # Standard directory layout + the default env vars of paper §3.4.
         self.fs.mkdir_p("/home/glare")
@@ -75,10 +76,6 @@ class GridSite(Plane):
         return self.runtime.online
 
     # -- monitoring ------------------------------------------------------------
-
-    def start_monitoring(self) -> None:
-        """Begin sampling the 1-minute load average."""
-        self.loadavg.start()
 
     def loops(self):
         return (self.loadavg,)

@@ -14,7 +14,7 @@ All examples, tests and benchmark drivers build on this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.faults import FaultPlane, FaultsConfig
@@ -38,6 +38,7 @@ from repro.obs import MetricsRecorder, Observability
 from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.spec import DeploymentSpec
 from repro.simkernel import Simulator
+from repro.simkernel.primitives import Periodic
 from repro.site.description import SiteDescription
 from repro.site.gridsite import GridSite
 
@@ -105,7 +106,7 @@ class VOConfig:
 
 @dataclass
 class SiteStack:
-    """All services deployed on one VO member site, in start order."""
+    """The parts of one VO member site, by name."""
 
     site: GridSite
     index: IndexService
@@ -123,10 +124,11 @@ class SiteStack:
         return self.site.name
 
     @property
-    def planes(self) -> Tuple[Plane, ...]:
-        """The site's parts in start order: what every walk over a site
-        (shutdown, audit) iterates instead of naming them."""
-        return tuple(getattr(self, part.name) for part in fields(self))
+    def planes(self) -> List[Plane]:
+        """The site's parts in construction order (its node's
+        ``planes``): what every walk over a site (shutdown, crash,
+        audit) iterates instead of naming them."""
+        return self.site.runtime.planes
 
 
 class VirtualOrganization:
@@ -189,23 +191,26 @@ class VirtualOrganization:
 
     # -- shutdown ----------------------------------------------------------------
 
-    def background(self) -> List[Any]:
-        """Every owner of a loop ``build_vo`` or a caller can start, each
-        with ``stop()`` and ``running``: VO-wide, then each site's planes
-        in reverse start order.  The fault plane's finite crash/churn
-        schedule is not a loop and is left alone."""
-        owners: List[Any] = [self.reconciler, self.obs.slo, self.obs.recorder]
+    def background(self) -> List[Periodic]:
+        """Every loop ``build_vo`` or a caller can start: VO-wide, then
+        each site's planes in reverse construction order.  The fault
+        plane's finite crash/churn schedule is not a loop and is left
+        alone."""
+        slo = self.obs.slo
+        loops = [None if slo is None else slo.evaluator, self.obs.recorder]
         for stack in self.stacks.values():
-            owners += [loop for plane in reversed(stack.planes)
-                       for loop in plane.loops()]
-        return [owner for owner in owners if owner is not None]
+            loops += [loop for plane in reversed(stack.planes)
+                      for loop in plane.loops()]
+        return [loop for loop in loops if loop is not None]
 
     def stop(self) -> None:
         """Stop every background loop: once ``sim.run()`` has drained
-        the work in flight, nothing is left on the agenda."""
+        the work in flight, nothing is left on the agenda.  A restart
+        after this revives nothing a crash stopped."""
         self.stopped = True
-        for owner in self.background():
-            owner.stop()
+        self.faults.held.clear()
+        for loop in self.background():
+            loop.stop()
 
     # -- overlay -----------------------------------------------------------------
 
@@ -346,7 +351,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
     for stack in vo.stacks.values():
         stack.index.start()
         if config.monitors:
-            stack.rdm.start(monitors=True)
+            stack.rdm.start()
         if config.lifecycle:
             stack.lifecycle.start()
 
@@ -355,17 +360,19 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
         vo.obs.recorder = MetricsRecorder(vo, interval=vo.obs.sample_interval)
         vo.obs.recorder.start()
     if vo.obs.slo is not None:
-        vo.obs.slo.start()
+        vo.obs.slo.evaluator.start()
 
     # Desired-state orchestration: one reconciler process on the
-    # community site, driving the VO toward the declared specs from
-    # its own probes alone, so observability cannot steer it.  Off by
-    # default — no specs, no process, no events.
+    # community site (a loop of that site's agent), driving the VO
+    # toward the declared specs from its own probes alone, so
+    # observability cannot steer it.  Off by default — no specs, no
+    # process, no events.
     if config.orchestration:
         from repro.orchestrate import Reconciler
 
-        vo.reconciler = Reconciler(
-            vo.stacks[vo.community_site].rdm, config.orchestration)
+        community = vo.stacks[vo.community_site]
+        vo.reconciler = community.agent.reconciler = Reconciler(
+            community.rdm, config.orchestration)
         vo.reconciler.start()
 
     # Fault plane: spawn the crash/churn schedules (no-op when disabled).

@@ -158,14 +158,3 @@ class ServiceGroup:
         self.refreshes += 1
         self._snapshot = None  # content snapshots may have changed
         return len(dropped)
-
-    def start(self) -> None:
-        """Launch the periodic refresh process."""
-        self.refresher.start()
-
-    def stop(self) -> None:
-        self.refresher.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.refresher.running

@@ -121,8 +121,7 @@ class TestChurn:
         vo.sim.run(until=60)
         vo.faults.crash("agrid04")
         vo.sim.run(until=vo.sim.now + 300)
-        vo.faults.restart("agrid04")
-        vo.stack("agrid04").index.start()  # keepalive resumes
+        vo.faults.restart("agrid04")  # its keepalive resumes
         vo.sim.run(until=vo.sim.now + 400)
         view = vo.rdm("agrid04").overlay.view
         assert view.super_peer  # re-assigned by a later election round

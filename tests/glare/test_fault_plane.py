@@ -16,6 +16,7 @@ from repro.faults import (
     PartitionSpec,
     ServiceErrorRule,
 )
+from repro.invariants import audit
 from repro.net import Topology
 from repro.net.interceptors import RemoteError
 from repro.net.network import Network
@@ -115,6 +116,54 @@ class TestCrashRestartSeam:
             == [("crash", "agrid03"), ("crash-skip", "agrid03"),
                 ("crash-skip", None)]
         assert not vo.network.is_online("agrid03")
+
+    @staticmethod
+    def running(vo, site):
+        return [loop for plane in vo.stack(site).planes
+                for loop in plane.loops() if loop.running]
+
+    def test_restart_revives_exactly_what_the_crash_stopped(self):
+        vo = make_vo(monitors=True, lifecycle=True)
+        groups = vo.form_overlay()
+        member = next(name for sp, members in sorted(groups.items())
+                      for name in members if name != sp)
+        rdm = vo.rdm(member)
+        refresher = rdm._monitors[1]
+        refresher.stop()  # stopped before the crash: stays stopped
+        before = self.running(vo, member)
+        assert rdm.overlay.detector in before and refresher not in before
+        assert not vo.stack(member).lifecycle.minimums.running
+
+        vo.faults.crash(member)
+        assert self.running(vo, member) == []
+        vo.sim.run(until=vo.sim.now + 100)
+        assert self.running(vo, member) == []
+        assert audit(vo) == []
+        vo.faults.restart(member)
+        assert self.running(vo, member) == before
+        assert not refresher.running
+        assert not vo.stack(member).lifecycle.minimums.running
+        vo.sim.run(until=vo.sim.now + 100)
+        assert audit(vo) == []
+
+    def test_a_vo_without_lifecycle_restarts_no_sweeper(self):
+        vo = make_vo()
+        lifecycle = vo.stack("agrid03").lifecycle
+        vo.faults.crash("agrid03")
+        vo.faults.restart("agrid03")
+        assert not lifecycle.lifetime.running and not lifecycle.minimums.running
+        assert vo.stack("agrid03").index.keepalive.running
+
+    def test_a_restart_after_vo_stop_revives_nothing(self):
+        vo = make_vo(monitors=True, lifecycle=True)
+        vo.form_overlay()
+        vo.faults.crash("agrid03")
+        vo.stop()
+        vo.faults.restart("agrid03")
+        assert self.running(vo, "agrid03") == []
+        vo.sim.run(until=vo.sim.now + 1000)
+        assert vo.sim.peek() == float("inf")
+        assert audit(vo) == []
 
 
 class TestCrashSchedules:
@@ -407,6 +456,27 @@ class TestSuperPeerCrashRecovery:
         vo.sim.run(until=80.0)
         assert not vo.network.is_online(victim)
         assert sum(vo.rdm(n).overlay.reelections for n in vo.site_names) == 0
+
+    def test_a_dead_member_deposes_nobody(self):
+        """Regression: a crashed member's failure detector kept probing,
+        failed at once and ran the takeover from the dead site, so on
+        restart it claimed a group of its own at a new epoch."""
+        vo = build_vo(n_sites=7, group_size=3, seed=42, monitors=False,
+                      lifecycle=False)
+        assert vo.form_overlay()["agrid00"] == ["agrid00", "agrid06"]
+        vo.faults.crash("agrid06")
+        for _ in range(12):
+            vo.sim.run(until=vo.sim.now + 5)
+            assert audit(vo) == []
+        assert entries(vo.sim.journal, "overlay", "takeover") == []
+        vo.faults.restart("agrid06")
+        vo.sim.run(until=vo.sim.now + 5)
+        for site in ("agrid06", "agrid00"):
+            view = vo.rdm(site).overlay.view
+            assert (view.super_peer, view.member_sites(), view.epoch) \
+                == ("agrid00", ["agrid00", "agrid06"], 1)
+        assert vo.rdm("agrid06").overlay.detector.running
+        assert audit(vo) == []
 
     def test_recovery_is_deterministic(self):
         def takeover_at(seed):

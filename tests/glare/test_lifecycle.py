@@ -173,7 +173,7 @@ class TestMinimumDeployments:
             monkeypatch, DeploymentFailed("no candidate site"))
         vo.sim.run(until=vo.sim.now + 100)
         assert len(attempts) == 3
-        assert controller.minimum_repairs == 0 and controller.running
+        assert controller.minimum_repairs == 0 and controller.minimums.running
 
     def test_a_bug_in_the_install_propagates(self, monkeypatch):
         """Only what a client can be told is absorbed; a ``TypeError``

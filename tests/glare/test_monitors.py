@@ -42,19 +42,24 @@ def register_type_and_deployment(vo, site, name="monapp", path=None):
 
 
 class TestMonitorRounds:
-    def test_offline_node_spends_its_wait_without_ticking(self):
+    def test_a_crash_stops_the_monitor_and_a_restart_waits_afresh(self):
         vo = make_vo()
-        monitor = DeploymentStatusMonitor(vo.rdm("agrid01"), interval=10.0)
-        monitor.start()
-        t0 = vo.sim.now
+        rdm = vo.rdm("agrid01")
+        rdm.start()
+        monitor, = (m for m in rdm._monitors
+                    if isinstance(m, DeploymentStatusMonitor))  # every 25 s
+        vo.sim.run(until=vo.sim.now + 10)
         vo.faults.crash("agrid01")
-        vo.sim.run(until=t0 + 25)  # two waits lapse offline
-        assert monitor.cycles == 0 and monitor.running
+        assert not monitor.running
+        vo.sim.run(until=vo.sim.now + 60)  # two rounds' worth offline
+        assert monitor.cycles == 0
         vo.faults.restart("agrid01")
-        vo.sim.run(until=t0 + 29)
-        assert monitor.cycles == 0  # the third wait was not restarted ...
-        vo.sim.run(until=t0 + 31)
-        assert monitor.cycles == 1  # ... it ends on the original grid
+        assert monitor.running
+        t1 = vo.sim.now
+        vo.sim.run(until=t1 + 24)
+        assert monitor.cycles == 0  # not on the grid it had before ...
+        vo.sim.run(until=t1 + 26)
+        assert monitor.cycles == 1  # ... one wait from the restart
 
     def test_phase_is_read_at_start(self):
         vo = make_vo()
@@ -195,12 +200,12 @@ class TestIndexMonitor:
 
     def test_stop_during_the_probe_rpc_ends_the_monitor(self):
         """Regression: ``tick``'s broad except ate the interrupt, so the
-        monitor outlived ``rdm.stop()`` and nothing could reach it."""
+        monitor outlived its ``stop()`` and nothing could reach it."""
         vo = build_vo(n_sites=3, seed=71)
         rdm = vo.rdm("agrid01")
         monitor, = (m for m in rdm._monitors if m.NAME == IndexMonitor.NAME)
         vo.sim.run(until=20.00005)  # the first probe RPC is in flight
-        rdm.stop()
+        monitor.stop()
         vo.sim.run(until=100.0)
         assert monitor.cycles == 0
         assert not monitor.running

@@ -29,7 +29,7 @@ def vo():
     vo = build_vo(n_sites=4, seed=191, monitors=False)
     vo.form_overlay()
     for site in vo.site_names:
-        vo.stack(site).site.start_monitoring()
+        vo.stack(site).site.loadavg.start()
     return vo
 
 

@@ -161,8 +161,8 @@ class TestBurnRates:
         spec = SLOSpec(name="s", endpoint="a.*", target=0.9,
                        alerts=(BurnRateRule("fast", 10.0, 1.0),))
         sim, engine = make_engine(spec, eval_interval=2.0)
-        engine.start()
-        engine.start()  # idempotent
+        engine.evaluator.start()
+        engine.evaluator.start()  # idempotent
 
         def workload():
             yield sim.timeout(3.0)
@@ -174,7 +174,7 @@ class TestBurnRates:
         assert engine.evaluations == 5
         assert engine.alerts_fired() == 1
         assert engine.alerts()[0]["at"] == pytest.approx(4.0)
-        engine.stop()
+        engine.evaluator.stop()
         sim.run(until=20.0)
         assert engine.evaluations == 5  # stopped: no further ticks
 

@@ -103,6 +103,13 @@ def double_count_a_hit(vo):
                                   payload={"type": "Inv", "auto_deploy": False}))
 
 
+def start_a_loop_on_a_crashed_site(vo):
+    """The crash stopped agrid03's loops; a caller then starts one."""
+    vo.faults.crash("agrid03")
+    assert audit(vo) == []
+    vo.stack("agrid03").site.loadavg.start()
+
+
 ATR, ADR = "activity-type-registry", "activity-deployment-registry"
 
 #: (plane, clause, doctor): the doctor breaks exactly that clause
@@ -153,6 +160,7 @@ STATE_CASES = [
      lambda vo: setattr(vo.network.node("agrid01"), "bytes_out",
                         vo.network.node("agrid01").bytes_out + 1)),
     ("orchestrate", "replicas-in-bounds", register_past_max_replicas),
+    ("faults", "offline-loops-stopped", start_a_loop_on_a_crashed_site),
 ]
 
 #: (clause, doctor) applied after ``vo.stop(); vo.sim.run()``
@@ -162,8 +170,8 @@ SHUTDOWN_CASES = [
     ("no-rpc-in-flight", lambda vo: setattr(vo.network.node("agrid01"), "inflight_rpcs", 1)),
     ("links-released", lambda vo: vo.network._claim((("agrid00", "agrid01"),), 1.0)),
     ("spans-closed", lambda vo: vo.obs.tracer.span("leaked").__enter__()),
-    ("loops-stopped", lambda vo: setattr(vo, "reconciler", types.SimpleNamespace(
-        running=True, stop=lambda: None))),
+    ("loops-stopped", lambda vo: setattr(vo.obs, "recorder", types.SimpleNamespace(
+        name="stray", running=True, stop=lambda: None))),
 ]
 
 

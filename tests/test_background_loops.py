@@ -1,8 +1,9 @@
-"""One stop contract for every owner of a background loop, and the
-VO-wide shutdown built on it (``vo.stop()`` + the audit's shutdown
-clauses)."""
+"""One stop contract for every kind of background loop (each is a
+``Periodic``), and the VO-wide shutdown built on it (``vo.stop()`` +
+the audit's shutdown clauses)."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -31,8 +32,8 @@ def quiet_vo(**config):
     return vo
 
 
-# Each factory returns ``(sim, owner)`` with nothing else on the agenda;
-# the rows are the ten owners of a ``Periodic``.
+# Each factory returns ``(sim, loop)`` with nothing else on the agenda;
+# the rows are the ten places a ``Periodic`` is built.
 
 def monitor():
     vo = quiet_vo(n_sites=2, seed=3)
@@ -42,7 +43,7 @@ def monitor():
 def lifecycle_controller():
     vo = quiet_vo(n_sites=2, seed=3)
     return vo.sim, LifecycleController(
-        vo.rdm("agrid01"), min_check_interval=5.0, ensure_minimums=True)
+        vo.rdm("agrid01"), min_check_interval=5.0, ensure_minimums=True).minimums
 
 
 def lifetime_manager():
@@ -52,7 +53,7 @@ def lifetime_manager():
 
 def service_group():
     sim = Simulator()
-    return sim, ServiceGroup(sim, refresh_interval=5.0)
+    return sim, ServiceGroup(sim, refresh_interval=5.0).refresher
 
 
 def load_average():
@@ -62,7 +63,7 @@ def load_average():
 
 def mds_keepalive():
     vo = quiet_vo(n_sites=2, seed=3)
-    return vo.sim, vo.stack("agrid01").index
+    return vo.sim, vo.stack("agrid01").index.keepalive
 
 
 def metrics_recorder():
@@ -74,7 +75,7 @@ def slo_engine():
     sim = Simulator()
     engine = SLOEngine([SLOSpec(name="avail", endpoint="*", target=0.99)])
     engine.bind(sim)
-    return sim, engine
+    return sim, engine.evaluator
 
 
 def reconciler():
@@ -83,15 +84,16 @@ def reconciler():
 
 
 def overlay_detector():
-    """The RDM of a plain member: its view started the detector, its
-    own ``start()`` adds the three monitors."""
+    """A plain member's failure detector, which its view started."""
     vo = build_vo(n_sites=2, seed=3, monitors=False, lifecycle=False)
     for stack in vo.stacks.values():
-        stack.index.stop()
+        stack.index.keepalive.stop()
     groups = vo.form_overlay()
     (super_peer, members), = groups.items()
     member, = (name for name in members if name != super_peer)
-    return vo.sim, vo.rdm(member)
+    detector = vo.rdm(member).overlay.detector
+    assert detector.running
+    return vo.sim, detector
 
 
 OWNERS = [
@@ -103,17 +105,17 @@ OWNERS = [
 
 @pytest.mark.parametrize("make", OWNERS, ids=lambda make: make.__name__)
 def test_stop_contract(make):
-    sim, owner = make()
-    owner.start()
-    owner.start()  # idempotent: still one loop for one stop() to end
+    sim, loop = make()
+    loop.start()
+    loop.start()  # idempotent: still one loop for one stop() to end
     sim.run(until=sim.now + 12.5)
-    assert owner.running and not math.isinf(sim.peek())
+    assert loop.running and not math.isinf(sim.peek())
 
-    owner.stop()
+    loop.stop()
     sim.run(until=sim.now + 1000.0)  # bounded: a leaked loop fails, not hangs
     assert math.isinf(sim.peek())
-    assert not owner.running
-    owner.stop()  # a no-op
+    assert not loop.running
+    loop.stop()  # a no-op
     assert math.isinf(sim.peek())
 
 
@@ -121,10 +123,17 @@ def test_vo_stop_quiesces_an_observed_vo():
     vo = build_vo(n_sites=8, seed=7, observability=True)
     vo.form_overlay()
     vo.sim.run(until=44.15)
-    running = [owner for owner in vo.background() if owner.running]
-    # per site: lifecycle, RDM, MDS keepalive (the community index has
-    # no upstream); VO-wide: the metrics recorder
-    assert len(running) == 8 * 3 - 1 + 1
+    running = Counter(loop.name.split(":")[0]
+                      for loop in vo.background() if loop.running)
+    # per site: the lifetime sweep, the three RDM monitors and the MDS
+    # keepalive (the community index has no upstream); a plain member's
+    # failure detector (three of the eight sites are super-peers);
+    # VO-wide: the metrics recorder
+    assert running == {
+        "wsrf-lifetime": 8, "index-monitor": 8, "cache-refresher": 8,
+        "deployment-status-monitor": 8, "mds-keepalive": 7, "sp-probe": 5,
+        "metrics-recorder": 1,
+    }
     assert audit(vo) == []  # running: the shutdown clauses do not apply yet
 
     vo.stop()
@@ -140,11 +149,11 @@ def test_vo_stop_reaches_loops_a_caller_started():
     vo = quiet_vo(n_sites=2, seed=3, observability=Observability(
         enabled=False, slos=(SLOSpec(name="avail", endpoint="*", target=0.99),)))
     for stack in vo.stacks.values():
-        stack.site.start_monitoring()
-        stack.atr.aggregation.start()
-        stack.adr.aggregation.start()
-        stack.index.aggregation.start()
-    vo.obs.slo.start()
+        stack.site.loadavg.start()
+        stack.atr.aggregation.refresher.start()
+        stack.adr.aggregation.refresher.start()
+        stack.index.aggregation.refresher.start()
+    vo.obs.slo.evaluator.start()
     vo.sim.run(until=vo.sim.now + 40.0)
     assert len([o for o in vo.background() if o.running]) == 2 * 4 + 1
     vo.stop()
@@ -185,7 +194,10 @@ def test_orchestration_under_churn_with_observability_stops_clean():
     rounds_before = len(entries(vo.sim.journal, "orchestrate", "round"))
 
     vo.stop()
-    vo.sim.run()  # the fault plane's finite schedule plays out too
+    # the fault plane's finite schedule plays out too; bounded, so a
+    # loop a restart revived fails here instead of hanging
+    vo.sim.run(until=vo.sim.now + 1000)
+    assert math.isinf(vo.sim.peek())
     # the round was cut
     assert len(entries(vo.sim.journal, "orchestrate", "round")) == rounds_before
     assert audit(vo) == []

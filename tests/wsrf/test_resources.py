@@ -124,7 +124,7 @@ class TestServiceGroup:
         res = make_resource("k1")
         group.add(res.epr, state["doc"], provider=lambda: state["doc"])
         state["doc"] = Element("V", attrib={"v": "2"})
-        group.start()
+        group.refresher.start()
         sim.run(until=6)
         assert group.entries()[0].content.get("v") == "2"
 
@@ -133,7 +133,7 @@ class TestServiceGroup:
         group = ServiceGroup(sim, refresh_interval=1.0, max_stale_misses=2)
         res = make_resource("gone")
         group.add(res.epr, res.properties, provider=lambda: None)
-        group.start()
+        group.refresher.start()
         sim.run(until=5)
         assert len(group) == 0
 
