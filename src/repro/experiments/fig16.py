@@ -3,10 +3,12 @@
 The paper's self-management claim (§3.4) is qualitative: super-peers
 are re-elected when they fail, and "activity registration, deployment
 and provisioning continue".  This experiment quantifies it.  A VO runs
-a steady resolution + provisioning workload while the
-:class:`~repro.faults.FaultPlane` repeatedly crashes *whoever is the
-current super-peer* of the group hosting every activity type (churn
-rounds with a selector, so takeovers are chased across epochs).
+a steady resolution + provisioning workload while a churn loop
+repeatedly crashes *whoever is the current super-peer* of the group
+hosting every activity type: at each churn time it picks the victim
+and spawns the fault plane's one outage generator
+(:meth:`~repro.faults.FaultPlane.outage`), so takeovers are chased
+across epochs.
 
 Two series over the identical fault schedule:
 
@@ -67,7 +69,6 @@ from repro.experiments.workload import (
     register_served_type,
     resolve,
 )
-from repro.faults import FaultsConfig
 from repro.glare.errors import GlareError
 from repro.net.interceptors import RetryPolicy
 from repro.obs import Observability
@@ -226,11 +227,27 @@ def run_fig16_point(
         group_size=GROUP_SIZE,
         monitors=False,  # isolate probe/takeover from the community sweep
         lifecycle=False,
-        faults=FaultsConfig(
-            churn_times=tuple(churn_times), churn_downtime=churn_downtime
-        ),
         observability=Observability(enabled=False, slos=slos),
     )
+    tracked = ""  # a content host of the victim group, once the overlay forms
+
+    # Crash whoever leads the victim group at each churn time; chasing
+    # the view of a content host follows takeovers across epochs.
+    def churn_victim() -> Optional[str]:
+        sp = vo.rdm(tracked).overlay.view.super_peer
+        if sp and vo.network.is_online(sp) and sp != tracked:
+            return sp
+        return None
+
+    def churn() -> Generator:
+        for when in churn_times:
+            if when > vo.sim.now:
+                yield vo.sim.timeout(when - vo.sim.now)
+            # outages overlap-safe: each crash/restart runs detached
+            vo.sim.process(vo.faults.outage(churn_victim(), churn_downtime))
+
+    # spawned before anything runs: its first wait is on the agenda at t=0
+    vo.sim.process(churn(), name="fig16-churn")
     # The detector knob is the series switch; it must be set before the
     # election because probe loops start when the first view lands.
     interval = PROBE_INTERVAL if resilient else PROBE_DISABLED
@@ -249,7 +266,7 @@ def run_fig16_point(
     homes = ranked[-2:] if len(ranked) >= 2 else ranked
     if not homes:
         raise ValueError("victim group has no non-super-peer member to home types on")
-    tracked = homes[0]  # its view tells the fault plane who leads the group now
+    tracked = homes[0]  # its view tells the churn loop who leads the group now
 
     # clients: plain members of *other* groups (their own super-peer
     # stays up; only the cross-group escalation crosses the churn)
@@ -263,16 +280,6 @@ def run_fig16_point(
     if not client_pool:
         raise ValueError("no eligible client sites outside the victim group")
     clients = [client_pool[i % len(client_pool)] for i in range(n_clients)]
-
-    # Crash whoever leads the victim group at each churn round; chasing
-    # the view of a content host follows takeovers across epochs.
-    def churn_selector() -> Optional[str]:
-        sp = vo.rdm(tracked).overlay.view.super_peer
-        if sp and vo.network.is_online(sp) and sp != tracked:
-            return sp
-        return None
-
-    vo.faults.churn_selector = churn_selector
 
     # -- content -------------------------------------------------------------
     type_names = [f"ChurnType{i:02d}" for i in range(n_types)]

@@ -10,8 +10,9 @@ test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
 * **node crash/restart** — :meth:`FaultPlane.crash` and
   :meth:`FaultPlane.restart` are the one way a site's liveness changes
   (each flips the node, stops or restarts the loops of its planes and
-  journals it); fixed schedules and selector-driven churn rounds call
-  them;
+  journals it); :meth:`FaultPlane.outage` is the one generator that
+  schedules them, spawned once per :class:`CrashSpec` or by an
+  experiment that picks its victim at run time;
 * **link loss and partition windows** — per-call drops and time-boxed
   network splits, drawn first thing in the transport stage
   (:meth:`~repro.net.network.Network._transport`);
@@ -22,28 +23,39 @@ test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
   delegates its draw to :meth:`FaultPlane.transfer_fault` on the same
   RNG stream keys, so there is exactly one fault RNG path.
 
+A scenario is one frozen :class:`FaultsConfig` value of four rule
+tuples, checked when it is built, so a schedule can be generated,
+shrunk and committed like any other value.  The
+:class:`~repro.net.network.Network` builds the one plane from it.
 Every draw comes from a named stream of the simulator's
 :class:`~repro.simkernel.rng.RngRegistry` (the same trick the GridFTP
 fault keys used), so fault scenarios are reproducible per seed and
 adding the plane does not perturb any existing stream.  A VO built with
-``VOConfig.faults=None`` (the default) carries a disabled plane: no
+``FaultsConfig.NONE`` (the default) carries a disabled plane: no
 processes, no draws, byte-identical behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
-from repro.net.interceptors import CallContext, RemoteError
 from repro.simkernel.errors import OfflineError, SimulationError
 from repro.simkernel.primitives import Periodic
+
+if TYPE_CHECKING:
+    from repro.net.interceptors import CallContext, RemoteError
 
 
 class FaultInjected(SimulationError):
     """An error manufactured by the fault plane (transient by definition)."""
 
     transient = True
+
+
+def _check_rate(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,12 @@ class CrashSpec:
     at: float
     down_for: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.at < 0:
+            raise ValueError(f"crash time must be >= 0, got {self.at!r}")
+        if self.down_for is not None and self.down_for < 0:
+            raise ValueError(f"down_for must be None or >= 0, got {self.down_for!r}")
+
 
 @dataclass(frozen=True)
 class LinkRule:
@@ -63,6 +81,9 @@ class LinkRule:
     src: Optional[str] = None
     dst: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        _check_rate("loss", self.loss)
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -71,6 +92,15 @@ class PartitionSpec:
     start: float
     end: float
     group: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.start < self.end:
+            raise ValueError(f"partition needs start < end, got "
+                             f"[{self.start!r}, {self.end!r})")
+        if not (isinstance(self.group, tuple) and self.group
+                and all(isinstance(name, str) for name in self.group)):
+            raise ValueError(f"partition group must be a non-empty tuple "
+                             f"of site names, got {self.group!r}")
 
 
 @dataclass(frozen=True)
@@ -87,29 +117,29 @@ class ServiceErrorRule:
     dst: Optional[str] = None
     error: str = "FaultInjected"
 
+    def __post_init__(self) -> None:
+        _check_rate("rate", self.rate)
 
-@dataclass
+
+@dataclass(frozen=True)
 class FaultsConfig:
     """Declarative fault scenario for one VO (all empty = plane disabled).
 
-    ``churn_times`` fires one crash round per entry; the victim is
-    picked by :attr:`FaultPlane.churn_selector` at fire time (falling
-    back to a seeded draw over the online member sites), which is how
-    experiments target "whoever is the super-peer *right now*" across
-    takeovers.
+    A crash whose victim is only known at run time (say, whoever leads
+    a group *right now*) is not a rule: the experiment spawns
+    :meth:`FaultPlane.outage` itself when it has picked the site.
     """
 
     crashes: Tuple[CrashSpec, ...] = ()
-    churn_times: Tuple[float, ...] = ()
-    churn_downtime: float = 30.0
     links: Tuple[LinkRule, ...] = ()
     partitions: Tuple[PartitionSpec, ...] = ()
     service_errors: Tuple[ServiceErrorRule, ...] = ()
 
-    @property
-    def any_enabled(self) -> bool:
-        return bool(self.crashes or self.churn_times or self.links
-                    or self.partitions or self.service_errors)
+    #: no rule at all — the one default every constructor shares
+    NONE: ClassVar["FaultsConfig"]
+
+
+FaultsConfig.NONE = FaultsConfig()
 
 
 def _synthetic_error_class(name: str) -> type:
@@ -127,58 +157,42 @@ _SYNTHETIC_CLASSES: Dict[str, type] = {"FaultInjected": FaultInjected}
 class FaultPlane:
     """Seeded failure injector shared by the whole VO.
 
-    Always present on the :class:`~repro.net.network.Network` (like the
-    observability bundle); disabled unless built with a non-empty
-    :class:`FaultsConfig`.  :meth:`crash` / :meth:`restart` work on any
-    network, enabled or not; :meth:`start` spawns the crash/churn
-    schedules that call them; the per-call hooks (:meth:`link_fault`,
-    :meth:`service_fault`, :meth:`transfer_fault`) are invoked by the
-    RPC pipeline and GridFTP.
+    The :class:`~repro.net.network.Network` builds exactly one, from its
+    :class:`FaultsConfig` (like the observability bundle); it is
+    disabled unless that config holds a rule.  :meth:`crash` /
+    :meth:`restart` work on any network, enabled or not; :meth:`start`
+    spawns one :meth:`outage` per configured crash; the per-call hooks
+    (:meth:`link_fault`, :meth:`service_fault`, :meth:`transfer_fault`)
+    are invoked by the RPC pipeline and GridFTP.
     """
 
-    def __init__(self, sim, config: Optional[FaultsConfig] = None) -> None:
-        self.sim = sim
+    def __init__(self, network, config: FaultsConfig) -> None:
+        self.network = network
+        self.sim = network.sim
         self.config = config
-        self.network = None
-        #: experiment hook: returns the next churn victim (or None to
-        #: skip the round); default picks a seeded online member site
-        self.churn_selector: Optional[Callable[[], Optional[str]]] = None
-        #: the sites churn may crash (set by :meth:`start`): VO members,
-        #: never the origin download host
-        self._members: Tuple[str, ...] = ()
+        #: any rule at all: a disabled plane spawns and draws nothing
+        self.enabled = bool(config.crashes or config.links
+                            or config.partitions or config.service_errors)
         self.link_faults_injected = 0
         self.service_errors_injected = 0
         self.transfer_faults_injected = 0
         #: per crashed site, the loops its crash stopped: exactly what
         #: its restart starts again (``vo.stop()`` clears it)
         self.held: Dict[str, List[Periodic]] = {}
-        self._started = False
 
-    @property
-    def enabled(self) -> bool:
-        return self.config is not None and self.config.any_enabled
+    # -- scheduled faults ----------------------------------------------------------
 
-    def bind(self, network) -> "FaultPlane":
-        self.network = network
-        return self
-
-    # -- scheduled faults (crash / churn) -----------------------------------------
-
-    def start(self, members: Sequence[str]) -> None:
-        """Spawn the crash and churn schedules (idempotent, no-op when
-        disabled); the default churn draw picks among ``members``."""
-        if self._started or not self.enabled:
-            return
-        self._members = tuple(sorted(members))
-        self._started = True
-        assert self.network is not None, "FaultPlane.start() before bind()"
+    def start(self) -> None:
+        """Spawn one :meth:`outage` per :class:`CrashSpec` (``build_vo``
+        calls it once the sites exist); a crash of an unknown node is
+        rejected before anything is spawned."""
+        unknown = sorted({crash.site for crash in self.config.crashes}
+                         - set(self.network.nodes))
+        if unknown:
+            raise ValueError(f"crash of unknown node(s): {', '.join(unknown)}")
         for crash in self.config.crashes:
-            self.sim.process(
-                self._crash_proc(crash.site, crash.at, crash.down_for),
-                name=f"fault:crash:{crash.site}",
-            )
-        if self.config.churn_times:
-            self.sim.process(self._churn_proc(), name="fault:churn")
+            self.sim.process(self.outage(crash.site, crash.down_for, crash.at),
+                             name=f"fault:crash:{crash.site}")
 
     def crash(self, site: Optional[str]) -> bool:
         """Take ``site`` offline, stop the loops of its planes that run
@@ -210,43 +224,26 @@ class FaultPlane:
             loop.start()
         self.sim.note("faults", "restart", site=site)
 
-    def _crash_proc(self, site: str, at: float, down_for: Optional[float]):
-        if at > self.sim.now:
+    def outage(self, site: Optional[str], down_for: Optional[float],
+               at: Optional[float] = None):
+        """Process body of one outage: wait until ``at`` (None = now),
+        :meth:`crash` ``site``, wait ``down_for`` and :meth:`restart` it
+        (``down_for=None``: it stays down).  A skipped crash restarts
+        nothing."""
+        if at is not None and at > self.sim.now:
             yield self.sim.timeout(at - self.sim.now)
-        yield from self._down_up(site, down_for)
-
-    def _down_up(self, site: Optional[str], down_for: Optional[float]):
         if not self.crash(site) or down_for is None:
             return
         yield self.sim.timeout(down_for)
         self.restart(site)
 
-    def _churn_proc(self):
-        for index, when in enumerate(self.config.churn_times):
-            if when > self.sim.now:
-                yield self.sim.timeout(when - self.sim.now)
-            victim = self._pick_victim()
-            # rounds overlap-safe: each crash/restart runs detached
-            self.sim.process(
-                self._down_up(victim, self.config.churn_downtime),
-                name=f"fault:churn:{index}:{victim}",
-            )
-
-    def _pick_victim(self) -> Optional[str]:
-        if self.churn_selector is not None:
-            return self.churn_selector()
-        online = [name for name in self._members if self.network.is_online(name)]
-        if not online:
-            return None
-        return self.sim.rng.choice("fault:churn", online)
-
     # -- per-call hooks ----------------------------------------------------------
 
     def link_fault(self, src: str, dst: str) -> Optional[BaseException]:
         """Loss/partition verdict for one call; ``None`` = deliverable."""
-        cfg = self.config
-        if cfg is None or src == dst:
+        if src == dst:
             return None
+        cfg = self.config
         now = self.sim.now
         for window in cfg.partitions:
             if window.start <= now < window.end:
@@ -271,10 +268,7 @@ class FaultPlane:
 
     def service_fault(self, ctx: CallContext) -> Optional[RemoteError]:
         """Server-side error verdict for one dispatch; ``None`` = run the handler."""
-        cfg = self.config
-        if cfg is None:
-            return None
-        for rule in cfg.service_errors:
+        for rule in self.config.service_errors:
             if rule.service != ctx.service:
                 continue
             if rule.method is not None and rule.method != ctx.method:
@@ -283,6 +277,9 @@ class FaultPlane:
                 continue
             key = f"fault:svc:{ctx.service}.{ctx.method}:{ctx.dst}"
             if rule.rate > 0 and self.sim.rng.uniform(key, 0.0, 1.0) < rule.rate:
+                # deferred: repro.net's network module imports this one
+                from repro.net.interceptors import RemoteError
+
                 self.service_errors_injected += 1
                 cause = _synthetic_error_class(rule.error)(
                     f"injected failure in {ctx.endpoint} on {ctx.dst}"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.faults import FaultPlane, FaultsConfig
 from repro.net.interceptors import (
     CallContext,
     Overloaded,
@@ -127,10 +128,11 @@ class Network:
         SLOs get one SLI per attempt and one per call.  Defaults to a
         disabled instance (one attribute check per call).
     faults:
-        The VO's :class:`~repro.faults.FaultPlane`.  When enabled, the
+        The VO's fault scenario: the network builds the one
+        :class:`~repro.faults.FaultPlane` from it.  When enabled, the
         transport stage draws a link fault (loss, partitions) before
         anything else and the dispatch step applies per-service error
-        rules.  Defaults to a disabled plane.
+        rules.  Defaults to ``FaultsConfig.NONE`` (a disabled plane).
     """
 
     def __init__(
@@ -142,19 +144,14 @@ class Network:
         connect_fail_delay: float = 1.0,
         contention: bool = False,
         obs: Optional[Observability] = None,
-        faults=None,
+        faults: FaultsConfig = FaultsConfig.NONE,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.security = security or SecurityPolicy.http()
         self.obs = obs if obs is not None else _disabled_observability()
         self.obs.bind(sim)
-        if faults is None:
-            # deferred import: repro.faults itself imports repro.net
-            from repro.faults import FaultPlane
-
-            faults = FaultPlane(sim)
-        self.faults = faults.bind(self)
+        self.faults = FaultPlane(self, faults)
         self.marshal_cpu_per_kb = marshal_cpu_per_kb
         self.connect_fail_delay = connect_fail_delay
         self.contention = contention

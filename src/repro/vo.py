@@ -14,10 +14,10 @@ All examples, tests and benchmark drivers build on this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
-from repro.faults import FaultPlane, FaultsConfig
+from repro.faults import FaultsConfig
 from repro.glare.lifecycle import LifecycleController
 from repro.glare.provisioning import ProvisioningConfig
 from repro.glare.rdm import GlareRDMService, RDM_SERVICE
@@ -67,7 +67,6 @@ class VOConfig:
     gram_overhead: float = 1.0
     monitors: bool = True
     lifecycle: bool = True
-    extra_site_attrs: Dict[str, Dict[str, str]] = field(default_factory=dict)
     # One switch per plane, each defaulting to the paper's path (the
     # byte-identical baseline); paper vs scaled is what figs 14/15/17
     # measure, and they are combined freely.
@@ -86,9 +85,9 @@ class VOConfig:
     #: :class:`~repro.obs.Observability` instance — the one way to set a
     #: sampling period or declare SLOs
     observability: Union[bool, Observability] = False
-    #: fault scenario for the VO-wide fault plane (``None`` = disabled,
-    #: preserving the byte-identical baseline behaviour)
-    faults: Optional[FaultsConfig] = None
+    #: fault scenario the network builds its one fault plane from
+    #: (``FaultsConfig.NONE``: disabled, the byte-identical baseline)
+    faults: FaultsConfig = FaultsConfig.NONE
     #: default retry policy for every RDM's outbound RPC (``None`` =
     #: legacy single attempts; experiments opt in per series)
     rpc_retry: Optional[RetryPolicy] = None
@@ -143,11 +142,11 @@ class VirtualOrganization:
             self.obs = config.observability
         else:
             self.obs = Observability(enabled=bool(config.observability))
-        self.faults = FaultPlane(self.sim, config.faults)
         self.network = Network(
             self.sim, self.topology, security=security, obs=self.obs,
-            contention=config.contention, faults=self.faults,
+            contention=config.contention, faults=config.faults,
         )
+        self.faults = self.network.faults
         self.url_catalog = UrlCatalog()
         self.stacks: Dict[str, SiteStack] = {}
         self.community_site: str = ""
@@ -194,7 +193,7 @@ class VirtualOrganization:
     def background(self) -> List[Periodic]:
         """Every loop ``build_vo`` or a caller can start: VO-wide, then
         each site's planes in reverse construction order.  The fault
-        plane's finite crash/churn schedule is not a loop and is left
+        plane's outages are finite processes, not loops, and are left
         alone."""
         slo = self.obs.slo
         loops = [None if slo is None else slo.evaluator, self.obs.recorder]
@@ -252,7 +251,7 @@ class VirtualOrganization:
         self.url_catalog.publish(url, ORIGIN, path, content=content)
 
 
-def _site_description(config: VOConfig, index: int) -> SiteDescription:
+def _site_description(index: int) -> SiteDescription:
     """Deterministic heterogeneous site attributes (Austrian-Grid-ish)."""
     name = f"{SITE_PREFIX}{index:02d}"
     return SiteDescription(
@@ -264,7 +263,6 @@ def _site_description(config: VOConfig, index: int) -> SiteDescription:
         memory_mb=1024.0 * (1 + index % 4),
         processors=CORES_PER_SITE,
         uptime_hours=500.0 + 137.0 * index,
-        extra=dict(config.extra_site_attrs.get(name, {})),
     )
 
 
@@ -298,7 +296,7 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
 
     # Member sites.
     for index, name in enumerate(names):
-        site = GridSite(vo.network, _site_description(config, index))
+        site = GridSite(vo.network, _site_description(index))
         mds = IndexService(
             vo.network, name,
             community=(name == vo.community_site),
@@ -375,8 +373,8 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
             community.rdm, config.orchestration)
         vo.reconciler.start()
 
-    # Fault plane: spawn the crash/churn schedules (no-op when disabled).
-    vo.faults.start(vo.site_names)
+    # Fault plane: one outage per configured crash (none when disabled).
+    vo.faults.start()
 
     enlist(vo)
     return vo

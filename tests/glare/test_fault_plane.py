@@ -1,16 +1,18 @@
 """Unit + integration tests for the VO-wide fault plane.
 
-Covers the declarative scenario knobs (crash schedules, churn rounds,
-link loss, partitions, per-service error rules), the GridFTP
-delegation, and the headline self-management story: crash a super-peer
-through the plane and watch the overlay detect, vote and re-elect.
+Covers the declarative scenario knobs (crash schedules, link loss,
+partitions, per-service error rules) and their construction-time
+checks, the one outage generator, the GridFTP delegation, and the
+headline self-management story: crash a super-peer through the plane
+and watch the overlay detect, vote and re-elect.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.faults import (
     CrashSpec,
-    FaultPlane,
     FaultsConfig,
     LinkRule,
     PartitionSpec,
@@ -26,7 +28,7 @@ from repro.simkernel.errors import OfflineError
 from repro.vo import VOConfig, build_vo
 
 
-def make_vo(faults=None, n_sites=6, seed=11, **kwargs):
+def make_vo(faults=FaultsConfig.NONE, n_sites=6, seed=11, **kwargs):
     kwargs.setdefault("monitors", False)
     kwargs.setdefault("lifecycle", False)
     vo = build_vo(VOConfig(n_sites=n_sites, seed=seed, faults=faults, **kwargs))
@@ -71,6 +73,14 @@ class TestPlaneLifecycle:
     def test_empty_config_counts_as_disabled(self):
         vo = make_vo(faults=FaultsConfig())
         assert not vo.faults.enabled
+
+    def test_a_scenario_is_one_frozen_value_of_four_rule_tuples(self):
+        assert [f.name for f in dataclasses.fields(FaultsConfig)] \
+            == ["crashes", "links", "partitions", "service_errors"]
+        assert FaultsConfig() == FaultsConfig.NONE
+        assert VOConfig().faults is FaultsConfig.NONE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FaultsConfig.NONE.crashes = (CrashSpec("agrid01", at=1.0),)
 
 
 class TestCrashRestartSeam:
@@ -203,11 +213,16 @@ class TestCrashSchedules:
         vo.sim.run(until=100.0)
         assert not vo.network.is_online("agrid03")
 
-    def test_churn_selector_drives_victim_choice(self):
-        vo = make_vo(faults=FaultsConfig(churn_times=(5.0, 15.0),
-                                         churn_downtime=4.0))
+    def test_outage_victim_picked_at_run_time(self):
+        vo = make_vo()
         victims = iter(["agrid04", "agrid01"])
-        vo.faults.churn_selector = lambda: next(victims)
+
+        def churn():
+            for when in (5.0, 15.0):
+                yield vo.sim.timeout(when - vo.sim.now)
+                vo.sim.process(vo.faults.outage(next(victims), 4.0))
+
+        vo.sim.process(churn())
         vo.sim.run(until=6.0)
         assert not vo.network.is_online("agrid04")
         vo.sim.run(until=16.0)
@@ -216,32 +231,47 @@ class TestCrashSchedules:
         crashed = [e["site"] for e in entries(vo.sim.journal, "faults", "crash")]
         assert crashed == ["agrid04", "agrid01"]
 
-    def test_churn_round_skipped_when_selector_returns_none(self):
-        vo = make_vo(faults=FaultsConfig(churn_times=(5.0,)))
-        vo.faults.churn_selector = lambda: None
+    def test_outage_of_no_site_is_a_journaled_skip_with_no_restart(self):
+        vo = make_vo()
+        vo.sim.process(vo.faults.outage(None, 4.0, at=5.0))
         vo.sim.run(until=10.0)
-        assert [e["kind"] for e in entries(vo.sim.journal, "faults")] == ["crash-skip"]
-        assert entries(vo.sim.journal, "faults", "crash") == []
+        assert [(e["kind"], e["at"]) for e in entries(vo.sim.journal, "faults")] \
+            == [("crash-skip", 5.0)]
 
-    def test_default_victim_draw_is_deterministic(self):
-        def crashed_sites(seed):
-            vo = make_vo(seed=seed, faults=FaultsConfig(churn_times=(5.0, 10.0),
-                                                        churn_downtime=2.0))
-            vo.sim.run(until=20.0)
-            return [e["site"] for e in entries(vo.sim.journal, "faults", "crash")]
 
-        assert crashed_sites(11) == crashed_sites(11)
+class TestMalformedSpecs:
+    """A malformed rule fails where it is written, not mid-run."""
 
-    def test_default_victim_draw_crashes_only_members(self):
-        """The origin download host is a node but no VO member: churn
-        never takes it down (15 of these 40 runs used to)."""
-        crashed = set()
-        for seed in range(40):
-            vo = make_vo(n_sites=4, seed=seed, faults=FaultsConfig(
-                churn_times=(5.0, 10.0, 15.0), churn_downtime=1.0))
-            vo.sim.run(until=20.0)
-            crashed |= {e["site"] for e in entries(vo.sim.journal, "faults", "crash")}
-        assert crashed == set(vo.site_names)
+    def test_negative_times_are_rejected(self):
+        with pytest.raises(ValueError, match="down_for"):
+            CrashSpec("agrid01", at=5.0, down_for=-1.0)
+        with pytest.raises(ValueError, match="crash time"):
+            CrashSpec("agrid01", at=-1.0)
+        assert CrashSpec("agrid01", at=0.0, down_for=0.0).down_for == 0.0
+
+    def test_crash_of_an_unknown_node_fails_the_build(self):
+        with pytest.raises(ValueError, match="nosuch"):
+            make_vo(n_sites=4, faults=FaultsConfig(
+                crashes=(CrashSpec("agrid01", at=5.0), CrashSpec("nosuch", at=5.0))))
+
+    def test_empty_partition_window_is_rejected(self):
+        with pytest.raises(ValueError, match="start < end"):
+            PartitionSpec(10.0, 5.0, ("agrid01",))
+        with pytest.raises(ValueError, match="start < end"):
+            PartitionSpec(5.0, 5.0, ("agrid01",))
+
+    def test_out_of_range_rates_are_rejected(self):
+        for loss in (1.5, -0.1):
+            with pytest.raises(ValueError, match="loss"):
+                LinkRule(loss=loss)
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError, match="rate"):
+                ServiceErrorRule(service="mds-index", rate=rate)
+
+    def test_partition_group_is_a_non_empty_tuple_of_names(self):
+        for group in ("agrid01", (), ["agrid01"], ("agrid01", 2)):
+            with pytest.raises(ValueError, match="group"):
+                PartitionSpec(1.0, 5.0, group)
 
 
 class TestLinkFaults:
@@ -371,10 +401,7 @@ class TestSuperPeerCrashRecovery:
     """Satellite: the §3.4 story end-to-end through the fault plane."""
 
     def _overlay_vo(self, probe_interval=8.0, seed=23):
-        vo = make_vo(
-            n_sites=8, seed=seed, group_size=4, cache_enabled=False,
-            faults=FaultsConfig(churn_times=(30.0,), churn_downtime=200.0),
-        )
+        vo = make_vo(n_sites=8, seed=seed, group_size=4, cache_enabled=False)
         for name in vo.site_names:
             vo.rdm(name).overlay.probe_interval = probe_interval
         groups = vo.form_overlay()
@@ -382,7 +409,7 @@ class TestSuperPeerCrashRecovery:
         eligible = sorted(sp for sp in groups
                           if vo.community_site not in groups[sp])
         victim = eligible[0]
-        vo.faults.churn_selector = lambda: victim
+        vo.sim.process(vo.faults.outage(victim, 200.0, at=30.0))
         return vo, victim, sorted(groups[victim])
 
     def test_crash_triggers_verified_takeover(self):

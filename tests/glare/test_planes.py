@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults import FaultsConfig
 from repro.glare.provisioning import ProvisioningConfig
 from repro.glare.resolution import DirectoryPlane, ResolutionConfig
 from repro.glare.storage import StorageConfig
@@ -30,8 +31,11 @@ DELETED = {
                          "parallel_dependencies", "replica_transfers",
                          "transfer_singleflight"],
     StorageConfig: ["virtual_nodes", "seed"],
-    # observability is configured one way: a built ``Observability``
-    VOConfig: ["sample_interval", "slos"],
+    # observability is configured one way: a built ``Observability``;
+    # a site's extra attributes are set on its description
+    VOConfig: ["sample_interval", "slos", "extra_site_attrs"],
+    # a fault scenario is its four rule tuples: churn is the caller's
+    FaultsConfig: ["churn_times", "churn_downtime"],
 }
 
 
@@ -42,7 +46,7 @@ class TestConfigSurface:
 
     def test_settable_values_are_counted(self):
         assert sum(len(names) for names in FIELDS.values()) == 6
-        assert len(dataclasses.fields(VOConfig)) == 21
+        assert len(dataclasses.fields(VOConfig)) == 20
 
     @pytest.mark.parametrize(
         "config, name",

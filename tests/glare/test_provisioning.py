@@ -68,11 +68,8 @@ class TestConstraints:
 
     def test_constraint_matching_selects_special_site(self):
         """Only the site advertising the custom attribute qualifies."""
-        config = VOConfig(
-            n_sites=4, seed=103, monitors=False,
-            extra_site_attrs={"agrid02": {"mpi": "openmpi"}},
-        )
-        vo = build_vo(config)
+        vo = build_vo(VOConfig(n_sites=4, seed=103, monitors=False))
+        vo.stack("agrid02").site.description.extra["mpi"] = "openmpi"
         publish_applications(vo)
         vo.form_overlay()
         spec = get_application("Wien2k")

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.faults import FaultPlane, FaultsConfig, ServiceErrorRule
+from repro.faults import FaultsConfig, ServiceErrorRule
 from repro.net import Network, Topology
 from repro.net.interceptors import Overloaded, RemoteError, RetryPolicy, RpcTimeout
 from repro.net.message import Response
@@ -185,10 +185,10 @@ class TestNoDeadlineLeftBehind:
 
     def test_remote_error(self):
         sim = Simulator(seed=1)
-        plane = FaultPlane(sim, FaultsConfig(service_errors=(
-            ServiceErrorRule(service="echo", rate=1.0),)))
+        faults = FaultsConfig(service_errors=(
+            ServiceErrorRule(service="echo", rate=1.0),))
         net = Network(sim, Topology.full_mesh(("A", "B"), latency=LATENCY,
-                                              bandwidth=1e7), faults=plane)
+                                              bandwidth=1e7), faults=faults)
         net.add_node("A")
         net.add_node("B")
         EchoService(net, "B")

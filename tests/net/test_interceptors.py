@@ -237,7 +237,7 @@ class TestPipelineDepth:
 
     def test_everything_on_is_at_most_three_generators_deep(self):
         """Exactly two: the deadline stage, then the observing transport."""
-        from repro.faults import FaultPlane, FaultsConfig, LinkRule
+        from repro.faults import FaultsConfig, LinkRule
         from repro.obs import Observability
         from repro.obs.slo import SLOSpec
 
@@ -246,7 +246,7 @@ class TestPipelineDepth:
         net = Network(
             sim, topo,
             obs=Observability(slos=(SLOSpec(name="all", endpoint="*"),)),
-            faults=FaultPlane(sim, FaultsConfig(links=(LinkRule(loss=0.01),))),
+            faults=FaultsConfig(links=(LinkRule(loss=0.01),)),
         )
         for site in ("A", "B"):
             net.add_node(site, cores=2)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments.workload import publish_installable_type
-from repro.faults import FaultsConfig
+from repro.faults import CrashSpec, FaultsConfig
 from repro.glare.lifecycle import LifecycleController
 from repro.glare.monitors import CacheRefresher
 from repro.invariants import audit
@@ -168,13 +168,13 @@ def test_orchestration_under_churn_with_observability_stops_clean():
     vo = build_vo(VOConfig(
         n_sites=5, seed=19, monitors=False, lifecycle=True,
         lifecycle_sweep_interval=1.0, gram_overhead=0.05, observability=True,
-        faults=FaultsConfig(churn_times=(4.0, 14.0), churn_downtime=6.0),
+        faults=FaultsConfig(crashes=(CrashSpec("agrid02", at=4.0, down_for=6.0),
+                                     CrashSpec("agrid02", at=14.0, down_for=6.0))),
         orchestration=(DeploymentSpec(
             "Hot", min_replicas=3, max_replicas=4, target_utilization=0.6,
             avoid_sites=("agrid00",),
         ),),
     ))
-    vo.faults.churn_selector = lambda: "agrid02"
     type_xml = publish_installable_type(
         vo, "Hot", domain="compose", archive_size=1_500_000,
         configure_demand=0.25, install_demand=0.15, binary_size=400_000,
