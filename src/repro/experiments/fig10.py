@@ -25,7 +25,6 @@ from typing import Dict, Generator, List, Sequence
 from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_multi_series
 from repro.experiments.workload import (
-    measure_throughput,
     spawn_clients,
     synthetic_activity_type,
     synthetic_type_doc,
@@ -101,6 +100,8 @@ def run_fig10_point(service: str, secure: bool, clients: int,
                     **calibration: float) -> Fig10Point:
     """Measure one (service, security, client-count) throughput point;
     ``calibration`` passes through to :func:`_build`."""
+    if HORIZON <= WARMUP:
+        raise ValueError("horizon must exceed warmup")
     sim, net, service_name, method = _build(
         service, secure, n_types, seed, **calibration)
     payload_for = PAYLOADS[method]
@@ -116,13 +117,13 @@ def run_fig10_point(service: str, secure: bool, clients: int,
 
         return request
 
-    stats = spawn_clients(sim, clients, request_factory, warmup=WARMUP)
-    throughput = measure_throughput(sim, stats, horizon=HORIZON, warmup=WARMUP)
+    stats = spawn_clients(sim, clients, request_factory, HORIZON, warmup=WARMUP)
+    sim.run(until=HORIZON)
     return Fig10Point(
         service=service,
         security="https" if secure else "http",
         clients=clients,
-        throughput=throughput,
+        throughput=stats.completed / (HORIZON - WARMUP),
         mean_response_ms=stats.mean_response * 1000.0,
     )
 

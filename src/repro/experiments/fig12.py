@@ -109,7 +109,7 @@ def run_fig12_point(
 
         return request
 
-    stats = spawn_clients(vo.sim, clients, request_factory,
+    stats = spawn_clients(vo.sim, clients, request_factory, HORIZON,
                           think_time=0.05, warmup=WARMUP)
     vo.sim.run(until=HORIZON)
     return Fig12Point(

@@ -31,7 +31,6 @@ from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.runner import WorkUnit
 from repro.simkernel import LoadAverage, Simulator
-from repro.simkernel.errors import Interrupt
 from repro.wsrf.notification import NotificationBroker, NotificationSink
 
 SERVER = "server"
@@ -85,8 +84,8 @@ def run_requester_point(count: int, seed: int = 13) -> Fig13Point:
 
         return request
 
-    spawn_clients(sim, count, request_factory, think_time=REQUESTER_THINK,
-                  exponential_think=True)
+    spawn_clients(sim, count, request_factory, HORIZON,
+                  think_time=REQUESTER_THINK, exponential_think=True)
     sim.run(until=HORIZON)
     return Fig13Point("requesters", count, loadavg.mean(since=SETTLE))
 
@@ -108,15 +107,12 @@ def run_sink_point(count: int, rate: float, seed: int = 13) -> Fig13Point:
 
     def notifier(index: int) -> Generator:
         stream = f"notify-{index}"
-        try:
-            # random phase so streams don't align
-            yield sim.timeout(sim.rng.uniform(stream, 0.0, rate))
-            while True:
-                broker.publish(f"type-updates-{index}",
-                               {"change": "resource-updated"})
-                yield sim.timeout(sim.rng.exponential(stream, rate))
-        except Interrupt:
-            return
+        # random phase so streams don't align
+        yield sim.timeout(sim.rng.uniform(stream, 0.0, rate))
+        while sim.now < HORIZON:
+            broker.publish(f"type-updates-{index}",
+                           {"change": "resource-updated"})
+            yield sim.timeout(sim.rng.exponential(stream, rate))
 
     for index in range(count):
         sim.process(notifier(index), name=f"notifier-{index}")

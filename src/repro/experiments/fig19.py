@@ -147,7 +147,7 @@ def _setup_content(vo, server: str, n_bg_types: int) -> List[str]:
     return bg_keys
 
 
-def _start_replica_sampler(vo, t0: float,
+def _start_replica_sampler(vo, t0: float, until: float,
                            series: List[Tuple[float, int]],
                            targets: List[Tuple[str, str]]) -> None:
     """Track the hot type's live replicas straight from the ADRs.
@@ -156,11 +156,12 @@ def _start_replica_sampler(vo, t0: float,
     clients follow the fleet the way a discovery-driven scheduler
     would — and ``series`` records (t, replica count) on change.
     Works identically with and without a reconciler, so the static
-    series uses the same instrumentation.
+    series uses the same instrumentation.  It samples through
+    ``until``, the run's last instant, and never after.
     """
 
     def loop() -> Generator:
-        while True:
+        while vo.sim.now <= until:
             found: List[Tuple[str, str]] = []
             for name in sorted(vo.stacks):
                 adr = vo.stacks[name].adr
@@ -235,7 +236,8 @@ def run_fig19_flash(
 
     replica_series: List[Tuple[float, int]] = []
     targets: List[Tuple[str, str]] = []
-    _start_replica_sampler(vo, load.t0, replica_series, targets)
+    end = load.t0 + horizon + DRAIN
+    _start_replica_sampler(vo, load.t0, end, replica_series, targets)
 
     bg_times = PoissonProcess(BG_RATE, name="fig19-bg").sample(horizon, seed)
     spike_rate = SPIKE_FACTOR * HOT_BASE_RATE
@@ -260,7 +262,7 @@ def run_fig19_flash(
 
     load.inject(bg_times, lambda i: "bg", make_bg_call, TICK)
     load.inject(hot_times, lambda i: "hot", make_hot_call, TICK)
-    vo.sim.run(until=load.t0 + horizon + DRAIN)
+    vo.sim.run(until=end)
 
     out_phases: Dict[str, Dict[str, float]] = {}
     for name, s, span in load.measured():

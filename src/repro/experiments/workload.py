@@ -39,7 +39,7 @@ from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
-from repro.simkernel.errors import Interrupt, OfflineError
+from repro.simkernel.errors import OfflineError
 from repro.wsrf.xmldoc import Element
 
 _PLAIN_TYPE_XML = """
@@ -239,6 +239,7 @@ def closed_loop_client(
     sim: Simulator,
     request: Callable[[], Generator],
     stats: ClientStats,
+    until: float,
     think_time: float = 0.0,
     warmup: float = 0.0,
     think_sampler: Optional[Callable[[], float]] = None,
@@ -248,36 +249,34 @@ def closed_loop_client(
     ``request`` is a zero-argument callable returning a fresh
     sub-generator per call.  Responses completed before ``warmup`` are
     not counted.  ``think_sampler`` overrides the fixed think time with
-    a drawn one (e.g. exponential, for Poisson-like arrivals).  Runs
-    until interrupted or the simulation horizon.
+    a drawn one (e.g. exponential, for Poisson-like arrivals).  Starts
+    no request at or after ``until``, the run's horizon.
     """
-    try:
-        while True:
-            start = sim.now
-            try:
-                yield from request()
-                if sim.now >= warmup:
-                    stats.completed += 1
-                    stats.observe(sim.now - start)
-            except (OfflineError, RpcTimeout):
-                if sim.now >= warmup:
-                    stats.failed += 1
-            pause = think_sampler() if think_sampler is not None else think_time
-            if pause > 0:
-                yield sim.timeout(pause)
-    except Interrupt:
-        return
+    while sim.now < until:
+        start = sim.now
+        try:
+            yield from request()
+            if sim.now >= warmup:
+                stats.completed += 1
+                stats.observe(sim.now - start)
+        except (OfflineError, RpcTimeout):
+            if sim.now >= warmup:
+                stats.failed += 1
+        pause = think_sampler() if think_sampler is not None else think_time
+        if pause > 0:
+            yield sim.timeout(pause)
 
 
 def spawn_clients(
     sim: Simulator,
     count: int,
     request_factory: Callable[[int], Callable[[], Generator]],
+    until: float,
     think_time: float = 0.0,
     warmup: float = 0.0,
     exponential_think: bool = False,
 ) -> ClientStats:
-    """Start ``count`` closed-loop clients; returns their shared stats.
+    """Start ``count`` clients that end at ``until``; returns their shared stats.
 
     ``exponential_think`` draws each pause from an exponential with
     mean ``think_time`` (memoryless users => Poisson-like arrivals).
@@ -289,25 +288,11 @@ def spawn_clients(
         if exponential_think and think_time > 0:
             sampler = (lambda i=index: sim.rng.exponential(f"think-{i}", think_time))
         sim.process(
-            closed_loop_client(sim, request, stats, think_time=think_time,
+            closed_loop_client(sim, request, stats, until, think_time=think_time,
                                warmup=warmup, think_sampler=sampler),
             name=f"client-{index}",
         )
     return stats
-
-
-def measure_throughput(
-    sim: Simulator,
-    stats: ClientStats,
-    horizon: float,
-    warmup: float = 0.0,
-) -> float:
-    """Run to ``horizon`` and return completed requests per second."""
-    sim.run(until=horizon)
-    window = horizon - warmup
-    if window <= 0:
-        raise ValueError("horizon must exceed warmup")
-    return stats.completed / window
 
 
 def records_digest(records: Iterable[str]) -> str:

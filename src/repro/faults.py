@@ -19,11 +19,11 @@ test.  :class:`FaultPlane` makes failure a first-class, VO-wide input:
 * **per-service error rules** — seeded server-side failures surfaced
   to callers as :class:`~repro.net.interceptors.RemoteError` with the
   configured exception type name preserved;
-* **legacy GridFTP faults** — the old ``failure_rate`` knob now
-  delegates its draw to :meth:`FaultPlane.transfer_fault` on the same
-  RNG stream keys, so there is exactly one fault RNG path.
+* **GridFTP transfer faults** — a :class:`TransferFaultRule` fails a
+  share of the transfer attempts into a site as a transient
+  ``TransferError``, drawn on the historical ``gridftp-fail:`` keys.
 
-A scenario is one frozen :class:`FaultsConfig` value of four rule
+A scenario is one frozen :class:`FaultsConfig` value of five rule
 tuples, checked when it is built, so a schedule can be generated,
 shrunk and committed like any other value.  The
 :class:`~repro.net.network.Network` builds the one plane from it.
@@ -122,6 +122,18 @@ class ServiceErrorRule:
 
 
 @dataclass(frozen=True)
+class TransferFaultRule:
+    """Fail a fraction ``rate`` of GridFTP transfer attempts into
+    ``site`` (None = any) with a transient ``TransferError``."""
+
+    rate: float
+    site: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        _check_rate("rate", self.rate)
+
+
+@dataclass(frozen=True)
 class FaultsConfig:
     """Declarative fault scenario for one VO (all empty = plane disabled).
 
@@ -134,6 +146,7 @@ class FaultsConfig:
     links: Tuple[LinkRule, ...] = ()
     partitions: Tuple[PartitionSpec, ...] = ()
     service_errors: Tuple[ServiceErrorRule, ...] = ()
+    transfers: Tuple[TransferFaultRule, ...] = ()
 
     #: no rule at all — the one default every constructor shares
     NONE: ClassVar["FaultsConfig"]
@@ -171,8 +184,8 @@ class FaultPlane:
         self.sim = network.sim
         self.config = config
         #: any rule at all: a disabled plane spawns and draws nothing
-        self.enabled = bool(config.crashes or config.links
-                            or config.partitions or config.service_errors)
+        self.enabled = bool(config.crashes or config.links or config.partitions
+                            or config.service_errors or config.transfers)
         self.link_faults_injected = 0
         self.service_errors_injected = 0
         self.transfer_faults_injected = 0
@@ -288,19 +301,17 @@ class FaultPlane:
             break  # first matching rule decides
         return None
 
-    def transfer_fault(self, site: str, path: str, rate: float) -> bool:
-        """Legacy GridFTP fault knob, absorbed behind the plane.
-
-        Draws on the historical ``gridftp-fail:{site}:{path}`` stream
-        keys so existing seeded scenarios reproduce bit-for-bit; with
-        ``rate <= 0`` no stream is touched at all.
-        """
-        if rate <= 0:
-            return False
-        hit = self.sim.rng.uniform(f"gridftp-fail:{site}:{path}", 0.0, 1.0) < rate
-        if hit:
-            self.transfer_faults_injected += 1
-        return hit
+    def transfer_fault(self, site: str, path: str) -> bool:
+        """Transient-failure verdict for one GridFTP transfer of ``path``
+        into ``site``: the first rule matching ``site`` decides, drawing
+        on the historical ``gridftp-fail:{site}:{path}`` stream keys."""
+        for rule in self.config.transfers:
+            if rule.site in (None, site):
+                hit = rule.rate > 0 and self.sim.rng.uniform(
+                    f"gridftp-fail:{site}:{path}", 0.0, 1.0) < rule.rate
+                self.transfer_faults_injected += hit
+                return hit
+        return False
 
 
 __all__ = [
@@ -311,4 +322,5 @@ __all__ = [
     "LinkRule",
     "PartitionSpec",
     "ServiceErrorRule",
+    "TransferFaultRule",
 ]

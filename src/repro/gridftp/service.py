@@ -135,11 +135,6 @@ class GridFtpService(Service):
         Control-channel establishment time per transfer, seconds.
     url_catalog:
         Shared URL resolution table (one per VO).
-    failure_rate:
-        Probability that any single transfer attempt fails transiently
-        (connection reset, data-channel timeout).  The draw is
-        delegated to the VO's :class:`~repro.faults.FaultPlane` on the
-        historical per-path stream keys; zero in normal operation.
     replica_aware:
         ``fetch_url`` registers verified downloads as catalog replicas
         and pulls from the nearest live copy instead of always hitting
@@ -158,14 +153,12 @@ class GridFtpService(Service):
         fs: Filesystem,
         setup_cost: float = 0.3,
         url_catalog: Optional[UrlCatalog] = None,
-        failure_rate: float = 0.0,
         replica_aware: bool = False,
     ) -> None:
         super().__init__(network, node_name)
         self.fs = fs
         self.setup_cost = setup_cost
         self.url_catalog = url_catalog or UrlCatalog()
-        self.failure_rate = failure_rate
         self.replica_aware = replica_aware
         self.transfers: List[TransferRecord] = []
         self.bytes_moved = 0
@@ -255,11 +248,7 @@ class GridFtpService(Service):
     ) -> Generator:
         """The untraced transfer body (see :meth:`fetch`)."""
         start = self.sim.now
-        # the legacy failure_rate knob delegates its draw to the VO's
-        # fault plane (same per-path stream keys, one fault RNG path)
-        if self.network.faults.transfer_fault(
-            self.node_name, src_path, self.failure_rate
-        ):
+        if self.network.faults.transfer_fault(self.node_name, src_path):
             # transient data-channel failure after the setup handshake
             yield self.sim.timeout(self.setup_cost)
             self.transient_failures += 1

@@ -4,11 +4,11 @@
 :class:`Violation` per broken clause.  Each site plane's
 ``invariants()`` states the clauses of its own state next to the code
 that keeps it; the cross-site overlay clauses, the network's traffic
-ledger, the stopped loops of crashed sites, the reconciler's replica
-bounds and, once ``vo.stop()`` was called, the shutdown clauses are
-below.  ``build_vo`` enlists each VO in the open :func:`audit_scope`
-(``repro.runner`` opens one per work unit) and retains nothing outside
-one.
+ledger, the stopped loops of crashed sites, the tracer's leaked spans,
+the reconciler's replica bounds and, once ``vo.stop()`` was called,
+the shutdown clauses are below.  ``build_vo`` enlists each VO in the
+open :func:`audit_scope` (``repro.runner`` opens one per work unit,
+then stops, drains and audits its VOs) and retains nothing outside one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ def audit(vo: "VirtualOrganization") -> List[Violation]:
     found += [Violation("overlay", *broken) for broken in _overlay(vo)]
     found += [Violation("network", *broken) for broken in _traffic(vo)]
     found += [Violation("faults", *broken) for broken in _offline(vo)]
+    found += [Violation("vo", *broken) for broken in _spans(vo)]
     if vo.reconciler is not None:
         found += [Violation("orchestrate", *broken) for broken in _replicas(vo)]
     if vo.stopped:
@@ -98,6 +99,12 @@ def _offline(vo: "VirtualOrganization") -> Clauses:
                     yield "offline-loops-stopped", f"{name}: {loop.name} runs while offline"
 
 
+def _spans(vo: "VirtualOrganization") -> Clauses:
+    """A span whose owning process is dead can never close: a leak at any pause."""
+    for span in vo.obs.tracer.leaked_spans():
+        yield "spans-closed", f"leaked span {span.name}"
+
+
 def _replicas(vo: "VirtualOrganization") -> Clauses:
     """Once the reconciler's last round converged, each spec's live
     replicas lie within its bounds: ACTIVE deployments on online sites
@@ -128,8 +135,6 @@ def _shutdown(vo: "VirtualOrganization") -> Clauses:
             yield "no-rpc-in-flight", f"{name}: {node.inflight_rpcs} RPCs in flight"
     for (a, b), count in vo.network._link_active.items():
         yield "links-released", f"link {a}-{b}: {count} transfers still claim it"
-    for span in vo.obs.tracer.leaked_spans():
-        yield "spans-closed", f"leaked span {span.name}"
     for loop in vo.background():
         if loop.running:
             yield "loops-stopped", f"{loop.name}: background loop still running"

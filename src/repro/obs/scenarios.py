@@ -22,9 +22,9 @@ metrics:
 
 Each scenario returns the finished :class:`~repro.vo.VirtualOrganization`
 with its tracer and metrics registry populated (and, for ``churn``, the
-SLO engine).  Every scenario also audits the span
-lifecycle: a span left open by a *dead* process is an error-path leak,
-and :func:`run_scenario` raises on it.
+SLO engine).  :func:`run_scenario` audits it and raises on any broken
+clause, such as a span left open by a *dead* process (an error-path
+leak).
 
 This module imports :mod:`repro.vo` and must therefore only be loaded
 lazily (the CLI does); the rest of :mod:`repro.obs` stays a leaf
@@ -34,6 +34,8 @@ package.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict
+
+from repro.invariants import audit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vo import VirtualOrganization
@@ -152,10 +154,9 @@ SCENARIOS: Dict[str, Callable[[], "VirtualOrganization"]] = {
 def run_scenario(name: str) -> "VirtualOrganization":
     """Run one named scenario; raises ``KeyError`` for unknown names.
 
-    Also audits the span lifecycle: any span still open whose owning
-    process already terminated means an error path dropped it, which is
-    a bug in the instrumentation — surfaced here rather than silently
-    skewing analytics.
+    Also audits the finished VO (:func:`repro.invariants.audit`): a
+    broken clause — say, a span an error path left open in a dead
+    process — raises here rather than silently skewing the report.
     """
     try:
         runner = SCENARIOS[name]
@@ -164,11 +165,10 @@ def run_scenario(name: str) -> "VirtualOrganization":
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
         )
     vo = runner()
-    leaked = vo.obs.tracer.leaked_spans()
-    if leaked:
-        names = ", ".join(s.name for s in leaked[:5])
+    violations = audit(vo)
+    if violations:
         raise AssertionError(
-            f"scenario {name!r} leaked {len(leaked)} unfinished spans "
-            f"from dead processes: {names}"
-        )
+            f"scenario {name!r} broke {len(violations)} audit clause(s): "
+            + "; ".join(f"{plane} {clause!r}: {detail}"
+                        for plane, clause, detail in violations[:5]))
     return vo

@@ -32,9 +32,10 @@ A unit that raises in a worker is re-raised at the collection point as
 :class:`WorkerError` naming the unit and carrying the child's
 formatted traceback — one bad sweep point fails the whole run loudly
 instead of hanging or silently dropping a point.  So does a unit that
-left a VO (any ``build_vo`` made during the unit, audited in the worker)
-breaking a :func:`repro.invariants.audit` clause.  (A worker that dies
-outright — segfault, OOM kill — surfaces as the executor's
+left a VO breaking a :func:`repro.invariants.audit` clause: the worker
+stops every VO the unit built, drains it for ``_DRAIN`` simulated
+seconds and audits it, the shutdown clauses included.  (A worker that
+dies outright — segfault, OOM kill — surfaces as the executor's
 ``BrokenProcessPool``, which is equally loud.)
 
 Functions are addressed as ``"module:callable"`` dotted paths rather
@@ -52,6 +53,10 @@ from importlib import import_module
 from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.invariants import audit, audit_scope
+
+#: simulated seconds a stopped VO gets to finish its work in flight; a
+#: process still on the agenda after them fails as ``agenda-empty``
+_DRAIN = 3600.0
 
 
 class WorkerError(RuntimeError):
@@ -107,7 +112,8 @@ def _resolve(path: str):
 
 
 def _run_unit(unit: WorkUnit) -> Any:
-    """Child-side entry: execute one unit, then audit every VO it built.
+    """Child-side entry: execute one unit, then stop, drain and audit
+    every VO it built.
 
     ``WorkerError`` carries only strings, so it survives the result
     pickle no matter what the original exception held.
@@ -115,6 +121,9 @@ def _run_unit(unit: WorkUnit) -> Any:
     try:
         with audit_scope() as vos:
             result = _resolve(unit.fn)(**unit.kwargs)
+        for vo in vos:
+            vo.stop()
+            vo.sim.run(until=vo.sim.now + _DRAIN)
     except BaseException:
         raise WorkerError(
             f"work unit {unit.name!r} ({unit.fn}) failed:\n"

@@ -176,7 +176,8 @@ class VirtualOrganization:
         return self.network.call(site, site, service, method, payload=payload)
 
     def run_process(self, generator: Generator, until: Optional[float] = None):
-        """Run one client process to completion and return its value."""
+        """Run one client process to completion and return its value;
+        a process that fails raises its exception out of ``sim.run``."""
         proc = self.sim.process(generator)
         if until is not None:
             self.sim.run(until=until)
@@ -184,8 +185,6 @@ class VirtualOrganization:
                 raise TimeoutError("client process did not finish in time")
         else:
             self.sim.run(until=proc)
-        if not proc.ok:  # pragma: no cover - surfaced by run(until=proc)
-            raise proc.value
         return proc.value
 
     # -- shutdown ----------------------------------------------------------------

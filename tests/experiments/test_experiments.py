@@ -13,9 +13,11 @@ from repro.experiments.report import format_multi_series, format_series, format_
 from repro.experiments.table1 import Table1Row, format_table1, run_table1_row
 from repro.experiments.workload import (
     ClientStats,
+    spawn_clients,
     synthetic_activity_type,
     synthetic_type_doc,
 )
+from repro.simkernel import Simulator
 
 
 class TestReportFormatting:
@@ -89,6 +91,21 @@ class TestWorkload:
         assert not hasattr(stats, "response_times")
         assert len(stats.latency.counts) == 35
         assert stats.latency.p99 >= stats.latency.p50 > 0
+
+    def test_clients_end_at_their_horizon(self):
+        sim = Simulator(seed=1)
+
+        def request_factory(index):
+            def request():
+                yield sim.timeout(0.3)
+            return request
+
+        stats = spawn_clients(sim, 3, request_factory, 10.0, think_time=0.2,
+                              exponential_think=True)
+        sim.run()
+        assert sim.peek() == float("inf")
+        assert 10.0 <= sim.now < 12.0  # the last requests finish past it
+        assert stats.completed > 3 * 10
 
 
 class TestTable1Driver:

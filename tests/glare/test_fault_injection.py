@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultsConfig, TransferFaultRule
 from repro.glare.deployfile import parse_deployfile
 from repro.glare.handlers import ExpectHandler
 from repro.gridftp.service import GridFtpService, TransferError, UrlCatalog
@@ -33,13 +34,13 @@ RECIPE = """
 def make_world(failure_rate, seed=37):
     sim = Simulator(seed=seed)
     topo = Topology.star("target", ["origin"], latency=0.003, bandwidth=1e7)
-    net = Network(sim, topo)
+    net = Network(sim, topo, faults=FaultsConfig(
+        transfers=(TransferFaultRule(failure_rate, site="target"),)))
     catalog = UrlCatalog()
     origin = GridSite(net, SiteDescription(name="origin"))
     target = GridSite(net, SiteDescription(name="target"))
     GridFtpService(net, "origin", fs=origin.fs, url_catalog=catalog)
-    gridftp = GridFtpService(net, "target", fs=target.fs, url_catalog=catalog,
-                             failure_rate=failure_rate)
+    gridftp = GridFtpService(net, "target", fs=target.fs, url_catalog=catalog)
     origin.fs.put_file("/www/app.tgz", size=1_000_000)
     catalog.publish("http://origin/app.tgz", "origin", "/www/app.tgz")
     return sim, target, gridftp

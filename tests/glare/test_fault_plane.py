@@ -17,6 +17,7 @@ from repro.faults import (
     LinkRule,
     PartitionSpec,
     ServiceErrorRule,
+    TransferFaultRule,
 )
 from repro.invariants import audit
 from repro.net import Topology
@@ -74,9 +75,9 @@ class TestPlaneLifecycle:
         vo = make_vo(faults=FaultsConfig())
         assert not vo.faults.enabled
 
-    def test_a_scenario_is_one_frozen_value_of_four_rule_tuples(self):
+    def test_a_scenario_is_one_frozen_value_of_five_rule_tuples(self):
         assert [f.name for f in dataclasses.fields(FaultsConfig)] \
-            == ["crashes", "links", "partitions", "service_errors"]
+            == ["crashes", "links", "partitions", "service_errors", "transfers"]
         assert FaultsConfig() == FaultsConfig.NONE
         assert VOConfig().faults is FaultsConfig.NONE
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -267,6 +268,8 @@ class TestMalformedSpecs:
         for rate in (1.5, -0.1):
             with pytest.raises(ValueError, match="rate"):
                 ServiceErrorRule(service="mds-index", rate=rate)
+            with pytest.raises(ValueError, match="rate"):
+                TransferFaultRule(rate=rate)
 
     def test_partition_group_is_a_non_empty_tuple_of_names(self):
         for group in ("agrid01", (), ["agrid01"], ("agrid01", 2)):
@@ -372,10 +375,10 @@ class TestServiceErrorRules:
 
 class TestGridFtpDelegation:
     def test_transfer_faults_draw_through_the_plane(self):
-        """The legacy failure_rate knob counts on the shared plane."""
-        vo = make_vo(seed=37)
+        """A transfer rule draws and counts on the shared plane."""
+        vo = make_vo(seed=37, faults=FaultsConfig(
+            transfers=(TransferFaultRule(0.9, site="agrid01"),)))
         gridftp = vo.stack("agrid01").gridftp
-        gridftp.failure_rate = 0.9
         vo.origin.fs.put_file("/www/blob.tgz", size=10_000)
         vo.url_catalog.publish("http://x/blob.tgz", "origin", "/www/blob.tgz")
 
@@ -391,9 +394,9 @@ class TestGridFtpDelegation:
         assert vo.faults.transfer_faults_injected >= 1
 
     def test_zero_rate_never_touches_the_rng(self):
-        vo = make_vo()
+        vo = make_vo(faults=FaultsConfig(transfers=(TransferFaultRule(0.0),)))
         plane = vo.faults
-        assert plane.transfer_fault("agrid01", "/p", 0.0) is False
+        assert plane.transfer_fault("agrid01", "/p") is False
         assert "gridftp-fail:agrid01:/p" not in vo.sim.rng._streams
 
 

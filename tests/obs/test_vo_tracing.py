@@ -9,7 +9,7 @@ nested, with monotonically consistent simulated-time stamps.
 
 import pytest
 
-from repro.obs.scenarios import run_scenario
+from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.obs.trace import span_children
 from repro.vo import build_vo
 
@@ -144,6 +144,17 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             run_scenario("bogus")
+
+    def test_a_scenario_that_leaks_a_span_is_rejected(self, monkeypatch):
+        def leaky():
+            vo = build_vo(n_sites=2, seed=1, monitors=False, observability=True)
+            vo.obs.tracer.span("dropped").__enter__()
+            return vo
+
+        monkeypatch.setitem(SCENARIOS, "leaky", leaky)
+        with pytest.raises(AssertionError,
+                           match="'spans-closed': leaked span dropped"):
+            run_scenario("leaky")
 
 
 class TestDisabledObservability:

@@ -215,6 +215,13 @@ def test_a_span_leaked_in_a_spawned_process_breaks_spans_closed():
         ("vo", "spans-closed", "leaked span leaked-in-leg")]
 
 
+def test_a_span_leaked_on_a_running_vo_breaks_spans_closed():
+    """A dead owner never closes its span: no stop is needed to see it."""
+    vo = consistent_vo(observability=True)
+    vo.obs.tracer.span("leaked").__enter__()
+    assert [(v.plane, v.clause) for v in audit(vo)] == [("vo", "spans-closed")]
+
+
 def test_every_declared_clause_has_a_refutation():
     root = Path(repro.__file__).parent
     declared = {clause for path in root.rglob("*.py")
@@ -234,24 +241,41 @@ def dirty_unit():
     return "returned"
 
 
+def endless_unit():
+    """A unit whose VO is left with a process that never ends."""
+    vo = build_vo(n_sites=2, seed=5, monitors=False)
+
+    def forever():
+        while True:
+            yield vo.sim.timeout(1.0)
+
+    vo.sim.process(forever())
+    return "returned"
+
+
 def clean_unit():
     build_vo(n_sites=2, seed=5, monitors=False)
     return "returned"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_unit_breaking_a_clause_fails_its_experiment(monkeypatch, jobs):
+@pytest.mark.parametrize("unit, jobs, broken", [
+    ("dirty_unit", 1, f"{ADR}@agrid01 'by-type-known'"),
+    ("dirty_unit", 2, f"{ADR}@agrid01 'by-type-known'"),
+    ("endless_unit", 1, "vo 'agenda-empty'"),  # the runner stops and drains
+], ids=["1", "2", "endless"])
+def test_a_unit_breaking_a_clause_fails_its_experiment(monkeypatch, unit, jobs,
+                                                       broken):
     experiment = Experiment(
         name="doctored", summary="one dirty unit", quick=None, full=None,
         units=lambda grid: [WorkUnit("doctored:clean", "tests.test_audit:clean_unit"),
-                            WorkUnit("doctored:dirty", "tests.test_audit:dirty_unit")],
+                            WorkUnit("doctored:dirty", f"tests.test_audit:{unit}")],
         render=str)
     monkeypatch.setitem(EXPERIMENTS, "doctored", experiment)
     with pytest.raises(WorkerError) as raised:
         run_experiment("doctored", quick=True, jobs=jobs)
     text = str(raised.value)
     assert "'doctored:dirty'" in text
-    assert f"{ADR}@agrid01 'by-type-known'" in text
+    assert broken in text
 
 
 def test_build_vo_retains_a_vo_only_inside_a_scope():

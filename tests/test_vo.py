@@ -79,6 +79,17 @@ class TestBuildVo:
         with pytest.raises(TimeoutError):
             vo.run_process(slow(), until=vo.sim.now + 1)
 
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_run_process_raises_the_failure_of_its_process(self, until):
+        vo = build_vo(n_sites=2, seed=1, monitors=False)
+
+        def failing():
+            yield vo.sim.timeout(1)
+            raise KeyError("gone")
+
+        with pytest.raises(KeyError, match="gone"):
+            vo.run_process(failing(), until=until)
+
     def test_publish_archive_and_deployfile(self):
         vo = build_vo(n_sites=2, seed=1, monitors=False)
         vo.publish_archive("http://x/a.tgz", size=1234, md5sum="m")
