@@ -87,6 +87,7 @@ def run_requester_point(count: int, seed: int = 13) -> Fig13Point:
     spawn_clients(sim, count, request_factory, HORIZON,
                   think_time=REQUESTER_THINK, exponential_think=True)
     sim.run(until=HORIZON)
+    loadavg.stop()  # no node owns the sampler, so network.stop() would not
     return Fig13Point("requesters", count, loadavg.mean(since=SETTLE))
 
 
@@ -117,6 +118,7 @@ def run_sink_point(count: int, rate: float, seed: int = 13) -> Fig13Point:
     for index in range(count):
         sim.process(notifier(index), name=f"notifier-{index}")
     sim.run(until=HORIZON)
+    loadavg.stop()
     return Fig13Point(f"sinks@{rate:g}s", count, loadavg.mean(since=SETTLE))
 
 

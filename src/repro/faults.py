@@ -190,7 +190,7 @@ class FaultPlane:
         self.service_errors_injected = 0
         self.transfer_faults_injected = 0
         #: per crashed site, the loops its crash stopped: exactly what
-        #: its restart starts again (``vo.stop()`` clears it)
+        #: its restart starts again (``network.stop()`` clears it)
         self.held: Dict[str, List[Periodic]] = {}
 
     # -- scheduled faults ----------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.faults import FaultPlane, FaultsConfig
+from repro.invariants import enlist
 from repro.net.interceptors import (
     CallContext,
     Overloaded,
@@ -41,6 +42,7 @@ from repro.obs.slo import CALL as SLO_CALL_LEVEL
 from repro.obs.trace import SPAN_NAMES, TraceContext
 from repro.simkernel import CPU, Simulator
 from repro.simkernel.errors import Interrupt, OfflineError, SimulationError
+from repro.simkernel.primitives import Periodic
 
 
 class ServiceNotFound(SimulationError):
@@ -98,7 +100,8 @@ class NodeRuntime:
 
 
 class Network:
-    """The simulated WAN plus per-node runtimes and RPC.
+    """The simulated WAN plus per-node runtimes and RPC: one world, what
+    :meth:`stop` ends and :func:`repro.invariants.audit` judges.
 
     Parameters
     ----------
@@ -166,6 +169,9 @@ class Network:
         #: off, no SLOs), which is all the bare stage checks
         self._observed: Optional[Dict[str, _Endpoint]] = (
             {} if self.obs.enabled or self.obs.slo is not None else None)
+        #: set by :meth:`stop`: the audit's shutdown clauses now apply
+        self.stopped = False
+        enlist(self)  # to the open audit scope, if any
 
     # -- node management ---------------------------------------------------
 
@@ -199,6 +205,26 @@ class Network:
     def is_online(self, name: str) -> bool:
         """Liveness of site ``name``."""
         return self.node(name).online
+
+    # -- shutdown ------------------------------------------------------------
+
+    def background(self) -> List[Periodic]:
+        """Every loop the world can run: the SLO evaluator, the metrics
+        recorder, then each node's planes in reverse construction order
+        (the fault plane's outages are finite processes, not loops)."""
+        slo = self.obs.slo
+        loops = [None if slo is None else slo.evaluator, self.obs.recorder]
+        loops += [loop for node in self.nodes.values()
+                  for plane in reversed(node.planes) for loop in plane.loops()]
+        return [loop for loop in loops if loop is not None]
+
+    def stop(self) -> None:
+        """Stop every loop: once ``sim.run()`` drains the work in flight,
+        the agenda is empty, and a restart revives nothing a crash stopped."""
+        self.stopped = True
+        self.faults.held.clear()
+        for loop in self.background():
+            loop.stop()
 
     # -- transmission ----------------------------------------------------------
 

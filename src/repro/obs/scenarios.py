@@ -165,7 +165,7 @@ def run_scenario(name: str) -> "VirtualOrganization":
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
         )
     vo = runner()
-    violations = audit(vo)
+    violations = audit(vo.network)
     if violations:
         raise AssertionError(
             f"scenario {name!r} broke {len(violations)} audit clause(s): "

@@ -12,9 +12,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.glare.model import DeploymentStatus
+from repro.glare.registry import ADR_SERVICE
 from repro.net.message import Message
 from repro.net.service import Plane
 from repro.orchestrate.spec import DeploymentSpec, DesiredState
+from repro.simkernel.kernel import entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
@@ -33,6 +35,8 @@ class SiteAgent(Plane):
         "report_observed", "apply_spec", "set_deployment_lifetime",
     })
 
+    name = "orchestrate"
+
     def __init__(self, rdm: "GlareRDMService") -> None:
         self.rdm = rdm
         #: replicated desired-state document; written only via
@@ -48,6 +52,28 @@ class SiteAgent(Plane):
 
     def loops(self):
         return () if self.reconciler is None else (self.reconciler,)
+
+    def invariants(self):
+        """Once the reconciler's last round converged, each spec's live
+        replicas (ACTIVE on an online site, not draining) are in bounds."""
+        if self.reconciler is None:
+            return
+        rounds = entries(self.rdm.sim.journal, "orchestrate", "round")
+        if not rounds or not rounds[-1]["converged"]:
+            return
+        adrs = [node.services[ADR_SERVICE]
+                for node in self.rdm.network.nodes.values()
+                if node.online and ADR_SERVICE in node.services]
+        for spec in self.reconciler.specs:
+            live = sum(
+                1 for adr in adrs
+                for deployment in adr.local_deployments_for(spec.type_name)
+                if deployment.status == DeploymentStatus.ACTIVE
+                and adr.home.lookup(deployment.key).termination_time is None)
+            if not spec.min_replicas <= live <= spec.max_replicas:
+                yield "replicas-in-bounds", (
+                    f"{spec.type_name}: {live} live replicas, bounds "
+                    f"[{spec.min_replicas}, {spec.max_replicas}]")
 
     def op_report_observed(self, message: Message) -> Generator:
         """One observation sample for the desired-state reconciler.

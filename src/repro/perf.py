@@ -45,6 +45,7 @@ is independent of kernel internals.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
@@ -140,8 +141,8 @@ def bench_kernel_events(n_procs: int = 32, events_per_proc: int = 1500,
 # -- RPC microbenchmark ----------------------------------------------------
 
 
-def _echo_world(seed: int, clients: int, obs: Any = None):
-    """Closed-loop echo clients on a 4-site star around one server.
+def _echo_world(seed: int, clients: int, until: float, obs: Any = None):
+    """Closed-loop echo clients, each ending at ``until``, on a 4-site star.
 
     Returns ``(sim, net, completed)`` with the SLO engine (if ``obs``
     carries one) and the client processes already started;
@@ -165,7 +166,7 @@ def _echo_world(seed: int, clients: int, obs: Any = None):
     def client(index: int) -> Generator:
         site = client_sites[index % len(client_sites)]
         payload = f"ping-{index:03d}"
-        while True:
+        while sim.now < until:
             yield from net.call(site, "server", "echo", "echo", payload=payload)
             completed[0] += 1
 
@@ -203,7 +204,7 @@ def _echo_pycalls(tier: str, clients: int = 4, horizon: float = 10.0,
     One unprofiled simulated second first absorbs route searches and
     other first-use paths (and see :func:`count_pycalls`).
     """
-    sim, _net, completed = _echo_world(seed, clients,
+    sim, _net, completed = _echo_world(seed, clients, 1.0 + horizon,
                                        obs=_tier_observability(tier))
     sim.run(until=1.0)
     warm = completed[0]
@@ -297,14 +298,14 @@ def one_shot_echo_calls(n_calls: int, seed: int = 11):
     """``n_calls`` traced echo RPCs, each made by a process of its own
     that ends with its call, run to completion; returns ``(sim, tracer)``.
 
-    The closed-loop echo clients never terminate, so only one-shot
-    callers can show what a finished span keeps alive after its process
-    is gone.
+    A closed-loop echo client makes call after call until its horizon,
+    so only one-shot callers can show what a finished span keeps alive
+    once its process is gone.
     """
     from repro.obs import Observability
 
     obs = Observability(enabled=True)
-    sim, net, _completed = _echo_world(seed, 0, obs=obs)
+    sim, net, _completed = _echo_world(seed, 0, 0.0, obs=obs)
 
     def one_shot(index: int) -> Generator:
         yield from net.call(f"c{index % 4}", "server", "echo", "echo",
@@ -328,7 +329,6 @@ def retained_bytes_per_span(n_calls: int = 200) -> float:
     collecting after ``clear()`` returns every one of them: the count
     does not depend on what ran before in the process.
     """
-    import gc
     import tracemalloc
 
     gc.collect()
@@ -347,22 +347,28 @@ def retained_bytes_per_span(n_calls: int = 200) -> float:
     return round(freed / spans, 1)
 
 
+def _settled_tracked() -> int:
+    """``len(gc.get_objects())`` once a collection untracks nothing more
+    (a tuple is untracked only once its items are: one pass per level)."""
+    before, count = None, -1
+    while count != before:
+        gc.collect()
+        before, count = count, len(gc.get_objects())
+    return count
+
+
 def tracked_objects_per_span(n_calls: int = 200) -> float:
     """GC-tracked objects each finished span keeps alive: the drop in
-    ``len(gc.get_objects())`` when :func:`one_shot_echo_calls`' spans are
+    settled tracked objects when :func:`one_shot_echo_calls`' spans are
     cleared, over the span count.  Each such object is one more for
     every full collection to walk; a row store keeps none.
     """
-    import gc
-
     # the simulator stays referenced: clear() frees only what spans held
     sim, tracer = one_shot_echo_calls(n_calls)
-    gc.collect()
     spans = len(tracer)
-    tracked = len(gc.get_objects())
+    tracked = _settled_tracked()
     tracer.clear()
-    gc.collect()
-    return round((tracked - len(gc.get_objects())) / spans, 2)
+    return round((tracked - _settled_tracked()) / spans, 2)
 
 
 # -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
@@ -595,12 +601,11 @@ def _mixed_kernel_scenario(seed: int) -> Simulator:
             yield sim.timeout(0.1 * round_no)
 
     def victim() -> Generator:
-        while True:
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                yield sim.timeout(1.0)
-                return "recovered"
+        try:
+            yield sim.timeout(100.0)
+        except Interrupt:
+            yield sim.timeout(1.0)
+            return "recovered"
 
     target = sim.process(victim(), name="victim")
 

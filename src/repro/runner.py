@@ -32,9 +32,9 @@ A unit that raises in a worker is re-raised at the collection point as
 :class:`WorkerError` naming the unit and carrying the child's
 formatted traceback — one bad sweep point fails the whole run loudly
 instead of hanging or silently dropping a point.  So does a unit that
-left a VO breaking a :func:`repro.invariants.audit` clause: the worker
-stops every VO the unit built, drains it for ``_DRAIN`` simulated
-seconds and audits it, the shutdown clauses included.  (A worker that
+left a world breaking a :func:`repro.invariants.audit` clause: the
+worker stops every network the unit built (a VO's or a bare one),
+drains it for ``_DRAIN`` simulated seconds and audits it.  (A worker that
 dies outright — segfault, OOM kill — surfaces as the executor's
 ``BrokenProcessPool``, which is equally loud.)
 
@@ -54,8 +54,8 @@ from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.invariants import audit, audit_scope
 
-#: simulated seconds a stopped VO gets to finish its work in flight; a
-#: process still on the agenda after them fails as ``agenda-empty``
+#: simulated seconds a stopped world gets to finish its work in flight;
+#: a process still on the agenda after them fails as ``agenda-empty``
 _DRAIN = 3600.0
 
 
@@ -113,23 +113,23 @@ def _resolve(path: str):
 
 def _run_unit(unit: WorkUnit) -> Any:
     """Child-side entry: execute one unit, then stop, drain and audit
-    every VO it built.
+    every network it built.
 
     ``WorkerError`` carries only strings, so it survives the result
     pickle no matter what the original exception held.
     """
     try:
-        with audit_scope() as vos:
+        with audit_scope() as networks:
             result = _resolve(unit.fn)(**unit.kwargs)
-        for vo in vos:
-            vo.stop()
-            vo.sim.run(until=vo.sim.now + _DRAIN)
+        for net in networks:
+            net.stop()
+            net.sim.run(until=net.sim.now + _DRAIN)
     except BaseException:
         raise WorkerError(
             f"work unit {unit.name!r} ({unit.fn}) failed:\n"
             + traceback.format_exc()
         ) from None
-    violations = [violation for vo in vos for violation in audit(vo)]
+    violations = [violation for net in networks for violation in audit(net)]
     if violations:
         plane, clause, detail = violations[0]
         raise WorkerError(

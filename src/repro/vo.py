@@ -27,18 +27,15 @@ from repro.glare.storage import StorageConfig
 from repro.gram.service import GramService
 from repro.gridarm.reservation import ReservationService
 from repro.gridftp.service import GridFtpService, UrlCatalog
-from repro.invariants import enlist
 from repro.mds.index import IndexService, SiteRegistration
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import Network
-from repro.net.service import Plane
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
 from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.spec import DeploymentSpec
 from repro.simkernel import Simulator
-from repro.simkernel.primitives import Periodic
 from repro.site.description import SiteDescription
 from repro.site.gridsite import GridSite
 
@@ -122,13 +119,6 @@ class SiteStack:
     def name(self) -> str:
         return self.site.name
 
-    @property
-    def planes(self) -> List[Plane]:
-        """The site's parts in construction order (its node's
-        ``planes``): what every walk over a site (shutdown, crash,
-        audit) iterates instead of naming them."""
-        return self.site.runtime.planes
-
 
 class VirtualOrganization:
     """A running VO: simulator + topology + per-site service stacks."""
@@ -153,8 +143,6 @@ class VirtualOrganization:
         self.origin: Optional[GridSite] = None
         #: desired-state reconciler (orchestration specs only)
         self.reconciler = None
-        #: set by :meth:`stop`: the audit's shutdown clauses now apply
-        self.stopped = False
 
     # -- accessors -----------------------------------------------------------
 
@@ -186,29 +174,6 @@ class VirtualOrganization:
         else:
             self.sim.run(until=proc)
         return proc.value
-
-    # -- shutdown ----------------------------------------------------------------
-
-    def background(self) -> List[Periodic]:
-        """Every loop ``build_vo`` or a caller can start: VO-wide, then
-        each site's planes in reverse construction order.  The fault
-        plane's outages are finite processes, not loops, and are left
-        alone."""
-        slo = self.obs.slo
-        loops = [None if slo is None else slo.evaluator, self.obs.recorder]
-        for stack in self.stacks.values():
-            loops += [loop for plane in reversed(stack.planes)
-                      for loop in plane.loops()]
-        return [loop for loop in loops if loop is not None]
-
-    def stop(self) -> None:
-        """Stop every background loop: once ``sim.run()`` has drained
-        the work in flight, nothing is left on the agenda.  A restart
-        after this revives nothing a crash stopped."""
-        self.stopped = True
-        self.faults.held.clear()
-        for loop in self.background():
-            loop.stop()
 
     # -- overlay -----------------------------------------------------------------
 
@@ -374,6 +339,4 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
 
     # Fault plane: one outage per configured crash (none when disabled).
     vo.faults.start()
-
-    enlist(vo)
     return vo

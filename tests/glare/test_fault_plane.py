@@ -130,7 +130,7 @@ class TestCrashRestartSeam:
 
     @staticmethod
     def running(vo, site):
-        return [loop for plane in vo.stack(site).planes
+        return [loop for plane in vo.network.node(site).planes
                 for loop in plane.loops() if loop.running]
 
     def test_restart_revives_exactly_what_the_crash_stopped(self):
@@ -149,13 +149,13 @@ class TestCrashRestartSeam:
         assert self.running(vo, member) == []
         vo.sim.run(until=vo.sim.now + 100)
         assert self.running(vo, member) == []
-        assert audit(vo) == []
+        assert audit(vo.network) == []
         vo.faults.restart(member)
         assert self.running(vo, member) == before
         assert not refresher.running
         assert not vo.stack(member).lifecycle.minimums.running
         vo.sim.run(until=vo.sim.now + 100)
-        assert audit(vo) == []
+        assert audit(vo.network) == []
 
     def test_a_vo_without_lifecycle_restarts_no_sweeper(self):
         vo = make_vo()
@@ -169,12 +169,12 @@ class TestCrashRestartSeam:
         vo = make_vo(monitors=True, lifecycle=True)
         vo.form_overlay()
         vo.faults.crash("agrid03")
-        vo.stop()
+        vo.network.stop()
         vo.faults.restart("agrid03")
         assert self.running(vo, "agrid03") == []
         vo.sim.run(until=vo.sim.now + 1000)
         assert vo.sim.peek() == float("inf")
-        assert audit(vo) == []
+        assert audit(vo.network) == []
 
 
 class TestCrashSchedules:
@@ -497,7 +497,7 @@ class TestSuperPeerCrashRecovery:
         vo.faults.crash("agrid06")
         for _ in range(12):
             vo.sim.run(until=vo.sim.now + 5)
-            assert audit(vo) == []
+            assert audit(vo.network) == []
         assert entries(vo.sim.journal, "overlay", "takeover") == []
         vo.faults.restart("agrid06")
         vo.sim.run(until=vo.sim.now + 5)
@@ -506,7 +506,7 @@ class TestSuperPeerCrashRecovery:
             assert (view.super_peer, view.member_sites(), view.epoch) \
                 == ("agrid00", ["agrid00", "agrid06"], 1)
         assert vo.rdm("agrid06").overlay.detector.running
-        assert audit(vo) == []
+        assert audit(vo.network) == []
 
     def test_recovery_is_deterministic(self):
         def takeover_at(seed):

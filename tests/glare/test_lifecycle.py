@@ -117,7 +117,7 @@ class TestExpiryIsTheRegistrysRemoval:
             vo.run_process(vo.client_call(
                 "agrid00", "get_deployments",
                 payload={"type": "Counter", "auto_deploy": False}))
-        assert audit(vo) == []
+        assert audit(vo.network) == []
 
     def test_type_expiry_publishes_the_removed_event(self):
         from repro.glare.registry import ATR_SERVICE
@@ -135,7 +135,7 @@ class TestExpiryIsTheRegistrysRemoval:
         controller.expire_type_at("Ephemeral", vo.sim.now + 10.0)
         vo.sim.run(until=vo.sim.now + 30)
         assert [e["event"] for e in sink.received] == ["registered", "removed"]
-        assert audit(vo) == []
+        assert audit(vo.network) == []
 
 
 def _failing_minimums(monkeypatch, error):

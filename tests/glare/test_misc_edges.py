@@ -93,11 +93,11 @@ class TestInvariantCorruptionDetection:
     def test_overlay_role_mismatch_detected(self):
         vo = build_vo(n_sites=4, seed=357, monitors=False)
         vo.form_overlay()
-        assert audit(vo) == []
+        assert audit(vo.network) == []
         # plant: a super-peer whose view points elsewhere
         some_sp = vo.super_peers()[0]
         vo.rdm(some_sp).overlay.view.super_peer = "agrid-bogus"
-        assert {(v.plane, v.clause) for v in audit(vo)} == {
+        assert {(v.plane, v.clause) for v in audit(vo.network)} == {
             ("overlay", "super-peer-self"), ("overlay", "super-peer-member")}
 
     def test_cached_resource_without_source_detected(self):
@@ -111,7 +111,7 @@ class TestInvariantCorruptionDetection:
         atr2 = vo.stack("agrid02").atr
         assert "EdgeApp" in atr2.cache.keys()
         atr2.cache_sources.pop("EdgeApp")
-        assert [(v.plane, v.clause) for v in audit(vo)] == [
+        assert [(v.plane, v.clause) for v in audit(vo.network)] == [
             ("activity-type-registry@agrid02", "cache-sourced")]
 
 

@@ -166,14 +166,14 @@ class TestWorkerPoolUnderDeadlines:
 
     def test_quiescence_check_names_the_index_with_a_leaked_worker(self):
         vo = build_vo(n_sites=2, seed=3)
-        vo.stop()
+        vo.network.stop()
         vo.sim.run()
-        assert audit(vo) == []
+        assert audit(vo.network) == []
         site = vo.site_names[1]
         index = vo.stack(site).index
         index._worker_pool.request()  # a grant nobody will ever release
         vo.sim.run()
-        assert audit(vo) == [Violation(
+        assert audit(vo.network) == [Violation(
             f"{index.name}@{site}", "workers-held-by-queries",
             "1 held, 0 queued, 0 in flight")]
 

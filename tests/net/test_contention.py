@@ -225,7 +225,7 @@ def test_generated_legs_on_a_fig15_vo_match_the_reference(calls):
     no link is claimed once the network is quiet."""
     vo = build_vo(n_sites=8, seed=15, group_size=8, monitors=False,
                   lifecycle=False, contention=True)
-    vo.stop()
+    vo.network.stop()
     vo.sim.run()
     net, sim = vo.network, vo.sim
     assert not net.security.enabled
@@ -244,4 +244,4 @@ def test_generated_legs_on_a_fig15_vo_match_the_reference(calls):
     observed.update({(index, 2): at for index, at in ends.items()})
     assert observed == expected
     assert net._link_active == {}
-    assert audit(vo) == []
+    assert audit(vo.network) == []

@@ -82,7 +82,7 @@ def run_schedule(batched, entries, schedule):
                     site, "remove_type", service=ATR_SERVICE,
                     payload=f"P{target}"))
 
-    assert audit(vo) == []
+    assert audit(vo.network) == []
     atr, adr = observer.atr, observer.adr
     return {
         "type LUTs": {name: epr.last_update_time

@@ -27,8 +27,11 @@ from repro.experiments.workload import (
 from repro.glare.registry import ActivityDeploymentRegistry
 from repro.glare.superpeer import MemberInfo
 from repro.invariants import audit, audit_scope
+from repro.net.network import Network
+from repro.net.topology import Topology
 from repro.orchestrate import DeploymentSpec, Reconciler
 from repro.runner import WorkerError, WorkUnit
+from repro.simkernel import Simulator
 from repro.vo import build_vo
 from repro.wsrf import WSResource
 from repro.wsrf.xmldoc import Element
@@ -49,7 +52,7 @@ def consistent_vo(**config):
     vo.run_process(vo.client_call("agrid02", "get_deployments",
                                   payload={"type": "Inv", "auto_deploy": False}))
     assert vo.sim.peek() < float("inf")  # still running: no shutdown clause
-    assert audit(vo) == []
+    assert audit(vo.network) == []
     return vo
 
 
@@ -76,10 +79,11 @@ def leave_a_stale_replica(vo):
 def register_past_max_replicas(vo):
     """A reconciler converged on Inv at max_replicas=1; a second ACTIVE
     registration then lands beside the first."""
-    vo.reconciler = Reconciler(vo.rdm(vo.community_site),
-                               (DeploymentSpec("Inv", max_replicas=1),))
-    assert vo.run_process(vo.reconciler.reconcile_once()).converged
-    assert audit(vo) == []
+    agent = vo.stack(vo.community_site).agent
+    agent.reconciler = Reconciler(vo.rdm(vo.community_site),
+                                  (DeploymentSpec("Inv", max_replicas=1),))
+    assert vo.run_process(agent.reconciler.reconcile_once()).converged
+    assert audit(vo.network) == []
     spare = dataclasses.replace(active_deployment("Inv", "agrid01"),
                                 name="inv-spare", path=f"{BINARY}-spare")
     vo.run_process(vo.client_call("agrid01", "register_deployment",
@@ -106,7 +110,7 @@ def double_count_a_hit(vo):
 def start_a_loop_on_a_crashed_site(vo):
     """The crash stopped agrid03's loops; a caller then starts one."""
     vo.faults.crash("agrid03")
-    assert audit(vo) == []
+    assert audit(vo.network) == []
     vo.stack("agrid03").site.loadavg.start()
 
 
@@ -159,11 +163,11 @@ STATE_CASES = [
     ("network", "traffic-conserved",
      lambda vo: setattr(vo.network.node("agrid01"), "bytes_out",
                         vo.network.node("agrid01").bytes_out + 1)),
-    ("orchestrate", "replicas-in-bounds", register_past_max_replicas),
+    ("orchestrate@agrid00", "replicas-in-bounds", register_past_max_replicas),
     ("faults", "offline-loops-stopped", start_a_loop_on_a_crashed_site),
 ]
 
-#: (clause, doctor) applied after ``vo.stop(); vo.sim.run()``
+#: (clause, doctor) applied after ``vo.network.stop(); vo.sim.run()``
 SHUTDOWN_CASES = [
     ("agenda-empty", lambda vo: vo.sim.timeout(1.0)),
     ("cpu-released", lambda vo: setattr(vo.network.node("agrid01").cpu, "_busy", 1)),
@@ -180,24 +184,24 @@ SHUTDOWN_CASES = [
 def test_a_broken_state_clause_is_reported_alone(plane, clause, doctor):
     vo = consistent_vo()
     doctor(vo)
-    assert [(v.plane, v.clause) for v in audit(vo)] == [(plane, clause)]
+    assert [(v.plane, v.clause) for v in audit(vo.network)] == [(plane, clause)]
 
 
 @pytest.mark.parametrize("clause, doctor", SHUTDOWN_CASES,
                          ids=[clause for clause, _ in SHUTDOWN_CASES])
 def test_a_broken_shutdown_clause_is_reported_alone(clause, doctor):
     vo = consistent_vo(observability=True)
-    vo.stop()
+    vo.network.stop()
     vo.sim.run()
-    assert audit(vo) == []
+    assert audit(vo.network) == []
     keep = doctor(vo)  # noqa: F841 - a timeout nobody holds is recycled
-    assert [(v.plane, v.clause) for v in audit(vo)] == [("vo", clause)]
+    assert [(v.plane, v.clause) for v in audit(vo.network)] == [("vo", clause)]
 
 
 def test_a_span_leaked_in_a_spawned_process_breaks_spans_closed():
     """A fan-out leg (spawned under a span) that leaks a span is caught."""
     vo = consistent_vo(observability=True)
-    vo.stop()
+    vo.network.stop()
     vo.sim.run()
     sim, tracer = vo.sim, vo.obs.tracer
 
@@ -211,7 +215,7 @@ def test_a_span_leaked_in_a_spawned_process_breaks_spans_closed():
 
     sim.process(fanout())
     sim.run()
-    assert [(v.plane, v.clause, v.detail) for v in audit(vo)] == [
+    assert [(v.plane, v.clause, v.detail) for v in audit(vo.network)] == [
         ("vo", "spans-closed", "leaked span leaked-in-leg")]
 
 
@@ -219,7 +223,7 @@ def test_a_span_leaked_on_a_running_vo_breaks_spans_closed():
     """A dead owner never closes its span: no stop is needed to see it."""
     vo = consistent_vo(observability=True)
     vo.obs.tracer.span("leaked").__enter__()
-    assert [(v.plane, v.clause) for v in audit(vo)] == [("vo", "spans-closed")]
+    assert [(v.plane, v.clause) for v in audit(vo.network)] == [("vo", "spans-closed")]
 
 
 def test_every_declared_clause_has_a_refutation():
@@ -253,8 +257,31 @@ def endless_unit():
     return "returned"
 
 
+def bare_network(seed=5):
+    """A one-server world of the figs. 10/11/13 kind: no ``build_vo``."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, Topology.star("server", ["c0"], latency=0.004,
+                                         bandwidth=12.5e6))
+    network.add_node("server")
+    network.add_node("c0")
+    return network
+
+
+def endless_bare_unit():
+    """A unit whose bare network is left with a process that never ends."""
+    sim = bare_network().sim
+
+    def forever():
+        while True:
+            yield sim.timeout(1.0)
+
+    sim.process(forever())
+    return "returned"
+
+
 def clean_unit():
     build_vo(n_sites=2, seed=5, monitors=False)
+    bare_network()
     return "returned"
 
 
@@ -262,7 +289,8 @@ def clean_unit():
     ("dirty_unit", 1, f"{ADR}@agrid01 'by-type-known'"),
     ("dirty_unit", 2, f"{ADR}@agrid01 'by-type-known'"),
     ("endless_unit", 1, "vo 'agenda-empty'"),  # the runner stops and drains
-], ids=["1", "2", "endless"])
+    ("endless_bare_unit", 1, "vo 'agenda-empty'"),  # a world with no VO
+], ids=["1", "2", "endless", "endless-bare"])
 def test_a_unit_breaking_a_clause_fails_its_experiment(monkeypatch, unit, jobs,
                                                        broken):
     experiment = Experiment(
@@ -280,10 +308,13 @@ def test_a_unit_breaking_a_clause_fails_its_experiment(monkeypatch, unit, jobs,
 
 def test_build_vo_retains_a_vo_only_inside_a_scope():
     ref = weakref.ref(build_vo(n_sites=2, seed=1, monitors=False))
+    bare = weakref.ref(bare_network())
     gc.collect()
-    assert ref() is None
-    with audit_scope() as vos:
+    assert ref() is None and bare() is None
+    with audit_scope() as networks:
         vo = build_vo(n_sites=2, seed=1, monitors=False)
+        network = bare_network()
         with audit_scope() as inner:
             build_vo(n_sites=2, seed=2, monitors=False)
-    assert vos == [vo] and len(inner) == 1
+            bare_network(seed=2)
+    assert networks == [vo.network, network] and len(inner) == 2

@@ -1,5 +1,5 @@
 """One stop contract for every kind of background loop (each is a
-``Periodic``), and the VO-wide shutdown built on it (``vo.stop()`` +
+``Periodic``), and the VO-wide shutdown built on it (``vo.network.stop()`` +
 the audit's shutdown clauses)."""
 
 import math
@@ -26,9 +26,9 @@ from tests.orchestrate.test_reconciler import BOOT, build as build_reconciler
 def quiet_vo(**config):
     """A VO whose every loop ``build_vo`` started is stopped and drained."""
     vo = build_vo(monitors=False, lifecycle=False, **config)
-    vo.stop()
+    vo.network.stop()
     vo.sim.run()
-    assert audit(vo) == []
+    assert audit(vo.network) == []
     return vo
 
 
@@ -124,7 +124,7 @@ def test_vo_stop_quiesces_an_observed_vo():
     vo.form_overlay()
     vo.sim.run(until=44.15)
     running = Counter(loop.name.split(":")[0]
-                      for loop in vo.background() if loop.running)
+                      for loop in vo.network.background() if loop.running)
     # per site: the lifetime sweep, the three RDM monitors and the MDS
     # keepalive (the community index has no upstream); a plain member's
     # failure detector (three of the eight sites are super-peers);
@@ -134,15 +134,15 @@ def test_vo_stop_quiesces_an_observed_vo():
         "deployment-status-monitor": 8, "mds-keepalive": 7, "sp-probe": 5,
         "metrics-recorder": 1,
     }
-    assert audit(vo) == []  # running: the shutdown clauses do not apply yet
+    assert audit(vo.network) == []  # running: the shutdown clauses do not apply yet
 
-    vo.stop()
-    assert {v.clause for v in audit(vo)} == {"agenda-empty"}  # not drained
+    vo.network.stop()
+    assert {v.clause for v in audit(vo.network)} == {"agenda-empty"}  # not drained
     vo.sim.run()
     assert vo.sim.now == 44.15  # nothing was left to wait for
-    assert audit(vo) == []
-    vo.stop()  # idempotent
-    assert audit(vo) == []
+    assert audit(vo.network) == []
+    vo.network.stop()  # idempotent
+    assert audit(vo.network) == []
 
 
 def test_vo_stop_reaches_loops_a_caller_started():
@@ -155,10 +155,10 @@ def test_vo_stop_reaches_loops_a_caller_started():
         stack.index.aggregation.refresher.start()
     vo.obs.slo.evaluator.start()
     vo.sim.run(until=vo.sim.now + 40.0)
-    assert len([o for o in vo.background() if o.running]) == 2 * 4 + 1
-    vo.stop()
+    assert len([o for o in vo.network.background() if o.running]) == 2 * 4 + 1
+    vo.network.stop()
     vo.sim.run()
-    assert audit(vo) == []
+    assert audit(vo.network) == []
 
 
 def test_orchestration_under_churn_with_observability_stops_clean():
@@ -193,11 +193,11 @@ def test_orchestration_under_churn_with_observability_stops_clean():
     assert not vo.stack("agrid02").site.online  # churn is biting
     rounds_before = len(entries(vo.sim.journal, "orchestrate", "round"))
 
-    vo.stop()
+    vo.network.stop()
     # the fault plane's finite schedule plays out too; bounded, so a
     # loop a restart revived fails here instead of hanging
     vo.sim.run(until=vo.sim.now + 1000)
     assert math.isinf(vo.sim.peek())
     # the round was cut
     assert len(entries(vo.sim.journal, "orchestrate", "round")) == rounds_before
-    assert audit(vo) == []
+    assert audit(vo.network) == []

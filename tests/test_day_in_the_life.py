@@ -71,7 +71,7 @@ def test_day_in_the_life():
 
     # Let the monitors settle, then sweep the global invariants.
     vo.sim.run(until=vo.sim.now + 120)
-    assert audit(vo) == []
+    assert audit(vo.network) == []
 
     # Sanity: instantiation still works against the earlier install.
     if vo.stack(wien2k_site).site.online:
@@ -83,9 +83,9 @@ def test_day_in_the_life():
         assert outcome["exit_code"] == 0
 
     # Closing time: every background loop stops and nothing is left.
-    vo.stop()
+    vo.network.stop()
     vo.sim.run()
-    assert audit(vo) == []  # now with the shutdown clauses
+    assert audit(vo.network) == []  # now with the shutdown clauses
 
     # Every receiver of a wire document reads one shared parse of it
     # (registry cache entries even keep it): nobody edited one, or
@@ -117,16 +117,16 @@ def test_invariants_detect_corruption():
         "agrid01", "register_deployment",
         payload={"xml": deployment.to_xml().to_string()},
     ))
-    assert audit(vo) == []
+    assert audit(vo.network) == []
 
     # plant corruption: delete the binary behind an ACTIVE deployment
     vo.stack("agrid01").site.fs.remove_file(deployment.path)
-    assert [(v.plane, v.clause) for v in audit(vo)] == [
+    assert [(v.plane, v.clause) for v in audit(vo.network)] == [
         ("glare-rdm@agrid01", "active-on-disk")]
 
     # plant corruption: orphan by_type entry
     vo.stack("agrid01").site.fs.put_file(deployment.path, size=1,
                                          executable=True)
     vo.stack("agrid01").adr.by_type["Inv"].append("ghost:key")
-    assert [(v.plane, v.clause) for v in audit(vo)] == [
+    assert [(v.plane, v.clause) for v in audit(vo.network)] == [
         ("activity-deployment-registry@agrid01", "by-type-known")]

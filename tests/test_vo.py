@@ -9,10 +9,9 @@ class TestBuildVo:
     def test_full_stack_per_site(self):
         vo = build_vo(n_sites=3, seed=1, monitors=False)
         for name in vo.site_names:
-            # the site's parts, whole and in construction order: its
-            # node's list, not a second one
-            assert vo.stack(name).planes is vo.network.node(name).planes
-            assert [type(plane).__name__ for plane in vo.stack(name).planes] == [
+            # the site's parts, whole and in construction order
+            planes = vo.network.node(name).planes
+            assert [type(plane).__name__ for plane in planes] == [
                 "GridSite", "IndexService", "GridFtpService", "GramService",
                 "ActivityTypeRegistry", "ActivityDeploymentRegistry",
                 "ReservationService", "GlareRDMService", "SiteAgent",
