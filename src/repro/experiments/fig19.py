@@ -279,7 +279,7 @@ def run_fig19_flash(
             "hot_p99_ms": (hot.latency.p99 * 1000.0) if hot else 0.0,
         }
 
-    reconciler = vo.reconciler
+    reconciler = vo.stack(vo.community_site).agent.reconciler
     digest_parts = [load.fingerprint()]
     digest_parts.append(
         "replicas:" + ",".join(f"{t:.3f}={n}" for t, n in replica_series)

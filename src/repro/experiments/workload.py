@@ -36,10 +36,8 @@ from repro.glare.model import (
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import CohortInjector, OpenLoopDriver, StreamStats
 from repro.net.interceptors import RetryPolicy
-from repro.net.network import RpcTimeout
 from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
-from repro.simkernel.errors import OfflineError
 from repro.wsrf.xmldoc import Element
 
 _PLAIN_TYPE_XML = """
@@ -259,7 +257,7 @@ def closed_loop_client(
             if sim.now >= warmup:
                 stats.completed += 1
                 stats.observe(sim.now - start)
-        except (OfflineError, RpcTimeout):
+        except CLIENT_ERRORS:
             if sim.now >= warmup:
                 stats.failed += 1
         pause = think_sampler() if think_sampler is not None else think_time

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.model import DeploymentKind, DeploymentStatus
 from repro.mds.index import UPSTREAM_UNREACHABLE
 from repro.net.interceptors import RetryPolicy
-from repro.net.network import RpcTimeout
-from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,15 +155,15 @@ class CacheRefresher(Monitor):
                 self.refreshed += 1
 
     def _ask(self, site: str, service: str, method: str, payload) -> Generator:
-        """One revalidation RPC; ``_UNREACHABLE`` when the source is
-        temporarily offline or silent — its copies are kept and the
-        next cycle revisits them."""
+        """One revalidation RPC; ``_UNREACHABLE`` when the source gave
+        no answer (offline, silent, shedding or faulted) — its copies
+        are kept and the next cycle revisits them."""
         try:
             value = yield from self.rdm.network.call(
                 self.rdm.node_name, site, service, method, payload=payload,
                 retry=LUT_RETRY,
             )
-        except (OfflineError, RpcTimeout):
+        except CLIENT_ERRORS:
             return _UNREACHABLE
         return value
 

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, ClassVar, Dict, Generator, List, Optional, Tup
 
 from repro.glare.deployfile import parse_deployfile
 from repro.glare.errors import (
+    CLIENT_ERRORS,
     ConstraintViolation,
     DeploymentFailed,
     InvalidTypeDescription,
@@ -41,7 +42,7 @@ from repro.glare.model import (
 )
 from repro.glare.registry import deployment_to_wire, wire_site
 from repro.gridftp.service import TransferError
-from repro.net.interceptors import TRANSIENT_ERRORS, RetryPolicy
+from repro.net.interceptors import RetryPolicy
 from repro.net.network import RpcTimeout
 from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import SingleFlight, bounded_gather
@@ -317,8 +318,8 @@ class DeploymentManager:
         """One ``site_info`` RPC; ``None`` when the site is unreachable."""
         try:
             info = yield from self.rdm.rpc(name, "site_info", None, retry=PROBE_RETRY)
-        except TRANSIENT_ERRORS:
-            return None  # offline, silent or shedding: not a candidate now
+        except CLIENT_ERRORS:
+            return None  # offline, silent, shedding or faulted: not a candidate now
         desc = SiteDescription.from_info(info)
         if self.config.scaled:
             self._site_cache[name] = (self.sim.now, desc)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
-from repro.glare.errors import DeploymentNotFound, GlareError, TypeNotFound
+from repro.glare.errors import CLIENT_ERRORS, DeploymentNotFound, GlareError, TypeNotFound
 from repro.glare.hierarchy import TypeHierarchy
 from repro.glare.model import (
     ActivityDeployment,
@@ -62,9 +62,7 @@ from repro.gridftp.service import GridFtpService
 from repro.mds.index import UPSTREAM_UNREACHABLE, IndexService
 from repro.net.interceptors import RetryPolicy
 from repro.net.message import Message, Response
-from repro.net.network import RpcTimeout
 from repro.net.service import Service
-from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import SingleFlight
 from repro.site.gridsite import GridSite
 
@@ -202,14 +200,6 @@ class RequestManager:
 
     # -- fan-out helpers -------------------------------------------------------------
 
-    def safe_rpc(self, site: str, method: str, payload: Any,
-                  timeout: float = 20.0) -> Generator:
-        try:
-            value = yield from self.rdm.rpc(site, method, payload, timeout=timeout)
-            return value
-        except (OfflineError, RpcTimeout, GlareError):
-            return None
-
     def fanout(self, sites: List[str], method: str, payload: Any) -> Generator:
         """Query several sites in parallel; drop the failures."""
         labeled = yield from self.fanout_labeled(sites, method, payload)
@@ -225,7 +215,7 @@ class RequestManager:
         obs counter, then dropped.
         """
         procs = [
-            self.sim.process(self.safe_rpc(site, method, payload),
+            self.sim.process(self.rdm.ask(site, method, payload, timeout=20.0),
                              name=f"fanout:{method}->{site}")
             for site in sites
         ]
@@ -395,7 +385,7 @@ class RequestManager:
                 )
         elif view.super_peer and view.super_peer != me:
             with tracer.span("tier:super-peer", via=view.super_peer):
-                sp_result = yield from self.safe_rpc(
+                sp_result = yield from self.rdm.ask(
                     view.super_peer, "sp_lookup",
                     {"type": type_name, "forwarded": False}, timeout=30.0,
                 )
@@ -509,7 +499,7 @@ class RequestManager:
             self.cache_results(sp_merged)
             merged = merge_lookups([merged, sp_merged])
         elif view.super_peer and view.super_peer != me:
-            sp_result = yield from self.safe_rpc(
+            sp_result = yield from self.rdm.ask(
                 view.super_peer, "sp_lookup",
                 {"type": type_name, "forwarded": False}, timeout=30.0,
             )
@@ -666,6 +656,17 @@ class GlareRDMService(Service):
             self.node_name, dst, RDM_SERVICE, method, payload=payload,
             retry=policy,
         )
+
+    def ask(self, dst: str, method: str, payload: Any = None,
+            timeout: Optional[float] = None) -> Generator:
+        """A best-effort :meth:`rpc` to a peer: its answer, or ``None``
+        when the peer gave none — offline, silent, shedding, faulted or
+        a GLARE miss (any of :data:`CLIENT_ERRORS`)."""
+        try:
+            value = yield from self.rpc(dst, method, payload, timeout=timeout)
+        except CLIENT_ERRORS:
+            return None
+        return value
 
     def rpc_local_adr_register(self, deployment: ActivityDeployment,
                                type_xml: Optional[str] = None) -> Generator:

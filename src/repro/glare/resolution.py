@@ -42,12 +42,9 @@ from typing import (
     TYPE_CHECKING, ClassVar, Dict, Generator, Iterable, List, Optional, Set,
 )
 
-from repro.glare.errors import GlareError
 from repro.glare.registry import merge_lookups
 from repro.glare.storage import HashRing
 from repro.net.message import Message
-from repro.net.network import RpcTimeout
-from repro.simkernel.errors import OfflineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.glare.rdm import GlareRDMService
@@ -293,7 +290,7 @@ class DirectoryPlane:
         if ring is not None and len(ring) > 1 and others:
             owner = ring.route(type_name)
             if owner != me and owner in set(others):
-                value = yield from manager.safe_rpc(
+                value = yield from self.rdm.ask(
                     owner, "shard_lookup", {"type": type_name}, timeout=30.0,
                 )
                 if value and value.get("deployments"):
@@ -467,13 +464,9 @@ class DirectoryPlane:
         for owner in sorted(by_owner):
             names = by_owner[owner]
             self.shard_handoffs += len(names)
-            try:
-                result = yield from self.rdm.rpc(
-                    owner, "shard_note", {"site": me, "claims": names},
-                    timeout=10.0,
-                )
-            except (OfflineError, RpcTimeout, GlareError):
-                result = None
+            result = yield from self.rdm.ask(
+                owner, "shard_note", {"site": me, "claims": names}, timeout=10.0,
+            )
             if result and result.get("accepted"):
                 self._forwarded_claims.update(names)
             else:
@@ -505,10 +498,8 @@ class DirectoryPlane:
             "epoch": view.epoch,
             "full": full,
         }
-        try:
-            yield from self.rdm.rpc(target, "digest_note", payload, timeout=10.0)
-        except (OfflineError, RpcTimeout, GlareError):
-            pass  # best-effort: a lost note only costs digest coverage
+        # best-effort: a lost note only costs digest coverage
+        yield from self.rdm.ask(target, "digest_note", payload, timeout=10.0)
 
     # -- operations (attached to the hosting RDM service) -------------------
 

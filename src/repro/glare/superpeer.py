@@ -18,7 +18,11 @@ acknowledgment lets it take over as the new super-peer.
 All message exchanges run over the RDM service's RPC operations — this
 module holds the per-site overlay state machine, the coroutine bodies
 and the six ``op_*`` handlers, which the hosting RDM service attaches as
-its own.
+its own.  Every exchange is best-effort (:meth:`GlareRDMService.ask`):
+a peer that is offline, silent or faulted gives no answer, so a failed
+``ping`` is silence whatever its cause.  The overlay's ops are
+``CONTROL_OPS``: a busy super-peer is never shed, so admission control
+cannot make a live site look dead.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from repro.net.message import Message
-from repro.net.network import RpcTimeout
-from repro.simkernel.errors import OfflineError
 from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,6 +69,12 @@ class OverlayView:
 
 class OverlayManager:
     """Per-site overlay state machine, hosted by the RDM service."""
+
+    #: the overlay protocol is never shed (see :attr:`Service.CONTROL_OPS`)
+    CONTROL_OPS = frozenset({
+        "election_notice", "group_assign", "peer_assign", "ping",
+        "sp_missing", "sp_verify", "sp_update",
+    })
 
     def __init__(
         self,
@@ -153,26 +161,20 @@ class OverlayManager:
         community_size = len(member_sites)
         # First notification: informational.
         for site in member_sites:
-            try:
-                yield from self.rdm.rpc(
-                    site, "election_notice",
-                    {"coordinator": self.me, "community_size": community_size,
-                     "phase": 1},
-                )
-            except (OfflineError, RpcTimeout):
-                pass
+            yield from self.rdm.ask(
+                site, "election_notice",
+                {"coordinator": self.me, "community_size": community_size,
+                 "phase": 1},
+            )
         yield self.sim.timeout(self.notice_gap)
         # Second notification: acknowledged with rank + attributes.
         responders: List[MemberInfo] = []
         for site in member_sites:
-            try:
-                ack = yield from self.rdm.rpc(
-                    site, "election_notice",
-                    {"coordinator": self.me, "community_size": community_size,
-                     "phase": 2},
-                )
-            except (OfflineError, RpcTimeout):
-                continue
+            ack = yield from self.rdm.ask(
+                site, "election_notice",
+                {"coordinator": self.me, "community_size": community_size,
+                 "phase": 2},
+            )
             if ack and ack.get("ack"):
                 responders.append(
                     MemberInfo(
@@ -205,10 +207,7 @@ class OverlayManager:
                 "coordinator": self.me,
                 "epoch": epoch,
             }
-            try:
-                yield from self.rdm.rpc(group[0].site, "group_assign", payload)
-            except (OfflineError, RpcTimeout):
-                continue
+            yield from self.rdm.ask(group[0].site, "group_assign", payload)
         return {"groups": len(groups), "super_peers": sp_sites}
 
     # -- member side ----------------------------------------------------------------
@@ -247,17 +246,11 @@ class OverlayManager:
             if member.site == self.me:
                 continue
             self.sim.process(
-                self._assign_member(member.site, payload),
+                self.rdm.ask(member.site, "peer_assign", payload),
                 name=f"assign:{self.me}->{member.site}",
             )
         self._restart_probe()
         return {"accepted": True, "group_id": self.view.group_id}
-
-    def _assign_member(self, site: str, payload: Dict) -> Generator:
-        try:
-            yield from self.rdm.rpc(site, "peer_assign", payload)
-        except (OfflineError, RpcTimeout):
-            pass
 
     def op_peer_assign(self, message: Message) -> Generator:
         """A plain member learns its group and super-peer."""
@@ -304,11 +297,8 @@ class OverlayManager:
             yield from self._report_super_peer_missing()
 
     def _probe(self, site: str) -> Generator:
-        try:
-            yield from self.rdm.rpc(site, "ping", None, timeout=self.probe_timeout)
-            return True
-        except (OfflineError, RpcTimeout):
-            return False
+        pong = yield from self.rdm.ask(site, "ping", timeout=self.probe_timeout)
+        return pong is not None
 
     def _report_super_peer_missing(self) -> Generator:
         """Member path: tell the highest-ranked survivor to take over."""
@@ -322,16 +312,13 @@ class OverlayManager:
         if highest.site == self.me:
             yield from self.takeover_check()
             return
-        try:
-            yield from self.rdm.rpc(
-                highest.site, "sp_missing",
-                {"reporter": self.me, "missing": self.view.super_peer,
-                 "epoch": self.view.epoch},
-            )
-        except (OfflineError, RpcTimeout):
-            # highest-ranked also gone; next probe round will retry with
-            # whatever view update happened meanwhile
-            pass
+        # the highest-ranked may be gone too: the next probe round
+        # retries with whatever view update happened meanwhile
+        yield from self.rdm.ask(
+            highest.site, "sp_missing",
+            {"reporter": self.me, "missing": self.view.super_peer,
+             "epoch": self.view.epoch},
+        )
 
     def takeover_check(self) -> Generator:
         """Highest-ranked member path: verify, poll members, take over."""
@@ -362,17 +349,14 @@ class OverlayManager:
             if member.site == self.me:
                 continue
             polled += 1
-            try:
-                answer = yield from self.rdm.rpc(
-                    member.site, "sp_verify",
-                    {"candidate": self.me, "missing": missing,
-                     "epoch": self.view.epoch},
-                    timeout=self.probe_timeout * 2,
-                )
-                if answer and answer.get("confirm"):
-                    votes += 1
-            except (OfflineError, RpcTimeout):
-                continue
+            answer = yield from self.rdm.ask(
+                member.site, "sp_verify",
+                {"candidate": self.me, "missing": missing,
+                 "epoch": self.view.epoch},
+                timeout=self.probe_timeout * 2,
+            )
+            if answer and answer.get("confirm"):
+                votes += 1
         if votes * 2 <= polled:  # needs a simple majority
             return False
 
@@ -396,28 +380,20 @@ class OverlayManager:
             if member.site == self.me:
                 continue
             self.sim.process(
-                self._assign_member(member.site, payload),
+                self.rdm.ask(member.site, "peer_assign", payload),
                 name=f"takeover-assign:{self.me}->{member.site}",
             )
         # Tell the other super-peers about the change.
+        update = {"group_id": payload["group_id"], "new_super_peer": self.me,
+                  "old_super_peer": "", "super_peers": payload["super_peers"],
+                  "epoch": payload["epoch"]}
         for sp in payload["super_peers"]:
             if sp == self.me:
                 continue
             self.sim.process(
-                self._notify_sp_update(sp, payload), name=f"sp-update:{self.me}->{sp}"
+                self.rdm.ask(sp, "sp_update", update), name=f"sp-update:{self.me}->{sp}"
             )
         return True
-
-    def _notify_sp_update(self, sp: str, payload: Dict) -> Generator:
-        try:
-            yield from self.rdm.rpc(
-                sp, "sp_update",
-                {"group_id": payload["group_id"], "new_super_peer": self.me,
-                 "old_super_peer": "", "super_peers": payload["super_peers"],
-                 "epoch": payload["epoch"]},
-            )
-        except (OfflineError, RpcTimeout):
-            pass
 
     def op_sp_missing(self, message: Message) -> Generator:
         """RPC body on the highest-ranked member."""

@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
+from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.model import ActivityDeployment, ActivityType
-from repro.net.network import RpcTimeout
-from repro.simkernel.errors import OfflineError
 
 
 @dataclass
@@ -59,7 +58,7 @@ class ResourceBroker:
             )
             self.probes += 1
             return info
-        except (OfflineError, RpcTimeout):
+        except CLIENT_ERRORS:
             return None
 
     def rank(

@@ -62,7 +62,10 @@ class Service(Plane):
     #: Observation and reconciliation traffic must get through exactly
     #: when the data plane is overloaded — otherwise the control loop
     #: goes blind at the moment it matters (the same reason real load
-    #: shedders exempt health checks).  They still charge CPU.
+    #: shedders exempt health checks).  They still charge CPU.  The RDM
+    #: exempts two sets: the overlay's protocol with its ``ping``
+    #: (``OverlayManager.CONTROL_OPS``) and the orchestration agent's
+    #: (``SiteAgent.CONTROL_OPS``).
     CONTROL_OPS: frozenset = frozenset()
 
     def __init__(self, network: "Network", node_name: str, name: str | None = None) -> None:

@@ -141,8 +141,6 @@ class VirtualOrganization:
         self.stacks: Dict[str, SiteStack] = {}
         self.community_site: str = ""
         self.origin: Optional[GridSite] = None
-        #: desired-state reconciler (orchestration specs only)
-        self.reconciler = None
 
     # -- accessors -----------------------------------------------------------
 
@@ -332,10 +330,9 @@ def build_vo(config: Optional[VOConfig] = None, **overrides) -> VirtualOrganizat
     if config.orchestration:
         from repro.orchestrate import Reconciler
 
-        community = vo.stacks[vo.community_site]
-        vo.reconciler = community.agent.reconciler = Reconciler(
-            community.rdm, config.orchestration)
-        vo.reconciler.start()
+        agent = vo.stacks[vo.community_site].agent
+        agent.reconciler = Reconciler(agent.rdm, config.orchestration)
+        agent.reconciler.start()
 
     # Fault plane: one outage per configured crash (none when disabled).
     vo.faults.start()

@@ -156,6 +156,8 @@ class TestPlaneAttachment:
                    "report_observed", "apply_spec", "set_deployment_lifetime"):
             assert callable(getattr(rdm, f"op_{op}"))
         assert rdm.CONTROL_OPS == {
+            "election_notice", "group_assign", "peer_assign", "ping",
+            "sp_missing", "sp_verify", "sp_update",
             "report_observed", "apply_spec", "set_deployment_lifetime"}
         assert call(vo, "agrid01", "semantic_lookup", {"function": "x"}) == []
         assert call(vo, "agrid01", "set_deployment_lifetime",

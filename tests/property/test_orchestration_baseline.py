@@ -32,7 +32,7 @@ class TestInertConfigIsInvisible:
 
         assert VOConfig().orchestration == ()
         vo = build_vo(VOConfig(seed=7, n_sites=4, monitors=False))
-        assert vo.reconciler is None
+        assert vo.stack(vo.community_site).agent.reconciler is None
 
     def test_enabled_config_builds_a_reconciler(self):
         from repro.vo import VOConfig, build_vo
@@ -40,8 +40,9 @@ class TestInertConfigIsInvisible:
         specs = (DeploymentSpec(type_name="Wien2k", avoid_sites=("agrid00",)),)
         vo = build_vo(VOConfig(seed=7, n_sites=4, monitors=False,
                                lifecycle=True, orchestration=specs))
-        assert vo.reconciler is not None
-        assert vo.reconciler.managed_types == ["Wien2k"]
+        reconciler = vo.stack(vo.community_site).agent.reconciler
+        assert reconciler is not None
+        assert reconciler.managed_types == ["Wien2k"]
 
 
 @pytest.mark.parametrize("suite", list(FINGERPRINTS))
