@@ -57,9 +57,7 @@ class WrapperGenerator:
 
         # Otho generates, builds and hot-deploys the wrapper into the
         # site's container: charge the build cost on the host.
-        yield from self.rdm.network.node(self.rdm.node_name).cpu.execute(
-            WRAPPER_GENERATION_DEMAND
-        )
+        yield from self.rdm.compute(WRAPPER_GENERATION_DEMAND)
         wrapper = ActivityDeployment(
             name=wrapper_name,
             type_name=target.type_name,

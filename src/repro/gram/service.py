@@ -115,7 +115,7 @@ class GramService(Service):
                 job.state = JobState.ACTIVE
                 job.started_at = self.sim.now
                 work = self.sim.process(
-                    self._burn(job.spec.cpu_demand), name=f"job-{job.job_id}-work"
+                    self.compute(job.spec.cpu_demand), name=f"job-{job.job_id}-work"
                 )
                 if job.spec.walltime_limit is not None:
                     deadline = self.sim.timeout(job.spec.walltime_limit)
@@ -139,6 +139,3 @@ class GramService(Service):
                     obs.metrics.histogram("gram.job_duration", site=self.node_name).observe(
                         job.finished_at - job.started_at
                     )
-
-    def _burn(self, demand: float) -> Generator:
-        yield from self.node.cpu.execute(demand)

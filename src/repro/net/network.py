@@ -15,9 +15,12 @@ When the VO observes (tracer and metrics on, or SLOs declared) the same
 stage wraps the attempt in an ``rpc:`` span, counts it in the
 per-endpoint ``rpc.*`` metrics and records its attempt-level SLI; with
 nothing observed that costs one attribute check.  A :class:`RetryPolicy`
-passed to :meth:`Network.call` re-runs the stage per attempt; a
-per-attempt deadline is one cancellable timeout on the caller's own
-process (nothing left on the agenda afterwards).
+passed to :meth:`Network.call` re-runs the stage per attempt.  The
+per-attempt deadline is part of the same stage: one cancellable timeout
+on the caller's own process, armed on entry and cancelled on every exit
+but its own expiry (nothing left on the agenda afterwards).  Each CPU
+leg claims its core in the stage's own frame, so a resume re-enters
+one frame between the caller and the event it waits on.
 """
 
 from __future__ import annotations
@@ -79,10 +82,7 @@ class NodeRuntime:
         self.planes: List[Any] = []
         self.online = True
         # traffic counters (for reports and tests)
-        self.messages_in = 0
-        self.messages_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+        self.messages_in = self.messages_out = self.bytes_in = self.bytes_out = 0
         #: RPCs currently being served on this node (always maintained:
         #: admission control and the observability gauge both read it)
         self.inflight_rpcs = 0
@@ -273,36 +273,23 @@ class Network:
         errors back off and retry within the deadline budget).
 
         Every call takes the same route: context → retry loop →
-        per-attempt deadline → transport, each stage present only when
-        it has work to do.  The generator of the outermost such stage
-        is returned as is, so a stage that is off costs the caller no
-        frame; that outermost stage also records the call-level SLI
-        (one event per client-visible outcome, after the attempt-level
-        events the transport records).
+        transport, the retry loop present only when there is something
+        to retry or a total budget to keep.  The per-attempt deadline is
+        part of the transport stage, so a single-attempt call, with or
+        without a deadline, is that one generator, returned as is.  The
+        outermost stage also records the call-level SLI (one event per
+        client-visible outcome, after the attempt-level events the
+        transport records).
         """
         ctx = CallContext(src, dst, service, method, payload, size, security)
-        if retry is None or not retry.engaged:
-            if self.obs.slo is None:
-                return self._transport(ctx)
-            return self._record_call_sli(ctx)
-        if retry.attempts == 1 and retry.deadline is None:
+        timeout = None
+        if retry is not None and retry.engaged:
+            if retry.attempts != 1 or retry.deadline is not None:
+                return self._call_with_policy(ctx, retry)
             # nothing to retry, no total budget: the per-try deadline
             # is all that is left of the policy
-            return self._attempt_with_deadline(ctx, retry.per_try_timeout,
-                                               self.obs.slo)
-        return self._call_with_policy(ctx, retry)
-
-    def _record_call_sli(self, ctx: CallContext) -> Generator:
-        """Call-level SLI around the bare route (no stage of its own)."""
-        started = self.sim._now
-        ok = False
-        try:
-            value = yield from self._transport(ctx)
-            ok = True
-        finally:
-            self.obs.slo.record(ctx.endpoint, started, self.sim._now, ok,
-                                level=SLO_CALL_LEVEL)
-        return value
+            timeout = retry.per_try_timeout
+        return self._transport(ctx, timeout, self.obs.slo)
 
     # -- retry loop ------------------------------------------------------------
 
@@ -316,21 +303,14 @@ class Network:
         try:
             for attempt in range(1, policy.attempts + 1):
                 ctx.attempt = attempt
-                remaining = None
+                per_try = policy.per_try_timeout
                 if policy.deadline is not None:
                     remaining = policy.deadline - (sim.now - start)
                     if remaining <= 0:
                         break
-                per_try = policy.per_try_timeout
-                if per_try is None:
-                    per_try = remaining
-                elif remaining is not None:
-                    per_try = min(per_try, remaining)
+                    per_try = remaining if per_try is None else min(per_try, remaining)
                 try:
-                    if per_try is None:
-                        value = yield from self._transport(ctx)
-                    else:
-                        value = yield from self._attempt_with_deadline(ctx, per_try)
+                    value = yield from self._transport(ctx, per_try)
                     ok = True
                     return value
                 except BaseException as error:
@@ -343,9 +323,7 @@ class Network:
                         raise
                     self.retries_total += 1
                     if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "rpc.retries", endpoint=ctx.endpoint
-                        ).inc()
+                        self.obs.metrics.counter("rpc.retries", endpoint=ctx.endpoint).inc()
                     if delay > 0:
                         yield sim.timeout(delay)
             # deadline budget exhausted before the attempt budget
@@ -356,65 +334,39 @@ class Network:
                 self.obs.slo.record(ctx.endpoint, start, sim.now, ok,
                                     level=SLO_CALL_LEVEL)
 
-    def _attempt_with_deadline(self, ctx: CallContext, timeout: float,
-                               call_slo=None) -> Generator:
-        """One transport attempt under a deadline, inline in the caller's process.
-
-        The deadline is one timeout whose callback interrupts this
-        process with the timeout itself as the cause.  Exactly that
-        :class:`Interrupt` becomes :class:`RpcTimeout`; an enclosing
-        call's deadline or an outsider's interrupt passes through
-        untouched, so nested deadlines compose.  Every other exit
-        cancels the timeout: nothing stays on the agenda.  ``call_slo``
-        is the SLO engine when this attempt is the whole call (its
-        outcome is then the call-level SLI), else ``None``.
-        """
-        sim = self.sim
-        started = sim._now
-        ok = False
-        proc = sim.active_process
-        deadline = sim.timeout(timeout)
-        deadline.callbacks.append(proc.interrupt)
-        try:
-            value = yield from self._transport(ctx)
-            ok = True
-        except Interrupt as interrupt:
-            if interrupt.cause is not deadline:
-                raise
-            raise RpcTimeout(
-                f"{ctx.endpoint} on {ctx.dst!r} timed out after {timeout}s"
-            ) from None
-        finally:
-            sim.cancel(deadline)
-            if call_slo is not None:
-                call_slo.record(ctx.endpoint, started, sim._now, ok,
-                                level=SLO_CALL_LEVEL)
-        return value
-
     # -- terminal transport stage ------------------------------------------------
 
-    def _transport(self, ctx: CallContext) -> Generator:
+    def _transport(self, ctx: CallContext, timeout: Optional[float] = None,
+                   call_slo=None) -> Generator:
         """Marshalling, security, wire transfer and dispatch for one attempt.
 
-        The one stage of every route through :meth:`call` — bare, under
-        a deadline or under a retry policy.  Kept as one flat generator:
-        every frame between a process and the event it waits on is
-        re-entered on each resume.  It observes the attempt when the VO
-        observes: it opens the ``rpc:`` span and stamps the start, and
-        one ``finally`` records, in order, the attempt-level SLI, the
-        ``rpc.calls`` / ``rpc.errors`` / ``rpc.shed`` / ``rpc.latency``
-        metrics, then the span's ``outcome`` and its close.  The fault
-        plane's two checks live here because they must wait or sit
-        mid-route: a lost or partitioned link behaves like an
-        unreachable target (the caller burns the connection timeout,
-        then sees :class:`OfflineError`), a service fault fails the
-        dispatch.
+        The one stage of every route through :meth:`call`.  Kept as one
+        flat generator, since every frame between a process and its event
+        is re-entered per resume: the CPU legs claim in place
+        (:meth:`CPU.claim`), and a ``timeout`` arms the deadline here, on
+        the caller's process, with the timeout itself as the interrupt's
+        cause.  Exactly that :class:`Interrupt` becomes :class:`RpcTimeout`;
+        an enclosing deadline or an outsider's interrupt passes through,
+        so nested deadlines compose.  When the VO observes, it opens the
+        ``rpc:`` span, and one ``finally`` records, in order, the attempt
+        SLI, the ``rpc.calls`` / ``rpc.errors`` / ``rpc.shed`` /
+        ``rpc.latency`` metrics and the span's ``outcome`` and close; then
+        it cancels the deadline (on every exit but expiry) and, with
+        ``call_slo`` (the attempt is the whole call), records the call
+        SLI.  The fault plane's checks sit mid-route: a lost or
+        partitioned link behaves like an unreachable target (the caller
+        burns the connection timeout, then sees :class:`OfflineError`),
+        a service fault fails the dispatch.
         """
         sim = self.sim
         obs = self.obs
         src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
         observed = self._observed
-        span = error = held = None
+        started = sim._now
+        span = error = held = claim = deadline = None
+        if timeout is not None:
+            deadline = sim.timeout(timeout)
+            deadline.callbacks.append(sim._active_process.interrupt)
         if observed is not None:
             endpoint = ctx.endpoint
             if obs.enabled:
@@ -423,7 +375,6 @@ class Network:
                 except KeyError:
                     points = observed[endpoint] = _Endpoint(endpoint)
                 span = obs.tracer.span(points.rpc, src=src, dst=dst)
-            started = sim._now
         try:
             faults = self.faults if self.faults.enabled else None
             if faults is not None:
@@ -439,15 +390,8 @@ class Network:
             if not src_node.online:
                 raise OfflineError(f"source node {src!r} is offline")
 
-            message = Message(
-                src=src,
-                dst=dst,
-                service=service,
-                method=method,
-                payload=ctx.payload,
-                size=ctx.size,
-                secure=secure,
-            )
+            message = Message(src=src, dst=dst, service=service, method=method,
+                              payload=ctx.payload, size=ctx.size, secure=secure)
             if span is not None:
                 # the caller's span identity rides the envelope (the
                 # simulated ``traceparent`` header)
@@ -465,8 +409,11 @@ class Network:
             demand = self.marshal_cpu_per_kb * (msize / 1024.0)
             if secure:
                 demand += policy.client_cpu_demand(msize)
-            if demand > 0:
-                yield from src_node.cpu.execute(demand)
+            if demand > 0:  # each CPU leg: claim, wait for completion, release
+                cpu = src_node.cpu
+                claim = cpu.claim(demand)
+                cpu.release((yield claim))
+                claim = None
 
             # transport security handshake (TLS round trips)
             if secure:
@@ -500,7 +447,10 @@ class Network:
             if secure:
                 demand += policy.server_cpu_demand(msize)
             if demand > 0:
-                yield from dst_node.cpu.execute(demand)
+                cpu = dst_node.cpu
+                claim = cpu.claim(demand)
+                cpu.release((yield claim))
+                claim = None
 
             # dispatch: fault rules, inflight gauge, server span.
             # Handlers run inline in the caller's process, so the server
@@ -526,7 +476,10 @@ class Network:
             if secure:
                 resp_crypto = policy.server_cpu_demand(rsize) - policy.server_cpu_demand(0)
                 if resp_crypto > 0:
-                    yield from dst_node.cpu.execute(resp_crypto)
+                    cpu = dst_node.cpu
+                    claim = cpu.claim(resp_crypto)
+                    cpu.release((yield claim))
+                    claim = None
             if contended:
                 latency, bandwidth, edges = self.topology.routes[dst, src]
                 bandwidth = self._claim(edges, bandwidth)
@@ -545,6 +498,8 @@ class Network:
             error = exc
             raise
         finally:
+            if claim is not None:  # interrupted at a CPU
+                cpu.withdraw(claim)
             if held is not None:  # the reply leg's, or one interrupted on the wire
                 self._release(held)
             if observed is not None:
@@ -570,9 +525,25 @@ class Network:
                     span._attrs["outcome"] = (
                         "ok" if error is None else type(error).__name__)
                     span.__exit__(None, error, None)
+            expired = False
+            if deadline is not None:
+                if sim.cancel(deadline):
+                    # disarmed, so nothing else holds it (a deadline
+                    # that fired is its Interrupt's cause)
+                    sim._recycle(deadline)
+                else:
+                    expired = (isinstance(error, Interrupt)
+                               and error.cause is deadline)
+            if call_slo is not None:
+                call_slo.record(ctx.endpoint, started, sim._now, error is None,
+                                level=SLO_CALL_LEVEL)
             # the error's traceback holds this frame: drop the reference
             # back, or each failed attempt leaves a cycle for the collector
             error = None
+            if expired:
+                raise RpcTimeout(
+                    f"{ctx.endpoint} on {dst!r} timed out after {timeout}s"
+                ) from None
 
     def call_with_timeout(
         self,

@@ -82,6 +82,8 @@ class Service(Plane):
         #: max concurrent dispatches before shedding (None = unbounded)
         self.admission_limit: int | None = None
         network.register_service(self)
+        #: the host's CPU, bound once: :meth:`compute` runs per handler
+        self._cpu = network.node(node_name).cpu
 
     # -- environment helpers -------------------------------------------------
 
@@ -102,7 +104,7 @@ class Service(Plane):
 
     def compute(self, demand: float) -> Generator:
         """Charge ``demand`` CPU-seconds to this service's host."""
-        return self.node.cpu.execute(demand)
+        return self._cpu.execute(demand)
 
     def call(self, dst: str, service: str, method: str, **kwargs) -> Generator:
         """Convenience: RPC from this service's node to another service."""

@@ -14,30 +14,38 @@ where ``n`` counts runnable jobs (running + queued).
 The station
 -----------
 :class:`CPU` is a count of busy cores plus a FIFO of *grant events*,
-one per job waiting for a core.  A claim that finds a core free takes
-it in the claimer's own step — a counter increment, no event: whether
-the core is free is known there and then, so a trip over the agenda
-would carry no simulated time and decide nothing, and every RPC claims
-three times (marshal, unmarshal, handler).  Only a claim that must wait
-creates an event and yields it.  A release hands the core straight to
-the longest waiter (the busy count does not move, so nobody can barge
-in between) or, with nobody waiting, frees it.
+one per job waiting for a core.  A job is :meth:`CPU.claim` (one event
+that fires at its completion, valued with its start instant), then
+:meth:`CPU.release`, or :meth:`CPU.withdraw` if it is interrupted
+first; the RPC transport makes the three calls in its own frame.  A
+claim that finds a core free takes it in the claimer's own step and
+its event is the service timeout: whether the core is free is known
+there and then, so a trip over the agenda would carry no simulated
+time and decide nothing.  Only a claim that must wait creates a grant
+event.  A release hands the core straight to the longest waiter (the
+busy count does not move, so nobody can barge in between) by
+triggering its grant with the service time as the delay: the job
+starts on the spot and its process resumes once, at completion.  With
+nobody waiting, the core is freed.
 
 A job can be interrupted (an RPC deadline, a ``stop()``) in three
 windows, and in each of them a core is never left held by nobody:
-*queued* — its grant event leaves the queue with it; *handed a core but
-not resumed yet* (the grant is triggered and still on the agenda) — it
-passes the core on exactly as a release would; *running* — it releases,
-and only the time the core was actually held counts as busy.
+*queued* — its grant leaves the queue with it; *handed a core* or
+*running on one it found free* — its completion is cancelled, only the
+time since it started counts as busy, and the core passes on exactly
+as a release would.
 
 FCFS order, every grant decision and every completion *time* are what
-they would be if each claim took the agenda trip.  What can differ is
-order *within one instant*: a job that takes a free core schedules its
-service time a trip earlier, so when another job is handed a core (at
-any CPU) in that same instant and both demands are equal, the two
-complete in the same instant in the other order.  Lock-stepped
-closed-loop clients do produce that tie on some seeds; no pinned
-digest or fingerprint contains one.
+they would be if each claim and each hand-off took the agenda trip.
+What can differ is order *within one instant*: a job that takes a free
+core or is handed one files its completion in that step, a trip
+earlier, so two jobs (at any CPUs) completing in the same instant can
+do so in the other order.  Lock-stepped clients produce that tie on
+some seeds: with hand-offs filed in place, ``benchmarks/e2e``'s
+``openloop_steady`` op digest moves at seeds 2, 4, 5, 91 and 4242 and
+``closed_lookup``'s at seeds 3 and 5 (p50, p99 and the ok count do
+not).  No pinned digest or fingerprint contains such a tie, nor does
+the benchmark's default seed or seed 77.
 """
 
 from __future__ import annotations
@@ -75,8 +83,7 @@ class CPU:
         self.sim = sim
         self.cores = cores
         self.speed = speed
-        #: cores held: by a running job, or handed to a waiter that has
-        #: not resumed yet
+        #: cores held by a job: one it found free or was handed
         self._busy = 0
         #: grant events of the jobs waiting for a core, longest first
         self._waiting: Deque[Event] = deque()
@@ -100,37 +107,53 @@ class CPU:
             return 0.0
         return self.busy_time / (self.sim.now * self.cores)
 
-    def execute(self, demand: float) -> Generator:
-        """Sub-generator: occupy one core for ``demand`` CPU-seconds.
-
-        Use as ``yield from cpu.execute(0.005)`` inside a process body.
-        """
+    def claim(self, demand: float) -> Event:
+        """One event that fires when a job of ``demand`` CPU-seconds
+        completes, valued with the instant it started: the service
+        timeout on a free core, else the job's grant in the queue."""
         if demand < 0:
             raise ValueError("demand must be non-negative")
         sim = self.sim
-        waiting = self._waiting
-        grant = start = None
+        if self._busy < self.cores:
+            self._busy += 1  # a free core: taken here, no grant event
+            return sim.timeout(demand / self.speed, sim._now)
+        grant = Event(sim)
+        grant._value = demand / self.speed  # a pending grant holds its service time
+        self._waiting.append(grant)
+        return grant
+
+    def release(self, start: float) -> None:
+        """The job that started at ``start`` completed: count the core
+        busy since then and hand it to the longest waiter, whose job
+        starts now, or free it."""
+        now = self.sim._now
+        self.busy_time += now - start
+        self.jobs_completed += 1
+        if self._waiting:
+            grant = self._waiting.popleft()
+            grant.succeed(now, grant._value)
+        else:
+            self._busy -= 1
+
+    def withdraw(self, claim: Event) -> None:
+        """Undo ``claim`` for a job interrupted before it completed."""
+        if claim._ok is None:
+            self._waiting.remove(claim)  # still queued
+        else:  # holding a core: its completion never comes
+            self.sim.cancel(claim)
+            self.release(claim._value)  # passes the core on, and
+            self.jobs_completed -= 1    # the job did not complete
+
+    def execute(self, demand: float) -> Generator:
+        """Sub-generator: occupy one core for ``demand`` CPU-seconds
+        (``yield from cpu.execute(0.005)`` inside a process body)."""
+        claim = self.claim(demand)
         try:
-            if self._busy < self.cores:
-                self._busy += 1  # a free core: taken here, no event
-            else:
-                grant = Event(sim)
-                waiting.append(grant)
-                yield grant
-            start = sim._now
-            yield sim.timeout(demand / self.speed)
-            self.jobs_completed += 1
-        finally:
-            if start is not None:
-                self.busy_time += sim._now - start
-            if start is None and not grant.triggered:
-                waiting.remove(grant)  # interrupted in the queue: withdraw
-            elif waiting:
-                # held (or handed over and never resumed on): the core
-                # goes to the longest waiter without becoming free
-                waiting.popleft().succeed()
-            else:
-                self._busy -= 1
+            start = yield claim
+        except BaseException:
+            self.withdraw(claim)
+            raise
+        self.release(start)
 
 
 class LoadAverage(Periodic):

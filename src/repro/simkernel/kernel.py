@@ -257,8 +257,9 @@ class Simulator:
     def _recycle(self, event: Event) -> None:
         """Return a processed Timeout to the free list if nothing holds it.
 
-        Caller contract: ``event`` was just dispatched and the caller's
-        local is about to go out of scope.  ``getrefcount(event) == 2``
+        Caller contract: ``event`` was just dispatched (or cancelled, as
+        a disarmed RPC deadline is) and the caller's local is about to
+        go out of scope.  ``getrefcount(event) == 2``
         then means that local plus getrefcount's own argument are the
         only references left, so reuse cannot alias live state.
         """

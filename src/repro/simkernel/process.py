@@ -15,6 +15,12 @@ subscribing does not allocate a fresh bound method per wait, (b) takes
 a dedicated branch for the dominant ``yield sim.timeout(...)`` case
 that appends to the waiter list directly, and (c) reads the kernel's
 ``_ok``/``_processed`` slots instead of going through properties.
+
+A process that *returns* while nobody waits on it (a fire-and-forget
+arrival, a notice sender) is marked processed in place, not sent on an
+agenda trip whose dispatch would run nothing; ``yield proc``, ``all_of``
+and ``run(until=proc)`` then see its value at once.  A process that
+*fails* is always scheduled, so an unwaited failure raises from ``run()``.
 """
 
 from __future__ import annotations
@@ -117,13 +123,14 @@ class Process(Event):
                     next_event = generator.throw(event._value)
             # A terminated process lets go of the event it last waited
             # on, so the timeout it ends on goes back to the free list.
-            except StopIteration as stop:
+            except (StopIteration, StopProcess) as stop:
                 sim._active_process = self._target = None
-                self.succeed(stop.value)
-                return
-            except StopProcess as stop:
-                sim._active_process = self._target = None
-                self.succeed(stop.value)
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:  # nobody waits: processed in place, off the agenda
+                    self._ok = self._processed = True
+                    self._value = stop.value
+                    self.callbacks = None
                 return
             except BaseException as error:
                 sim._active_process = self._target = None

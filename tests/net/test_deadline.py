@@ -289,6 +289,36 @@ class TestCost:
         assert spawned == []
         assert net.node("B").services["echo"].requests_handled == 20
 
+    def test_a_disarmed_deadline_goes_back_to_the_free_list(self, monkeypatch):
+        from repro.simkernel import events
+
+        sim, net = make_net(cores=2)
+        EchoService(net, "B")
+        built = []
+        init = events.Timeout.__init__
+        monkeypatch.setattr(events.Timeout, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+
+        def client(calls):
+            for _ in range(calls):
+                yield from net.call_with_timeout("A", "B", "echo", "echo",
+                                                 payload="x", timeout=5.0)
+
+        sim.run(until=sim.process(client(5)))  # fills the free list
+        built.clear()
+        sim.run(until=sim.process(client(20)))
+        assert built == []  # every deadline was a recycled timeout
+        assert_idle(sim, net)
+
+    def test_a_fired_deadline_stays_the_cause_of_its_interrupt(self):
+        sim, net = make_net()
+        SlowService(net, "B")
+        outcome, _ = run_call(sim, net.call_with_timeout(
+            "A", "B", "slow", "work", timeout=1.0))
+        deadline = outcome.__context__.cause
+        assert isinstance(outcome, RpcTimeout) and deadline.processed
+        assert all(timeout is not deadline for timeout in sim._timeout_pool)
+
 
 class TestObserved:
     # the rpc: span sits inside the deadline, so expiry reaches it as the

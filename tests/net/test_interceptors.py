@@ -236,7 +236,7 @@ class TestPipelineDepth:
     """Every frame between a process and its event is re-entered per resume."""
 
     def test_everything_on_is_at_most_three_generators_deep(self):
-        """Exactly two: the deadline stage, then the observing transport."""
+        """Exactly one: the observing transport, which holds the deadline."""
         from repro.faults import FaultsConfig, LinkRule
         from repro.obs import Observability
         from repro.obs.slo import SLOSpec
@@ -255,8 +255,8 @@ class TestPipelineDepth:
         call = net.call("A", "B", "echo", "echo", retry=RetryPolicy.single(1.0))
         sim.process(call)
         sim.step()  # run the call up to its first wait
-        # deadline stage -> transport
-        assert generator_depth(call, Network._transport) == 2
+        # the transport itself, waiting on its marshal claim in place
+        assert generator_depth(call, Network._transport) == 1
 
     def test_everything_off_is_the_transport_itself(self):
         _, net = make_net()

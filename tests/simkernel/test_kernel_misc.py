@@ -183,3 +183,43 @@ class TestInterruptEdges:
         sim.process(attacker())
         sim.run()
         assert causes == [{"reason": "test"}]
+
+
+class TestUnobservedEnd:
+    """A process nobody waits on ends off the agenda; a failure does not."""
+
+    def returning(self, sim):
+        yield sim.timeout(1.0)
+        return 42
+
+    def test_a_return_nobody_waits_for_leaves_the_agenda_empty(self):
+        sim = Simulator()
+        proc = sim.process(self.returning(sim))
+        sim.step()  # the first step
+        sim.step()  # the timeout: the body returns
+        assert sim.peek() == float("inf")
+        assert proc.processed and not proc.is_alive and proc.value == 42
+
+    def test_a_failure_nobody_waits_for_still_fails_run(self):
+        sim = Simulator()
+
+        def failing():
+            yield sim.timeout(1.0)
+            raise ValueError("unobserved")
+
+        sim.process(failing())
+        with pytest.raises(ValueError, match="unobserved"):
+            sim.run()
+
+    def test_every_later_look_sees_the_value(self):
+        sim = Simulator()
+        proc = sim.process(self.returning(sim))
+        sim.run()
+        assert sim.run(until=proc) == 42
+
+        def waiter():
+            value = yield proc
+            both = yield sim.all_of([proc])
+            return value, both[proc]
+
+        assert sim.run(until=sim.process(waiter())) == (42, 42)

@@ -29,7 +29,7 @@ NAMES = list(perf.SUITES)
 
 #: hard-coded second copy of the trace pin so a regenerated baseline
 #: file cannot silently ratify a behaviour change
-KERNEL_TRACE_SHA = "608a9146715772e560498dcaf8ac5d94dbba4f9c21b1022034e9d4eb3f27645b"
+KERNEL_TRACE_SHA = "8260967fd251fe73e0dae034313b1cf6d38100bcd16a37e04a44ce76fcbbe392"
 
 #: hard-coded second copy of every declared gate (suite, kind, path): a
 #: budget's threshold is its committed value, so adding, dropping or
@@ -353,7 +353,7 @@ class TestDeterminismGate:
     def test_kernel_trace_matches_hardcoded_pin(self):
         current = perf.kernel_trace_fingerprint()
         assert current["sha256"] == KERNEL_TRACE_SHA
-        assert current["events"] == 266
+        assert current["events"] == 260
         assert current["final_time"] == "100.0"
 
     def test_experiment_outputs_match_committed_baseline(self, baseline,
