@@ -44,7 +44,7 @@ from repro.simkernel.errors import OfflineError, SimulationError
 from repro.simkernel.primitives import Periodic
 
 if TYPE_CHECKING:
-    from repro.net.interceptors import CallContext, RemoteError
+    from repro.net.interceptors import RemoteError
 
 
 class FaultInjected(SimulationError):
@@ -279,23 +279,25 @@ class FaultPlane:
             break  # first matching rule decides
         return None
 
-    def service_fault(self, ctx: CallContext) -> Optional[RemoteError]:
-        """Server-side error verdict for one dispatch; ``None`` = run the handler."""
+    def service_fault(self, service: str, method: str,
+                      dst: str) -> Optional[RemoteError]:
+        """Server-side error verdict for one dispatch of ``service.method``
+        on ``dst``; ``None`` = run the handler."""
         for rule in self.config.service_errors:
-            if rule.service != ctx.service:
+            if rule.service != service:
                 continue
-            if rule.method is not None and rule.method != ctx.method:
+            if rule.method is not None and rule.method != method:
                 continue
-            if rule.dst is not None and rule.dst != ctx.dst:
+            if rule.dst is not None and rule.dst != dst:
                 continue
-            key = f"fault:svc:{ctx.service}.{ctx.method}:{ctx.dst}"
+            key = f"fault:svc:{service}.{method}:{dst}"
             if rule.rate > 0 and self.sim.rng.uniform(key, 0.0, 1.0) < rule.rate:
                 # deferred: repro.net's network module imports this one
                 from repro.net.interceptors import RemoteError
 
                 self.service_errors_injected += 1
                 cause = _synthetic_error_class(rule.error)(
-                    f"injected failure in {ctx.endpoint} on {ctx.dst}"
+                    f"injected failure in {service}.{method} on {dst}"
                 )
                 return RemoteError(cause)
             break  # first matching rule decides

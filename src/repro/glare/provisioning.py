@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NOTIFICATION_COST = 0.345
 
 #: deadline for candidate ``site_info`` probes (unreachable sites are
-#: simply skipped; the walk tries the next candidate)
+#: simply skipped; the walk tries the next candidate).  It and
+#: ``INSTALL_RETRY`` replace the RDM's default policy: one attempt each
 PROBE_RETRY = RetryPolicy.single(8.0)
 
 #: deadline for a remote ``deploy`` (covers a worst-case build; the

@@ -640,21 +640,13 @@ class GlareRDMService(Service):
         """RPC to another site's RDM service.
 
         Runs under ``retry`` (or this RDM's default
-        :attr:`retry_policy`); ``timeout`` fills in the per-attempt
-        deadline when the policy lacks one.  With neither set, the
-        call is a plain single attempt.
+        :attr:`retry_policy`); ``timeout`` is the per-attempt deadline
+        and overrides the policy's own (probe deadlines stay exact).
+        With neither set, the call is a plain single attempt.
         """
-        policy = retry if retry is not None else self.retry_policy
-        if timeout is not None:
-            if policy is None:
-                policy = RetryPolicy.single(timeout)
-            else:
-                # an explicit per-call deadline overrides the policy's
-                # own per-attempt timeout (probe deadlines stay exact)
-                policy = policy.timed(timeout)
         return self.network.call(
             self.node_name, dst, RDM_SERVICE, method, payload=payload,
-            retry=policy,
+            retry=retry or self.retry_policy, timeout=timeout,
         )
 
     def ask(self, dst: str, method: str, payload: Any = None,
@@ -684,7 +676,9 @@ class GlareRDMService(Service):
                 sites = yield from self.network.call(
                     self.node_name, self.community_site,
                     IndexService.SERVICE_NAME, "list_sites",
-                    retry=(self.retry_policy or RetryPolicy.single(10.0)).with_per_try(10.0),
+                    # 10 s unless the default policy sets its own per-try timeout
+                    retry=self.retry_policy,
+                    timeout=getattr(self.retry_policy, "per_try_timeout", None) or 10.0,
                 )
                 if sites:
                     return list(sites)

@@ -52,7 +52,7 @@ class ResourceBroker:
     def site_load(self, site: str) -> Generator:
         """Live load snapshot of ``site`` (None when unreachable)."""
         try:
-            info = yield from self.vo.network.call_with_timeout(
+            info = yield from self.vo.network.call(
                 self.home_site, site, "glare-rdm", "site_load",
                 timeout=self.probe_timeout,
             )

@@ -8,8 +8,8 @@ closed-loop clients self-throttle when the service slows down, so
 ``admission_limit`` shedding never engages; an open-loop population
 keeps offering load and the server must shed.
 
-Each request runs under ``RetryPolicy.single(request_timeout)`` — one
-attempt with a per-try deadline — so overload shows up as `Overloaded`
+Each request is one attempt with ``request_timeout`` as its deadline
+(``Network.call``'s ``timeout``), so overload shows up as `Overloaded`
 (shed at admission) or `RpcTimeout` (deadline exceeded in queue), and
 the drain phase after the last arrival is bounded.
 
@@ -28,7 +28,7 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 import numpy as np
 
 from repro.glare.errors import CLIENT_ERRORS
-from repro.net.interceptors import Overloaded, RetryPolicy, RpcTimeout
+from repro.net.interceptors import Overloaded, RpcTimeout
 
 from .arrivals import arrival_stream
 from .stats import StreamStats
@@ -68,7 +68,7 @@ class OpenLoopDriver:
       faults); anything else is a bug in ``make_call`` and fails the run
     """
 
-    __slots__ = ("vo", "stats", "retry", "warmup", "spawned")
+    __slots__ = ("vo", "stats", "timeout", "warmup", "spawned")
 
     def __init__(
         self,
@@ -79,7 +79,7 @@ class OpenLoopDriver:
     ) -> None:
         self.vo = vo
         self.stats = stats
-        self.retry = RetryPolicy.single(request_timeout)
+        self.timeout = request_timeout
         self.warmup = float(warmup)
         self.spawned = 0
 
@@ -133,6 +133,6 @@ class OpenLoopDriver:
             from repro.glare.rdm import RDM_SERVICE
             service = RDM_SERVICE
         value = yield from self.vo.network.call(
-            src, dst, service, method, payload=payload, retry=self.retry
+            src, dst, service, method, payload=payload, timeout=self.timeout
         )
         return value

@@ -15,16 +15,14 @@ GT4 web-service transport stack.  It provides:
   security (http vs https) as per-message handshake latency and
   cryptographic CPU demand, reproducing the ~50 % throughput drop the
   paper reports with TLS enabled;
-* :mod:`~repro.net.interceptors` — the :class:`CallContext` every
-  call carries, the RPC error types, and the shared
-  :class:`RetryPolicy` used by every call site that retries or
-  deadlines remote operations.  Tracing, metrics and SLIs are not a
-  pipeline of their own: the network's one transport stage takes them
-  when the VO observes.
+* :mod:`~repro.net.interceptors` — the RPC error types and the shared
+  :class:`RetryPolicy` used by every call site that retries remote
+  operations (a per-attempt deadline is ``call``'s ``timeout``, a
+  number).  Tracing, metrics and SLIs are not a pipeline of their own:
+  the network's one transport stage takes them when the VO observes.
 """
 
 from repro.net.interceptors import (
-    CallContext,
     Overloaded,
     RemoteError,
     RetryPolicy,
@@ -37,7 +35,6 @@ from repro.net.topology import Link, Topology
 from repro.net.transport import SecurityPolicy
 
 __all__ = [
-    "CallContext",
     "Link",
     "Message",
     "Network",

@@ -1,11 +1,12 @@
-"""Call contexts, retry policies and the RPC error types.
+"""Retry policies and the RPC error types.
 
 Every remote call in the reproduction runs through
-:meth:`~repro.net.network.Network.call`: a :class:`CallContext` names
-the call, an optional :class:`RetryPolicy` drives attempts, deadlines
-and backoff around it, and each attempt is one pass through the
-network's transport stage (marshalling, security costs, wire transfer,
-server dispatch, the fault plane's two checks).  That stage also
+:meth:`~repro.net.network.Network.call`: its arguments name the call,
+its ``timeout`` (a number) bounds each attempt, an optional
+:class:`RetryPolicy` drives attempts, deadlines and backoff around it,
+and each attempt is one pass through the network's transport stage
+(marshalling, security costs, wire transfer, server dispatch, the
+fault plane's two checks).  That stage also
 observes the attempt when the VO observes at all: the ``rpc:`` span,
 the per-endpoint ``rpc.*`` metrics and the attempt-level SLI are taken
 there, with each endpoint's instruments resolved once.
@@ -21,7 +22,7 @@ fingerprints in :mod:`repro.perf`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.simkernel.errors import OfflineError, SimulationError
 
@@ -68,45 +69,6 @@ class RemoteError(Exception):
 #: transport-level errors every retry policy treats as retryable
 TRANSIENT_ERRORS: Tuple[type, ...] = (OfflineError, RpcTimeout, Overloaded)
 
-#: ``(type(t), t)`` -> ``single(t)`` and ``(policy, type(t), t)`` -> the policy
-#: with per-attempt timeout ``t``: one frozen instance per key (``8`` and
-#: ``8.0`` time out with different texts), cleared wholesale at the limit
-_TIMED: dict = {}
-_TIMED_LIMIT = 1024
-
-
-def _remember(key: tuple, policy: "RetryPolicy") -> "RetryPolicy":
-    if len(_TIMED) >= _TIMED_LIMIT:
-        _TIMED.clear()
-    _TIMED[key] = policy
-    return policy
-
-
-class CallContext:
-    """Mutable per-call state: what is called, where, and which attempt."""
-
-    __slots__ = ("src", "dst", "service", "method", "payload", "size",
-                 "security", "attempt", "endpoint")
-
-    def __init__(self, src: str, dst: str, service: str, method: str,
-                 payload: Any = None, size: int = 0,
-                 security: Any = None) -> None:
-        self.src = src
-        self.dst = dst
-        self.service = service
-        self.method = method
-        self.payload = payload
-        self.size = size
-        self.security = security
-        #: 1-based attempt number (bumped by the retry loop)
-        self.attempt = 1
-        #: ``service.method``, built once: every observer keys on it
-        self.endpoint = f"{service}.{method}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<CallContext {self.src}->{self.dst} {self.endpoint}"
-                f" attempt={self.attempt}>")
-
 
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
@@ -114,8 +76,8 @@ class RetryPolicy:
 
     One object describes everything a call site used to hand-roll:
     attempt count, per-attempt timeout, backoff shape, deterministic
-    jitter and a total deadline budget.  ``RetryPolicy.single(t)`` is
-    byte-identical to the legacy ``call_with_timeout(timeout=t)``.
+    jitter and a total deadline budget.  Its fields are checked when it
+    is built.  A call's own ``timeout`` overrides ``per_try_timeout``.
 
     Attributes
     ----------
@@ -151,28 +113,30 @@ class RetryPolicy:
     deadline: Optional[float] = None
     retry_on: Tuple[type, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.attempts < 1:
+            raise ValueError(f"attempts must be >= 1, got {self.attempts!r}")
+        if self.backoff not in ("exponential", "linear"):
+            raise ValueError(f"backoff must be 'exponential' or 'linear', "
+                             f"got {self.backoff!r}")
+        for name in ("base_delay", "max_delay", "jitter"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("per_try_timeout", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0 when set, got {value!r}")
+
     @classmethod
     def single(cls, timeout: float) -> "RetryPolicy":
-        """One attempt with a deadline — the old ``call_with_timeout``."""
-        key = (type(timeout), timeout)
-        return _TIMED.get(key) or _remember(key, cls(attempts=1, per_try_timeout=timeout))
+        """One attempt with a deadline of ``timeout``."""
+        return cls(attempts=1, per_try_timeout=timeout)
 
     @property
     def engaged(self) -> bool:
         """Whether the retry loop needs to run at all."""
         return (self.attempts > 1 or self.per_try_timeout is not None
                 or self.deadline is not None)
-
-    def with_per_try(self, timeout: Optional[float]) -> "RetryPolicy":
-        """Fill in a per-attempt timeout if the policy lacks one."""
-        if timeout is None or self.per_try_timeout is not None:
-            return self
-        return self.timed(timeout)
-
-    def timed(self, timeout: float) -> "RetryPolicy":
-        """``dataclasses.replace(self, per_try_timeout=timeout)``, shared."""
-        key = (self, type(timeout), timeout)
-        return _TIMED.get(key) or _remember(key, dataclasses.replace(self, per_try_timeout=timeout))
 
     def retryable(self, error: BaseException) -> bool:
         """Whether ``error`` is worth another attempt under this policy."""
@@ -195,26 +159,8 @@ class RetryPolicy:
             delay += rng.uniform(key, 0.0, self.jitter * delay)
         return delay
 
-    def schedule(self, rng=None, key: str = "retry") -> List[float]:
-        """Planned backoff sleeps (``attempts - 1`` entries at most).
-
-        Truncated so the cumulative sleep never exceeds the deadline
-        budget; deterministic for a given seed (jitter draws come from
-        the named stream ``key``).
-        """
-        delays: List[float] = []
-        total = 0.0
-        for attempt in range(1, self.attempts):
-            delay = self.backoff_delay(attempt, rng=rng, key=key)
-            if self.deadline is not None and total + delay > self.deadline:
-                break
-            total += delay
-            delays.append(delay)
-        return delays
-
 
 __all__ = [
-    "CallContext",
     "Overloaded",
     "RemoteError",
     "RetryPolicy",

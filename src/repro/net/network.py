@@ -16,11 +16,13 @@ stage wraps the attempt in an ``rpc:`` span, counts it in the
 per-endpoint ``rpc.*`` metrics and records its attempt-level SLI; with
 nothing observed that costs one attribute check.  A :class:`RetryPolicy`
 passed to :meth:`Network.call` re-runs the stage per attempt.  The
-per-attempt deadline is part of the same stage: one cancellable timeout
-on the caller's own process, armed on entry and cancelled on every exit
-but its own expiry (nothing left on the agenda afterwards).  Each CPU
-leg claims its core in the stage's own frame, so a resume re-enters
-one frame between the caller and the event it waits on.
+per-attempt deadline is a number (``call``'s ``timeout``, else the
+policy's ``per_try_timeout``) and part of the same stage: one
+cancellable timeout on the caller's own process, armed on entry and
+cancelled on every exit but its own expiry (nothing left on the agenda
+afterwards).  Each CPU leg claims its core in the stage's own frame, so
+a resume re-enters one frame between the caller and the event it waits
+on.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.faults import FaultPlane, FaultsConfig
 from repro.invariants import enlist
-from repro.net.interceptors import (
-    CallContext,
-    Overloaded,
-    RemoteError,
-    RetryPolicy,
-    RpcTimeout,
-)
+from repro.net.interceptors import Overloaded, RemoteError, RetryPolicy, RpcTimeout
 from repro.net.message import Message, Response
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
@@ -261,56 +257,66 @@ class Network:
         size: int = 0,
         security: Optional[SecurityPolicy] = None,
         retry: Optional[RetryPolicy] = None,
+        timeout: Optional[float] = None,
     ) -> Generator:
         """Sub-generator performing one remote call; yields the result.
 
         Use as ``value = yield from network.call(...)``.  Raises
         :class:`OfflineError` when either endpoint is down,
         :class:`ServiceNotFound` for unknown services, and re-raises
-        application exceptions from the remote handler.  With a
-        ``retry`` policy the transport stage is re-run per attempt
-        (per-attempt timeouts raise :class:`RpcTimeout`; transient
-        errors back off and retry within the deadline budget).
+        application exceptions from the remote handler.  ``timeout``
+        bounds each attempt (:class:`RpcTimeout` when it passes first)
+        and overrides the ``retry`` policy's ``per_try_timeout``.  With
+        a ``retry`` policy the transport stage is re-run per attempt
+        (transient errors back off and retry within the deadline budget).
 
-        Every call takes the same route: context → retry loop →
-        transport, the retry loop present only when there is something
-        to retry or a total budget to keep.  The per-attempt deadline is
-        part of the transport stage, so a single-attempt call, with or
-        without a deadline, is that one generator, returned as is.  The
-        outermost stage also records the call-level SLI (one event per
+        Every call takes the same route: retry loop → transport, the
+        retry loop present only when there is something to retry or a
+        total budget to keep.  The per-attempt deadline is part of the
+        transport stage, so a single-attempt call, with or without a
+        deadline, is that one generator, returned as is.  The outermost
+        stage also records the call-level SLI (one event per
         client-visible outcome, after the attempt-level events the
         transport records).
         """
-        ctx = CallContext(src, dst, service, method, payload, size, security)
-        timeout = None
         if retry is not None and retry.engaged:
             if retry.attempts != 1 or retry.deadline is not None:
-                return self._call_with_policy(ctx, retry)
+                return self._call_with_policy(src, dst, service, method, payload,
+                                              size, security, retry, timeout)
             # nothing to retry, no total budget: the per-try deadline
             # is all that is left of the policy
-            timeout = retry.per_try_timeout
-        return self._transport(ctx, timeout, self.obs.slo)
+            if timeout is None:
+                timeout = retry.per_try_timeout
+        return self._transport(src, dst, service, method, payload, size,
+                               security, timeout, self.obs.slo)
 
     # -- retry loop ------------------------------------------------------------
 
-    def _call_with_policy(self, ctx: CallContext, policy: RetryPolicy) -> Generator:
-        """Run the transport under ``policy`` (attempts, timeouts, backoff)."""
+    def _call_with_policy(self, src: str, dst: str, service: str, method: str,
+                          payload: Any, size: int,
+                          security: Optional[SecurityPolicy],
+                          policy: RetryPolicy, timeout: Optional[float]) -> Generator:
+        """Run the transport under ``policy`` (attempts, timeouts,
+        backoff); ``timeout``, when given, is the per-attempt one."""
         sim = self.sim
         start = sim.now
-        jitter_key = f"retry:{ctx.src}:{ctx.endpoint}"
+        endpoint = f"{service}.{method}"
+        jitter_key = f"retry:{src}:{endpoint}"
         last_error: Optional[BaseException] = None
         ok = False
+        if timeout is None:
+            timeout = policy.per_try_timeout
         try:
             for attempt in range(1, policy.attempts + 1):
-                ctx.attempt = attempt
-                per_try = policy.per_try_timeout
+                per_try = timeout
                 if policy.deadline is not None:
                     remaining = policy.deadline - (sim.now - start)
                     if remaining <= 0:
                         break
                     per_try = remaining if per_try is None else min(per_try, remaining)
                 try:
-                    value = yield from self._transport(ctx, per_try)
+                    value = yield from self._transport(
+                        src, dst, service, method, payload, size, security, per_try)
                     ok = True
                     return value
                 except BaseException as error:
@@ -323,21 +329,23 @@ class Network:
                         raise
                     self.retries_total += 1
                     if self.obs.enabled:
-                        self.obs.metrics.counter("rpc.retries", endpoint=ctx.endpoint).inc()
+                        self.obs.metrics.counter("rpc.retries", endpoint=endpoint).inc()
                     if delay > 0:
                         yield sim.timeout(delay)
-            # deadline budget exhausted before the attempt budget
-            assert last_error is not None
+            # deadline budget exhausted before the attempt budget (a
+            # built policy has attempts >= 1 and a positive deadline, so
+            # the first attempt always runs)
             raise last_error
         finally:
             if self.obs.slo is not None:
-                self.obs.slo.record(ctx.endpoint, start, sim.now, ok,
+                self.obs.slo.record(endpoint, start, sim.now, ok,
                                     level=SLO_CALL_LEVEL)
 
     # -- terminal transport stage ------------------------------------------------
 
-    def _transport(self, ctx: CallContext, timeout: Optional[float] = None,
-                   call_slo=None) -> Generator:
+    def _transport(self, src: str, dst: str, service: str, method: str,
+                   payload: Any, size: int, security: Optional[SecurityPolicy],
+                   timeout: Optional[float] = None, call_slo=None) -> Generator:
         """Marshalling, security, wire transfer and dispatch for one attempt.
 
         The one stage of every route through :meth:`call`.  Kept as one
@@ -360,7 +368,6 @@ class Network:
         """
         sim = self.sim
         obs = self.obs
-        src, dst, service, method = ctx.src, ctx.dst, ctx.service, ctx.method
         observed = self._observed
         started = sim._now
         span = error = held = claim = deadline = None
@@ -368,7 +375,7 @@ class Network:
             deadline = sim.timeout(timeout)
             deadline.callbacks.append(sim._active_process.interrupt)
         if observed is not None:
-            endpoint = ctx.endpoint
+            endpoint = f"{service}.{method}"
             if obs.enabled:
                 try:
                     points = observed[endpoint]
@@ -382,7 +389,7 @@ class Network:
                 if dropped is not None:
                     yield sim.timeout(self.connect_fail_delay)
                     raise dropped
-            policy = ctx.security if ctx.security is not None else self.security
+            policy = security if security is not None else self.security
             # https only: under http every security cost is 0.0, so skip the calls
             secure = policy.enabled
             src_node = self.node(src)
@@ -391,7 +398,7 @@ class Network:
                 raise OfflineError(f"source node {src!r} is offline")
 
             message = Message(src=src, dst=dst, service=service, method=method,
-                              payload=ctx.payload, size=ctx.size, secure=secure)
+                              payload=payload, size=size, secure=secure)
             if span is not None:
                 # the caller's span identity rides the envelope (the
                 # simulated ``traceparent`` header)
@@ -457,7 +464,7 @@ class Network:
             # span nests under the ``rpc:`` span by itself.
             handler = dst_node.service(service)
             if faults is not None:
-                injected = faults.service_fault(ctx)
+                injected = faults.service_fault(service, method, dst)
                 if injected is not None:
                     raise injected
             dst_node.inflight_rpcs += 1
@@ -535,44 +542,18 @@ class Network:
                     expired = (isinstance(error, Interrupt)
                                and error.cause is deadline)
             if call_slo is not None:
-                call_slo.record(ctx.endpoint, started, sim._now, error is None,
+                call_slo.record(endpoint, started, sim._now, error is None,
                                 level=SLO_CALL_LEVEL)
             # the error's traceback holds this frame: drop the reference
             # back, or each failed attempt leaves a cycle for the collector
             error = None
             if expired:
                 raise RpcTimeout(
-                    f"{ctx.endpoint} on {dst!r} timed out after {timeout}s"
+                    f"{service}.{method} on {dst!r} timed out after {timeout}s"
                 ) from None
-
-    def call_with_timeout(
-        self,
-        src: str,
-        dst: str,
-        service: str,
-        method: str,
-        payload: Any = None,
-        size: int = 0,
-        timeout: float = 10.0,
-        security: Optional[SecurityPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> Generator:
-        """Like :meth:`call` but abandons the call after ``timeout``.
-
-        Raises :class:`RpcTimeout` when the deadline passes first.
-        Sugar for ``call(..., retry=RetryPolicy.single(timeout))``; a
-        ``retry`` policy without a per-attempt timeout inherits
-        ``timeout`` per attempt.
-        """
-        policy = retry if retry is not None else RetryPolicy.single(timeout)
-        return self.call(
-            src, dst, service, method, payload=payload, size=size,
-            security=security, retry=policy.with_per_try(timeout),
-        )
 
 
 __all__ = [
-    "CallContext",
     "Network",
     "NodeRuntime",
     "RemoteError",

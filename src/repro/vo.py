@@ -31,7 +31,6 @@ from repro.mds.index import IndexService, SiteRegistration
 from repro.net.interceptors import RetryPolicy
 from repro.net.network import Network
 from repro.net.topology import Topology
-from repro.net.transport import SecurityPolicy
 from repro.obs import MetricsRecorder, Observability
 from repro.orchestrate.agent import SiteAgent
 from repro.orchestrate.spec import DeploymentSpec
@@ -56,7 +55,6 @@ class VOConfig:
 
     n_sites: int = 7
     seed: int = 42
-    security: bool = False
     cache_enabled: bool = True
     handler: str = "expect"
     group_size: int = 3
@@ -127,13 +125,12 @@ class VirtualOrganization:
         self.config = config
         self.sim = Simulator(seed=config.seed)
         self.topology = Topology()
-        security = SecurityPolicy.https() if config.security else SecurityPolicy.http()
         if isinstance(config.observability, Observability):
             self.obs = config.observability
         else:
             self.obs = Observability(enabled=bool(config.observability))
         self.network = Network(
-            self.sim, self.topology, security=security, obs=self.obs,
+            self.sim, self.topology, obs=self.obs,
             contention=config.contention, faults=config.faults,
         )
         self.faults = self.network.faults

@@ -123,7 +123,7 @@ class EnactmentEngine:
                 transfer_time = yield from self._stage_inputs(
                     schedule, node, deployment, result
                 )
-                outcome = yield from self.vo.network.call_with_timeout(
+                outcome = yield from self.vo.network.call(
                     self.home_site, deployment.site, "glare-rdm", "instantiate",
                     payload={"key": deployment.key, "demand": node.demand},
                     timeout=max(60.0, node.demand * 5 + 60.0),

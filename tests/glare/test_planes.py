@@ -32,8 +32,9 @@ DELETED = {
                          "transfer_singleflight"],
     StorageConfig: ["virtual_nodes", "seed"],
     # observability is configured one way: a built ``Observability``;
-    # a site's extra attributes are set on its description
-    VOConfig: ["sample_interval", "slos", "extra_site_attrs"],
+    # a site's extra attributes are set on its description; https is
+    # measured on bare networks (fig10, fig11), never on a VO
+    VOConfig: ["sample_interval", "slos", "extra_site_attrs", "security"],
     # a fault scenario is its four rule tuples: churn is the caller's
     FaultsConfig: ["churn_times", "churn_downtime"],
 }
@@ -46,7 +47,7 @@ class TestConfigSurface:
 
     def test_settable_values_are_counted(self):
         assert sum(len(names) for names in FIELDS.values()) == 6
-        assert len(dataclasses.fields(VOConfig)) == 20
+        assert len(dataclasses.fields(VOConfig)) == 19
 
     @pytest.mark.parametrize(
         "config, name",

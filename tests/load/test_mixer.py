@@ -100,6 +100,16 @@ class TestOpenLoopDriver:
         assert "resolve" not in stats.ops and stats.digest.n == 0
 
     def test_single_attempt_policy(self):
-        driver = OpenLoopDriver(_FakeVO(), StreamStats(), request_timeout=4.0)
-        assert driver.retry.attempts == 1
-        assert driver.retry.per_try_timeout == 4.0
+        """A request is one attempt with ``request_timeout`` as its deadline."""
+        sent = []
+
+        class Net:
+            def call(self, *args, **kwargs):
+                sent.append(kwargs)
+                yield from ()
+
+        vo = _FakeVO()
+        vo.network = Net()
+        driver = OpenLoopDriver(vo, StreamStats(), request_timeout=4.0)
+        list(driver.call("A", "B", "resolve", None, service="svc"))
+        assert sent == [{"payload": None, "timeout": 4.0}]

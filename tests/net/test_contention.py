@@ -126,10 +126,9 @@ def star_world(**network):
 def leg_call(net, tag, src, dst, request, reply, start, ends, **kwargs):
     sim = net.sim
     yield sim.timeout(start)
-    call = net.call_with_timeout if "timeout" in kwargs else net.call
     try:
-        yield from call(src, dst, "sink", "leg", payload=(tag, reply),
-                        size=request, **kwargs)
+        yield from net.call(src, dst, "sink", "leg", payload=(tag, reply),
+                            size=request, **kwargs)
     except RpcTimeout:
         ends[tag] = ("timeout", sim.now, dict(net._link_active))
         return

@@ -65,7 +65,7 @@ class RelayService(Service):
 
     def op_work(self, message):
         try:
-            value = yield from self.network.call_with_timeout(
+            value = yield from self.network.call(
                 self.node_name, "C", "slow", "work", timeout=self.inner_timeout)
         except RpcTimeout:
             self.inner_outcome = "inner timeout"
@@ -110,8 +110,8 @@ class TestExpiry:
 
         def client(timeout):
             try:
-                yield from net.call_with_timeout("A", "B", "echo", "echo",
-                                                 payload="x", timeout=timeout)
+                yield from net.call("A", "B", "echo", "echo",
+                                    payload="x", timeout=timeout)
                 outcomes.append(("ok", sim.now))
             except RpcTimeout:
                 outcomes.append(("timeout", sim.now))
@@ -130,7 +130,7 @@ class TestExpiry:
     def test_while_on_the_wire(self):
         sim, net = make_net()
         EchoService(net, "B")
-        outcome, at = run_call(sim, net.call_with_timeout(
+        outcome, at = run_call(sim, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=LATENCY / 2))
         assert isinstance(outcome, RpcTimeout)
         assert at == LATENCY / 2
@@ -140,7 +140,7 @@ class TestExpiry:
     def test_inside_the_handler(self):
         sim, net = make_net()
         slow = SlowService(net, "B")
-        outcome, at = run_call(sim, net.call_with_timeout(
+        outcome, at = run_call(sim, net.call(
             "A", "B", "slow", "work", timeout=1.0))
         assert isinstance(outcome, RpcTimeout)
         assert "slow.work" in str(outcome) and "1.0" in str(outcome)
@@ -151,7 +151,7 @@ class TestExpiry:
     def test_while_holding_a_core_releases_it(self):
         sim, net = make_net(cores=1)
         EchoService(net, "B", demand=2.0)
-        outcome, at = run_call(sim, net.call_with_timeout(
+        outcome, at = run_call(sim, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=1.0))
         assert isinstance(outcome, RpcTimeout) and at == 1.0
         assert_idle(sim, net)
@@ -172,14 +172,14 @@ class TestNoDeadlineLeftBehind:
     def test_success(self):
         sim, net = make_net()
         EchoService(net, "B")
-        outcome = self.finish(sim, net, net.call_with_timeout(
+        outcome = self.finish(sim, net, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=self.TIMEOUT))
         assert outcome == "x"
 
     def test_overloaded(self):
         sim, net = make_net()
         EchoService(net, "B").admission_limit = 0
-        outcome = self.finish(sim, net, net.call_with_timeout(
+        outcome = self.finish(sim, net, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=self.TIMEOUT))
         assert isinstance(outcome, Overloaded)
 
@@ -192,7 +192,7 @@ class TestNoDeadlineLeftBehind:
         net.add_node("A")
         net.add_node("B")
         EchoService(net, "B")
-        outcome = self.finish(sim, net, net.call_with_timeout(
+        outcome = self.finish(sim, net, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=self.TIMEOUT))
         assert isinstance(outcome, RemoteError)
 
@@ -200,7 +200,7 @@ class TestNoDeadlineLeftBehind:
         sim, net = make_net()
         EchoService(net, "B")
         net.faults.crash("B")
-        outcome = self.finish(sim, net, net.call_with_timeout(
+        outcome = self.finish(sim, net, net.call(
             "A", "B", "echo", "echo", payload="x", timeout=self.TIMEOUT))
         assert isinstance(outcome, OfflineError)
 
@@ -225,7 +225,7 @@ class TestNestedDeadlines:
 
     def test_shorter_inner_deadline_fires_alone(self):
         sim, net, relay = self.build(inner_timeout=1.0)
-        outcome, at = run_call(sim, net.call_with_timeout(
+        outcome, at = run_call(sim, net.call(
             "A", "B", "relay", "work", timeout=3.0))
         assert outcome == "fallback"  # the outer call survived
         assert relay.inner_outcome == "inner timeout"
@@ -234,7 +234,7 @@ class TestNestedDeadlines:
 
     def test_longer_inner_deadline_lets_the_outer_one_through(self):
         sim, net, relay = self.build(inner_timeout=3.0)
-        outcome, at = run_call(sim, net.call_with_timeout(
+        outcome, at = run_call(sim, net.call(
             "A", "B", "relay", "work", timeout=1.0))
         assert isinstance(outcome, RpcTimeout)
         assert "relay.work" in str(outcome)  # the outer call's, not slow.work
@@ -252,8 +252,7 @@ class TestForeignInterrupt:
 
         def client():
             try:
-                yield from net.call_with_timeout("A", "B", "slow", "work",
-                                                 timeout=50.0)
+                yield from net.call("A", "B", "slow", "work", timeout=50.0)
             except Interrupt as interrupt:
                 seen.append((interrupt.cause, sim.now))
 
@@ -277,8 +276,8 @@ class TestCost:
 
         def client():
             for _ in range(20):
-                yield from net.call_with_timeout("A", "B", "echo", "echo",
-                                                 payload="x", timeout=5.0)
+                yield from net.call("A", "B", "echo", "echo",
+                                    payload="x", timeout=5.0)
 
         proc = sim.process(client())
         spawned = []
@@ -301,8 +300,8 @@ class TestCost:
 
         def client(calls):
             for _ in range(calls):
-                yield from net.call_with_timeout("A", "B", "echo", "echo",
-                                                 payload="x", timeout=5.0)
+                yield from net.call("A", "B", "echo", "echo",
+                                    payload="x", timeout=5.0)
 
         sim.run(until=sim.process(client(5)))  # fills the free list
         built.clear()
@@ -313,7 +312,7 @@ class TestCost:
     def test_a_fired_deadline_stays_the_cause_of_its_interrupt(self):
         sim, net = make_net()
         SlowService(net, "B")
-        outcome, _ = run_call(sim, net.call_with_timeout(
+        outcome, _ = run_call(sim, net.call(
             "A", "B", "slow", "work", timeout=1.0))
         deadline = outcome.__context__.cause
         assert isinstance(outcome, RpcTimeout) and deadline.processed
@@ -327,7 +326,7 @@ class TestObserved:
     def test_no_open_or_leaked_spans(self, timeout, expected):
         sim, net = make_net(obs=Observability())
         SlowService(net, "B", delay=5.0)
-        outcome, _ = run_call(sim, net.call_with_timeout(
+        outcome, _ = run_call(sim, net.call(
             "A", "B", "slow", "work", timeout=timeout))
         tracer = net.obs.tracer
         assert tracer.open_spans() == [] and tracer.leaked_spans() == []

@@ -5,14 +5,8 @@ import dataclasses
 
 import pytest
 
-from repro.net import Network, Topology, interceptors
-from repro.net.interceptors import (
-    CallContext,
-    Overloaded,
-    RemoteError,
-    RetryPolicy,
-    RpcTimeout,
-)
+from repro.net import Network, Topology
+from repro.net.interceptors import Overloaded, RemoteError, RetryPolicy, RpcTimeout
 from repro.net.message import Message, Response
 from repro.net.service import EchoService, Service
 from repro.obs import Observability
@@ -264,26 +258,18 @@ class TestPipelineDepth:
         assert call.gi_code is Network._transport.__code__
 
 
-class TestCallContext:
-    def test_endpoint_and_defaults(self):
-        ctx = CallContext("A", "B", "echo", "echo", None, 0, None)
-        assert ctx.endpoint == "echo.echo"
-        assert ctx.attempt == 1
-
-
 class TestRetryPolicy:
     def test_single_reproduces_call_with_timeout(self):
-        """call(retry=single(T)) and legacy call_with_timeout agree."""
+        """call(retry=single(T)) and call(timeout=T) agree."""
         results = {}
-        for key in ("legacy", "policy"):
+        for key in ("timeout", "policy"):
             sim, net = make_net()
             SlowService(net, "B", delay=5.0)
 
             def client(k=key, s=sim, n=net):
                 try:
-                    if k == "legacy":
-                        yield from n.call_with_timeout(
-                            "A", "B", "slow", "work", timeout=1.0)
+                    if k == "timeout":
+                        yield from n.call("A", "B", "slow", "work", timeout=1.0)
                     else:
                         yield from n.call(
                             "A", "B", "slow", "work",
@@ -294,7 +280,24 @@ class TestRetryPolicy:
             proc = sim.process(client())
             sim.run()
             results[key] = proc.value
-        assert results["legacy"] == results["policy"]
+        assert results["timeout"] == results["policy"]
+
+    @pytest.mark.parametrize("field, fields", [
+        ("attempts", {"attempts": 0, "per_try_timeout": 1.0}),
+        ("deadline", {"attempts": 2, "deadline": -1.0}),
+        ("deadline", {"deadline": 0.0}),
+        ("per_try_timeout", {"per_try_timeout": 0.0}),
+        ("backoff", {"backoff": "linaer"}),
+        ("base_delay", {"base_delay": -0.5}),
+        ("max_delay", {"max_delay": -1.0}),
+        ("jitter", {"jitter": -0.1}),
+        ("jitter", {"jitter": float("nan")}),
+    ])
+    def test_fields_are_checked_when_built(self, field, fields):
+        """A malformed policy fails where it is written, not mid-call
+        with an ``AssertionError`` (or, for a misspelt backoff, never)."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RetryPolicy(**fields)
 
     def test_engaged(self):
         assert not RetryPolicy().engaged
@@ -405,52 +408,47 @@ class TestRetryPolicy:
 
 
 class TestPolicyMemo:
-    """A policy per distinct timeout is built once and shared."""
+    """A deadline is a number: a call's ``timeout`` overrides its policy's
+    per-try timeout, so no timed copy of a policy is built or kept."""
 
     @staticmethod
-    def timeout_text(policy):
+    def expiry(policy, timeout=None):
+        """``(text, instant, retries)`` of a call's ``RpcTimeout`` from a
+        20 s handler."""
         sim, net = make_net()
         SlowService(net, "B", delay=20.0)
 
         def client():
             try:
-                yield from net.call("A", "B", "slow", "work", retry=policy)
+                yield from net.call("A", "B", "slow", "work", retry=policy,
+                                    timeout=timeout)
             except RpcTimeout as error:
-                return str(error)
+                return str(error), sim.now, net.retries_total
 
         proc = sim.process(client())
         sim.run()
         return proc.value
 
-    def test_single_is_shared_per_timeout(self):
-        assert RetryPolicy.single(8.0) is RetryPolicy.single(8.0)
+    def test_single_is_one_attempt_with_a_deadline(self):
         assert RetryPolicy.single(8.0) == RetryPolicy(attempts=1, per_try_timeout=8.0)
 
     def test_an_int_and_a_float_timeout_stay_apart(self):
         as_int, as_float = RetryPolicy.single(8), RetryPolicy.single(8.0)
-        assert as_int is not as_float
         assert type(as_int.per_try_timeout) is int
-        assert self.timeout_text(as_int).endswith("timed out after 8s")
-        assert self.timeout_text(as_float).endswith("timed out after 8.0s")
+        assert self.expiry(as_int)[0].endswith("timed out after 8s")
+        assert self.expiry(as_float)[0].endswith("timed out after 8.0s")
+        assert self.expiry(None, timeout=8)[0].endswith("timed out after 8s")
 
-    def test_the_memo_is_cleared_wholesale_at_its_limit(self, monkeypatch):
-        monkeypatch.setattr(interceptors, "_TIMED", {})
-        memo = interceptors._TIMED
-        for index in range(interceptors._TIMED_LIMIT):
-            RetryPolicy.single(index + 0.5)
-        assert len(memo) == interceptors._TIMED_LIMIT
-        first = RetryPolicy.single(0.5)
-        RetryPolicy.single(-1.0)  # one past the limit
-        assert len(memo) == 1
-        assert RetryPolicy.single(0.5) is not first  # rebuilt after the clear
-        assert RetryPolicy.single(0.5) == first
-
-    def test_timed_equals_replace_and_is_shared(self):
-        policy = RetryPolicy(attempts=3, per_try_timeout=1.0, jitter=0.1)
-        assert policy.timed(2.5) == dataclasses.replace(policy, per_try_timeout=2.5)
-        assert policy.timed(2.5) is policy.timed(2.5)
-        assert policy.timed(2) is not policy.timed(2.0)
-        assert RetryPolicy().with_per_try(4.0) is RetryPolicy().with_per_try(4.0)
+    @pytest.mark.parametrize("policy", [
+        RetryPolicy.single(1.0),
+        RetryPolicy(attempts=3, per_try_timeout=1.0, jitter=0.1),
+        RetryPolicy(attempts=2, deadline=40.0),
+    ], ids=["single", "retried", "deadline"])
+    def test_call_timeout_overrides_per_try(self, policy):
+        """``call(retry=P, timeout=T)`` is ``call(retry=P')`` with P' the
+        policy whose ``per_try_timeout`` is T, on either route."""
+        timed = dataclasses.replace(policy, per_try_timeout=2.5)
+        assert self.expiry(policy, timeout=2.5) == self.expiry(timed)
 
     @pytest.mark.parametrize("rpc_retry", [None, RetryPolicy(attempts=3, base_delay=0.1)])
     def test_rdm_rpc_overrides_the_per_try_timeout(self, rpc_retry, monkeypatch):
@@ -458,15 +456,38 @@ class TestPolicyMemo:
                       rpc_retry=rpc_retry)
         rdm = vo.stack("agrid00").rdm
         sent = []
-        monkeypatch.setattr(vo.network, "call",
-                            lambda *args, retry=None, **kwargs: sent.append(retry))
-        rdm.rpc("agrid01", "ping", timeout=2.5)
+        monkeypatch.setattr(
+            vo.network, "call",
+            lambda *args, retry=None, timeout=None, **kwargs: sent.append((retry, timeout)))
+        probe = RetryPolicy.single(8.0)
         rdm.rpc("agrid01", "ping", timeout=2.5)
         rdm.rpc("agrid01", "ping")
-        base = rpc_retry if rpc_retry is not None else RetryPolicy()
-        assert sent[0] == dataclasses.replace(base, per_try_timeout=2.5)
-        assert sent[1] is sent[0]
-        assert sent[2] is rpc_retry
+        rdm.rpc("agrid01", "ping", retry=probe)
+        rdm.rpc("agrid01", "ping", retry=probe, timeout=2.5)
+        # the default policy rides along; a given one replaces it
+        assert sent == [(rpc_retry, 2.5), (rpc_retry, None), (probe, None), (probe, 2.5)]
+
+    @pytest.mark.parametrize("rpc_retry, per_try", [
+        (None, 10.0),
+        (RetryPolicy(attempts=3, base_delay=0.1), 10.0),
+        (RetryPolicy(attempts=3, per_try_timeout=4.0), 4.0),
+    ])
+    def test_known_sites_fills_in_ten_seconds(self, rpc_retry, per_try, monkeypatch):
+        """``known_sites`` waits 10 s per attempt unless the default
+        policy sets its own per-try timeout."""
+        vo = build_vo(n_sites=2, seed=4, monitors=False, lifecycle=False,
+                      rpc_retry=rpc_retry)
+        sent = []
+
+        def call(src, dst, service, method, *args, retry=None, timeout=None, **kwargs):
+            if method == "list_sites":
+                sent.append((retry, timeout))
+            return ["agrid00"]
+            yield  # a generator, like Network.call
+
+        monkeypatch.setattr(vo.network, "call", call)
+        vo.run_process(vo.stack("agrid01").rdm.known_sites())
+        assert sent == [(rpc_retry, per_try)]
 
 
 class TestRemoteError:

@@ -298,7 +298,7 @@ class TestRpc:
 
         def client():
             try:
-                yield from net.call_with_timeout(
+                yield from net.call(
                     "A", "B", "echo", "echo", timeout=0.5
                 )
             except RpcTimeout:
@@ -314,7 +314,7 @@ class TestRpc:
         out = {}
 
         def client():
-            out["v"] = yield from net.call_with_timeout(
+            out["v"] = yield from net.call(
                 "A", "B", "echo", "echo", payload=123, timeout=5.0
             )
 

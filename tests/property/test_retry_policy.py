@@ -3,15 +3,19 @@
 The retry engine is on the hot path of every resilient RPC, so its
 backoff arithmetic must be boringly predictable: deterministic for a
 given seed, monotone in the attempt number (up to the cap), and never
-allowed to burn more than the declared deadline budget.
+allowed to burn more than the declared deadline budget.  The schedule
+properties are read off the real loop: ``Network.call(retry=policy)``
+against an offline target, one ``rpc:`` span per attempt.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import Network, Topology
 from repro.net.interceptors import Overloaded, RemoteError, RetryPolicy, RpcTimeout
+from repro.obs import Observability
+from repro.simkernel import Simulator
 from repro.simkernel.errors import OfflineError
-from repro.simkernel.rng import RngRegistry
 
 
 policies = st.builds(
@@ -34,31 +38,56 @@ policies = st.builds(
 )
 
 
+def attempt_instants(policy, seed):
+    """``(start, end)`` of every attempt of one call under ``policy`` to
+    an offline target, plus when the call gave up."""
+    sim = Simulator(seed=seed)
+    net = Network(sim, Topology.full_mesh(("A", "B"), latency=0.005, bandwidth=1e7),
+                  obs=Observability())
+    for site in ("A", "B"):
+        net.add_node(site, cores=2)
+    net.nodes["B"].online = False
+
+    def client():
+        try:
+            yield from net.call("A", "B", "echo", "echo", retry=policy)
+        except (OfflineError, RpcTimeout):
+            return sim.now
+
+    proc = sim.process(client())
+    sim.run()
+    spans = net.obs.tracer.find("rpc:")
+    return [(span.start, span.end) for span in spans], proc.value
+
+
+def sleeps(attempts):
+    """The backoff sleeps between consecutive attempts."""
+    return [nxt[0] - prev[1] for prev, nxt in zip(attempts, attempts[1:])]
+
+
 class TestBackoffProperties:
     @given(policy=policies, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=150)
     def test_schedule_deterministic_per_seed(self, policy, seed):
-        first = policy.schedule(rng=RngRegistry(seed=seed))
-        again = policy.schedule(rng=RngRegistry(seed=seed))
-        assert first == again
+        assert attempt_instants(policy, seed) == attempt_instants(policy, seed)
 
     @given(policy=policies, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=150)
     def test_schedule_never_exceeds_deadline(self, policy, seed):
-        delays = policy.schedule(rng=RngRegistry(seed=seed))
-        assert len(delays) <= policy.attempts - 1
+        attempts, gave_up = attempt_instants(policy, seed)
+        assert 1 <= len(attempts) <= policy.attempts
         if policy.deadline is not None:
-            assert sum(delays) <= policy.deadline
+            assert sum(sleeps(attempts)) <= policy.deadline
+            assert gave_up - attempts[0][0] <= policy.deadline + 1e-9
 
     @given(policy=policies, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=150)
     def test_delays_nonnegative_and_capped(self, policy, seed):
-        rng = RngRegistry(seed=seed)
-        for attempt in range(1, policy.attempts + 1):
-            delay = policy.backoff_delay(attempt, rng=rng)
+        attempts, _ = attempt_instants(policy, seed)
+        for delay in sleeps(attempts):
             assert delay >= 0.0
             # jitter is a fraction of the (already capped) base value
-            assert delay <= policy.max_delay * (1.0 + policy.jitter)
+            assert delay <= policy.max_delay * (1.0 + policy.jitter) + 1e-9
 
     @given(policy=policies)
     @settings(max_examples=100)

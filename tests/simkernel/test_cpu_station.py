@@ -72,7 +72,12 @@ def run_schedule(cpu_cls, cores, jobs, interrupts, kills=()):
     hop, which lands after the instant's arrivals and completions but
     ahead of everything they triggered: its target has been handed a
     core and has not resumed yet (or, having found a free core, is
-    still waiting out the reference's agenda trip).
+    still waiting out the reference's agenda trip).  Late interrupters
+    are spawned ahead of early ones, so the hop is also queued before
+    anything an early interrupt triggers: a zero-demand job handed a
+    core by an early victim completes one agenda trip sooner on ``CPU``
+    than on the reference, and a hop queued after that hand-off would
+    split the two.
     """
     sim = Simulator()
     cpu = cpu_cls(sim, cores=cores)
@@ -107,7 +112,7 @@ def run_schedule(cpu_cls, cores, jobs, interrupts, kills=()):
 
     aimed = [(job % len(jobs), jobs[job % len(jobs)][0] + after, late)
              for job, after, late in interrupts]
-    for target, at, late in aimed:
+    for target, at, late in sorted(aimed, key=lambda aim: not aim[2]):
         sim.process(interrupter(target, at, late))
     for name, (arrival, demand) in enumerate(jobs):
         sim.process(job(name, arrival, demand))
@@ -156,6 +161,9 @@ schedules = st.tuples(
 # the same window from inside the releasing step: job 0 ends, job 1 is
 # handed its core and killed by job 0 before it resumes
 @example((1, [(1, 1), (1, 1), (1, 1)], [], [(0, 1)]))
+# an early interrupt hands a core to a zero-demand waiter that a late
+# interrupt aims at in the same instant
+@example((2, [(1, 1), (1, 1), (1, 0)], [(0, 1, False), (2, 1, True)], []))
 @settings(max_examples=300, deadline=None)
 def test_station_matches_its_reference(schedule):
     log, samples = run_schedule(CPU, *schedule)

@@ -54,12 +54,6 @@ class TestBuildVo:
         with pytest.raises(ValueError):
             build_vo(VOConfig(n_sites=2), n_sites=3)
 
-    def test_security_config_propagates(self):
-        vo = build_vo(n_sites=2, seed=1, security=True, monitors=False)
-        assert vo.network.security.enabled
-        vo2 = build_vo(n_sites=2, seed=1, monitors=False)
-        assert not vo2.network.security.enabled
-
     def test_run_process_returns_value(self):
         vo = build_vo(n_sites=2, seed=1, monitors=False)
 
