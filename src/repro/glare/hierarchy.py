@@ -151,23 +151,6 @@ class TypeHierarchy:
                 results.append(node)
         return results
 
-    def inherited_functions(self, name: str) -> List[str]:
-        """Function names of ``name`` plus everything inherited."""
-        at = self.require(name)
-        names = [f.name for f in at.functions]
-        for ancestor in self.ancestors(name):
-            node = self._types.get(ancestor)
-            if node is not None:
-                names.extend(f.name for f in node.functions)
-        # stable de-dup
-        seen: Set[str] = set()
-        out = []
-        for n in names:
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-        return out
-
     def all_types(self) -> Iterable[ActivityType]:
         return list(self._types.values())
 

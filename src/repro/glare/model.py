@@ -34,31 +34,41 @@ the uncached value.
 :func:`repro.wsrf.xmldoc.parse_shared`: one parse per distinct document
 string — the string is immutable, and the client, its super-peer and
 the shard owner all receive the same one — into a tree that is **shared
-and read-only**.  Every caller still gets a *fresh* object built by the
-ordinary ``from_xml`` body (all ``__post_init__`` validation runs per
-copy; no list or dict is shared between copies or with the memo).
-:meth:`from_wire_xml` — what the registries decode a received wire with
-(``type_from_wire`` / ``deployment_from_wire`` / ``cache_wire``) — is
+and read-only**.  ``from_xml`` itself still builds a *fresh* object per
+call (all ``__post_init__`` validation runs per copy; no list or dict is
+shared between copies or with the memo).  :meth:`from_wire_xml` is
 ``from_xml(str)`` whose copy also starts with its wire form set: the
 canonical re-serialisation of the decoded object, computed once per
 document and kept beside the tree.  That equals the received string for
 everything the registries emit but is computed, not assumed — parsing
 strips character data, so a hand-written document with a padded field
-re-serialises shorter.  ``op_deploy`` decodes its type document the
-same way: the installing site always serves it on.  A document somebody
-*wrote* and may never serve (a registration, a bulk-load) goes through
-plain ``from_xml`` and pays for a wire form only if it is ever served.
-The one decoded object receivers *do* share is immutable: a deploy-file's
-plan (:mod:`repro.glare.deployfile`).  A registry *cache* entry keeps the
-shared tree as its property document
-(:meth:`repro.glare.registry._Registry.add_cached`); it is never
-aggregated or edited.  Whoever keeps, aggregates or edits what it
-parsed — the MDS index, the AGWL workflow parser, a registry's own
-``home`` resources — uses plain ``parse_xml`` / ``to_xml()``.  The
-memo's bound is a module constant (``xmldoc._SHARED_LIMIT``, cleared
-wholesale like the two older memos): it only has to exceed one run's
-working set of distinct documents, nothing simulated depends on it, and
-no caller has a reason to choose another value.
+re-serialises shorter.
+
+A registry *cache* entry goes one step further
+(:meth:`repro.glare.registry._Registry.cache_wire`): the document is
+decoded with :meth:`from_wire_xml` the first time any site caches it,
+and the item is kept in the shared parse's ``compiled`` slot, so every
+site caching the document holds **one shared, read-only object**, as it
+holds one tree (its property document,
+:meth:`~repro.glare.registry._Registry.add_cached`).  Nothing writes to
+a cached item: a changed resource arrives as a new document, and so as
+a new item.  The paths that write to what they decode keep a private
+copy: a registration (``register_type`` / ``register_deployment``) uses
+plain ``from_xml`` and stamps ``provider``, ``registered_at`` and
+``last_update_time``; ``op_deploy`` uses :meth:`from_wire_xml`, since
+the installing site registers and serves the type on; the status
+monitor's update changes only a registry's own ``deployments``.  The
+other decoded object receivers share is a deploy-file's plan
+(:mod:`repro.glare.deployfile`), immutable.  Whoever keeps, aggregates
+or edits what it parsed — the MDS index, the AGWL workflow parser, a
+registry's own ``home`` resources — uses plain ``parse_xml`` /
+``to_xml()``.  The memo's bound is a module constant
+(``xmldoc._SHARED_LIMIT``, cleared wholesale, the same number as the
+message-size memo's): it only has to exceed one run's working set of
+distinct documents, nothing simulated depends on it, and no caller has
+a reason to choose another value.  A clear costs a re-parse and a
+re-decode, after which sites may hold two equal objects for one
+document.
 """
 
 from __future__ import annotations

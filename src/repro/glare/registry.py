@@ -30,7 +30,7 @@ from repro.net.service import Service
 from repro.wsrf.notification import NotificationBroker
 from repro.wsrf.resource import EndpointReference, ResourceHome, WSResource
 from repro.wsrf.servicegroup import ServiceGroup
-from repro.wsrf.xmldoc import parse_shared
+from repro.wsrf.xmldoc import parse_shared, shared_document
 from repro.wsrf.xpath import XPathQuery, query_reply
 
 ATR_SERVICE = "activity-type-registry"
@@ -137,8 +137,8 @@ class _Registry(Service):
     #: the operation returning one resource's wire by key — what the
     #: Cache Refresher refetches a changed resource through
     FETCH_OP = ""
-    #: wire -> item decoder (``type_from_wire`` / ``deployment_from_wire``)
-    from_wire = None
+    #: the class a wire decodes to (``ActivityType`` / ``ActivityDeployment``)
+    item_class = None
 
     def __init__(self, network, node_name, lookup_demand: float,
                  register_demand: float, cache_enabled: bool,
@@ -217,11 +217,19 @@ class _Registry(Service):
 
         The single receive-side decode: every path that learns a remote
         resource (lookup results, installations, revalidation) ends
-        here.  Nothing is parsed when caching is off.
+        here.  Nothing is parsed when caching is off.  The item is
+        decoded once per document and kept in its shared parse's
+        ``compiled`` slot, so every site caching the document holds the
+        same read-only object, as it holds the same tree.
         """
         if not self.cache_enabled:
             return None
-        return self.add_cached(self.from_wire(wire), epr_from_wire(wire["epr"]))
+        xml = wire["xml"]
+        shared = shared_document(xml)
+        item = shared.compiled
+        if type(item) is not self.item_class:  # first sight, or another decoder's plan
+            item = shared.compiled = self.item_class.from_wire_xml(xml)
+        return self.add_cached(item, epr_from_wire(wire["epr"]))
 
     def drop_cached(self, key: str) -> None:
         """Evict a cached resource (stale, gone at its source, shadowed)."""
@@ -288,7 +296,7 @@ class ActivityTypeRegistry(_Registry):
 
     SERVICE_NAME = ATR_SERVICE
     FETCH_OP = "lookup_type"
-    from_wire = staticmethod(type_from_wire)
+    item_class = ActivityType
 
     def __init__(
         self,
@@ -480,7 +488,7 @@ class ActivityDeploymentRegistry(_Registry):
 
     SERVICE_NAME = ADR_SERVICE
     FETCH_OP = "get_deployment"
-    from_wire = staticmethod(deployment_from_wire)
+    item_class = ActivityDeployment
 
     def __init__(
         self,

@@ -13,9 +13,12 @@ _MESSAGE_IDS = itertools.count(1)
 #: caching hands the same XML string objects to many messages; this
 #: avoids re-escaping kilobytes of XML per envelope while producing
 #: byte-identical size estimates.  Bounded: cleared wholesale at the
-#: limit rather than tracking LRU order.
+#: limit rather than tracking LRU order.  The limit is also that of
+#: ``wsrf.xmldoc``'s shared parses: one 64-site resolve pass touches
+#: ~1,500 distinct documents, and a memo smaller than its working set
+#: only thrashes.
 _STR_REPR_LEN: dict = {}
-_STR_REPR_LEN_LIMIT = 1024
+_STR_REPR_LEN_LIMIT = 4096
 
 
 class WireDict(dict):
@@ -28,7 +31,13 @@ class WireDict(dict):
     from ``repr`` by :func:`estimate_size` — must not grow: ``repr``
     and :func:`_repr_len` cover only the canonical ``{"xml", "epr"}``
     body, byte-identical to the plain dict this type replaces.
+
+    A wire is never changed after it is built, so it is sized once:
+    ``repr_len`` holds that body's length from the first sizing on,
+    and every hop that forwards the wire reads it back.
     """
+
+    __slots__ = ("repr_len",)
 
     _CANONICAL = ("xml", "epr")
     #: what each canonical item adds to the repr around its value:
@@ -59,6 +68,10 @@ def _repr_len(payload: Any) -> int:
             _STR_REPR_LEN[payload] = length
         return length
     if kind is WireDict:
+        try:
+            return payload.repr_len
+        except AttributeError:  # the wire's first sizing
+            pass
         # the canonical body only: the XML through the string memo
         # above, the small EPR dict through one repr (recursing into
         # its four short fields costs more calls than it saves)
@@ -68,15 +81,27 @@ def _repr_len(payload: Any) -> int:
                 value = payload[key]
                 body += overhead + (
                     _repr_len(value) if type(value) is str else len(repr(value)))
-        return body or 2
+        payload.repr_len = body = body or 2
+        return body
     # "{k: v, k: v}" / "[v, v]": every member brings its ", " and the
     # two brackets stand in for the last one's, so an empty container
     # is the only special case.  Plain loops: a generator expression
-    # costs one more frame resume per member, once per envelope.
+    # costs one more frame resume per member, once per envelope.  A
+    # dict member that is no container is sized in the loop, without a
+    # call: a memoized string by its memo entry, anything else by its
+    # repr (a key is hashable, so never a container).
     if kind is dict:
         body = 0
         for key, value in payload.items():
-            body += _repr_len(key) + _repr_len(value) + 4  # ": " and ", "
+            body += 4 + ((_STR_REPR_LEN.get(key) or _repr_len(key))  # ": ", ", "
+                         if type(key) is str else len(repr(key)))
+            kind = type(value)
+            if kind is str:
+                body += _STR_REPR_LEN.get(value) or _repr_len(value)
+            elif kind is dict or kind is list or kind is WireDict:
+                body += _repr_len(value)
+            else:
+                body += len(repr(value))
         return body or 2  # "{}"
     if kind is list:
         body = 0

@@ -75,18 +75,6 @@ class EndpointReference:
             ref.make_child(name, text=value)
         return epr
 
-    def same_resource(self, other: "EndpointReference") -> bool:
-        """True when both EPRs address the same WS-Resource.
-
-        Address and key "do not change during the lifecycle of a
-        deployed activity" (paper §3.2); LUT is excluded on purpose.
-        """
-        return (
-            self.address == other.address
-            and self.service == other.service
-            and self.key == other.key
-        )
-
 
 class WSResource:
     """A stateful, keyed resource with an XML property document."""

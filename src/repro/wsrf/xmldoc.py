@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from repro.net.message import _STR_REPR_LEN_LIMIT
+
 _ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")]
 
 
@@ -345,8 +347,10 @@ class SharedDocument:
     they keep.  The other two slots are where the document's decoder
     leaves what it derived (``None`` until computed), so that too
     happens once per distinct string: ``canonical``, its own
-    re-serialisation of the decoded object, and ``compiled``, an
-    immutable object every receiver may share (a deploy-file's plan).
+    re-serialisation of the decoded object, and ``compiled``, the one
+    object every receiver shares and none writes to — a deploy-file's
+    plan, or the type or deployment every registry cache holds (a
+    registry checks the class of what it finds there).
     """
 
     __slots__ = ("root", "canonical", "compiled")
@@ -359,12 +363,13 @@ class SharedDocument:
 
 #: memoized :func:`parse_xml` per immutable document string: a wire
 #: travels client -> super-peer -> shard owner and every hop decodes
-#: the same string object.  Bounded like ``_STR_REPR_LEN`` and
-#: ``_COMPILE_CACHE``: cleared wholesale at the limit.  A constant, not
-#: a setting: one 64-site resolve pass touches ~1,500 distinct
-#: documents, and a memo smaller than the working set only thrashes.
+#: the same string object.  Bounded like ``_COMPILE_CACHE``: cleared
+#: wholesale at the limit.  A constant, not a setting, and the one
+#: ``net.message._STR_REPR_LEN`` sizes the same documents under: one
+#: 64-site resolve pass touches ~1,500 distinct documents, and a memo
+#: smaller than the working set only thrashes.
 _SHARED: Dict[str, SharedDocument] = {}
-_SHARED_LIMIT = 4096
+_SHARED_LIMIT = _STR_REPR_LEN_LIMIT
 
 
 def shared_document(text: str) -> SharedDocument:

