@@ -30,6 +30,11 @@ installs a batch of freshly published activity types (archive download
 an open-loop exponential schedule.  Reports the time-to-ready
 *distribution* (p50/p90/p99/max), not just a mean.
 
+The sweep point (one phase) and the flash crowd (three) are
+declarations over :class:`~repro.experiments.workload.OpenLoopScenario`,
+on one VO shape with one hot server site; the capacity probe is
+:func:`~repro.experiments.workload.spawn_clients` on the same VO.
+
 Determinism: arrival traces, mix assignment and the simulation itself
 are all seeded; every request outcome folds into an order-independent
 :class:`~repro.load.stats.CommutativeDigest`, so a double run must
@@ -49,24 +54,23 @@ import numpy as np
 from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
 from repro.experiments.workload import (
-    PhasedLoad,
+    REQUEST_TIMEOUT,
+    OpenLoopScenario,
     publish_installable_type,
     serve_types,
+    spawn_clients,
 )
 from repro.glare.errors import CLIENT_ERRORS
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import (
     CohortInjector,
     NHPoissonProcess,
-    OpenLoopDriver,
     PoissonProcess,
     StepRate,
-    StreamStats,
     TrafficMix,
     arrival_stream,
 )
 from repro.load.stats import CommutativeDigest
-from repro.net.interceptors import TRANSIENT_ERRORS
 from repro.obs.metrics import Histogram
 from repro.runner import WorkUnit
 from repro.vo import build_vo
@@ -74,62 +78,36 @@ from repro.vo import build_vo
 #: op classes and their share of open-loop traffic
 MIX_WEIGHTS = {"resolve": 0.90, "provision": 0.06, "enact": 0.04}
 
-#: arrival quantisation grid (cohort width) for the sweep scenarios
-TICK = 0.005
-
-#: goodput window for the streaming per-window counters
-WINDOW = 2.0
-
-#: per-request deadline; overload past it surfaces as RpcTimeout
-REQUEST_TIMEOUT = 8.0
-
-#: post-horizon drain so in-flight requests resolve or time out
-DRAIN = REQUEST_TIMEOUT + 4.0
-
 
 # ---------------------------------------------------------------------------
-# VO construction + content
+# The scenario: one hot server site
 # ---------------------------------------------------------------------------
 
 
-def _build_overload_vo(seed: int, n_sites: int, admission_limit: Optional[int]):
-    """A VO shaped for overload measurement: one hot server site.
-
-    Monitors/lifecycle off (no background churn in the latency
-    profile); caches on (steady-state production path); GRAM overhead
-    shrunk so enactment latency is dominated by modelled work, not the
-    1 s testbed submission constant.
-    """
-    return build_vo(
-        n_sites=n_sites,
-        seed=seed,
-        cache_enabled=True,
-        monitors=False,
-        lifecycle=False,
-        admission_limit=admission_limit,
-        gram_overhead=0.05,
-    )
+def _scenario(seed: int, n_sites: int, admission_limit: Optional[int],
+              n_types: int, phases=(), warmup: float = 0.0,
+              request_timeout: float = REQUEST_TIMEOUT) -> OpenLoopScenario:
+    """fig18's scenario: the shared VO shape, unchanged, serving
+    resolvable ``Fig18TypeNN`` types with ACTIVE deployments on its
+    server (their keys are what ``instantiate`` takes)."""
+    return OpenLoopScenario(
+        build_vo(OpenLoopScenario.config(seed, n_sites, admission_limit)),
+        lambda vo, server: serve_types(vo, server, "Fig18Type", n_types, "overload"),
+        phases, warmup, request_timeout)
 
 
-def _setup_content(vo, server: str, n_types: int) -> List[str]:
-    """Resolvable ``Fig18TypeNN`` types with ACTIVE deployments on
-    ``server``; returns the deployment keys (for ``instantiate``)."""
-    return serve_types(vo, server, "Fig18Type", n_types, "overload")
-
-
-def _mix_call(driver: OpenLoopDriver, kind: str, index: int,
-              client_sites: List[str], server: str, n_types: int,
-              keys: List[str]) -> Generator:
-    """Arrival ``index`` of op class ``kind`` against the hot server."""
-    site = client_sites[index % len(client_sites)]
+def _mix_call(scenario: OpenLoopScenario, op: str, index: int,
+              n_types: int) -> Tuple[str, str, str, dict]:
+    """Arrival ``index`` of op label ``op`` against the hot server."""
+    site = scenario.clients[index % len(scenario.clients)]
+    kind = op.rpartition("|")[2]
     if kind == "enact":  # one AGWL activity instance through GRAM
-        payload = {"key": keys[index % len(keys)], "demand": 0.01}
-        value = yield from driver.call(site, server, "instantiate", payload)
-    else:  # resolve, or provision: the same lookup with auto-deploy on
-        payload = {"type": f"Fig18Type{index % n_types:02d}",
-                   "auto_deploy": kind == "provision"}
-        value = yield from driver.call(site, server, "get_deployments", payload)
-    return value
+        keys = scenario.keys
+        return site, scenario.server, "instantiate", {
+            "key": keys[index % len(keys)], "demand": 0.01}
+    # resolve, or provision: the same lookup with auto-deploy on
+    return site, scenario.server, "get_deployments", {
+        "type": f"Fig18Type{index % n_types:02d}", "auto_deploy": kind == "provision"}
 
 
 # ---------------------------------------------------------------------------
@@ -155,32 +133,18 @@ def run_fig18_capacity(
     is deterministic for a seed — it participates in the workload
     fingerprint.
     """
-    vo = _build_overload_vo(seed, n_sites, admission_limit)
-    server = vo.site_names[1]
-    client_sites = [s for s in vo.site_names if s != server]
-    _setup_content(vo, server, n_types)
-    completed = [0]
+    scenario = _scenario(seed, n_sites, admission_limit, n_types)
+    vo = scenario.vo
 
-    def probe_client(index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        type_name = f"Fig18Type{index % n_types:02d}"
-        while vo.sim.now < horizon:
-            try:
-                yield from vo.network.call(
-                    site, server, RDM_SERVICE, "get_deployments",
-                    payload={"type": type_name, "auto_deploy": False},
-                )
-            except TRANSIENT_ERRORS:
-                continue
-            if vo.sim.now >= warmup:
-                completed[0] += 1
+    def request_factory(index: int):
+        site, server, method, payload = _mix_call(scenario, "resolve", index, n_types)
+        return lambda: vo.network.call(site, server, RDM_SERVICE, method, payload=payload)
 
-    for i in range(clients):
-        vo.sim.process(probe_client(i), name=f"fig18-probe-{i}")
+    stats = spawn_clients(vo.sim, clients, request_factory, until=horizon,
+                          warmup=warmup)
     vo.sim.run(until=horizon)
-    capacity = completed[0] / (horizon - warmup)
     # round to keep downstream arrival-rate floats tidy in reports
-    return round(capacity, 1)
+    return round(stats.completed / (horizon - warmup), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,57 +193,30 @@ def run_fig18_point(
     warmup: float = 10.0,
     request_timeout: float = REQUEST_TIMEOUT,
 ) -> Fig18Point:
-    """One sweep point: open-loop mixed traffic at ``multiple``x capacity."""
-    vo = _build_overload_vo(seed, n_sites, admission_limit)
-    server = vo.site_names[1]
-    client_sites = [s for s in vo.site_names if s != server]
-    keys = _setup_content(vo, server, n_types)
-
+    """One sweep point: open-loop mixed traffic at ``multiple``x capacity,
+    a one-phase scenario (so its op labels are the bare op classes)."""
+    scenario = _scenario(seed, n_sites, admission_limit, n_types,
+                         (("sweep", 0.0, horizon),), warmup, request_timeout)
     offered = multiple * capacity
-    mix = TrafficMix(MIX_WEIGHTS, name="fig18-mix")
-    times = PoissonProcess(offered, name="fig18-arrivals").sample(horizon, seed)
-    assignment = mix.assign(times.size, seed)
+    times = scenario.inject(PoissonProcess(offered, name="fig18-arrivals"),
+                            TrafficMix(MIX_WEIGHTS, name="fig18-mix"),
+                            lambda op, i: _mix_call(scenario, op, i, n_types))
+    scenario.run()
 
-    # content setup consumed simulated time; run the workload relative
-    # to the post-setup clock so the horizon/warmup windows line up
-    t0 = vo.sim.now
-    stats = StreamStats(window=WINDOW)
-    driver = OpenLoopDriver(vo, stats, request_timeout=request_timeout,
-                            warmup=t0 + warmup)
-
-    def make_call(op: str, index: int) -> Generator:
-        return _mix_call(driver, op, index, client_sites, server, n_types, keys)
-
-    def fire(t: float, i: int) -> None:
-        driver.fire(mix.ops[assignment[i]], t, i, make_call)
-
-    injector = CohortInjector(vo.sim, times + t0, fire, tick=TICK)
-    injector.start()
-    vo.sim.run(until=t0 + horizon + DRAIN)
-
-    measured = int(np.count_nonzero(times >= warmup))
-    span = horizon - warmup
-    per_op = {
-        op: dict(stats.ops[op].latency.to_dict(),
-                 completed=stats.ops[op].completed,
-                 shed=stats.ops[op].shed,
-                 timeouts=stats.ops[op].timeouts,
-                 failed=stats.ops[op].failed)
-        for op in sorted(stats.ops)
-    }
+    stats = scenario.stats["sweep"]
     return Fig18Point(
         multiple=multiple,
         capacity=capacity,
         offered_rate=offered,
         arrivals=int(times.size),
-        measured_arrivals=measured,
+        measured_arrivals=int(np.count_nonzero(times >= warmup)),
         completed=stats.completed,
         shed=stats.shed_total,
         timeouts=stats.timeout_total,
         failed=stats.failed_total,
-        goodput=stats.completed / span,
-        per_op=per_op,
-        server_shed_by_op=dict(sorted(vo.rdm(server).shed_by_op.items())),
+        goodput=stats.completed / (horizon - warmup),
+        per_op=stats.to_dict()["ops"],
+        server_shed_by_op=dict(sorted(scenario.vo.rdm(scenario.server).shed_by_op.items())),
         result_digest=stats.fingerprint(),
         stats_footprint_bytes=stats.footprint_bytes(),
     )
@@ -319,61 +256,34 @@ def run_fig18_flash(
     capacity only while the spike is up, so the phase comparison
     isolates what the flash crowd does to everyone else.
     """
-    vo = _build_overload_vo(seed, n_sites, admission_limit)
-    server = vo.site_names[1]
-    client_sites = [s for s in vo.site_names if s != server]
-    keys = _setup_content(vo, server, n_types)
-
-    load = PhasedLoad(
-        vo, (("before", 0.0, spike_start), ("during", spike_start, spike_end),
-             ("after", spike_end, horizon)),
-        warmup=warmup, request_timeout=request_timeout, window=WINDOW)
-
-    mix = TrafficMix(MIX_WEIGHTS, name="fig18-flash-mix")
-    bg_times = PoissonProcess(0.7 * capacity, name="fig18-flash-bg").sample(horizon, seed)
-    bg_assignment = mix.assign(bg_times.size, seed)
+    scenario = _scenario(
+        seed, n_sites, admission_limit, n_types,
+        (("before", 0.0, spike_start), ("during", spike_start, spike_end),
+         ("after", spike_end, horizon)), warmup, request_timeout)
 
     hot_base = 0.02 * capacity
     hot_spike = 100.0 * hot_base  # 2x capacity while the spike is up
-    hot_rate = StepRate(hot_base, hot_spike, spike_start, spike_end)
-    hot_times = NHPoissonProcess(hot_rate, name="fig18-flash-hot").sample(horizon, seed)
 
-    def make_bg_call(op: str, index: int) -> Generator:
-        return _mix_call(load.driver(op), op.split("|", 1)[1], index,
-                         client_sites, server, n_types, keys)
+    def hot_call(op: str, index: int) -> Tuple[str, str, str, dict]:
+        return (scenario.clients[index % len(scenario.clients)], scenario.server,
+                "get_deployments", {"type": "Fig18Type00", "auto_deploy": False})
 
-    def make_hot_call(op: str, index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        payload = {"type": "Fig18Type00", "auto_deploy": False}
-        value = yield from load.driver(op).call(
-            site, server, "get_deployments", payload)
-        return value
+    scenario.inject(PoissonProcess(0.7 * capacity, name="fig18-flash-bg"),
+                    TrafficMix(MIX_WEIGHTS, name="fig18-flash-mix"),
+                    lambda op, i: _mix_call(scenario, op, i, n_types))
+    scenario.inject(NHPoissonProcess(StepRate(hot_base, hot_spike, spike_start, spike_end),
+                                     name="fig18-flash-hot"), "hot", hot_call)
+    scenario.run()
 
-    load.inject(bg_times, lambda i: mix.ops[bg_assignment[i]], make_bg_call, TICK)
-    load.inject(hot_times, lambda i: "hot", make_hot_call, TICK)
-    vo.sim.run(until=load.t0 + horizon + DRAIN)
-
-    out_phases: Dict[str, Dict[str, float]] = {}
-    for name, s, span in load.measured():
-        hot_key = f"{name}|hot"
-        hot_digest = s.ops[hot_key].latency if hot_key in s.ops else Histogram()
-        bg_resolve = s.ops.get(f"{name}|resolve")
-        out_phases[name] = {
-            "arrivals": s.offered,
-            "completed": s.completed,
-            "shed": s.shed_total,
-            "timeouts": s.timeout_total,
-            "goodput": s.completed / span if span > 0 else 0.0,
-            "hot_completed": hot_digest.count,
-            "hot_p99_ms": hot_digest.p99 * 1000.0,
-            "bg_p99_ms": (bg_resolve.latency.p99 * 1000.0 if bg_resolve else 0.0),
-        }
-    digest = hashlib.sha256(load.fingerprint().encode()).hexdigest()
+    phases = scenario.phase_rows("completed", "p99_ms")
+    for name, row in phases.items():
+        bg_resolve = scenario.stats[name].ops.get(f"{name}|resolve")
+        row["bg_p99_ms"] = bg_resolve.latency.p99 * 1000.0 if bg_resolve else 0.0
     return Fig18Flash(
         capacity=capacity,
         hot_spike_rate=hot_spike,
-        phases=out_phases,
-        result_digest=digest,
+        phases=phases,
+        result_digest=hashlib.sha256(scenario.fingerprint().encode()).hexdigest(),
     )
 
 

@@ -20,6 +20,11 @@ Two series run the identical seeded workload:
 * **static** — the exact same VO with orchestration off: one replica
   forever, the fig18 baseline behaviour.
 
+Each series is one :class:`~repro.experiments.workload.OpenLoopScenario`
+run: fig18's VO shape plus lifecycle sweeps every second and the spec,
+background instantiations on the primary, and hot instantiations
+routed over the replicas a sampler reads from the ADRs.
+
 Phases: *before* (base load) → *surge* (spike up, reconciler adapting)
 → *recovered* (spike still up, fleet scaled) → *after* (spike down,
 drain back).  Acceptance, asserted by the experiment's ``check``:
@@ -49,7 +54,9 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.experiments.harness import Experiment, Results
 from repro.experiments.report import format_table
 from repro.experiments.workload import (
-    PhasedLoad,
+    DRAIN,
+    REQUEST_TIMEOUT,
+    OpenLoopScenario,
     publish_installable_type,
     serve_types,
 )
@@ -58,7 +65,7 @@ from repro.load import NHPoissonProcess, PoissonProcess, StepRate
 from repro.orchestrate import DeploymentSpec
 from repro.runner import WorkUnit
 from repro.simkernel import entries
-from repro.vo import SITE_PREFIX, VOConfig, build_vo
+from repro.vo import SITE_PREFIX, build_vo
 
 #: the managed (spiking) activity type
 HOT_TYPE = "Fig19Hot"
@@ -78,51 +85,13 @@ BG_RATE = 12.0
 HOT_BASE_RATE = 4.0
 SPIKE_FACTOR = 100.0
 
-#: arrival quantisation grid (cohort width)
-TICK = 0.005
-
-#: goodput window for the streaming per-window counters
-WINDOW = 2.0
-
-#: per-request deadline; overload past it surfaces as RpcTimeout
-REQUEST_TIMEOUT = 8.0
-
-#: post-horizon drain so in-flight requests and the final scale-in
-#: rounds complete
-DRAIN = REQUEST_TIMEOUT + 6.0
-
 #: replica-trajectory sampling period
 SAMPLE_EVERY = 0.5
 
 
 # ---------------------------------------------------------------------------
-# VO construction + content
+# Content
 # ---------------------------------------------------------------------------
-
-
-def _build_fig19_vo(seed: int, n_sites: int, orchestrated: bool,
-                    admission_limit: Optional[int], max_replicas: int):
-    """Identical VO either way; only the orchestration specs differ.
-
-    Lifecycle sweeps run every second so a drained replica is
-    garbage-collected within the reconciler's grace window.
-    """
-    community = f"{SITE_PREFIX}00"
-    return build_vo(VOConfig(
-        n_sites=n_sites,
-        seed=seed,
-        cache_enabled=True,
-        monitors=False,
-        lifecycle=True,
-        lifecycle_sweep_interval=1.0,
-        admission_limit=admission_limit,
-        gram_overhead=0.05,
-        # the spec the reconciler drives toward: hot type, bounded fleet
-        orchestration=(DeploymentSpec(
-            HOT_TYPE, min_replicas=1, max_replicas=max_replicas,
-            target_utilization=0.6, avoid_sites=(community,),
-        ),) if orchestrated else (),
-    ))
 
 
 def _setup_content(vo, server: str, n_bg_types: int) -> List[str]:
@@ -221,66 +190,49 @@ def run_fig19_flash(
     sampler currently observes, so routing follows scale-out and
     drain automatically.
     """
-    vo = _build_fig19_vo(seed, n_sites, orchestrated, admission_limit,
-                         max_replicas)
+    # the spec the reconciler drives toward: hot type, bounded fleet
+    specs = (DeploymentSpec(
+        HOT_TYPE, min_replicas=1, max_replicas=max_replicas,
+        target_utilization=0.6, avoid_sites=(f"{SITE_PREFIX}00",),
+    ),) if orchestrated else ()
+    # lifecycle sweeps every second, so a drained replica is
+    # garbage-collected within the reconciler's grace window; the drain
+    # also lets the final scale-in rounds complete
+    scenario = OpenLoopScenario(
+        build_vo(OpenLoopScenario.config(
+            seed, n_sites, admission_limit, lifecycle=True,
+            lifecycle_sweep_interval=1.0, orchestration=specs)),
+        lambda vo, server: _setup_content(vo, server, n_bg_types),
+        (("before", 0.0, spike_start),
+         ("surge", spike_start, spike_start + adapt),
+         ("recovered", spike_start + adapt, spike_end),
+         ("after", spike_end, horizon)),
+        warmup, request_timeout, drain=DRAIN + 2.0)
+    vo, server, bg_keys = scenario.vo, scenario.server, scenario.keys
     community = vo.community_site
-    server = vo.site_names[1]
-    bg_keys = _setup_content(vo, server, n_bg_types)
-
-    load = PhasedLoad(
-        vo, (("before", 0.0, spike_start),
-             ("surge", spike_start, spike_start + adapt),
-             ("recovered", spike_start + adapt, spike_end),
-             ("after", spike_end, horizon)),
-        warmup=warmup, request_timeout=request_timeout, window=WINDOW)
 
     replica_series: List[Tuple[float, int]] = []
     targets: List[Tuple[str, str]] = []
-    end = load.t0 + horizon + DRAIN
-    _start_replica_sampler(vo, load.t0, end, replica_series, targets)
+    _start_replica_sampler(vo, scenario.t0, scenario.end, replica_series, targets)
 
-    bg_times = PoissonProcess(BG_RATE, name="fig19-bg").sample(horizon, seed)
     spike_rate = SPIKE_FACTOR * HOT_BASE_RATE
-    hot_rate = StepRate(HOT_BASE_RATE, spike_rate, spike_start, spike_end)
-    hot_times = NHPoissonProcess(hot_rate, name="fig19-hot").sample(horizon, seed)
 
-    def make_bg_call(op: str, index: int) -> Generator:
-        payload = {"key": bg_keys[index % len(bg_keys)], "demand": BG_DEMAND}
-        value = yield from load.driver(op).call(
-            community, server, "instantiate", payload)
-        return value
-
-    def make_hot_call(op: str, index: int) -> Generator:
+    def hot_call(op: str, index: int) -> Tuple[str, str, str, dict]:
         if targets:
             site, key = targets[index % len(targets)]
         else:  # pre-sampler edge: the seed replica on the primary
             site, key = server, f"{server}/{HOT_TYPE.lower()}-bin"
-        payload = {"key": key, "demand": HOT_DEMAND}
-        value = yield from load.driver(op).call(
-            community, site, "instantiate", payload)
-        return value
+        return community, site, "instantiate", {"key": key, "demand": HOT_DEMAND}
 
-    load.inject(bg_times, lambda i: "bg", make_bg_call, TICK)
-    load.inject(hot_times, lambda i: "hot", make_hot_call, TICK)
-    vo.sim.run(until=end)
-
-    out_phases: Dict[str, Dict[str, float]] = {}
-    for name, s, span in load.measured():
-        hot = s.ops.get(f"{name}|hot")
-        out_phases[name] = {
-            "arrivals": s.offered,
-            "completed": s.completed,
-            "shed": s.shed_total,
-            "timeouts": s.timeout_total,
-            "goodput": s.completed / span if span > 0 else 0.0,
-            "hot_completed": hot.completed if hot else 0,
-            "hot_goodput": (hot.completed / span) if hot and span > 0 else 0.0,
-            "hot_shed": hot.shed if hot else 0,
-            "hot_p99_ms": (hot.latency.p99 * 1000.0) if hot else 0.0,
-        }
+    scenario.inject(PoissonProcess(BG_RATE, name="fig19-bg"), "bg", lambda op, i: (
+        community, server, "instantiate",
+        {"key": bg_keys[i % len(bg_keys)], "demand": BG_DEMAND}))
+    scenario.inject(NHPoissonProcess(StepRate(HOT_BASE_RATE, spike_rate, spike_start, spike_end),
+                                     name="fig19-hot"), "hot", hot_call)
+    scenario.run()
 
     reconciler = vo.stack(vo.community_site).agent.reconciler
-    digest_parts = [load.fingerprint()]
+    digest_parts = [scenario.fingerprint()]
     digest_parts.append(
         "replicas:" + ",".join(f"{t:.3f}={n}" for t, n in replica_series)
     )
@@ -292,7 +244,7 @@ def run_fig19_flash(
     return Fig19Flash(
         orchestrated=orchestrated,
         spike_rate=spike_rate,
-        phases=out_phases,
+        phases=scenario.phase_rows("completed", "goodput", "shed", "p99_ms"),
         replica_series=replica_series,
         max_replicas_seen=max(counts),
         final_replicas=counts[-1],

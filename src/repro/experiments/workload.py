@@ -5,25 +5,27 @@ synthetic activity-type population used by the registry/index
 comparisons (Figs. 10/11/13), and the scenario content the extension
 figures (14-19) stand their VOs up with: plain resolvable types with
 one ACTIVE deployment, synthetic installable types, the recorder that
-folds one resolution into a digest line, and the phase-booked
-open-loop load of the two flash-crowd figures.
+folds one resolution into a digest line, and the open-loop scenario
+that figs. 18 and 19 declare their runs over.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
     Generator,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
+
+import numpy as np
 
 from repro.apps.catalog import _deployfile, _steps, _type_xml
 from repro.glare.errors import CLIENT_ERRORS
@@ -34,10 +36,11 @@ from repro.glare.model import (
     DeploymentStatus,
 )
 from repro.glare.rdm import RDM_SERVICE
-from repro.load import CohortInjector, OpenLoopDriver, StreamStats
+from repro.load import CohortInjector, OpenLoopDriver, OpStats, StreamStats, TrafficMix
 from repro.net.interceptors import RetryPolicy
 from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
+from repro.vo import VOConfig
 from repro.wsrf.xmldoc import Element
 
 _PLAIN_TYPE_XML = """
@@ -310,49 +313,118 @@ def tier_counts(vo, sites: Iterable[str]) -> Dict[str, int]:
     return tiers
 
 
-class PhasedLoad:
-    """Open-loop traffic booked to the phase each request arrived in.
+#: arrival quantisation grid (cohort width) of the open-loop figures
+TICK = 0.005
 
-    ``phases`` are ``(name, start, end)`` windows on the workload clock,
-    which starts at ``vo.sim.now`` (content setup consumed simulated
-    time).  Every phase has its own :class:`StreamStats` and
-    :class:`OpenLoopDriver`; op labels read ``<phase>|<kind>``.
+#: goodput window for the streaming per-window counters
+WINDOW = 2.0
+
+#: per-request deadline; overload past it surfaces as RpcTimeout
+REQUEST_TIMEOUT = 8.0
+
+#: post-horizon drain so in-flight requests resolve or time out
+DRAIN = REQUEST_TIMEOUT + 4.0
+
+
+class OpenLoopScenario:
+    """One open-loop run of the extension figures: the VO shape, the
+    served content, the phases and the arrival streams.
+
+    ``vo`` is built from :meth:`config`.  ``content(vo, server)`` stands
+    the served content up on ``server``, the second site, and returns
+    its deployment keys; every other site is a client.  ``phases`` are
+    ``(name, start, end)`` windows on the workload clock, which starts
+    at ``t0``, once the content is up (setup consumed simulated time),
+    and runs to the last phase's end plus ``drain``.  Every phase has
+    its own :class:`StreamStats` and :class:`OpenLoopDriver`; an
+    arrival is booked to the phase it arrived in, and its op label
+    reads ``<phase>|<kind>``, or the bare kind when there is one phase.
     """
 
-    def __init__(self, vo, phases: Sequence[Tuple[str, float, float]],
-                 warmup: float, request_timeout: float, window: float) -> None:
+    def __init__(self, vo, content: Callable[[object, str], List[str]],
+                 phases: Sequence[Tuple[str, float, float]] = (),
+                 warmup: float = 0.0, request_timeout: float = REQUEST_TIMEOUT,
+                 drain: float = DRAIN) -> None:
         self.vo, self.phases, self.warmup = vo, phases, warmup
+        self.server = vo.site_names[1]
+        self.clients = [s for s in vo.site_names if s != self.server]
+        self.keys = content(vo, self.server)
         self.t0 = vo.sim.now
+        self.end = self.t0 + phases[-1][2] + drain if phases else self.t0
         self.stats: Dict[str, StreamStats] = {
-            name: StreamStats(window=window) for name, _, _ in phases}
+            name: StreamStats(window=WINDOW) for name, _, _ in phases}
         self.drivers = {
-            name: OpenLoopDriver(vo, stats, request_timeout=request_timeout,
+            name: OpenLoopDriver(vo.network, stats, request_timeout=request_timeout,
                                  warmup=self.t0 + warmup)
             for name, stats in self.stats.items()
         }
 
-    def driver(self, op: str) -> OpenLoopDriver:
-        """The driver of the phase an op label was fired in."""
-        return self.drivers[op.split("|", 1)[0]]
+    @staticmethod
+    def config(seed: int, n_sites: int, admission_limit: Optional[int],
+               **changes) -> VOConfig:
+        """The VO shape, with the ``VOConfig`` fields a figure changes:
+        monitors and lifecycle off (no background churn in the latency
+        profile), caches on (the steady-state production path), and GRAM
+        overhead shrunk so enactment latency is modelled work, not the
+        1 s testbed submission constant."""
+        return replace(VOConfig(n_sites=n_sites, seed=seed, cache_enabled=True,
+                                monitors=False, lifecycle=False, gram_overhead=0.05,
+                                admission_limit=admission_limit), **changes)
 
-    def inject(self, times, kind: Callable[[int], str],
-               make_call: Callable[[str, int], Generator], tick: float) -> None:
-        """Start a cohort injector over workload-clock arrival ``times``;
-        ``kind(i)`` names arrival ``i``'s op class."""
+    def inject(self, process, kind: Union[str, TrafficMix],
+               make_call: Callable[[str, int], Tuple[str, str, str, object]]
+               ) -> np.ndarray:
+        """Sample ``process`` over the phases under the VO's seed, start a
+        cohort injector over it and return its workload-clock times.  An
+        arrival's op class is ``kind``, or the mix's draw for it, and
+        ``make_call(op, i)`` is arrival ``i``'s call
+        (:meth:`OpenLoopDriver.fire`)."""
+        t0, phases, drivers = self.t0, self.phases, self.drivers
+        seed = self.vo.config.seed
+        times = process.sample(phases[-1][2], seed)
+        if isinstance(kind, str):
+            ops, drawn = (kind,), np.zeros(times.size, np.int8)
+        else:
+            ops, drawn = kind.ops, kind.assign(times.size, seed)
+        labelled = len(phases) > 1
+
         def fire(t: float, i: int) -> None:
-            phase = self.phases[-1][0]
-            for name, start, end in self.phases:
-                if start <= t - self.t0 < end:
+            phase = phases[-1][0]
+            for name, start, end in phases:
+                if start <= t - t0 < end:
                     phase = name
                     break
-            self.drivers[phase].fire(f"{phase}|{kind(i)}", t, i, make_call)
+            op = f"{phase}|{ops[drawn[i]]}" if labelled else ops[drawn[i]]
+            drivers[phase].fire(op, t, i, make_call)
 
-        CohortInjector(self.vo.sim, times + self.t0, fire, tick=tick).start()
+        CohortInjector(self.vo.sim, times + t0, fire, tick=TICK).start()
+        return times
 
-    def measured(self) -> Iterator[Tuple[str, StreamStats, float]]:
-        """``(phase, its stats, its post-warmup span)`` in phase order."""
+    def run(self) -> None:
+        """Run through the last phase and the drain."""
+        self.vo.sim.run(until=self.end)
+
+    def phase_rows(self, *hot: str) -> Dict[str, Dict[str, float]]:
+        """Per phase: arrivals, outcomes and goodput over its post-warmup
+        span, then ``hot_<field>`` of its ``hot`` op for each of the
+        ``hot`` fields named (``completed``, ``goodput``, ``shed``,
+        ``p99_ms``)."""
+        rows: Dict[str, Dict[str, float]] = {}
         for name, start, end in self.phases:
-            yield name, self.stats[name], end - max(start, self.warmup)
+            s, span = self.stats[name], end - max(start, self.warmup)
+            op = s.ops.get(f"{name}|hot") or OpStats()
+            row = rows[name] = {
+                "arrivals": s.offered,
+                "completed": s.completed,
+                "shed": s.shed_total,
+                "timeouts": s.timeout_total,
+                "goodput": s.completed / span if span > 0 else 0.0,
+            }
+            fields = {"completed": op.completed,
+                      "goodput": op.completed / span if span > 0 else 0.0,
+                      "shed": op.shed, "p99_ms": op.latency.p99 * 1000.0}
+            row.update((f"hot_{field}", fields[field]) for field in hot)
+        return rows
 
     def fingerprint(self) -> str:
         return "|".join(f"{name}:{stats.fingerprint()}"

@@ -88,18 +88,6 @@ class LifecycleController(Plane):
             raise KeyError(f"no local type {type_name!r}")
         resource.set_termination_time(when)
 
-    def expire_deployment_at(self, key: str, when: float) -> None:
-        resource = self.rdm.adr.home.lookup(key)
-        if resource is None:
-            raise KeyError(f"no local deployment {key!r}")
-        resource.set_termination_time(when)
-
-    def revoke_type(self, type_name: str, until: float) -> None:
-        """Temporarily revoke a type: it expires now, provider may
-        re-register after ``until`` (tracked for the provider's use)."""
-        self.expire_type_at(type_name, self.sim.now)
-        self.lifetime.sweep_now()
-
     # -- minimum replica maintenance ----------------------------------------------------
 
     def _check_minimums(self) -> Generator:

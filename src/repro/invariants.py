@@ -2,8 +2,9 @@
 
 :func:`audit` reads (never runs or drains) one world, a VO's
 :class:`~repro.net.network.Network` or a bare one, and returns one
-:class:`Violation` per broken clause.  Each node plane's ``invariants()``
-states the clauses of its own state next to the code that keeps it; the
+:class:`Violation` per broken clause.  Each plane's ``invariants()``, a
+node's or a world-level one (``Network.planes``: a load driver), states
+the clauses of its own state next to the code that keeps it; the
 overlay clauses over every RDM service, the traffic ledger, the stopped
 loops of crashed nodes, leaked spans and, after ``network.stop()``, the
 shutdown clauses are below.  Every ``Network`` enlists itself in the
@@ -34,6 +35,8 @@ def audit(network: "Network") -> List[Violation]:
     found = [Violation(f"{plane.name}@{name}", clause, detail)
              for name, node in network.nodes.items() for plane in node.planes
              for clause, detail in plane.invariants()]
+    found += [Violation(plane.name, clause, detail)
+              for plane in network.planes for clause, detail in plane.invariants()]
     found += [Violation("overlay", *broken) for broken in _overlay(network)]
     found += [Violation("network", *broken) for broken in _traffic(network)]
     found += [Violation("faults", *broken) for broken in _offline(network)]

@@ -18,17 +18,20 @@ and counters) and an order-independent record digest keyed by arrival
 index, so fan-out shards merge to the same fingerprint regardless of
 worker completion order.  Only arrivals at or after ``warmup`` are
 measured; warmup arrivals still run (load is load), they just are not
-counted.
+counted.  The audit holds each driver to one outcome per measured
+arrival it fired (``requests-conserved``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterator, Tuple
 
 import numpy as np
 
 from repro.glare.errors import CLIENT_ERRORS
+from repro.glare.rdm import RDM_SERVICE
 from repro.net.interceptors import Overloaded, RpcTimeout
+from repro.net.service import Plane
 
 from .arrivals import arrival_stream
 from .stats import StreamStats
@@ -55,59 +58,77 @@ class TrafficMix:
         return rng.choice(len(self.ops), size=int(n), p=self.weights).astype(np.int8)
 
 
-class OpenLoopDriver:
+class OpenLoopDriver(Plane):
     """Spawn-and-forget request processes measured by streaming stats.
 
-    ``make_call(op, index)`` returns the RPC sub-generator for one
-    request; the driver wraps it with outcome classification:
+    ``make_call(op, index)`` returns one request's call, ``(src, dst,
+    method, payload)`` to the RDM service; the driver makes it at the
+    request's first step, one attempt under its ``request_timeout``
+    deadline, and classifies the outcome:
 
     - success         -> ``stats.ok(op, latency, t)``
     - ``Overloaded``  -> ``stats.shed(op, t)`` (admission-shed)
     - ``RpcTimeout``  -> ``stats.timeout(op, t)``
     - other ``CLIENT_ERRORS`` -> ``stats.fail(op, t)`` (app/transport
       faults); anything else is a bug in ``make_call`` and fails the run
+
+    A driver is a world-level plane of its network (``Network.planes``),
+    so the audit holds it to ``requests-conserved``: one outcome per
+    measured arrival it fired, never more, and exactly one once the
+    network is stopped and drained.  It owns no loop: the
+    ``CohortInjector`` that fires it runs a finite trace, which has
+    fired its last cohort before a figure returns.
     """
 
-    __slots__ = ("vo", "stats", "timeout", "warmup", "spawned")
+    __slots__ = ("network", "stats", "timeout", "warmup", "spawned", "measured")
+
+    name = "open-loop"
 
     def __init__(
         self,
-        vo,
+        network,
         stats: StreamStats,
         request_timeout: float = 10.0,
         warmup: float = 0.0,
     ) -> None:
-        self.vo = vo
+        self.network = network
         self.stats = stats
         self.timeout = request_timeout
         self.warmup = float(warmup)
-        self.spawned = 0
+        #: arrivals fired, and those of them at or after ``warmup``
+        self.spawned = self.measured = 0
+        network.planes.append(self)
 
     def fire(
         self,
         op: str,
         t: float,
         index: int,
-        make_call: Callable[[str, int], Generator],
+        make_call: Callable[[str, int], Tuple[str, str, str, object]],
     ) -> None:
         """Launch the request process for arrival ``index`` at time ``t``."""
-        self.vo.sim.process(self._request(op, t, index, make_call))
+        self.network.sim.process(self._request(op, t, index, make_call))
         self.spawned += 1
+        if t >= self.warmup:
+            self.measured += 1
 
     def _request(
         self,
         op: str,
         t: float,
         index: int,
-        make_call: Callable[[str, int], Generator],
+        make_call: Callable[[str, int], Tuple[str, str, str, object]],
     ) -> Generator:
-        sim = self.vo.sim
+        network = self.network
+        sim = network.sim
         stats = self.stats
         start = sim.now
         measured = t >= self.warmup
+        src, dst, method, payload = make_call(op, index)
         outcome = "ok"
         try:
-            yield from make_call(op, index)
+            yield from network.call(src, dst, RDM_SERVICE, method,
+                                    payload=payload, timeout=self.timeout)
         except Overloaded:
             outcome = "shed"
             if measured:
@@ -126,13 +147,9 @@ class OpenLoopDriver:
         if measured:
             stats.digest.fold(f"{op}|{index}|{t:.6f}|{outcome}|{sim.now:.6f}")
 
-    def call(self, src: str, dst: str, method: str, payload: object,
-             service: Optional[str] = None) -> Generator:
-        """One client RPC under this driver's single-attempt deadline."""
-        if service is None:
-            from repro.glare.rdm import RDM_SERVICE
-            service = RDM_SERVICE
-        value = yield from self.vo.network.call(
-            src, dst, service, method, payload=payload, timeout=self.timeout
-        )
-        return value
+    def invariants(self) -> Iterator[Tuple[str, str]]:
+        offered = self.stats.offered
+        if offered > self.measured or (self.network.stopped
+                                       and offered != self.measured):
+            yield "requests-conserved", (
+                f"{offered} outcomes booked for {self.measured} measured arrivals")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.obs.metrics import Histogram
 
@@ -146,13 +146,6 @@ class StreamStats:
                 for i in range(4):
                     mine[i] += row[i]
         self.digest.merge(other.digest)
-
-    def goodput_series(self) -> List[Tuple[float, float]]:
-        """Sorted ``(window_start, completions_per_second)`` pairs."""
-        return [
-            (key * self.window, row[_WIN_OK] / self.window)
-            for key, row in sorted(self.windows.items())
-        ]
 
     def fingerprint(self) -> str:
         """Order-independent digest of the whole measurement state."""

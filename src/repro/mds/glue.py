@@ -89,18 +89,3 @@ def query_software(vo, from_site: str, index_site: str, name: str,
             "version": attrib.get("version", ""),
         })
     return results
-
-
-def query_software_path(vo, from_site: str, index_site: str, name: str,
-                        target_site: str) -> Generator:
-    """The Path child of one site's software record ('' when absent)."""
-    paths = yield from vo.network.call(
-        from_site, index_site, "mds-index", "query",
-        payload=(
-            f"//SoftwareEnvironment[@name='{name}'][@site='{target_site}']"
-            "/Path/text()"
-        ),
-    )
-    if not paths:
-        return ""
-    return paths[0].get("value", "")

@@ -165,6 +165,9 @@ class Network:
         #: off, no SLOs), which is all the bare stage checks
         self._observed: Optional[Dict[str, _Endpoint]] = (
             {} if self.obs.enabled or self.obs.slo is not None else None)
+        #: world-level planes (a load driver enlists itself): their
+        #: loops join :meth:`background` and the audit reads their clauses
+        self.planes: List[Any] = []
         #: set by :meth:`stop`: the audit's shutdown clauses now apply
         self.stopped = False
         enlist(self)  # to the open audit scope, if any
@@ -206,12 +209,14 @@ class Network:
 
     def background(self) -> List[Periodic]:
         """Every loop the world can run: the SLO evaluator, the metrics
-        recorder, then each node's planes in reverse construction order
-        (the fault plane's outages are finite processes, not loops)."""
+        recorder, each node's planes in reverse construction order, then
+        the world-level planes (the fault plane's outages are finite
+        processes, not loops)."""
         slo = self.obs.slo
         loops = [None if slo is None else slo.evaluator, self.obs.recorder]
         loops += [loop for node in self.nodes.values()
                   for plane in reversed(node.planes) for loop in plane.loops()]
+        loops += [loop for plane in self.planes for loop in plane.loops()]
         return [loop for loop in loops if loop is not None]
 
     def stop(self) -> None:

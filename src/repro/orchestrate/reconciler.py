@@ -250,9 +250,3 @@ class Reconciler(Periodic):
                 f"round|{entry['at']:.6f}|{entry['observed_sites']}|{replicas}"
                 f"|{';'.join(entry['actions'])}|{int(entry['converged'])}")
         return digest.hexdigest()
-
-    def replica_history(self, type_name: str) -> List[Tuple[float, int]]:
-        """(time, observed replica count) per journaled round for one type."""
-        return [(entry["at"], count)
-                for entry in entries(self.sim.journal, "orchestrate", "round")
-                for name, count in entry["replicas"] if name == type_name]

@@ -80,11 +80,6 @@ class VOMetrics:
         return sum(getattr(m, attribute) for m in self.sites.values())
 
     @property
-    def site_bytes_in(self) -> int:
-        """Bytes received, summed over member sites only."""
-        return self.total("bytes_in")
-
-    @property
     def site_bytes_out(self) -> int:
         """Bytes sent, summed over member sites only."""
         return self.total("bytes_out")

@@ -423,7 +423,7 @@ class TestFig18CapacityProbe:
             raise TypeError("call() got an unexpected keyword")
             yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(fig18, "_setup_content", lambda *args: [])
+        monkeypatch.setattr(fig18, "serve_types", lambda *args: [])
         monkeypatch.setattr(Network, "call", broken_call)
         with pytest.raises(TypeError, match="unexpected keyword"):
             fig18.run_fig18_capacity(n_sites=3, clients=2, horizon=1.0,

@@ -55,7 +55,8 @@ class TestExpiryCascade:
         deployment = register(vo)
         controller = LifecycleController(vo.rdm("agrid01"), sweep_interval=5.0)
         controller.start()
-        controller.expire_deployment_at(deployment.key, vo.sim.now + 10.0)
+        resource = vo.stack("agrid01").adr.home.lookup(deployment.key)
+        resource.set_termination_time(vo.sim.now + 10.0)
         vo.sim.run(until=vo.sim.now + 30)
         assert vo.stack("agrid01").atr.find_type("Ephemeral") is not None
         assert deployment.key not in vo.stack("agrid01").adr.deployments
@@ -64,7 +65,9 @@ class TestExpiryCascade:
         vo = make_vo()
         deployment = register(vo)
         controller = LifecycleController(vo.rdm("agrid01"))
-        controller.revoke_type("Ephemeral", until=vo.sim.now + 1000)
+        # a revocation: the type expires now and one sweep collects it
+        controller.expire_type_at("Ephemeral", vo.sim.now)
+        controller.lifetime.sweep_now()
         assert vo.stack("agrid01").atr.find_type("Ephemeral") is None
         assert deployment.key not in vo.stack("agrid01").adr.deployments
 

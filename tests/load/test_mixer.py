@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.experiments.workload import register_served_type
+from repro.faults import FaultsConfig, ServiceErrorRule
+from repro.glare.rdm import RDM_SERVICE
+from repro.invariants import audit
+from repro.load.inject import CohortInjector
 from repro.load.mixer import OpenLoopDriver, TrafficMix
 from repro.load.stats import StreamStats
 from repro.net.interceptors import Overloaded, RemoteError, RpcTimeout
 from repro.simkernel import Simulator
+from repro.vo import build_vo
 
 
 class TestTrafficMix:
@@ -47,20 +53,23 @@ class _FakeSim:
             pass
 
 
-class _FakeVO:
-    def __init__(self):
-        self.sim = _FakeSim()
+class _FakeNetwork:
+    """A network whose every call ends with ``error``, or answers."""
 
+    def __init__(self, error=None, sim=None):
+        self.sim = sim or _FakeSim()
+        self.planes, self.stopped, self.error, self.sent = [], False, error, []
 
-def _outcome_call(error):
-    def make_call(op, index):
-        if error is not None:
-            raise error
-        if False:  # pragma: no cover - generator shape
-            yield
+    def call(self, *args, **kwargs):
+        self.sent.append((args, kwargs))
+        if self.error is not None:
+            raise self.error
+        yield from ()
         return "ok"
 
-    return make_call
+
+def _call(op, index):
+    return "A", "B", "get_deployments", {"type": op}
 
 
 class TestOpenLoopDriver:
@@ -72,17 +81,17 @@ class TestOpenLoopDriver:
     ])
     def test_outcome_classification(self, error, field):
         stats = StreamStats(window=5.0)
-        driver = OpenLoopDriver(_FakeVO(), stats)
-        driver.fire("resolve", 1.0, 0, _outcome_call(error))
+        driver = OpenLoopDriver(_FakeNetwork(error), stats)
+        driver.fire("resolve", 1.0, 0, _call)
         assert getattr(stats.ops["resolve"], field) == 1
         assert stats.offered == 1
         assert stats.digest.n == 1
 
     def test_warmup_arrivals_run_but_are_not_measured(self):
         stats = StreamStats(window=5.0)
-        driver = OpenLoopDriver(_FakeVO(), stats, warmup=10.0)
-        driver.fire("resolve", 9.9, 0, _outcome_call(None))
-        driver.fire("resolve", 10.0, 1, _outcome_call(None))
+        driver = OpenLoopDriver(_FakeNetwork(), stats, warmup=10.0)
+        driver.fire("resolve", 9.9, 0, _call)
+        driver.fire("resolve", 10.0, 1, _call)
         assert driver.spawned == 2
         assert stats.offered == 1  # only the post-warmup arrival counted
         assert stats.digest.n == 1
@@ -90,26 +99,83 @@ class TestOpenLoopDriver:
     def test_a_bug_in_make_call_fails_the_run(self):
         """Only what a client can be told books a failed row; a
         ``TypeError`` inside ``make_call`` is a bug and propagates."""
-        vo = _FakeVO()
-        vo.sim = Simulator(seed=1)
+        def make_call(op, index):
+            raise TypeError("bad call")
+
         stats = StreamStats(window=5.0)
-        OpenLoopDriver(vo, stats).fire(
-            "resolve", 0.0, 0, _outcome_call(TypeError("bad call")))
+        network = _FakeNetwork(sim=Simulator(seed=1))
+        OpenLoopDriver(network, stats).fire("resolve", 0.0, 0, make_call)
         with pytest.raises(TypeError, match="bad call"):
-            vo.sim.run()
+            network.sim.run()
         assert "resolve" not in stats.ops and stats.digest.n == 0
 
     def test_single_attempt_policy(self):
         """A request is one attempt with ``request_timeout`` as its deadline."""
-        sent = []
+        network = _FakeNetwork()
+        OpenLoopDriver(network, StreamStats(), request_timeout=4.0).fire(
+            "resolve", 0.0, 0, _call)
+        assert network.sent == [(("A", "B", RDM_SERVICE, "get_deployments"),
+                                 {"payload": {"type": "resolve"}, "timeout": 4.0})]
 
-        class Net:
-            def call(self, *args, **kwargs):
-                sent.append(kwargs)
-                yield from ()
 
-        vo = _FakeVO()
-        vo.network = Net()
-        driver = OpenLoopDriver(vo, StreamStats(), request_timeout=4.0)
-        list(driver.call("A", "B", "resolve", None, service="svc"))
-        assert sent == [{"payload": None, "timeout": 4.0}]
+class _DropsFailures(StreamStats):
+    """A mutant whose ``fail`` branch books nothing."""
+
+    def fail(self, op, t):
+        pass
+
+
+class _DropsSheds(StreamStats):
+    """A mutant whose ``shed`` branch books nothing."""
+
+    def shed(self, op, t):
+        pass
+
+
+class TestRequestsConserved:
+    """The audit holds a driver to one outcome per measured arrival."""
+
+    def drive(self, stats, **config):
+        """Forty resolutions from agrid02 to agrid01 in one burst, on a
+        VO built with ``config``; the audit mid-run and after a drain."""
+        vo = build_vo(n_sites=3, seed=47, monitors=False, lifecycle=False, **config)
+        register_served_type(vo, "agrid01", "Served", "load")
+        driver = OpenLoopDriver(vo.network, stats, request_timeout=4.0,
+                                warmup=vo.sim.now)
+        assert vo.network.planes == [driver]
+
+        def make_call(op, index):
+            return "agrid02", "agrid01", "get_deployments", {
+                "type": "Served", "auto_deploy": False}
+
+        times = vo.sim.now + np.linspace(0.01, 0.05, 40)
+        CohortInjector(vo.sim, times, lambda t, i: driver.fire(
+            "resolve", t, i, make_call), tick=0.01).start()
+        vo.sim.run(until=vo.sim.now + 0.03)
+        running = audit(vo.network)
+        vo.network.stop()
+        vo.sim.run(until=vo.sim.now + 3600.0)
+        return driver, running, audit(vo.network)
+
+    FAULTED = dict(faults=FaultsConfig(service_errors=(
+        ServiceErrorRule(RDM_SERVICE, rate=0.5, method="get_deployments"),)))
+    SHEDDING = dict(admission_limit=2)
+
+    @pytest.mark.parametrize("config, outcome", [(FAULTED, "failed"),
+                                                 (SHEDDING, "shed")],
+                             ids=["faulted", "shedding"])
+    def test_the_real_driver_conserves_every_arrival(self, config, outcome):
+        stats = StreamStats(window=5.0)
+        driver, running, stopped = self.drive(stats, **config)
+        assert running == [] and stopped == []
+        assert driver.measured == stats.offered == 40
+        assert getattr(stats.ops["resolve"], outcome) > 0
+
+    @pytest.mark.parametrize("stats_class, config", [(_DropsFailures, FAULTED),
+                                                     (_DropsSheds, SHEDDING)],
+                             ids=["fail-dropped", "shed-dropped"])
+    def test_a_dropped_outcome_breaks_requests_conserved(self, stats_class, config):
+        driver, _, stopped = self.drive(stats_class(window=5.0), **config)
+        assert [(v.plane, v.clause) for v in stopped] == [
+            ("open-loop", "requests-conserved")]
+        assert driver.stats.offered < driver.measured == 40

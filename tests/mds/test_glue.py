@@ -6,9 +6,22 @@ from repro.mds.glue import (
     publish_site_info,
     publish_software,
     query_software,
-    query_software_path,
 )
 from repro.vo import build_vo
+
+
+def query_software_path(vo, from_site, index_site, name, target_site):
+    """The Path child of one site's software record ('' when absent)."""
+    paths = yield from vo.network.call(
+        from_site, index_site, "mds-index", "query",
+        payload=(
+            f"//SoftwareEnvironment[@name='{name}'][@site='{target_site}']"
+            "/Path/text()"
+        ),
+    )
+    if not paths:
+        return ""
+    return paths[0].get("value", "")
 
 
 @pytest.fixture()

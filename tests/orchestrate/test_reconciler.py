@@ -294,7 +294,9 @@ class TestConvergenceAndDigest:
         }]
         sim, actuator, reconciler = build(script)
         drive_rounds(reconciler, 2)
-        counts = [n for _, n in reconciler.replica_history("Hot")]
+        # the observed replica count of each journaled round
+        counts = [count for entry in entries(sim.journal, "orchestrate", "round")
+                  for name, count in entry["replicas"] if name == "Hot"]
         assert counts == [1, 2]  # the install shows up next round
 
 

@@ -27,6 +27,7 @@ from repro.experiments.workload import (
 from repro.glare.registry import ActivityDeploymentRegistry
 from repro.glare.superpeer import MemberInfo
 from repro.invariants import audit, audit_scope
+from repro.load import OpenLoopDriver, StreamStats
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.orchestrate import DeploymentSpec, Reconciler
@@ -114,6 +115,11 @@ def start_a_loop_on_a_crashed_site(vo):
     vo.stack("agrid03").site.loadavg.start()
 
 
+def book_an_outcome_never_fired(vo):
+    """A load driver's stats book an outcome for an arrival it never fired."""
+    OpenLoopDriver(vo.network, StreamStats()).stats.ok("resolve", 0.1, 0.0)
+
+
 ATR, ADR = "activity-type-registry", "activity-deployment-registry"
 
 #: (plane, clause, doctor): the doctor breaks exactly that clause
@@ -165,6 +171,7 @@ STATE_CASES = [
                         vo.network.node("agrid01").bytes_out + 1)),
     ("orchestrate@agrid00", "replicas-in-bounds", register_past_max_replicas),
     ("faults", "offline-loops-stopped", start_a_loop_on_a_crashed_site),
+    ("open-loop", "requests-conserved", book_an_outcome_never_fired),
 ]
 
 #: (clause, doctor) applied after ``vo.network.stop(); vo.sim.run()``

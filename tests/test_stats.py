@@ -86,7 +86,7 @@ def test_bytes_reconcile(active_vo):
         metrics.site_bytes_out + metrics.origin_bytes_out
     )
     assert metrics.wire_bytes == (
-        metrics.site_bytes_in + metrics.origin_bytes_in
+        metrics.total("bytes_in") + metrics.origin_bytes_in
     )
     # the deployment pipeline pulled archives from the origin host
     assert metrics.origin_bytes_out > 0
